@@ -99,30 +99,18 @@ def bipartite_inner_product(a: BipartiteState, b: BipartiteState, check=True) ->
 
 def _slot_propagator(label: SlotLabel, worldline, em, charge_to_mass, tol):
     """Linear map of one qubit's transport along ``worldline`` plus end label."""
-    t0 = worldline.param_span[0]
     if label.kind == "fermion":
-        dim = 2
-        cols = []
-        for i in range(dim):
-            e = np.zeros(dim, dtype=complex)
-            e[i] = 1.0
-            res = fermion_transport(FermionState(e, label.event, label.velocity),
-                                    worldline, em, charge_to_mass, tol)
-            cols.append(res.final.psi)
-        end = SlotLabel("fermion", res.final.event, res.final.velocity)
-    else:
-        dim = 4
-        cols = []
-        for i in range(dim):
-            e = np.zeros(dim, dtype=complex)
-            e[i] = 1.0
-            # basis legs need not be transverse; on transverse states the
-            # assembled map acts as parallel transport up to gauge
-            res = photon_transport(PhotonState(e, label.event, label.velocity),
-                                   worldline, tol)
-            cols.append(res.final.pol)
-        end = SlotLabel("photon", res.final.event, res.final.wavevector)
-    return np.array(cols).T, end
+        res = fermion_transport(FermionState([1.0, 0.0], label.event, label.velocity),
+                                worldline, em, charge_to_mass, tol)
+        end = res.final
+        return res.propagators[-1], SlotLabel("fermion", end.event, end.velocity)
+    # the first basis leg is not transverse; on transverse states the map
+    # acts as parallel transport, reported in the canonical gauge psi^0 = 0
+    res = photon_transport(PhotonState([1.0, 0.0, 0.0, 0.0], label.event, label.velocity),
+                           worldline, tol)
+    k = res.final.wavevector
+    canonical = np.eye(4) - np.outer(k, [1.0, 0.0, 0.0, 0.0]) / k[0]
+    return canonical @ res.propagators[-1], SlotLabel("photon", res.final.event, k)
 
 
 def evolve_local(state: BipartiteState, slot, worldline=None, em=None,
@@ -209,8 +197,9 @@ def make_basis_pair_field(pair, worldline, em=None, charge_to_mass=0.0, tol=1e-1
     """Transport an orthonormal basis pair along a trajectory."""
     phi0, psi0 = pair
     res_phi = fermion_transport(phi0, worldline, em, charge_to_mass, tol)
-    res_psi = fermion_transport(psi0, worldline, em, charge_to_mass, tol)
-    field = BasisPairField((phi0, psi0), (res_phi.final, res_psi.final), worldline)
+    psi_final = FermionState(res_phi.propagators[-1] @ psi0.psi, res_phi.final.event,
+                             res_phi.final.velocity)
+    field = BasisPairField((phi0, psi0), (res_phi.final, psi_final), worldline)
     if field.orthonormality_residual("initial") > 1e-9:
         raise QulineError("basis pair is not orthonormal at the start")
     if field.orthonormality_residual("final") > 1e-9:
@@ -240,7 +229,7 @@ def teleport(alpha, beta, basis_fields, rng=None, forced_outcome=None,
     """
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
         raise QulineError("input coefficients must satisfy |alpha|^2 + |beta|^2 = 1")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     f1, f2, f3 = basis_fields
     for f in (f1, f2, f3):
         if f.orthonormality_residual("final") > 1e-9:

@@ -17,8 +17,9 @@ same evolution reads
                           + gamma^2/(gamma+1) omega_{mu il} beta^l beta_j ] L^{ij} psi~
 
 (Thomas precession plus the rotated gravitational terms; beta_i are the
-Euclidean velocity components in the tetrad frame).  Both forms are
-integrated independently and agree to integration tolerance.
+Euclidean velocity components in the tetrad frame).  The two forms have
+independent generators, each integrated by the transport kernel
+:func:`quline.worldline.propagate`, and agree to integration tolerance.
 
 Norm drift under the velocity inner product I_u is reported, never silently
 renormalized away.
@@ -27,16 +28,17 @@ renormalized away.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .errors import HilbertSpaceMismatch, QulineError, ToleranceError
+from .errors import HilbertSpaceMismatch, QulineError
 from .geometry import Event
-from .spin_algebra import (ETA, PAULI, generator_contraction, minkowski_dot,
-                           spin_half_boost_matrix,
+from .spin_algebra import (ETA, PAULI, SIGMA_BAR, generator_contraction,
+                           minkowski_dot, spin_half_boost_matrix,
                            velocity_inner_product_matrix)
+from .worldline import propagate
 
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
@@ -120,13 +122,9 @@ def _rest_frame_magnetic(u_tet, f_tet):
     return h @ f_tet @ h.T
 
 
-def _covariant_generator(worldline, em, charge_to_mass, tau):
-    x = worldline.position(tau)
-    u = worldline.velocity(tau)
-    a = worldline.acceleration(tau)
-    omega = worldline.model.connection(x)
-    omega_low = np.einsum("ik,nkj->nij", ETA, omega)       # omega_{nu I J}
-    pulled = np.einsum("n,nij->ij", worldline.coordinate_velocity(tau), omega_low)
+def _covariant_generator(model, em, charge_to_mass, x, u, a, xdot):
+    # xdot^nu omega_{nu IJ}
+    pulled = ETA @ np.einsum("n,nij->ij", xdot, model.connection(x))
     coeffs = 0.5 * pulled + np.outer(ETA @ u, ETA @ a)
     if em is not None and charge_to_mass != 0.0:
         coeffs = coeffs - 0.5 * charge_to_mass * _rest_frame_magnetic(u, em.tensor(x))
@@ -134,13 +132,18 @@ def _covariant_generator(worldline, em, charge_to_mass, tau):
 
 
 class TransportResult:
-    """Dense transported states plus the norm audit."""
+    """Dense transported states plus the norm audit.
 
-    def __init__(self, kind, states, params, norm_drift):
+    ``propagators[i]`` is the transport map from the worldline start to
+    ``params[i]``; it carries any other initial spinor the same way.
+    """
+
+    def __init__(self, kind, states, params, norm_drift, propagators):
         self.kind = kind
         self.states = states
         self.params = params
         self.norm_drift = norm_drift
+        self.propagators = propagators
 
     @property
     def final(self):
@@ -159,91 +162,27 @@ def transport(state: FermionState, worldline, em=None, charge_to_mass=0.0,
         raise HilbertSpaceMismatch("state is not attached to the worldline start event")
     if np.abs(state.velocity - worldline.velocity(t0)).max() > 1e-8:
         raise HilbertSpaceMismatch("state velocity label differs from worldline velocity")
-
-    def rhs(tau, y):
-        psi = y[:2] + 1j * y[2:]
-        dpsi = _covariant_generator(worldline, em, charge_to_mass, tau) @ psi
-        return np.concatenate([dpsi.real, dpsi.imag])
-
-    y0 = np.concatenate([state.psi.real, state.psi.imag])
-    sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=tol, atol=tol,
-                    dense_output=True)
-    if not sol.success:
-        raise ToleranceError(f"spin transport failed: {sol.message}")
-    params = np.linspace(t0, t1, n_samples)
-    raw = sol.sol(params)
-    states, drift = [], 0.0
-    n0 = state.norm_squared()
-    for i, tau in enumerate(params):
-        s = FermionState(raw[:2, i] + 1j * raw[2:, i], worldline.event(tau),
-                         worldline.velocity(tau))
-        states.append(s)
-        drift = max(drift, abs(s.norm_squared() - n0))
-    return TransportResult("fermion", states, params, drift)
-
-
-def _rest_frame_generator(worldline, tau):
     model = worldline.model
-    x = worldline.position(tau)
-    u = worldline.velocity(tau)
-    udot = worldline.velocity_coordinate_derivative(tau)
-    gamma = u[0]
-    beta = u[1:] / gamma
-    betadot = (udot[1:] * u[0] - u[1:] * udot[0]) / u[0] ** 2
-    thomas_vec = np.einsum("i,j,ijk->k", beta, betadot, _EPS3)
-    gen = 1j * gamma * gamma / (2.0 * (gamma + 1.0)) * np.einsum(
-        "k,kab->ab", thomas_vec, PAULI[1:])
-    omega_low = np.einsum("ik,nkj->nij", ETA, model.connection(x))
-    pulled = np.einsum("n,nij->ij", worldline.coordinate_velocity(tau), omega_low)
-    w = np.zeros((4, 4))
-    w[1:, 1:] = (0.5 * pulled[1:, 1:]
-                 + gamma * np.outer(beta, pulled[0, 1:])
-                 + gamma * gamma / (gamma + 1.0)
-                 * np.outer(pulled[1:, 1:] @ beta, beta))
-    gen = gen + 1j * generator_contraction(w)
-    return gen
-
-
-def transport_rest_frame(rf: RestFrameState, worldline, tol=1e-12, n_samples=201):
-    """Integrate the rest-frame (Wigner) form of the transport equation.
-
-    Independent of :func:`transport`; the two agree through the boost map
-    to integration tolerance.  Manifestly norm preserving under the delta
-    inner product.
-    """
-    if worldline.kind != "timelike":
-        raise QulineError("rest-frame transport needs a timelike worldline")
-    t0, t1 = worldline.param_span
-
-    def rhs(tau, y):
-        psi = y[:2] + 1j * y[2:]
-        dpsi = _rest_frame_generator(worldline, tau) @ psi
-        return np.concatenate([dpsi.real, dpsi.imag])
-
-    y0 = np.concatenate([rf.psi_tilde.real, rf.psi_tilde.imag])
-    sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=tol, atol=tol,
-                    dense_output=True)
-    if not sol.success:
-        raise ToleranceError(f"rest-frame transport failed: {sol.message}")
+    generator = partial(_covariant_generator, model, em, charge_to_mass)
     params = np.linspace(t0, t1, n_samples)
-    raw = sol.sol(params)
-    states = [RestFrameState(raw[:2, i] + 1j * raw[2:, i]) for i in range(n_samples)]
-    n0 = rf.norm_squared()
-    drift = max(abs(s.norm_squared() - n0) for s in states)
-    return TransportResult("fermion-rest", states, params, drift)
+    maps = propagate(worldline, generator, 2, tol)(params)
+    psis = maps @ state.psi
+    positions, velocities = worldline.trajectory(params)
+    metrics = np.einsum("ni,iab->nab", velocities @ ETA, SIGMA_BAR)
+    norms = np.einsum("na,nab,nb->n", psis.conj(), metrics, psis).real
+    drift = float(np.abs(norms - state.norm_squared()).max())
+    states = [FermionState(psi, Event(x, model.chart_id), u)
+              for psi, x, u in zip(psis, positions, velocities)]
+    return TransportResult("fermion", states, params, drift, maps)
 
 
-def wigner_rotation_increment(u, du, omega_pull):
-    """2x2 unitary for one step of the rest-frame evolution.
+def _wigner_generator(u, du, omega_pull):
+    """Thomas precession plus the rotated gravitational terms, as a 2x2 generator.
 
-    ``u``: 4-velocity (tetrad components); ``du``: its increment over the
-    step; ``omega_pull``: u^mu omega_{mu IJ} dtau, a lowered antisymmetric
-    (4,4) increment.  Composing these over a worldline reproduces
-    :func:`transport_rest_frame` to second order in the step.
+    ``du`` is the rate (or increment) of the tetrad velocity components and
+    ``omega_pull`` the lowered connection contracted with the coordinate
+    velocity over the same rate (or increment).
     """
-    u = np.asarray(u, dtype=float).reshape(4)
-    du = np.asarray(du, dtype=float).reshape(4)
-    omega_pull = np.asarray(omega_pull, dtype=float).reshape(4, 4)
     gamma = u[0]
     beta = u[1:] / gamma
     dbeta = (du[1:] * u[0] - u[1:] * du[0]) / u[0] ** 2
@@ -255,8 +194,44 @@ def wigner_rotation_increment(u, du, omega_pull):
                  + gamma * np.outer(beta, omega_pull[0, 1:])
                  + gamma * gamma / (gamma + 1.0)
                  * np.outer(omega_pull[1:, 1:] @ beta, beta))
-    gen = gen + 1j * generator_contraction(w)
-    return expm(gen)
+    return gen + 1j * generator_contraction(w)
+
+
+def _rest_frame_generator(model, x, u, a, xdot):
+    pulled = np.einsum("n,nij->ij", xdot, model.connection(x))   # xdot^nu omega_nu^I_J
+    udot = a - pulled @ u
+    return _wigner_generator(u, udot, ETA @ pulled)
+
+
+def transport_rest_frame(rf: RestFrameState, worldline, tol=1e-12, n_samples=201):
+    """Integrate the rest-frame (Wigner) form of the transport equation.
+
+    Independent of :func:`transport`; the two agree through the boost map
+    to integration tolerance.  Manifestly norm preserving under the delta
+    inner product.
+    """
+    if worldline.kind != "timelike":
+        raise QulineError("rest-frame transport needs a timelike worldline")
+    generator = partial(_rest_frame_generator, worldline.model)
+    params = worldline.sample_params(n_samples)
+    maps = propagate(worldline, generator, 2, tol)(params)
+    psis = maps @ rf.psi_tilde
+    drift = float(np.abs(np.sum(np.abs(psis) ** 2, axis=1) - rf.norm_squared()).max())
+    states = [RestFrameState(psi) for psi in psis]
+    return TransportResult("fermion-rest", states, params, drift, maps)
+
+
+def wigner_rotation_increment(u, du, omega_pull):
+    """2x2 unitary for one step of the rest-frame evolution.
+
+    ``u``: 4-velocity (tetrad components); ``du``: its increment over the
+    step; ``omega_pull``: u^mu omega_{mu IJ} dtau, a lowered antisymmetric
+    (4,4) increment.  Composing these over a worldline reproduces
+    :func:`transport_rest_frame` to second order in the step.
+    """
+    return expm(_wigner_generator(np.asarray(u, dtype=float).reshape(4),
+                                  np.asarray(du, dtype=float).reshape(4),
+                                  np.asarray(omega_pull, dtype=float).reshape(4, 4)))
 
 
 def boost_state(state: FermionState, lorentz, new_event=None):

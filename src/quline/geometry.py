@@ -25,6 +25,9 @@ from .spin_algebra import ETA, LocalLorentz, minkowski_dot
 # 4th-order central difference stencil; default step in chart units.
 _FD_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _FD_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+# unit offsets of the stencil points: the centre, then _FD_OFFSETS along each axis
+_STENCIL = np.vstack([np.zeros(4),
+                      np.einsum("nm,k->nkm", np.eye(4), _FD_OFFSETS).reshape(-1, 4)])
 DEFAULT_FD_STEP = 1e-5
 
 
@@ -72,6 +75,10 @@ class SpacetimeModel:
     def tetrad(self, x):
         raise NotImplementedError
 
+    def tetrads(self, points):
+        """Tetrads at each row of an (n, 4) array of coordinates; (n, 4, 4)."""
+        return np.array([self.tetrad(p) for p in points])
+
     def in_domain(self, coords):
         return True
 
@@ -116,38 +123,25 @@ class SpacetimeModel:
         return self.metric(x) @ np.asarray(v_coords)
 
 
-def _partial_tetrad(model, coords, nu, step):
-    d = np.zeros((4, 4))
-    for off, w in zip(_FD_OFFSETS, _FD_WEIGHTS):
-        c = coords.copy()
-        c[nu] += off * step
-        if not model.in_domain(c):
+def _stencil_tetrads(model, coords, step):
+    """Tetrads, inverse tetrads and metrics at ``coords`` and its 16 stencil points.
+
+    Row 0 is the centre; row 1 + 4 nu + k is offset by _FD_OFFSETS[k] * step
+    along coordinate nu.  The metric is built from the same tetrads.
+    """
+    points = coords + step * _STENCIL
+    for p in points:
+        if not model.in_domain(p):
             raise DomainError(f"{model.name}: finite-difference stencil leaves chart domain")
-        d += w * model.tetrad(c)
-    return d / step
+    e = model.tetrads(points)
+    einv = np.linalg.inv(e)
+    return e, einv, np.swapaxes(einv, 1, 2) @ ETA @ einv
 
 
-def _partial_metric(model, coords, nu, step):
-    d = np.zeros((4, 4))
-    for off, w in zip(_FD_OFFSETS, _FD_WEIGHTS):
-        c = coords.copy()
-        c[nu] += off * step
-        d += w * model.metric(c)
-    return d / step
-
-
-def christoffel(model, coords, step=None):
-    """Gamma^sigma_{nu rho} from the metric, by 4th-order central differences."""
-    coords = np.asarray(coords, dtype=float).reshape(4)
-    h = model.fd_step if step is None else step
-    dg = np.stack([_partial_metric(model, coords, nu, h) for nu in range(4)])  # dg[nu, a, b]
-    ginv = model.inverse_metric(coords)
-    # Gamma^s_{nr} = 1/2 g^{sa}(d_n g_{ar} + d_r g_{an} - d_a g_{nr})
-    return 0.5 * np.einsum("sa,nra->snr",
-                           ginv,
-                           np.einsum("nar->nra", dg)
-                           + np.einsum("ran->nra", dg)
-                           - np.einsum("anr->nra", dg))
+def _stencil_derivative(samples, step):
+    """d_nu of a field from its values at the 16 offset stencil points; [nu, ...]."""
+    grouped = samples.reshape((4, len(_FD_OFFSETS)) + samples.shape[1:])
+    return np.einsum("k,nk...->n...", _FD_WEIGHTS, grouped) / step
 
 
 def connection_finite_difference(model, coords, step=None):
@@ -155,15 +149,22 @@ def connection_finite_difference(model, coords, step=None):
 
     Used both as the generic evaluator for models without analytic
     connections and as the self-consistency oracle for the analytic ones.
+    Tetrad and metric derivatives share one set of 17 tetrad evaluations.
     """
     coords = np.asarray(coords, dtype=float).reshape(4)
     h = model.fd_step if step is None else step
-    e = model.tetrad(coords)             # e^mu_I
-    einv = model.inverse_tetrad(coords)  # e^I_mu
-    de = np.stack([_partial_tetrad(model, coords, nu, h) for nu in range(4)])  # de[nu, rho, J]
-    gamma = christoffel(model, coords, step=h)
-    omega = np.einsum("ir,nrj->nij", einv, de) + np.einsum("snr,is,rj->nij", gamma, einv, e)
-    return omega
+    e, einv, g = _stencil_tetrads(model, coords, h)
+    e0, einv0 = e[0], einv[0]
+    de = _stencil_derivative(e[1:], h)                     # de[nu, rho, J]
+    dg = _stencil_derivative(g[1:], h)                     # dg[nu, a, b]
+    # Gamma^s_{nr} = 1/2 g^{sa}(d_n g_{ar} + d_r g_{an} - d_a g_{nr})
+    gamma = 0.5 * np.einsum("sa,nra->snr",
+                            e0 @ ETA @ e0.T,
+                            np.einsum("nar->nra", dg)
+                            + np.einsum("ran->nra", dg)
+                            - np.einsum("anr->nra", dg))
+    return (np.einsum("ir,nrj->nij", einv0, de)
+            + np.einsum("snr,is,rj->nij", gamma, einv0, e0))
 
 
 class MinkowskiModel(SpacetimeModel):
@@ -337,6 +338,12 @@ class TabulatedModel(SpacetimeModel):
             return self._const.copy()
         return self._interp(np.array([c[i] for i in self._active]))[0]
 
+    def tetrads(self, points):
+        points = np.asarray(points, dtype=float)
+        if self._interp is None:
+            return np.repeat(self._const[None], len(points), axis=0)
+        return self._interp(points[:, self._active])
+
 
 def make_builtin_model(name, params=()):
     """Construct one of the built-in model families.
@@ -438,6 +445,20 @@ def lower_connection(omega):
     return np.einsum("ik,nkj->nij", ETA, omega)
 
 
+def parallel_propagator(model, worldline, tol):
+    """Propagator of parallel transport dV^I/dlam = -xdot^nu omega_nu^I_J V^J.
+
+    Acts on tetrad components of vectors (real or complex) along
+    ``worldline``; see :func:`quline.worldline.propagate`.
+    """
+    from .worldline import propagate
+
+    def generator(x, u, a, xdot):
+        return -np.einsum("n,nij->ij", xdot, model.connection(x))
+
+    return propagate(worldline, generator, 4, tol)
+
+
 def parallel_transport_vector(model, worldline, v0, tol=1e-11):
     """Parallel transport tetrad components V^I along a sampled worldline.
 
@@ -445,26 +466,14 @@ def parallel_transport_vector(model, worldline, v0, tol=1e-11):
     eta-norm conservation is checked against ``tol`` and reported via
     :class:`ToleranceError` on failure.
     """
-    from scipy.integrate import solve_ivp
-
     from .errors import ToleranceError
 
     v0 = np.asarray(v0, dtype=float).reshape(4)
-
-    def rhs(lam, v):
-        xdot = worldline.coordinate_velocity(lam)
-        omega = model.connection(worldline.position(lam))
-        return -np.einsum("n,nij,j->i", xdot, omega, v)
-
     t0, t1 = worldline.param_span
-    sol = solve_ivp(rhs, (t0, t1), v0, method="RK45", rtol=tol, atol=tol,
-                    dense_output=True)
-    if not sol.success:
-        raise QulineError(f"parallel transport failed: {sol.message}")
     params = np.linspace(t0, t1, 201)
-    vectors = sol.sol(params).T
+    vectors = (parallel_propagator(model, worldline, tol)(params) @ v0).real
     n0 = minkowski_dot(v0, v0)
-    drift = max(abs(minkowski_dot(v, v) - n0) for v in vectors)
+    drift = np.abs(minkowski_dot(vectors.T, vectors.T) - n0).max()
     scale = 1.0 + abs(n0)
     if drift > 1000.0 * tol * scale * max(1.0, abs(t1 - t0)):
         raise ToleranceError("parallel transport norm drift exceeds budget",

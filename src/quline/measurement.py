@@ -116,7 +116,7 @@ def measure_spin(state: FermionState, setup: SternGerlachSetup, rng=None):
     """
     if np.abs(state.velocity - setup.particle_velocity).max() > 1e-9:
         raise HilbertSpaceMismatch("setup particle velocity differs from the state label")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     _, proj = spin_operator(setup)
     metric = velocity_inner_product_matrix(state.velocity)
     total = float(np.real(state.psi.conj() @ metric @ state.psi))
@@ -194,7 +194,7 @@ def measure_polarization(state: PhotonState, polarizer: PolarizerVector, rng=Non
     On transmission the post state is the polarizer direction itself (up to
     gauge); on absorption it is None.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     p = polarizer_probability(state, polarizer)
     transmitted = bool(rng.random() < p)
     post = (PhotonState(polarizer.vector, state.event, state.wavevector)

@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import (AdaptationSingular, HilbertSpaceMismatch, QulineError,
                      ToleranceError)
-from .geometry import Event
+from .geometry import Event, parallel_propagator
 from .spin_algebra import ETA, minkowski_dot
 
 SINGULAR_TOL = 1e-8
@@ -141,10 +141,14 @@ def photon_inner_product(a: PhotonState, b: PhotonState) -> complex:
 
 
 class PhotonTransportResult:
-    def __init__(self, states, params, audits):
+    """Transported states plus audits; ``propagators[i]`` maps the initial
+    polarization vector to the raw (uncanonicalized) one at ``params[i]``."""
+
+    def __init__(self, states, params, audits, propagators):
         self.states = states
         self.params = params
         self.audits = audits
+        self.propagators = propagators
 
     @property
     def final(self):
@@ -171,32 +175,19 @@ def transport(state: PhotonState, worldline, tol=1e-12, n_samples=201):
         raise HilbertSpaceMismatch("state wavevector differs from worldline velocity")
 
     model = worldline.model
-
-    def rhs(lam, y):
-        psi = y[:4] + 1j * y[4:]
-        omega = model.connection(worldline.position(lam))
-        dpsi = -np.einsum("n,nij,j->i", worldline.coordinate_velocity(lam), omega, psi)
-        return np.concatenate([dpsi.real, dpsi.imag])
-
-    y0 = np.concatenate([state.pol.real, state.pol.imag])
-    sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=tol, atol=tol,
-                    dense_output=True)
-    if not sol.success:
-        raise ToleranceError(f"polarization transport failed: {sol.message}")
     params = np.linspace(t0, t1, n_samples)
-    raw = sol.sol(params)
-    states = []
-    n0 = state.norm_squared()
-    norm_drift = trans_drift = 0.0
-    for i, lam in enumerate(params):
-        s = PhotonState(raw[:4, i] + 1j * raw[4:, i], worldline.event(lam),
-                        worldline.velocity(lam))
-        trans_drift = max(trans_drift, abs((ETA @ s.wavevector) @ s.pol) / scale)
-        norm_drift = max(norm_drift, abs(s.norm_squared() - n0))
-        states.append(s.canonical())
-    return PhotonTransportResult(states, params,
-                                 {"norm_drift": norm_drift,
-                                  "transversality_drift": trans_drift})
+    maps = parallel_propagator(model, worldline, tol)(params)
+    pols = maps @ state.pol
+    positions, wavevectors = worldline.trajectory(params)
+    trans = np.abs(np.sum((wavevectors @ ETA) * pols, axis=1)) / scale
+    norms = -np.einsum("ni,ij,nj->n", pols.conj(), ETA, pols).real
+    states = [PhotonState(pol, Event(x, model.chart_id), k).canonical()
+              for pol, x, k in zip(pols, positions, wavevectors)]
+    return PhotonTransportResult(
+        states, params,
+        {"norm_drift": float(np.abs(norms - state.norm_squared()).max()),
+         "transversality_drift": float(trans.max())},
+        maps)
 
 
 def _diad_rows(worldline, lam):

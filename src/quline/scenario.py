@@ -223,7 +223,7 @@ class ScenarioRun:
 
     # -- validation --------------------------------------------------------
     def diagnostics(self):
-        notes = []
+        """Check the schedule's references; return :meth:`validity_warnings`."""
         for idx, op in enumerate(self.data.get("schedule") or []):
             q = op.get("qubit")
             if q is not None and q not in self.qubits:
@@ -233,8 +233,7 @@ class ScenarioRun:
             if w is not None and w not in self.worldlines:
                 raise ScenarioReferenceError(f"undefined worldline {w!r}",
                                              block=f"schedule[{idx}]")
-        notes.extend(self.validity_warnings())
-        return notes
+        return self.validity_warnings()
 
     def validity_warnings(self):
         """Domain-of-applicability advisories (wavepacket vs curvature scale,
@@ -470,7 +469,7 @@ class ScenarioRun:
         return row
 
     def run(self):
-        self.diagnostics()
+        warnings = self.diagnostics()
         results = self.execute()
         violations = [k for k, limit in CORE_TOLERANCES.items()
                       if self.audit.get(k, 0.0) > limit]
@@ -491,7 +490,7 @@ class ScenarioRun:
                 **{k: float(v) for k, v in self.audit.items()},
                 "violations": violations,
             },
-            "warnings": self.validity_warnings(),
+            "warnings": warnings,
         }
         return report, violations
 

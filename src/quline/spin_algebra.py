@@ -209,7 +209,7 @@ def rotation_pair(axis, angle):
 
 def random_local_lorentz(rng, vmax=0.7):
     """Random proper orthochronous element (boost x rotation) with spin-half image."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     direction = rng.standard_normal(3)
     direction /= np.linalg.norm(direction)
     beta = rng.uniform(0.0, vmax) * direction

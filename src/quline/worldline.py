@@ -7,20 +7,26 @@ A worldline knows its model and exposes, for any value of its parameter
 * ``coordinate_velocity(lam)``  dx^mu/dlam (coordinate components)
 * ``velocity(lam)``             u^I (tetrad components)
 * ``acceleration(lam)``         a^I = Du^I/Dlam (tetrad components)
+* ``kinematics(lam)``           all four at once, (x, u, a, xdot)
 
 Timelike velocities satisfy u.u = 1, null ones u.u = 0; normalization is
 verified after integration, never re-imposed.
+
+Every qubit observable comes from one linear transport dY/dlam = G(lam) Y
+along a worldline; :func:`propagate` integrates its propagator U(lam) once
+and callers apply it to their states.
 """
 
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, QulineError, ToleranceError
-from .geometry import Event
+from .geometry import _STENCIL, Event, _stencil_derivative
 from .spin_algebra import ETA, minkowski_dot
 
 
@@ -53,13 +59,8 @@ class EMField:
     def consistency_residual(self, model, coords, step=1e-5):
         """|F_IJ - tetrad components of 2 grad_[mu A_nu]| at one event."""
         coords = np.asarray(coords, dtype=float).reshape(4)
-        dA = np.zeros((4, 4))
-        for mu in range(4):
-            for off, w in zip((-2, -1, 1, 2), (1 / 12, -8 / 12, 8 / 12, -1 / 12)):
-                c = coords.copy()
-                c[mu] += off * step
-                dA[mu] += w * self.potential(c)
-        dA /= step
+        points = coords + step * _STENCIL[1:]
+        dA = _stencil_derivative(np.array([self.potential(c) for c in points]), step)
         f_coord = dA - dA.T          # F_{mu nu} = d_mu A_nu - d_nu A_mu
         e = model.tetrad(coords)     # e^mu_I
         f_tet = np.einsum("mi,nj,mn->ij", e, e, f_coord)
@@ -102,13 +103,21 @@ class Worldline:
     def coordinate_velocity(self, lam):
         return self.model.to_coords(self.position(lam), self.velocity(lam))
 
-    def velocity_coordinate_derivative(self, lam):
-        """du^I/dlam (ordinary derivative of the tetrad components)."""
+    def kinematics(self, lam):
+        """(position, velocity, acceleration, coordinate_velocity) at ``lam``."""
         x = self.position(lam)
         u = self.velocity(lam)
-        omega = self.model.connection(x)
-        xdot = self.coordinate_velocity(lam)
-        return self.acceleration(lam) - np.einsum("n,nij,j->i", xdot, omega, u)
+        return x, u, self.acceleration(lam), self.model.to_coords(x, u)
+
+    def trajectory(self, params):
+        """Positions and velocities at every parameter value, as two (n, 4) arrays."""
+        return (np.array([self.position(lam) for lam in params]),
+                np.array([self.velocity(lam) for lam in params]))
+
+    def velocity_coordinate_derivative(self, lam):
+        """du^I/dlam (ordinary derivative of the tetrad components)."""
+        x, u, a, xdot = self.kinematics(lam)
+        return a - np.einsum("n,nij->ij", xdot, self.model.connection(x)) @ u
 
     def event(self, lam):
         return Event(self.position(lam), self.model.chart_id)
@@ -127,8 +136,8 @@ class Worldline:
     def norm_audit(self, n=201):
         """Max |u.u - target| over n samples (target 1 timelike, 0 null)."""
         target = 1.0 if self.kind == "timelike" else 0.0
-        return max(abs(minkowski_dot(self.velocity(l), self.velocity(l)) - target)
-                   for l in self.sample_params(n))
+        u = self.trajectory(self.sample_params(n))[1].T
+        return float(np.abs(minkowski_dot(u, u) - target).max())
 
     def to_csv(self, path, n=201):
         with open(path, "w", newline="") as fh:
@@ -164,7 +173,10 @@ class AnalyticWorldline(Worldline):
 
 
 class IntegratedWorldline(Worldline):
-    """Worldline backed by an adaptive RK5(4) solution with dense output."""
+    """Worldline backed by an adaptive DOP853 solution with dense output.
+
+    ``kinematics`` and ``trajectory`` evaluate the dense output once per call.
+    """
 
     def __init__(self, model, sol, span, kind, accel_fn):
         super().__init__(model, span)
@@ -173,18 +185,24 @@ class IntegratedWorldline(Worldline):
         self._sol = sol
         self._accel = accel_fn
 
-    def _state(self, lam):
-        return self._sol(lam)
-
     def position(self, lam):
-        return self._state(lam)[:4]
+        return self._sol(lam)[:4]
 
     def velocity(self, lam):
-        return self._state(lam)[4:]
+        return self._sol(lam)[4:]
 
     def acceleration(self, lam):
-        y = self._state(lam)
+        y = self._sol(lam)
         return self._accel(y[:4], y[4:])
+
+    def kinematics(self, lam):
+        y = self._sol(lam)
+        x, u = y[:4], y[4:]
+        return x, u, self._accel(x, u), self.model.tetrad(x) @ u
+
+    def trajectory(self, params):
+        y = self._sol(np.asarray(params, dtype=float))
+        return y[:4].T, y[4:].T
 
 
 class SampledWorldline(Worldline):
@@ -220,6 +238,48 @@ class SampledWorldline(Worldline):
     def acceleration(self, lam):
         return self._acc_spline(lam)
 
+    def trajectory(self, params):
+        return self._pos_spline(params), self._vel_spline(params)
+
+
+@dataclass(frozen=True)
+class Propagator:
+    """Dense solution U(lam) of dU/dlam = G(lam) U with U = 1 at the span start.
+
+    Calling it with one parameter value gives a (dim, dim) matrix, with an
+    array of n values an (n, dim, dim) stack.  ``nfev`` and ``steps`` are the
+    solver's right-hand-side evaluations and accepted steps.
+    """
+
+    sol: object
+    dim: int
+    nfev: int
+    steps: int
+
+    def __call__(self, lam):
+        lam = np.asarray(lam, dtype=float)
+        y = np.moveaxis(self.sol(lam), 0, -1)
+        return y.reshape(lam.shape + (self.dim, self.dim))
+
+
+def propagate(worldline, generator, dim, tol):
+    """Propagator of the linear transport dY/dlam = G(lam) Y along ``worldline``.
+
+    ``generator(x, u, a, xdot)`` returns the (dim, dim) matrix G from the
+    worldline's kinematics, which are evaluated once per right-hand side.
+    The matrix equation is integrated over the whole parameter span with the
+    8th-order Dormand-Prince pair DOP853 (Hairer, Norsett & Wanner, Solving
+    ODEs I, sec. II.10); ``tol`` is its relative and absolute tolerance.
+    """
+    def rhs(lam, y):
+        return (generator(*worldline.kinematics(lam)) @ y.reshape(dim, dim)).ravel()
+
+    sol = solve_ivp(rhs, worldline.param_span, np.eye(dim, dtype=complex).ravel(),
+                    method="DOP853", rtol=tol, atol=tol, dense_output=True)
+    if not sol.success:
+        raise ToleranceError(f"transport failed: {sol.message}")
+    return Propagator(sol.sol, dim, int(sol.nfev), len(sol.t) - 1)
+
 
 def worldline_from_csv(path, model, kind="timelike"):
     rows = []
@@ -253,13 +313,11 @@ def _integrate(model, x0, u0, span, tol, kind, accel_fn, max_step=np.inf):
         x, u = y[:4], y[4:]
         if not model.in_domain(x):
             raise DomainError(f"{model.name}: trajectory left chart domain at parameter {lam}")
-        e = model.tetrad(x)
-        omega = model.connection(x)
-        xdot = e @ u
-        udot = accel_fn(x, u) - np.einsum("n,nij,j->i", xdot, omega, u)
+        xdot = model.tetrad(x) @ u
+        udot = accel_fn(x, u) - np.einsum("n,nij->ij", xdot, model.connection(x)) @ u
         return np.concatenate([xdot, udot])
 
-    sol = solve_ivp(rhs, (0.0, span), np.concatenate([x0, u0]), method="RK45",
+    sol = solve_ivp(rhs, (0.0, span), np.concatenate([x0, u0]), method="DOP853",
                     rtol=tol, atol=tol, dense_output=True, max_step=max_step)
     if not sol.success:
         raise ToleranceError(f"worldline integration failed: {sol.message}")

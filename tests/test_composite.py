@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from quline import composite as cp
+from quline import fermion as fm
 from quline import measurement as ms
+from quline import photon as ph
 from quline.errors import HilbertSpaceMismatch, QulineError
 from quline.fermion import FermionState, inner_product
 from quline.geometry import make_builtin_model
 from quline.spin_algebra import boost_pair_from_velocity, velocity_inner_product_matrix
-from quline.worldline import circular_worldline, integrate_timelike, static_worldline
+from quline.worldline import (circular_worldline, integrate_null_geodesic,
+                              integrate_timelike, static_worldline)
 
 FLAT = make_builtin_model("minkowski", [])
 REST = np.array([1.0, 0, 0, 0])
@@ -92,6 +96,57 @@ def circular_like_orbit(model, r0, span):
     u_coord = u_coord / np.sqrt(u_coord @ g @ u_coord)
     u0 = model.inverse_tetrad(x0) @ u_coord
     return integrate_timelike(model, None, x0, u0, span=span, tol=1e-12)
+
+
+def reference_transport(wl, generator, psi0, tol=1e-13):
+    """One state carried by a direct solve of dpsi/dlam = G psi (no propagator)."""
+    sol = solve_ivp(lambda lam, y: generator(*wl.kinematics(lam)) @ y, wl.param_span,
+                    np.asarray(psi0, dtype=complex), method="RK45", rtol=tol, atol=tol)
+    return sol.y[:, -1]
+
+
+class TestSingleSolveMaps:
+    """Maps built from one propagator solve agree with per-basis-vector transports."""
+
+    def test_fermion_slot_map(self):
+        model, _, orbit = curved_legs()
+        label = cp.SlotLabel("fermion", orbit.start_event, orbit.velocity(0.0))
+        u_mat, end = cp._slot_propagator(label, orbit, None, 0.0, 1e-12)
+        generator = lambda x, u, a, xdot: fm._covariant_generator(model, None, 0.0,
+                                                                   x, u, a, xdot)
+        for i in range(2):
+            col = reference_transport(orbit, generator, np.eye(2)[i])
+            assert np.abs(u_mat[:, i] - col).max() < 1e-10
+        assert np.abs(end.velocity - orbit.velocity(orbit.param_span[1])).max() == 0.0
+
+    def test_photon_slot_map(self):
+        model = make_builtin_model("schwarzschild", [1.0])
+        x0 = np.array([0.0, 15.0, np.pi / 2, 0.0])
+        k_coord = np.array([0.0, -0.35, 0.0, 0.03])
+        g = model.metric(x0)
+        k_coord[0] = np.sqrt(-(g[1, 1] * k_coord[1] ** 2
+                               + g[3, 3] * k_coord[3] ** 2) / g[0, 0])
+        ray = integrate_null_geodesic(model, x0, model.inverse_tetrad(x0) @ k_coord,
+                                      span=10.0, tol=1e-12)
+        label = cp.SlotLabel("photon", ray.start_event, ray.velocity(0.0))
+        u_mat, end = cp._slot_propagator(label, ray, None, 0.0, 1e-12)
+        generator = lambda x, u, a, xdot: -np.tensordot(xdot, model.connection(x), 1)
+        for i in range(4):
+            pol = reference_transport(ray, generator, np.eye(4)[i])
+            col = ph.PhotonState(pol, end.event, end.velocity).canonical().pol
+            assert np.abs(u_mat[:, i] - col).max() < 1e-10
+
+    def test_basis_pair_field(self):
+        model, _, orbit = curved_legs()
+        pair = orthonormal_pair(orbit.start_event, orbit.velocity(0.0),
+                                np.random.default_rng(7))
+        field = cp.make_basis_pair_field(pair, orbit, tol=1e-12)
+        generator = lambda x, u, a, xdot: fm._covariant_generator(model, None, 0.0,
+                                                                   x, u, a, xdot)
+        for start, final in zip(pair, field.final):
+            assert np.abs(final.psi - reference_transport(orbit, generator,
+                                                          start.psi)).max() < 1e-10
+            assert final.event.close_to(orbit.end_event, 0.0)
 
 
 class TestEvolveLocal:

@@ -44,6 +44,30 @@ class TestTabulatedModel:
         with pytest.raises(DomainError):
             model.check_domain(np.array([0.0, 0.0, 0.0, 5.0]))
 
+    def test_stencil_leaving_domain_raises(self):
+        from quline.errors import DomainError
+        model = self.build_rindler_table()
+        edge = np.array([0.0, 0.0, 0.0, 2.0 - 0.5 * model.fd_step])
+        model.check_domain(edge)
+        with pytest.raises(DomainError, match="stencil"):
+            connection_finite_difference(model, edge)
+        with pytest.raises(DomainError):
+            model.connection(edge)
+
+    def test_tetrads_match_pointwise_tetrad(self):
+        rng = np.random.default_rng(3)
+        xs, zs = np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 2.0, 7)
+        table = rng.normal(size=(1, len(xs), 1, len(zs), 4, 4)) + 3.0 * np.eye(4)
+        model = TabulatedModel([[0.0], xs, [0.0], zs], table)
+        points = np.column_stack([rng.uniform(-5, 5, 20), rng.uniform(-1, 1, 20),
+                                  rng.uniform(-5, 5, 20), rng.uniform(0, 2, 20)])
+        np.testing.assert_allclose(model.tetrads(points),
+                                   np.array([model.tetrad(p) for p in points]),
+                                   rtol=1e-15, atol=1e-15)
+        const = TabulatedModel([[0.0]] * 4, table[:, :1, :, :1])
+        np.testing.assert_array_equal(const.tetrads(points[:3]),
+                                      np.array([const.tetrad(p) for p in points[:3]]))
+
     def test_scenario_tabulated_model(self, tmp_path):
         zs = [-0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
         tetrads = [[[[np.diag([1.0 / (1.0 + z * 0.3), 1, 1, 1]).tolist()

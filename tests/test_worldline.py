@@ -233,3 +233,38 @@ class TestEMField:
                          potential)
         res = em.consistency_residual(flat, np.array([0.0, 0.4, -1.2, 2.0]))
         assert res < 1e-6
+
+
+class TestKinematics:
+    @staticmethod
+    def worldlines(flat, tmp_path):
+        em = wld.constant_magnetic_field([0, 0, 1.0])
+        g = 1 / np.sqrt(1 - 0.36)
+        integrated = wld.integrate_timelike(flat, em, np.zeros(4), [g, 0.6 * g, 0, 0],
+                                            charge_to_mass=1.0, span=3.0, tol=1e-12)
+        integrated.to_csv(tmp_path / "orbit.csv", n=50)
+        sampled = wld.worldline_from_csv(tmp_path / "orbit.csv", flat)
+        analytic = wld.circular_worldline(flat, radius=2.0, beta=0.5)
+        model = make_builtin_model("schwarzschild", [1.0])
+        static = wld.static_worldline(model, [6.0, 1.2, 0.3], span=2.0)
+        x0 = np.array([0.0, 9.0, 1.2, 0.3])
+        falling = wld.integrate_timelike(model, None, x0, [1.0, 0.0, 0.0, 0.0], span=2.0)
+        return [analytic, static, integrated, sampled, falling]
+
+    def test_kinematics_matches_separate_evaluations(self, flat, tmp_path):
+        for wl in self.worldlines(flat, tmp_path):
+            for lam in wl.sample_params(7):
+                got = wl.kinematics(lam)
+                want = (wl.position(lam), wl.velocity(lam), wl.acceleration(lam),
+                        wl.coordinate_velocity(lam))
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+
+    def test_trajectory_matches_separate_evaluations(self, flat, tmp_path):
+        for wl in self.worldlines(flat, tmp_path):
+            params = wl.sample_params(9)
+            positions, velocities = wl.trajectory(params)
+            np.testing.assert_allclose(positions, [wl.position(l) for l in params],
+                                       rtol=1e-15, atol=1e-15)
+            np.testing.assert_allclose(velocities, [wl.velocity(l) for l in params],
+                                       rtol=1e-15, atol=1e-15)
