@@ -72,15 +72,10 @@ def cmd_sweep(args):
     from .scenario import load_scenario, sweep_rows, write_csv, write_json
 
     data = load_scenario(args.scenario)
-    if args.parameter:
-        data.setdefault("sweep", {})["parameter"] = args.parameter
-    if args.start is not None:
-        data.setdefault("sweep", {})["start"] = args.start
-    if args.stop is not None:
-        data.setdefault("sweep", {})["stop"] = args.stop
-    if args.steps is not None:
-        data.setdefault("sweep", {})["steps"] = args.steps
-    rows = sweep_rows(data, seed=args.seed)
+    for key in ("parameter", "start", "stop", "steps"):
+        if getattr(args, key) is not None:
+            data.setdefault("sweep", {})[key] = getattr(args, key)
+    rows = sweep_rows(data)
     out = _out_dir(args)
     output = data.get("output", {})
     csv_name = output.get("csv", Path(args.scenario).stem + "_sweep.csv")

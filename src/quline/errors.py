@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the library."""
 
+import numpy as np
+
 
 class QulineError(Exception):
     """Base class for all library errors."""
@@ -38,7 +40,7 @@ class OrthogonalStates(QulineError):
     """Relative phase of (numerically) orthogonal states is undefined."""
 
 
-class ComplexVelocity(QulineError):
+class ComplexVelocity(DomainError):
     """Energy conservation admits no real speed (particle cannot reach the height)."""
 
 
@@ -58,3 +60,13 @@ class ScenarioParseError(ScenarioError):
 
 class ScenarioReferenceError(ScenarioError):
     """A schedule entry or block names an object that is not defined."""
+
+
+def reject_where(bad, exc, message, **inputs):
+    """Raise ``exc`` if ``bad`` holds anywhere, naming ``inputs`` (broadcast
+    against ``bad``) at the first element where it does."""
+    if np.any(bad):
+        first = np.argmax(bad)
+        at = ", ".join(f"{name}={float(np.broadcast_to(value, np.shape(bad)).flat[first])!r}"
+                       for name, value in inputs.items())
+        raise exc(f"{message} ({at})")

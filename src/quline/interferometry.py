@@ -23,8 +23,8 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import (ComplexVelocity, HilbertSpaceMismatch, OrthogonalStates,
-                     QulineError, WavevectorMismatch)
+from .errors import (ComplexVelocity, DomainError, HilbertSpaceMismatch,
+                     OrthogonalStates, QulineError, WavevectorMismatch, reject_where)
 from .fermion import FermionState, inner_product
 from .geometry import Event
 from .photon import PhotonState, photon_inner_product
@@ -177,54 +177,57 @@ def cow_phase(mass, v1, dz, ell, g, mode="exact", dps=None):
     """
     if mode not in COW_MODES:
         raise QulineError(f"unknown cow mode {mode!r}")
-    if not 0.0 < v1 < 1.0:
-        raise QulineError("v1 must lie in (0, 1) in natural units")
-    if dz < 0 or ell <= 0 or g <= 0:
-        raise QulineError("dz must be >= 0 and ell, g positive")
+    if dps is None:
+        return float(cow_phases(mass, v1, dz, ell, g, (mode,))[mode])
+    _check_cow_inputs(v1, dz, ell, g)
     if dz == 0.0:
         return 0.0
+    with mp.workdps(dps):
+        return _cow_formulas(mp, *map(mp.mpf, (mass, v1, dz, ell, g)), (mode,))[mode]
 
-    if dps is not None:
-        with mp.workdps(dps):
-            return _cow_phase_mp(mp.mpf(mass), mp.mpf(v1), mp.mpf(dz),
-                                 mp.mpf(ell), mp.mpf(g), mode)
 
+def cow_phases(mass, v1, dz, ell, g, modes=COW_MODES):
+    """:func:`cow_phase` of each of ``modes`` over broadcast numpy inputs.
+
+    Returns {mode: array}; rows with dz = 0 are exactly 0.  A mode whose
+    phase is undefined on some row raises, naming that row's inputs.
+    """
+    mass, v1, dz, ell, g = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (mass, v1, dz, ell, g)))
+    _check_cow_inputs(v1, dz, ell, g)
+    phases = _cow_formulas(np, mass, v1, dz, ell, g, modes)
+    return {mode: np.where(dz == 0.0, 0.0, phase) for mode, phase in phases.items()}
+
+
+def _check_cow_inputs(v1, dz, ell, g):
+    reject_where(np.logical_not((0.0 < v1) & (v1 < 1.0)), DomainError,
+                 "v1 must lie in (0, 1) in natural units", v1=v1)
+    reject_where((dz < 0) | (ell <= 0) | (g <= 0), DomainError,
+                 "dz must be >= 0 and ell, g positive", dz=dz, ell=ell, g=g)
+
+
+def _cow_formulas(xp, mass, v1, dz, ell, g, modes):
+    """The closed forms of ``modes`` over numpy arrays or mpmath scalars (``xp``)."""
     x = dz * g / (v1 * v1)
-    gamma1 = 1.0 / np.sqrt(1.0 - v1 * v1)
-    if mode == "standard":
-        return mass * dz * ell * g / v1
-    if mode == "nonrel_g2":
-        return mass * ell * v1 * (x + 0.5 * x * x)
-    if mode == "weak_field":
-        if 2.0 * x >= 1.0:
-            raise ComplexVelocity("particle cannot reach the upper path height")
+    gamma1 = 1.0 / xp.sqrt(1.0 - v1 * v1)
+    phases = {}
+    if "exact" in modes:
+        # m l gamma1 (v1 - v2/g00) = m l gamma1 h / (g00 v1 + v2) with
+        # h = g00 - 1 = dz g (2 + dz g); avoids differencing nearly equal speeds
+        h = dz * g * (2.0 + dz * g)
+        v2 = rindler_speed_at_height(v1, dz, g, xp)
+        phases["exact"] = mass * ell * gamma1 * h / ((1.0 + h) * v1 + v2)
+    if "weak_field" in modes:
+        reject_where(2.0 * x >= 1.0, ComplexVelocity,
+                     "particle cannot reach the upper path height", v1=v1, dz=dz, g=g)
         # 1 - sqrt(1 - 2x) = 2x / (1 + sqrt(1 - 2x)), cancellation free
-        return mass * ell * v1 * gamma1 * 2.0 * x / (1.0 + np.sqrt(1.0 - 2.0 * x))
-    # exact: m l gamma1 (v1 - v2/g00) = m l gamma1 h / (g00 v1 + v2) with
-    # h = g00 - 1 = dz g (2 + dz g); avoids differencing nearly equal speeds
-    h = dz * g * (2.0 + dz * g)
-    g00 = 1.0 + h
-    v2 = rindler_speed_at_height(v1, dz, g)
-    return mass * ell * gamma1 * h / (g00 * v1 + v2)
-
-
-def _cow_phase_mp(mass, v1, dz, ell, g, mode):
-    x = dz * g / (v1 * v1)
-    gamma1 = 1 / mp.sqrt(1 - v1 * v1)
-    if mode == "standard":
-        return mass * dz * ell * g / v1
-    if mode == "nonrel_g2":
-        return mass * ell * v1 * (x + x * x / 2)
-    if mode == "weak_field":
-        if 2 * x >= 1:
-            raise ComplexVelocity("particle cannot reach the upper path height")
-        return mass * ell * v1 * gamma1 * 2 * x / (1 + mp.sqrt(1 - 2 * x))
-    h = dz * g * (2 + dz * g)
-    g00 = 1 + h
-    v2_sq = g00 * (v1 * v1 - h * (1 - v1 * v1))
-    if v2_sq <= 0:
-        raise ComplexVelocity("particle cannot reach the upper path height")
-    return mass * ell * gamma1 * h / (g00 * v1 + mp.sqrt(v2_sq))
+        phases["weak_field"] = (mass * ell * v1 * gamma1 * 2.0 * x
+                                / (1.0 + xp.sqrt(1.0 - 2.0 * x)))
+    if "nonrel_g2" in modes:
+        phases["nonrel_g2"] = mass * ell * v1 * (x + 0.5 * x * x)
+    if "standard" in modes:
+        phases["standard"] = mass * dz * ell * g / v1
+    return phases
 
 
 def cow_interferometer(mass, v1, dz, ell, g):
@@ -256,9 +259,8 @@ def cow_interferometer(mass, v1, dz, ell, g):
     # path 1 climbs at the end, path 2 at the start; both run z = 0 -> dz,
     # integrated here in opposite orientations as a numerical cancellation check
     tau_vert_1, _ = quad(vertical_dtau, 0.0, dz, epsabs=1e-14, epsrel=1e-14, limit=200)
-    tau_vert_2_neg, _ = quad(lambda z: -vertical_dtau(z), dz, 0.0,
-                             epsabs=1e-14, epsrel=1e-14, limit=200)
-    tau_vert_2 = tau_vert_2_neg
+    tau_vert_2, _ = quad(lambda z: -vertical_dtau(z), dz, 0.0,
+                         epsabs=1e-14, epsrel=1e-14, limit=200)
     energy = mass * gamma1          # conserved: m gamma(z) g00(z)
     delta_t = ell * (1.0 / v1 - 1.0 / v2)
     k_dx = energy * delta_t

@@ -27,11 +27,11 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import (QulineError, ScenarioError, ScenarioParseError,
+from .errors import (DomainError, QulineError, ScenarioError, ScenarioParseError,
                      ScenarioReferenceError)
 from .fermion import FermionState, transport as fermion_transport
 from .geometry import make_builtin_model
-from .interferometry import (COW_MODES, arm_phase, cow_phase, displacement_phase,
+from .interferometry import (COW_MODES, arm_phase, cow_phases, displacement_phase,
                              phase_difference, recombine, transport_phase)
 from .measurement import (SternGerlachSetup, circular_polarizer,
                           linear_polarizer, measure_polarization, measure_spin,
@@ -266,7 +266,7 @@ class ScenarioRun:
         if cow:
             v1 = _number(cow.get("v1"), "velocity", "cow")
             if v1 >= 1.0:
-                raise ScenarioError("cow.v1 must be below light speed", block="cow")
+                raise DomainError("[cow] cow.v1 must be below light speed")
         return notes
 
     # -- execution ---------------------------------------------------------
@@ -275,10 +275,9 @@ class ScenarioRun:
         rng = np.random.default_rng(self.seed)
         for idx, op in enumerate(self.data.get("schedule") or []):
             rows.append(self._run_op(idx, op, rng))
-        cow_result = self._run_cow()
         results = {"schedule": rows}
-        if cow_result:
-            results["cow"] = cow_result
+        if self.data.get("cow"):
+            results["cow"] = cow_row(self.data["cow"])
         mz_result = self._run_interferometer()
         if mz_result:
             results["interferometer"] = mz_result
@@ -372,12 +371,6 @@ class ScenarioRun:
         else:
             raise ScenarioParseError(f"unknown operation {name!r}", block=block)
         return row
-
-    def _run_cow(self):
-        cow = self.data.get("cow")
-        if not cow:
-            return None
-        return cow_row(cow)
 
     def _run_interferometer(self):
         """Generic two-arm block: internal, displacement, transport and total
@@ -495,77 +488,70 @@ class ScenarioRun:
         return report, violations
 
 
-def cow_row(cow, overrides=None):
-    block = "cow"
-    params = {
-        "mass": _number(cow.get("mass"), "mass", block),
-        "v1": _number(cow.get("v1"), "velocity", block),
-        "dz": _number(cow.get("dz"), "length", block),
-        "ell": _number(cow.get("ell"), "length", block),
-        "g": _number(cow.get("g"), "acceleration", block),
-    }
-    if overrides:
-        params.update(overrides)
-    row = {"dz_m": from_natural(params["dz"], "length")}
-    for mode in COW_MODES:
-        row["delta_theta_" + mode] = float(cow_phase(mode=mode, **params))
-    row["fringe_probability"] = float(
-        0.5 * (1.0 + np.cos(row["delta_theta_exact"])))
-    return row
+COW_DIMENSIONS = {"mass": "mass", "v1": "velocity", "dz": "length",
+                  "ell": "length", "g": "acceleration"}
 
 
-def sweep_rows(data, seed=0):
+def cow_columns(cow, field="dz", values=None):
+    """Report columns of a ``cow`` block, one entry per value of ``field``
+    (default: its own value); the four modes are evaluated once over the column."""
+    params = {key: _number(cow.get(key), dim, "cow") for key, dim in COW_DIMENSIONS.items()}
+    if values is not None:
+        params[field] = values
+    params = dict(zip(params, np.broadcast_arrays(*np.atleast_1d(*params.values()))))
+    phases = cow_phases(**params)
+    columns = {"dz_m": from_natural(params["dz"], "length"),
+               **{"delta_theta_" + mode: phases[mode] for mode in COW_MODES},
+               "fringe_probability": 0.5 * (1.0 + np.cos(phases["exact"]))}
+    return {name: column.tolist() for name, column in columns.items()}
+
+
+def _rows(columns):
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def cow_row(cow):
+    """The single report row of a ``cow`` block."""
+    return _rows(cow_columns(cow))[0]
+
+
+def sweep_rows(data):
     """Evaluate the sweep block: one result row per parameter value."""
     sw = data.get("sweep")
-    if not sw:
+    if not isinstance(sw, dict) or not sw:
         raise ScenarioParseError("scenario has no sweep block", block="sweep")
     target = sw.get("parameter", "")
-    if not target.startswith("cow."):
+    if not isinstance(target, str) or not target.startswith("cow."):
         raise ScenarioParseError(
             f"only cow.* parameters are sweepable, got {target!r}", block="sweep")
     field = target.split(".", 1)[1]
-    if field not in ("dz", "ell", "v1", "g", "mass"):
+    if field not in COW_DIMENSIONS:
         raise ScenarioReferenceError(f"unknown sweep parameter {target!r}",
                                      block="sweep")
     if "cow" not in data:
         raise ScenarioReferenceError("sweep refers to a missing cow block",
                                      block="sweep")
-    dims = {"dz": "length", "ell": "length", "v1": "velocity",
-            "g": "acceleration", "mass": "mass"}
-    start = _number(sw.get("start"), dims[field], "sweep")
-    stop = _number(sw.get("stop", sw.get("start")), dims[field], "sweep")
-    steps = int(sw.get("steps", 1))
-    if steps < 1:
-        raise ScenarioParseError("steps must be >= 1", block="sweep")
+    start = _number(sw.get("start"), COW_DIMENSIONS[field], "sweep")
+    stop = _number(sw.get("stop", sw.get("start")), COW_DIMENSIONS[field], "sweep")
+    steps = sw.get("steps", 1)
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ScenarioParseError(f"steps must be a whole number >= 1, got {steps!r}",
+                                 block="sweep")
     values = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
-    rows = []
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [pool.submit(cow_row, data["cow"], {field: float(v)})
-                   for v in values]
-        for v, fut in zip(values, futures):
-            row = {"parameter": target, "value": float(v)}
-            row.update(fut.result())
-            rows.append(row)
-    return rows
+    return _rows({"parameter": [target] * len(values), "value": values.tolist(),
+                  **cow_columns(data["cow"], field, values)})
 
 
 def write_csv(path, rows):
     if not rows:
         return
-    keys = []
-    for row in rows:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
+    keys = list(dict.fromkeys(k for row in rows for k in row))
     with open(path, "w") as fh:
         fh.write(",".join(keys) + "\n")
         for row in rows:
-            fields = []
-            for k in keys:
-                v = row.get(k, "")
-                fields.append(f"{v:.17g}" if isinstance(v, float) else str(v))
-            fh.write(",".join(fields) + "\n")
+            fields = (row.get(k, "") for k in keys)
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in fields) + "\n")
 
 
 def write_json(path, payload):

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DomainError, QulineError, ToleranceError
+from .errors import (ComplexVelocity, DomainError, QulineError, ToleranceError,
+                     reject_where)
 from .geometry import _STENCIL, Event, _stencil_derivative
 from .spin_algebra import ETA, minkowski_dot
 
@@ -478,20 +479,19 @@ def killing_energy(model, worldline, xi, mass=1.0, n=201):
     return params, energies
 
 
-def rindler_speed_at_height(v1, dz, g):
+def rindler_speed_at_height(v1, dz, g, xp=np):
     """Speed at height dz from energy conservation, given speed v1 at z = 0.
 
     v2 = sqrt(g00 (1 - g00 / gamma1^2)) with g00 = (1 + dz g)^2.  Evaluated
     in the cancellation-free form v2^2 = g00 (v1^2 - h (1 - v1^2)) with
     h = g00 - 1 = dz g (2 + dz g), which stays accurate when dz g is many
-    orders below v1^2.  Raises ComplexVelocity when the particle cannot
-    reach the height.
+    orders below v1^2.  Elementwise over numpy arrays, or over mpmath
+    scalars with ``xp=mpmath``.  Raises ComplexVelocity, naming the first
+    height the particle cannot reach.
     """
-    from .errors import ComplexVelocity
-
     h = dz * g * (2.0 + dz * g)
     g00 = 1.0 + h
     v2_sq = g00 * (v1 * v1 - h * (1.0 - v1 * v1))
-    if v2_sq <= 0.0:
-        raise ComplexVelocity(f"no real speed at height {dz} (v2^2 = {v2_sq})")
-    return float(np.sqrt(v2_sq))
+    reject_where(v2_sq <= 0.0, ComplexVelocity, "no real speed at height",
+                 dz=dz, v1=v1, g=g)
+    return xp.sqrt(v2_sq)

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from quline import interferometry as itf
-from quline.errors import (ComplexVelocity, OrthogonalStates, QulineError,
-                           WavevectorMismatch)
+from quline.errors import (ComplexVelocity, DomainError, OrthogonalStates,
+                           QulineError, WavevectorMismatch)
 from quline.fermion import FermionState
 from quline.geometry import Event, make_builtin_model
 from quline.photon import jones_to_state
@@ -269,6 +269,45 @@ class TestCowPhase:
             itf.cow_phase(1.0, 0.5, 0.1, 1.0, 0.1, "fancy")
         with pytest.raises(QulineError):
             itf.cow_phase(1.0, 1.5, 0.1, 1.0, 0.1, "exact")
+
+    @pytest.mark.parametrize("v1, dz, ell, g", [
+        (1.5, 0.1, 1.0, 0.1), (0.0, 0.1, 1.0, 0.1), (0.5, -0.1, 1.0, 0.1),
+        (0.5, 0.1, 0.0, 0.1), (0.5, 0.1, 1.0, -0.1)])
+    def test_input_guard_is_domain_error(self, v1, dz, ell, g):
+        for dps in (None, 30):
+            with pytest.raises(DomainError):
+                itf.cow_phase(1.0, v1, dz, ell, g, "standard", dps=dps)
+
+    def test_each_mode_guards_only_itself(self):
+        # 2 dz g >> v1^2: no real upper-path speed, yet the two
+        # non-relativistic closed forms stay defined
+        args = (1.0, 1e-4, 10.0, 0.1, 1.0)
+        assert issubclass(ComplexVelocity, DomainError)
+        for dps in (None, 30):
+            assert itf.cow_phase(*args, "standard", dps=dps) > 0
+            assert itf.cow_phase(*args, "nonrel_g2", dps=dps) > 0
+            for mode in ("exact", "weak_field"):
+                with pytest.raises(ComplexVelocity):
+                    itf.cow_phase(*args, mode, dps=dps)
+        with pytest.raises(ComplexVelocity, match="dz=10.0"):
+            itf.cow_phases(*args)
+
+    def test_array_phases_match_scalar(self):
+        dz = np.array([0.0, DZ / 3, DZ, 2 * DZ])
+        phases = itf.cow_phases(M_NAT, V1_NAT, dz, ELL, G_NAT)
+        for mode in itf.COW_MODES:
+            assert phases[mode].tolist() == [
+                itf.cow_phase(M_NAT, V1_NAT, float(d), ELL, G_NAT, mode) for d in dz]
+
+    def test_zero_height_rows_are_exactly_zero(self):
+        # the formulas alone would give -0.0 here (negative mass)
+        phases = itf.cow_phases(-1.0, 0.5, np.array([0.0, 0.1]), 1.0, 0.1)
+        for mode in itf.COW_MODES:
+            assert phases[mode][0] == 0.0 and np.copysign(1.0, phases[mode][0]) == 1.0
+
+    def test_array_guard_names_first_offending_row(self):
+        with pytest.raises(DomainError, match=r"v1=1\.5"):
+            itf.cow_phases(1.0, np.array([0.5, 1.5, 2.0]), 0.1, 1.0, 0.1)
 
 
 BENCH = dict(mass=1.0, v1=0.3, dz=0.05, ell=2.0, g=0.4)

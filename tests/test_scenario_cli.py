@@ -4,14 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from quline import cli
 from quline import scenario as sc
-from quline.errors import ScenarioReferenceError
-from quline.interferometry import cow_phase
-from quline.units import C_SI, HBAR_SI
+from quline.errors import ScenarioParseError, ScenarioReferenceError
+from quline.interferometry import COW_MODES, cow_phase
+from quline.units import C_SI, HBAR_SI, parse_quantity
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(args):
@@ -145,6 +147,90 @@ class TestSweep:
         data["sweep"] = {"parameter": "cow.height", "start": "1 cm"}
         with pytest.raises(ScenarioReferenceError):
             sc.sweep_rows(data)
+
+    @pytest.mark.parametrize("field, start, stop", [
+        ("dz", "2 mm", "4 cm"), ("ell", "1 cm", "50 cm"),
+        ("v1", "1000 m/s", "5000 m/s"), ("g", "1 m/s^2", "100 m/s^2"),
+        ("mass", "1e-27 kg", "1e-26 kg")])
+    def test_rows_match_scalar_cow_phase(self, field, start, stop):
+        data = sc.load_scenario(SCENARIOS / "cow.scenario")
+        data["sweep"] = {"parameter": f"cow.{field}", "start": start,
+                         "stop": stop, "steps": 57}
+        rows = sc.sweep_rows(data)
+        base = {key: parse_quantity(data["cow"][key])[0]
+                for key in ("mass", "v1", "dz", "ell", "g")}
+        values = np.linspace(parse_quantity(start)[0], parse_quantity(stop)[0], 57)
+        expected = []
+        for v in values:
+            params = dict(base, **{field: float(v)})
+            row = {"parameter": f"cow.{field}", "value": float(v), "dz_m": params["dz"]}
+            for mode in COW_MODES:
+                row["delta_theta_" + mode] = float(cow_phase(mode=mode, **params))
+            row["fringe_probability"] = float(
+                0.5 * (1.0 + np.cos(row["delta_theta_exact"])))
+            expected.append(row)
+        assert rows == expected
+        assert [list(row) for row in rows] == [list(row) for row in expected]
+
+    def test_sweep_from_zero_height_starts_at_zero(self):
+        data = sc.load_scenario(SCENARIOS / "cow.scenario")
+        data["sweep"] = {"parameter": "cow.dz", "start": 0.0, "stop": "1 cm",
+                         "steps": 5}
+        first = sc.sweep_rows(data)[0]
+        for mode in COW_MODES:
+            value = first["delta_theta_" + mode]
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert first["fringe_probability"] == 1.0
+
+    @pytest.mark.parametrize("key, value", [
+        ("steps", "abc"), ("steps", 2.7), ("parameter", 5)])
+    def test_malformed_sweep_field_is_parse_error(self, tmp_path, capsys, key, value):
+        data = sc.load_scenario(SCENARIOS / "cow.scenario")
+        data["sweep"][key] = value
+        with pytest.raises(ScenarioParseError):
+            sc.sweep_rows(data)
+        path = tmp_path / "bad.scenario"
+        path.write_text(yaml.safe_dump(data))
+        assert run_cli(["--out-dir", tmp_path, "sweep", path]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, block, key, value", [
+        ("sweep", "sweep", "stop", "-1 cm"),
+        ("sweep", "cow", "v1", "3e8 m/s"),
+        ("sweep", "cow", "g", "1e9 m/s^2"),
+        ("run", "cow", "v1", "3e8 m/s"),
+        ("run", "cow", "dz", "-1 cm"),
+        ("run", "cow", "dz", "300 km")])
+    def test_cow_domain_exit(self, tmp_path, capsys, command, block, key, value):
+        data = sc.load_scenario(SCENARIOS / "cow.scenario")
+        data[block][key] = value
+        path = tmp_path / "bad.scenario"
+        path.write_text(yaml.safe_dump(data))
+        assert run_cli(["--out-dir", tmp_path, command, path]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("domain error:")
+
+    def test_interior_row_out_of_domain_exits_4(self, tmp_path, capsys):
+        # thermal neutrons rise at most v1^2 / 2g ~ 247 km: rows 0-2 are
+        # reachable, rows 3 and 4 are not, and the error names row 3
+        data = sc.load_scenario(SCENARIOS / "cow.scenario")
+        data["sweep"] = {"parameter": "cow.dz", "start": "1 cm", "stop": "400 km",
+                         "steps": 5}
+        path = tmp_path / "interior.scenario"
+        path.write_text(yaml.safe_dump(data))
+        assert run_cli(["--out-dir", tmp_path, "sweep", path]) == cli.EXIT_DOMAIN
+        first_bad = np.linspace(0.01, 4e5, 5)[3]
+        assert f"dz={float(first_bad)!r}" in capsys.readouterr().err
+
+    def test_bundled_cow_outputs_unchanged(self, tmp_path):
+        assert run_cli(["--out-dir", tmp_path / "run", "run",
+                        SCENARIOS / "cow.scenario"]) == cli.EXIT_OK
+        assert run_cli(["--out-dir", tmp_path / "sweep", "sweep",
+                        SCENARIOS / "cow.scenario"]) == cli.EXIT_OK
+        assert ((tmp_path / "run" / "cow.json").read_bytes()
+                == (GOLDEN / "cow_run.json").read_bytes())
+        assert ((tmp_path / "sweep" / "cow.csv").read_bytes()
+                == (GOLDEN / "cow_sweep.csv").read_bytes())
 
 
 class TestInterferometerBlock:

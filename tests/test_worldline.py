@@ -192,6 +192,13 @@ class TestKillingEnergy:
         with pytest.raises(ComplexVelocity):
             wld.rindler_speed_at_height(0.01, 10.0, 1.0)
 
+    def test_speed_at_height_over_arrays(self):
+        dz = np.array([0.0, 0.05, 0.1, 0.15])
+        v2 = wld.rindler_speed_at_height(0.3, dz, 0.2)
+        assert v2.tolist() == [wld.rindler_speed_at_height(0.3, float(d), 0.2) for d in dz]
+        with pytest.raises(ComplexVelocity, match="dz=3.0"):
+            wld.rindler_speed_at_height(0.3, np.array([0.1, 3.0, 5.0]), 0.2)
+
 
 class TestPrescribedWorldlines:
     def test_circular_orbit_normalization(self, flat):
