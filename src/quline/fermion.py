@@ -34,17 +34,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import HilbertSpaceMismatch, QulineError
-from .geometry import Event
+from .geometry import Event, pulled_connection
 from .spin_algebra import (ETA, PAULI, SIGMA_BAR, generator_contraction,
                            minkowski_dot, spin_half_boost_matrix,
                            velocity_inner_product_matrix)
 from .worldline import propagate
-
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-    _EPS3[_i, _j, _k] = 1.0
-    _EPS3[_j, _i, _k] = -1.0
-
 
 @dataclass(frozen=True)
 class FermionState:
@@ -115,17 +109,21 @@ def from_rest_frame(rf: RestFrameState, event: Event, velocity) -> FermionState:
     return FermionState(m @ rf.psi_tilde, event, velocity)
 
 
+def _outer(a, b):
+    """a_I b_J over any leading axes."""
+    return a[..., :, None] * b[..., None, :]
+
+
 def _rest_frame_magnetic(u_tet, f_tet):
     """B^rest_IJ = h_I^K h_J^L F_KL with h^I_J = delta - u^I u_J."""
-    u_low = ETA @ u_tet
-    h = np.eye(4) - np.outer(u_low, u_tet)   # h_I^K, row I, column K
-    return h @ f_tet @ h.T
+    h = np.eye(4) - _outer(u_tet @ ETA, u_tet)   # h_I^K, row I, column K
+    return h @ f_tet @ np.swapaxes(h, -1, -2)
 
 
 def _covariant_generator(model, em, charge_to_mass, x, u, a, xdot):
-    # xdot^nu omega_{nu IJ}
-    pulled = ETA @ np.einsum("n,nij->ij", xdot, model.connection(x))
-    coeffs = 0.5 * pulled + np.outer(ETA @ u, ETA @ a)
+    """2x2 generator of the covariant transport; (n, 2, 2) for (n, 4) kinematics."""
+    pulled = ETA @ pulled_connection(model, x, xdot)      # xdot^nu omega_{nu IJ}
+    coeffs = 0.5 * pulled + _outer(u @ ETA, a @ ETA)
     if em is not None and charge_to_mass != 0.0:
         coeffs = coeffs - 0.5 * charge_to_mass * _rest_frame_magnetic(u, em.tensor(x))
     return 1j * generator_contraction(coeffs)
@@ -181,25 +179,27 @@ def _wigner_generator(u, du, omega_pull):
 
     ``du`` is the rate (or increment) of the tetrad velocity components and
     ``omega_pull`` the lowered connection contracted with the coordinate
-    velocity over the same rate (or increment).
+    velocity over the same rate (or increment).  Leading axes broadcast.
     """
-    gamma = u[0]
-    beta = u[1:] / gamma
-    dbeta = (du[1:] * u[0] - u[1:] * du[0]) / u[0] ** 2
-    thomas_vec = np.einsum("i,j,ijk->k", beta, dbeta, _EPS3)
+    gamma = u[..., 0, None]
+    beta = u[..., 1:] / gamma
+    dbeta = (du[..., 1:] * u[..., :1] - u[..., 1:] * du[..., :1]) / u[..., :1] ** 2
+    thomas_vec = np.cross(beta, dbeta)
+    gamma = gamma[..., None]
     gen = 1j * gamma * gamma / (2.0 * (gamma + 1.0)) * np.einsum(
-        "k,kab->ab", thomas_vec, PAULI[1:])
-    w = np.zeros((4, 4))
-    w[1:, 1:] = (0.5 * omega_pull[1:, 1:]
-                 + gamma * np.outer(beta, omega_pull[0, 1:])
-                 + gamma * gamma / (gamma + 1.0)
-                 * np.outer(omega_pull[1:, 1:] @ beta, beta))
+        "...k,kab->...ab", thomas_vec, PAULI[1:])
+    w = np.zeros(np.shape(omega_pull))
+    w[..., 1:, 1:] = (0.5 * omega_pull[..., 1:, 1:]
+                      + gamma * _outer(beta, omega_pull[..., 0, 1:])
+                      + gamma * gamma / (gamma + 1.0)
+                      * _outer((omega_pull[..., 1:, 1:] @ beta[..., None])[..., 0], beta))
     return gen + 1j * generator_contraction(w)
 
 
 def _rest_frame_generator(model, x, u, a, xdot):
-    pulled = np.einsum("n,nij->ij", xdot, model.connection(x))   # xdot^nu omega_nu^I_J
-    udot = a - pulled @ u
+    """2x2 generator of the rest-frame transport; (n, 2, 2) for (n, 4) kinematics."""
+    pulled = pulled_connection(model, x, xdot)
+    udot = a - (pulled @ u[..., None])[..., 0]
     return _wigner_generator(u, udot, ETA @ pulled)
 
 

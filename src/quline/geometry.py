@@ -7,6 +7,9 @@ A model evaluates, at any event of its single open chart:
 * ``inverse_tetrad(coords)``e^I_mu                         (4,4), row I, column mu
 * ``connection(coords)``    omega_nu^I_J                   (4,4,4), [nu, I, J]
 
+and, at each row of an (n, 4) array of events, ``tetrads(points)``
+(n,4,4) and ``connections(points)`` (n,4,4,4).
+
 Natural units c = hbar = 1 throughout; all conversion happens at the CLI
 boundary.  The connection is omega_nu^I_J = e^I_rho d_nu e^rho_J
 + Gamma^sigma_{nu rho} e^I_sigma e^rho_J; after lowering the I index with
@@ -16,6 +19,7 @@ eta it is antisymmetric in (I, J).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -110,14 +114,25 @@ class SpacetimeModel:
         self.check_domain(x)
         return connection_finite_difference(self, _coords_of(x), self.fd_step)
 
+    def connections(self, points):
+        """Connections at each row of an (n, 4) array of events, (n, 4, 4, 4);
+        one (4,) event gives its (4, 4, 4) connection."""
+        points = np.asarray(points, dtype=float)
+        omegas = [self.connection(p) for p in points.reshape(-1, 4)]
+        return np.reshape(omegas, points.shape[:-1] + (4, 4, 4))
+
     # -- small conveniences used throughout the library ---------------------
     def to_tetrad(self, x, v_coords):
         """Coordinate components V^mu -> tetrad components V^I."""
         return self.inverse_tetrad(x) @ np.asarray(v_coords)
 
     def to_coords(self, x, v_tetrad):
-        """Tetrad components V^I -> coordinate components V^mu."""
-        return self.tetrad(x) @ np.asarray(v_tetrad)
+        """Tetrad components V^I -> coordinate components V^mu; row by row for
+        an (n, 4) array of events and an (n, 4) array of vectors."""
+        v = np.asarray(v_tetrad)
+        if v.ndim == 1:
+            return self.tetrad(x) @ v
+        return (self.tetrads(x) @ v[:, :, None])[:, :, 0]
 
     def lower_coordinate(self, x, v_coords):
         return self.metric(x) @ np.asarray(v_coords)
@@ -167,10 +182,28 @@ def connection_finite_difference(model, coords, step=None):
             + np.einsum("snr,is,rj->nij", gamma, einv0, e0))
 
 
-class MinkowskiModel(SpacetimeModel):
+class _AnalyticModel(SpacetimeModel):
+    """A model whose connection ``_omega(coords)`` is one closed-form formula
+    over a (4,) event or an (n, 4) array of events, serving both alike;
+    ``in_domain`` must accept the transposed (4, n) array."""
+
+    connection_mode = "analytic"
+
+    def connection(self, x):
+        self.check_domain(x)
+        return self._omega(_coords_of(x))
+
+    def connections(self, points):
+        points = np.asarray(points, dtype=float)
+        if not np.all(self.in_domain(points.T)):
+            for p in points.reshape(-1, 4):
+                self.check_domain(p)     # raises, naming the first event outside
+        return self._omega(points)
+
+
+class MinkowskiModel(_AnalyticModel):
     name = "minkowski"
     chart_id = "minkowski-cartesian"
-    connection_mode = "analytic"
 
     def tetrad(self, x):
         return np.eye(4)
@@ -181,12 +214,11 @@ class MinkowskiModel(SpacetimeModel):
     def inverse_metric(self, x):
         return ETA.copy()
 
-    def connection(self, x):
-        self.check_domain(x)
-        return np.zeros((4, 4, 4))
+    def _omega(self, c):
+        return np.zeros(c.shape[:-1] + (4, 4, 4))
 
 
-class RindlerModel(SpacetimeModel):
+class RindlerModel(_AnalyticModel):
     """Uniformly accelerated frame: g_00 = (1 + z g)^2, Cartesian (t, x, y, z).
 
     ``g`` is the proper acceleration at z = 0 in natural units (1/length).
@@ -195,7 +227,6 @@ class RindlerModel(SpacetimeModel):
 
     name = "rindler"
     chart_id = "rindler-cartesian"
-    connection_mode = "analytic"
 
     def __init__(self, g, fd_step=DEFAULT_FD_STEP):
         super().__init__(fd_step)
@@ -225,15 +256,14 @@ class RindlerModel(SpacetimeModel):
         f = self._f(_coords_of(x))
         return np.diag([1.0 / (f * f), -1.0, -1.0, -1.0])
 
-    def connection(self, x):
-        self.check_domain(x)
-        omega = np.zeros((4, 4, 4))
-        omega[0, 0, 3] = self.g
-        omega[0, 3, 0] = self.g
+    def _omega(self, c):
+        omega = np.zeros(c.shape[:-1] + (4, 4, 4))
+        omega[..., 0, 0, 3] = self.g
+        omega[..., 0, 3, 0] = self.g
         return omega
 
 
-class SchwarzschildModel(SpacetimeModel):
+class SchwarzschildModel(_AnalyticModel):
     """Static exterior chart (t, r, theta, phi) with the diagonal tetrad.
 
     Domain: r > 2M with a small margin, theta bounded away from the axis
@@ -242,7 +272,6 @@ class SchwarzschildModel(SpacetimeModel):
 
     name = "schwarzschild"
     chart_id = "schwarzschild-polar"
-    connection_mode = "analytic"
     _axis_margin = 1e-8
 
     def __init__(self, mass, fd_step=DEFAULT_FD_STEP):
@@ -253,16 +282,25 @@ class SchwarzschildModel(SpacetimeModel):
 
     def in_domain(self, coords):
         r, th = coords[1], coords[2]
-        return (r > 2.0 * self.mass * (1.0 + 1e-12)
-                and self._axis_margin < th < np.pi - self._axis_margin)
+        return ((r > 2.0 * self.mass * (1.0 + 1e-12))
+                & (self._axis_margin < th) & (th < np.pi - self._axis_margin))
 
     def _f(self, coords):
         return 1.0 - 2.0 * self.mass / coords[1]
 
     def tetrad(self, x):
-        c = _coords_of(x)
-        f, r, th = self._f(c), c[1], c[2]
-        return np.diag([1.0 / np.sqrt(f), np.sqrt(f), 1.0 / r, 1.0 / (r * np.sin(th))])
+        return self.tetrads(_coords_of(x))
+
+    def tetrads(self, points):
+        c = np.asarray(points, dtype=float)
+        r, th = c.T[1], c.T[2]
+        sf = np.sqrt(1.0 - 2.0 * self.mass / r)
+        e = np.zeros(c.shape[:-1] + (4, 4))
+        e[..., 0, 0] = 1.0 / sf
+        e[..., 1, 1] = sf
+        e[..., 2, 2] = 1.0 / r
+        e[..., 3, 3] = 1.0 / (r * np.sin(th))
+        return e
 
     def inverse_tetrad(self, x):
         c = _coords_of(x)
@@ -279,21 +317,19 @@ class SchwarzschildModel(SpacetimeModel):
         f, r, th = self._f(c), c[1], c[2]
         return np.diag([1.0 / f, -f, -1.0 / r**2, -1.0 / (r * np.sin(th)) ** 2])
 
-    def connection(self, x):
-        self.check_domain(x)
-        c = _coords_of(x)
-        f, r, th = self._f(c), c[1], c[2]
-        sf = np.sqrt(f)
+    def _omega(self, c):
+        r, th = c.T[1], c.T[2]
+        sf = np.sqrt(1.0 - 2.0 * self.mass / r)
         m_r2 = self.mass / r**2
-        omega = np.zeros((4, 4, 4))
-        omega[0, 0, 1] = m_r2
-        omega[0, 1, 0] = m_r2
-        omega[2, 1, 2] = -sf
-        omega[2, 2, 1] = sf
-        omega[3, 1, 3] = -sf * np.sin(th)
-        omega[3, 3, 1] = sf * np.sin(th)
-        omega[3, 2, 3] = -np.cos(th)
-        omega[3, 3, 2] = np.cos(th)
+        omega = np.zeros(c.shape[:-1] + (4, 4, 4))
+        omega[..., 0, 0, 1] = m_r2
+        omega[..., 0, 1, 0] = m_r2
+        omega[..., 2, 1, 2] = -sf
+        omega[..., 2, 2, 1] = sf
+        omega[..., 3, 1, 3] = -sf * np.sin(th)
+        omega[..., 3, 3, 1] = sf * np.sin(th)
+        omega[..., 3, 2, 3] = -np.cos(th)
+        omega[..., 3, 3, 2] = np.cos(th)
         return omega
 
 
@@ -445,6 +481,15 @@ def lower_connection(omega):
     return np.einsum("ik,nkj->nij", ETA, omega)
 
 
+def pulled_connection(model, x, xdot):
+    """xdot^nu omega_nu^I_J at one event, or row by row for (n, 4) arrays."""
+    return np.einsum("...n,...nij->...ij", xdot, model.connections(x))
+
+
+def _parallel_generator(model, x, u, a, xdot):
+    return -pulled_connection(model, x, xdot)
+
+
 def parallel_propagator(model, worldline, tol):
     """Propagator of parallel transport dV^I/dlam = -xdot^nu omega_nu^I_J V^J.
 
@@ -453,10 +498,7 @@ def parallel_propagator(model, worldline, tol):
     """
     from .worldline import propagate
 
-    def generator(x, u, a, xdot):
-        return -np.einsum("n,nij->ij", xdot, model.connection(x))
-
-    return propagate(worldline, generator, 4, tol)
+    return propagate(worldline, partial(_parallel_generator, model), 4, tol)
 
 
 def parallel_transport_vector(model, worldline, v0, tol=1e-11):

@@ -19,7 +19,8 @@ from scipy.integrate import solve_ivp
 
 from .errors import (AdaptationSingular, HilbertSpaceMismatch, QulineError,
                      ToleranceError)
-from .geometry import Event, parallel_propagator
+from .geometry import (_FD_OFFSETS, _FD_WEIGHTS, Event, parallel_propagator,
+                       pulled_connection)
 from .spin_algebra import ETA, minkowski_dot
 
 SINGULAR_TOL = 1e-8
@@ -181,8 +182,9 @@ def transport(state: PhotonState, worldline, tol=1e-12, n_samples=201):
     positions, wavevectors = worldline.trajectory(params)
     trans = np.abs(np.sum((wavevectors @ ETA) * pols, axis=1)) / scale
     norms = -np.einsum("ni,ij,nj->n", pols.conj(), ETA, pols).real
-    states = [PhotonState(pol, Event(x, model.chart_id), k).canonical()
-              for pol, x, k in zip(pols, positions, wavevectors)]
+    canonical = pols - (pols[:, 0] / wavevectors[:, 0])[:, None] * wavevectors
+    states = [PhotonState(pol, Event(x, model.chart_id), k)
+              for pol, x, k in zip(canonical, positions, wavevectors)]
     return PhotonTransportResult(
         states, params,
         {"norm_drift": float(np.abs(norms - state.norm_squared()).max()),
@@ -210,17 +212,13 @@ def wigner_rotation(worldline, n_samples=201, tol=1e-12, fd_step=None):
     h = fd_step if fd_step is not None else max(1e-7, abs(t1 - t0) * 1e-7)
 
     def rate(lam):
-        f = _diad_rows(worldline, lam)                     # f^A_I rows
+        x, u, _, xdot = worldline.kinematics(lam)
+        ar = adaptation_rotation(u)                        # diad rows f^A_I
         # d f^A_I / d lam by 4th-order central differences in the parameter
-        df = np.zeros_like(f)
-        for off, w in zip((-2, -1, 1, 2), (1 / 12, -8 / 12, 8 / 12, -1 / 12)):
-            df += w * _diad_rows(worldline, lam + off * h)
-        df /= h
-        omega = model.connection(worldline.position(lam))
-        pulled = np.einsum("n,nij->ij", worldline.coordinate_velocity(lam), omega)
-        cov = df - np.einsum("ai,ij->aj", f, pulled)       # D f^A_I / D lam
-        gen = cov @ adaptation_rotation(worldline.velocity(lam)).diad_inv
-        return gen[0, 1]
+        df = np.tensordot(_FD_WEIGHTS, [_diad_rows(worldline, lam + off * h)
+                                        for off in _FD_OFFSETS], 1) / h
+        cov = df - ar.diad @ pulled_connection(model, x, xdot)   # D f^A_I / D lam
+        return (cov @ ar.diad_inv)[0, 1]
 
     sol = solve_ivp(lambda lam, y: [rate(lam)], (t0, t1), [0.0], method="RK45",
                     rtol=tol, atol=tol, dense_output=True)

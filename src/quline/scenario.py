@@ -27,7 +27,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import (DomainError, QulineError, ScenarioError, ScenarioParseError,
+from .errors import (QulineError, ScenarioError, ScenarioParseError,
                      ScenarioReferenceError)
 from .fermion import FermionState, transport as fermion_transport
 from .geometry import make_builtin_model
@@ -48,6 +48,10 @@ CORE_TOLERANCES = {
     "norm_drift": 1e-9,
     "transversality_drift": 1e-9,
 }
+
+# blocks whose value must be a mapping of keys; an empty block counts as absent
+MAPPING_BLOCKS = ("model", "worldlines", "qubits", "interferometer", "cow", "sweep",
+                  "output")
 
 # advisory validity thresholds (documented heuristics, not hard errors)
 COMPTON_CURVATURE_RATIO = 1e-3   # warn when compton / curvature scale exceeds this
@@ -91,6 +95,11 @@ def load_scenario(path):
         raise ScenarioParseError(f"not valid YAML: {exc}")
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario must be a mapping of blocks")
+    data = {key: value for key, value in data.items() if value is not None}
+    for block in MAPPING_BLOCKS:
+        if not isinstance(data.get(block, {}), dict):
+            raise ScenarioParseError(f"must be a mapping, got {data[block]!r}",
+                                     block=block)
     version = data.get("version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ScenarioParseError(f"unsupported schema version {version}")
@@ -237,7 +246,8 @@ class ScenarioRun:
 
     def validity_warnings(self):
         """Domain-of-applicability advisories (wavepacket vs curvature scale,
-        moderate acceleration); purely informational."""
+        moderate acceleration); purely informational.  A ``cow`` block is
+        evaluated here too, so its domain errors surface in ``validate``."""
         notes = []
         curvature_scale = None
         if self.model.name == "rindler":
@@ -262,11 +272,8 @@ class ScenarioRun:
                     f"qubit {name!r}: proper acceleration is large on the "
                     "Compton scale; pair creation and spin-flip emission are "
                     "not modelled")
-        cow = self.data.get("cow")
-        if cow:
-            v1 = _number(cow.get("v1"), "velocity", "cow")
-            if v1 >= 1.0:
-                raise DomainError("[cow] cow.v1 must be below light speed")
+        if self.data.get("cow"):
+            cow_columns(self.data["cow"])
         return notes
 
     # -- execution ---------------------------------------------------------

@@ -76,8 +76,8 @@ def minkowski_dot(a, b):
 
 
 def generator_contraction(coeffs):
-    """Sum_{I,J} coeffs_{IJ} L^{IJ} for a (4,4) coefficient array with lower indices."""
-    return np.einsum("ij,ijab->ab", np.asarray(coeffs), GENERATORS)
+    """Sum_{I,J} coeffs_{IJ} L^{IJ} for (..., 4, 4) coefficients with lower indices."""
+    return np.einsum("...ij,ijab->...ab", np.asarray(coeffs), GENERATORS)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,16 @@ A worldline knows its model and exposes, for any value of its parameter
 * ``coordinate_velocity(lam)``  dx^mu/dlam (coordinate components)
 * ``velocity(lam)``             u^I (tetrad components)
 * ``acceleration(lam)``         a^I = Du^I/Dlam (tetrad components)
-* ``kinematics(lam)``           all four at once, (x, u, a, xdot)
+* ``kinematics(lam)``           all four at once, (x, u, a, xdot); for a 1-d
+                                array of n parameters, four (n, 4) arrays
 
 Timelike velocities satisfy u.u = 1, null ones u.u = 0; normalization is
 verified after integration, never re-imposed.
 
 Every qubit observable comes from one linear transport dY/dlam = G(lam) Y
-along a worldline; :func:`propagate` integrates its propagator U(lam) once
-and callers apply it to their states.
+along a worldline; :func:`propagate` integrates its propagator U(lam) once,
+evaluating G at all stage nodes of each step in one batched call, and
+callers apply it to their states.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
 
 from .errors import (ComplexVelocity, DomainError, QulineError, ToleranceError,
                      reject_where)
@@ -44,8 +47,12 @@ class EMField:
         self._potential = potential
 
     def tensor(self, coords):
-        f = np.asarray(self._field(coords), dtype=float)
-        if np.abs(f + f.T).max() > 1e-12 * (1.0 + np.abs(f).max()):
+        """F_IJ at one event, or an (n, 4, 4) stack at each row of (n, 4) coords."""
+        coords = np.asarray(coords, dtype=float)
+        f = np.reshape([self._field(c) for c in coords.reshape(-1, 4)],
+                       coords.shape[:-1] + (4, 4)).astype(float)
+        scale = 1e-12 * (1.0 + np.abs(f).max(axis=(-2, -1)))
+        if np.any(np.abs(f + np.swapaxes(f, -1, -2)).max(axis=(-2, -1)) > scale):
             raise QulineError("EM field tensor must be antisymmetric")
         return f
 
@@ -105,7 +112,8 @@ class Worldline:
         return self.model.to_coords(self.position(lam), self.velocity(lam))
 
     def kinematics(self, lam):
-        """(position, velocity, acceleration, coordinate_velocity) at ``lam``."""
+        """(position, velocity, acceleration, coordinate_velocity) at ``lam``,
+        a scalar or a 1-d array of parameters (then each is an (n, 4) array)."""
         x = self.position(lam)
         u = self.velocity(lam)
         return x, u, self.acceleration(lam), self.model.to_coords(x, u)
@@ -172,11 +180,17 @@ class AnalyticWorldline(Worldline):
     def acceleration(self, lam):
         return np.asarray(self._acceleration(lam), dtype=float)
 
+    def kinematics(self, lam):
+        if np.ndim(lam):   # the closed-form callables take one parameter at a time
+            return tuple(np.array(v) for v in zip(*map(self.kinematics, lam)))
+        return super().kinematics(lam)
+
 
 class IntegratedWorldline(Worldline):
     """Worldline backed by an adaptive DOP853 solution with dense output.
 
-    ``kinematics`` and ``trajectory`` evaluate the dense output once per call.
+    ``kinematics`` and ``trajectory`` evaluate the dense output once per call,
+    at one parameter or at a whole array of them.
     """
 
     def __init__(self, model, sol, span, kind, accel_fn):
@@ -198,8 +212,8 @@ class IntegratedWorldline(Worldline):
 
     def kinematics(self, lam):
         y = self._sol(lam)
-        x, u = y[:4], y[4:]
-        return x, u, self._accel(x, u), self.model.tetrad(x) @ u
+        x, u = y[:4].T, y[4:].T
+        return x, u, self._accel(x, u), self.model.to_coords(x, u)
 
     def trajectory(self, params):
         y = self._sol(np.asarray(params, dtype=float))
@@ -218,8 +232,7 @@ class SampledWorldline(Worldline):
         positions = np.asarray(positions, dtype=float)
         velocities = np.asarray(velocities, dtype=float)
         self._acc = np.asarray(accelerations, dtype=float)
-        xdot = np.array([model.to_coords(positions[i], velocities[i])
-                         for i in range(len(params))])
+        xdot = model.to_coords(positions, velocities)
         udot = np.array([
             self._acc[i] - np.einsum("n,nij,j->i", xdot[i],
                                      model.connection(positions[i]), velocities[i])
@@ -263,20 +276,113 @@ class Propagator:
         return y.reshape(lam.shape + (self.dim, self.dim))
 
 
+class LinearDOP853(DOP853):
+    """DOP853 for a linear system dY/dlam = G(lam) Y, Y a flattened matrix.
+
+    G does not depend on Y, so the parameters of all 15 stage nodes of a step
+    (11 new stages, the first-same-as-last point lam + h and the 3 extra
+    stages of the dense output) are known before the step starts.
+    ``field(lams)`` evaluates G at all of them in one call, a (15, d, d)
+    stack, and each stage is the product K_s = G_s (Y + h sum_j a_sj K_j).
+    Tableau, error estimate and step-size control are DOP853's; ``fun`` only
+    serves the initial derivative and the initial step size.  ``nfev`` counts
+    the nodes at which G was evaluated.
+    """
+
+    NODES = np.concatenate([DOP853.C[1:], [1.0], DOP853.C_EXTRA])
+
+    def __init__(self, fun, t0, y0, t_bound, field, **options):
+        self._field = field
+        super().__init__(fun, t0, y0, t_bound, **options)
+
+    @staticmethod
+    def _apply(g, y):
+        return (g @ y.reshape(len(g), -1)).ravel()
+
+    def _stages(self, generators, y, h, rows, first):
+        """K_s = G_s (y + h sum_j a_sj K_j) for s = first, first + 1, ..."""
+        K = self.K_extended
+        for s, (g, a) in enumerate(zip(generators, rows), start=first):
+            dy = np.dot(K[:s].T, a[:s]) * h
+            K[s] = self._apply(g, y + dy)
+
+    def _rk_step(self, t, y, h):
+        """scipy's rk_step, with the generators of all nodes from one call."""
+        generators = self._field(t + self.NODES * h)
+        self.nfev += len(generators)
+        n = self.n_stages
+        self.K[0] = self.f
+        self._stages(generators[:n - 1], y, h, self.A[1:], 1)
+        y_new = y + h * np.dot(self.K[:-1].T, self.B)
+        self.K[-1] = f_new = self._apply(generators[n - 1], y_new)
+        self._extra_generators = generators[n:]
+        return y_new, f_new
+
+    def _step_impl(self):
+        # RungeKutta._step_impl with rk_step replaced by the batched stages
+        t, y = self.t, self.y
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        h_abs = min(max(self.h_abs, min_step), self.max_step)
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs * self.direction
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new = self._rk_step(t, y, h)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = self._estimate_error_norm(self.K, h, scale)
+            if error_norm < 1:
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
+            step_rejected = True
+        if error_norm == 0:
+            factor = MAX_FACTOR
+        else:
+            factor = min(MAX_FACTOR, SAFETY * error_norm ** self.error_exponent)
+        if step_rejected:
+            factor = min(1, factor)
+        self.h_previous = h
+        self.y_old = y
+        self.t, self.y, self.f = t_new, y_new, f_new
+        self.h_abs = h_abs * factor
+        return True, None
+
+    def _dense_output_impl(self):
+        # DOP853._dense_output_impl with the extra stages from the step's batch
+        K, h = self.K_extended, self.h_previous
+        self._stages(self._extra_generators, self.y_old, h, self.A_EXTRA,
+                     self.n_stages + 1)
+        f_old = K[0]
+        delta_y = self.y - self.y_old
+        F = np.vstack([delta_y, h * f_old - delta_y,
+                       2 * delta_y - h * (self.f + f_old), h * np.dot(self.D, K)])
+        return Dop853DenseOutput(self.t_old, self.t, self.y_old, F)
+
+
 def propagate(worldline, generator, dim, tol):
     """Propagator of the linear transport dY/dlam = G(lam) Y along ``worldline``.
 
-    ``generator(x, u, a, xdot)`` returns the (dim, dim) matrix G from the
-    worldline's kinematics, which are evaluated once per right-hand side.
-    The matrix equation is integrated over the whole parameter span with the
-    8th-order Dormand-Prince pair DOP853 (Hairer, Norsett & Wanner, Solving
-    ODEs I, sec. II.10); ``tol`` is its relative and absolute tolerance.
+    ``generator(x, u, a, xdot)`` returns G from the worldline's kinematics:
+    a (dim, dim) matrix at one parameter, an (n, dim, dim) stack for (n, 4)
+    kinematics rows.  The matrix equation is integrated over the whole
+    parameter span with the 8th-order Dormand-Prince pair DOP853 (Hairer,
+    Norsett & Wanner, Solving ODEs I, sec. II.10) in the form
+    :class:`LinearDOP853`, which evaluates kinematics and G once per step at
+    all its stage nodes; ``tol`` is the relative and absolute tolerance.
     """
+    def field(lam):
+        return generator(*worldline.kinematics(lam))
+
     def rhs(lam, y):
-        return (generator(*worldline.kinematics(lam)) @ y.reshape(dim, dim)).ravel()
+        return (field(lam) @ y.reshape(dim, dim)).ravel()
 
     sol = solve_ivp(rhs, worldline.param_span, np.eye(dim, dtype=complex).ravel(),
-                    method="DOP853", rtol=tol, atol=tol, dense_output=True)
+                    method=LinearDOP853, field=field, rtol=tol, atol=tol,
+                    dense_output=True)
     if not sol.success:
         raise ToleranceError(f"transport failed: {sol.message}")
     return Propagator(sol.sol, dim, int(sol.nfev), len(sol.t) - 1)
@@ -295,12 +401,13 @@ def worldline_from_csv(path, model, kind="timelike"):
 
 
 def _lorentz_force_accel(model, em, charge_to_mass):
+    """a^I(x, u) of the Lorentz force, at one event or row by row."""
     if em is None or charge_to_mass == 0.0:
-        return lambda x, u: np.zeros(4)
+        return lambda x, u: np.zeros_like(u)
 
     def accel(x, u):
         f = em.tensor(x)
-        return charge_to_mass * (ETA @ f @ u)
+        return charge_to_mass * (ETA @ f @ u[..., None])[..., 0]
 
     return accel
 
@@ -358,7 +465,8 @@ def integrate_null_geodesic(model, x0, k0, span=1.0, tol=1e-11, max_step=np.inf)
         raise QulineError(f"k0 must be null (k.k = {norm})")
     if span <= 0:
         raise QulineError("span must be positive")
-    return _integrate(model, x0, k0, span, tol, "null", lambda x, u: np.zeros(4))
+    return _integrate(model, x0, k0, span, tol, "null",
+                      _lorentz_force_accel(model, None, 0.0))
 
 
 def static_worldline(model, spatial_coords, span, t0=0.0):

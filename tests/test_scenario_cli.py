@@ -57,6 +57,37 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "advisory" in out and "Compton" in out
 
+    @pytest.mark.parametrize("key, value", [
+        ("dz", "-1 cm"), ("v1", "299792458 m/s"), ("v1", "4e8 m/s"), ("dz", "300 km")])
+    def test_cow_domain_checked_like_run(self, tmp_path, capsys, key, value):
+        data = sc.load_scenario(SCENARIOS / "cow.scenario")
+        data["cow"][key] = value
+        path = tmp_path / "bad.scenario"
+        path.write_text(yaml.safe_dump(data))
+        for command in ("validate", "run"):
+            assert run_cli(["--out-dir", tmp_path, command, path]) == cli.EXIT_DOMAIN
+            err = capsys.readouterr().err
+            assert err.startswith("domain error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("block", ["model", "worldlines", "qubits", "output", "cow"])
+    @pytest.mark.parametrize("command", ["run", "validate", "sweep"])
+    def test_block_that_is_not_a_mapping(self, tmp_path, capsys, block, command):
+        data = sc.load_scenario(SCENARIOS / "cow.scenario")
+        data[block] = 5
+        path = tmp_path / "bad.scenario"
+        path.write_text(yaml.safe_dump(data))
+        assert run_cli(["--out-dir", tmp_path, command, path]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"parse error: [{block}] must be a mapping, got 5\n"
+        assert not list(tmp_path.glob("*.json"))
+
+    def test_empty_block_counts_as_absent(self, tmp_path):
+        path = tmp_path / "empty.scenario"
+        path.write_text((SCENARIOS / "flat_noop.scenario").read_text()
+                        + "interferometer:\noutput:\n")
+        assert run_cli(["--out-dir", tmp_path, "run", path]) == cli.EXIT_OK
+        assert (tmp_path / "empty.json").is_file()
+
 
 class TestRun:
     def test_flat_noop_state_unchanged(self, tmp_path):
