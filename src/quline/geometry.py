@@ -18,6 +18,7 @@ eta it is antisymmetric in (I, J).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -121,6 +122,13 @@ class SpacetimeModel:
         omegas = [self.connection(p) for p in points.reshape(-1, 4)]
         return np.reshape(omegas, points.shape[:-1] + (4, 4, 4))
 
+    def trajectory_rates(self, x, u):
+        """(xdot^mu, udot^I) of a free trajectory at the event ``x`` with tetrad
+        velocity ``u``, one (8,) vector: xdot^mu = e^mu_I u^I and
+        udot^I = -xdot^nu omega_nu^I_J u^J (add any force to udot)."""
+        xdot = self.tetrad(x) @ u
+        return np.concatenate([xdot, -np.einsum("n,nij->ij", xdot, self.connection(x)) @ u])
+
     # -- small conveniences used throughout the library ---------------------
     def to_tetrad(self, x, v_coords):
         """Coordinate components V^mu -> tetrad components V^I."""
@@ -183,30 +191,69 @@ def connection_finite_difference(model, coords, step=None):
 
 
 class _AnalyticModel(SpacetimeModel):
-    """A model whose connection ``_omega(coords)`` is one closed-form formula
-    over a (4,) event or an (n, 4) array of events, serving both alike;
-    ``in_domain`` must accept the transposed (4, n) array."""
+    """A model with a diagonal tetrad and a sparse connection in closed form.
+
+    ``_frame(c, xp)`` is the one formula: from the coordinates ``c`` it
+    returns the tetrad diagonal (e^0_0, e^1_1, e^2_2, e^3_3) and the values
+    of the nonzero omega_nu^I_J, listed once per class as ``(nu, I, J)`` in
+    ``OMEGA``.  It runs over a backend namespace: ``math`` for one event's
+    Python floats, ``numpy`` for a (4,) event or the transposed rows of an
+    (n, 4) array.  ``tetrad``/``tetrads``/``connection``/``connections``
+    scatter it into zeros; ``trajectory_rates`` contracts it in scalar
+    arithmetic.  ``in_domain`` must accept the transposed (4, n) array.
+    """
 
     connection_mode = "analytic"
+    OMEGA = ()
+
+    def _frame(self, c, xp):
+        raise NotImplementedError
+
+    def tetrad(self, x):
+        return self.tetrads(_coords_of(x))
+
+    def tetrads(self, points):
+        c = np.asarray(points, dtype=float)
+        e = np.zeros(c.shape[:-1] + (4, 4))
+        for i, d in enumerate(self._frame(c.T, np)[0]):
+            e[..., i, i] = d
+        return e
 
     def connection(self, x):
         self.check_domain(x)
-        return self._omega(_coords_of(x))
+        return self._connection_of(_coords_of(x))
 
     def connections(self, points):
         points = np.asarray(points, dtype=float)
         if not np.all(self.in_domain(points.T)):
             for p in points.reshape(-1, 4):
                 self.check_domain(p)     # raises, naming the first event outside
-        return self._omega(points)
+        return self._connection_of(points)
+
+    def _connection_of(self, c):
+        omega = np.zeros(c.shape[:-1] + (4, 4, 4))
+        for (nu, i, j), w in zip(self.OMEGA, self._frame(c.T, np)[1]):
+            omega[..., nu, i, j] = w
+        return omega
+
+    def trajectory_rates(self, x, u):
+        diag, values = self._frame(x.tolist(), math)
+        u = u.tolist()
+        xdot = [d * v for d, v in zip(diag, u)]
+        p = [[0.0] * 4 for _ in range(4)]      # p[I][J] = xdot^nu omega_nu^I_J
+        for (nu, i, j), w in zip(self.OMEGA, values):
+            p[i][j] += xdot[nu] * w
+        # summed in the pairing numpy's bundled OpenBLAS uses for a (4, 4) @
+        # (4,) product on x86-64, so that the result equals the base-class
+        # contraction bit for bit there; another BLAS kernel or CPU dispatch,
+        # or a numpy sin/cos that differs from math's, may move it by an ulp
+        return np.array(xdot + [-((r[0] * u[0] + r[2] * u[2]) + (r[1] * u[1] + r[3] * u[3]))
+                                for r in p])
 
 
 class MinkowskiModel(_AnalyticModel):
     name = "minkowski"
     chart_id = "minkowski-cartesian"
-
-    def tetrad(self, x):
-        return np.eye(4)
 
     def metric(self, x):
         return ETA.copy()
@@ -214,8 +261,8 @@ class MinkowskiModel(_AnalyticModel):
     def inverse_metric(self, x):
         return ETA.copy()
 
-    def _omega(self, c):
-        return np.zeros(c.shape[:-1] + (4, 4, 4))
+    def _frame(self, c, xp):
+        return (1.0, 1.0, 1.0, 1.0), ()
 
 
 class RindlerModel(_AnalyticModel):
@@ -227,6 +274,7 @@ class RindlerModel(_AnalyticModel):
 
     name = "rindler"
     chart_id = "rindler-cartesian"
+    OMEGA = ((0, 0, 3), (0, 3, 0))
 
     def __init__(self, g, fd_step=DEFAULT_FD_STEP):
         super().__init__(fd_step)
@@ -240,9 +288,8 @@ class RindlerModel(_AnalyticModel):
     def _f(self, coords):
         return 1.0 + coords[3] * self.g
 
-    def tetrad(self, x):
-        f = self._f(_coords_of(x))
-        return np.diag([1.0 / f, 1.0, 1.0, 1.0])
+    def _frame(self, c, xp):
+        return (1.0 / self._f(c), 1.0, 1.0, 1.0), (self.g, self.g)
 
     def inverse_tetrad(self, x):
         f = self._f(_coords_of(x))
@@ -256,12 +303,6 @@ class RindlerModel(_AnalyticModel):
         f = self._f(_coords_of(x))
         return np.diag([1.0 / (f * f), -1.0, -1.0, -1.0])
 
-    def _omega(self, c):
-        omega = np.zeros(c.shape[:-1] + (4, 4, 4))
-        omega[..., 0, 0, 3] = self.g
-        omega[..., 0, 3, 0] = self.g
-        return omega
-
 
 class SchwarzschildModel(_AnalyticModel):
     """Static exterior chart (t, r, theta, phi) with the diagonal tetrad.
@@ -273,6 +314,8 @@ class SchwarzschildModel(_AnalyticModel):
     name = "schwarzschild"
     chart_id = "schwarzschild-polar"
     _axis_margin = 1e-8
+    OMEGA = ((0, 0, 1), (0, 1, 0), (2, 1, 2), (2, 2, 1),
+             (3, 1, 3), (3, 3, 1), (3, 2, 3), (3, 3, 2))
 
     def __init__(self, mass, fd_step=DEFAULT_FD_STEP):
         super().__init__(fd_step)
@@ -288,19 +331,13 @@ class SchwarzschildModel(_AnalyticModel):
     def _f(self, coords):
         return 1.0 - 2.0 * self.mass / coords[1]
 
-    def tetrad(self, x):
-        return self.tetrads(_coords_of(x))
-
-    def tetrads(self, points):
-        c = np.asarray(points, dtype=float)
-        r, th = c.T[1], c.T[2]
-        sf = np.sqrt(1.0 - 2.0 * self.mass / r)
-        e = np.zeros(c.shape[:-1] + (4, 4))
-        e[..., 0, 0] = 1.0 / sf
-        e[..., 1, 1] = sf
-        e[..., 2, 2] = 1.0 / r
-        e[..., 3, 3] = 1.0 / (r * np.sin(th))
-        return e
+    def _frame(self, c, xp):
+        r, th = c[1], c[2]
+        sf = xp.sqrt(1.0 - 2.0 * self.mass / r)
+        sin, cos = xp.sin(th), xp.cos(th)
+        m_r2 = self.mass / r**2
+        return ((1.0 / sf, sf, 1.0 / r, 1.0 / (r * sin)),
+                (m_r2, m_r2, -sf, sf, -sf * sin, sf * sin, -cos, cos))
 
     def inverse_tetrad(self, x):
         c = _coords_of(x)
@@ -316,21 +353,6 @@ class SchwarzschildModel(_AnalyticModel):
         c = _coords_of(x)
         f, r, th = self._f(c), c[1], c[2]
         return np.diag([1.0 / f, -f, -1.0 / r**2, -1.0 / (r * np.sin(th)) ** 2])
-
-    def _omega(self, c):
-        r, th = c.T[1], c.T[2]
-        sf = np.sqrt(1.0 - 2.0 * self.mass / r)
-        m_r2 = self.mass / r**2
-        omega = np.zeros(c.shape[:-1] + (4, 4, 4))
-        omega[..., 0, 0, 1] = m_r2
-        omega[..., 0, 1, 0] = m_r2
-        omega[..., 2, 1, 2] = -sf
-        omega[..., 2, 2, 1] = sf
-        omega[..., 3, 1, 3] = -sf * np.sin(th)
-        omega[..., 3, 3, 1] = sf * np.sin(th)
-        omega[..., 3, 2, 3] = -np.cos(th)
-        omega[..., 3, 3, 2] = np.cos(th)
-        return omega
 
 
 class TabulatedModel(SpacetimeModel):

@@ -49,9 +49,13 @@ CORE_TOLERANCES = {
     "transversality_drift": 1e-9,
 }
 
-# blocks whose value must be a mapping of keys; an empty block counts as absent
+# blocks whose value must be a mapping of keys
 MAPPING_BLOCKS = ("model", "worldlines", "qubits", "interferometer", "cow", "sweep",
                   "output")
+# the top-level blocks; an empty block counts as absent
+BLOCKS = ("version", "seed", "schedule") + MAPPING_BLOCKS
+# blocks whose every entry must be a mapping
+ENTRY_BLOCKS = ("worldlines", "qubits")
 
 # advisory validity thresholds (documented heuristics, not hard errors)
 COMPTON_CURVATURE_RATIO = 1e-3   # warn when compton / curvature scale exceeds this
@@ -59,13 +63,16 @@ ACCELERATION_RATIO = 1e-3        # warn when acceleration x compton exceeds this
 
 
 def _number(raw, dimension=None, block=""):
+    """A scalar in natural units; ``dimension`` is the one accepted, or a tuple
+    of those accepted, besides a bare number (None accepts any)."""
     try:
         value, dim = parse_quantity(raw)
     except ValueError as exc:
         raise ScenarioParseError(str(exc), block=block) from None
-    if dimension is not None and dim not in (dimension, "natural"):
+    dims = (dimension,) if isinstance(dimension, str) else dimension
+    if dims is not None and dim not in (*dims, "natural"):
         raise ScenarioParseError(
-            f"expected a {dimension} quantity, got {raw!r}", block=block)
+            f"expected a {' or '.join(dims)} quantity, got {raw!r}", block=block)
     return value
 
 
@@ -77,11 +84,18 @@ def _vector(raw, n, dimension=None, block=""):
 
 def _span(raw, block=""):
     """Parameter spans: time and length coincide in natural units."""
-    value, dim = parse_quantity(raw)
-    if dim not in ("time", "length", "natural"):
-        raise ScenarioParseError(f"span must be a time or length, got {raw!r}",
-                                 block=block)
-    return value
+    return _number(raw, ("time", "length"), block)
+
+
+def _tolerance(spec, block):
+    """A solver tolerance: a bare number, 1e-12 when not given."""
+    return _number(spec.get("tolerance", 1e-12), "natural", block)
+
+
+def _require(value, kind, block):
+    if not isinstance(value, kind):
+        what = "a mapping" if kind is dict else "a list"
+        raise ScenarioParseError(f"must be {what}, got {value!r}", block=block)
 
 
 def load_scenario(path):
@@ -96,10 +110,17 @@ def load_scenario(path):
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario must be a mapping of blocks")
     data = {key: value for key, value in data.items() if value is not None}
+    for key in data:
+        if key not in BLOCKS:
+            raise ScenarioParseError(f"unknown block {key!r} (known: {', '.join(BLOCKS)})")
     for block in MAPPING_BLOCKS:
-        if not isinstance(data.get(block, {}), dict):
-            raise ScenarioParseError(f"must be a mapping, got {data[block]!r}",
-                                     block=block)
+        _require(data.get(block, {}), dict, block)
+    for block in ENTRY_BLOCKS:
+        for name, entry in data.get(block, {}).items():
+            _require(entry, dict, f"{block}.{name}")
+    _require(data.get("schedule", []), list, "schedule")
+    for idx, op in enumerate(data.get("schedule", [])):
+        _require(op, dict, f"schedule[{idx}]")
     version = data.get("version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ScenarioParseError(f"unsupported schema version {version}")
@@ -159,7 +180,7 @@ def build_worldline(model, name, spec):
         u0 = g * np.array([1.0, *beta])
         span = _span(spec.get("span", 1.0), block)
         q2m = _number(spec.get("charge_to_mass", 0.0), None, block)
-        tol = float(spec.get("tolerance", 1e-12))
+        tol = _tolerance(spec, block)
         return integrate_timelike(model, None, start, u0, charge_to_mass=q2m,
                                   span=span, tol=tol)
     if kind == "null_geodesic":
@@ -168,7 +189,7 @@ def build_worldline(model, name, spec):
         if abs(minkowski_dot(k0, k0)) > 1e-9 * (1 + k0 @ k0):
             raise ScenarioError("wavevector must be null", block=block)
         span = _span(spec.get("span", 1.0), block)
-        tol = float(spec.get("tolerance", 1e-12))
+        tol = _tolerance(spec, block)
         return integrate_null_geodesic(model, start, k0, span=span, tol=tol)
     raise ScenarioParseError(f"unknown worldline type {kind!r}", block=block)
 
@@ -232,16 +253,17 @@ class ScenarioRun:
 
     # -- validation --------------------------------------------------------
     def diagnostics(self):
-        """Check the schedule's references; return :meth:`validity_warnings`."""
+        """Check the schedule's references and tolerances; return
+        :meth:`validity_warnings`."""
         for idx, op in enumerate(self.data.get("schedule") or []):
+            block = f"schedule[{idx}]"
             q = op.get("qubit")
             if q is not None and q not in self.qubits:
-                raise ScenarioReferenceError(f"undefined qubit {q!r}",
-                                             block=f"schedule[{idx}]")
+                raise ScenarioReferenceError(f"undefined qubit {q!r}", block=block)
             w = op.get("worldline")
             if w is not None and w not in self.worldlines:
-                raise ScenarioReferenceError(f"undefined worldline {w!r}",
-                                             block=f"schedule[{idx}]")
+                raise ScenarioReferenceError(f"undefined worldline {w!r}", block=block)
+            _tolerance(op, block)
         return self.validity_warnings()
 
     def validity_warnings(self):
@@ -304,7 +326,7 @@ class ScenarioRun:
                 raise ScenarioReferenceError(f"undefined worldline {wname!r}",
                                              block=block)
             wl = self.worldlines[wname]
-            tol = float(op.get("tolerance", 1e-12))
+            tol = _tolerance(op, block)
             if qubit["kind"] == "fermion":
                 res = fermion_transport(qubit["state"], wl,
                                         charge_to_mass=qubit["charge_to_mass"],
@@ -327,10 +349,9 @@ class ScenarioRun:
             m_dir = _vector(op.get("orientation", [0, 0, 1]), 3, None, block)
             m_dir = m_dir / np.linalg.norm(m_dir)
             beta = _vector(op.get("apparatus_beta", [0, 0, 0]), 3, "velocity", block)
-            b2 = beta @ beta
-            gam = 1.0 / np.sqrt(1.0 - b2)
+            m = spin1_boost(beta) @ np.array([0.0, *m_dir])   # DomainError if |beta| >= 1
+            gam = 1.0 / np.sqrt(1.0 - beta @ beta)
             v = gam * np.array([1.0, *beta])
-            m = spin1_boost(beta) @ np.array([0.0, *m_dir])
             setup = SternGerlachSetup(m, v, qubit["state"].velocity)
             outcome, post, probs = measure_spin(qubit["state"], setup, rng)
             qubit["state"] = post
@@ -404,7 +425,7 @@ class ScenarioRun:
             arms.append(arm_phase(wl, kind=kind, mass=mass, end_param=end,
                                   arm_id=key))
         a1, a2 = arms
-        region_tol = float(spec.get("region_tol", 1e-6))
+        region_tol = _number(spec.get("region_tol", 1e-6), "natural", block)
         dtheta = phase_difference(a1, a2, match_tol=region_tol)
         dtheta_int = a2.theta_int - a1.theta_int
         dtheta_dis = displacement_phase(0.5 * (a1.k_lower + a2.k_lower),
@@ -430,7 +451,7 @@ class ScenarioRun:
             if qubit["kind"] != kind:
                 raise ScenarioError("interferometer kind differs from the qubit",
                                     block=block)
-            tol = float(spec.get("tolerance", 1e-12))
+            tol = _tolerance(spec, block)
             # the splitter is not modelled dynamically: both components start
             # as the same state, each attached to its own arm's launch label
             finals = []

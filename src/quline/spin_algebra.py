@@ -21,7 +21,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import QulineError
+from .errors import DomainError, QulineError
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -138,7 +138,7 @@ def spin1_boost(beta):
     beta = np.asarray(beta, dtype=float)
     b2 = float(beta @ beta)
     if b2 >= 1.0:
-        raise QulineError("boost velocity must satisfy |beta| < 1")
+        raise DomainError("boost velocity must satisfy |beta| < 1")
     g = 1.0 / np.sqrt(1.0 - b2)
     lam = np.eye(4)
     lam[0, 0] = g
@@ -157,7 +157,7 @@ def spin_half_boost_matrix(beta):
     beta = np.asarray(beta, dtype=float)
     b2 = float(beta @ beta)
     if b2 >= 1.0:
-        raise QulineError("boost velocity must satisfy |beta| < 1")
+        raise DomainError("boost velocity must satisfy |beta| < 1")
     g = 1.0 / np.sqrt(1.0 - b2)
     m = np.sqrt((g + 1.0) / 2.0) * np.eye(2, dtype=complex)
     if b2 > 0.0:

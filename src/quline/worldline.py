@@ -187,10 +187,11 @@ class AnalyticWorldline(Worldline):
 
 
 class IntegratedWorldline(Worldline):
-    """Worldline backed by an adaptive DOP853 solution with dense output.
+    """Worldline backed by the :class:`DenseSolution` of an adaptive DOP853 solve.
 
     ``kinematics`` and ``trajectory`` evaluate the dense output once per call,
-    at one parameter or at a whole array of them.
+    at one parameter or at a whole array of them.  ``accel_fn(x, u)`` is the
+    force per unit mass; None for a free trajectory.
     """
 
     def __init__(self, model, sol, span, kind, accel_fn):
@@ -200,24 +201,27 @@ class IntegratedWorldline(Worldline):
         self._sol = sol
         self._accel = accel_fn
 
+    def _acceleration(self, x, u):
+        return np.zeros_like(u) if self._accel is None else self._accel(x, u)
+
     def position(self, lam):
-        return self._sol(lam)[:4]
+        return self._sol(lam)[..., :4]
 
     def velocity(self, lam):
-        return self._sol(lam)[4:]
+        return self._sol(lam)[..., 4:]
 
     def acceleration(self, lam):
         y = self._sol(lam)
-        return self._accel(y[:4], y[4:])
+        return self._acceleration(y[..., :4], y[..., 4:])
 
     def kinematics(self, lam):
         y = self._sol(lam)
-        x, u = y[:4].T, y[4:].T
-        return x, u, self._accel(x, u), self.model.to_coords(x, u)
+        x, u = y[..., :4], y[..., 4:]
+        return x, u, self._acceleration(x, u), self.model.to_coords(x, u)
 
     def trajectory(self, params):
         y = self._sol(np.asarray(params, dtype=float))
-        return y[:4].T, y[4:].T
+        return y[:, :4], y[:, 4:]
 
 
 class SampledWorldline(Worldline):
@@ -256,24 +260,64 @@ class SampledWorldline(Worldline):
         return self._pos_spline(params), self._vel_spline(params)
 
 
+class DenseSolution:
+    """The dense output of a DOP853 solve, evaluated as one array.
+
+    Built once from the ``OdeSolution`` that ``solve_ivp`` returns, with each
+    segment's start ``t_old``, width ``h``, the seven rows of its polynomial
+    ``F`` (last row first) and its start state ``y_old`` stacked.  Calling it
+    at a parameter gives the (n,) state, at an array of m parameters an (m, n)
+    array, from one ``searchsorted`` and the Horner arithmetic of scipy's
+    ``Dop853DenseOutput``, bit for bit.  As in ``OdeSolution``, a parameter on
+    a step boundary takes the segment of lower index and one outside the span
+    the nearest end segment, for an ascending or a descending span.
+    """
+
+    def __init__(self, ode_solution):
+        pieces = ode_solution.interpolants
+        self.ts = ode_solution.ts
+        self.descending = self.ts[-1] < self.ts[0]
+        # the interior step boundaries in ascending order
+        self.breaks = (self.ts[::-1] if self.descending else self.ts)[1:-1]
+        self.t_old = np.array([p.t_old for p in pieces])
+        self.h = np.array([p.h for p in pieces])
+        self.rows = np.array([[*p.F[::-1], p.y_old] for p in pieces])
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        # searching the interior boundaries alone gives the clipped segment index
+        if self.descending:
+            seg = len(self.breaks) - self.breaks.searchsorted(t.ravel(), side="right")
+        else:
+            seg = self.breaks.searchsorted(t.ravel(), side="left")
+        x = ((t.ravel() - self.t_old[seg]) / self.h[seg])[:, None]
+        factors = (1 - x, x)
+        rows = self.rows[seg]
+        y = rows[:, 0] + 0.0
+        for k in range(1, rows.shape[1]):
+            y *= factors[k % 2]
+            y += rows[:, k]
+        return y.reshape(t.shape + y.shape[1:])
+
+
 @dataclass(frozen=True)
 class Propagator:
     """Dense solution U(lam) of dU/dlam = G(lam) U with U = 1 at the span start.
 
     Calling it with one parameter value gives a (dim, dim) matrix, with an
-    array of n values an (n, dim, dim) stack.  ``nfev`` and ``steps`` are the
-    solver's right-hand-side evaluations and accepted steps.
+    array of n values an (n, dim, dim) stack.  ``sol`` is the
+    :class:`DenseSolution`; ``nfev`` and ``steps`` are the solver's
+    right-hand-side evaluations and accepted steps.
     """
 
-    sol: object
+    sol: DenseSolution
     dim: int
     nfev: int
     steps: int
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
-        y = np.moveaxis(self.sol(lam), 0, -1)
-        return y.reshape(lam.shape + (self.dim, self.dim))
+        return self.sol(lam).reshape(lam.shape + (self.dim, self.dim))
 
 
 class LinearDOP853(DOP853):
@@ -385,7 +429,7 @@ def propagate(worldline, generator, dim, tol):
                     dense_output=True)
     if not sol.success:
         raise ToleranceError(f"transport failed: {sol.message}")
-    return Propagator(sol.sol, dim, int(sol.nfev), len(sol.t) - 1)
+    return Propagator(DenseSolution(sol.sol), dim, int(sol.nfev), len(sol.t) - 1)
 
 
 def worldline_from_csv(path, model, kind="timelike"):
@@ -401,9 +445,10 @@ def worldline_from_csv(path, model, kind="timelike"):
 
 
 def _lorentz_force_accel(model, em, charge_to_mass):
-    """a^I(x, u) of the Lorentz force, at one event or row by row."""
+    """a^I(x, u) of the Lorentz force, at one event or row by row; None
+    when there is no field or no charge."""
     if em is None or charge_to_mass == 0.0:
-        return lambda x, u: np.zeros_like(u)
+        return None
 
     def accel(x, u):
         f = em.tensor(x)
@@ -421,15 +466,16 @@ def _integrate(model, x0, u0, span, tol, kind, accel_fn, max_step=np.inf):
         x, u = y[:4], y[4:]
         if not model.in_domain(x):
             raise DomainError(f"{model.name}: trajectory left chart domain at parameter {lam}")
-        xdot = model.tetrad(x) @ u
-        udot = accel_fn(x, u) - np.einsum("n,nij->ij", xdot, model.connection(x)) @ u
-        return np.concatenate([xdot, udot])
+        rates = model.trajectory_rates(x, u)
+        if accel_fn is not None:
+            rates[4:] += accel_fn(x, u)
+        return rates
 
     sol = solve_ivp(rhs, (0.0, span), np.concatenate([x0, u0]), method="DOP853",
                     rtol=tol, atol=tol, dense_output=True, max_step=max_step)
     if not sol.success:
         raise ToleranceError(f"worldline integration failed: {sol.message}")
-    wl = IntegratedWorldline(model, sol.sol, (0.0, span), kind, accel_fn)
+    wl = IntegratedWorldline(model, DenseSolution(sol.sol), (0.0, span), kind, accel_fn)
     drift = wl.norm_audit()
     budget = max(1e-9, 1000.0 * tol * max(1.0, abs(span)))
     if drift > budget:
@@ -465,8 +511,7 @@ def integrate_null_geodesic(model, x0, k0, span=1.0, tol=1e-11, max_step=np.inf)
         raise QulineError(f"k0 must be null (k.k = {norm})")
     if span <= 0:
         raise QulineError("span must be positive")
-    return _integrate(model, x0, k0, span, tol, "null",
-                      _lorentz_force_accel(model, None, 0.0))
+    return _integrate(model, x0, k0, span, tol, "null", None)
 
 
 def static_worldline(model, spatial_coords, span, t0=0.0):

@@ -81,6 +81,30 @@ class TestValidate:
         assert err == f"parse error: [{block}] must be a mapping, got 5\n"
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("case, edit", [
+        ("worldline_entry", lambda d: d["worldlines"].update(rest_line=5)),
+        ("qubit_entry", lambda d: d["qubits"].update(q0=5)),
+        ("schedule_entry", lambda d: d.update(schedule=[5])),
+        ("schedule_not_a_list", lambda d: d.update(schedule=5)),
+        ("span", lambda d: d["worldlines"]["rest_line"].update(span="abc")),
+        ("worldline_tolerance", lambda d: d["worldlines"].update(
+            line={"type": "timelike", "span": 1.0, "tolerance": "fast"})),
+        ("op_tolerance", lambda d: d["schedule"][0].update(tolerance="fast")),
+        ("unknown_block", lambda d: d.update(modle=d.pop("model"))),
+    ])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_malformed_entry_or_value(self, tmp_path, capsys, case, edit, command):
+        data = sc.load_scenario(SCENARIOS / "flat_noop.scenario")
+        edit(data)
+        path = tmp_path / "bad.scenario"
+        path.write_text(yaml.safe_dump(data))
+        with pytest.raises(ScenarioParseError):
+            sc.ScenarioRun(sc.load_scenario(path)).diagnostics()
+        assert run_cli(["--out-dir", tmp_path, command, path]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.json"))
+
     def test_empty_block_counts_as_absent(self, tmp_path):
         path = tmp_path / "empty.scenario"
         path.write_text((SCENARIOS / "flat_noop.scenario").read_text()
@@ -90,6 +114,16 @@ class TestValidate:
 
 
 class TestRun:
+    def test_superluminal_apparatus_is_domain_error(self, tmp_path, capsys):
+        data = sc.load_scenario(SCENARIOS / "flat_noop.scenario")
+        data["schedule"].append({"op": "measure_spin", "qubit": "q0",
+                                 "apparatus_beta": [2, 0, 0]})
+        path = tmp_path / "fast.scenario"
+        path.write_text(yaml.safe_dump(data))
+        assert run_cli(["--out-dir", tmp_path, "run", path]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            "domain error: boost velocity must satisfy |beta| < 1\n")
+
     def test_flat_noop_state_unchanged(self, tmp_path):
         assert run_cli(["--out-dir", tmp_path, "run",
                         SCENARIOS / "flat_noop.scenario"]) == cli.EXIT_OK

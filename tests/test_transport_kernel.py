@@ -1,18 +1,22 @@
-"""The batched-stage transport kernel against stock DOP853, and the batched
-kinematics, geometry and generators it evaluates against per-point calls."""
+"""The batched-stage transport kernel against stock DOP853, the batched
+kinematics, geometry and generators it evaluates against per-point calls, and
+the trajectory layer (closed-form frames, array dense output) against the
+generic right-hand side and scipy's ``OdeSolution``."""
 
 from functools import partial
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+import scipy
+from scipy.integrate import DOP853, OdeSolution, solve_ivp
+from scipy.integrate._ivp import rk
 
 from quline import fermion as fm
 from quline import photon as ph
 from quline import worldline as wld
 from quline.errors import DomainError
-from quline.geometry import (TabulatedModel, _parallel_generator, apply_local_lorentz,
-                             make_builtin_model)
+from quline.geometry import (SpacetimeModel, TabulatedModel, _parallel_generator,
+                             apply_local_lorentz, make_builtin_model)
 from quline.spin_algebra import spin1_boost
 
 SCHW = make_builtin_model("schwarzschild", [1.0])
@@ -60,6 +64,14 @@ def rindler_static():
     return wld.static_worldline(RINDLER, [0, 0, 0.5], 3.0)
 
 
+def rindler_static_backwards():
+    return wld.static_worldline(RINDLER, [0, 0, 0.5], -3.0)
+
+
+def flat_circular_backwards():
+    return wld.circular_worldline(FLAT, 2.0, 0.6, revolutions=-1.0)
+
+
 def flat_circular():
     return wld.circular_worldline(FLAT, 2.0, 0.6)
 
@@ -85,7 +97,9 @@ CASES = {    # name: (worldline, generator)
     "schwarzschild_orbit_rest_frame": (schwarzschild_orbit, rest_frame),
     "schwarzschild_ray": (schwarzschild_ray, parallel),
     "rindler_static": (rindler_static, covariant),
+    "rindler_static_backwards": (rindler_static_backwards, covariant),
     "flat_circular": (flat_circular, rest_frame),
+    "flat_circular_backwards": (flat_circular_backwards, rest_frame),
     "lorentz_force_em": (lorentz_orbit, lambda wl: covariant(wl, EM, 1.3)),
     "sampled": (sampled_orbit, covariant),
     "tabulated": (tabulated_static, covariant),
@@ -186,3 +200,174 @@ def test_photon_states_are_the_canonical_representatives():
         want = ph.PhotonState(m @ pol, state.event, kk).canonical()
         np.testing.assert_array_equal(state.pol, want.pol)
         np.testing.assert_array_equal(state.event.coords, x)
+
+
+# -- the trajectory layer ----------------------------------------------------
+
+def random_events(model, rng, n=40):
+    """In-domain events with random tetrad velocities (timelike and not)."""
+    if model.name == "schwarzschild":
+        x = np.column_stack([rng.uniform(-5, 5, n), rng.uniform(2.1, 40.0, n),
+                             rng.uniform(0.05, np.pi - 0.05, n), rng.uniform(0, 7, n)])
+    elif model.name == "rindler":
+        x = np.column_stack([rng.uniform(-5, 5, (n, 3)),
+                             rng.uniform(-0.95 / model.g, 10.0, n)])
+    else:
+        x = rng.uniform(-10, 10, (n, 4))
+    return x, rng.standard_normal((n, 4))
+
+
+@pytest.mark.parametrize("model", [FLAT, RINDLER, SCHW, make_builtin_model("rindler", [3.0]),
+                                   make_builtin_model("schwarzschild", [0.3])],
+                         ids=["minkowski", "rindler", "schwarzschild", "rindler_g3",
+                              "schwarzschild_m03"])
+def test_trajectory_rates_match_base_class(model):
+    """The closed-form contraction equals the generic tetrad/connection one to
+    a few ulps (bit for bit where libm and the BLAS (4, 4) @ (4,) kernel
+    round as the scalar path assumes)."""
+    assert (len(model.OMEGA) == 0) == (model.name == "minkowski")
+    rng = np.random.default_rng(11)
+    for x, u in zip(*random_events(model, rng)):
+        got = model.trajectory_rates(x, u)
+        want = SpacetimeModel.trajectory_rates(model, x, u)
+        assert got.shape == (8,)
+        np.testing.assert_allclose(got, want, rtol=1e-14,
+                                   atol=1e-14 * np.abs(want).max())
+
+
+def generic_rhs(model, accel=None):
+    """The trajectory right-hand side written out from tetrad and connection."""
+    def rhs(lam, y):
+        x, u = y[:4], y[4:]
+        xdot = model.tetrad(x) @ u
+        a = np.zeros(4) if accel is None else accel(x, u)
+        return np.concatenate([xdot, a - np.einsum("n,nij->ij", xdot,
+                                                   model.connection(x)) @ u])
+    return rhs
+
+
+def lorentz_force(em, q2m):
+    return lambda x, u: q2m * (wld.ETA @ em.tensor(x) @ u)
+
+
+def moved_line():
+    model = moved_model()
+    x0 = np.array([0.0, 9.0, 1.2, 0.4])
+    return model, x0, spin1_boost([0.1, 0.2, -0.3])[:, 0]
+
+
+TRAJECTORIES = {   # name: (model, x0, u0, span, em, charge_to_mass, kind)
+    "schwarzschild_orbit": (SCHW, [0.0, 10.0, np.pi / 2, 0.3],
+                            SCHW.inverse_tetrad([0.0, 10.0, np.pi / 2, 0.3])
+                            @ np.array([1.0, 0.0, 0.0, 10.0**-1.5]) / np.sqrt(0.7),
+                            40.0, None, 0.0, "timelike"),
+    "schwarzschild_ray": (SCHW, [0.0, 15.0, np.pi / 2, 0.0],
+                          [1.0, -0.6, 0.0, 0.8], 12.0, None, 0.0, "null"),
+    "rindler_line": (RINDLER, [0.0, 0.1, -0.2, 0.5], spin1_boost([0.3, 0.0, 0.4])[:, 0],
+                     3.0, None, 0.0, "timelike"),
+    "minkowski_line": (FLAT, [0.0, 1.0, 2.0, 3.0], spin1_boost([0.2, -0.1, 0.5])[:, 0],
+                       5.0, None, 0.0, "timelike"),
+    "lorentz_force": (FLAT, [0.0, 0.0, 0.0, 0.0], [1.25, 0.75, 0.0, 0.0],
+                      4.0, EM, 1.3, "timelike"),
+    "transformed": (*moved_line(), 2.0, None, 0.0, "timelike"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORIES))
+def test_integrated_worldline_matches_stock_dop853(name):
+    """The same steps and dense output as DOP853 on the generic RHS, up to
+    the few-ulp differences of the two right-hand sides (none where libm and
+    BLAS round as the scalar path assumes)."""
+    model, x0, u0, span, em, q2m, kind = TRAJECTORIES[name]
+    x0, u0 = np.asarray(x0, dtype=float), np.asarray(u0, dtype=float)
+    tol = 1e-12
+    if kind == "null":
+        wl = wld.integrate_null_geodesic(model, x0, u0, span=span, tol=tol)
+    else:
+        wl = wld.integrate_timelike(model, em, x0, u0, charge_to_mass=q2m, span=span,
+                                    tol=tol)
+    accel = lorentz_force(em, q2m) if em is not None else None
+    stock = solve_ivp(generic_rhs(model, accel), (0.0, span), np.concatenate([x0, u0]),
+                      method="DOP853", rtol=tol, atol=tol, dense_output=True)
+    assert len(stock.t) > 3
+    assert wl._sol.ts.shape == stock.t.shape
+    np.testing.assert_allclose(wl._sol.ts, stock.t, rtol=1e-12, atol=1e-12)
+    params = np.linspace(0.0, span, 37)
+    x, u = wl.trajectory(params)
+    np.testing.assert_allclose(np.hstack([x, u]), stock.sol(params).T, rtol=1e-12,
+                               atol=1e-12)
+    if em is not None:    # the force reaches the acceleration of the worldline too
+        np.testing.assert_array_equal(wl.acceleration(params[5]),
+                                      accel(x[5], u[5]))
+
+
+def dense_pairs():
+    """(DenseSolution, OdeSolution) of a trajectory solve, the same solve run
+    backwards and a propagator solve."""
+    model, x0, u0, span, *_ = TRAJECTORIES["schwarzschild_orbit"]
+    traj, back = (solve_ivp(generic_rhs(model), (0.0, s), np.concatenate([x0, u0]),
+                            method="DOP853", rtol=1e-12, atol=1e-12,
+                            dense_output=True).sol
+                  for s in (span, -span))
+    wl = schwarzschild_ray()
+    generator, dim = parallel(wl)
+
+    def rhs(lam, y):
+        return (generator(*wl.kinematics(lam)) @ y.reshape(dim, dim)).ravel()
+
+    prop = solve_ivp(rhs, wl.param_span, np.eye(dim, dtype=complex).ravel(),
+                     method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True).sol
+    return [(wld.DenseSolution(ode), ode) for ode in (traj, back, prop)]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["trajectory", "backwards", "propagator"])
+def test_dense_solution_matches_ode_solution_bit_for_bit(which):
+    dense, ode = dense_pairs()[which]
+    ts = ode.ts
+    rng = np.random.default_rng(5)
+    inside = rng.uniform(ts.min(), ts.max(), 41)        # unsorted
+    probes = [ts[0], ts[-1], ts[3], 0.5 * (ts[2] + ts[3]), float(inside[0])]
+    for t in probes:
+        got, want = dense(t), ode(t)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), t
+    arrays = [inside, ts, ts[::-1], np.array([ts[-1], ts[0], ts[5], ts[5]]),
+              np.array([ts.min() - 0.5, ts.max() + 0.5])]
+    for t in arrays:
+        got, want = dense(t), np.ascontiguousarray(ode(t).T)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["ascending", "descending"])
+def test_dense_solution_takes_the_earlier_segment_at_a_boundary(sign):
+    """On a solve the two segments meeting at a boundary agree there to
+    rounding; on these deliberately discontinuous ones they do not."""
+    rng = np.random.default_rng(8)
+    ts = sign * np.array([0.0, 0.5, 1.25, 2.0])
+    pieces = [rk.Dop853DenseOutput(t0, t1, rng.standard_normal(3), rng.standard_normal((7, 3)))
+              for t0, t1 in zip(ts[:-1], ts[1:])]
+    ode = OdeSolution(ts, pieces)
+    dense = wld.DenseSolution(ode)
+    t = np.concatenate([ts, sign * np.array([-1.0, 0.2, 1.9, 3.0])])
+    assert dense(t).tobytes() == np.ascontiguousarray(ode(t).T).tobytes()
+    for boundary in ts:
+        assert dense(boundary).tobytes() == ode(boundary).tobytes()
+
+
+def test_scipy_private_surfaces_present():
+    """LinearDOP853 and DenseSolution read these scipy internals."""
+    where = f"installed scipy {scipy.__version__}"
+    for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR", "Dop853DenseOutput"):
+        assert hasattr(rk, name), f"scipy.integrate._ivp.rk.{name} missing in {where}"
+    shapes = {"A": (12, 12), "B": (12,), "C": (12,), "A_EXTRA": (3, 16),
+              "C_EXTRA": (3,), "D": (4, 16)}
+    for name, shape in shapes.items():
+        got = np.shape(getattr(DOP853, name, None))
+        assert got == shape, f"DOP853.{name} has shape {got}, expected {shape}, in {where}"
+    _, ode = dense_pairs()[0]
+    piece = ode.interpolants[1]
+    assert isinstance(piece, rk.Dop853DenseOutput), where
+    assert np.shape(piece.F) == (7, 8), f"Dop853DenseOutput.F is {np.shape(piece.F)} in {where}"
+    assert np.shape(piece.y_old) == (8,), where
+    assert piece.t_old == ode.ts[1] and piece.h == ode.ts[2] - ode.ts[1], where
