@@ -42,7 +42,7 @@ from .worldline import propagate
 
 @dataclass(frozen=True)
 class FermionState:
-    """Spinor psi_A attached to its Hilbert-space label (event, 4-velocity)."""
+    """A spinor psi_A attached to its Hilbert-space label (event, 4-velocity)."""
 
     psi: np.ndarray
     event: Event
@@ -72,14 +72,10 @@ class FermionState:
         return (self.event.close_to(other.event, tol)
                 and np.abs(self.velocity - other.velocity).max() <= tol)
 
-    def export_components(self):
-        """4 reals (Re then Im of the two components); the label travels separately."""
-        return np.concatenate([self.psi.real, self.psi.imag])
-
 
 @dataclass(frozen=True)
 class RestFrameState:
-    """Spinor components in the comoving orthonormal basis (delta inner product)."""
+    """The spinor components in the comoving orthonormal basis (delta inner product)."""
 
     psi_tilde: np.ndarray
 
@@ -232,16 +228,3 @@ def wigner_rotation_increment(u, du, omega_pull):
     return expm(_wigner_generator(np.asarray(u, dtype=float).reshape(4),
                                   np.asarray(du, dtype=float).reshape(4),
                                   np.asarray(omega_pull, dtype=float).reshape(4, 4)))
-
-
-def boost_state(state: FermionState, lorentz, new_event=None):
-    """Re-express a state after a local Lorentz re-gauging of the tetrad.
-
-    The spinor transforms with the spin-half image, the velocity label with
-    the spin-1 matrix; physical quantities built from the pair are invariant.
-    """
-    if lorentz.half is None:
-        raise QulineError("LocalLorentz carries no spin-half image")
-    return FermionState(lorentz.half @ state.psi,
-                        new_event or state.event,
-                        lorentz.matrix @ state.velocity)

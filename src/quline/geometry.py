@@ -7,8 +7,12 @@ A model evaluates, at any event of its single open chart:
 * ``inverse_tetrad(coords)``e^I_mu                         (4,4), row I, column mu
 * ``connection(coords)``    omega_nu^I_J                   (4,4,4), [nu, I, J]
 
-and, at each row of an (n, 4) array of events, ``tetrads(points)``
-(n,4,4) and ``connections(points)`` (n,4,4,4).
+Each model has one batched primitive, ``tetrads(points)``: e^mu_I at a (4,)
+event or at each row of an (n, 4) array, (n,4,4).  ``connections(points)``
+is batched the same way; unless a model knows omega in closed form it is
+:func:`connection_finite_difference`, one ``tetrads`` call over the 17n
+points of the n events' stencils.  The one-event forms ``tetrad``,
+``connection`` and ``check_domain`` are defined once, on the base class.
 
 Natural units c = hbar = 1 throughout; all conversion happens at the CLI
 boundary.  The connection is omega_nu^I_J = e^I_rho d_nu e^rho_J
@@ -63,9 +67,10 @@ def _coords_of(x):
 class SpacetimeModel:
     """Base class: a chart, a tetrad field and everything derived from it.
 
-    Subclasses either provide analytic ``tetrad``/``metric``/``connection``
-    or inherit the finite-difference fallbacks defined here (``metric`` from
-    the inverse tetrad, ``connection`` from tetrad and metric derivatives).
+    Subclasses provide ``tetrads`` and, where they know them in closed form,
+    ``connections`` and ``metric``; the fallbacks defined here take the
+    metric from the inverse tetrad and the connection from finite
+    differences of the tetrad and the metric.
     """
 
     name = "model"
@@ -77,14 +82,14 @@ class SpacetimeModel:
         self.fd_step = float(fd_step)
 
     # -- mandatory surface -------------------------------------------------
-    def tetrad(self, x):
+    def tetrads(self, points):
+        """e^mu_I at a (4,) event, (4, 4), or at each row of an (n, 4) array,
+        (n, 4, 4)."""
         raise NotImplementedError
 
-    def tetrads(self, points):
-        """Tetrads at each row of an (n, 4) array of coordinates; (n, 4, 4)."""
-        return np.array([self.tetrad(p) for p in points])
-
     def in_domain(self, coords):
+        """Whether the chart holds the event(s): coordinates on the first
+        axis, (4,) or (4, n); a bool or an (n,) array of them."""
         return True
 
     # -- derived surface ---------------------------------------------------
@@ -94,11 +99,20 @@ class SpacetimeModel:
         return Event(c, self.chart_id)
 
     def check_domain(self, x):
-        c = _coords_of(x)
-        if not self.in_domain(c):
-            raise DomainError(f"{self.name}: coordinates {c.tolist()} outside chart domain")
+        """Raise DomainError unless the event (an Event or (4,) coordinates),
+        or every row of an (n, 4) array, lies on this chart; names the first
+        event outside."""
+        c = x.coords if isinstance(x, Event) else np.asarray(x, dtype=float)
+        inside = self.in_domain(c.T)
+        if not np.all(inside):
+            first = c.reshape(-1, 4)[np.argmin(np.reshape(inside, -1))]
+            raise DomainError(f"{self.name}: coordinates {first.tolist()} "
+                              "outside chart domain")
         if isinstance(x, Event) and x.chart_id != self.chart_id:
             raise DomainError(f"event on chart {x.chart_id!r}, model uses {self.chart_id!r}")
+
+    def tetrad(self, x):
+        return self.tetrads(_coords_of(x))
 
     def inverse_tetrad(self, x):
         return np.linalg.inv(self.tetrad(x))
@@ -113,14 +127,13 @@ class SpacetimeModel:
 
     def connection(self, x):
         self.check_domain(x)
-        return connection_finite_difference(self, _coords_of(x), self.fd_step)
+        return self.connections(_coords_of(x))
 
     def connections(self, points):
-        """Connections at each row of an (n, 4) array of events, (n, 4, 4, 4);
-        one (4,) event gives its (4, 4, 4) connection."""
-        points = np.asarray(points, dtype=float)
-        omegas = [self.connection(p) for p in points.reshape(-1, 4)]
-        return np.reshape(omegas, points.shape[:-1] + (4, 4, 4))
+        """omega_nu^I_J at a (4,) event, (4, 4, 4), or at each row of an
+        (n, 4) array, (n, 4, 4, 4)."""
+        self.check_domain(points)
+        return connection_finite_difference(self, points, self.fd_step)
 
     def trajectory_rates(self, x, u):
         """(xdot^mu, udot^I) of a free trajectory at the event ``x`` with tetrad
@@ -130,10 +143,6 @@ class SpacetimeModel:
         return np.concatenate([xdot, -np.einsum("n,nij->ij", xdot, self.connection(x)) @ u])
 
     # -- small conveniences used throughout the library ---------------------
-    def to_tetrad(self, x, v_coords):
-        """Coordinate components V^mu -> tetrad components V^I."""
-        return self.inverse_tetrad(x) @ np.asarray(v_coords)
-
     def to_coords(self, x, v_tetrad):
         """Tetrad components V^I -> coordinate components V^mu; row by row for
         an (n, 4) array of events and an (n, 4) array of vectors."""
@@ -146,48 +155,43 @@ class SpacetimeModel:
         return self.metric(x) @ np.asarray(v_coords)
 
 
-def _stencil_tetrads(model, coords, step):
-    """Tetrads, inverse tetrads and metrics at ``coords`` and its 16 stencil points.
-
-    Row 0 is the centre; row 1 + 4 nu + k is offset by _FD_OFFSETS[k] * step
-    along coordinate nu.  The metric is built from the same tetrads.
-    """
-    points = coords + step * _STENCIL
-    for p in points:
-        if not model.in_domain(p):
-            raise DomainError(f"{model.name}: finite-difference stencil leaves chart domain")
-    e = model.tetrads(points)
-    einv = np.linalg.inv(e)
-    return e, einv, np.swapaxes(einv, 1, 2) @ ETA @ einv
-
-
 def _stencil_derivative(samples, step):
-    """d_nu of a field from its values at the 16 offset stencil points; [nu, ...]."""
+    """d_nu of a field from its values at the 16 offset stencil points, which
+    run along the first axis; [nu, ...]."""
     grouped = samples.reshape((4, len(_FD_OFFSETS)) + samples.shape[1:])
     return np.einsum("k,nk...->n...", _FD_WEIGHTS, grouped) / step
 
 
 def connection_finite_difference(model, coords, step=None):
-    """omega_nu^I_J from finite differences of the tetrad and the metric.
+    """omega_nu^I_J from finite differences of the tetrad and the metric, at a
+    (4,) event, (4, 4, 4), or at each row of an (n, 4) array, (n, 4, 4, 4).
 
     Used both as the generic evaluator for models without analytic
     connections and as the self-consistency oracle for the analytic ones.
-    Tetrad and metric derivatives share one set of 17 tetrad evaluations.
+    One ``tetrads`` call covers the 17 stencil points of every event: the
+    centre, then _FD_OFFSETS[k] * step along coordinate nu at 1 + 4 nu + k.
+    Tetrad and metric derivatives share those evaluations.
     """
-    coords = np.asarray(coords, dtype=float).reshape(4)
+    coords = np.asarray(coords, dtype=float)
     h = model.fd_step if step is None else step
-    e, einv, g = _stencil_tetrads(model, coords, h)
+    points = coords + h * _STENCIL.reshape((17,) + (1,) * (coords.ndim - 1) + (4,))
+    flat = points.reshape(-1, 4)
+    if not np.all(model.in_domain(flat.T)):
+        raise DomainError(f"{model.name}: finite-difference stencil leaves chart domain")
+    e = model.tetrads(flat).reshape(points.shape + (4,))   # e[stencil, ..., mu, I]
+    einv = np.linalg.inv(e)
+    g = np.swapaxes(einv, -1, -2) @ ETA @ einv
     e0, einv0 = e[0], einv[0]
-    de = _stencil_derivative(e[1:], h)                     # de[nu, rho, J]
-    dg = _stencil_derivative(g[1:], h)                     # dg[nu, a, b]
+    de = _stencil_derivative(e[1:], h)                     # de[nu, ..., rho, J]
+    dg = _stencil_derivative(g[1:], h)                     # dg[nu, ..., a, b]
     # Gamma^s_{nr} = 1/2 g^{sa}(d_n g_{ar} + d_r g_{an} - d_a g_{nr})
-    gamma = 0.5 * np.einsum("sa,nra->snr",
-                            e0 @ ETA @ e0.T,
-                            np.einsum("nar->nra", dg)
-                            + np.einsum("ran->nra", dg)
-                            - np.einsum("anr->nra", dg))
-    return (np.einsum("ir,nrj->nij", einv0, de)
-            + np.einsum("snr,is,rj->nij", gamma, einv0, e0))
+    gamma = 0.5 * np.einsum("...sa,n...ra->...snr",
+                            e0 @ ETA @ np.swapaxes(e0, -1, -2),
+                            np.einsum("n...ar->n...ra", dg)
+                            + np.einsum("r...an->n...ra", dg)
+                            - np.einsum("a...nr->n...ra", dg))
+    return (np.einsum("...ir,n...rj->...nij", einv0, de)
+            + np.einsum("...snr,...is,...rj->...nij", gamma, einv0, e0))
 
 
 class _AnalyticModel(SpacetimeModel):
@@ -198,9 +202,8 @@ class _AnalyticModel(SpacetimeModel):
     of the nonzero omega_nu^I_J, listed once per class as ``(nu, I, J)`` in
     ``OMEGA``.  It runs over a backend namespace: ``math`` for one event's
     Python floats, ``numpy`` for a (4,) event or the transposed rows of an
-    (n, 4) array.  ``tetrad``/``tetrads``/``connection``/``connections``
-    scatter it into zeros; ``trajectory_rates`` contracts it in scalar
-    arithmetic.  ``in_domain`` must accept the transposed (4, n) array.
+    (n, 4) array.  ``tetrads`` and ``connections`` scatter it into zeros;
+    ``trajectory_rates`` contracts it in scalar arithmetic.
     """
 
     connection_mode = "analytic"
@@ -209,9 +212,6 @@ class _AnalyticModel(SpacetimeModel):
     def _frame(self, c, xp):
         raise NotImplementedError
 
-    def tetrad(self, x):
-        return self.tetrads(_coords_of(x))
-
     def tetrads(self, points):
         c = np.asarray(points, dtype=float)
         e = np.zeros(c.shape[:-1] + (4, 4))
@@ -219,18 +219,9 @@ class _AnalyticModel(SpacetimeModel):
             e[..., i, i] = d
         return e
 
-    def connection(self, x):
-        self.check_domain(x)
-        return self._connection_of(_coords_of(x))
-
     def connections(self, points):
-        points = np.asarray(points, dtype=float)
-        if not np.all(self.in_domain(points.T)):
-            for p in points.reshape(-1, 4):
-                self.check_domain(p)     # raises, naming the first event outside
-        return self._connection_of(points)
-
-    def _connection_of(self, c):
+        self.check_domain(points)
+        c = np.asarray(points, dtype=float)
         omega = np.zeros(c.shape[:-1] + (4, 4, 4))
         for (nu, i, j), w in zip(self.OMEGA, self._frame(c.T, np)[1]):
             omega[..., nu, i, j] = w
@@ -368,8 +359,8 @@ class TabulatedModel(SpacetimeModel):
     def __init__(self, axes, tetrads, fd_step=None):
         self.axes = [np.asarray(a, dtype=float) for a in axes]
         self.values = np.asarray(tetrads, dtype=float)
-        if self.values.shape != tuple(len(a) for a in self.axes) + (4, 4):
-            raise QulineError("tetrad table shape must be grid shape + (4, 4)")
+        if len(self.axes) != 4 or self.values.shape != tuple(map(len, self.axes)) + (4, 4):
+            raise QulineError("need four axes and a tetrad table of shape grid + (4, 4)")
         spans = [a[-1] - a[0] for a in self.axes if len(a) > 1]
         step = fd_step if fd_step is not None else min(spans) * 1e-4 if spans else DEFAULT_FD_STEP
         super().__init__(step)
@@ -384,23 +375,17 @@ class TabulatedModel(SpacetimeModel):
         self._const = vals if not pts else None
 
     def in_domain(self, coords):
+        inside = True
         for i in self._active:
             a = self.axes[i]
-            if not (a[0] <= coords[i] <= a[-1]):
-                return False
-        return True
-
-    def tetrad(self, x):
-        c = _coords_of(x)
-        if self._interp is None:
-            return self._const.copy()
-        return self._interp(np.array([c[i] for i in self._active]))[0]
+            inside = inside & (a[0] <= coords[i]) & (coords[i] <= a[-1])
+        return inside
 
     def tetrads(self, points):
-        points = np.asarray(points, dtype=float)
+        c = np.asarray(points, dtype=float)
         if self._interp is None:
-            return np.repeat(self._const[None], len(points), axis=0)
-        return self._interp(points[:, self._active])
+            return np.broadcast_to(self._const, c.shape[:-1] + (4, 4)).copy()
+        return self._interp(c[..., self._active]).reshape(c.shape[:-1] + (4, 4))
 
 
 def make_builtin_model(name, params=()):
@@ -456,10 +441,10 @@ class TransformedModel(SpacetimeModel):
         LocalLorentz(lam)  # validates
         return lam
 
-    def tetrad(self, x):
-        c = _coords_of(x)
-        lam = self._lambda(c)
-        return self.base.tetrad(c) @ np.linalg.inv(lam)
+    def tetrads(self, points):
+        c = np.asarray(points, dtype=float)
+        lam = np.reshape([self._lambda(p) for p in c.reshape(-1, 4)], c.shape[:-1] + (4, 4))
+        return self.base.tetrads(c) @ np.linalg.inv(lam)
 
     def inverse_tetrad(self, x):
         c = _coords_of(x)
@@ -471,31 +456,28 @@ class TransformedModel(SpacetimeModel):
     def inverse_metric(self, x):
         return self.base.inverse_metric(_coords_of(x))
 
-    def connection(self, x):
-        self.check_domain(x)
-        c = _coords_of(x)
+    def connections(self, points):
         if self.connection_mode != "analytic":
-            return connection_finite_difference(self, c, self.fd_step)
-        lam = self._lambda(c)
-        lam_inv = np.linalg.inv(lam)
-        base_omega = self.base.connection(c)
-        dlam = np.asarray(self.jacobian(Event(c, self.chart_id)), dtype=float)
-        omega = np.einsum("ik,nkl,lj->nij", lam, base_omega, lam_inv)
-        # inhomogeneous term Lambda d_mu(Lambda^{-1}), with
-        # d(Lambda^{-1}) = -Lambda^{-1} dLambda Lambda^{-1}
-        dlam_inv = -np.einsum("ik,nkl,lj->nij", lam_inv, dlam, lam_inv)
-        omega += np.einsum("ik,nkj->nij", lam, dlam_inv)
-        return omega
+            return super().connections(points)
+        c = np.asarray(points, dtype=float)
+        base_omegas = self.base.connections(c)          # checks the domain
+        # ``field`` and ``jacobian`` take one Event, so this runs row by row
+        omegas = []
+        for p, base_omega in zip(c.reshape(-1, 4), base_omegas.reshape(-1, 4, 4, 4)):
+            lam = self._lambda(p)
+            lam_inv = np.linalg.inv(lam)
+            dlam = np.asarray(self.jacobian(Event(p, self.chart_id)), dtype=float)
+            omega = np.einsum("ik,nkl,lj->nij", lam, base_omega, lam_inv)
+            # inhomogeneous term Lambda d_mu(Lambda^{-1}), with
+            # d(Lambda^{-1}) = -Lambda^{-1} dLambda Lambda^{-1}
+            dlam_inv = -np.einsum("ik,nkl,lj->nij", lam_inv, dlam, lam_inv)
+            omegas.append(omega + np.einsum("ik,nkj->nij", lam, dlam_inv))
+        return np.reshape(omegas, c.shape[:-1] + (4, 4, 4))
 
 
 def apply_local_lorentz(model, field, jacobian=None):
     """Re-gauge ``model`` by the local Lorentz field ``field`` (event -> Lambda)."""
     return TransformedModel(model, field, jacobian)
-
-
-def connection_at(model, x):
-    """omega_nu^I_J components at an event; shape (4, 4, 4) indexed [nu, I, J]."""
-    return model.connection(x)
 
 
 def lower_connection(omega):

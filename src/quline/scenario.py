@@ -21,6 +21,7 @@ are byte-identical for identical (scenario, seed, version).
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,8 @@ MAPPING_BLOCKS = ("model", "worldlines", "qubits", "interferometer", "cow", "swe
 BLOCKS = ("version", "seed", "schedule") + MAPPING_BLOCKS
 # blocks whose every entry must be a mapping
 ENTRY_BLOCKS = ("worldlines", "qubits")
+# schedule operations
+OPS = ("transport", "measure_spin", "optic", "measure_polarization")
 
 # advisory validity thresholds (documented heuristics, not hard errors)
 COMPTON_CURVATURE_RATIO = 1e-3   # warn when compton / curvature scale exceeds this
@@ -92,6 +95,31 @@ def _tolerance(spec, block):
     return _number(spec.get("tolerance", 1e-12), "natural", block)
 
 
+def _whole(raw, least, what, block):
+    """A whole number >= ``least``."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)) or raw < least:
+        raise ScenarioParseError(f"{what} must be a whole number >= {least}, got {raw!r}",
+                                 block=block)
+    return int(raw)
+
+
+def _polarizer(op, block):
+    """The polarizer of a ``measure_polarization`` op, as a function of the
+    photon wavevector."""
+    spec = op.get("polarizer", {})
+    _require(spec, dict, f"{block}.polarizer")
+    kind = spec.get("type", "linear")
+    if kind == "linear":
+        return partial(linear_polarizer, _number(spec.get("angle", 0.0), "angle", block))
+    if kind == "circular":
+        handedness = spec.get("handedness", +1)
+        if handedness not in (+1, -1):
+            raise ScenarioParseError(f"handedness must be +1 or -1, got {handedness!r}",
+                                     block=block)
+        return partial(circular_polarizer, handedness)
+    raise ScenarioParseError(f"unknown polarizer type {kind!r}", block=block)
+
+
 def _require(value, kind, block):
     if not isinstance(value, kind):
         what = "a mapping" if kind is dict else "a list"
@@ -106,7 +134,10 @@ def load_scenario(path):
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ScenarioParseError(f"not valid YAML: {exc}")
+        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+        detail = (f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
+                  if mark is not None and problem else " ".join(str(exc).split()))
+        raise ScenarioParseError(f"not valid YAML: {detail}") from None
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario must be a mapping of blocks")
     data = {key: value for key, value in data.items() if value is not None}
@@ -131,6 +162,7 @@ def build_model(data):
     block = data.get("model", {"family": "minkowski"})
     family = block.get("family")
     params = block.get("params", {})
+    _require(params, dict, "model.params")
     if family == "minkowski":
         return make_builtin_model("minkowski", [])
     if family == "rindler":
@@ -152,8 +184,8 @@ def build_model(data):
         try:
             return TabulatedModel(params["axes"], np.asarray(params["tetrads"],
                                                              dtype=float))
-        except QulineError as exc:
-            raise ScenarioParseError(str(exc), block="model") from None
+        except (QulineError, TypeError, ValueError) as exc:
+            raise ScenarioParseError(f"tabulated params: {exc}", block="model") from None
     raise ScenarioParseError(f"unknown model family {family!r}", block="model")
 
 
@@ -241,7 +273,7 @@ class ScenarioRun:
 
     def __init__(self, data, seed=0):
         self.data = data
-        self.seed = int(data.get("seed", seed))
+        self.seed = _whole(data.get("seed", seed), 0, "seed", "seed")
         self.model = build_model(data)
         self.worldlines = {}
         for name, spec in (data.get("worldlines") or {}).items():
@@ -253,10 +285,14 @@ class ScenarioRun:
 
     # -- validation --------------------------------------------------------
     def diagnostics(self):
-        """Check the schedule's references and tolerances; return
-        :meth:`validity_warnings`."""
+        """Check the schedule's operation names, references, tolerances and
+        polarizers; return :meth:`validity_warnings`."""
         for idx, op in enumerate(self.data.get("schedule") or []):
             block = f"schedule[{idx}]"
+            if op.get("op") not in OPS:
+                raise ScenarioParseError(f"unknown operation {op.get('op')!r}", block=block)
+            if op["op"] == "measure_polarization":
+                _polarizer(op, block)
             q = op.get("qubit")
             if q is not None and q not in self.qubits:
                 raise ScenarioReferenceError(f"undefined qubit {q!r}", block=block)
@@ -385,13 +421,7 @@ class ScenarioRun:
             if qubit["kind"] != "photon":
                 raise ScenarioError("measure_polarization needs a photon qubit",
                                     block=block)
-            spec = op.get("polarizer", {})
-            k = qubit["state"].wavevector
-            if spec.get("type", "linear") == "linear":
-                pol = linear_polarizer(_number(spec.get("angle", 0.0), "angle",
-                                               block), k)
-            else:
-                pol = circular_polarizer(int(spec.get("handedness", +1)), k)
+            pol = _polarizer(op, block)(qubit["state"].wavevector)
             transmitted, post, p = measure_polarization(qubit["state"], pol, rng)
             if transmitted:
                 qubit["state"] = post
@@ -561,10 +591,7 @@ def sweep_rows(data):
                                      block="sweep")
     start = _number(sw.get("start"), COW_DIMENSIONS[field], "sweep")
     stop = _number(sw.get("stop", sw.get("start")), COW_DIMENSIONS[field], "sweep")
-    steps = sw.get("steps", 1)
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ScenarioParseError(f"steps must be a whole number >= 1, got {steps!r}",
-                                 block="sweep")
+    steps = _whole(sw.get("steps", 1), 1, "steps", "sweep")
     values = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
     return _rows({"parameter": [target] * len(values), "value": values.tolist(),
                   **cow_columns(data["cow"], field, values)})

@@ -81,19 +81,6 @@ def generator_contraction(coeffs):
 
 
 @dataclass(frozen=True)
-class Spinor:
-    """Two-component complex spinor psi_A."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.components, dtype=complex).reshape(2)
-        if not np.all(np.isfinite(c.view(float))):
-            raise QulineError("spinor components must be finite")
-        object.__setattr__(self, "components", c)
-
-
-@dataclass(frozen=True)
 class LocalLorentz:
     """Proper orthochronous Lorentz matrix Lambda^I_J, optionally with its
     spin-half image acting on spinors as psi -> half @ psi."""
@@ -127,10 +114,6 @@ class SpinHalfBoost:
     matrix: np.ndarray
     beta: np.ndarray
     gamma: float
-
-    @property
-    def inverse_matrix(self):
-        return np.linalg.inv(self.matrix)
 
 
 def spin1_boost(beta):
@@ -202,11 +185,6 @@ def spin_half_rotation(axis, angle):
     return np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * n_sigma
 
 
-def rotation_pair(axis, angle):
-    """LocalLorentz for a spatial rotation, carrying its spin-half image."""
-    return LocalLorentz(spin1_rotation(axis, angle), spin_half_rotation(axis, angle))
-
-
 def random_local_lorentz(rng, vmax=0.7):
     """Random proper orthochronous element (boost x rotation) with spin-half image."""
     rng = np.random.default_rng(rng)
@@ -238,7 +216,7 @@ def bloch_vector(psi):
     Note the spatial part is minus the Pauli expectation <psi|pauli|psi>: the
     map lands on the future light cone, it is not the rest-frame spin axis.
     """
-    c = psi.components if isinstance(psi, Spinor) else np.asarray(psi, dtype=complex).reshape(2)
+    c = np.asarray(psi, dtype=complex).reshape(2)
     return np.real(np.einsum("iab,a,b->i", SIGMA_BAR, c.conj(), c))
 
 

@@ -237,11 +237,8 @@ class SampledWorldline(Worldline):
         velocities = np.asarray(velocities, dtype=float)
         self._acc = np.asarray(accelerations, dtype=float)
         xdot = model.to_coords(positions, velocities)
-        udot = np.array([
-            self._acc[i] - np.einsum("n,nij,j->i", xdot[i],
-                                     model.connection(positions[i]), velocities[i])
-            for i in range(len(params))
-        ])
+        udot = self._acc - np.einsum("kn,knij,kj->ki", xdot, model.connections(positions),
+                                     velocities)
         self._pos_spline = CubicHermiteSpline(params, positions, xdot)
         self._vel_spline = CubicHermiteSpline(params, velocities, udot)
         self._acc_spline = CubicHermiteSpline(params, self._acc,
@@ -611,11 +608,8 @@ def worldline_from_coordinate_path(model, spatial_path, spatial_rate, t0, t1, n=
                       for i in range(n)])
     from scipy.interpolate import CubicSpline
     u_spline = CubicSpline(taus, u_tet)
-    accels = np.empty((n, 4))
-    for i in range(n):
-        omega = model.connection(positions[i])
-        udot = u_spline(taus[i], 1)
-        accels[i] = udot + np.einsum("n,nij,j->i", velocities[i], omega, u_tet[i])
+    accels = u_spline(taus, 1) + np.einsum("kn,knij,kj->ki", velocities,
+                                           model.connections(positions), u_tet)
     return SampledWorldline(model, taus, positions, u_tet, accels, "timelike")
 
 

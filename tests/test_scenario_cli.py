@@ -29,6 +29,9 @@ class TestValidate:
         bad = tmp_path / "bad.scenario"
         bad.write_text("model: [unclosed\n")
         assert run_cli(["validate", bad]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "parse error: not valid YAML: line 2, column 1: "
+            "expected ',' or ']', but got '<stream end>'\n")
 
     def test_undefined_worldline_reference(self, tmp_path):
         f = tmp_path / "ref.scenario"
@@ -91,10 +94,28 @@ class TestValidate:
             line={"type": "timelike", "span": 1.0, "tolerance": "fast"})),
         ("op_tolerance", lambda d: d["schedule"][0].update(tolerance="fast")),
         ("unknown_block", lambda d: d.update(modle=d.pop("model"))),
+        ("seed", lambda d: d.update(seed="abc")),
+        ("model_params", lambda d: d.update(model={"family": "rindler", "params": 5})),
+        ("tabulated_params", lambda d: d.update(
+            model={"family": "tabulated", "params": {"axes": 5, "tetrads": [1]}})),
+        ("unknown_op", lambda d: d["schedule"].append({"op": "bogus", "qubit": "q0"})),
     ])
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_malformed_entry_or_value(self, tmp_path, capsys, case, edit, command):
-        data = sc.load_scenario(SCENARIOS / "flat_noop.scenario")
+        self.assert_parse_error(tmp_path, capsys, "flat_noop.scenario", edit, command)
+
+    @pytest.mark.parametrize("polarizer", [5, {"type": "circular", "handedness": "abc"}])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_malformed_polarizer(self, tmp_path, capsys, polarizer, command):
+        def edit(data):
+            for op in data["schedule"]:
+                if op["op"] == "measure_polarization":
+                    op["polarizer"] = polarizer
+        self.assert_parse_error(tmp_path, capsys, "polarimetry.scenario", edit, command)
+
+    @staticmethod
+    def assert_parse_error(tmp_path, capsys, scenario, edit, command):
+        data = sc.load_scenario(SCENARIOS / scenario)
         edit(data)
         path = tmp_path / "bad.scenario"
         path.write_text(yaml.safe_dump(data))

@@ -3,6 +3,7 @@ kinematics, geometry and generators it evaluates against per-point calls, and
 the trajectory layer (closed-form frames, array dense output) against the
 generic right-hand side and scipy's ``OdeSolution``."""
 
+import re
 from functools import partial
 
 import numpy as np
@@ -16,7 +17,8 @@ from quline import photon as ph
 from quline import worldline as wld
 from quline.errors import DomainError
 from quline.geometry import (SpacetimeModel, TabulatedModel, _parallel_generator,
-                             apply_local_lorentz, make_builtin_model)
+                             apply_local_lorentz, connection_finite_difference,
+                             make_builtin_model)
 from quline.spin_algebra import spin1_boost
 
 SCHW = make_builtin_model("schwarzschild", [1.0])
@@ -179,14 +181,17 @@ def test_connections_match_pointwise_connection(model):
                                   [model.connection(p) for p in points])
     np.testing.assert_array_equal(model.tetrads(points),
                                   [model.tetrad(p) for p in points])
+    np.testing.assert_array_equal(connection_finite_difference(model, points),
+                                  [connection_finite_difference(model, p) for p in points])
 
 
 @pytest.mark.parametrize("model, outside", [
     (SCHW, [0.0, 1.5, 1.0, 0.0]), (SCHW, [0.0, 8.0, 0.0, 0.0]),
-    (RINDLER, [0.0, 0.0, 0.0, -3.0])])
+    (RINDLER, [0.0, 0.0, 0.0, -3.0]), (rindler_table(), [0.0, 8.0, 1.0, 2.5]),
+    (moved_model(), [0.0, 1.5, 1.0, 0.0])])
 def test_connections_reject_points_outside_domain(model, outside):
     points = np.array([[0.0, 8.0, 1.0, 0.0], outside])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=re.escape(str(points[1].tolist()))):
         model.connections(points)
 
 
