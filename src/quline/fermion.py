@@ -34,11 +34,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import HilbertSpaceMismatch, QulineError
-from .geometry import Event, pulled_connection
+from .geometry import Event, check_finite, pulled_connection
 from .spin_algebra import (ETA, PAULI, SIGMA_BAR, generator_contraction,
                            minkowski_dot, spin_half_boost_matrix,
                            velocity_inner_product_matrix)
-from .worldline import propagate
+from .worldline import LazyStates, propagate
 
 @dataclass(frozen=True)
 class FermionState:
@@ -51,8 +51,7 @@ class FermionState:
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=complex).reshape(2)
         u = np.asarray(self.velocity, dtype=float).reshape(4)
-        if abs(minkowski_dot(u, u) - 1.0) > 1e-9 or u[0] <= 0.0:
-            raise QulineError("velocity label must be future-pointing with u.u = 1")
+        _check_velocities(u)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "velocity", u)
 
@@ -71,6 +70,14 @@ class FermionState:
     def same_space(self, other, tol=1e-9):
         return (self.event.close_to(other.event, tol)
                 and np.abs(self.velocity - other.velocity).max() <= tol)
+
+
+def _check_velocities(u):
+    """Raise unless the velocity label ``u``, or each row of a stack of them,
+    is future-pointing with u.u = 1."""
+    u = np.asarray(u).T
+    if np.any((np.abs(minkowski_dot(u, u) - 1.0) > 1e-9) | (u[0] <= 0.0)):
+        raise QulineError("velocity label must be future-pointing with u.u = 1")
 
 
 @dataclass(frozen=True)
@@ -126,18 +133,32 @@ def _covariant_generator(model, em, charge_to_mass, x, u, a, xdot):
 
 
 class TransportResult:
-    """Dense transported states plus the norm audit.
+    """Transported spinors plus the norm audit, as arrays over ``params``.
 
     ``propagators[i]`` is the transport map from the worldline start to
     ``params[i]``; it carries any other initial spinor the same way.
+    ``psis[i]`` is the spinor there, labelled (covariant form only) by
+    ``positions[i]`` on chart ``chart_id`` and ``velocities[i]``;
+    ``states[i]`` builds its state object when it is read.
     """
 
-    def __init__(self, kind, states, params, norm_drift, propagators):
+    def __init__(self, kind, params, propagators, psis, norm_drift,
+                 positions=None, velocities=None, chart_id=None):
         self.kind = kind
-        self.states = states
         self.params = params
-        self.norm_drift = norm_drift
         self.propagators = propagators
+        self.psis = psis
+        self.norm_drift = norm_drift
+        self.positions = positions
+        self.velocities = velocities
+        self.chart_id = chart_id
+        self.states = LazyStates(self._state, len(params))
+
+    def _state(self, i):
+        if self.positions is None:
+            return RestFrameState(self.psis[i])
+        return FermionState(self.psis[i], Event(self.positions[i], self.chart_id),
+                            self.velocities[i])
 
     @property
     def final(self):
@@ -162,12 +183,13 @@ def transport(state: FermionState, worldline, em=None, charge_to_mass=0.0,
     maps = propagate(worldline, generator, 2, tol)(params)
     psis = maps @ state.psi
     positions, velocities = worldline.trajectory(params)
+    check_finite(positions)
+    _check_velocities(velocities)
     metrics = np.einsum("ni,iab->nab", velocities @ ETA, SIGMA_BAR)
     norms = np.einsum("na,nab,nb->n", psis.conj(), metrics, psis).real
     drift = float(np.abs(norms - state.norm_squared()).max())
-    states = [FermionState(psi, Event(x, model.chart_id), u)
-              for psi, x, u in zip(psis, positions, velocities)]
-    return TransportResult("fermion", states, params, drift, maps)
+    return TransportResult("fermion", params, maps, psis, drift,
+                           positions, velocities, model.chart_id)
 
 
 def _wigner_generator(u, du, omega_pull):
@@ -213,8 +235,7 @@ def transport_rest_frame(rf: RestFrameState, worldline, tol=1e-12, n_samples=201
     maps = propagate(worldline, generator, 2, tol)(params)
     psis = maps @ rf.psi_tilde
     drift = float(np.abs(np.sum(np.abs(psis) ** 2, axis=1) - rf.norm_squared()).max())
-    states = [RestFrameState(psi) for psi in psis]
-    return TransportResult("fermion-rest", states, params, drift, maps)
+    return TransportResult("fermion-rest", params, maps, psis, drift)
 
 
 def wigner_rotation_increment(u, du, omega_pull):

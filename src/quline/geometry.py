@@ -49,8 +49,7 @@ class Event:
 
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=float).reshape(4)
-        if not np.all(np.isfinite(c)):
-            raise QulineError("event coordinates must be finite")
+        check_finite(c)
         object.__setattr__(self, "coords", c)
 
     def close_to(self, other, tol=1e-9):
@@ -58,6 +57,12 @@ class Event:
             return False
         scale = 1.0 + np.abs(self.coords).max() + np.abs(other.coords).max()
         return np.abs(self.coords - other.coords).max() <= tol * scale
+
+
+def check_finite(coords):
+    """Raise unless every event coordinate is finite, for one event or a stack."""
+    if not np.all(np.isfinite(coords)):
+        raise QulineError("event coordinates must be finite")
 
 
 def _coords_of(x):

@@ -19,9 +19,10 @@ from scipy.integrate import solve_ivp
 
 from .errors import (AdaptationSingular, HilbertSpaceMismatch, QulineError,
                      ToleranceError)
-from .geometry import (_FD_OFFSETS, _FD_WEIGHTS, Event, parallel_propagator,
-                       pulled_connection)
+from .geometry import (_FD_OFFSETS, _FD_WEIGHTS, Event, check_finite,
+                       parallel_propagator, pulled_connection)
 from .spin_algebra import ETA, minkowski_dot
+from .worldline import LazyStates
 
 SINGULAR_TOL = 1e-8
 
@@ -37,9 +38,7 @@ class PhotonState:
     def __post_init__(self):
         pol = np.asarray(self.pol, dtype=complex).reshape(4)
         k = np.asarray(self.wavevector, dtype=float).reshape(4)
-        k2 = minkowski_dot(k, k)
-        if abs(k2) > 1e-9 * (1.0 + k @ k) or k[0] <= 0.0:
-            raise QulineError(f"wavevector must be future null (k.k = {k2})")
+        _check_wavevectors(k)
         object.__setattr__(self, "pol", pol)
         object.__setattr__(self, "wavevector", k)
 
@@ -72,6 +71,17 @@ class PhotonState:
             return False
         scale = max(self.wavevector[0], other.wavevector[0])
         return np.abs(self.wavevector - other.wavevector).max() <= tol * scale
+
+
+def _check_wavevectors(k):
+    """Raise unless the wavevector ``k``, or each row of a stack of them, is
+    future null; the message gives k.k of the first that is not."""
+    k = np.asarray(k).T
+    k2 = minkowski_dot(k, k)
+    bad = (np.abs(k2) > 1e-9 * (1.0 + np.sum(k * k, axis=0))) | (k[0] <= 0.0)
+    if np.any(bad):
+        raise QulineError(f"wavevector must be future null "
+                          f"(k.k = {np.ravel(k2)[np.argmax(bad)]})")
 
 
 @dataclass(frozen=True)
@@ -142,14 +152,28 @@ def photon_inner_product(a: PhotonState, b: PhotonState) -> complex:
 
 
 class PhotonTransportResult:
-    """Transported states plus audits; ``propagators[i]`` maps the initial
-    polarization vector to the raw (uncanonicalized) one at ``params[i]``."""
+    """Transported polarizations plus the audits, as arrays over ``params``.
 
-    def __init__(self, states, params, audits, propagators):
-        self.states = states
+    ``propagators[i]`` maps the initial polarization vector to the raw
+    (uncanonicalized) one at ``params[i]``; ``pols[i]`` is the canonical one,
+    on ``positions[i]`` of chart ``chart_id`` with ``wavevectors[i]``;
+    ``states[i]`` builds its :class:`PhotonState` when it is read.
+    """
+
+    def __init__(self, params, propagators, pols, positions, wavevectors, chart_id,
+                 audits):
         self.params = params
-        self.audits = audits
         self.propagators = propagators
+        self.pols = pols
+        self.positions = positions
+        self.wavevectors = wavevectors
+        self.chart_id = chart_id
+        self.audits = audits
+        self.states = LazyStates(self._state, len(params))
+
+    def _state(self, i):
+        return PhotonState(self.pols[i], Event(self.positions[i], self.chart_id),
+                           self.wavevectors[i])
 
     @property
     def final(self):
@@ -180,16 +204,15 @@ def transport(state: PhotonState, worldline, tol=1e-12, n_samples=201):
     maps = parallel_propagator(model, worldline, tol)(params)
     pols = maps @ state.pol
     positions, wavevectors = worldline.trajectory(params)
+    check_finite(positions)
+    _check_wavevectors(wavevectors)
     trans = np.abs(np.sum((wavevectors @ ETA) * pols, axis=1)) / scale
     norms = -np.einsum("ni,ij,nj->n", pols.conj(), ETA, pols).real
     canonical = pols - (pols[:, 0] / wavevectors[:, 0])[:, None] * wavevectors
-    states = [PhotonState(pol, Event(x, model.chart_id), k)
-              for pol, x, k in zip(canonical, positions, wavevectors)]
     return PhotonTransportResult(
-        states, params,
+        params, maps, canonical, positions, wavevectors, model.chart_id,
         {"norm_drift": float(np.abs(norms - state.norm_squared()).max()),
-         "transversality_drift": float(trans.max())},
-        maps)
+         "transversality_drift": float(trans.max())})
 
 
 def _diad_rows(worldline, lam):

@@ -132,8 +132,14 @@ def load_scenario(path):
     except OSError as exc:
         raise ScenarioParseError(f"cannot read scenario file: {exc}")
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
+        # libyaml words its errors differently; the message is the pure-Python
+        # parser's, whichever parser found the fault
+        try:
+            yaml.load(text, Loader=yaml.SafeLoader)
+        except yaml.YAMLError as python_exc:
+            exc = python_exc
         mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
         detail = (f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
                   if mark is not None and problem else " ".join(str(exc).split()))
@@ -286,7 +292,8 @@ class ScenarioRun:
     # -- validation --------------------------------------------------------
     def diagnostics(self):
         """Check the schedule's operation names, references, tolerances and
-        polarizers; return :meth:`validity_warnings`."""
+        polarizers and the ``interferometer`` block; return
+        :meth:`validity_warnings`."""
         for idx, op in enumerate(self.data.get("schedule") or []):
             block = f"schedule[{idx}]"
             if op.get("op") not in OPS:
@@ -300,6 +307,7 @@ class ScenarioRun:
             if w is not None and w not in self.worldlines:
                 raise ScenarioReferenceError(f"undefined worldline {w!r}", block=block)
             _tolerance(op, block)
+        self._interferometer()
         return self.validity_warnings()
 
     def validity_warnings(self):
@@ -430,14 +438,18 @@ class ScenarioRun:
             raise ScenarioParseError(f"unknown operation {name!r}", block=block)
         return row
 
-    def _run_interferometer(self):
-        """Generic two-arm block: internal, displacement, transport and total
-        phase differences plus the detector-port probability."""
+    def _interferometer(self):
+        """The ``interferometer`` block parsed and resolved: (kind, the two arm
+        phase ledgers, region_tol, the port amplitudes, the qubit entry or
+        None, the transport tolerance); None without the block.  Nothing is
+        transported."""
         spec = self.data.get("interferometer")
         if not spec:
             return None
         block = "interferometer"
         kind = spec.get("kind", "fermion")
+        if kind not in ("fermion", "photon"):
+            raise ScenarioParseError(f"unknown interferometer kind {kind!r}", block=block)
         mass = _number(spec.get("mass", 1.0), "mass", block) if kind == "fermion" else None
         arms = []
         for key in ("arm1", "arm2"):
@@ -454,8 +466,33 @@ class ScenarioRun:
             end = None if end is None else _span(end, block)
             arms.append(arm_phase(wl, kind=kind, mass=mass, end_param=end,
                                   arm_id=key))
-        a1, a2 = arms
         region_tol = _number(spec.get("region_tol", 1e-6), "natural", block)
+        amps = spec.get("amplitudes")
+        if amps is not None:
+            flat = _vector(amps, 4, None, block)
+            amplitudes = flat[0] + 1j * flat[1], flat[2] + 1j * flat[3]
+        else:
+            amplitudes = (1j / np.sqrt(2.0),) * 2
+        qname = spec.get("qubit")
+        qubit = None
+        if qname is not None:
+            if qname not in self.qubits:
+                raise ScenarioReferenceError(f"undefined qubit {qname!r}", block=block)
+            qubit = self.qubits[qname]
+            if qubit["kind"] != kind:
+                raise ScenarioError("interferometer kind differs from the qubit",
+                                    block=block)
+        return kind, arms, region_tol, amplitudes, qubit, _tolerance(spec, block)
+
+    def _run_interferometer(self):
+        """Generic two-arm block: internal, displacement, transport and total
+        phase differences plus the detector-port probability."""
+        parsed = self._interferometer()
+        if parsed is None:
+            return None
+        block = "interferometer"
+        kind, arms, region_tol, (amp_a, amp_b), qubit, tol = parsed
+        a1, a2 = arms
         dtheta = phase_difference(a1, a2, match_tol=region_tol)
         dtheta_int = a2.theta_int - a1.theta_int
         dtheta_dis = displacement_phase(0.5 * (a1.k_lower + a2.k_lower),
@@ -467,21 +504,7 @@ class ScenarioRun:
             "delta_theta_dis": float(dtheta_dis),
             "delta_theta": float(dtheta),
         }
-        amps = spec.get("amplitudes")
-        if amps is not None:
-            flat = _vector(amps, 4, None, block)
-            amp_a, amp_b = flat[0] + 1j * flat[1], flat[2] + 1j * flat[3]
-        else:
-            amp_a = amp_b = 1j / np.sqrt(2.0)
-        qname = spec.get("qubit")
-        if qname is not None:
-            if qname not in self.qubits:
-                raise ScenarioReferenceError(f"undefined qubit {qname!r}", block=block)
-            qubit = self.qubits[qname]
-            if qubit["kind"] != kind:
-                raise ScenarioError("interferometer kind differs from the qubit",
-                                    block=block)
-            tol = _tolerance(spec, block)
+        if qubit is not None:
             # the splitter is not modelled dynamically: both components start
             # as the same state, each attached to its own arm's launch label
             finals = []

@@ -22,6 +22,7 @@ callers apply it to their states.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,8 +121,8 @@ class Worldline:
 
     def trajectory(self, params):
         """Positions and velocities at every parameter value, as two (n, 4) arrays."""
-        return (np.array([self.position(lam) for lam in params]),
-                np.array([self.velocity(lam) for lam in params]))
+        params = np.asarray(params, dtype=float)
+        return self.position(params), self.velocity(params)
 
     def velocity_coordinate_derivative(self, lam):
         """du^I/dlam (ordinary derivative of the tetrad components)."""
@@ -153,14 +154,18 @@ class Worldline:
             w = csv.writer(fh)
             w.writerow(["param"] + [f"x{m}" for m in range(4)]
                        + [f"u{i}" for i in range(4)] + [f"a{i}" for i in range(4)])
-            for lam in self.sample_params(n):
-                row = ([lam] + list(self.position(lam)) + list(self.velocity(lam))
-                       + list(self.acceleration(lam)))
+            params = self.sample_params(n)
+            x, u, a, _ = self.kinematics(params)
+            for row in np.column_stack([params, x, u, a]).tolist():
                 w.writerow([f"{v:.17g}" for v in row])
 
 
 class AnalyticWorldline(Worldline):
-    """Worldline given by closed-form callables of the parameter."""
+    """Worldline given by closed-form callables of the parameter.
+
+    The callables may take one parameter value at a time, so ``kinematics``
+    and ``trajectory`` of an array evaluate them node by node.
+    """
 
     def __init__(self, model, span, position, velocity, acceleration, kind="timelike",
                  param_meaning=None):
@@ -181,9 +186,20 @@ class AnalyticWorldline(Worldline):
         return np.asarray(self._acceleration(lam), dtype=float)
 
     def kinematics(self, lam):
-        if np.ndim(lam):   # the closed-form callables take one parameter at a time
+        if np.ndim(lam):
             return tuple(np.array(v) for v in zip(*map(self.kinematics, lam)))
         return super().kinematics(lam)
+
+    def trajectory(self, params):
+        return self.kinematics(params)[:2]
+
+
+class _BroadcastWorldline(AnalyticWorldline):
+    """An :class:`AnalyticWorldline` whose callables broadcast over a parameter
+    array, so an array of parameters takes one evaluation of each."""
+
+    kinematics = Worldline.kinematics
+    trajectory = Worldline.trajectory
 
 
 class IntegratedWorldline(Worldline):
@@ -253,9 +269,6 @@ class SampledWorldline(Worldline):
     def acceleration(self, lam):
         return self._acc_spline(lam)
 
-    def trajectory(self, params):
-        return self._pos_spline(params), self._vel_spline(params)
-
 
 class DenseSolution:
     """The dense output of a DOP853 solve, evaluated as one array.
@@ -315,6 +328,27 @@ class Propagator:
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
         return self.sol(lam).reshape(lam.shape + (self.dim, self.dim))
+
+
+class LazyStates(Sequence):
+    """Read-only sequence of the states a transport sampled along a worldline.
+
+    The transport keeps its samples as arrays; ``build(i)`` makes the state
+    object of sample i, only when an index, a slice (giving a list) or an
+    iteration asks for it.  Indices work as on a list, negative ones too.
+    """
+
+    def __init__(self, build, n):
+        self._build = build
+        self._indices = range(n)
+
+    def __len__(self):
+        return len(self._indices)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._build(i) for i in self._indices[index]]
+        return self._build(self._indices[index])
 
 
 class LinearDOP853(DOP853):
@@ -530,12 +564,11 @@ def static_worldline(model, spatial_coords, span, t0=0.0):
     a_tet = ut_coord * omega[0, :, 0]
 
     def position(tau):
-        x = x_ref.copy()
-        x[0] = t0 + ut_coord * tau
-        return x
+        return _four_vectors(tau, t0 + ut_coord * tau, *x_ref[1:])
 
-    return AnalyticWorldline(model, (0.0, span), position,
-                             lambda tau: u_tet.copy(), lambda tau: a_tet.copy())
+    return _BroadcastWorldline(model, (0.0, span), position,
+                               lambda tau: _four_vectors(tau, *u_tet),
+                               lambda tau: _four_vectors(tau, *a_tet))
 
 
 def circular_worldline(model, radius, beta, revolutions=1.0, z=0.0):
@@ -555,18 +588,27 @@ def circular_worldline(model, radius, beta, revolutions=1.0, z=0.0):
     def position(tau):
         t = gamma * tau
         ang = omega_coord * t
-        return np.array([t, radius * np.cos(ang), radius * np.sin(ang), z])
+        return _four_vectors(tau, t, radius * np.cos(ang), radius * np.sin(ang), z)
 
     def velocity(tau):
         ang = omega_coord * gamma * tau
-        return gamma * np.array([1.0, -beta * np.sin(ang), beta * np.cos(ang), 0.0])
+        return gamma * _four_vectors(tau, 1.0, -beta * np.sin(ang), beta * np.cos(ang), 0.0)
 
     def acceleration(tau):
         ang = omega_coord * gamma * tau
         mag = gamma * gamma * beta * beta / radius
-        return np.array([0.0, -mag * np.cos(ang), -mag * np.sin(ang), 0.0])
+        return _four_vectors(tau, 0.0, -mag * np.cos(ang), -mag * np.sin(ang), 0.0)
 
-    return AnalyticWorldline(model, (0.0, span), position, velocity, acceleration)
+    return _BroadcastWorldline(model, (0.0, span), position, velocity, acceleration)
+
+
+def _four_vectors(tau, *components):
+    """One 4-vector per value of ``tau`` (a scalar or an array): the four
+    components, each a constant or an array of ``tau``'s shape, on the last axis."""
+    vectors = np.empty(np.shape(tau) + (4,))
+    for i, component in enumerate(components):
+        vectors[..., i] = component
+    return vectors
 
 
 def worldline_from_coordinate_path(model, spatial_path, spatial_rate, t0, t1, n=801):

@@ -3,14 +3,14 @@ import pytest
 from scipy.linalg import expm
 
 from quline import fermion as fm
-from quline.errors import HilbertSpaceMismatch
-from quline.geometry import make_builtin_model
+from quline.errors import HilbertSpaceMismatch, QulineError
+from quline.geometry import Event, make_builtin_model
 from quline.spin_algebra import (ETA, PAULI, boost_pair_from_velocity,
                                  generator_contraction,
                                  velocity_inner_product_matrix)
-from quline.worldline import (circular_worldline, constant_magnetic_field,
-                              integrate_timelike, static_worldline,
-                              worldline_from_coordinate_path)
+from quline.worldline import (AnalyticWorldline, circular_worldline,
+                              constant_magnetic_field, integrate_timelike,
+                              static_worldline, worldline_from_coordinate_path)
 
 FLAT = make_builtin_model("minkowski", [])
 
@@ -318,3 +318,41 @@ class TestWignerIncrement:
             errs.append(np.abs(u_mat @ rf0.psi_tilde - res.final.psi_tilde).max())
         ratio = errs[0] / errs[1]
         assert 3.0 < ratio < 5.0
+
+
+class TestLazyStates:
+    def test_states_equal_eager_objects(self, states_read_like):
+        model = make_builtin_model("schwarzschild", [1.0])
+        wl = static_worldline(model, [7.0, 1.2, 0.3], span=3.0)
+        st = fm.FermionState([0.6, 0.8j], wl.start_event, wl.velocity(0.0))
+        res = fm.transport(st, wl, tol=1e-12)
+        positions, velocities = wl.trajectory(res.params)
+        eager = [fm.FermionState(m @ st.psi, Event(x, model.chart_id), u)
+                 for m, x, u in zip(res.propagators, positions, velocities)]
+        assert len(eager) == 201
+        states_read_like(res.states, eager)
+
+    def test_rest_frame_states_equal_eager_objects(self, states_read_like):
+        wl = circular_worldline(FLAT, radius=1.0, beta=0.5, revolutions=0.3)
+        rf = fm.RestFrameState([0.2 + 0.5j, 0.8])
+        res = fm.transport_rest_frame(rf, wl, n_samples=101)
+        eager = [fm.RestFrameState(m @ rf.psi_tilde) for m in res.propagators]
+        states_read_like(res.states, eager)
+
+    @pytest.mark.parametrize("bad_x, bad_u, message", [
+        (np.nan, 1.0, "event coordinates must be finite"),
+        (0.0, 2.0, "velocity label must be future-pointing")])
+    def test_interior_label_checked(self, bad_x, bad_u, message):
+        # a bad label at the middle sample only, which nothing reads: the
+        # label checks over all samples must still reject the transport
+        def position(tau):
+            return np.array([tau, bad_x if tau == 0.5 else 0.0, 0.0, 0.0])
+
+        def velocity(tau):
+            return np.array([bad_u if tau == 0.5 else 1.0, 0.0, 0.0, 0.0])
+
+        wl = AnalyticWorldline(FLAT, (0.0, 1.0), position, velocity,
+                               lambda tau: np.zeros(4))
+        assert wl.sample_params()[100] == 0.5
+        with pytest.raises(QulineError, match=message):
+            fm.transport(flat_rest_state([1.0, 0.0]), wl)

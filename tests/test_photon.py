@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from quline import photon as ph
-from quline.errors import AdaptationSingular, HilbertSpaceMismatch
-from quline.geometry import (apply_local_lorentz, make_builtin_model,
+from quline.errors import AdaptationSingular, HilbertSpaceMismatch, QulineError
+from quline.geometry import (Event, apply_local_lorentz, make_builtin_model,
                              parallel_transport_vector)
 from quline.spin_algebra import ETA
-from quline.worldline import integrate_null_geodesic
+from quline.worldline import AnalyticWorldline, integrate_null_geodesic
 
 FLAT = make_builtin_model("minkowski", [])
 
@@ -267,3 +267,31 @@ class TestOpticalElements:
         out2 = ph.apply_jones(ph.jones_to_state([0, 1.0], k, ev), quarter)
         _, j2 = ph.adapt(out2)
         assert np.abs(j2 - [0.0, 1j]).max() < 1e-12
+
+
+class TestLazyStates:
+    def test_states_equal_eager_objects(self, states_read_like):
+        model, wl = schwarzschild_ray(span=8.0)
+        k0 = wl.velocity(0.0)
+        st = ph.jones_to_state([0.6, 0.8j], k0, wl.start_event)
+        res = ph.transport(st, wl, tol=1e-12)
+        positions, wavevectors = wl.trajectory(res.params)
+        pols = res.propagators @ st.pol
+        canonical = pols - (pols[:, 0] / wavevectors[:, 0])[:, None] * wavevectors
+        eager = [ph.PhotonState(p, Event(x, model.chart_id), k)
+                 for p, x, k in zip(canonical, positions, wavevectors)]
+        assert len(eager) == 201
+        states_read_like(res.states, eager)
+
+    def test_interior_wavevector_label_checked(self):
+        # k is not null at the middle sample only, which nothing reads: the
+        # label check over all samples must still reject the transport
+        def wavevector(lam):
+            return np.array([1.0, 0.0, 0.0, 2.0 if lam == 0.5 else 1.0])
+
+        wl = AnalyticWorldline(FLAT, (0.0, 1.0), lambda lam: np.array([lam, 0.0, 0.0, lam]),
+                               wavevector, lambda lam: np.zeros(4), kind="null")
+        assert wl.sample_params()[100] == 0.5
+        st = ph.PhotonState([0.0, 1.0, 0.0, 0.0], wl.start_event, wavevector(0.0))
+        with pytest.raises(QulineError, match=r"wavevector must be future null \(k.k = -3.0\)"):
+            ph.transport(st, wl)

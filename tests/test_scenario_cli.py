@@ -20,12 +20,35 @@ def run_cli(args):
     return cli.main([str(a) for a in args])
 
 
+def _interferometer(**change):
+    """An edit that adds a two-arm block over flat_noop's rest line, with ``change``."""
+    block = {"kind": "fermion", "mass": 2.0, "arm1": {"worldline": "rest_line"},
+             "arm2": {"worldline": "rest_line"}, "region_tol": 1.0}
+    return lambda d: d.update(interferometer={**block, **change})
+
+
 class TestValidate:
     def test_bundled_files_valid(self):
         for name in ("cow.scenario", "flat_noop.scenario", "polarimetry.scenario"):
             assert run_cli(["validate", SCENARIOS / name]) == cli.EXIT_OK
 
     def test_malformed_yaml(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text("model: [unclosed\n")
+        assert run_cli(["validate", bad]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "parse error: not valid YAML: line 2, column 1: "
+            "expected ',' or ']', but got '<stream end>'\n")
+
+    def test_parsers_give_equal_scenarios(self, tmp_path, capsys, monkeypatch):
+        # libyaml when present, the pure-Python parser otherwise: equal dicts,
+        # and the same one-line message for invalid YAML
+        paths = sorted(SCENARIOS.glob("*.scenario"))
+        assert len(paths) == 4
+        loaded = [sc.load_scenario(p) for p in paths]
+        assert loaded == [yaml.load(p.read_text(), Loader=yaml.SafeLoader) for p in paths]
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert [sc.load_scenario(p) for p in paths] == loaded
         bad = tmp_path / "bad.scenario"
         bad.write_text("model: [unclosed\n")
         assert run_cli(["validate", bad]) == cli.EXIT_PARSE
@@ -99,10 +122,15 @@ class TestValidate:
         ("tabulated_params", lambda d: d.update(
             model={"family": "tabulated", "params": {"axes": 5, "tetrads": [1]}})),
         ("unknown_op", lambda d: d["schedule"].append({"op": "bogus", "qubit": "q0"})),
+        ("interferometer_arm", _interferometer(arm1={"worldline": "nope"})),
+        ("interferometer_mass", _interferometer(mass="3 furlong")),
+        ("interferometer_region_tol", _interferometer(region_tol="abc")),
+        ("interferometer_kind", _interferometer(kind="neutron")),
     ])
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_malformed_entry_or_value(self, tmp_path, capsys, case, edit, command):
-        self.assert_parse_error(tmp_path, capsys, "flat_noop.scenario", edit, command)
+        error = ScenarioReferenceError if case == "interferometer_arm" else ScenarioParseError
+        self.assert_rejected(tmp_path, capsys, "flat_noop.scenario", edit, command, error)
 
     @pytest.mark.parametrize("polarizer", [5, {"type": "circular", "handedness": "abc"}])
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -111,19 +139,22 @@ class TestValidate:
             for op in data["schedule"]:
                 if op["op"] == "measure_polarization":
                     op["polarizer"] = polarizer
-        self.assert_parse_error(tmp_path, capsys, "polarimetry.scenario", edit, command)
+        self.assert_rejected(tmp_path, capsys, "polarimetry.scenario", edit, command)
 
     @staticmethod
-    def assert_parse_error(tmp_path, capsys, scenario, edit, command):
+    def assert_rejected(tmp_path, capsys, scenario, edit, command,
+                        error=ScenarioParseError):
         data = sc.load_scenario(SCENARIOS / scenario)
         edit(data)
         path = tmp_path / "bad.scenario"
         path.write_text(yaml.safe_dump(data))
-        with pytest.raises(ScenarioParseError):
+        with pytest.raises(error):
             sc.ScenarioRun(sc.load_scenario(path)).diagnostics()
-        assert run_cli(["--out-dir", tmp_path, command, path]) == cli.EXIT_PARSE
+        code, prefix = {ScenarioParseError: (cli.EXIT_PARSE, "parse error:"),
+                        ScenarioReferenceError: (cli.EXIT_REFERENCE, "reference error:")}[error]
+        assert run_cli(["--out-dir", tmp_path, command, path]) == code
         err = capsys.readouterr().err
-        assert err.startswith("parse error:") and err.count("\n") == 1
+        assert err.startswith(prefix) and err.count("\n") == 1
         assert not list(tmp_path.glob("*.json"))
 
     def test_empty_block_counts_as_absent(self, tmp_path):

@@ -275,3 +275,26 @@ class TestKinematics:
                                        rtol=1e-15, atol=1e-15)
             np.testing.assert_allclose(velocities, [wl.velocity(l) for l in params],
                                        rtol=1e-15, atol=1e-15)
+
+    def test_closed_forms_broadcast_bit_for_bit(self, flat, tmp_path):
+        # static and circular evaluate a parameter array in one call; it must
+        # equal the scalar evaluations stacked, bit for bit
+        analytic, static = self.worldlines(flat, tmp_path)[:2]
+        for wl in (analytic, static):
+            params = wl.sample_params(301)
+            scalar = [np.array(v) for v in zip(*map(wl.kinematics, params))]
+            for got, want in zip(wl.kinematics(params), scalar):
+                assert got.shape == (301, 4)
+                np.testing.assert_array_equal(got, want)
+            for got, want in zip(wl.trajectory(params), scalar):
+                np.testing.assert_array_equal(got, want)
+
+    def test_csv_matches_per_row_values(self, flat, tmp_path):
+        for wl in self.worldlines(flat, tmp_path):
+            wl.to_csv(tmp_path / "out.csv", n=37)
+            lines = ["param," + ",".join(f"{c}{i}" for c in "xua" for i in range(4))]
+            for lam in wl.sample_params(37):
+                row = [lam, *wl.position(lam), *wl.velocity(lam), *wl.acceleration(lam)]
+                lines.append(",".join(f"{v:.17g}" for v in row))
+            expected = "".join(line + "\r\n" for line in lines).encode()
+            assert (tmp_path / "out.csv").read_bytes() == expected
