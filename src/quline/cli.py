@@ -33,22 +33,19 @@ def _out_dir(args):
 def cmd_run(args):
     from .scenario import ScenarioRun, load_scenario, write_csv, write_json
 
-    data = load_scenario(args.scenario)
-    run = ScenarioRun(data, seed=args.seed)
+    run = ScenarioRun(load_scenario(args.scenario), seed=args.seed)
     report, violations = run.run()
     out = _out_dir(args)
-    output = data.get("output", {})
-    json_name = output.get("json", Path(args.scenario).stem + ".json")
+    json_name = run.output["json"] or Path(args.scenario).stem + ".json"
     write_json(out / json_name, report)
-    csv_name = output.get("csv")
-    if csv_name:
+    if run.output["csv"]:
         rows = list(report["results"].get("schedule", []))
         for key in ("cow", "interferometer"):
             if report["results"].get(key):
                 rows = [report["results"][key]]
         flat = [{k: v for k, v in row.items() if not isinstance(v, (dict, list))}
                 for row in rows]
-        write_csv(out / csv_name, flat)
+        write_csv(out / run.output["csv"], flat)
     print(f"report written to {out / json_name}")
     if violations:
         print(f"tolerance violations: {', '.join(violations)}", file=sys.stderr)
@@ -57,11 +54,10 @@ def cmd_run(args):
 
 
 def cmd_validate(args):
+    """``run`` without the execution: the same parse and resolution."""
     from .scenario import ScenarioRun, load_scenario
 
-    data = load_scenario(args.scenario)
-    run = ScenarioRun(data, seed=args.seed)
-    notes = run.diagnostics()
+    notes = ScenarioRun(load_scenario(args.scenario), seed=args.seed).diagnostics()
     print(f"{args.scenario}: ok")
     for note in notes:
         print(f"advisory: {note}")
@@ -75,10 +71,9 @@ def cmd_sweep(args):
     for key in ("parameter", "start", "stop", "steps"):
         if getattr(args, key) is not None:
             data.setdefault("sweep", {})[key] = getattr(args, key)
-    rows = sweep_rows(data)
+    rows = sweep_rows(data)   # parses every block, the output names included
+    csv_name = data.get("output", {}).get("csv") or Path(args.scenario).stem + "_sweep.csv"
     out = _out_dir(args)
-    output = data.get("output", {})
-    csv_name = output.get("csv", Path(args.scenario).stem + "_sweep.csv")
     write_csv(out / csv_name, rows)
     write_json(out / (Path(csv_name).stem + ".json"), {"rows": rows})
     print(f"sweep table written to {out / csv_name} ({len(rows)} rows)")

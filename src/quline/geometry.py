@@ -275,7 +275,7 @@ class RindlerModel(_AnalyticModel):
     def __init__(self, g, fd_step=DEFAULT_FD_STEP):
         super().__init__(fd_step)
         if g <= 0:
-            raise QulineError("Rindler acceleration must be positive")
+            raise DomainError("Rindler acceleration must be positive")
         self.g = float(g)
 
     def in_domain(self, coords):
@@ -316,7 +316,7 @@ class SchwarzschildModel(_AnalyticModel):
     def __init__(self, mass, fd_step=DEFAULT_FD_STEP):
         super().__init__(fd_step)
         if mass <= 0:
-            raise QulineError("Schwarzschild mass must be positive")
+            raise DomainError("Schwarzschild mass must be positive")
         self.mass = float(mass)
 
     def in_domain(self, coords):

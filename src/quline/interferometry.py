@@ -58,7 +58,7 @@ def arm_phase(worldline, em=None, kind="fermion", mass=None, charge=1.0,
     t0, t1 = worldline.param_span
     end = t1 if end_param is None else float(end_param)
     if not t0 <= end <= t1:
-        raise QulineError("end_param outside the worldline parameter span")
+        raise DomainError("end_param outside the worldline parameter span")
     model = worldline.model
     x_end = worldline.position(end)
     if kind == "photon":
@@ -71,7 +71,7 @@ def arm_phase(worldline, em=None, kind="fermion", mass=None, charge=1.0,
         if worldline.kind != "timelike":
             raise QulineError("fermion arms must be timelike worldlines")
         if mass is None or mass <= 0:
-            raise QulineError("fermion arms need a positive mass")
+            raise DomainError("fermion arms need a positive mass")
         theta = mass * (end - t0)
         if em is not None and em.has_potential():
             integrand = lambda lam: float(

@@ -98,6 +98,8 @@ class Worldline:
     def __init__(self, model, span):
         self.model = model
         self.param_span = (float(span[0]), float(span[1]))
+        if self.param_span[0] == self.param_span[1]:
+            raise DomainError("worldline parameter span is empty")
 
     # subclasses implement position / velocity / acceleration
     def position(self, lam):
@@ -529,7 +531,7 @@ def integrate_timelike(model, em, x0, u0, charge_to_mass=0.0, span=1.0, tol=1e-1
     if u0[0] <= 0:
         raise QulineError("u0 must be future-pointing")
     if span <= 0:
-        raise QulineError("span must be positive")
+        raise DomainError("span must be positive")
     return _integrate(model, x0, u0, span, tol, "timelike",
                       _lorentz_force_accel(model, em, charge_to_mass), max_step)
 
@@ -541,7 +543,7 @@ def integrate_null_geodesic(model, x0, k0, span=1.0, tol=1e-11, max_step=np.inf)
     if abs(norm) > 1e-12 * (1.0 + k0 @ k0):
         raise QulineError(f"k0 must be null (k.k = {norm})")
     if span <= 0:
-        raise QulineError("span must be positive")
+        raise DomainError("span must be positive")
     return _integrate(model, x0, k0, span, tol, "null", None)
 
 
@@ -580,7 +582,9 @@ def circular_worldline(model, radius, beta, revolutions=1.0, z=0.0):
     if model.name != "minkowski":
         raise QulineError("circular_worldline is defined for the minkowski model")
     if not 0.0 < beta < 1.0:
-        raise QulineError("beta must lie in (0, 1)")
+        raise DomainError("beta must lie in (0, 1)")
+    if not radius > 0.0:
+        raise DomainError("radius must be positive")
     gamma = 1.0 / np.sqrt(1.0 - beta * beta)
     omega_coord = beta / radius
     span = revolutions * 2.0 * np.pi * radius / (gamma * beta)

@@ -8,11 +8,13 @@ import yaml
 
 from quline import cli
 from quline import scenario as sc
-from quline.errors import ScenarioParseError, ScenarioReferenceError
+from quline.errors import (DomainError, ScenarioError, ScenarioParseError,
+                           ScenarioReferenceError)
 from quline.interferometry import COW_MODES, cow_phase
 from quline.units import C_SI, HBAR_SI, parse_quantity
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "data"
 
 
@@ -25,6 +27,26 @@ def _interferometer(**change):
     block = {"kind": "fermion", "mass": 2.0, "arm1": {"worldline": "rest_line"},
              "arm2": {"worldline": "rest_line"}, "region_tol": 1.0}
     return lambda d: d.update(interferometer={**block, **change})
+
+
+def _worldline(**spec):
+    """An edit that adds worldline ``line`` to flat_noop."""
+    return lambda d: d["worldlines"].update(line=spec)
+
+
+def _photon(**change):
+    """An edit that adds photon qubit ``p0`` on a new null worldline to flat_noop."""
+    def edit(d):
+        d["worldlines"]["ray"] = {"type": "null_geodesic"}
+        d["qubits"]["p0"] = {"kind": "photon", "worldline": "ray", **change}
+    return edit
+
+
+COW_BLOCK = {"mass": "1.67492749804e-27 kg", "v1": "2200 m/s", "dz": "2 cm",
+             "ell": "10 cm", "g": "9.8 m/s^2"}
+# the error each case of the malformed-input table raises, if not a parse error
+EXPECTED_ERRORS = {"interferometer_arm": ScenarioReferenceError,
+                   "optic_on_fermion": ScenarioError, "photon_on_timelike": ScenarioError}
 
 
 class TestValidate:
@@ -126,11 +148,56 @@ class TestValidate:
         ("interferometer_mass", _interferometer(mass="3 furlong")),
         ("interferometer_region_tol", _interferometer(region_tol="abc")),
         ("interferometer_kind", _interferometer(kind="neutron")),
+        ("unknown_worldline_key", lambda d: d["worldlines"]["rest_line"].update(spna="1 s")),
+        ("unknown_model_key", lambda d: d["model"].update(params={"g": 1.0})),
+        ("unknown_qubit_key", lambda d: d["qubits"]["q0"].update(jones=[1, 0, 0, 0])),
+        ("unknown_op_key", lambda d: d["schedule"][0].update(orientation=[0, 0, 1])),
+        ("unknown_interferometer_key", _interferometer(qbit="q0")),
+        ("unknown_arm_key", _interferometer(arm2={"worldline": "rest_line", "edn": 1})),
+        ("unknown_cow_key", lambda d: d.update(cow={**COW_BLOCK, "dzz": "1 cm"})),
+        ("unknown_sweep_key", lambda d: d.update(sweep={"parameter": "cow.dz", "start": 0,
+                                                         "stpes": 3})),
+        ("unknown_output_key", lambda d: d["output"].update(jsn="x.json")),
+        ("op_without_qubit", lambda d: d["schedule"][0].pop("qubit")),
+        ("optic_on_fermion", lambda d: d["schedule"].append(
+            {"op": "optic", "qubit": "q0", "element": "rotator"})),
+        ("photon_on_timelike", lambda d: d["qubits"].update(
+            p0={"kind": "photon", "worldline": "rest_line"})),
+        ("zero_state", lambda d: d["qubits"]["q0"].update(state=[0, 0, 0, 0])),
+        ("zero_jones", _photon(jones=[0, 0, 0, 0])),
+        ("zero_orientation", lambda d: d["schedule"].append(
+            {"op": "measure_spin", "qubit": "q0", "orientation": [0, 0, 0]})),
+        ("output_json", lambda d: d["output"].update(json=5)),
+        ("output_csv", lambda d: d["output"].update(csv=5)),
+        ("unnormalized_amplitudes", _interferometer(qubit="q0", amplitudes=[1, 0, 1, 0])),
+        ("infinite_span", lambda d: d["worldlines"]["rest_line"].update(span="1e999 s")),
     ])
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_malformed_entry_or_value(self, tmp_path, capsys, case, edit, command):
-        error = ScenarioReferenceError if case == "interferometer_arm" else ScenarioParseError
+        error = EXPECTED_ERRORS.get(case, ScenarioParseError)
         self.assert_rejected(tmp_path, capsys, "flat_noop.scenario", edit, command, error)
+
+    @pytest.mark.parametrize("case, edit", [
+        ("rindler_g", lambda d: d.update(model={"family": "rindler", "params": {"g": 0}})),
+        ("schwarzschild_mass", lambda d: d.update(
+            model={"family": "schwarzschild", "params": {"mass": -1}})),
+        ("circular_beta", _worldline(type="circular", beta=1.5)),
+        ("circular_radius_zero", _worldline(type="circular", radius=0)),
+        ("circular_radius_negative", _worldline(type="circular", radius=-1)),
+        ("circular_no_revolutions", _worldline(type="circular", revolutions=0)),
+        ("static_span", lambda d: d["worldlines"]["rest_line"].update(span=0)),
+        ("timelike_span", _worldline(type="timelike", span=0)),
+        ("null_span", _worldline(type="null_geodesic", span=-1)),
+        ("interferometer_end", _interferometer(arm1={"worldline": "rest_line", "end": "1 s"})),
+        ("interferometer_mass", _interferometer(mass=0)),
+        ("qubit_mass", lambda d: d["qubits"]["q0"].update(mass=0)),
+        ("op_tolerance", lambda d: d["schedule"][0].update(tolerance=0)),
+        ("worldline_tolerance", _worldline(type="timelike", tolerance=-1e-9)),
+    ])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_out_of_range_value(self, tmp_path, capsys, case, edit, command):
+        self.assert_rejected(tmp_path, capsys, "flat_noop.scenario", edit, command,
+                             DomainError)
 
     @pytest.mark.parametrize("polarizer", [5, {"type": "circular", "handedness": "abc"}])
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -151,7 +218,9 @@ class TestValidate:
         with pytest.raises(error):
             sc.ScenarioRun(sc.load_scenario(path)).diagnostics()
         code, prefix = {ScenarioParseError: (cli.EXIT_PARSE, "parse error:"),
-                        ScenarioReferenceError: (cli.EXIT_REFERENCE, "reference error:")}[error]
+                        ScenarioError: (cli.EXIT_PARSE, "scenario error:"),
+                        ScenarioReferenceError: (cli.EXIT_REFERENCE, "reference error:"),
+                        DomainError: (cli.EXIT_DOMAIN, "domain error:")}[error]
         assert run_cli(["--out-dir", tmp_path, command, path]) == code
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1
@@ -163,6 +232,68 @@ class TestValidate:
                         + "interferometer:\noutput:\n")
         assert run_cli(["--out-dir", tmp_path, "run", path]) == cli.EXIT_OK
         assert (tmp_path / "empty.json").is_file()
+
+
+def schema_lines(form, name, when=""):
+    """``name [choices]: keys`` for ``form`` (* marks a required key, - no
+    keys), then the lines of the forms its Choice values and sub-mappings add."""
+    keys = [key + ("*" if default is sc.REQUIRED else "") for key, (_, default) in form.items()]
+    lines = [f"{name}{when}: {', '.join(keys) or '-'}"]
+    for key, (parse, _) in form.items():
+        if isinstance(parse, sc.Choice):
+            for value, sub in parse.items():
+                lines += schema_lines(sub, name, f"{when} [{key}: {value}]")
+        elif isinstance(parse, dict):
+            child = {sc.Entries: f"{key}.NAME", sc.Items: f"{key}[i]"}.get(type(parse), key)
+            lines += schema_lines(parse, child if form is sc.SCENARIO else f"{name}.{child}",
+                                  when)
+    return lines
+
+
+class TestSchema:
+    def test_readme_lists_every_key(self):
+        lines = schema_lines(sc.SCENARIO, "scenario")
+        assert "\n".join(lines) in (ROOT / "README.md").read_text()
+
+    def test_each_block_is_evaluated_once_per_run(self, tmp_path, monkeypatch):
+        calls = {"arm_phase": 0, "cow_columns": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(sc, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(sc, name, counted)
+        for name in ("displaced_arms", "cow"):
+            assert run_cli(["--out-dir", tmp_path, "run",
+                            SCENARIOS / f"{name}.scenario"]) == cli.EXIT_OK
+        assert calls == {"arm_phase": 2, "cow_columns": 1}
+
+    @pytest.mark.parametrize("block, key", [("cow", "dzz"), ("sweep", "stpes"),
+                                            ("output", "cvs")])
+    @pytest.mark.parametrize("command", ["run", "validate", "sweep"])
+    def test_unknown_key_in_cow_sweep_or_output(self, tmp_path, capsys, block, key, command):
+        data = sc.load_scenario(SCENARIOS / "cow.scenario")
+        data[block][key] = "1 cm"
+        path = tmp_path / "bad.scenario"
+        path.write_text(yaml.safe_dump(data))
+        assert run_cli(["--out-dir", tmp_path, command, path]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: [{block}] unknown key {key!r}")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob("*.csv"))
+
+    def test_nan_drift_is_a_violation(self, tmp_path, capsys, monkeypatch):
+        real = sc.fermion_transport
+
+        def nan_drift(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.norm_drift = float("nan")
+            return result
+        monkeypatch.setattr(sc, "fermion_transport", nan_drift)
+        assert run_cli(["--out-dir", tmp_path, "run",
+                        SCENARIOS / "flat_noop.scenario"]) == cli.EXIT_TOLERANCE
+        assert capsys.readouterr().err == "tolerance violations: norm_drift\n"
+        audit = json.loads((tmp_path / "flat_noop.json").read_text())["invariant_audit"]
+        assert math.isnan(audit["norm_drift"]) and audit["violations"] == ["norm_drift"]
 
 
 class TestRun:
