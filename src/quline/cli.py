@@ -68,9 +68,13 @@ def cmd_sweep(args):
     from .scenario import load_scenario, sweep_rows, write_csv, write_json
 
     data = load_scenario(args.scenario)
-    for key in ("parameter", "start", "stop", "steps"):
-        if getattr(args, key) is not None:
-            data.setdefault("sweep", {})[key] = getattr(args, key)
+    overrides = {key: getattr(args, key) for key in ("parameter", "start", "stop", "steps")
+                 if getattr(args, key) is not None}
+    if overrides:
+        sweep = data.setdefault("sweep", {})
+        if not isinstance(sweep, dict):
+            raise ScenarioParseError(f"must be a mapping, got {sweep!r}", block="sweep")
+        sweep.update(overrides)
     rows = sweep_rows(data)   # parses every block, the output names included
     csv_name = data.get("output", {}).get("csv") or Path(args.scenario).stem + "_sweep.csv"
     out = _out_dir(args)

@@ -28,8 +28,9 @@ class WavevectorMismatch(HilbertSpaceMismatch):
     """Interferometer arms recombine with unequal wavevectors."""
 
 
-class AdaptationSingular(QulineError):
-    """Photon direction antiparallel to the tetrad z-axis; adaptation undefined."""
+class AdaptationSingular(DomainError):
+    """Photon direction antiparallel to the tetrad z-axis, outside the domain of
+    the adaptation rotation."""
 
 
 class DegenerateSetup(QulineError):

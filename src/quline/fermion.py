@@ -123,10 +123,13 @@ def _rest_frame_magnetic(u_tet, f_tet):
     return h @ f_tet @ np.swapaxes(h, -1, -2)
 
 
-def _covariant_generator(model, em, charge_to_mass, x, u, a, xdot):
-    """2x2 generator of the covariant transport; (n, 2, 2) for (n, 4) kinematics."""
-    pulled = ETA @ pulled_connection(model, x, xdot)      # xdot^nu omega_{nu IJ}
-    coeffs = 0.5 * pulled + _outer(u @ ETA, a @ ETA)
+def _covariant_generator(model, em, charge_to_mass, x, u, a, xdot, pulled=None):
+    """2x2 generator of the covariant transport; (n, 2, 2) for (n, 4) kinematics.
+    ``pulled`` (xdot^nu omega_nu^I_J) is taken from the model when not given."""
+    if pulled is None:
+        pulled = pulled_connection(model, x, xdot)
+    lowered = ETA @ pulled      # xdot^nu omega_{nu IJ}
+    coeffs = 0.5 * lowered + _outer(u @ ETA, a @ ETA)
     if em is not None and charge_to_mass != 0.0:
         coeffs = coeffs - 0.5 * charge_to_mass * _rest_frame_magnetic(u, em.tensor(x))
     return 1j * generator_contraction(coeffs)
@@ -214,9 +217,11 @@ def _wigner_generator(u, du, omega_pull):
     return gen + 1j * generator_contraction(w)
 
 
-def _rest_frame_generator(model, x, u, a, xdot):
-    """2x2 generator of the rest-frame transport; (n, 2, 2) for (n, 4) kinematics."""
-    pulled = pulled_connection(model, x, xdot)
+def _rest_frame_generator(model, x, u, a, xdot, pulled=None):
+    """2x2 generator of the rest-frame transport; (n, 2, 2) for (n, 4) kinematics.
+    ``pulled`` (xdot^nu omega_nu^I_J) is taken from the model when not given."""
+    if pulled is None:
+        pulled = pulled_connection(model, x, xdot)
     udot = a - (pulled @ u[..., None])[..., 0]
     return _wigner_generator(u, udot, ETA @ pulled)
 

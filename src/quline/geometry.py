@@ -11,8 +11,12 @@ Each model has one batched primitive, ``tetrads(points)``: e^mu_I at a (4,)
 event or at each row of an (n, 4) array, (n,4,4).  ``connections(points)``
 is batched the same way; unless a model knows omega in closed form it is
 :func:`connection_finite_difference`, one ``tetrads`` call over the 17n
-points of the n events' stencils.  The one-event forms ``tetrad``,
-``connection`` and ``check_domain`` are defined once, on the base class.
+points of the n events' stencils.  ``pulled_connections(points, u)`` gives
+what a transport step needs along tetrad velocities u^I, the coordinate
+velocity xdot^mu = e^mu_I u^I and the pulled connection
+xdot^nu omega_nu^I_J, from one evaluation of the frame where the model
+knows it in closed form.  The one-event forms ``tetrad``, ``connection``
+and ``check_domain`` are defined once, on the base class.
 
 Natural units c = hbar = 1 throughout; all conversion happens at the CLI
 boundary.  The connection is omega_nu^I_J = e^I_rho d_nu e^rho_J
@@ -140,12 +144,22 @@ class SpacetimeModel:
         self.check_domain(points)
         return connection_finite_difference(self, points, self.fd_step)
 
+    def pulled_connections(self, points, velocities):
+        """(xdot, pulled) along the tetrad velocities u^I at the events: the
+        coordinate velocity xdot^mu = e^mu_I u^I and the pulled connection
+        xdot^nu omega_nu^I_J; (4,) and (4, 4) at a (4,) event, (n, 4) and
+        (n, 4, 4) at the rows of (n, 4) arrays.  Raises DomainError off the
+        chart."""
+        xdot = self.to_coords(points, velocities)
+        return xdot, pulled_connection(self, points, xdot)
+
     def trajectory_rates(self, x, u):
         """(xdot^mu, udot^I) of a free trajectory at the event ``x`` with tetrad
-        velocity ``u``, one (8,) vector: xdot^mu = e^mu_I u^I and
-        udot^I = -xdot^nu omega_nu^I_J u^J (add any force to udot)."""
-        xdot = self.tetrad(x) @ u
-        return np.concatenate([xdot, -np.einsum("n,nij->ij", xdot, self.connection(x)) @ u])
+        velocity ``u``, one (8,) vector, or row by row for (n, 4) arrays, (n, 8):
+        xdot^mu = e^mu_I u^I and udot^I = -xdot^nu omega_nu^I_J u^J (add any
+        force to udot)."""
+        xdot, pulled = self.pulled_connections(x, u)
+        return np.concatenate([xdot, -(pulled @ u[..., None])[..., 0]], axis=-1)
 
     # -- small conveniences used throughout the library ---------------------
     def to_coords(self, x, v_tetrad):
@@ -208,7 +222,9 @@ class _AnalyticModel(SpacetimeModel):
     ``OMEGA``.  It runs over a backend namespace: ``math`` for one event's
     Python floats, ``numpy`` for a (4,) event or the transposed rows of an
     (n, 4) array.  ``tetrads`` and ``connections`` scatter it into zeros;
-    ``trajectory_rates`` contracts it in scalar arithmetic.
+    ``pulled_connections`` contracts it with the velocities, and
+    ``trajectory_rates`` contracts it in scalar arithmetic at one event and
+    through ``pulled_connections``, in the same pairing, at many.
     """
 
     connection_mode = "analytic"
@@ -232,7 +248,25 @@ class _AnalyticModel(SpacetimeModel):
             omega[..., nu, i, j] = w
         return omega
 
+    def pulled_connections(self, points, velocities):
+        self.check_domain(points)
+        u = np.asarray(velocities, dtype=float)
+        diag, values = self._frame(np.asarray(points, dtype=float).T, np)
+        xdot = np.empty_like(u)
+        for i, d in enumerate(diag):
+            xdot[..., i] = d * u[..., i]
+        # accumulated onto zeros, as the sum over nu of the base-class contraction
+        pulled = np.zeros(u.shape + (4,))
+        for (nu, i, j), w in zip(self.OMEGA, values):
+            pulled[..., i, j] += xdot[..., nu] * w
+        return xdot, pulled
+
     def trajectory_rates(self, x, u):
+        if x.ndim > 1:
+            xdot, pulled = self.pulled_connections(x, u)
+            r = pulled * u[:, None, :]
+            return np.concatenate([xdot, -((r[..., 0] + r[..., 2]) + (r[..., 1] + r[..., 3]))],
+                                  axis=1)
         diag, values = self._frame(x.tolist(), math)
         u = u.tolist()
         xdot = [d * v for d, v in zip(diag, u)]
@@ -495,8 +529,10 @@ def pulled_connection(model, x, xdot):
     return np.einsum("...n,...nij->...ij", xdot, model.connections(x))
 
 
-def _parallel_generator(model, x, u, a, xdot):
-    return -pulled_connection(model, x, xdot)
+def _parallel_generator(model, x, u, a, xdot, pulled=None):
+    """-pulled, the generator of parallel transport; ``pulled`` is taken from
+    the model and ``xdot`` when not given."""
+    return -(pulled_connection(model, x, xdot) if pulled is None else pulled)
 
 
 def parallel_propagator(model, worldline, tol):

@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 from .errors import (AdaptationSingular, HilbertSpaceMismatch, QulineError,
                      ToleranceError)
 from .geometry import (_FD_OFFSETS, _FD_WEIGHTS, Event, check_finite,
-                       parallel_propagator, pulled_connection)
+                       parallel_propagator)
 from .spin_algebra import ETA, minkowski_dot
 from .worldline import LazyStates
 
@@ -230,17 +230,16 @@ def wigner_rotation(worldline, n_samples=201, tol=1e-12, fd_step=None):
     """
     if worldline.kind != "null":
         raise QulineError("the photon Wigner rotation needs a null worldline")
-    model = worldline.model
     t0, t1 = worldline.param_span
     h = fd_step if fd_step is not None else max(1e-7, abs(t1 - t0) * 1e-7)
 
     def rate(lam):
-        x, u, _, xdot = worldline.kinematics(lam)
+        _, u, _, _, pulled = worldline.transport_kinematics(lam)
         ar = adaptation_rotation(u)                        # diad rows f^A_I
         # d f^A_I / d lam by 4th-order central differences in the parameter
         df = np.tensordot(_FD_WEIGHTS, [_diad_rows(worldline, lam + off * h)
                                         for off in _FD_OFFSETS], 1) / h
-        cov = df - ar.diad @ pulled_connection(model, x, xdot)   # D f^A_I / D lam
+        cov = df - ar.diad @ pulled                        # D f^A_I / D lam
         return (cov @ ar.diad_inv)[0, 1]
 
     sol = solve_ivp(lambda lam, y: [rate(lam)], (t0, t1), [0.0], method="RK45",

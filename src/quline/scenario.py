@@ -23,8 +23,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import (DomainError, QulineError, ScenarioError, ScenarioParseError,
-                     ScenarioReferenceError)
+from .errors import (AdaptationSingular, DomainError, QulineError, ScenarioError,
+                     ScenarioParseError, ScenarioReferenceError)
 from .fermion import FermionState, transport as fermion_transport
 from .geometry import TabulatedModel, make_builtin_model
 from .interferometry import (COW_MODES, arm_phase, cow_phases, displacement_phase,
@@ -108,6 +108,15 @@ def _text(raw, block):
     if not isinstance(raw, str) or not raw:
         raise ScenarioParseError(f"expected a name, got {raw!r}", block=block)
     return raw
+
+
+def _file_name(raw, block):
+    """A name for a file in the output directory: no directory part."""
+    name = _text(raw, block)
+    if Path(name).name != name or name == "..":
+        raise ScenarioParseError(f"expected a file name without a directory, got {raw!r}",
+                                 block=block)
+    return name
 
 
 def _as_is(raw, block):
@@ -222,7 +231,7 @@ SCENARIO = {
     "model": (MODEL, {"family": "minkowski"}), "worldlines": (WORLDLINE, {}),
     "qubits": (QUBIT, {}), "schedule": (OP, []), "interferometer": (INTERFEROMETER, None),
     "cow": (COW, None), "sweep": (SWEEP, None),
-    "output": ({"json": (_text, None), "csv": (_text, None)}, {}),
+    "output": ({"json": (_file_name, None), "csv": (_file_name, None)}, {}),
 }
 
 
@@ -320,6 +329,8 @@ def build_worldline(model, name, w):
     if w["type"] == "static":
         return static_worldline(model, w["position"], w["span"])
     if w["type"] == "circular":
+        if model.name != "minkowski":
+            raise ScenarioError("a circular worldline needs the minkowski model", block=block)
         return circular_worldline(model, radius=w["radius"], beta=w["beta"],
                                   revolutions=w["revolutions"])
     if w["type"] == "timelike":
@@ -399,7 +410,11 @@ class ScenarioRun:
             state = FermionState(_complex_pair(q["state"]), wl.start_event, u0)
             return {**q, "state": state.normalized()}
         jones = _complex_pair(q["jones"])
-        return {**q, "state": jones_to_state(jones / np.linalg.norm(jones), u0, wl.start_event)}
+        try:
+            state = jones_to_state(jones / np.linalg.norm(jones), u0, wl.start_event)
+        except AdaptationSingular as exc:
+            raise AdaptationSingular(f"[qubits.{name}] {exc}") from None
+        return {**q, "state": state}
 
     def _op(self, idx, op):
         """Schedule entry ``idx`` resolved: the head of its report row, and a callable

@@ -9,6 +9,9 @@ A worldline knows its model and exposes, for any value of its parameter
 * ``acceleration(lam)``         a^I = Du^I/Dlam (tetrad components)
 * ``kinematics(lam)``           all four at once, (x, u, a, xdot); for a 1-d
                                 array of n parameters, four (n, 4) arrays
+* ``transport_kinematics(lam)`` (x, u, a, xdot, pulled) with pulled =
+                                xdot^nu omega_nu^I_J, from one evaluation of
+                                the model's frame
 
 Timelike velocities satisfy u.u = 1, null ones u.u = 0; normalization is
 verified after integration, never re-imposed.
@@ -16,7 +19,9 @@ verified after integration, never re-imposed.
 Every qubit observable comes from one linear transport dY/dlam = G(lam) Y
 along a worldline; :func:`propagate` integrates its propagator U(lam) once,
 evaluating G at all stage nodes of each step in one batched call, and
-callers apply it to their states.
+callers apply it to their states.  Both DOP853 solves, trajectory and
+propagator, do only the work of step-size control while they run; the dense
+output of all accepted steps is made afterwards in one array pass.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .errors import (ComplexVelocity, DomainError, QulineError, ToleranceError,
                      reject_where)
@@ -114,12 +119,21 @@ class Worldline:
     def coordinate_velocity(self, lam):
         return self.model.to_coords(self.position(lam), self.velocity(lam))
 
+    def _motion(self, lam):
+        return self.position(lam), self.velocity(lam), self.acceleration(lam)
+
     def kinematics(self, lam):
         """(position, velocity, acceleration, coordinate_velocity) at ``lam``,
         a scalar or a 1-d array of parameters (then each is an (n, 4) array)."""
-        x = self.position(lam)
-        u = self.velocity(lam)
-        return x, u, self.acceleration(lam), self.model.to_coords(x, u)
+        x, u, a = self._motion(lam)
+        return x, u, a, self.model.to_coords(x, u)
+
+    def transport_kinematics(self, lam):
+        """``kinematics`` and the pulled connection xdot^nu omega_nu^I_J,
+        (x, u, a, xdot, pulled), with xdot and pulled from one call of the
+        model's ``pulled_connections``."""
+        x, u, a = self._motion(lam)
+        return (x, u, a, *self.model.pulled_connections(x, u))
 
     def trajectory(self, params):
         """Positions and velocities at every parameter value, as two (n, 4) arrays."""
@@ -128,8 +142,8 @@ class Worldline:
 
     def velocity_coordinate_derivative(self, lam):
         """du^I/dlam (ordinary derivative of the tetrad components)."""
-        x, u, a, xdot = self.kinematics(lam)
-        return a - np.einsum("n,nij->ij", xdot, self.model.connection(x)) @ u
+        _, u, a, _, pulled = self.transport_kinematics(lam)
+        return a - pulled @ u
 
     def event(self, lam):
         return Event(self.position(lam), self.model.chart_id)
@@ -187,27 +201,28 @@ class AnalyticWorldline(Worldline):
     def acceleration(self, lam):
         return np.asarray(self._acceleration(lam), dtype=float)
 
-    def kinematics(self, lam):
+    def _motion(self, lam):
         if np.ndim(lam):
-            return tuple(np.array(v) for v in zip(*map(self.kinematics, lam)))
-        return super().kinematics(lam)
+            return tuple(np.array(v) for v in zip(*map(self._motion, lam)))
+        return super()._motion(lam)
 
     def trajectory(self, params):
-        return self.kinematics(params)[:2]
+        return self._motion(params)[:2]
 
 
 class _BroadcastWorldline(AnalyticWorldline):
     """An :class:`AnalyticWorldline` whose callables broadcast over a parameter
     array, so an array of parameters takes one evaluation of each."""
 
-    kinematics = Worldline.kinematics
+    _motion = Worldline._motion
     trajectory = Worldline.trajectory
 
 
 class IntegratedWorldline(Worldline):
     """Worldline backed by the :class:`DenseSolution` of an adaptive DOP853 solve.
 
-    ``kinematics`` and ``trajectory`` evaluate the dense output once per call,
+    ``kinematics``, ``transport_kinematics`` and ``trajectory`` evaluate the
+    dense output once per call,
     at one parameter or at a whole array of them.  ``accel_fn(x, u)`` is the
     force per unit mass; None for a free trajectory.
     """
@@ -232,10 +247,10 @@ class IntegratedWorldline(Worldline):
         y = self._sol(lam)
         return self._acceleration(y[..., :4], y[..., 4:])
 
-    def kinematics(self, lam):
+    def _motion(self, lam):
         y = self._sol(lam)
         x, u = y[..., :4], y[..., 4:]
-        return x, u, self._acceleration(x, u), self.model.to_coords(x, u)
+        return x, u, self._acceleration(x, u)
 
     def trajectory(self, params):
         y = self._sol(np.asarray(params, dtype=float))
@@ -254,9 +269,8 @@ class SampledWorldline(Worldline):
         positions = np.asarray(positions, dtype=float)
         velocities = np.asarray(velocities, dtype=float)
         self._acc = np.asarray(accelerations, dtype=float)
-        xdot = model.to_coords(positions, velocities)
-        udot = self._acc - np.einsum("kn,knij,kj->ki", xdot, model.connections(positions),
-                                     velocities)
+        xdot, pulled = model.pulled_connections(positions, velocities)
+        udot = self._acc - (pulled @ velocities[:, :, None])[:, :, 0]
         self._pos_spline = CubicHermiteSpline(params, positions, xdot)
         self._vel_spline = CubicHermiteSpline(params, velocities, udot)
         self._acc_spline = CubicHermiteSpline(params, self._acc,
@@ -275,25 +289,24 @@ class SampledWorldline(Worldline):
 class DenseSolution:
     """The dense output of a DOP853 solve, evaluated as one array.
 
-    Built once from the ``OdeSolution`` that ``solve_ivp`` returns, with each
-    segment's start ``t_old``, width ``h``, the seven rows of its polynomial
-    ``F`` (last row first) and its start state ``y_old`` stacked.  Calling it
-    at a parameter gives the (n,) state, at an array of m parameters an (m, n)
-    array, from one ``searchsorted`` and the Horner arithmetic of scipy's
-    ``Dop853DenseOutput``, bit for bit.  As in ``OdeSolution``, a parameter on
-    a step boundary takes the segment of lower index and one outside the span
-    the nearest end segment, for an ascending or a descending span.
+    ``ts`` are the step boundaries and ``rows`` the (steps, 8, n) array of each
+    step's seven polynomial rows (last row first) and its start state, the
+    numbers of scipy's ``Dop853DenseOutput``.  Calling it at a parameter gives
+    the (n,) state, at an array of m parameters an (m, n) array, from one
+    ``searchsorted`` and the Horner arithmetic of ``Dop853DenseOutput``, bit
+    for bit.  As in scipy's ``OdeSolution``, a parameter on a step boundary
+    takes the segment of lower index and one outside the span the nearest end
+    segment, for an ascending or a descending span.
     """
 
-    def __init__(self, ode_solution):
-        pieces = ode_solution.interpolants
-        self.ts = ode_solution.ts
-        self.descending = self.ts[-1] < self.ts[0]
+    def __init__(self, ts, rows):
+        self.ts = ts
+        self.descending = ts[-1] < ts[0]
         # the interior step boundaries in ascending order
-        self.breaks = (self.ts[::-1] if self.descending else self.ts)[1:-1]
-        self.t_old = np.array([p.t_old for p in pieces])
-        self.h = np.array([p.h for p in pieces])
-        self.rows = np.array([[*p.F[::-1], p.y_old] for p in pieces])
+        self.breaks = (ts[::-1] if self.descending else ts)[1:-1]
+        self.t_old = ts[:-1]
+        self.h = ts[1:] - ts[:-1]
+        self.rows = rows
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -310,6 +323,34 @@ class DenseSolution:
             y *= factors[k % 2]
             y += rows[:, k]
         return y.reshape(t.shape + y.shape[1:])
+
+
+def _dense_solution(ts, ys, K, stage):
+    """The :class:`DenseSolution` of a DOP853 solve, made after the solve.
+
+    ``ts`` and ``ys`` are the solve's step boundaries and states, (steps + 1,)
+    and (steps + 1, n), and ``K`` the (steps, 16, n) stage rows of its
+    accepted steps: in rows 0-12 the 12 stages and the derivative at the step
+    end, rows 13-15 free.  The 3 extra stages of DOP853's continuous
+    extension (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6) are
+    formed there for all steps at once: ``stage(j, lams, z)`` returns the
+    derivatives of extra stage j at the (steps,) parameters ``lams`` and
+    (steps, n) states ``z``.  The stage sums and the polynomial rows are
+    those of scipy's per-step ``DOP853._dense_output_impl``, operation for
+    operation.
+    """
+    t_old, h = ts[:-1], ts[1:] - ts[:-1]
+    y_old, y = ys[:-1], ys[1:]
+    hs = h[:, None]                 # h of each step, against its state rows
+    n_stages = DOP853.n_stages
+    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=n_stages + 1):
+        dy = (K[:, :s].transpose(0, 2, 1) @ a[:s]) * hs
+        K[:, s] = stage(s - n_stages - 1, t_old + c * h, y_old + dy)
+    f_old, f = K[:, 0], K[:, n_stages]
+    delta_y = y - y_old
+    low = np.stack([2 * delta_y - hs * (f + f_old), hs * f_old - delta_y, delta_y, y_old], axis=1)
+    high = hs[:, None] * (DOP853.D @ K)
+    return DenseSolution(ts, np.concatenate([high[:, ::-1], low], axis=1))
 
 
 @dataclass(frozen=True)
@@ -353,7 +394,42 @@ class LazyStates(Sequence):
         return self._build(self._indices[index])
 
 
-class LinearDOP853(DOP853):
+class DOP853Steps(DOP853):
+    """DOP853 that does only the work of step-size control while it runs.
+
+    No dense-output stage is evaluated and no interpolant is built during the
+    solve: each accepted step appends the record its dense output needs to
+    the list ``accepted``, a tuple whose first entry is a copy of
+    ``K_extended``, with the step's 12 stages and the derivative at its end
+    in rows 0-12; :func:`_dense_solution` makes the dense output of all steps
+    afterwards in the 3 rows left.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, accepted, **options):
+        self._accepted = accepted
+        super().__init__(fun, t0, y0, t_bound, **options)
+
+    def _step_impl(self):
+        success, message = self._attempt_steps()
+        if success:
+            self._accepted.append(self._record())
+        return success, message
+
+    _attempt_steps = DOP853._step_impl
+
+    def _record(self):
+        return (self.K_extended.copy(),)
+
+
+def _stacked(accepted):
+    """The records of the accepted steps as one array per entry, emptying the
+    list: the solver that filled it holds it until the cycle collector runs."""
+    arrays = [np.array(entry) for entry in zip(*accepted)]
+    accepted.clear()
+    return arrays
+
+
+class LinearDOP853(DOP853Steps):
     """DOP853 for a linear system dY/dlam = G(lam) Y, Y a flattened matrix.
 
     G does not depend on Y, so the parameters of all 15 stage nodes of a step
@@ -363,7 +439,8 @@ class LinearDOP853(DOP853):
     stack, and each stage is the product K_s = G_s (Y + h sum_j a_sj K_j).
     Tableau, error estimate and step-size control are DOP853's; ``fun`` only
     serves the initial derivative and the initial step size.  ``nfev`` counts
-    the nodes at which G was evaluated.
+    the nodes at which G was evaluated.  An accepted step records its stage
+    rows and the generators of its 3 dense-output nodes, (K, G_extra).
     """
 
     NODES = np.concatenate([DOP853.C[1:], [1.0], DOP853.C_EXTRA])
@@ -371,31 +448,27 @@ class LinearDOP853(DOP853):
     def __init__(self, fun, t0, y0, t_bound, field, **options):
         self._field = field
         super().__init__(fun, t0, y0, t_bound, **options)
-
-    @staticmethod
-    def _apply(g, y):
-        return (g @ y.reshape(len(g), -1)).ravel()
-
-    def _stages(self, generators, y, h, rows, first):
-        """K_s = G_s (y + h sum_j a_sj K_j) for s = first, first + 1, ..."""
-        K = self.K_extended
-        for s, (g, a) in enumerate(zip(generators, rows), start=first):
-            dy = np.dot(K[:s].T, a[:s]) * h
-            K[s] = self._apply(g, y + dy)
+        # per new stage s: the views K[:s].T and A[s, :s] of its stage sum
+        self._sums = [(self.K[:s].T, a[:s]) for s, a in enumerate(self.A[1:], start=1)]
 
     def _rk_step(self, t, y, h):
-        """scipy's rk_step, with the generators of all nodes from one call."""
+        """scipy's rk_step, with the generators of all nodes from one call;
+        each stage product is written straight into its row of K."""
         generators = self._field(t + self.NODES * h)
         self.nfev += len(generators)
         n = self.n_stages
-        self.K[0] = self.f
-        self._stages(generators[:n - 1], y, h, self.A[1:], 1)
-        y_new = y + h * np.dot(self.K[:-1].T, self.B)
-        self.K[-1] = f_new = self._apply(generators[n - 1], y_new)
+        K = self.K
+        K[0] = self.f
+        stages = K.reshape(len(K), len(generators[0]), -1)     # K[s] as a matrix
+        for g, (k, a), out in zip(generators[:n - 1], self._sums, stages[1:]):
+            np.matmul(g, (y + np.dot(k, a) * h).reshape(out.shape), out=out)
+        y_new = y + h * np.dot(K[:-1].T, self.B)
+        f_new = (generators[n - 1] @ y_new.reshape(stages.shape[1:])).ravel()
+        K[-1] = f_new
         self._extra_generators = generators[n:]
         return y_new, f_new
 
-    def _step_impl(self):
+    def _attempt_steps(self):
         # RungeKutta._step_impl with rk_step replaced by the batched stages
         t, y = self.t, self.y
         min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
@@ -428,41 +501,41 @@ class LinearDOP853(DOP853):
         self.h_abs = h_abs * factor
         return True, None
 
-    def _dense_output_impl(self):
-        # DOP853._dense_output_impl with the extra stages from the step's batch
-        K, h = self.K_extended, self.h_previous
-        self._stages(self._extra_generators, self.y_old, h, self.A_EXTRA,
-                     self.n_stages + 1)
-        f_old = K[0]
-        delta_y = self.y - self.y_old
-        F = np.vstack([delta_y, h * f_old - delta_y,
-                       2 * delta_y - h * (self.f + f_old), h * np.dot(self.D, K)])
-        return Dop853DenseOutput(self.t_old, self.t, self.y_old, F)
+    def _record(self):
+        return (*super()._record(), self._extra_generators)
 
 
 def propagate(worldline, generator, dim, tol):
     """Propagator of the linear transport dY/dlam = G(lam) Y along ``worldline``.
 
-    ``generator(x, u, a, xdot)`` returns G from the worldline's kinematics:
-    a (dim, dim) matrix at one parameter, an (n, dim, dim) stack for (n, 4)
-    kinematics rows.  The matrix equation is integrated over the whole
-    parameter span with the 8th-order Dormand-Prince pair DOP853 (Hairer,
-    Norsett & Wanner, Solving ODEs I, sec. II.10) in the form
-    :class:`LinearDOP853`, which evaluates kinematics and G once per step at
-    all its stage nodes; ``tol`` is the relative and absolute tolerance.
+    ``generator(x, u, a, xdot, pulled)`` returns G from the worldline's
+    ``transport_kinematics``: a (dim, dim) matrix at one parameter, an
+    (n, dim, dim) stack for (n, 4) rows.  The matrix equation is integrated
+    over the whole parameter span with the 8th-order Dormand-Prince pair
+    DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) in the form
+    :class:`LinearDOP853`, which evaluates the kinematics, the model's frame
+    and G once per step at all its stage nodes; ``tol`` is the relative and
+    absolute tolerance.  The dense output is made once, after the solve, with
+    one batched product per extra stage.
     """
     def field(lam):
-        return generator(*worldline.kinematics(lam))
+        return generator(*worldline.transport_kinematics(lam))
 
     def rhs(lam, y):
         return (field(lam) @ y.reshape(dim, dim)).ravel()
 
+    accepted = []
     sol = solve_ivp(rhs, worldline.param_span, np.eye(dim, dtype=complex).ravel(),
-                    method=LinearDOP853, field=field, rtol=tol, atol=tol,
-                    dense_output=True)
+                    method=LinearDOP853, field=field, accepted=accepted, rtol=tol, atol=tol)
     if not sol.success:
         raise ToleranceError(f"transport failed: {sol.message}")
-    return Propagator(DenseSolution(sol.sol), dim, int(sol.nfev), len(sol.t) - 1)
+    K, extra = _stacked(accepted)
+
+    def stage(j, lams, z):
+        return (extra[:, j] @ z.reshape(-1, dim, dim)).reshape(len(z), -1)
+
+    return Propagator(_dense_solution(sol.t, sol.y.T, K, stage), dim, int(sol.nfev),
+                      len(sol.t) - 1)
 
 
 def worldline_from_csv(path, model, kind="timelike"):
@@ -490,25 +563,37 @@ def _lorentz_force_accel(model, em, charge_to_mass):
     return accel
 
 
+def _trajectory_rates(model, accel_fn):
+    """rates(lam, y): the derivative of the trajectory state y = (x^mu, u^I) at
+    one parameter, (8,), or at each of (n,) parameters for (n, 8) states.
+    Raises DomainError, naming the first parameter, for a state off the chart."""
+    def rates(lam, y):
+        x, u = y[..., :4], y[..., 4:]
+        inside = model.in_domain(x.T)
+        if not (inside if y.ndim == 1 else np.all(inside)):
+            first = np.ravel(lam)[np.argmin(np.ravel(inside))]
+            raise DomainError(f"{model.name}: trajectory left chart domain at parameter {first}")
+        derivative = model.trajectory_rates(x, u)
+        if accel_fn is not None:
+            derivative[..., 4:] += accel_fn(x, u)
+        return derivative
+
+    return rates
+
+
 def _integrate(model, x0, u0, span, tol, kind, accel_fn, max_step=np.inf):
     x0 = np.asarray(x0, dtype=float).reshape(4)
     u0 = np.asarray(u0, dtype=float).reshape(4)
     model.check_domain(x0)
-
-    def rhs(lam, y):
-        x, u = y[:4], y[4:]
-        if not model.in_domain(x):
-            raise DomainError(f"{model.name}: trajectory left chart domain at parameter {lam}")
-        rates = model.trajectory_rates(x, u)
-        if accel_fn is not None:
-            rates[4:] += accel_fn(x, u)
-        return rates
-
-    sol = solve_ivp(rhs, (0.0, span), np.concatenate([x0, u0]), method="DOP853",
-                    rtol=tol, atol=tol, dense_output=True, max_step=max_step)
+    rates = _trajectory_rates(model, accel_fn)
+    accepted = []
+    sol = solve_ivp(rates, (0.0, span), np.concatenate([x0, u0]), method=DOP853Steps,
+                    accepted=accepted, rtol=tol, atol=tol, max_step=max_step)
     if not sol.success:
         raise ToleranceError(f"worldline integration failed: {sol.message}")
-    wl = IntegratedWorldline(model, DenseSolution(sol.sol), (0.0, span), kind, accel_fn)
+    K, = _stacked(accepted)
+    dense = _dense_solution(sol.t, sol.y.T, K, lambda j, lams, z: rates(lams, z))
+    wl = IntegratedWorldline(model, dense, (0.0, span), kind, accel_fn)
     drift = wl.norm_audit()
     budget = max(1e-9, 1000.0 * tol * max(1.0, abs(span)))
     if drift > budget:
@@ -624,38 +709,47 @@ def worldline_from_coordinate_path(model, spatial_path, spatial_rate, t0, t1, n=
     from the tetrad and connection, the ordinary u-derivative from a
     spline.  The path must stay timelike throughout.
     """
-    def coord_velocity(t):
-        return np.array([1.0, *np.asarray(spatial_rate(t), dtype=float)])
-
-    def coords_at(t):
-        return np.array([t, *np.asarray(spatial_path(t), dtype=float)])
-
-    def dtau_dt(t):
-        x = coords_at(t)
-        xdot = coord_velocity(t)
-        val = xdot @ model.metric(x) @ xdot
-        if val <= 0.0:
+    def frame_rates(ts):
+        """Events, the tetrad components w^I of dx^mu/dt and dtau/dt = |w| at
+        the coordinate times ``ts``."""
+        x = np.array([[t, *spatial_path(t)] for t in ts], dtype=float)
+        xdot = np.array([[1.0, *spatial_rate(t)] for t in ts], dtype=float)
+        w = np.linalg.solve(model.tetrads(x), xdot[:, :, None])[:, :, 0]
+        val = minkowski_dot(w.T, w.T)
+        if np.any(val <= 0.0):
             raise QulineError("prescribed path is not timelike")
-        return np.sqrt(val)
+        return x, w, np.sqrt(val)
 
-    sol = solve_ivp(lambda t, y: [dtau_dt(t)], (t0, t1), [0.0], method="RK45",
+    sol = solve_ivp(lambda t, y: frame_rates([t])[2], (t0, t1), [0.0], method="RK45",
                     rtol=1e-12, atol=1e-12, dense_output=True)
     if not sol.success:
         raise ToleranceError(f"proper-time accumulation failed: {sol.message}")
     total_tau = sol.y[0, -1]
     taus = np.linspace(0.0, total_tau, n)
-    from scipy.optimize import brentq
-    t_grid = np.array([t0] + [
-        brentq(lambda t, target=tau: sol.sol(t)[0] - target, t0, t1, xtol=1e-14)
-        for tau in taus[1:-1]] + [t1])
-    positions = np.array([coords_at(t) for t in t_grid])
-    velocities = np.array([coord_velocity(t) / dtau_dt(t) for t in t_grid])
-    u_tet = np.array([model.inverse_tetrad(positions[i]) @ velocities[i]
-                      for i in range(n)])
+    # t at each inner tau: Newton steps on the dense output of the monotone
+    # tau(t), from linear interpolation between the solver's steps, with
+    # dtau/dt taken once, at those seeds; the steps shrink geometrically until
+    # rounding stops them
+    inner, sign = taus[1:-1], np.sign(total_tau)
+    t_inner = np.interp(sign * inner, sign * sol.y[0], sol.t)
+    slope = frame_rates(t_inner)[2]
+    last = np.inf
+    while True:
+        step = (sol.sol(t_inner)[0] - inner) / slope
+        t_inner -= step
+        size = np.abs(step).max(initial=0.0)
+        if not size < 0.5 * last:
+            break
+        last = size
+    miss = np.abs(sol.sol(t_inner)[0] - inner).max(initial=0.0)
+    if miss > 1e-12 * abs(total_tau):
+        raise ToleranceError("proper-time inversion did not converge",
+                             achieved=miss, requested=1e-12 * abs(total_tau))
+    positions, w, rate = frame_rates(np.concatenate([[t0], t_inner, [t1]]))
+    u_tet = w / rate[:, None]
     from scipy.interpolate import CubicSpline
-    u_spline = CubicSpline(taus, u_tet)
-    accels = u_spline(taus, 1) + np.einsum("kn,knij,kj->ki", velocities,
-                                           model.connections(positions), u_tet)
+    _, pulled = model.pulled_connections(positions, u_tet)
+    accels = CubicSpline(taus, u_tet)(taus, 1) + (pulled @ u_tet[:, :, None])[:, :, 0]
     return SampledWorldline(model, taus, positions, u_tet, accels, "timelike")
 
 

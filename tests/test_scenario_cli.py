@@ -46,7 +46,8 @@ COW_BLOCK = {"mass": "1.67492749804e-27 kg", "v1": "2200 m/s", "dz": "2 cm",
              "ell": "10 cm", "g": "9.8 m/s^2"}
 # the error each case of the malformed-input table raises, if not a parse error
 EXPECTED_ERRORS = {"interferometer_arm": ScenarioReferenceError,
-                   "optic_on_fermion": ScenarioError, "photon_on_timelike": ScenarioError}
+                   "optic_on_fermion": ScenarioError, "photon_on_timelike": ScenarioError,
+                   "circular_on_curved_model": ScenarioError}
 
 
 class TestValidate:
@@ -169,6 +170,12 @@ class TestValidate:
             {"op": "measure_spin", "qubit": "q0", "orientation": [0, 0, 0]})),
         ("output_json", lambda d: d["output"].update(json=5)),
         ("output_csv", lambda d: d["output"].update(csv=5)),
+        ("output_json_directory", lambda d: d["output"].update(json="nosuchdir/x.json")),
+        ("output_csv_directory", lambda d: d["output"].update(csv="../x.csv")),
+        ("output_parent", lambda d: d["output"].update(json="..")),
+        ("circular_on_curved_model", lambda d: (
+            d.update(model={"family": "rindler", "params": {"g": 0.1}}),
+            d["worldlines"].update(line={"type": "circular"}))),
         ("unnormalized_amplitudes", _interferometer(qubit="q0", amplitudes=[1, 0, 1, 0])),
         ("infinite_span", lambda d: d["worldlines"]["rest_line"].update(span="1e999 s")),
     ])
@@ -193,6 +200,9 @@ class TestValidate:
         ("qubit_mass", lambda d: d["qubits"]["q0"].update(mass=0)),
         ("op_tolerance", lambda d: d["schedule"][0].update(tolerance=0)),
         ("worldline_tolerance", _worldline(type="timelike", tolerance=-1e-9)),
+        ("photon_along_minus_z", lambda d: (
+            d["worldlines"].update(ray={"type": "null_geodesic", "wavevector": [1, 0, 0, -1]}),
+            d["qubits"].update(p0={"kind": "photon", "worldline": "ray"}))),
     ])
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_out_of_range_value(self, tmp_path, capsys, case, edit, command):
@@ -442,6 +452,18 @@ class TestSweep:
         assert run_cli(["--out-dir", tmp_path, "sweep", path]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("option, value", [
+        ("--start", "1 cm"), ("--stop", "2 cm"), ("--parameter", "cow.dz"), ("--steps", "3")])
+    def test_override_of_a_sweep_that_is_not_a_mapping(self, tmp_path, capsys, option, value):
+        data = sc.load_scenario(SCENARIOS / "cow.scenario")
+        data["sweep"] = 5
+        path = tmp_path / "bad.scenario"
+        path.write_text(yaml.safe_dump(data))
+        assert run_cli(["--out-dir", tmp_path, "sweep", path, option, value]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == "parse error: [sweep] must be a mapping, got 5\n"
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command, block, key, value", [
         ("sweep", "sweep", "stop", "-1 cm"),

@@ -18,7 +18,7 @@ from quline import worldline as wld
 from quline.errors import DomainError
 from quline.geometry import (SpacetimeModel, TabulatedModel, _parallel_generator,
                              apply_local_lorentz, connection_finite_difference,
-                             make_builtin_model)
+                             make_builtin_model, pulled_connection)
 from quline.spin_algebra import spin1_boost
 
 SCHW = make_builtin_model("schwarzschild", [1.0])
@@ -195,6 +195,29 @@ def test_connections_reject_points_outside_domain(model, outside):
         model.connections(points)
 
 
+@pytest.mark.parametrize("model", [FLAT, RINDLER, SCHW, rindler_table(), moved_model()],
+                         ids=["minkowski", "rindler", "schwarzschild", "tabulated",
+                              "transformed"])
+def test_pulled_connections_match_per_event_calls(model):
+    """One frame evaluation over (n, 4) rows gives each event's to_coords and
+    pulled_connection, and so does the one-event form."""
+    if model.name == "tabulated":
+        points = np.array([[0.0, 0.0, 0.0, z] for z in (0.1, 0.45, 1.3)])
+    else:
+        points = np.array([[0.3, 7.0, 1.1, 0.2], [1.0, 9.5, 1.6, 2.0],
+                           [2.0, 4.0, 2.3, -1.0]])
+    u = np.random.default_rng(4).standard_normal(points.shape)
+    xdot, pulled = model.pulled_connections(points, u)
+    assert xdot.shape == (3, 4) and pulled.shape == (3, 4, 4)
+    for p, v, got_xdot, got_pulled in zip(points, u, xdot, pulled):
+        want_xdot = model.to_coords(p, v)
+        want_pulled = pulled_connection(model, p, want_xdot)
+        np.testing.assert_array_equal(got_xdot, want_xdot)
+        np.testing.assert_array_equal(got_pulled, want_pulled)
+        for got, want in zip(model.pulled_connections(p, v), (want_xdot, want_pulled)):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_photon_states_are_the_canonical_representatives():
     ray = schwarzschild_ray()
     k = ray.velocity(0.0)
@@ -306,6 +329,12 @@ def test_integrated_worldline_matches_stock_dop853(name):
                                       accel(x[5], u[5]))
 
 
+def dense_of(ode):
+    """The DenseSolution holding the numbers of scipy's OdeSolution ``ode``."""
+    return wld.DenseSolution(ode.ts, np.array([[*p.F[::-1], p.y_old]
+                                               for p in ode.interpolants]))
+
+
 def dense_pairs():
     """(DenseSolution, OdeSolution) of a trajectory solve, the same solve run
     backwards and a propagator solve."""
@@ -322,7 +351,7 @@ def dense_pairs():
 
     prop = solve_ivp(rhs, wl.param_span, np.eye(dim, dtype=complex).ravel(),
                      method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True).sol
-    return [(wld.DenseSolution(ode), ode) for ode in (traj, back, prop)]
+    return [(dense_of(ode), ode) for ode in (traj, back, prop)]
 
 
 @pytest.mark.parametrize("which", [0, 1, 2], ids=["trajectory", "backwards", "propagator"])
@@ -353,16 +382,103 @@ def test_dense_solution_takes_the_earlier_segment_at_a_boundary(sign):
     pieces = [rk.Dop853DenseOutput(t0, t1, rng.standard_normal(3), rng.standard_normal((7, 3)))
               for t0, t1 in zip(ts[:-1], ts[1:])]
     ode = OdeSolution(ts, pieces)
-    dense = wld.DenseSolution(ode)
+    dense = dense_of(ode)
     t = np.concatenate([ts, sign * np.array([-1.0, 0.2, 1.9, 3.0])])
     assert dense(t).tobytes() == np.ascontiguousarray(ode(t).T).tobytes()
     for boundary in ts:
         assert dense(boundary).tobytes() == ode(boundary).tobytes()
 
 
+def stock_steps(fun, span, y0, tol=1e-12):
+    """Stock DOP853 stepped by hand, its dense output built after every step as
+    solve_ivp builds it: (ts, ys, stage rows K[:13], the 3 extra stages, the
+    polynomial rows and start state of each step)."""
+    solver = DOP853(fun, span[0], np.asarray(y0), span[1], rtol=tol, atol=tol)
+    ts, ys, K, extra, rows = [solver.t], [solver.y], [], [], []
+    while solver.status == "running":
+        assert solver.step() is None
+        K.append(solver.K.copy())
+        piece = solver.dense_output()
+        extra.append(solver.K_extended[13:].copy())
+        rows.append([*piece.F[::-1], piece.y_old])
+        ts.append(solver.t)
+        ys.append(solver.y)
+    return (np.array(ts), np.array(ys), np.array(K), np.array(extra), np.array(rows))
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("which", ["trajectory", "propagator"])
+def test_dense_output_after_the_solve_matches_per_step_scipy(which):
+    """The 3 extra stages and the polynomial rows made for all steps at once,
+    against scipy's per-step DOP853._dense_output_impl on the same steps; and
+    the dense output the solves keep, which take those same steps."""
+    if which == "trajectory":
+        model, x0, u0, span, *_ = TRAJECTORIES["schwarzschild_orbit"]
+        rates = wld._trajectory_rates(model, None)
+        y0, t_span = np.concatenate([x0, u0]), (0.0, span)
+        fun, stage = rates, (lambda j, lams, z: rates(lams, z))
+        kept = wld.integrate_timelike(model, None, x0, u0, span=span, tol=1e-12)._sol
+    else:
+        wl = schwarzschild_orbit()
+        generator, dim = covariant(wl)
+
+        def field(lam):
+            return generator(*wl.transport_kinematics(lam))
+
+        y0, t_span = np.eye(dim, dtype=complex).ravel(), wl.param_span
+        fun = lambda lam, y: (field(lam) @ y.reshape(dim, dim)).ravel()
+        stage = lambda j, lams, z: (field(lams) @ z.reshape(-1, dim, dim)).reshape(len(z), -1)
+        kept = wld.propagate(wl, generator, dim, 1e-12).sol
+    ts, ys, K, extra, rows = stock_steps(fun, t_span, y0)
+    stages = []
+
+    def recorded(j, lams, z):
+        stages.append(stage(j, lams, z))
+        return stages[-1]
+
+    K = np.concatenate([K, np.full((len(K), 3, K.shape[2]), np.nan)], axis=1)
+    dense = wld._dense_solution(ts, ys, K, recorded)
+    assert len(ts) > 5 and len(stages) == 3
+    assert_close(np.stack(stages, axis=1), extra)
+    assert_close(dense.rows, rows)
+    np.testing.assert_array_equal(kept.ts, ts)
+    assert_close(kept.rows, rows)
+
+
+def test_row_rates_name_the_first_parameter_off_the_chart():
+    rates = wld._trajectory_rates(SCHW, None)
+    inside, outside = [0.0, 8.0, 1.0, 0.0], [0.0, 1.5, 1.0, 0.0]
+    u = [1.0, 0.0, 0.0, 0.0]
+    rows = np.array([inside + u, outside + u, outside + u])
+    with pytest.raises(DomainError, match="at parameter 0.25$"):
+        rates(np.array([0.125, 0.25, 0.5]), rows)
+    assert rates(np.array([0.125]), rows[:1]).shape == (1, 8)
+
+
+def test_solves_build_no_per_step_dense_output(monkeypatch):
+    """Trajectories and propagators make their dense output after the solve,
+    never one Dop853DenseOutput per step."""
+    def refuse(*args):
+        raise AssertionError("a per-step Dop853DenseOutput was built")
+
+    monkeypatch.setattr(rk, "Dop853DenseOutput", refuse)
+    ray = schwarzschild_ray(span=4.0)
+    for wl in (schwarzschild_orbit(span=6.0), lorentz_orbit(), ray):
+        assert wl.trajectory([0.5])[0].shape == (1, 4)
+    wld.propagate(ray, *parallel(ray), 1e-12)
+    fm.transport_rest_frame(fm.RestFrameState([1.0, 0.0]), lorentz_orbit())
+
+
 def test_scipy_private_surfaces_present():
-    """LinearDOP853 and DenseSolution read these scipy internals."""
+    """The DOP853 kernels, DenseSolution and these tests read these scipy
+    internals."""
     where = f"installed scipy {scipy.__version__}"
+    solver = DOP853(lambda t, y: -y, 0.0, np.ones(3), 1.0)
+    assert np.shape(getattr(solver, "K_extended", None)) == (16, 3), where
+    assert np.shares_memory(solver.K, solver.K_extended) and solver.K.shape == (13, 3), where
     for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR", "Dop853DenseOutput"):
         assert hasattr(rk, name), f"scipy.integrate._ivp.rk.{name} missing in {where}"
     shapes = {"A": (12, 12), "B": (12,), "C": (12,), "A_EXTRA": (3, 16),

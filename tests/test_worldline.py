@@ -224,6 +224,32 @@ class TestPrescribedWorldlines:
             assert np.abs(back.velocity(tau) - wl.velocity(tau)).max() < 1e-8
 
 
+    def test_coordinate_path_grid_matches_root_finding(self):
+        """The proper-time grid of a prescribed path: the time t of each sample
+        is the root of tau(t) = tau_k on the dense output of the proper-time
+        integral, found per sample by brentq."""
+        from scipy.integrate import solve_ivp
+        from scipy.optimize import brentq
+        model = make_builtin_model("rindler", [0.5])
+        path = lambda t: np.array([0.2 * t, 0.0, 0.3 * np.sin(t)])
+        rate = lambda t: np.array([0.2, 0.0, 0.3 * np.cos(t)])
+        n = 301
+        wl = wld.worldline_from_coordinate_path(model, path, rate, 0.0, 3.0, n=n)
+
+        def dtau_dt(t):
+            xdot = np.array([1.0, *rate(t)])
+            return np.sqrt(xdot @ model.metric([t, *path(t)]) @ xdot)
+
+        sol = solve_ivp(lambda t, y: [dtau_dt(t)], (0.0, 3.0), [0.0], method="RK45",
+                        rtol=1e-12, atol=1e-12, dense_output=True)
+        taus = np.linspace(0.0, sol.y[0, -1], n)
+        want = [0.0] + [brentq(lambda t, tau=tau: sol.sol(t)[0] - tau, 0.0, 3.0, xtol=1e-14)
+                        for tau in taus[1:-1]] + [3.0]
+        np.testing.assert_allclose(wl.param_span, (0.0, taus[-1]), rtol=1e-14)
+        np.testing.assert_allclose(wl.position(np.linspace(*wl.param_span, n))[:, 0], want,
+                                   rtol=0.0, atol=1e-13)
+
+
 class TestEMField:
     def test_antisymmetry_enforced(self):
         with pytest.raises(QulineError):
