@@ -43,10 +43,10 @@ class SlotLabel:
     def dim(self):
         return 2 if self.kind == "fermion" else 4
 
-    def matches(self, other, tol=1e-9):
-        return (self.kind == other.kind and self.event.close_to(other.event, tol)
+    def matches(self, other):
+        return (self.kind == other.kind and self.event.close_to(other.event)
                 and np.abs(self.velocity - other.velocity).max()
-                <= tol * (1.0 + abs(self.velocity[0])))
+                <= 1e-9 * (1.0 + abs(self.velocity[0])))
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,11 @@ def bipartite_inner_product(a: BipartiteState, b: BipartiteState, check=True) ->
     return complex(np.einsum("pq,pa,qb,ab->", a.coeffs.conj(), g1, g2, b.coeffs))
 
 
-def _slot_propagator(label: SlotLabel, worldline, em, charge_to_mass, tol):
+def _slot_propagator(label: SlotLabel, worldline, tol):
     """Linear map of one qubit's transport along ``worldline`` plus end label."""
     if label.kind == "fermion":
         res = fermion_transport(FermionState([1.0, 0.0], label.event, label.velocity),
-                                worldline, em, charge_to_mass, tol)
+                                worldline, tol=tol)
         end = res.final
         return res.propagators[-1], SlotLabel("fermion", end.event, end.velocity)
     # the first basis leg is not transverse; on transverse states the map
@@ -113,8 +113,8 @@ def _slot_propagator(label: SlotLabel, worldline, em, charge_to_mass, tol):
     return canonical @ res.propagators[-1], SlotLabel("photon", res.final.event, k)
 
 
-def evolve_local(state: BipartiteState, slot, worldline=None, em=None,
-                 charge_to_mass=0.0, operator=None, tol=1e-12) -> BipartiteState:
+def evolve_local(state: BipartiteState, slot, worldline=None, operator=None,
+                 tol=1e-12) -> BipartiteState:
     """Evolve one tensor slot: transport along a worldline and/or a local operator.
 
     The slot's current label must sit at the worldline start; the other
@@ -129,7 +129,7 @@ def evolve_local(state: BipartiteState, slot, worldline=None, em=None,
     if worldline is not None:
         if not label.event.close_to(worldline.start_event, 1e-8):
             raise HilbertSpaceMismatch("slot label is not at the worldline start")
-        u_mat, new_label = _slot_propagator(label, worldline, em, charge_to_mass, tol)
+        u_mat, new_label = _slot_propagator(label, worldline, tol)
         coeffs = np.tensordot(u_mat, coeffs, axes=([1], [slot]))
         if slot == 1:
             coeffs = coeffs.T
@@ -193,10 +193,10 @@ class BasisPairField:
         return max(abs(ip(phi, phi) - 1.0), abs(ip(psi, psi) - 1.0), abs(ip(phi, psi)))
 
 
-def make_basis_pair_field(pair, worldline, em=None, charge_to_mass=0.0, tol=1e-12):
+def make_basis_pair_field(pair, worldline, tol=1e-12):
     """Transport an orthonormal basis pair along a trajectory."""
     phi0, psi0 = pair
-    res_phi = fermion_transport(phi0, worldline, em, charge_to_mass, tol)
+    res_phi = fermion_transport(phi0, worldline, tol=tol)
     psi_final = FermionState(res_phi.propagators[-1] @ psi0.psi, res_phi.final.event,
                              res_phi.final.velocity)
     field = BasisPairField((phi0, psi0), (res_phi.final, psi_final), worldline)

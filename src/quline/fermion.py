@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import HilbertSpaceMismatch, QulineError
-from .geometry import Event, check_finite, pulled_connection
+from .geometry import Event, check_finite
 from .spin_algebra import (ETA, PAULI, SIGMA_BAR, generator_contraction,
                            minkowski_dot, spin_half_boost_matrix,
                            velocity_inner_product_matrix)
@@ -67,9 +67,9 @@ class FermionState:
             raise QulineError("cannot normalize the zero state")
         return FermionState(self.psi / n, self.event, self.velocity)
 
-    def same_space(self, other, tol=1e-9):
-        return (self.event.close_to(other.event, tol)
-                and np.abs(self.velocity - other.velocity).max() <= tol)
+    def same_space(self, other):
+        return (self.event.close_to(other.event)
+                and np.abs(self.velocity - other.velocity).max() <= 1e-9)
 
 
 def _check_velocities(u):
@@ -123,11 +123,8 @@ def _rest_frame_magnetic(u_tet, f_tet):
     return h @ f_tet @ np.swapaxes(h, -1, -2)
 
 
-def _covariant_generator(model, em, charge_to_mass, x, u, a, xdot, pulled=None):
-    """2x2 generator of the covariant transport; (n, 2, 2) for (n, 4) kinematics.
-    ``pulled`` (xdot^nu omega_nu^I_J) is taken from the model when not given."""
-    if pulled is None:
-        pulled = pulled_connection(model, x, xdot)
+def _covariant_generator(em, charge_to_mass, x, u, a, xdot, pulled):
+    """2x2 generator of the covariant transport; (n, 2, 2) for (n, 4) kinematics."""
     lowered = ETA @ pulled      # xdot^nu omega_{nu IJ}
     coeffs = 0.5 * lowered + _outer(u @ ETA, a @ ETA)
     if em is not None and charge_to_mass != 0.0:
@@ -145,9 +142,8 @@ class TransportResult:
     ``states[i]`` builds its state object when it is read.
     """
 
-    def __init__(self, kind, params, propagators, psis, norm_drift,
+    def __init__(self, params, propagators, psis, norm_drift,
                  positions=None, velocities=None, chart_id=None):
-        self.kind = kind
         self.params = params
         self.propagators = propagators
         self.psis = psis
@@ -181,7 +177,7 @@ def transport(state: FermionState, worldline, em=None, charge_to_mass=0.0,
     if np.abs(state.velocity - worldline.velocity(t0)).max() > 1e-8:
         raise HilbertSpaceMismatch("state velocity label differs from worldline velocity")
     model = worldline.model
-    generator = partial(_covariant_generator, model, em, charge_to_mass)
+    generator = partial(_covariant_generator, em, charge_to_mass)
     params = np.linspace(t0, t1, n_samples)
     maps = propagate(worldline, generator, 2, tol)(params)
     psis = maps @ state.psi
@@ -191,7 +187,7 @@ def transport(state: FermionState, worldline, em=None, charge_to_mass=0.0,
     metrics = np.einsum("ni,iab->nab", velocities @ ETA, SIGMA_BAR)
     norms = np.einsum("na,nab,nb->n", psis.conj(), metrics, psis).real
     drift = float(np.abs(norms - state.norm_squared()).max())
-    return TransportResult("fermion", params, maps, psis, drift,
+    return TransportResult(params, maps, psis, drift,
                            positions, velocities, model.chart_id)
 
 
@@ -217,11 +213,8 @@ def _wigner_generator(u, du, omega_pull):
     return gen + 1j * generator_contraction(w)
 
 
-def _rest_frame_generator(model, x, u, a, xdot, pulled=None):
-    """2x2 generator of the rest-frame transport; (n, 2, 2) for (n, 4) kinematics.
-    ``pulled`` (xdot^nu omega_nu^I_J) is taken from the model when not given."""
-    if pulled is None:
-        pulled = pulled_connection(model, x, xdot)
+def _rest_frame_generator(x, u, a, xdot, pulled):
+    """2x2 generator of the rest-frame transport; (n, 2, 2) for (n, 4) kinematics."""
     udot = a - (pulled @ u[..., None])[..., 0]
     return _wigner_generator(u, udot, ETA @ pulled)
 
@@ -235,12 +228,11 @@ def transport_rest_frame(rf: RestFrameState, worldline, tol=1e-12, n_samples=201
     """
     if worldline.kind != "timelike":
         raise QulineError("rest-frame transport needs a timelike worldline")
-    generator = partial(_rest_frame_generator, worldline.model)
     params = worldline.sample_params(n_samples)
-    maps = propagate(worldline, generator, 2, tol)(params)
+    maps = propagate(worldline, _rest_frame_generator, 2, tol)(params)
     psis = maps @ rf.psi_tilde
     drift = float(np.abs(np.sum(np.abs(psis) ** 2, axis=1) - rf.norm_squared()).max())
-    return TransportResult("fermion-rest", params, maps, psis, drift)
+    return TransportResult(params, maps, psis, drift)
 
 
 def wigner_rotation_increment(u, du, omega_pull):

@@ -15,8 +15,10 @@ points of the n events' stencils.  ``pulled_connections(points, u)`` gives
 what a transport step needs along tetrad velocities u^I, the coordinate
 velocity xdot^mu = e^mu_I u^I and the pulled connection
 xdot^nu omega_nu^I_J, from one evaluation of the frame where the model
-knows it in closed form.  The one-event forms ``tetrad``, ``connection``
-and ``check_domain`` are defined once, on the base class.
+knows it in closed form; ``Worldline.kinematics`` hands both to the
+transport generators, and parallel transport's generator is -pulled.  The
+one-event forms ``tetrad``, ``connection`` and ``check_domain`` are defined
+once, on the base class.
 
 Natural units c = hbar = 1 throughout; all conversion happens at the CLI
 boundary.  The connection is omega_nu^I_J = e^I_rho d_nu e^rho_J
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -129,10 +130,6 @@ class SpacetimeModel:
     def metric(self, x):
         einv = self.inverse_tetrad(x)
         return einv.T @ ETA @ einv
-
-    def inverse_metric(self, x):
-        e = self.tetrad(x)
-        return e @ ETA @ e.T
 
     def connection(self, x):
         self.check_domain(x)
@@ -288,9 +285,6 @@ class MinkowskiModel(_AnalyticModel):
     def metric(self, x):
         return ETA.copy()
 
-    def inverse_metric(self, x):
-        return ETA.copy()
-
     def _frame(self, c, xp):
         return (1.0, 1.0, 1.0, 1.0), ()
 
@@ -328,10 +322,6 @@ class RindlerModel(_AnalyticModel):
     def metric(self, x):
         f = self._f(_coords_of(x))
         return np.diag([f * f, -1.0, -1.0, -1.0])
-
-    def inverse_metric(self, x):
-        f = self._f(_coords_of(x))
-        return np.diag([1.0 / (f * f), -1.0, -1.0, -1.0])
 
 
 class SchwarzschildModel(_AnalyticModel):
@@ -378,11 +368,6 @@ class SchwarzschildModel(_AnalyticModel):
         c = _coords_of(x)
         f, r, th = self._f(c), c[1], c[2]
         return np.diag([f, -1.0 / f, -r * r, -(r * np.sin(th)) ** 2])
-
-    def inverse_metric(self, x):
-        c = _coords_of(x)
-        f, r, th = self._f(c), c[1], c[2]
-        return np.diag([1.0 / f, -f, -1.0 / r**2, -1.0 / (r * np.sin(th)) ** 2])
 
 
 class TabulatedModel(SpacetimeModel):
@@ -492,9 +477,6 @@ class TransformedModel(SpacetimeModel):
     def metric(self, x):
         return self.base.metric(_coords_of(x))
 
-    def inverse_metric(self, x):
-        return self.base.inverse_metric(_coords_of(x))
-
     def connections(self, points):
         if self.connection_mode != "analytic":
             return super().connections(points)
@@ -529,13 +511,12 @@ def pulled_connection(model, x, xdot):
     return np.einsum("...n,...nij->...ij", xdot, model.connections(x))
 
 
-def _parallel_generator(model, x, u, a, xdot, pulled=None):
-    """-pulled, the generator of parallel transport; ``pulled`` is taken from
-    the model and ``xdot`` when not given."""
-    return -(pulled_connection(model, x, xdot) if pulled is None else pulled)
+def _parallel_generator(x, u, a, xdot, pulled):
+    """-pulled, the generator of parallel transport."""
+    return -pulled
 
 
-def parallel_propagator(model, worldline, tol):
+def parallel_propagator(worldline, tol):
     """Propagator of parallel transport dV^I/dlam = -xdot^nu omega_nu^I_J V^J.
 
     Acts on tetrad components of vectors (real or complex) along
@@ -543,10 +524,10 @@ def parallel_propagator(model, worldline, tol):
     """
     from .worldline import propagate
 
-    return propagate(worldline, partial(_parallel_generator, model), 4, tol)
+    return propagate(worldline, _parallel_generator, 4, tol)
 
 
-def parallel_transport_vector(model, worldline, v0, tol=1e-11):
+def parallel_transport_vector(worldline, v0, tol=1e-11):
     """Parallel transport tetrad components V^I along a sampled worldline.
 
     Returns (params, vectors) with vectors[i] the transported V at params[i];
@@ -558,7 +539,7 @@ def parallel_transport_vector(model, worldline, v0, tol=1e-11):
     v0 = np.asarray(v0, dtype=float).reshape(4)
     t0, t1 = worldline.param_span
     params = np.linspace(t0, t1, 201)
-    vectors = (parallel_propagator(model, worldline, tol)(params) @ v0).real
+    vectors = (parallel_propagator(worldline, tol)(params) @ v0).real
     n0 = minkowski_dot(v0, v0)
     drift = np.abs(minkowski_dot(vectors.T, vectors.T) - n0).max()
     scale = 1.0 + abs(n0)

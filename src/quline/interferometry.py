@@ -48,7 +48,7 @@ class PhaseLedger:
 
 
 def arm_phase(worldline, em=None, kind="fermion", mass=None, charge=1.0,
-              end_param=None, arm_id="", quad_tol=1e-12):
+              end_param=None, arm_id=""):
     """Accumulate the internal phase along an arm up to ``end_param``.
 
     Fermion arms need ``mass``; their internal phase is mass * (proper time)
@@ -76,7 +76,7 @@ def arm_phase(worldline, em=None, kind="fermion", mass=None, charge=1.0,
         if em is not None and em.has_potential():
             integrand = lambda lam: float(
                 em.potential(worldline.position(lam)) @ worldline.coordinate_velocity(lam))
-            val, _err = quad(integrand, t0, end, epsabs=quad_tol, epsrel=quad_tol, limit=200)
+            val, _err = quad(integrand, t0, end, epsabs=1e-12, epsrel=1e-12, limit=200)
             theta += charge * val
         mass_val = mass
         k_lower = mass * model.lower_coordinate(x_end, worldline.coordinate_velocity(end))
@@ -93,16 +93,15 @@ def slide_endpoint(ledger: PhaseLedger, dparam):
                      ledger.charge, ledger.end_param + dparam, ledger.arm_id)
 
 
-def phase_difference(arm1: PhaseLedger, arm2: PhaseLedger, k_common_lower=None,
-                     a_common_lower=None, match_tol=1e-9, enforce_match=True):
+def phase_difference(arm1: PhaseLedger, arm2: PhaseLedger, a_common_lower=None,
+                     match_tol=1e-9, enforce_match=True):
     """dtheta = (k + eA).(x1 - x2) + (theta2 - theta1) at the recombination region."""
     if enforce_match:
         scale = 1.0 + np.abs(arm1.k_lower).max() + np.abs(arm2.k_lower).max()
         if np.abs(arm1.k_lower - arm2.k_lower).max() > match_tol * scale:
             raise WavevectorMismatch(
                 "arm wavevectors differ at the recombination region")
-    k = (0.5 * (arm1.k_lower + arm2.k_lower) if k_common_lower is None
-         else np.asarray(k_common_lower, dtype=float))
+    k = 0.5 * (arm1.k_lower + arm2.k_lower)
     if a_common_lower is not None:
         k = k + arm1.charge * np.asarray(a_common_lower, dtype=float)
     dx = arm1.event.coords - arm2.event.coords

@@ -66,11 +66,11 @@ class PhotonState:
         return PhotonState(self.pol + upsilon * self.wavevector.astype(complex),
                            self.event, self.wavevector)
 
-    def same_space(self, other, tol=1e-9):
-        if not self.event.close_to(other.event, tol):
+    def same_space(self, other):
+        if not self.event.close_to(other.event):
             return False
         scale = max(self.wavevector[0], other.wavevector[0])
-        return np.abs(self.wavevector - other.wavevector).max() <= tol * scale
+        return np.abs(self.wavevector - other.wavevector).max() <= 1e-9 * scale
 
 
 def _check_wavevectors(k):
@@ -199,9 +199,8 @@ def transport(state: PhotonState, worldline, tol=1e-12, n_samples=201):
     if np.abs(state.wavevector - worldline.velocity(t0)).max() > 1e-8 * scale:
         raise HilbertSpaceMismatch("state wavevector differs from worldline velocity")
 
-    model = worldline.model
     params = np.linspace(t0, t1, n_samples)
-    maps = parallel_propagator(model, worldline, tol)(params)
+    maps = parallel_propagator(worldline, tol)(params)
     pols = maps @ state.pol
     positions, wavevectors = worldline.trajectory(params)
     check_finite(positions)
@@ -210,7 +209,7 @@ def transport(state: PhotonState, worldline, tol=1e-12, n_samples=201):
     norms = -np.einsum("ni,ij,nj->n", pols.conj(), ETA, pols).real
     canonical = pols - (pols[:, 0] / wavevectors[:, 0])[:, None] * wavevectors
     return PhotonTransportResult(
-        params, maps, canonical, positions, wavevectors, model.chart_id,
+        params, maps, canonical, positions, wavevectors, worldline.model.chart_id,
         {"norm_drift": float(np.abs(norms - state.norm_squared()).max()),
          "transversality_drift": float(trans.max())})
 
@@ -219,22 +218,22 @@ def _diad_rows(worldline, lam):
     return adaptation_rotation(worldline.velocity(lam)).diad
 
 
-def wigner_rotation(worldline, n_samples=201, tol=1e-12, fd_step=None):
+def wigner_rotation(worldline, tol=1e-12):
     """Accumulated Wigner angle Phi(lambda) along a null geodesic.
 
     The Jones vector of any transported state evolves as
     jones(lam) = exp(i Phi(lam) sigma_y) jones(0) in the adapted bases,
     with rate u^mu (R dR + R omega R) contracted on the transverse block;
     equals the integral of u^mu omega_{mu 1 2} wherever the tetrad is
-    already adapted.
+    already adapted.  Returns the angle at 201 evenly spaced parameters.
     """
     if worldline.kind != "null":
         raise QulineError("the photon Wigner rotation needs a null worldline")
     t0, t1 = worldline.param_span
-    h = fd_step if fd_step is not None else max(1e-7, abs(t1 - t0) * 1e-7)
+    h = max(1e-7, abs(t1 - t0) * 1e-7)
 
     def rate(lam):
-        _, u, _, _, pulled = worldline.transport_kinematics(lam)
+        _, u, _, _, pulled = worldline.kinematics(lam)
         ar = adaptation_rotation(u)                        # diad rows f^A_I
         # d f^A_I / d lam by 4th-order central differences in the parameter
         df = np.tensordot(_FD_WEIGHTS, [_diad_rows(worldline, lam + off * h)
@@ -246,7 +245,7 @@ def wigner_rotation(worldline, n_samples=201, tol=1e-12, fd_step=None):
                     rtol=tol, atol=tol, dense_output=True)
     if not sol.success:
         raise ToleranceError(f"Wigner angle integration failed: {sol.message}")
-    params = np.linspace(t0, t1, n_samples)
+    params = worldline.sample_params()
     return params, sol.sol(params)[0]
 
 
@@ -279,14 +278,11 @@ def apply_jones(state: PhotonState, matrix):
     return jones_to_state(new_jones, state.wavevector, state.event)
 
 
-def redirect(state: PhotonState, new_wavevector, matrix=None):
+def redirect(state: PhotonState, new_wavevector):
     """Mirror-style element: carry the Jones vector onto a new ray direction.
 
     The polarization content is expressed in the adapted basis of the old
-    ray, optionally acted on by ``matrix``, and rebuilt on the new ray's
-    adapted basis at the same event.
+    ray and rebuilt on the new ray's adapted basis at the same event.
     """
     _, jones = adapt(state)
-    if matrix is not None:
-        jones = np.asarray(matrix, dtype=complex).reshape(2, 2) @ jones
     return jones_to_state(jones, np.asarray(new_wavevector, dtype=float), state.event)

@@ -127,9 +127,18 @@ _span = _number(("time", "length"))   # time and length coincide in natural unit
 _bare = _number("natural")
 _angle = _number("angle")
 _seed = _whole(0)
-_tolerance = _number("natural", positive=True)
 _mass = _number("mass", positive=True)
 _spinor = _vector(4, nonzero=True)    # two complex numbers as (re, im, re, im)
+# scipy raises a smaller rtol to 100 eps with a warning, or fails to step
+SMALLEST_TOLERANCE = float(100 * np.finfo(float).eps)
+
+
+def _tolerance(raw, block):
+    """A solver tolerance: a bare number no smaller than SMALLEST_TOLERANCE."""
+    value = _bare(raw, block)
+    if not value >= SMALLEST_TOLERANCE:
+        raise DomainError(f"[{block}] must be at least {SMALLEST_TOLERANCE:.3g}, got {raw!r}")
+    return value
 
 
 def _complex_pair(c):
@@ -190,15 +199,14 @@ WORLDLINE = Entries(type=(Choice(
               "revolutions": (_number(), 1.0)},
     timelike={"start": (_vector(4), [0, 0, 0, 0]),
               "beta": (_vector(3, "velocity"), [0, 0, 0]), "span": (_span, 1.0),
-              "charge_to_mass": (_number(), 0.0), "tolerance": (_tolerance, 1e-12)},
+              "tolerance": (_tolerance, 1e-12)},
     null_geodesic={"start": (_vector(4), [0, 0, 0, 0]),
                    "wavevector": (_vector(4), [1, 0, 0, 1]), "span": (_span, 1.0),
                    "tolerance": (_tolerance, 1e-12)},
 ), REQUIRED))
 
 QUBIT = Entries(kind=(Choice(
-    fermion={"state": (_spinor, [1, 0, 0, 0]), "mass": (_mass, 1.0),
-             "charge_to_mass": (_number(), 0.0)},
+    fermion={"state": (_spinor, [1, 0, 0, 0]), "mass": (_mass, 1.0)},
     photon={"jones": (_spinor, [1, 0, 0, 0])},
 ), REQUIRED), worldline=(_text, REQUIRED))
 
@@ -338,8 +346,7 @@ def build_worldline(model, name, w):
         if beta @ beta >= 1.0:
             raise ScenarioError("beta must be subluminal", block=block)
         u0 = 1.0 / np.sqrt(1.0 - beta @ beta) * np.array([1.0, *beta])
-        return integrate_timelike(model, None, w["start"], u0,
-                                  charge_to_mass=w["charge_to_mass"], span=w["span"],
+        return integrate_timelike(model, None, w["start"], u0, span=w["span"],
                                   tol=w["tolerance"])
     k0 = w["wavevector"]
     if abs(minkowski_dot(k0, k0)) > 1e-12 * (1.0 + k0 @ k0) or k0[0] <= 0.0:
@@ -361,7 +368,7 @@ def _jones_matrix(op):
 def _carry(qubit, state, wl, tol):
     """Transport ``state`` along ``wl`` as ``qubit``'s kind is transported."""
     if qubit["kind"] == "fermion":
-        return fermion_transport(state, wl, charge_to_mass=qubit["charge_to_mass"], tol=tol)
+        return fermion_transport(state, wl, tol=tol)
     return photon_transport(state, wl, tol=tol)
 
 
@@ -462,9 +469,12 @@ class ScenarioRun:
         qubit = _lookup(self.qubits, mz["qubit"], "qubit", block)
         if qubit["kind"] != kind:
             raise ScenarioError("interferometer kind differs from the qubit", block=block)
-        # the transports end where the arm worldlines end
-        end1, end2 = (a.worldline.event(a.worldline.param_span[1]) for a in arms)
-        if not end1.close_to(end2, mz["region_tol"]):
+        # the transports end where the arm worldlines end, so the phases must too
+        for key, a in zip(("arm1", "arm2"), arms):
+            if a.end_param != a.worldline.param_span[1]:
+                raise ScenarioError("end must be the worldline's end when the "
+                                    "interferometer carries a qubit", block=f"{block}.{key}")
+        if not a1.event.close_to(a2.event, mz["region_tol"]):
             raise ScenarioError("arm endpoints leave the recombination region", block=block)
         a, b = ((1j / np.sqrt(2.0),) * 2 if mz["amplitudes"] is None
                 else _complex_pair(mz["amplitudes"]))

@@ -185,12 +185,12 @@ def spin_half_rotation(axis, angle):
     return np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * n_sigma
 
 
-def random_local_lorentz(rng, vmax=0.7):
+def random_local_lorentz(rng):
     """Random proper orthochronous element (boost x rotation) with spin-half image."""
     rng = np.random.default_rng(rng)
     direction = rng.standard_normal(3)
     direction /= np.linalg.norm(direction)
-    beta = rng.uniform(0.0, vmax) * direction
+    beta = rng.uniform(0.0, 0.7) * direction
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(0.0, 2.0 * np.pi)

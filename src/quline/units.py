@@ -12,10 +12,6 @@ import re
 C_SI = 299792458.0            # m/s
 HBAR_SI = 1.054571817e-34     # J s
 
-_PREFIX = {
-    "n": 1e-9, "u": 1e-6, "m": 1e-3, "c": 1e-2, "k": 1e3, "M": 1e6, "G": 1e9,
-}
-
 # unit -> (dimension, factor to SI base unit)
 _UNITS = {
     "m": ("length", 1.0),

@@ -7,11 +7,11 @@ A worldline knows its model and exposes, for any value of its parameter
 * ``coordinate_velocity(lam)``  dx^mu/dlam (coordinate components)
 * ``velocity(lam)``             u^I (tetrad components)
 * ``acceleration(lam)``         a^I = Du^I/Dlam (tetrad components)
-* ``kinematics(lam)``           all four at once, (x, u, a, xdot); for a 1-d
-                                array of n parameters, four (n, 4) arrays
-* ``transport_kinematics(lam)`` (x, u, a, xdot, pulled) with pulled =
-                                xdot^nu omega_nu^I_J, from one evaluation of
-                                the model's frame
+* ``kinematics(lam)``           (x, u, a, xdot, pulled), the four above and
+                                the pulled connection xdot^nu omega_nu^I_J
+                                from one evaluation of the model's frame;
+                                for a 1-d array of n parameters, (n, 4)
+                                arrays and an (n, 4, 4) one
 
 Timelike velocities satisfy u.u = 1, null ones u.u = 0; normalization is
 verified after integration, never re-imposed.
@@ -19,9 +19,11 @@ verified after integration, never re-imposed.
 Every qubit observable comes from one linear transport dY/dlam = G(lam) Y
 along a worldline; :func:`propagate` integrates its propagator U(lam) once,
 evaluating G at all stage nodes of each step in one batched call, and
-callers apply it to their states.  Both DOP853 solves, trajectory and
-propagator, do only the work of step-size control while they run; the dense
-output of all accepted steps is made afterwards in one array pass.
+callers apply it to their states.  A generator is a function of the five
+arrays ``kinematics`` returns and of nothing else along the worldline.
+Both DOP853 solves, trajectory and propagator, do only the work of
+step-size control while they run; the dense output of all accepted steps
+is made afterwards in one array pass.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .errors import (ComplexVelocity, DomainError, QulineError, ToleranceError,
                      reject_where)
-from .geometry import _STENCIL, Event, _stencil_derivative
+from .geometry import _STENCIL, DEFAULT_FD_STEP, Event, _stencil_derivative
 from .spin_algebra import ETA, minkowski_dot
 
 
@@ -70,18 +72,19 @@ class EMField:
             return np.zeros(4)
         return np.asarray(self._potential(coords), dtype=float)
 
-    def consistency_residual(self, model, coords, step=1e-5):
+    def consistency_residual(self, model, coords):
         """|F_IJ - tetrad components of 2 grad_[mu A_nu]| at one event."""
         coords = np.asarray(coords, dtype=float).reshape(4)
-        points = coords + step * _STENCIL[1:]
-        dA = _stencil_derivative(np.array([self.potential(c) for c in points]), step)
+        points = coords + DEFAULT_FD_STEP * _STENCIL[1:]
+        dA = _stencil_derivative(np.array([self.potential(c) for c in points]),
+                                 DEFAULT_FD_STEP)
         f_coord = dA - dA.T          # F_{mu nu} = d_mu A_nu - d_nu A_mu
         e = model.tetrad(coords)     # e^mu_I
         f_tet = np.einsum("mi,nj,mn->ij", e, e, f_coord)
         return np.abs(f_tet - self.tensor(coords)).max()
 
 
-def constant_magnetic_field(b_vector, potential=None):
+def constant_magnetic_field(b_vector):
     """Homogeneous magnetic field in the frame of the tetrad: F_ij = -eps_ijk B^k."""
     b = np.asarray(b_vector, dtype=float).reshape(3)
     f = np.zeros((4, 4))
@@ -91,14 +94,13 @@ def constant_magnetic_field(b_vector, potential=None):
     f[3, 2] = b[0]
     f[3, 1] = -b[1]
     f[1, 3] = b[1]
-    return EMField(lambda coords: f, potential)
+    return EMField(lambda coords: f)
 
 
 class Worldline:
     """Base class; see module docstring for the evaluation surface."""
 
     kind = "timelike"
-    param_meaning = "proper_time"
 
     def __init__(self, model, span):
         self.model = model
@@ -123,15 +125,11 @@ class Worldline:
         return self.position(lam), self.velocity(lam), self.acceleration(lam)
 
     def kinematics(self, lam):
-        """(position, velocity, acceleration, coordinate_velocity) at ``lam``,
-        a scalar or a 1-d array of parameters (then each is an (n, 4) array)."""
-        x, u, a = self._motion(lam)
-        return x, u, a, self.model.to_coords(x, u)
-
-    def transport_kinematics(self, lam):
-        """``kinematics`` and the pulled connection xdot^nu omega_nu^I_J,
-        (x, u, a, xdot, pulled), with xdot and pulled from one call of the
-        model's ``pulled_connections``."""
+        """(position, velocity, acceleration, coordinate_velocity, pulled) at
+        ``lam``, a scalar or a 1-d array of parameters (then (n, 4) arrays and
+        an (n, 4, 4) one), with the coordinate velocity and the pulled
+        connection xdot^nu omega_nu^I_J from one call of the model's
+        ``pulled_connections``."""
         x, u, a = self._motion(lam)
         return (x, u, a, *self.model.pulled_connections(x, u))
 
@@ -142,7 +140,7 @@ class Worldline:
 
     def velocity_coordinate_derivative(self, lam):
         """du^I/dlam (ordinary derivative of the tetrad components)."""
-        _, u, a, _, pulled = self.transport_kinematics(lam)
+        _, u, a, _, pulled = self.kinematics(lam)
         return a - pulled @ u
 
     def event(self, lam):
@@ -159,10 +157,10 @@ class Worldline:
     def sample_params(self, n=201):
         return np.linspace(self.param_span[0], self.param_span[1], n)
 
-    def norm_audit(self, n=201):
-        """Max |u.u - target| over n samples (target 1 timelike, 0 null)."""
+    def norm_audit(self):
+        """Max |u.u - target| over 201 samples (target 1 timelike, 0 null)."""
         target = 1.0 if self.kind == "timelike" else 0.0
-        u = self.trajectory(self.sample_params(n))[1].T
+        u = self.trajectory(self.sample_params())[1].T
         return float(np.abs(minkowski_dot(u, u) - target).max())
 
     def to_csv(self, path, n=201):
@@ -171,7 +169,7 @@ class Worldline:
             w.writerow(["param"] + [f"x{m}" for m in range(4)]
                        + [f"u{i}" for i in range(4)] + [f"a{i}" for i in range(4)])
             params = self.sample_params(n)
-            x, u, a, _ = self.kinematics(params)
+            x, u, a = self.kinematics(params)[:3]
             for row in np.column_stack([params, x, u, a]).tolist():
                 w.writerow([f"{v:.17g}" for v in row])
 
@@ -183,14 +181,12 @@ class AnalyticWorldline(Worldline):
     and ``trajectory`` of an array evaluate them node by node.
     """
 
-    def __init__(self, model, span, position, velocity, acceleration, kind="timelike",
-                 param_meaning=None):
+    def __init__(self, model, span, position, velocity, acceleration, kind="timelike"):
         super().__init__(model, span)
         self._position = position
         self._velocity = velocity
         self._acceleration = acceleration
         self.kind = kind
-        self.param_meaning = param_meaning or ("proper_time" if kind == "timelike" else "affine")
 
     def position(self, lam):
         return np.asarray(self._position(lam), dtype=float)
@@ -221,8 +217,7 @@ class _BroadcastWorldline(AnalyticWorldline):
 class IntegratedWorldline(Worldline):
     """Worldline backed by the :class:`DenseSolution` of an adaptive DOP853 solve.
 
-    ``kinematics``, ``transport_kinematics`` and ``trajectory`` evaluate the
-    dense output once per call,
+    ``kinematics`` and ``trajectory`` evaluate the dense output once per call,
     at one parameter or at a whole array of them.  ``accel_fn(x, u)`` is the
     force per unit mass; None for a free trajectory.
     """
@@ -230,7 +225,6 @@ class IntegratedWorldline(Worldline):
     def __init__(self, model, sol, span, kind, accel_fn):
         super().__init__(model, span)
         self.kind = kind
-        self.param_meaning = "proper_time" if kind == "timelike" else "affine"
         self._sol = sol
         self._accel = accel_fn
 
@@ -263,7 +257,6 @@ class SampledWorldline(Worldline):
     def __init__(self, model, params, positions, velocities, accelerations, kind="timelike"):
         super().__init__(model, (params[0], params[-1]))
         self.kind = kind
-        self.param_meaning = "proper_time" if kind == "timelike" else "affine"
         from scipy.interpolate import CubicHermiteSpline
         params = np.asarray(params, dtype=float)
         positions = np.asarray(positions, dtype=float)
@@ -509,7 +502,7 @@ def propagate(worldline, generator, dim, tol):
     """Propagator of the linear transport dY/dlam = G(lam) Y along ``worldline``.
 
     ``generator(x, u, a, xdot, pulled)`` returns G from the worldline's
-    ``transport_kinematics``: a (dim, dim) matrix at one parameter, an
+    ``kinematics``: a (dim, dim) matrix at one parameter, an
     (n, dim, dim) stack for (n, 4) rows.  The matrix equation is integrated
     over the whole parameter span with the 8th-order Dormand-Prince pair
     DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) in the form
@@ -519,7 +512,7 @@ def propagate(worldline, generator, dim, tol):
     one batched product per extra stage.
     """
     def field(lam):
-        return generator(*worldline.transport_kinematics(lam))
+        return generator(*worldline.kinematics(lam))
 
     def rhs(lam, y):
         return (field(lam) @ y.reshape(dim, dim)).ravel()
@@ -621,7 +614,7 @@ def integrate_timelike(model, em, x0, u0, charge_to_mass=0.0, span=1.0, tol=1e-1
                       _lorentz_force_accel(model, em, charge_to_mass), max_step)
 
 
-def integrate_null_geodesic(model, x0, k0, span=1.0, tol=1e-11, max_step=np.inf):
+def integrate_null_geodesic(model, x0, k0, span=1.0, tol=1e-11):
     """Integrate a null geodesic with the wavevector itself as affine velocity."""
     k0 = np.asarray(k0, dtype=float).reshape(4)
     norm = minkowski_dot(k0, k0)
@@ -632,7 +625,7 @@ def integrate_null_geodesic(model, x0, k0, span=1.0, tol=1e-11, max_step=np.inf)
     return _integrate(model, x0, k0, span, tol, "null", None)
 
 
-def static_worldline(model, spatial_coords, span, t0=0.0):
+def static_worldline(model, spatial_coords, span):
     """Worldline of an observer at fixed spatial chart coordinates.
 
     Requires a static model whose tetrad time leg is aligned with the
@@ -640,7 +633,7 @@ def static_worldline(model, spatial_coords, span, t0=0.0):
     velocity is then exactly (1,0,0,0) and the proper acceleration follows
     from the connection.
     """
-    x_ref = np.array([t0, *np.asarray(spatial_coords, dtype=float)])
+    x_ref = np.array([0.0, *np.asarray(spatial_coords, dtype=float)])
     model.check_domain(x_ref)
     e = model.tetrad(x_ref)
     if np.abs(e[1:, 0]).max() > 1e-12 or np.abs(e[0, 1:]).max() > 1e-12:
@@ -651,14 +644,14 @@ def static_worldline(model, spatial_coords, span, t0=0.0):
     a_tet = ut_coord * omega[0, :, 0]
 
     def position(tau):
-        return _four_vectors(tau, t0 + ut_coord * tau, *x_ref[1:])
+        return _four_vectors(tau, ut_coord * tau, *x_ref[1:])
 
     return _BroadcastWorldline(model, (0.0, span), position,
                                lambda tau: _four_vectors(tau, *u_tet),
                                lambda tau: _four_vectors(tau, *a_tet))
 
 
-def circular_worldline(model, radius, beta, revolutions=1.0, z=0.0):
+def circular_worldline(model, radius, beta, revolutions=1.0):
     """Flat-space circular orbit in the x-y plane at constant speed beta.
 
     Parameterized by proper time; one revolution takes 2 pi radius /
@@ -677,7 +670,7 @@ def circular_worldline(model, radius, beta, revolutions=1.0, z=0.0):
     def position(tau):
         t = gamma * tau
         ang = omega_coord * t
-        return _four_vectors(tau, t, radius * np.cos(ang), radius * np.sin(ang), z)
+        return _four_vectors(tau, t, radius * np.cos(ang), radius * np.sin(ang), 0.0)
 
     def velocity(tau):
         ang = omega_coord * gamma * tau
@@ -753,15 +746,16 @@ def worldline_from_coordinate_path(model, spatial_path, spatial_rate, t0, t1, n=
     return SampledWorldline(model, taus, positions, u_tet, accels, "timelike")
 
 
-def killing_energy(model, worldline, xi, mass=1.0, n=201):
-    """E = p_mu xi^mu per sample for a declared Killing field xi (coordinate
+def killing_energy(worldline, xi, mass=1.0):
+    """E = p_mu xi^mu at 201 samples for a declared Killing field xi (coordinate
     components, callable of coords or a constant vector)."""
     xi_fn = xi if callable(xi) else (lambda c, _v=np.asarray(xi, dtype=float): _v)
-    params = worldline.sample_params(n)
+    params = worldline.sample_params()
     energies = np.empty_like(params)
     for i, lam in enumerate(params):
         x = worldline.position(lam)
-        p_coord_lower = mass * model.lower_coordinate(x, worldline.coordinate_velocity(lam))
+        p_coord_lower = mass * worldline.model.lower_coordinate(
+            x, worldline.coordinate_velocity(lam))
         energies[i] = p_coord_lower @ xi_fn(x)
     return params, energies
 

@@ -109,11 +109,11 @@ class TestSingleSolveMaps:
     """Maps built from one propagator solve agree with per-basis-vector transports."""
 
     def test_fermion_slot_map(self):
-        model, _, orbit = curved_legs()
+        _, _, orbit = curved_legs()
         label = cp.SlotLabel("fermion", orbit.start_event, orbit.velocity(0.0))
-        u_mat, end = cp._slot_propagator(label, orbit, None, 0.0, 1e-12)
-        generator = lambda x, u, a, xdot: fm._covariant_generator(model, None, 0.0,
-                                                                   x, u, a, xdot)
+        u_mat, end = cp._slot_propagator(label, orbit, 1e-12)
+        generator = lambda x, u, a, xdot, pulled: fm._covariant_generator(None, 0.0, x, u, a,
+                                                                           xdot, pulled)
         for i in range(2):
             col = reference_transport(orbit, generator, np.eye(2)[i])
             assert np.abs(u_mat[:, i] - col).max() < 1e-10
@@ -129,20 +129,20 @@ class TestSingleSolveMaps:
         ray = integrate_null_geodesic(model, x0, model.inverse_tetrad(x0) @ k_coord,
                                       span=10.0, tol=1e-12)
         label = cp.SlotLabel("photon", ray.start_event, ray.velocity(0.0))
-        u_mat, end = cp._slot_propagator(label, ray, None, 0.0, 1e-12)
-        generator = lambda x, u, a, xdot: -np.tensordot(xdot, model.connection(x), 1)
+        u_mat, end = cp._slot_propagator(label, ray, 1e-12)
+        generator = lambda x, u, a, xdot, pulled: -np.tensordot(xdot, model.connection(x), 1)
         for i in range(4):
             pol = reference_transport(ray, generator, np.eye(4)[i])
             col = ph.PhotonState(pol, end.event, end.velocity).canonical().pol
             assert np.abs(u_mat[:, i] - col).max() < 1e-10
 
     def test_basis_pair_field(self):
-        model, _, orbit = curved_legs()
+        _, _, orbit = curved_legs()
         pair = orthonormal_pair(orbit.start_event, orbit.velocity(0.0),
                                 np.random.default_rng(7))
         field = cp.make_basis_pair_field(pair, orbit, tol=1e-12)
-        generator = lambda x, u, a, xdot: fm._covariant_generator(model, None, 0.0,
-                                                                   x, u, a, xdot)
+        generator = lambda x, u, a, xdot, pulled: fm._covariant_generator(None, 0.0, x, u, a,
+                                                                           xdot, pulled)
         for start, final in zip(pair, field.final):
             assert np.abs(final.psi - reference_transport(orbit, generator,
                                                           start.psi)).max() < 1e-10

@@ -192,7 +192,7 @@ class TestParallelTransport:
         model = geo.make_builtin_model("minkowski", [])
         wl = integrate_timelike(model, None, np.zeros(4), [1, 0, 0, 0], span=5.0)
         v0 = np.array([0.3, 0.2, -0.5, 1.0])
-        _, vecs = geo.parallel_transport_vector(model, wl, v0)
+        _, vecs = geo.parallel_transport_vector(wl, v0)
         assert np.abs(vecs - v0).max() < 1e-12
 
     def test_flat_closed_loop_identity(self):
@@ -203,8 +203,8 @@ class TestParallelTransport:
         end = wl_out.position(2.0)
         wl_back = integrate_timelike(model, None, end, [g, -0.5 * g, 0, 0], span=2.0)
         v0 = np.array([1.0, 0.3, 0.0, -0.2])
-        _, vecs1 = geo.parallel_transport_vector(model, wl_out, v0)
-        _, vecs2 = geo.parallel_transport_vector(model, wl_back, vecs1[-1])
+        _, vecs1 = geo.parallel_transport_vector(wl_out, v0)
+        _, vecs2 = geo.parallel_transport_vector(wl_back, vecs1[-1])
         assert np.abs(vecs2[-1] - v0).max() < 1e-9
 
     def test_schwarzschild_norm_preserved(self):
@@ -219,7 +219,7 @@ class TestParallelTransport:
         k0 = model.inverse_tetrad(x0) @ k0_coord
         wl = integrate_null_geodesic(model, x0, k0, span=12.0, tol=1e-12)
         v0 = np.array([0.0, 0.2, 1.0, -0.3])
-        _, vecs = geo.parallel_transport_vector(model, wl, v0, tol=1e-12)
+        _, vecs = geo.parallel_transport_vector(wl, v0, tol=1e-12)
         n0 = minkowski_dot(v0, v0)
         drift = max(abs(minkowski_dot(v, v) - n0) for v in vecs)
         assert drift < 1e-9
@@ -233,8 +233,8 @@ class TestParallelTransport:
         u0 = model.inverse_tetrad(x0) @ np.array([1 / np.sqrt(1 - 2 / 8.0), 0, 0, 0])
         wl = integrate_timelike(model, None, x0, u0, span=6.0, tol=1e-10)
         v0 = np.array([0.5, 1.0, 0.0, 0.7])
-        _, coarse = geo.parallel_transport_vector(model, wl, v0, tol=1e-8)
-        _, fine = geo.parallel_transport_vector(model, wl, v0, tol=1e-13)
+        _, coarse = geo.parallel_transport_vector(wl, v0, tol=1e-8)
+        _, fine = geo.parallel_transport_vector(wl, v0, tol=1e-13)
         assert np.abs(coarse[-1] - fine[-1]).max() < 1e-8
 
 

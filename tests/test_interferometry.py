@@ -82,6 +82,19 @@ class TestPhaseDifference:
             itf.displacement_phase(a1.k_lower, a1.event.coords, a2.event.coords),
             rel=1e-12)
 
+    def test_common_potential_adds_its_charge_term(self):
+        # dtheta = (k + eA).(x1 - x2) + (theta2 - theta1), e the arms' charge
+        u0 = np.array([1.0, 0.0, 0.0, 0.0])
+        arms = [itf.arm_phase(integrate_timelike(FLAT, None, start, u0, span=2.0),
+                              kind="fermion", mass=1.3, charge=-0.5)
+                for start in (np.zeros(4), np.array([0.0, -0.2, 0.1, 0.0]))]
+        a_lower = np.array([0.4, -0.3, 0.2, 0.7])
+        dx = arms[0].event.coords - arms[1].event.coords
+        shift = (itf.phase_difference(*arms, a_common_lower=a_lower)
+                 - itf.phase_difference(*arms))
+        assert shift == pytest.approx(-0.5 * (a_lower @ dx), rel=1e-12)
+        assert shift != 0.0
+
     def test_wavevector_mismatch_raises(self):
         a1 = straight_fermion_arm(np.zeros(4), [0.3, 0, 0], 2.0, 1.0)
         a2 = straight_fermion_arm(np.zeros(4), [0.5, 0, 0], 2.0, 1.0)

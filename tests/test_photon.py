@@ -131,8 +131,8 @@ class TestTransport:
         pol0 = np.cos(angle0) * d1 + np.sin(angle0) * d2
         st = ph.PhotonState(pol0, wl.start_event, wl.velocity(0.0))
         res = ph.transport(st, wl, tol=1e-13)
-        _, d1_t = parallel_transport_vector(model, wl, d1, tol=1e-13)
-        _, d2_t = parallel_transport_vector(model, wl, d2, tol=1e-13)
+        _, d1_t = parallel_transport_vector(wl, d1, tol=1e-13)
+        _, d2_t = parallel_transport_vector(wl, d2, tol=1e-13)
         # angle of the polarization against the transported diad is unchanged
         c1 = -(d1_t[-1] @ ETA @ res.final.pol)
         c2 = -(d2_t[-1] @ ETA @ res.final.pol)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,18 @@ GOLDEN = Path(__file__).resolve().parent / "data"
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
+
+
+def run_edited(tmp_path, scenario, edit):
+    """The report of a successful run of ``scenario`` with ``edit`` applied."""
+    data = sc.load_scenario(SCENARIOS / scenario)
+    edit(data)
+    tmp_path.mkdir(exist_ok=True)
+    path = tmp_path / "edited.scenario"
+    path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    assert run_cli(["--out-dir", out, "run", path]) == cli.EXIT_OK
+    return json.loads((out / data["output"]["json"]).read_text())
 
 
 def _interferometer(**change):
@@ -47,7 +60,12 @@ COW_BLOCK = {"mass": "1.67492749804e-27 kg", "v1": "2200 m/s", "dz": "2 cm",
 # the error each case of the malformed-input table raises, if not a parse error
 EXPECTED_ERRORS = {"interferometer_arm": ScenarioReferenceError,
                    "optic_on_fermion": ScenarioError, "photon_on_timelike": ScenarioError,
-                   "circular_on_curved_model": ScenarioError}
+                   "circular_on_curved_model": ScenarioError,
+                   "qubit_arm_end_short": ScenarioError,
+                   "interferometer_kind_not_qubit_kind": ScenarioError,
+                   "arm_ends_apart": ScenarioError, "superluminal_beta": ScenarioError,
+                   "spacelike_wavevector": ScenarioError,
+                   "past_pointing_wavevector": ScenarioError}
 
 
 class TestValidate:
@@ -178,6 +196,19 @@ class TestValidate:
             d["worldlines"].update(line={"type": "circular"}))),
         ("unnormalized_amplitudes", _interferometer(qubit="q0", amplitudes=[1, 0, 1, 0])),
         ("infinite_span", lambda d: d["worldlines"]["rest_line"].update(span="1e999 s")),
+        ("worldline_charge_to_mass", _worldline(type="timelike", charge_to_mass=7.5)),
+        ("qubit_charge_to_mass", lambda d: d["qubits"]["q0"].update(charge_to_mass=7.5)),
+        ("qubit_arm_end_short", _interferometer(
+            qubit="q0", arm1={"worldline": "rest_line", "end": "5e-7 s"})),
+        ("interferometer_kind_not_qubit_kind", lambda d: (
+            _photon()(d), _interferometer(qubit="p0")(d))),
+        ("arm_ends_apart", lambda d: (
+            _worldline(type="static", position=[1, 0, 0], span="1e-6 s")(d),
+            _interferometer(qubit="q0", arm2={"worldline": "line"}, region_tol=1e-6)(d))),
+        ("superluminal_beta", _worldline(type="timelike", beta=[0.6, 0.8, 0])),
+        ("spacelike_wavevector", _worldline(type="null_geodesic", wavevector=[1, 0, 0, 2])),
+        ("past_pointing_wavevector", _worldline(type="null_geodesic",
+                                                wavevector=[-1, 0, 0, 1])),
     ])
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_malformed_entry_or_value(self, tmp_path, capsys, case, edit, command):
@@ -200,6 +231,10 @@ class TestValidate:
         ("qubit_mass", lambda d: d["qubits"]["q0"].update(mass=0)),
         ("op_tolerance", lambda d: d["schedule"][0].update(tolerance=0)),
         ("worldline_tolerance", _worldline(type="timelike", tolerance=-1e-9)),
+        ("worldline_tolerance_below_floor", _worldline(type="timelike", tolerance=1e-14)),
+        ("null_tolerance_below_floor", _worldline(type="null_geodesic", tolerance=2e-14)),
+        ("op_tolerance_below_floor", lambda d: d["schedule"][0].update(tolerance=1e-300)),
+        ("interferometer_tolerance_below_floor", _interferometer(tolerance=1e-14)),
         ("photon_along_minus_z", lambda d: (
             d["worldlines"].update(ray={"type": "null_geodesic", "wavevector": [1, 0, 0, -1]}),
             d["qubits"].update(p0={"kind": "photon", "worldline": "ray"}))),
@@ -208,6 +243,29 @@ class TestValidate:
     def test_out_of_range_value(self, tmp_path, capsys, case, edit, command):
         self.assert_rejected(tmp_path, capsys, "flat_noop.scenario", edit, command,
                              DomainError)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_tolerance_floor_is_checked_before_scipy(self, tmp_path, capsys, command):
+        # below 100 eps scipy warns and raises rtol, or cannot step at all; the
+        # parse rejects such a value in one line and no warning, and the
+        # floor itself runs without one
+        for tolerance, code in ((1e-14, cli.EXIT_DOMAIN), (1e-300, cli.EXIT_DOMAIN),
+                                (sc.SMALLEST_TOLERANCE, cli.EXIT_OK)):
+            data = sc.load_scenario(SCENARIOS / "flat_noop.scenario")
+            data["worldlines"]["line"] = {"type": "timelike", "tolerance": tolerance}
+            data["schedule"][0]["tolerance"] = tolerance
+            path = tmp_path / "tol.scenario"
+            path.write_text(yaml.safe_dump(data))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run_cli(["--out-dir", tmp_path, command, path]) == code
+            assert caught == []
+            err = capsys.readouterr().err
+            if code == cli.EXIT_OK:
+                assert err == ""
+            else:
+                assert err.startswith("domain error: [worldlines.line.tolerance]")
+                assert err.count("\n") == 1
 
     @pytest.mark.parametrize("polarizer", [5, {"type": "circular", "handedness": "abc"}])
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -355,6 +413,44 @@ class TestRun:
         assert (d1 / "polarimetry.json").read_bytes() == (d2 / "polarimetry.json").read_bytes()
         assert (d1 / "polarimetry.csv").read_bytes() == (d2 / "polarimetry.csv").read_bytes()
 
+    def test_jones_element_acts_as_the_rotator_it_writes_out(self, tmp_path):
+        angle = parse_quantity("30 deg")[0]
+        c, s = np.cos(angle), np.sin(angle)
+
+        def as_jones(data):
+            data["schedule"][1] = {"op": "optic", "qubit": "p0", "element": "jones",
+                                   "matrix": [float(c), 0.0, float(-s), 0.0,
+                                              float(s), 0.0, float(c), 0.0]}
+        rotator = run_edited(tmp_path / "rotator", "polarimetry.scenario", lambda d: None)
+        jones = run_edited(tmp_path / "jones", "polarimetry.scenario", as_jones)
+        assert jones["results"] == rotator["results"]
+
+    def test_half_wave_plate_mirrors_the_polarization(self, tmp_path):
+        # rotator 30 deg, then retardance pi: linear at -30 deg, so a linear
+        # polarizer at +30 deg passes cos^2(60 deg)
+        def edit(data):
+            data["schedule"][2:] = [
+                {"op": "optic", "qubit": "p0", "element": "waveplate", "retardance": "180 deg"},
+                {"op": "measure_polarization", "qubit": "p0",
+                 "polarizer": {"type": "linear", "angle": "30 deg"}}]
+        meas = run_edited(tmp_path, "polarimetry.scenario", edit)["results"]["schedule"][-1]
+        assert meas["probability"] == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("handedness, probability", [(1, 1.0), (-1, 0.0)])
+    def test_quarter_wave_plate_and_circular_polarizer(self, tmp_path, handedness,
+                                                      probability):
+        # linear at 45 deg through retardance pi/2 is circular: one circular
+        # polarizer passes all of it, the other none
+        def edit(data):
+            data["schedule"][1]["angle"] = "45 deg"
+            data["schedule"][2:] = [
+                {"op": "optic", "qubit": "p0", "element": "waveplate", "retardance": "90 deg"},
+                {"op": "measure_polarization", "qubit": "p0",
+                 "polarizer": {"type": "circular", "handedness": handedness}}]
+        meas = run_edited(tmp_path, "polarimetry.scenario", edit)["results"]["schedule"][-1]
+        assert meas["probability"] == pytest.approx(probability, abs=1e-12)
+        assert meas["transmitted"] is (probability == 1.0)
+
     def test_malformed_run_no_partial_output(self, tmp_path):
         bad = tmp_path / "bad.scenario"
         bad.write_text("worldlines: [1, 2\n")
@@ -399,6 +495,34 @@ class TestSweep:
         data["sweep"] = {"parameter": "cow.dz", "start": "1 cm", "steps": 1}
         rows = sc.sweep_rows(data)
         assert len(rows) == 1
+
+    def test_command_line_overrides_every_sweep_key(self, tmp_path):
+        assert run_cli(["--out-dir", tmp_path, "sweep", SCENARIOS / "cow.scenario",
+                        "--parameter", "cow.ell", "--start", "1 cm", "--stop", "3 cm",
+                        "--steps", "3"]) == cli.EXIT_OK
+        rows = json.loads((tmp_path / "cow.json").read_text())["rows"]
+        assert [row["parameter"] for row in rows] == ["cow.ell"] * 3
+        assert [row["value"] for row in rows] == np.linspace(0.01, 0.03, 3).tolist()
+        data = sc.load_scenario(SCENARIOS / "cow.scenario")
+        data["sweep"] = {"parameter": "cow.ell", "start": "1 cm", "stop": "3 cm", "steps": 3}
+        assert rows == sc.sweep_rows(data)
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda d: d.pop("sweep"), ScenarioParseError),
+        (lambda d: d["sweep"].update(parameter="model.g"), ScenarioParseError),
+        (lambda d: d.pop("cow"), ScenarioReferenceError)],
+        ids=["no_sweep_block", "not_a_cow_parameter", "no_cow_block"])
+    def test_sweep_needs_a_cow_parameter_and_block(self, tmp_path, capsys, edit, error):
+        data = sc.load_scenario(SCENARIOS / "cow.scenario")
+        edit(data)
+        with pytest.raises(error):
+            sc.sweep_rows(data)
+        path = tmp_path / "bad.scenario"
+        path.write_text(yaml.safe_dump(data))
+        code = cli.EXIT_PARSE if error is ScenarioParseError else cli.EXIT_REFERENCE
+        assert run_cli(["--out-dir", tmp_path, "sweep", path]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_unknown_parameter(self):
         data = sc.load_scenario(SCENARIOS / "cow.scenario")
@@ -549,6 +673,26 @@ class TestInterferometerBlock:
         assert abs(row["delta_theta"]) == pytest.approx(omega * d, rel=1e-12)
         assert row["probability"] == pytest.approx(
             0.5 * (1 + np.cos(omega * d)), abs=1e-12)
+
+    def test_without_a_qubit_only_the_phases_are_reported(self, tmp_path):
+        full = run_edited(tmp_path / "full", "displaced_arms.scenario", lambda d: None)
+        phases = run_edited(tmp_path / "phases", "displaced_arms.scenario",
+                                    lambda d: d["interferometer"].pop("qubit"))
+        row = phases["results"]["interferometer"]
+        assert list(row) == ["delta_theta", "delta_theta_dis", "delta_theta_int",
+                             "theta_int_1", "theta_int_2"]
+        assert row == {key: full["results"]["interferometer"][key] for key in row}
+
+    def test_qubit_arm_end_must_be_its_worldline_end(self, tmp_path):
+        # flat_noop's rest line spans 1e-6 s
+        edit = _interferometer(qubit="q0", arm1={"worldline": "rest_line", "end": "1e-6 s"})
+        row = run_edited(tmp_path, "flat_noop.scenario", edit)["results"]["interferometer"]
+        assert row["delta_theta_tot"] == pytest.approx(0.0, abs=1e-12)
+        assert row["probability"] == pytest.approx(1.0, abs=1e-12)
+        data = sc.load_scenario(SCENARIOS / "flat_noop.scenario")
+        _interferometer(qubit="q0", arm2={"worldline": "rest_line", "end": "5e-7 s"})(data)
+        with pytest.raises(ScenarioError, match=r"^\[interferometer\.arm2\] end must be"):
+            sc.ScenarioRun(data)
 
     def test_undefined_arm_reference(self, tmp_path):
         import yaml
