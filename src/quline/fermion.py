@@ -18,8 +18,9 @@ same evolution reads
 
 (Thomas precession plus the rotated gravitational terms; beta_i are the
 Euclidean velocity components in the tetrad frame).  The two forms have
-independent generators, each integrated by the transport kernel
-:func:`quline.worldline.propagate`, and agree to integration tolerance.
+independent traceless 2x2 generators, each integrated by the Gauss-node
+Magnus kernel :func:`quline.worldline.propagate` (closed-form SL(2,C) steps),
+and agree to integration tolerance.
 
 Norm drift under the velocity inner product I_u is reported, never silently
 renormalized away.
@@ -179,7 +180,7 @@ def transport(state: FermionState, worldline, em=None, charge_to_mass=0.0,
     model = worldline.model
     generator = partial(_covariant_generator, em, charge_to_mass)
     params = np.linspace(t0, t1, n_samples)
-    maps = propagate(worldline, generator, 2, tol)(params)
+    maps = propagate(worldline, generator, params, tol)
     psis = maps @ state.psi
     positions, velocities = worldline.trajectory(params)
     check_finite(positions)
@@ -229,7 +230,7 @@ def transport_rest_frame(rf: RestFrameState, worldline, tol=1e-12, n_samples=201
     if worldline.kind != "timelike":
         raise QulineError("rest-frame transport needs a timelike worldline")
     params = worldline.sample_params(n_samples)
-    maps = propagate(worldline, _rest_frame_generator, 2, tol)(params)
+    maps = propagate(worldline, _rest_frame_generator, params, tol)
     psis = maps @ rf.psi_tilde
     drift = float(np.abs(np.sum(np.abs(psis) ** 2, axis=1) - rf.norm_squared()).max())
     return TransportResult(params, maps, psis, drift)

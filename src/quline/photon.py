@@ -200,7 +200,7 @@ def transport(state: PhotonState, worldline, tol=1e-12, n_samples=201):
         raise HilbertSpaceMismatch("state wavevector differs from worldline velocity")
 
     params = np.linspace(t0, t1, n_samples)
-    maps = parallel_propagator(worldline, tol)(params)
+    maps = parallel_propagator(worldline, params, tol)
     pols = maps @ state.pol
     positions, wavevectors = worldline.trajectory(params)
     check_finite(positions)

@@ -225,7 +225,7 @@ INTERFEROMETER = {
     "kind": (Choice(fermion={"mass": (_mass, 1.0)}, photon={}), "fermion"),
     "arm1": (ARM, REQUIRED), "arm2": (ARM, REQUIRED), "region_tol": (_bare, 1e-6),
     "amplitudes": (_spinor, None), "qubit": (_text, None),
-    "tolerance": (_tolerance, 1e-12)}
+    "tolerance": (_tolerance, None)}
 
 COW_DIMENSIONS = {"mass": "mass", "v1": "velocity", "dz": "length",
                   "ell": "length", "g": "acceleration"}
@@ -465,6 +465,9 @@ class ScenarioRun:
                "delta_theta_int": float(a2.theta_int - a1.theta_int),
                "delta_theta_dis": float(dtheta_dis), "delta_theta": float(dtheta)}
         if mz["qubit"] is None:
+            for key in ("amplitudes", "tolerance"):
+                if mz[key] is not None:
+                    raise ScenarioParseError(f"{key} needs a qubit", block=f"{block}.{key}")
             return lambda: row
         qubit = _lookup(self.qubits, mz["qubit"], "qubit", block)
         if qubit["kind"] != kind:
@@ -480,7 +483,8 @@ class ScenarioRun:
                 else _complex_pair(mz["amplitudes"]))
         if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
             raise ScenarioParseError("amplitudes must satisfy |a|^2 + |b|^2 = 1", block=block)
-        return partial(self._recombine, row, dtheta, arms, qubit, (a, b), mz["tolerance"])
+        tol = 1e-12 if mz["tolerance"] is None else mz["tolerance"]
+        return partial(self._recombine, row, dtheta, arms, qubit, (a, b), tol)
 
     # -- validation --------------------------------------------------------
     def diagnostics(self):

@@ -80,6 +80,19 @@ def generator_contraction(coeffs):
     return np.einsum("...ij,ijab->...ab", np.asarray(coeffs), GENERATORS)
 
 
+# the coefficients of Lambda^I_J (below) on each product conj(S)_ba S_cd
+_IMAGE_BASIS = 0.5 * np.einsum("ibc,kda,kj->bacdij", SIGMA_BAR, SIGMA, ETA).reshape(16, 16)
+
+
+def lorentz_image(s):
+    """The Lorentz matrix Lambda^I_J = 1/2 tr(S^dag sigmabar^I S sigma^K) eta_KJ
+    that the SL(2,C) matrix S covers, so that S^dag sigmabar^I S =
+    Lambda^I_J sigmabar^J; (n, 4, 4) for an (n, 2, 2) stack."""
+    s = np.asarray(s, dtype=complex)
+    pairs = s.conj().reshape(-1, 4, 1) * s.reshape(-1, 1, 4)
+    return (pairs.reshape(-1, 16) @ _IMAGE_BASIS).real.reshape(s.shape[:-2] + (4, 4))
+
+
 @dataclass(frozen=True)
 class LocalLorentz:
     """Proper orthochronous Lorentz matrix Lambda^I_J, optionally with its

@@ -16,25 +16,22 @@ A worldline knows its model and exposes, for any value of its parameter
 Timelike velocities satisfy u.u = 1, null ones u.u = 0; normalization is
 verified after integration, never re-imposed.
 
-Every qubit observable comes from one linear transport dY/dlam = G(lam) Y
-along a worldline; :func:`propagate` integrates its propagator U(lam) once,
-evaluating G at all stage nodes of each step in one batched call, and
-callers apply it to their states.  A generator is a function of the five
-arrays ``kinematics`` returns and of nothing else along the worldline.
-Both DOP853 solves, trajectory and propagator, do only the work of
-step-size control while they run; the dense output of all accepted steps
-is made afterwards in one array pass.
+Every qubit observable comes from one linear transport dS/dlam = G(lam) S
+of 2x2 spin-half maps along a worldline (vectors take their Lorentz image);
+:func:`propagate` returns S at the requested parameters from Magnus steps on
+G at Gauss nodes, and callers apply it to their states.  A generator is a
+function of the five arrays ``kinematics`` returns and of nothing else along
+the worldline.  Trajectory solves (DOP853) do only the work of step-size
+control while they run; their dense output is made afterwards in one pass.
 """
 
 from __future__ import annotations
 
 import csv
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .errors import (ComplexVelocity, DomainError, QulineError, ToleranceError,
                      reject_where)
@@ -101,6 +98,9 @@ class Worldline:
     """Base class; see module docstring for the evaluation surface."""
 
     kind = "timelike"
+    # parameters where the kinematics may be only piecewise smooth; the
+    # transport kernel's grid contains them
+    breakpoints = ()
 
     def __init__(self, model, span):
         self.model = model
@@ -261,6 +261,7 @@ class SampledWorldline(Worldline):
         params = np.asarray(params, dtype=float)
         positions = np.asarray(positions, dtype=float)
         velocities = np.asarray(velocities, dtype=float)
+        self.breakpoints = params       # the knots of the splines
         self._acc = np.asarray(accelerations, dtype=float)
         xdot, pulled = model.pulled_connections(positions, velocities)
         udot = self._acc - (pulled @ velocities[:, :, None])[:, :, 0]
@@ -318,7 +319,7 @@ class DenseSolution:
         return y.reshape(t.shape + y.shape[1:])
 
 
-def _dense_solution(ts, ys, K, stage):
+def _dense_solution(ts, ys, K, rates):
     """The :class:`DenseSolution` of a DOP853 solve, made after the solve.
 
     ``ts`` and ``ys`` are the solve's step boundaries and states, (steps + 1,)
@@ -326,11 +327,10 @@ def _dense_solution(ts, ys, K, stage):
     accepted steps: in rows 0-12 the 12 stages and the derivative at the step
     end, rows 13-15 free.  The 3 extra stages of DOP853's continuous
     extension (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6) are
-    formed there for all steps at once: ``stage(j, lams, z)`` returns the
-    derivatives of extra stage j at the (steps,) parameters ``lams`` and
-    (steps, n) states ``z``.  The stage sums and the polynomial rows are
-    those of scipy's per-step ``DOP853._dense_output_impl``, operation for
-    operation.
+    formed there for all steps at once: ``rates(lams, z)`` returns the
+    derivatives at the (steps,) parameters ``lams`` and (steps, n) states
+    ``z``.  The stage sums and the polynomial rows are those of scipy's
+    per-step ``DOP853._dense_output_impl``, operation for operation.
     """
     t_old, h = ts[:-1], ts[1:] - ts[:-1]
     y_old, y = ys[:-1], ys[1:]
@@ -338,32 +338,12 @@ def _dense_solution(ts, ys, K, stage):
     n_stages = DOP853.n_stages
     for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=n_stages + 1):
         dy = (K[:, :s].transpose(0, 2, 1) @ a[:s]) * hs
-        K[:, s] = stage(s - n_stages - 1, t_old + c * h, y_old + dy)
+        K[:, s] = rates(t_old + c * h, y_old + dy)
     f_old, f = K[:, 0], K[:, n_stages]
     delta_y = y - y_old
     low = np.stack([2 * delta_y - hs * (f + f_old), hs * f_old - delta_y, delta_y, y_old], axis=1)
     high = hs[:, None] * (DOP853.D @ K)
     return DenseSolution(ts, np.concatenate([high[:, ::-1], low], axis=1))
-
-
-@dataclass(frozen=True)
-class Propagator:
-    """Dense solution U(lam) of dU/dlam = G(lam) U with U = 1 at the span start.
-
-    Calling it with one parameter value gives a (dim, dim) matrix, with an
-    array of n values an (n, dim, dim) stack.  ``sol`` is the
-    :class:`DenseSolution`; ``nfev`` and ``steps`` are the solver's
-    right-hand-side evaluations and accepted steps.
-    """
-
-    sol: DenseSolution
-    dim: int
-    nfev: int
-    steps: int
-
-    def __call__(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        return self.sol(lam).reshape(lam.shape + (self.dim, self.dim))
 
 
 class LazyStates(Sequence):
@@ -391,10 +371,9 @@ class DOP853Steps(DOP853):
     """DOP853 that does only the work of step-size control while it runs.
 
     No dense-output stage is evaluated and no interpolant is built during the
-    solve: each accepted step appends the record its dense output needs to
-    the list ``accepted``, a tuple whose first entry is a copy of
-    ``K_extended``, with the step's 12 stages and the derivative at its end
-    in rows 0-12; :func:`_dense_solution` makes the dense output of all steps
+    solve: each accepted step appends a copy of ``K_extended``, with its 12
+    stages and the derivative at its end in rows 0-12, to the list
+    ``accepted``; :func:`_dense_solution` makes the dense output of all steps
     afterwards in the 3 rows left.
     """
 
@@ -403,132 +382,177 @@ class DOP853Steps(DOP853):
         super().__init__(fun, t0, y0, t_bound, **options)
 
     def _step_impl(self):
-        success, message = self._attempt_steps()
+        success, message = super()._step_impl()
         if success:
-            self._accepted.append(self._record())
+            self._accepted.append(self.K_extended.copy())
         return success, message
 
-    _attempt_steps = DOP853._step_impl
 
-    def _record(self):
-        return (self.K_extended.copy(),)
+# Gauss-Legendre nodes on [0, 1].  An interval of the transport kernel takes
+# Magnus steps on its two halves and on the whole (SUBNODES, in that order);
+# G is evaluated at its ends, midpoint and halves' nodes (NODES, in order)
+# and interpolated to the whole's.
+GAUSS_NODES = 0.5 + np.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
+SUBNODES = np.concatenate([0.5 * GAUSS_NODES, 0.5 * (1.0 + GAUSS_NODES), GAUSS_NODES])
+NODES = np.concatenate([[0.0], SUBNODES[:3], [0.5], SUBNODES[3:6], [1.0]])
+# barycentric weights 1 / prod_{i != j} (NODES_j - NODES_i)
+_BARYCENTRIC = 1.0 / np.prod(np.where(np.eye(len(NODES), dtype=bool), 1.0,
+                                      NODES[:, None] - NODES), axis=-1)
+MAX_LEVELS = 40         # bisections of one interval before the kernel gives up
+TOLERANCE_FLOOR = float(10 * np.finfo(float).eps)   # an estimate rounds by ~eps/63
+CHUNK = 4096            # intervals evaluated at once; their kinematics take ~5 kB each
 
 
-def _stacked(accepted):
-    """The records of the accepted steps as one array per entry, emptying the
-    list: the solver that filled it holds it until the cycle collector runs."""
-    arrays = [np.array(entry) for entry in zip(*accepted)]
-    accepted.clear()
-    return arrays
+def _dot(x, y):
+    """x @ y for stacks of 2x2 matrices; faster than matmul's per-matrix loop."""
+    return x[..., :, :1] * y[..., :1, :] + x[..., :, 1:] * y[..., 1:, :]
 
 
-class LinearDOP853(DOP853Steps):
-    """DOP853 for a linear system dY/dlam = G(lam) Y, Y a flattened matrix.
+def _commutator(x, y):
+    return _dot(x, y) - _dot(y, x)
 
-    G does not depend on Y, so the parameters of all 15 stage nodes of a step
-    (11 new stages, the first-same-as-last point lam + h and the 3 extra
-    stages of the dense output) are known before the step starts.
-    ``field(lams)`` evaluates G at all of them in one call, a (15, d, d)
-    stack, and each stage is the product K_s = G_s (Y + h sum_j a_sj K_j).
-    Tableau, error estimate and step-size control are DOP853's; ``fun`` only
-    serves the initial derivative and the initial step size.  ``nfev`` counts
-    the nodes at which G was evaluated.  An accepted step records its stage
-    rows and the generators of its 3 dense-output nodes, (K, G_extra).
+
+def _magnus(g, h):
+    """Omega_6 of intervals of widths ``h`` from G at their 3 Gauss nodes,
+    g (n, 3, 2, 2): the sixth-order Magnus step of Blanes, Casas, Oteo & Ros,
+    Phys. Rep. 470 (2009) 151, sec. 5."""
+    h = h[:, None, None]
+    g0, g1, g2 = np.moveaxis(g, 1, 0)
+    a1 = h * g1
+    a2 = np.sqrt(15.0) / 3.0 * h * (g2 - g0)
+    a3 = 10.0 / 3.0 * h * (g2 - 2.0 * g1 + g0)
+    c1 = _commutator(a1, a2)
+    c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
+    return a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+
+
+def _exp2(omega):
+    """exp of each traceless matrix of an (n, 2, 2) stack in closed form,
+    cosh(s) 1 + sinh(s)/s omega with s^2 = -det(omega); both are even in s."""
+    s = np.sqrt(omega[:, 0, 1] * omega[:, 1, 0] - omega[:, 0, 0] * omega[:, 1, 1] + 0j)
+    with np.errstate(invalid="ignore"):
+        sinhc = np.where(s == 0, 1.0, np.sinh(s) / s)[:, None, None]
+    return np.cosh(s)[:, None, None] * np.eye(2) + sinhc * omega
+
+
+def _interpolate(g, t):
+    """G at the fractions t (n or 1, m) of intervals, from the degree-8
+    polynomial through its values g (n, 9, 2, 2) at NODES (barycentric form;
+    exact at a node)."""
+    gap = t[..., None] - NODES
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = _BARYCENTRIC / gap
+        weights /= weights.sum(axis=-1, keepdims=True)
+    hit = gap == 0
+    weights = np.where(hit.any(axis=-1, keepdims=True), hit, weights)
+    return (weights @ g.reshape(len(g), len(NODES), 4)).reshape(len(g), t.shape[-1], 2, 2)
+
+
+def _richardson(g, h):
+    """(map, error estimate) of intervals of widths h from G at their
+    SUBNODES, g (n, 9, 2, 2).  The method is symmetric: about the exact half
+    maps X1, X2, the whole step is X2 exp(e) X1 and the half steps' product
+    X2 exp(e/64) X1 to O(h^9).  So their difference over 63 estimates the
+    half steps' error, first whole^-1 second = exp(-63 e/64), and the map
+    puts exp(-e/64) between the halves (Richardson extrapolation in SL(2,C)).
+    A step too large to exponentiate gives inf or nan, and is bisected."""
+    n = len(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = _exp2(_magnus(np.moveaxis(g.reshape(n, 3, 3, 2, 2), 1, 0).reshape(3 * n, 3, 2, 2),
+                              np.outer([0.5, 0.5, 1.0], h).ravel()))
+        first, second, whole = steps.reshape(3, n, 2, 2)
+        inverse = np.swapaxes(whole[:, ::-1, ::-1], 1, 2) * [[1, -1], [-1, 1]]   # det 1
+        drift = _dot(_dot(first, inverse), second)
+        drift -= 0.5 * (drift[:, 0, 0] + drift[:, 1, 1])[:, None, None] * np.eye(2)
+        error = np.abs(_dot(second, first) - whole).max(axis=(1, 2)) / 63.0
+        return _dot(second, _dot(_exp2(drift / 63.0), first)), error
+
+
+def _prefix_products(steps):
+    """P[k] = steps[k] @ ... @ steps[0], in log2(n) batched products."""
+    out = steps.copy()
+    shift = 1
+    while shift < len(out):
+        out[shift:] = _dot(out[shift:], out[:-shift])
+        shift *= 2
+    return out
+
+
+def propagate(worldline, generator, params, tol):
+    """The (n, 2, 2) maps S(lam) of dS/dlam = G(lam) S along ``worldline`` at
+    the n ``params``, S = 1 at the span start.
+
+    ``generator(x, u, a, xdot, pulled)`` maps (n, 4) ``kinematics`` rows to a
+    traceless (n, 2, 2) G.  The grid runs from span end to span end through
+    ``worldline.breakpoints``, whatever the ``params``.  An interval takes
+    :func:`_richardson` steps, with the nodes of a level from one
+    ``kinematics`` call per CHUNK intervals, and is bisected while the
+    estimate exceeds tol / 2; the other half is left for what the estimate
+    does not see.  A parameter is read by the same steps, over the part of
+    its interval before it, on the interpolant of G.  :class:`ToleranceError`
+    is raised for ``tol`` below TOLERANCE_FLOOR, a G that is not finite, and
+    past MAX_LEVELS bisections.
     """
+    if not tol >= TOLERANCE_FLOOR:
+        raise ToleranceError(f"transport tolerance {tol:.3g} is below the rounding floor "
+                             f"{TOLERANCE_FLOOR:.3g}")
+    params = np.asarray(params, dtype=float)
+    lams = params.ravel()
+    t0, t1 = worldline.param_span
+    direction = np.sign(t1 - t0)
+    if np.any((direction * (lams - t0) < 0) | (direction * (lams - t1) > 0)):
+        raise DomainError("transport parameters outside the worldline span")
 
-    NODES = np.concatenate([DOP853.C[1:], [1.0], DOP853.C_EXTRA])
+    def evaluate(at):
+        g = generator(*worldline.kinematics(at))
+        finite = np.isfinite(g).all(axis=(1, 2))
+        if not finite.all():
+            raise ToleranceError(f"transport generator not finite at parameter "
+                                 f"{at[np.argmin(finite)]}")
+        return g
 
-    def __init__(self, fun, t0, y0, t_bound, field, **options):
-        self._field = field
-        super().__init__(fun, t0, y0, t_bound, **options)
-        # per new stage s: the views K[:s].T and A[s, :s] of its stage sum
-        self._sums = [(self.K[:s].T, a[:s]) for s, a in enumerate(self.A[1:], start=1)]
-
-    def _rk_step(self, t, y, h):
-        """scipy's rk_step, with the generators of all nodes from one call;
-        each stage product is written straight into its row of K."""
-        generators = self._field(t + self.NODES * h)
-        self.nfev += len(generators)
-        n = self.n_stages
-        K = self.K
-        K[0] = self.f
-        stages = K.reshape(len(K), len(generators[0]), -1)     # K[s] as a matrix
-        for g, (k, a), out in zip(generators[:n - 1], self._sums, stages[1:]):
-            np.matmul(g, (y + np.dot(k, a) * h).reshape(out.shape), out=out)
-        y_new = y + h * np.dot(K[:-1].T, self.B)
-        f_new = (generators[n - 1] @ y_new.reshape(stages.shape[1:])).ravel()
-        K[-1] = f_new
-        self._extra_generators = generators[n:]
-        return y_new, f_new
-
-    def _attempt_steps(self):
-        # RungeKutta._step_impl with rk_step replaced by the batched stages
-        t, y = self.t, self.y
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
-        h_abs = min(max(self.h_abs, min_step), self.max_step)
-        step_rejected = False
-        while True:
-            if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
-            t_new = t + h_abs * self.direction
-            if self.direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = np.abs(h)
-            y_new, f_new = self._rk_step(t, y, h)
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = self._estimate_error_norm(self.K, h, scale)
-            if error_norm < 1:
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
-            step_rejected = True
-        if error_norm == 0:
-            factor = MAX_FACTOR
-        else:
-            factor = min(MAX_FACTOR, SAFETY * error_norm ** self.error_exponent)
-        if step_rejected:
-            factor = min(1, factor)
-        self.h_previous = h
-        self.y_old = y
-        self.t, self.y, self.f = t_new, y_new, f_new
-        self.h_abs = h_abs * factor
-        return True, None
-
-    def _record(self):
-        return (*super()._record(), self._extra_generators)
-
-
-def propagate(worldline, generator, dim, tol):
-    """Propagator of the linear transport dY/dlam = G(lam) Y along ``worldline``.
-
-    ``generator(x, u, a, xdot, pulled)`` returns G from the worldline's
-    ``kinematics``: a (dim, dim) matrix at one parameter, an
-    (n, dim, dim) stack for (n, 4) rows.  The matrix equation is integrated
-    over the whole parameter span with the 8th-order Dormand-Prince pair
-    DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10) in the form
-    :class:`LinearDOP853`, which evaluates the kinematics, the model's frame
-    and G once per step at all its stage nodes; ``tol`` is the relative and
-    absolute tolerance.  The dense output is made once, after the solve, with
-    one batched product per extra stage.
-    """
-    def field(lam):
-        return generator(*worldline.kinematics(lam))
-
-    def rhs(lam, y):
-        return (field(lam) @ y.reshape(dim, dim)).ravel()
-
-    accepted = []
-    sol = solve_ivp(rhs, worldline.param_span, np.eye(dim, dtype=complex).ravel(),
-                    method=LinearDOP853, field=field, accepted=accepted, rtol=tol, atol=tol)
-    if not sol.success:
-        raise ToleranceError(f"transport failed: {sol.message}")
-    K, extra = _stacked(accepted)
-
-    def stage(j, lams, z):
-        return (extra[:, j] @ z.reshape(-1, dim, dim)).reshape(len(z), -1)
-
-    return Propagator(_dense_solution(sol.t, sol.y.T, K, stage), dim, int(sol.nfev),
-                      len(sol.t) - 1)
+    asked = np.sort(direction * lams)
+    edges = direction * np.unique(direction * np.concatenate([[t0, t1], worldline.breakpoints]))
+    lefts, rights = edges[:-1], edges[1:]
+    g = evaluate(np.concatenate([edges, 0.5 * (lefts + rights)]))
+    known = np.stack([g[:len(lefts)], g[len(edges):], g[1:len(edges)]], axis=1)
+    accepted, level = [], 0
+    while len(lefts):
+        if level > MAX_LEVELS:
+            raise ToleranceError(f"transport not resolved to {tol:.3g} within "
+                                 f"{MAX_LEVELS} bisections")
+        refined = []
+        for c in range(0, len(lefts), CHUNK):
+            left, right, ends = lefts[c:c + CHUNK], rights[c:c + CHUNK], known[c:c + CHUNK]
+            width = right - left
+            new = evaluate((left[:, None] + SUBNODES[:6] * width[:, None]).ravel())
+            new = new.reshape(len(left), 6, 2, 2)
+            g = np.concatenate([ends[:, :1], new[:, :3], ends[:, 1:2], new[:, 3:], ends[:, 2:]],
+                               axis=1)
+            steps, error = _richardson(_interpolate(g, SUBNODES[None]), width)
+            done = error <= 0.5 * tol
+            # G is kept where a parameter is read
+            read = done & (np.searchsorted(asked, direction * left, "left")
+                           < np.searchsorted(asked, direction * right, "right"))
+            accepted.append((left[done], right[done], steps[done], read[done], g[read]))
+            refined.append((left[~done], right[~done], g[~done][:, ::2]))
+        left, right, g = (np.concatenate(a) for a in zip(*refined))
+        middle = left + 0.5 * (right - left)
+        lefts, rights = np.concatenate([left, middle]), np.concatenate([middle, right])
+        known = np.concatenate([g[:, :3], g[:, 2:]])    # each half's ends and midpoint
+        level += 1
+    lefts, rights, steps, read, kept = (np.concatenate(a) for a in zip(*accepted))
+    order = np.argsort(direction * lefts)
+    slots = (np.cumsum(read) - 1)[order]
+    lefts, widths = lefts[order], rights[order] - lefts[order]
+    starts = np.concatenate([np.eye(2, dtype=complex)[None],
+                             _prefix_products(steps[order])[:-1]])
+    k = np.searchsorted(direction * lefts, direction * lams, side="right") - 1
+    k = np.minimum(k, len(lefts) - 1)
+    theta = np.minimum((lams - lefts[k]) / widths[k], 1.0)
+    maps = _richardson(_interpolate(kept[slots[k]], theta[:, None] * SUBNODES),
+                       theta * widths[k])[0]
+    return _dot(maps, starts[k]).reshape(params.shape + (2, 2))
 
 
 def worldline_from_csv(path, model, kind="timelike"):
@@ -584,8 +608,9 @@ def _integrate(model, x0, u0, span, tol, kind, accel_fn, max_step=np.inf):
                     accepted=accepted, rtol=tol, atol=tol, max_step=max_step)
     if not sol.success:
         raise ToleranceError(f"worldline integration failed: {sol.message}")
-    K, = _stacked(accepted)
-    dense = _dense_solution(sol.t, sol.y.T, K, lambda j, lams, z: rates(lams, z))
+    K = np.array(accepted)
+    accepted.clear()    # the solver holds the list until the cycle collector runs
+    dense = _dense_solution(sol.t, sol.y.T, K, rates)
     wl = IntegratedWorldline(model, dense, (0.0, span), kind, accel_fn)
     drift = wl.norm_audit()
     budget = max(1e-9, 1000.0 * tol * max(1.0, abs(span)))

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from quline import cli
+from quline import cli, worldline
 from quline import scenario as sc
 from quline.errors import (DomainError, ScenarioError, ScenarioParseError,
                            ScenarioReferenceError)
@@ -195,6 +196,8 @@ class TestValidate:
             d.update(model={"family": "rindler", "params": {"g": 0.1}}),
             d["worldlines"].update(line={"type": "circular"}))),
         ("unnormalized_amplitudes", _interferometer(qubit="q0", amplitudes=[1, 0, 1, 0])),
+        ("amplitudes_without_qubit", _interferometer(amplitudes=[1, 0, 1, 0])),
+        ("tolerance_without_qubit", _interferometer(tolerance=0.5)),
         ("infinite_span", lambda d: d["worldlines"]["rest_line"].update(span="1e999 s")),
         ("worldline_charge_to_mass", _worldline(type="timelike", charge_to_mass=7.5)),
         ("qubit_charge_to_mass", lambda d: d["qubits"]["q0"].update(charge_to_mass=7.5)),
@@ -625,6 +628,88 @@ class TestSweep:
                 == (GOLDEN / "cow_run.json").read_bytes())
         assert ((tmp_path / "sweep" / "cow.csv").read_bytes()
                 == (GOLDEN / "cow_sweep.csv").read_bytes())
+
+
+def deviations(got, want, where="report"):
+    """Each place where two parsed reports differ, with the size of the
+    difference where both sides are numbers."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        return [d for key in sorted(set(got) | set(want))
+                for d in deviations(got.get(key, "<missing>"), want.get(key, "<missing>"),
+                                    f"{where}.{key}")]
+    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        return [d for i, (g, w) in enumerate(zip(got, want))
+                for d in deviations(g, w, f"{where}[{i}]")]
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (got, want))
+    if numbers and not (got == want or (math.isnan(got) and math.isnan(want))):
+        return [f"{where}: {got!r} != {want!r} (off by {abs(got - want):.3g})"]
+    return [] if numbers or got == want else [f"{where}: {got!r} != {want!r}"]
+
+
+def csv_cells(path):
+    """The cells of a report CSV as {"row i, column": value}, numbers as floats."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cells = {}
+    for i, row in enumerate(rows):
+        for column, text in row.items():
+            try:
+                cells[f"row {i}, {column}"] = float(text)
+            except ValueError:
+                cells[f"row {i}, {column}"] = text
+    return cells
+
+
+@pytest.mark.parametrize("name", ["flat_noop", "polarimetry", "displaced_arms"])
+def test_bundled_reports_match_golden(tmp_path, name):
+    """``quline --seed 7 run`` reproduces the committed JSON and CSV reports
+    byte for byte; a failure names every key that deviates, and by how much."""
+    assert run_cli(["--out-dir", tmp_path, "--seed", 7, "run",
+                    SCENARIOS / f"{name}.scenario"]) == cli.EXIT_OK
+    for suffix in ("json", "csv"):
+        got, want = tmp_path / f"{name}.{suffix}", GOLDEN / f"{name}_run.{suffix}"
+        if suffix == "json":
+            found = deviations(json.loads(got.read_text()), json.loads(want.read_text()))
+        else:
+            found = deviations(csv_cells(got), csv_cells(want), "csv")
+        assert not found, "\n".join(found)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def fast_orbit_scenario(tmp_path):
+    """flat_noop with its qubit carried over 50 revolutions at beta = 0.9 and
+    a transport tolerance of 2.3e-14, just above the scenario floor."""
+    data = sc.load_scenario(SCENARIOS / "flat_noop.scenario")
+    data["worldlines"]["orbit"] = {"type": "circular", "radius": 0.5, "beta": 0.9,
+                                   "revolutions": 50}
+    data["qubits"]["q0"]["worldline"] = "orbit"
+    data["schedule"] = [{"op": "transport", "qubit": "q0", "tolerance": 2.3e-14}]
+    path = tmp_path / "hard.scenario"
+    path.write_text(yaml.safe_dump(data))
+    return path
+
+
+def test_long_transport_near_the_tolerance_floor_runs(tmp_path):
+    """The kernel has no cap on a transport's nodes: 50 fast revolutions at a
+    tolerance near the floor complete, within the norm-drift budget."""
+    assert run_cli(["--out-dir", tmp_path, "run", fast_orbit_scenario(tmp_path)]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "flat_noop.json").read_text())
+    step = report["results"]["schedule"][0]
+    assert step["op"] == "transport"
+    assert step["norm_drift"] <= sc.CORE_TOLERANCES["norm_drift"]
+
+
+def test_unresolved_transport_exits_5(tmp_path, capsys, monkeypatch):
+    """A transport that is still refining at the bisection cap is a tolerance
+    failure: exit 5, one line on stderr, no report."""
+    monkeypatch.setattr(worldline, "MAX_LEVELS", 0)
+    path = fast_orbit_scenario(tmp_path)
+    assert run_cli(["--out-dir", tmp_path, "run", path]) == cli.EXIT_TOLERANCE
+    err = capsys.readouterr().err
+    assert err == ("tolerance failure: transport not resolved to 2.3e-14 within "
+                   "0 bisections\n")
+    assert not list(tmp_path.glob("*.json"))
 
 
 class TestInterferometerBlock:

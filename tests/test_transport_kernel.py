@@ -1,9 +1,10 @@
-"""The batched-stage transport kernel against stock DOP853, the batched
-kinematics, geometry and generators it evaluates against per-point calls, and
-the trajectory layer (closed-form frames, array dense output) against the
+"""The Magnus transport kernel against stock DOP853, the batched kinematics,
+geometry and generators it evaluates against per-point calls, and the
+trajectory layer (closed-form frames, array dense output) against the
 generic right-hand side and scipy's ``OdeSolution``."""
 
 import re
+import warnings
 from functools import partial
 
 import numpy as np
@@ -15,11 +16,11 @@ from scipy.integrate._ivp import rk
 from quline import fermion as fm
 from quline import photon as ph
 from quline import worldline as wld
-from quline.errors import DomainError
+from quline.errors import DomainError, ToleranceError
 from quline.geometry import (SpacetimeModel, TabulatedModel, _parallel_generator,
                              apply_local_lorentz, connection_finite_difference,
-                             make_builtin_model, pulled_connection)
-from quline.spin_algebra import spin1_boost
+                             make_builtin_model, parallel_propagator, pulled_connection)
+from quline.spin_algebra import lorentz_image, spin1_boost
 
 SCHW = make_builtin_model("schwarzschild", [1.0])
 FLAT = make_builtin_model("minkowski", [])
@@ -38,6 +39,17 @@ def rindler_table(g_acc=0.3, nz=41):
 def schwarzschild_orbit(r=10.0, span=40.0):
     x0 = np.array([0.0, r, np.pi / 2, 0.3])
     u_coord = np.array([1.0, 0.0, 0.0, np.sqrt(1.0 / r**3)])
+    u_coord = u_coord / np.sqrt(u_coord @ SCHW.metric(x0) @ u_coord)
+    return wld.integrate_timelike(SCHW, None, x0, SCHW.inverse_tetrad(x0) @ u_coord,
+                                  span=span, tol=1e-12)
+
+
+def eccentric_orbit(r=12.0, span=150.0):
+    """An equatorial orbit slightly off circular: the rest-frame generator
+    turns the spinor about e_theta alone, so it commutes with itself along
+    the orbit while its size varies."""
+    x0 = np.array([0.0, r, np.pi / 2, 0.3])
+    u_coord = np.array([1.0, 0.02, 0.0, 1.1 / r**1.5])
     u_coord = u_coord / np.sqrt(u_coord @ SCHW.metric(x0) @ u_coord)
     return wld.integrate_timelike(SCHW, None, x0, SCHW.inverse_tetrad(x0) @ u_coord,
                                   span=span, tol=1e-12)
@@ -91,12 +103,13 @@ def rest_frame(wl):
 
 
 def parallel(wl):
-    return _parallel_generator, 4
+    return _parallel_generator, 2
 
 
 CASES = {    # name: (worldline, generator)
     "schwarzschild_orbit_covariant": (schwarzschild_orbit, covariant),
     "schwarzschild_orbit_rest_frame": (schwarzschild_orbit, rest_frame),
+    "eccentric_orbit_rest_frame": (eccentric_orbit, rest_frame),
     "schwarzschild_ray": (schwarzschild_ray, parallel),
     "rindler_static": (rindler_static, covariant),
     "rindler_static_backwards": (rindler_static_backwards, covariant),
@@ -108,26 +121,180 @@ CASES = {    # name: (worldline, generator)
 }
 
 
+def stock_maps(wl, generator, dim, params, tol):
+    """Stock DOP853's transport maps at ``params``, and its G evaluations."""
+    def rhs(lam, y):
+        return (generator(*wl.kinematics(lam)) @ y.reshape(dim, dim)).ravel()
+
+    with warnings.catch_warnings():     # scipy raises an rtol below 100 eps, and says so
+        warnings.simplefilter("ignore", UserWarning)
+        sol = solve_ivp(rhs, wl.param_span, np.eye(dim, dtype=complex).ravel(),
+                        method="DOP853", rtol=tol, atol=tol, dense_output=True)
+    return np.moveaxis(sol.sol(params), 0, -1).reshape(-1, dim, dim), sol.nfev
+
+
+def counting(generator):
+    """``generator`` wrapped to count the nodes it is evaluated at, in ``.nodes``."""
+    def counted(*kinematics):
+        counted.nodes += len(kinematics[0])
+        return generator(*kinematics)
+    counted.nodes = 0
+    return counted
+
+
+# errors below a few ulps of the O(1) map entries are rounding
+ROUNDING = 4 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_propagate_matches_stock_dop853(name):
+    """At the same tolerance the Magnus kernel is no further from stock DOP853
+    at 1e-14 than stock DOP853 itself is, on 53 parameters (read between grid
+    points) and on the two span ends alone."""
     make_worldline, make_generator = CASES[name]
     wl = make_worldline()
     generator, dim = make_generator(wl)
     tol = 1e-12
+    for params in (np.linspace(*wl.param_span, 53), np.array(wl.param_span)):
+        reference = stock_maps(wl, generator, dim, params, 1e-14)[0]
+        stock = stock_maps(wl, generator, dim, params, tol)[0]
+        maps = wld.propagate(wl, generator, params, tol)
+        assert maps.shape == (len(params), 2, 2)
+        np.testing.assert_array_equal(maps[0], np.eye(2))
+        assert (np.abs(maps - reference).max()
+                <= max(np.abs(stock - reference).max(), ROUNDING))
 
-    def rhs(lam, y):
-        return (generator(*wl.kinematics(lam)) @ y.reshape(dim, dim)).ravel()
 
-    stock = solve_ivp(rhs, wl.param_span, np.eye(dim, dtype=complex).ravel(),
-                      method="DOP853", rtol=tol, atol=tol, dense_output=True)
-    prop = wld.propagate(wl, generator, dim, tol)
-    assert prop.steps == len(stock.t) - 1
-    np.testing.assert_array_equal(prop.sol.ts, stock.t)
+def test_sampled_transport_steps_to_the_knots():
+    """The knots of a sampled worldline are grid points: the kernel evaluates
+    G at no more than 1,000 nodes there (stock DOP853 at over 10,000), and a
+    hundred times tighter tolerance moves the maps by less than 1e-12."""
+    wl = sampled_orbit()
+    generator, dim = covariant(wl)
     params = np.linspace(*wl.param_span, 53)
-    want = np.moveaxis(stock.sol(params), 0, -1).reshape(-1, dim, dim)
-    assert np.abs(prop(params) - want).max() <= 1e-13
-    # every attempted step evaluates G at its 15 stage nodes; 2 more for the start
-    assert prop.nfev >= 2 + 15 * prop.steps and (prop.nfev - 2) % 15 == 0
+    assert len(wl.breakpoints) == 120
+    counted = counting(generator)
+    maps = wld.propagate(wl, counted, params, 1e-12)
+    assert counted.nodes <= 1000 < stock_maps(wl, generator, dim, params, 1e-12)[1]
+    assert np.abs(maps - wld.propagate(wl, generator, params, 1e-14)).max() <= 1e-12
+
+
+def test_nodes_do_not_depend_on_the_parameters_asked_for():
+    """Parameters are read between grid points, so asking for 201 of them
+    costs no more G evaluations than asking for the span ends."""
+    wl = schwarzschild_ray()
+    nodes = []
+    for n in (2, 201):
+        counted = counting(parallel(wl)[0])
+        wld.propagate(wl, counted, np.linspace(*wl.param_span, n), 1e-12)
+        nodes.append(counted.nodes)
+    assert nodes[0] == nodes[1] > 0
+
+
+def test_tolerance_below_the_rounding_floor_is_refused():
+    """A tolerance under the rounding of the error estimate is refused before
+    G is evaluated; the floor itself is met."""
+    wl = schwarzschild_ray()
+    counted = counting(parallel(wl)[0])
+    with pytest.raises(ToleranceError, match="1e-20 is below the rounding floor"):
+        wld.propagate(wl, counted, np.array(wl.param_span), 1e-20)
+    assert counted.nodes == 0
+    maps = wld.propagate(wl, counted, np.array(wl.param_span), wld.TOLERANCE_FLOOR)
+    assert np.abs(maps - wld.propagate(wl, counted, np.array(wl.param_span), 1e-12)).max() < 1e-12
+
+
+def test_unresolvable_generator_hits_the_refinement_cap():
+    """G with an integrable singularity between grid points is never
+    resolved: the kernel bisects the intervals about it MAX_LEVELS times,
+    a band of a few dozen at each level, then raises ToleranceError."""
+    wl = wld.static_worldline(FLAT, [0.0, 0.0, 0.0], 3.0)
+
+    def singular(x, u, a, xdot, pulled):
+        t = x[:, 0] - np.sqrt(2.0)
+        return (1j * np.sign(t) / np.sqrt(np.abs(t)))[:, None, None] * np.diag([1.0, -1.0])
+
+    counted = counting(singular)
+    with pytest.raises(ToleranceError, match="not resolved to 1e-12 within 40 bisections"):
+        wld.propagate(wl, counted, np.array(wl.param_span), 1e-12)
+    assert counted.nodes <= 32 * len(wld.NODES) * (wld.MAX_LEVELS + 1)
+
+
+def test_generator_that_is_not_finite_is_refused():
+    """A nan in G would keep every interval unresolved; the kernel names the
+    first parameter where G is not finite instead."""
+    wl = wld.static_worldline(FLAT, [0.0, 0.0, 0.0], 3.0)
+
+    def broken(x, u, a, xdot, pulled):
+        return np.where(x[:, 0] > 2.0, np.nan, 1j)[:, None, None] * np.diag([1.0, -1.0])
+
+    with pytest.raises(ToleranceError, match="generator not finite at parameter 3.0"):
+        wld.propagate(wl, broken, np.array(wl.param_span), 1e-12)
+
+
+def test_propagate_takes_parameters_in_any_order_within_the_span():
+    wl = schwarzschild_ray()
+    generator = parallel(wl)[0]
+    params = np.linspace(*wl.param_span, 5)
+    maps = wld.propagate(wl, generator, params, 1e-12)
+    order = [3, 0, 4, 3, 1, 2]      # shuffled, one repeated: the same grid
+    np.testing.assert_array_equal(wld.propagate(wl, generator, params[order], 1e-12),
+                                  maps[order])
+    np.testing.assert_array_equal(wld.propagate(wl, generator, [0.0], 1e-12), [np.eye(2)])
+    assert wld.propagate(wl, generator, np.zeros((0, 3)), 1e-12).shape == (0, 3, 2, 2)
+    assert wld.propagate(wl, generator, 3.0, 1e-12).shape == (2, 2)
+    backwards = rindler_static_backwards()
+    with pytest.raises(DomainError, match="outside the worldline span"):
+        wld.propagate(backwards, covariant(backwards)[0], [0.0, 1.0], 1e-12)
+
+
+def test_each_parameter_is_read_alone():
+    """The grid does not depend on the parameters, so the map at each one,
+    on a knot or between knots, is the same asked alone or with the others."""
+    wl = sampled_orbit()
+    generator = covariant(wl)[0]
+    params = np.concatenate([wl.breakpoints[::17], np.linspace(*wl.param_span, 7)[1:-1]])
+    maps = wld.propagate(wl, generator, params, 1e-12)
+    for lam, want in zip(params, maps):
+        np.testing.assert_array_equal(wld.propagate(wl, generator, lam, 1e-12), want)
+
+
+def image_line(family):
+    """A worldline with a nonzero pulled connection (zero in flat space) in
+    each model family."""
+    if family == "minkowski":
+        return flat_circular()
+    if family == "rindler":
+        return wld.integrate_timelike(RINDLER, None, [0.0, 0.1, -0.2, 0.5],
+                                      spin1_boost([0.3, 0.0, 0.4])[:, 0], span=3.0,
+                                      tol=1e-12)
+    if family == "schwarzschild":
+        return schwarzschild_ray()
+    if family == "tabulated":
+        return tabulated_static()
+    model, x0, u0 = moved_line()
+    return wld.integrate_timelike(model, None, x0, u0, span=0.5, tol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["minkowski", "rindler", "schwarzschild", "tabulated",
+                                    "transformed"])
+def test_parallel_propagator_is_the_image_of_the_spinor_map(family):
+    """Lambda^I_J = 1/2 tr(S^dag sigmabar^I S sigma^K) eta_KJ of the spin-half
+    maps is parallel transport: it matches a stock DOP853 solve of the 4x4
+    system dV/dlam = -pulled V, and is a Lorentz matrix."""
+    wl = image_line(family)
+    params = np.linspace(*wl.param_span, 21)
+
+    def minus_pulled(x, u, a, xdot, pulled):
+        return -pulled
+
+    want = stock_maps(wl, minus_pulled, 4, params, 1e-13)[0]
+    got = parallel_propagator(wl, params, 1e-12)
+    assert got.dtype == float and got.shape == (21, 4, 4)
+    assert np.abs(got - want).max() <= 1e-11
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    assert np.abs(np.swapaxes(got, 1, 2) @ eta @ got - eta).max() <= 1e-12
+    spinor = wld.propagate(wl, _parallel_generator, params, 1e-12)
+    np.testing.assert_array_equal(lorentz_image(spinor), got)
 
 
 @pytest.mark.parametrize("make_worldline", [
@@ -339,7 +506,7 @@ def dense_of(ode):
 
 def dense_pairs():
     """(DenseSolution, OdeSolution) of a trajectory solve, the same solve run
-    backwards and a propagator solve."""
+    backwards and a stock solve of the complex 2x2 spinor transport."""
     model, x0, u0, span, *_ = TRAJECTORIES["schwarzschild_orbit"]
     traj, back = (solve_ivp(generic_rhs(model), (0.0, s), np.concatenate([x0, u0]),
                             method="DOP853", rtol=1e-12, atol=1e-12,
@@ -412,33 +579,20 @@ def assert_close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("which", ["trajectory", "propagator"])
+@pytest.mark.parametrize("which", ["trajectory", "backwards"])
 def test_dense_output_after_the_solve_matches_per_step_scipy(which):
     """The 3 extra stages and the polynomial rows made for all steps at once,
-    against scipy's per-step DOP853._dense_output_impl on the same steps; and
-    the dense output the solves keep, which take those same steps."""
-    if which == "trajectory":
-        model, x0, u0, span, *_ = TRAJECTORIES["schwarzschild_orbit"]
-        rates = wld._trajectory_rates(model, None)
-        y0, t_span = np.concatenate([x0, u0]), (0.0, span)
-        fun, stage = rates, (lambda j, lams, z: rates(lams, z))
-        kept = wld.integrate_timelike(model, None, x0, u0, span=span, tol=1e-12)._sol
-    else:
-        wl = schwarzschild_orbit()
-        generator, dim = covariant(wl)
-
-        def field(lam):
-            return generator(*wl.kinematics(lam))
-
-        y0, t_span = np.eye(dim, dtype=complex).ravel(), wl.param_span
-        fun = lambda lam, y: (field(lam) @ y.reshape(dim, dim)).ravel()
-        stage = lambda j, lams, z: (field(lams) @ z.reshape(-1, dim, dim)).reshape(len(z), -1)
-        kept = wld.propagate(wl, generator, dim, 1e-12).sol
-    ts, ys, K, extra, rows = stock_steps(fun, t_span, y0)
+    against scipy's per-step DOP853._dense_output_impl on the same steps, over
+    a span run forwards and backwards; and the dense output a trajectory
+    keeps, which takes those same steps."""
+    model, x0, u0, span, *_ = TRAJECTORIES["schwarzschild_orbit"]
+    rates = wld._trajectory_rates(model, None)
+    sign = 1.0 if which == "trajectory" else -1.0
+    ts, ys, K, extra, rows = stock_steps(rates, (0.0, sign * span), np.concatenate([x0, u0]))
     stages = []
 
-    def recorded(j, lams, z):
-        stages.append(stage(j, lams, z))
+    def recorded(lams, z):
+        stages.append(rates(lams, z))
         return stages[-1]
 
     K = np.concatenate([K, np.full((len(K), 3, K.shape[2]), np.nan)], axis=1)
@@ -446,8 +600,10 @@ def test_dense_output_after_the_solve_matches_per_step_scipy(which):
     assert len(ts) > 5 and len(stages) == 3
     assert_close(np.stack(stages, axis=1), extra)
     assert_close(dense.rows, rows)
-    np.testing.assert_array_equal(kept.ts, ts)
-    assert_close(kept.rows, rows)
+    if which == "trajectory":
+        kept = wld.integrate_timelike(model, None, x0, u0, span=span, tol=1e-12)._sol
+        np.testing.assert_array_equal(kept.ts, ts)
+        assert_close(kept.rows, rows)
 
 
 def test_row_rates_name_the_first_parameter_off_the_chart():
@@ -461,8 +617,8 @@ def test_row_rates_name_the_first_parameter_off_the_chart():
 
 
 def test_solves_build_no_per_step_dense_output(monkeypatch):
-    """Trajectories and propagators make their dense output after the solve,
-    never one Dop853DenseOutput per step."""
+    """Trajectories make their dense output after the solve, never one
+    Dop853DenseOutput per step, and transports build none."""
     def refuse(*args):
         raise AssertionError("a per-step Dop853DenseOutput was built")
 
@@ -470,19 +626,18 @@ def test_solves_build_no_per_step_dense_output(monkeypatch):
     ray = schwarzschild_ray(span=4.0)
     for wl in (schwarzschild_orbit(span=6.0), lorentz_orbit(), ray):
         assert wl.trajectory([0.5])[0].shape == (1, 4)
-    wld.propagate(ray, *parallel(ray), 1e-12)
+    wld.propagate(ray, parallel(ray)[0], [0.0, 2.0, 4.0], 1e-12)
     fm.transport_rest_frame(fm.RestFrameState([1.0, 0.0]), lorentz_orbit())
 
 
 def test_scipy_private_surfaces_present():
-    """The DOP853 kernels, DenseSolution and these tests read these scipy
+    """The trajectory solver, DenseSolution and these tests read these scipy
     internals."""
     where = f"installed scipy {scipy.__version__}"
     solver = DOP853(lambda t, y: -y, 0.0, np.ones(3), 1.0)
     assert np.shape(getattr(solver, "K_extended", None)) == (16, 3), where
     assert np.shares_memory(solver.K, solver.K_extended) and solver.K.shape == (13, 3), where
-    for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR", "Dop853DenseOutput"):
-        assert hasattr(rk, name), f"scipy.integrate._ivp.rk.{name} missing in {where}"
+    assert hasattr(rk, "Dop853DenseOutput"), f"scipy.integrate._ivp.rk.Dop853DenseOutput missing in {where}"
     shapes = {"A": (12, 12), "B": (12,), "C": (12,), "A_EXTRA": (3, 16),
               "C_EXTRA": (3,), "D": (4, 16)}
     for name, shape in shapes.items():
