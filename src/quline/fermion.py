@@ -32,14 +32,13 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import HilbertSpaceMismatch, QulineError
 from .geometry import Event, check_finite
 from .spin_algebra import (ETA, PAULI, SIGMA_BAR, generator_contraction,
                            minkowski_dot, spin_half_boost_matrix,
                            velocity_inner_product_matrix)
-from .worldline import LazyStates, propagate
+from .worldline import LazyStates, _exp2, propagate
 
 @dataclass(frozen=True)
 class FermionState:
@@ -244,6 +243,6 @@ def wigner_rotation_increment(u, du, omega_pull):
     (4,4) increment.  Composing these over a worldline reproduces
     :func:`transport_rest_frame` to second order in the step.
     """
-    return expm(_wigner_generator(np.asarray(u, dtype=float).reshape(4),
-                                  np.asarray(du, dtype=float).reshape(4),
-                                  np.asarray(omega_pull, dtype=float).reshape(4, 4)))
+    return _exp2(_wigner_generator(np.asarray(u, dtype=float).reshape(1, 4),
+                                   np.asarray(du, dtype=float).reshape(1, 4),
+                                   np.asarray(omega_pull, dtype=float).reshape(1, 4, 4)))[0]

@@ -387,6 +387,13 @@ class TabulatedModel(SpacetimeModel):
         self.values = np.asarray(tetrads, dtype=float)
         if len(self.axes) != 4 or self.values.shape != tuple(map(len, self.axes)) + (4, 4):
             raise QulineError("need four axes and a tetrad table of shape grid + (4, 4)")
+        finite = np.isfinite(self.values).all(axis=(-2, -1))
+        sizes = np.linalg.svd(np.where(finite[..., None, None], self.values, 0.0),
+                              compute_uv=False)     # singular values, largest first
+        bad = ~finite | (sizes[..., -1] <= np.finfo(float).eps * sizes[..., 0])
+        if bad.any():
+            raise QulineError(f"tabulated tetrad at node {tuple(np.argwhere(bad)[0].tolist())} "
+                              "is singular or not finite")
         spans = [a[-1] - a[0] for a in self.axes if len(a) > 1]
         step = fd_step if fd_step is not None else min(spans) * 1e-4 if spans else DEFAULT_FD_STEP
         super().__init__(step)

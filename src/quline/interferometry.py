@@ -28,7 +28,7 @@ from .errors import (ComplexVelocity, DomainError, HilbertSpaceMismatch,
 from .fermion import FermionState, inner_product
 from .geometry import Event
 from .photon import PhotonState, photon_inner_product
-from .worldline import rindler_speed_at_height
+from .worldline import line_integral, rindler_speed_at_height
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,9 @@ def arm_phase(worldline, em=None, kind="fermion", mass=None, charge=1.0,
             raise DomainError("fermion arms need a positive mass")
         theta = mass * (end - t0)
         if em is not None and em.has_potential():
-            integrand = lambda lam: float(
-                em.potential(worldline.position(lam)) @ worldline.coordinate_velocity(lam))
-            val, _err = quad(integrand, t0, end, epsabs=1e-12, epsrel=1e-12, limit=200)
-            theta += charge * val
+            a_dot_xdot = lambda x, u, a, xdot, pulled: np.einsum(
+                "ni,ni->n", [em.potential(c) for c in x], xdot)
+            theta += charge * line_integral(worldline, a_dot_xdot, end, 1e-12)
         mass_val = mass
         k_lower = mass * model.lower_coordinate(x_end, worldline.coordinate_velocity(end))
     else:

@@ -15,14 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import (AdaptationSingular, HilbertSpaceMismatch, QulineError,
-                     ToleranceError)
-from .geometry import (_FD_OFFSETS, _FD_WEIGHTS, Event, check_finite,
-                       parallel_propagator)
+from .errors import AdaptationSingular, HilbertSpaceMismatch, QulineError
+from .geometry import Event, check_finite, parallel_propagator
 from .spin_algebra import ETA, minkowski_dot
-from .worldline import LazyStates
+from .worldline import LazyStates, line_integral
 
 SINGULAR_TOL = 1e-8
 
@@ -214,39 +211,32 @@ def transport(state: PhotonState, worldline, tol=1e-12, n_samples=201):
          "transversality_drift": float(trans.max())})
 
 
-def _diad_rows(worldline, lam):
-    return adaptation_rotation(worldline.velocity(lam)).diad
+def _wigner_rate(x, u, a, xdot, pulled):
+    """dPhi/dlam at each row of the kinematics: the turn of the adapted diad,
+    -(u x udot)_z / (|u| (|u| + u_z)) with udot = a - pulled u, less
+    f_1 . pulled . f_2 for the diad rows f_A of each row's adaptation."""
+    diads = np.array([adaptation_rotation(row).diad for row in u])
+    udot = a - (pulled @ u[:, :, None])[:, :, 0]
+    space = np.linalg.norm(u[:, 1:], axis=1)
+    turn = u[:, 1] * udot[:, 2] - u[:, 2] * udot[:, 1]
+    return (-turn / (space * (space + u[:, 3]))
+            - np.einsum("ni,nij,nj->n", diads[:, 0], pulled, diads[:, 1]))
 
 
 def wigner_rotation(worldline, tol=1e-12):
     """Accumulated Wigner angle Phi(lambda) along a null geodesic.
 
     The Jones vector of any transported state evolves as
-    jones(lam) = exp(i Phi(lam) sigma_y) jones(0) in the adapted bases,
-    with rate u^mu (R dR + R omega R) contracted on the transverse block;
-    equals the integral of u^mu omega_{mu 1 2} wherever the tetrad is
-    already adapted.  Returns the angle at 201 evenly spaced parameters.
+    jones(lam) = exp(i Phi(lam) sigma_y) jones(0) in the adapted bases, with
+    the closed-form rate f_1 . D f_2 / D lam of :func:`_wigner_rate`; it is
+    u^mu omega_{mu 1 2} wherever the tetrad is already adapted, and it does
+    not use the parallel propagator, so it checks photon transport.  Returns
+    the angle's ``line_integral`` to ``tol`` at 201 evenly spaced parameters.
     """
     if worldline.kind != "null":
         raise QulineError("the photon Wigner rotation needs a null worldline")
-    t0, t1 = worldline.param_span
-    h = max(1e-7, abs(t1 - t0) * 1e-7)
-
-    def rate(lam):
-        _, u, _, _, pulled = worldline.kinematics(lam)
-        ar = adaptation_rotation(u)                        # diad rows f^A_I
-        # d f^A_I / d lam by 4th-order central differences in the parameter
-        df = np.tensordot(_FD_WEIGHTS, [_diad_rows(worldline, lam + off * h)
-                                        for off in _FD_OFFSETS], 1) / h
-        cov = df - ar.diad @ pulled                        # D f^A_I / D lam
-        return (cov @ ar.diad_inv)[0, 1]
-
-    sol = solve_ivp(lambda lam, y: [rate(lam)], (t0, t1), [0.0], method="RK45",
-                    rtol=tol, atol=tol, dense_output=True)
-    if not sol.success:
-        raise ToleranceError(f"Wigner angle integration failed: {sol.message}")
     params = worldline.sample_params()
-    return params, sol.sol(params)[0]
+    return params, line_integral(worldline, _wigner_rate, params, tol)
 
 
 def jones_rotation(angle):

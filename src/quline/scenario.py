@@ -129,7 +129,9 @@ _angle = _number("angle")
 _seed = _whole(0)
 _mass = _number("mass", positive=True)
 _spinor = _vector(4, nonzero=True)    # two complex numbers as (re, im, re, im)
-# scipy raises a smaller rtol to 100 eps with a warning, or fails to step
+# one floor for every tolerance: scipy raises a trajectory solve's rtol below
+# 100 eps to 100 eps with a warning, or fails to step (transports alone would
+# take down to worldline.TOLERANCE_FLOOR, 10 eps)
 SMALLEST_TOLERANCE = float(100 * np.finfo(float).eps)
 
 
@@ -335,7 +337,12 @@ def build_worldline(model, name, w):
     """The worldline of a parsed ``worldlines`` entry."""
     block = f"worldlines.{name}"
     if w["type"] == "static":
-        return static_worldline(model, w["position"], w["span"])
+        try:
+            return static_worldline(model, w["position"], w["span"])
+        except DomainError:
+            raise
+        except QulineError as exc:      # a tetrad that is not static and time-aligned
+            raise ScenarioError(str(exc), block=block) from None
     if w["type"] == "circular":
         if model.name != "minkowski":
             raise ScenarioError("a circular worldline needs the minkowski model", block=block)
@@ -442,7 +449,7 @@ class ScenarioRun:
             v = 1.0 / np.sqrt(1.0 - beta @ beta) * np.array([1.0, *beta])
             return head, partial(self._measure_spin, qubit, m, v)
         if name == "optic":
-            return head, partial(self._optic, qubit, _jones_matrix(op))
+            return head, partial(self._optic, qubit, _jones_matrix(op), block)
         pol = op["polarizer"]
         polarizer = (partial(linear_polarizer, pol["angle"]) if pol["type"] == "linear"
                      else partial(circular_polarizer, pol["handedness"]))
@@ -546,8 +553,11 @@ class ScenarioRun:
                 "axis": [float(x) for x in stern_gerlach_axis(setup)],
                 "state": _state_payload(post)}
 
-    def _optic(self, qubit, matrix, rng):
+    def _optic(self, qubit, matrix, block, rng):
         qubit["state"] = apply_jones(qubit["state"], matrix)
+        norm = qubit["state"].norm_squared()
+        if not 0.0 < norm < np.inf:
+            raise DomainError(f"[{block}] the optic leaves no photon (norm squared {abs(norm)})")
         return {"state": _state_payload(qubit["state"])}
 
     def _measure_polarization(self, qubit, polarizer, rng):

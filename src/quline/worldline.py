@@ -19,10 +19,12 @@ verified after integration, never re-imposed.
 Every qubit observable comes from one linear transport dS/dlam = G(lam) S
 of 2x2 spin-half maps along a worldline (vectors take their Lorentz image);
 :func:`propagate` returns S at the requested parameters from Magnus steps on
-G at Gauss nodes, and callers apply it to their states.  A generator is a
-function of the five arrays ``kinematics`` returns and of nothing else along
-the worldline.  Trajectory solves (DOP853) do only the work of step-size
-control while they run; their dense output is made afterwards in one pass.
+G at Gauss nodes, and callers apply it to their states; a scalar integral
+along it (:func:`line_integral`) is the transport of a nilpotent generator.
+A generator is a function of the five arrays ``kinematics`` returns and of
+nothing else along the worldline.  Trajectory solves (DOP853) do only the
+work of step-size control while they run; their dense output is made
+afterwards in one pass.
 """
 
 from __future__ import annotations
@@ -395,9 +397,25 @@ class DOP853Steps(DOP853):
 GAUSS_NODES = 0.5 + np.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 SUBNODES = np.concatenate([0.5 * GAUSS_NODES, 0.5 * (1.0 + GAUSS_NODES), GAUSS_NODES])
 NODES = np.concatenate([[0.0], SUBNODES[:3], [0.5], SUBNODES[3:6], [1.0]])
-# barycentric weights 1 / prod_{i != j} (NODES_j - NODES_i)
-_BARYCENTRIC = 1.0 / np.prod(np.where(np.eye(len(NODES), dtype=bool), 1.0,
-                                      NODES[:, None] - NODES), axis=-1)
+
+
+def _lagrange(nodes, t):
+    """The Lagrange basis polynomials through ``nodes`` at each of ``t``, (..., n),
+    in barycentric form (exact at a node)."""
+    barycentric = 1.0 / np.prod(np.where(np.eye(len(nodes), dtype=bool), 1.0,
+                                         nodes[:, None] - nodes), axis=-1)
+    gap = t[..., None] - nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = barycentric / gap
+        weights /= weights.sum(axis=-1, keepdims=True)
+    hit = gap == 0
+    return np.where(hit.any(axis=-1, keepdims=True), hit, weights)
+
+
+# G at the whole's outer Gauss nodes by the degree-8 interpolant through NODES
+# less by the degree-6 one through the inner 7: how far a read can be off
+_READ_CHECK = _lagrange(NODES, GAUSS_NODES[::2])
+_READ_CHECK[:, 1:-1] -= _lagrange(NODES[1:-1], GAUSS_NODES[::2])
 MAX_LEVELS = 40         # bisections of one interval before the kernel gives up
 TOLERANCE_FLOOR = float(10 * np.finfo(float).eps)   # an estimate rounds by ~eps/63
 CHUNK = 4096            # intervals evaluated at once; their kinematics take ~5 kB each
@@ -437,14 +455,8 @@ def _exp2(omega):
 
 def _interpolate(g, t):
     """G at the fractions t (n or 1, m) of intervals, from the degree-8
-    polynomial through its values g (n, 9, 2, 2) at NODES (barycentric form;
-    exact at a node)."""
-    gap = t[..., None] - NODES
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = _BARYCENTRIC / gap
-        weights /= weights.sum(axis=-1, keepdims=True)
-    hit = gap == 0
-    weights = np.where(hit.any(axis=-1, keepdims=True), hit, weights)
+    polynomial through its values g (n, 9, 2, 2) at NODES."""
+    weights = _lagrange(NODES, t)
     return (weights @ g.reshape(len(g), len(NODES), 4)).reshape(len(g), t.shape[-1], 2, 2)
 
 
@@ -487,11 +499,12 @@ def propagate(worldline, generator, params, tol):
     ``worldline.breakpoints``, whatever the ``params``.  An interval takes
     :func:`_richardson` steps, with the nodes of a level from one
     ``kinematics`` call per CHUNK intervals, and is bisected while the
-    estimate exceeds tol / 2; the other half is left for what the estimate
-    does not see.  A parameter is read by the same steps, over the part of
-    its interval before it, on the interpolant of G.  :class:`ToleranceError`
-    is raised for ``tol`` below TOLERANCE_FLOOR, a G that is not finite, and
-    past MAX_LEVELS bisections.
+    estimate, or its width times the ``_READ_CHECK`` of G, exceeds tol / 2;
+    the other half is left for what the estimate does not see.  A parameter
+    is read by the same steps, over the part of its interval before it, on
+    the interpolant of G.  :class:`ToleranceError` is raised for ``tol``
+    below TOLERANCE_FLOOR, a G that is not finite, and past MAX_LEVELS
+    bisections.
     """
     if not tol >= TOLERANCE_FLOOR:
         raise ToleranceError(f"transport tolerance {tol:.3g} is below the rounding floor "
@@ -530,7 +543,10 @@ def propagate(worldline, generator, params, tol):
             g = np.concatenate([ends[:, :1], new[:, :3], ends[:, 1:2], new[:, 3:], ends[:, 2:]],
                                axis=1)
             steps, error = _richardson(_interpolate(g, SUBNODES[None]), width)
-            done = error <= 0.5 * tol
+            # G odd about the midpoint fools the estimate, not the read check
+            change = (g - g[:, 4:5]).reshape(len(g), len(NODES), 4)     # exact 0 for constant G
+            misread = np.abs(_READ_CHECK @ change).max(axis=(1, 2))
+            done = np.maximum(error, width * misread) <= 0.5 * tol
             # G is kept where a parameter is read
             read = done & (np.searchsorted(asked, direction * left, "left")
                            < np.searchsorted(asked, direction * right, "right"))
@@ -553,6 +569,16 @@ def propagate(worldline, generator, params, tol):
     maps = _richardson(_interpolate(kept[slots[k]], theta[:, None] * SUBNODES),
                        theta * widths[k])[0]
     return _dot(maps, starts[k]).reshape(params.shape + (2, 2))
+
+
+def line_integral(worldline, integrand, params, tol):
+    """The integral of ``integrand(x, u, a, xdot, pulled)`` (n values for (n, 4)
+    ``kinematics`` rows) from the span start to each of ``params``: entry
+    [0, 1] of :func:`propagate` of the nilpotent f sigma_+, whose Magnus steps
+    are exactly 1 + Omega, so the kernel's estimate and errors apply as they are."""
+    raising = np.array([[0.0, 1.0], [0.0, 0.0]])
+    maps = propagate(worldline, lambda *k: integrand(*k)[:, None, None] * raising, params, tol)
+    return maps[..., 0, 1].real
 
 
 def worldline_from_csv(path, model, kind="timelike"):

@@ -1,10 +1,13 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from quline import interferometry as itf
 from quline.errors import (ComplexVelocity, DomainError, OrthogonalStates,
-                           QulineError, WavevectorMismatch)
+                           QulineError, ToleranceError, WavevectorMismatch)
 from quline.fermion import FermionState
 from quline.geometry import Event, make_builtin_model
 from quline.photon import jones_to_state
@@ -53,6 +56,28 @@ class TestArmPhase:
         # closed-form line integral: m T + e A_t dt
         assert arm.theta_int == pytest.approx(mass * span + charge * a_t * dt,
                                               rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    @pytest.mark.parametrize("end", [0.0, 1.3, 3.0])
+    def test_varying_potential_matches_quad(self, scale, end):
+        def potential(c):
+            return scale * np.array([np.cos(c[1]), np.sin(2 * c[0]), 0.3 * c[1] ** 2, 1.0])
+
+        em = EMField(lambda c: np.zeros((4, 4)), potential)
+        arm = straight_fermion_arm(np.zeros(4), [0.6, 0, 0], 3.0, 1.0, em=em)
+        arm = itf.slide_endpoint(arm, end - arm.end_param)
+        wl = arm.worldline
+        with warnings.catch_warnings():     # quad warns of roundoff at 1e4
+            warnings.simplefilter("ignore", IntegrationWarning)
+            expected, _ = quad(lambda s: potential(wl.position(s)) @ wl.coordinate_velocity(s),
+                               0.0, end, epsabs=1e-13, epsrel=1e-14, limit=200)
+        assert abs(arm.theta_int - end - expected) <= 1e-14 * scale
+
+    def test_non_finite_potential_raises(self):
+        em = EMField(lambda c: np.zeros((4, 4)),
+                     lambda c: np.array([np.nan if c[1] > 1.0 else 0.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(ToleranceError, match="not finite"):
+            straight_fermion_arm(np.zeros(4), [0.6, 0, 0], 3.0, 1.0, em=em)
 
     def test_kind_mismatch(self):
         wl = integrate_null_geodesic(FLAT, np.zeros(4), [1.0, 0, 0, 1.0], span=1.0)

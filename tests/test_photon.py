@@ -254,6 +254,25 @@ class TestWignerRotation:
             expect = ph.jones_rotation(angles[i]) @ jones0
             assert np.abs(j - expect).max() < 1e-8
 
+    def test_off_equatorial_schwarzschild_matches_full_transport(self):
+        # off the equatorial plane the adapted frame turns: Phi grows to about
+        # 0.28 rad, and every sample must agree with parallel transport
+        model = make_builtin_model("schwarzschild", [1.0])
+        x0 = np.array([0.0, 15.0, 1.1, 0.0])
+        k_coord = np.array([0.0, -0.35, 0.02, 0.05])
+        g = np.diag(model.metric(x0))
+        k_coord[0] = np.sqrt(-(g[1:] @ k_coord[1:] ** 2) / g[0])
+        k0 = model.inverse_tetrad(x0) @ k_coord
+        wl = integrate_null_geodesic(model, x0, k0, span=22.0, tol=1e-12)
+        lams, angles = ph.wigner_rotation(wl, tol=1e-12)
+        assert len(lams) == 201 and np.abs(angles).max() > 0.25
+        jones0 = np.array([0.8, -0.6j])
+        st = ph.PhotonState(ph.adaptation_rotation(k0).diad_inv @ jones0, wl.start_event, k0)
+        res = ph.transport(st, wl, tol=1e-13, n_samples=len(lams))
+        worst = max(np.abs(ph.adapt(s)[1] - ph.jones_rotation(phi) @ jones0).max()
+                    for s, phi in zip(res.states, angles))
+        assert worst <= 1e-11
+
 
 class TestOpticalElements:
     def test_waveplate_in_adapted_basis(self):

@@ -66,7 +66,17 @@ EXPECTED_ERRORS = {"interferometer_arm": ScenarioReferenceError,
                    "interferometer_kind_not_qubit_kind": ScenarioError,
                    "arm_ends_apart": ScenarioError, "superluminal_beta": ScenarioError,
                    "spacelike_wavevector": ScenarioError,
-                   "past_pointing_wavevector": ScenarioError}
+                   "past_pointing_wavevector": ScenarioError,
+                   "static_on_time_space_tetrad": ScenarioError}
+
+
+def _tabulated(entry, value):
+    """An edit that puts flat_noop on a three-node tabulated model along z
+    whose node tetrads are the identity with ``entry`` set to ``value``."""
+    e = np.eye(4)
+    e[entry] = value
+    params = {"axes": [[0.0], [0.0], [0.0], [-1.0, 0.0, 1.0]], "tetrads": [[[[e.tolist()] * 3]]]}
+    return lambda d: d.update(model={"family": "tabulated", "params": params})
 
 
 class TestValidate:
@@ -212,6 +222,9 @@ class TestValidate:
         ("spacelike_wavevector", _worldline(type="null_geodesic", wavevector=[1, 0, 0, 2])),
         ("past_pointing_wavevector", _worldline(type="null_geodesic",
                                                 wavevector=[-1, 0, 0, 1])),
+        ("singular_tabulated_tetrad", _tabulated(3, 0.0)),
+        ("non_finite_tabulated_tetrad", _tabulated((2, 1), np.inf)),
+        ("static_on_time_space_tetrad", _tabulated((0, 1), 0.1)),
     ])
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_malformed_entry_or_value(self, tmp_path, capsys, case, edit, command):
@@ -427,6 +440,20 @@ class TestRun:
         rotator = run_edited(tmp_path / "rotator", "polarimetry.scenario", lambda d: None)
         jones = run_edited(tmp_path / "jones", "polarimetry.scenario", as_jones)
         assert jones["results"] == rotator["results"]
+
+    @pytest.mark.parametrize("measured", [True, False])
+    def test_optic_that_annihilates_the_photon_exits_4(self, tmp_path, capsys, measured):
+        data = sc.load_scenario(SCENARIOS / "polarimetry.scenario")
+        data["schedule"][1] = {"op": "optic", "qubit": "p0", "element": "jones",
+                               "matrix": [0] * 8}
+        if not measured:
+            del data["schedule"][2]
+        path = tmp_path / "dark.scenario"
+        path.write_text(yaml.safe_dump(data))
+        assert run_cli(["--out-dir", tmp_path, "run", path]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            "domain error: [schedule[1]] the optic leaves no photon (norm squared 0.0)\n")
+        assert not list(tmp_path.glob("*.json"))
 
     def test_half_wave_plate_mirrors_the_polarization(self, tmp_path):
         # rotator 30 deg, then retardance pi: linear at -30 deg, so a linear

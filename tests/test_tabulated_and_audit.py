@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quline import cli
+from quline.errors import QulineError
 from quline.geometry import (TabulatedModel, connection_finite_difference,
                              make_builtin_model)
 from quline.spin_algebra import ETA
@@ -67,6 +68,13 @@ class TestTabulatedModel:
         const = TabulatedModel([[0.0]] * 4, table[:, :1, :, :1])
         np.testing.assert_array_equal(const.tetrads(points[:3]),
                                       np.array([const.tetrad(p) for p in points[:3]]))
+
+    @pytest.mark.parametrize("entry, value", [((3, 3), 0.0), ((1, 2), np.nan)])
+    def test_singular_or_non_finite_node_tetrad_is_refused(self, entry, value):
+        table = np.tile(np.eye(4), (1, 1, 1, 3, 1, 1))
+        table[0, 0, 0, 2][entry] = value
+        with pytest.raises(QulineError, match=r"node \(0, 0, 0, 2\) is singular or not finite"):
+            TabulatedModel([[0.0], [0.0], [0.0], [0.0, 1.0, 2.0]], table)
 
     def test_scenario_tabulated_model(self, tmp_path):
         zs = [-0.5, 0.0, 0.5, 1.0, 1.5, 2.0]

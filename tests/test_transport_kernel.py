@@ -231,6 +231,25 @@ def test_generator_that_is_not_finite_is_refused():
         wld.propagate(wl, broken, np.array(wl.param_span), 1e-12)
 
 
+def test_generator_odd_about_the_midpoint_is_resolved_where_it_is_read():
+    """For G odd about an interval's midpoint the half steps and the whole
+    agree exactly, however coarse the interval: the estimate alone accepts
+    the span's one interval here, and the maps read inside it are off by
+    order 1.  The read check refines until all 201 agree with the closed form
+    exp(i phi sigma_z), phi = (cos(w T / 2) - cos(w (lam - T / 2))) / w."""
+    span, w = 3.0, 7.3
+    wl = wld.static_worldline(FLAT, [0.0, 0.0, 0.0], span)
+
+    def odd(x, u, a, xdot, pulled):
+        return (1j * np.sin(w * (x[:, 0] - 0.5 * span)))[:, None, None] * np.diag([1.0, -1.0])
+
+    params = wl.sample_params()
+    phi = (np.cos(0.5 * w * span) - np.cos(w * (params - 0.5 * span))) / w
+    maps = wld.propagate(wl, odd, params, 1e-12)
+    np.testing.assert_allclose(maps[:, [0, 1], [0, 1]], np.exp(1j * np.outer(phi, [1.0, -1.0])),
+                               rtol=0.0, atol=1e-12)
+
+
 def test_propagate_takes_parameters_in_any_order_within_the_span():
     wl = schwarzschild_ray()
     generator = parallel(wl)[0]
@@ -256,6 +275,23 @@ def test_each_parameter_is_read_alone():
     maps = wld.propagate(wl, generator, params, 1e-12)
     for lam, want in zip(params, maps):
         np.testing.assert_array_equal(wld.propagate(wl, generator, lam, 1e-12), want)
+
+
+def test_line_integral_is_the_transport_of_a_nilpotent_generator():
+    """On a circular orbit, x^1 = r cos(w t) with t = gamma tau: its integral
+    over proper time is r sin(w gamma tau) / (w gamma).  The maps of f sigma_+
+    are exactly unipotent, so the integral is their entry [0, 1]."""
+    radius, beta = 0.7, 0.6
+    wl = wld.circular_worldline(FLAT, radius=radius, beta=beta, revolutions=2.0)
+    params = np.linspace(*wl.param_span, 9)
+    rate = beta / radius / np.sqrt(1.0 - beta * beta)
+    values = wld.line_integral(wl, lambda x, u, a, xdot, pulled: x[:, 1], params, 1e-12)
+    np.testing.assert_allclose(values, radius * np.sin(rate * params) / rate,
+                               rtol=0.0, atol=1e-12)
+    maps = wld.propagate(wl, lambda x, u, a, xdot, pulled: x[:, 1, None, None]
+                         * np.array([[0.0, 1.0], [0.0, 0.0]]), params, 1e-12)
+    assert np.all(maps[:, 1, 0] == 0.0) and np.all(maps[:, [0, 1], [0, 1]] == 1.0)
+    np.testing.assert_array_equal(maps[:, 0, 1].real, values)
 
 
 def image_line(family):
