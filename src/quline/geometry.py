@@ -197,7 +197,12 @@ def connection_finite_difference(model, coords, step=None):
     if not np.all(model.in_domain(flat.T)):
         raise DomainError(f"{model.name}: finite-difference stencil leaves chart domain")
     e = model.tetrads(flat).reshape(points.shape + (4,))   # e[stencil, ..., mu, I]
-    einv = np.linalg.inv(e)
+    try:
+        einv = np.linalg.inv(e)
+    except np.linalg.LinAlgError:
+        worst = np.abs(np.linalg.det(e)).reshape(17, -1).min(axis=0).argmin()
+        raise DomainError(f"{model.name}: tetrad singular on the finite-difference stencil "
+                          f"of event {coords.reshape(-1, 4)[worst].tolist()}") from None
     g = np.swapaxes(einv, -1, -2) @ ETA @ einv
     e0, einv0 = e[0], einv[0]
     de = _stencil_derivative(e[1:], h)                     # de[nu, ..., rho, J]

@@ -28,7 +28,7 @@ from .errors import (ComplexVelocity, DomainError, HilbertSpaceMismatch,
 from .fermion import FermionState, inner_product
 from .geometry import Event
 from .photon import PhotonState, photon_inner_product
-from .worldline import line_integral, rindler_speed_at_height
+from .worldline import _restricted, line_integral, rindler_speed_at_height
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ def arm_phase(worldline, em=None, kind="fermion", mass=None, charge=1.0,
     """Accumulate the internal phase along an arm up to ``end_param``.
 
     Fermion arms need ``mass``; their internal phase is mass * (proper time)
-    plus charge * integral A.dx when a potential is supplied.  Photon arms
-    have internal phase exactly zero.
+    plus charge * integral A.dx over the arm up to ``end`` when a potential
+    is supplied.  Photon arms have internal phase exactly zero.
     """
     t0, t1 = worldline.param_span
     end = t1 if end_param is None else float(end_param)
@@ -73,10 +73,11 @@ def arm_phase(worldline, em=None, kind="fermion", mass=None, charge=1.0,
         if mass is None or mass <= 0:
             raise DomainError("fermion arms need a positive mass")
         theta = mass * (end - t0)
-        if em is not None and em.has_potential():
+        if em is not None and em.has_potential() and end > t0:
             a_dot_xdot = lambda x, u, a, xdot, pulled: np.einsum(
                 "ni,ni->n", [em.potential(c) for c in x], xdot)
-            theta += charge * line_integral(worldline, a_dot_xdot, end, 1e-12)
+            theta += charge * line_integral(_restricted(worldline, end), a_dot_xdot, end,
+                                            1e-12)
         mass_val = mass
         k_lower = mass * model.lower_coordinate(x_end, worldline.coordinate_velocity(end))
     else:

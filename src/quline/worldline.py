@@ -1,7 +1,9 @@
 """Worldlines: Lorentz-force trajectories, null geodesics, prescribed paths.
 
-A worldline knows its model and exposes, for any value of its parameter
-(proper time for timelike curves, an affine parameter for null ones):
+A worldline knows its model and defines one evaluation, ``_motion(lam)``,
+which returns (x, u, a) for a scalar parameter or three (n, 4) arrays for a
+1-d array of n (proper time for timelike curves, an affine parameter for
+null ones).  Every reader below comes from it, on the base class:
 
 * ``position(lam)``             chart coordinates x^mu
 * ``coordinate_velocity(lam)``  dx^mu/dlam (coordinate components)
@@ -12,6 +14,12 @@ A worldline knows its model and exposes, for any value of its parameter
                                 from one evaluation of the model's frame;
                                 for a 1-d array of n parameters, (n, 4)
                                 arrays and an (n, 4, 4) one
+* ``trajectory(params)``        positions and velocities, two (n, 4) arrays
+
+A closed form is one function of the parameter, an ``AnalyticWorldline``
+calls its scalar callables node by node, a sampled worldline is one spline
+of the stacked (x, u, a), and an integrated one reads its dense output once
+per call.
 
 Timelike velocities satisfy u.u = 1, null ones u.u = 0; normalization is
 verified after integration, never re-imposed.
@@ -110,21 +118,22 @@ class Worldline:
         if self.param_span[0] == self.param_span[1]:
             raise DomainError("worldline parameter span is empty")
 
-    # subclasses implement position / velocity / acceleration
-    def position(self, lam):
+    def _motion(self, lam):
+        """(x, u, a) at ``lam``, a scalar or a 1-d array of parameters (then
+        three (n, 4) arrays): the one evaluation a subclass defines."""
         raise NotImplementedError
+
+    def position(self, lam):
+        return self._motion(lam)[0]
 
     def velocity(self, lam):
-        raise NotImplementedError
+        return self._motion(lam)[1]
 
     def acceleration(self, lam):
-        raise NotImplementedError
+        return self._motion(lam)[2]
 
     def coordinate_velocity(self, lam):
-        return self.model.to_coords(self.position(lam), self.velocity(lam))
-
-    def _motion(self, lam):
-        return self.position(lam), self.velocity(lam), self.acceleration(lam)
+        return self.model.to_coords(*self._motion(lam)[:2])
 
     def kinematics(self, lam):
         """(position, velocity, acceleration, coordinate_velocity, pulled) at
@@ -137,8 +146,7 @@ class Worldline:
 
     def trajectory(self, params):
         """Positions and velocities at every parameter value, as two (n, 4) arrays."""
-        params = np.asarray(params, dtype=float)
-        return self.position(params), self.velocity(params)
+        return self._motion(np.asarray(params, dtype=float))[:2]
 
     def velocity_coordinate_derivative(self, lam):
         """du^I/dlam (ordinary derivative of the tetrad components)."""
@@ -179,49 +187,47 @@ class Worldline:
 class AnalyticWorldline(Worldline):
     """Worldline given by closed-form callables of the parameter.
 
-    The callables may take one parameter value at a time, so ``kinematics``
-    and ``trajectory`` of an array evaluate them node by node.
+    The callables may take one parameter value at a time, so an array of
+    parameters is evaluated node by node.
     """
 
     def __init__(self, model, span, position, velocity, acceleration, kind="timelike"):
         super().__init__(model, span)
-        self._position = position
-        self._velocity = velocity
-        self._acceleration = acceleration
+        self._callables = (position, velocity, acceleration)
         self.kind = kind
-
-    def position(self, lam):
-        return np.asarray(self._position(lam), dtype=float)
-
-    def velocity(self, lam):
-        return np.asarray(self._velocity(lam), dtype=float)
-
-    def acceleration(self, lam):
-        return np.asarray(self._acceleration(lam), dtype=float)
 
     def _motion(self, lam):
         if np.ndim(lam):
             return tuple(np.array(v) for v in zip(*map(self._motion, lam)))
-        return super()._motion(lam)
-
-    def trajectory(self, params):
-        return self._motion(params)[:2]
+        return tuple(np.asarray(f(lam), dtype=float) for f in self._callables)
 
 
-class _BroadcastWorldline(AnalyticWorldline):
-    """An :class:`AnalyticWorldline` whose callables broadcast over a parameter
-    array, so an array of parameters takes one evaluation of each."""
+class _MotionWorldline(Worldline):
+    """Worldline given by one function lam -> (x, u, a) that takes a scalar or
+    a 1-d array of parameters, as ``_motion`` does."""
 
-    _motion = Worldline._motion
-    trajectory = Worldline.trajectory
+    def __init__(self, model, span, motion, kind="timelike"):
+        super().__init__(model, span)
+        self._function = motion
+        self.kind = kind
+
+    def _motion(self, lam):
+        return self._function(lam)
+
+
+def _restricted(worldline, end):
+    """``worldline`` from its span start to a later ``end``: the same motion,
+    with the breakpoints that lie inside the shorter span."""
+    t0 = worldline.param_span[0]
+    arm = _MotionWorldline(worldline.model, (t0, end), worldline._motion, worldline.kind)
+    arm.breakpoints = [b for b in worldline.breakpoints if t0 < b < end]
+    return arm
 
 
 class IntegratedWorldline(Worldline):
-    """Worldline backed by the :class:`DenseSolution` of an adaptive DOP853 solve.
-
-    ``kinematics`` and ``trajectory`` evaluate the dense output once per call,
-    at one parameter or at a whole array of them.  ``accel_fn(x, u)`` is the
-    force per unit mass; None for a free trajectory.
+    """Worldline backed by the :class:`DenseSolution` of an adaptive DOP853 solve,
+    read once per evaluation.  ``accel_fn(x, u)`` is the force per unit mass;
+    None for a free trajectory.
     """
 
     def __init__(self, model, sol, span, kind, accel_fn):
@@ -230,31 +236,15 @@ class IntegratedWorldline(Worldline):
         self._sol = sol
         self._accel = accel_fn
 
-    def _acceleration(self, x, u):
-        return np.zeros_like(u) if self._accel is None else self._accel(x, u)
-
-    def position(self, lam):
-        return self._sol(lam)[..., :4]
-
-    def velocity(self, lam):
-        return self._sol(lam)[..., 4:]
-
-    def acceleration(self, lam):
-        y = self._sol(lam)
-        return self._acceleration(y[..., :4], y[..., 4:])
-
     def _motion(self, lam):
         y = self._sol(lam)
         x, u = y[..., :4], y[..., 4:]
-        return x, u, self._acceleration(x, u)
-
-    def trajectory(self, params):
-        y = self._sol(np.asarray(params, dtype=float))
-        return y[:, :4], y[:, 4:]
+        return x, u, np.zeros_like(u) if self._accel is None else self._accel(x, u)
 
 
 class SampledWorldline(Worldline):
-    """Worldline replayed from tabulated samples, cubic-Hermite interpolated."""
+    """Worldline replayed from tabulated samples: one cubic-Hermite spline of
+    the stacked (x, u, a)."""
 
     def __init__(self, model, params, positions, velocities, accelerations, kind="timelike"):
         super().__init__(model, (params[0], params[-1]))
@@ -263,23 +253,17 @@ class SampledWorldline(Worldline):
         params = np.asarray(params, dtype=float)
         positions = np.asarray(positions, dtype=float)
         velocities = np.asarray(velocities, dtype=float)
-        self.breakpoints = params       # the knots of the splines
-        self._acc = np.asarray(accelerations, dtype=float)
+        accelerations = np.asarray(accelerations, dtype=float)
+        self.breakpoints = params       # the knots of the spline
         xdot, pulled = model.pulled_connections(positions, velocities)
-        udot = self._acc - (pulled @ velocities[:, :, None])[:, :, 0]
-        self._pos_spline = CubicHermiteSpline(params, positions, xdot)
-        self._vel_spline = CubicHermiteSpline(params, velocities, udot)
-        self._acc_spline = CubicHermiteSpline(params, self._acc,
-                                              np.gradient(self._acc, params, axis=0))
+        udot = accelerations - (pulled @ velocities[:, :, None])[:, :, 0]
+        self._spline = CubicHermiteSpline(
+            params, np.hstack([positions, velocities, accelerations]),
+            np.hstack([xdot, udot, np.gradient(accelerations, params, axis=0)]))
 
-    def position(self, lam):
-        return self._pos_spline(lam)
-
-    def velocity(self, lam):
-        return self._vel_spline(lam)
-
-    def acceleration(self, lam):
-        return self._acc_spline(lam)
+    def _motion(self, lam):
+        y = self._spline(lam)
+        return y[..., :4], y[..., 4:8], y[..., 8:]
 
 
 class DenseSolution:
@@ -671,6 +655,8 @@ def integrate_null_geodesic(model, x0, k0, span=1.0, tol=1e-11):
     norm = minkowski_dot(k0, k0)
     if abs(norm) > 1e-12 * (1.0 + k0 @ k0):
         raise QulineError(f"k0 must be null (k.k = {norm})")
+    if k0[0] <= 0:
+        raise QulineError("k0 must be future-pointing")
     if span <= 0:
         raise DomainError("span must be positive")
     return _integrate(model, x0, k0, span, tol, "null", None)
@@ -694,12 +680,11 @@ def static_worldline(model, spatial_coords, span):
     omega = model.connection(x_ref)
     a_tet = ut_coord * omega[0, :, 0]
 
-    def position(tau):
-        return _four_vectors(tau, ut_coord * tau, *x_ref[1:])
+    def motion(tau):
+        return (_four_vectors(tau, ut_coord * tau, *x_ref[1:]), _four_vectors(tau, *u_tet),
+                _four_vectors(tau, *a_tet))
 
-    return _BroadcastWorldline(model, (0.0, span), position,
-                               lambda tau: _four_vectors(tau, *u_tet),
-                               lambda tau: _four_vectors(tau, *a_tet))
+    return _MotionWorldline(model, (0.0, span), motion)
 
 
 def circular_worldline(model, radius, beta, revolutions=1.0):
@@ -717,22 +702,18 @@ def circular_worldline(model, radius, beta, revolutions=1.0):
     gamma = 1.0 / np.sqrt(1.0 - beta * beta)
     omega_coord = beta / radius
     span = revolutions * 2.0 * np.pi * radius / (gamma * beta)
+    mag = gamma * gamma * beta * beta / radius
 
-    def position(tau):
+    def motion(tau):
         t = gamma * tau
-        ang = omega_coord * t
-        return _four_vectors(tau, t, radius * np.cos(ang), radius * np.sin(ang), 0.0)
-
-    def velocity(tau):
+        # x's angle rounds as omega (gamma tau), u's and a's as (omega gamma) tau
+        at = omega_coord * t
         ang = omega_coord * gamma * tau
-        return gamma * _four_vectors(tau, 1.0, -beta * np.sin(ang), beta * np.cos(ang), 0.0)
+        return (_four_vectors(tau, t, radius * np.cos(at), radius * np.sin(at), 0.0),
+                gamma * _four_vectors(tau, 1.0, -beta * np.sin(ang), beta * np.cos(ang), 0.0),
+                _four_vectors(tau, 0.0, -mag * np.cos(ang), -mag * np.sin(ang), 0.0))
 
-    def acceleration(tau):
-        ang = omega_coord * gamma * tau
-        mag = gamma * gamma * beta * beta / radius
-        return _four_vectors(tau, 0.0, -mag * np.cos(ang), -mag * np.sin(ang), 0.0)
-
-    return _BroadcastWorldline(model, (0.0, span), position, velocity, acceleration)
+    return _MotionWorldline(model, (0.0, span), motion)
 
 
 def _four_vectors(tau, *components):

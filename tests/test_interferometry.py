@@ -79,6 +79,18 @@ class TestArmPhase:
         with pytest.raises(ToleranceError, match="not finite"):
             straight_fermion_arm(np.zeros(4), [0.6, 0, 0], 3.0, 1.0, em=em)
 
+    def test_potential_is_integrated_up_to_the_end_only(self):
+        # A is not finite beyond x^1 = 1, which the arm passes at tau = 4/3;
+        # up to end = 0.5 it is the constant A_t
+        mass, a_t, beta, end = 1.3, 0.45, 0.6, 0.5
+        em = EMField(lambda c: np.zeros((4, 4)),
+                     lambda c: np.array([np.nan if c[1] > 1.0 else a_t, 0.0, 0.0, 0.0]))
+        gamma = 1 / np.sqrt(1 - beta**2)
+        wl = integrate_timelike(FLAT, em, np.zeros(4), gamma * np.array([1.0, beta, 0, 0]),
+                                span=3.0, tol=1e-13)
+        arm = itf.arm_phase(wl, em, "fermion", mass=mass, end_param=end)
+        assert arm.theta_int == pytest.approx(mass * end + a_t * gamma * end, rel=1e-12)
+
     def test_kind_mismatch(self):
         wl = integrate_null_geodesic(FLAT, np.zeros(4), [1.0, 0, 0, 1.0], span=1.0)
         with pytest.raises(QulineError):

@@ -292,6 +292,19 @@ class TestValidate:
                     op["polarizer"] = polarizer
         self.assert_rejected(tmp_path, capsys, "polarimetry.scenario", edit, command)
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_singular_interpolated_tetrad(self, tmp_path, capsys, command):
+        # nodes diag(1, 1, 1, 1) and diag(1, 1, 1, -1) along z are regular;
+        # between them e^3_3 passes 0, at the observer's z = 0.5
+        def edit(data):
+            flip = np.diag([1.0, 1.0, 1.0, -1.0])
+            data["model"] = {"family": "tabulated", "params": {
+                "axes": [[0.0], [0.0], [0.0], [0.0, 1.0]],
+                "tetrads": [[[[np.eye(4).tolist(), flip.tolist()]]]]}}
+            data["worldlines"]["rest_line"]["position"] = [0.0, 0.0, 0.5]
+        self.assert_rejected(tmp_path, capsys, "flat_noop.scenario", edit, command,
+                             DomainError)
+
     @staticmethod
     def assert_rejected(tmp_path, capsys, scenario, edit, command,
                         error=ScenarioParseError):

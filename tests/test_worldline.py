@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,10 @@ class TestNullGeodesics:
     def test_rejects_non_null(self, flat):
         with pytest.raises(QulineError):
             wld.integrate_null_geodesic(flat, np.zeros(4), [1.0, 0.9, 0, 0], span=1.0)
+
+    def test_rejects_past_pointing(self, flat):
+        with pytest.raises(QulineError, match="future-pointing"):
+            wld.integrate_null_geodesic(flat, np.zeros(4), [-1.0, 0.0, 0.0, -1.0], span=1.0)
 
     def test_schwarzschild_conserved_quantities(self):
         model = make_builtin_model("schwarzschild", [1.0])
@@ -282,7 +288,16 @@ class TestKinematics:
         static = wld.static_worldline(model, [6.0, 1.2, 0.3], span=2.0)
         x0 = np.array([0.0, 9.0, 1.2, 0.3])
         falling = wld.integrate_timelike(model, None, x0, [1.0, 0.0, 0.0, 0.0], span=2.0)
-        return [analytic, static, integrated, sampled, falling]
+        # a flat circular orbit from math.cos and math.sin, which take one
+        # parameter at a time: arrays of parameters are evaluated node by node
+        gamma, radius, w = 1.25, 1.5, 0.5
+        scalar = wld.AnalyticWorldline(
+            flat, (0.0, 2.0),
+            lambda s: [gamma * s, radius * math.cos(w * s), radius * math.sin(w * s), 0.0],
+            lambda s: [gamma, -radius * w * math.sin(w * s), radius * w * math.cos(w * s), 0.0],
+            lambda s: [0.0, -radius * w * w * math.cos(w * s),
+                       -radius * w * w * math.sin(w * s), 0.0])
+        return [analytic, static, integrated, sampled, falling, scalar]
 
     def test_kinematics_matches_separate_evaluations(self, flat, tmp_path):
         for wl in self.worldlines(flat, tmp_path):
