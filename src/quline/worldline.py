@@ -29,6 +29,9 @@ of 2x2 spin-half maps along a worldline (vectors take their Lorentz image);
 :func:`propagate` returns S at the requested parameters from Magnus steps on
 G at Gauss nodes, and callers apply it to their states; a scalar integral
 along it (:func:`line_integral`) is the transport of a nilpotent generator.
+The kernel refines its grid in rounds: an interval the error estimate
+rejects is split at once into the 2^m equal parts the estimate asks for,
+with depth counted in bisections (m for such a split).
 A generator is a function of the five arrays ``kinematics`` returns and of
 nothing else along the worldline.  Trajectory solves (DOP853) do only the
 work of step-size control while they run; their dense output is made
@@ -149,9 +152,10 @@ class Worldline:
         return self._motion(np.asarray(params, dtype=float))[:2]
 
     def velocity_coordinate_derivative(self, lam):
-        """du^I/dlam (ordinary derivative of the tetrad components)."""
+        """du^I/dlam (ordinary derivative of the tetrad components), row by row
+        for a 1-d array of parameters."""
         _, u, a, _, pulled = self.kinematics(lam)
-        return a - pulled @ u
+        return a - (pulled @ u[..., None])[..., 0]
 
     def event(self, lam):
         return Event(self.position(lam), self.model.chart_id)
@@ -400,6 +404,7 @@ def _lagrange(nodes, t):
 # less by the degree-6 one through the inner 7: how far a read can be off
 _READ_CHECK = _lagrange(NODES, GAUSS_NODES[::2])
 _READ_CHECK[:, 1:-1] -= _lagrange(NODES[1:-1], GAUSS_NODES[::2])
+_AT_SUBNODES = _lagrange(NODES, SUBNODES[None])     # the interpolant at SUBNODES
 MAX_LEVELS = 40         # bisections of one interval before the kernel gives up
 TOLERANCE_FLOOR = float(10 * np.finfo(float).eps)   # an estimate rounds by ~eps/63
 CHUNK = 4096            # intervals evaluated at once; their kinematics take ~5 kB each
@@ -437,11 +442,11 @@ def _exp2(omega):
     return np.cosh(s)[:, None, None] * np.eye(2) + sinhc * omega
 
 
-def _interpolate(g, t):
-    """G at the fractions t (n or 1, m) of intervals, from the degree-8
-    polynomial through its values g (n, 9, 2, 2) at NODES."""
-    weights = _lagrange(NODES, t)
-    return (weights @ g.reshape(len(g), len(NODES), 4)).reshape(len(g), t.shape[-1], 2, 2)
+def _interpolate(g, weights):
+    """G at the fractions of intervals that ``weights`` (n or 1, m, 9), their
+    ``_lagrange`` weights on NODES, stand for: the degree-8 polynomial through
+    its values g (n, 9, 2, 2) at NODES."""
+    return (weights @ g.reshape(len(g), len(NODES), 4)).reshape(len(g), weights.shape[-2], 2, 2)
 
 
 def _richardson(g, h):
@@ -474,21 +479,65 @@ def _prefix_products(steps):
     return out
 
 
+def _split(left, right, depth, worst, g, tol):
+    """The next round's intervals from the rejected ones, as (lefts, rights,
+    depths, known, fresh).
+
+    An interval whose worst error is finite and below 1 splits into 2^m
+    equal parts, m = ceil(log2(worst / (tol / 2)) / 7), since the half steps'
+    error falls as h^7; any other is bisected.  No part goes past MAX_LEVELS
+    bisections.  ``g`` (n, 5, 2, 2) holds G at the fractions 0, 1/4, 1/2, 3/4
+    and 1 of each rejected interval, and ``known`` (k, 3, 2, 2) G at each
+    part's ends and midpoint where they are among these.  The others are
+    ``fresh = (at, source)``, or None if there are none: the parameters to
+    evaluate, in the order of the parts, and the index into ``at`` of each
+    part's three values, -1 where ``known`` holds it.  Neighbours share their
+    end.
+    """
+    sized = np.ceil(np.log2(worst / (0.5 * tol)) / 7.0)
+    m = np.where(worst < 1.0, sized, 1.0)       # False for inf and nan
+    m = np.minimum(m, MAX_LEVELS - depth).astype(int)
+    if np.all(m == 1):      # halves alone: each takes its ends and midpoint
+        middle = left + 0.5 * (right - left)
+        return (np.concatenate([left, middle]), np.concatenate([middle, right]),
+                np.concatenate([depth, depth]) + 1, np.concatenate([g[:, :3], g[:, 2:]]), None)
+    size = 2 ** m
+    part = np.repeat(np.arange(len(size)), size)        # the rejected interval of each part
+    j = np.arange(len(part)) - np.repeat(np.cumsum(size) - size, size)
+    n, start, width = size[part], left[part], (right - left)[part]
+    end = np.where(j + 1 == n, right[part], start + (j + 1) / n * width)
+    # a part's ends and midpoint in quarters of the interval it splits
+    quarters = 4.0 * (j[:, None] + np.array([0.0, 0.5, 1.0])) / n[:, None]
+    on_grid = quarters % 1.0 == 0.0
+    known = g[part[:, None], quarters.astype(int)]      # a placeholder where off the grid
+    # each part evaluates its midpoint and right end where new; its left end
+    # is its neighbour's right
+    new = ~on_grid[:, 1:]
+    source = np.full((len(part), 3), -1)
+    source[:, 1:][new] = np.arange(new.sum())
+    source[1:, 0] = np.where(on_grid[1:, 0], -1, source[:-1, 2])
+    at = np.stack([start + (j + 0.5) / n * width, end], axis=1)[new]
+    return (start + j / n * width, end, depth[part] + m[part], known,
+            (at, source) if len(at) else None)
+
+
 def propagate(worldline, generator, params, tol):
     """The (n, 2, 2) maps S(lam) of dS/dlam = G(lam) S along ``worldline`` at
     the n ``params``, S = 1 at the span start.
 
     ``generator(x, u, a, xdot, pulled)`` maps (n, 4) ``kinematics`` rows to a
     traceless (n, 2, 2) G.  The grid runs from span end to span end through
-    ``worldline.breakpoints``, whatever the ``params``.  An interval takes
-    :func:`_richardson` steps, with the nodes of a level from one
-    ``kinematics`` call per CHUNK intervals, and is bisected while the
-    estimate, or its width times the ``_READ_CHECK`` of G, exceeds tol / 2;
-    the other half is left for what the estimate does not see.  A parameter
-    is read by the same steps, over the part of its interval before it, on
-    the interpolant of G.  :class:`ToleranceError` is raised for ``tol``
-    below TOLERANCE_FLOOR, a G that is not finite, and past MAX_LEVELS
-    bisections.
+    ``worldline.breakpoints``.  An interval takes :func:`_richardson` steps
+    and is accepted once the estimate, and on an interval that holds a
+    parameter its width times the ``_READ_CHECK`` of G, is at most tol / 2;
+    the other half is left for what the estimate does not see.  Refinement
+    goes in rounds, each taking its nodes from one ``kinematics`` call per
+    CHUNK intervals: a rejected interval is split as :func:`_split` sizes it
+    from the larger of the two, its parts reusing every node of it that falls
+    on theirs.  A parameter is read by the same steps, over the part of its
+    interval before it, on the interpolant of G.  :class:`ToleranceError` is
+    raised for ``tol`` below TOLERANCE_FLOOR, a G that is not finite, and
+    past MAX_LEVELS bisections of one interval.
     """
     if not tol >= TOLERANCE_FLOOR:
         raise ToleranceError(f"transport tolerance {tol:.3g} is below the rounding floor "
@@ -513,34 +562,48 @@ def propagate(worldline, generator, params, tol):
     lefts, rights = edges[:-1], edges[1:]
     g = evaluate(np.concatenate([edges, 0.5 * (lefts + rights)]))
     known = np.stack([g[:len(lefts)], g[len(edges):], g[1:len(edges)]], axis=1)
-    accepted, level = [], 0
-    while len(lefts):
-        if level > MAX_LEVELS:
-            raise ToleranceError(f"transport not resolved to {tol:.3g} within "
-                                 f"{MAX_LEVELS} bisections")
-        refined = []
+    depths, fresh = np.zeros(len(lefts), dtype=int), None
+    accepted = []
+    while True:
+        refined, evaluated = [], 0
         for c in range(0, len(lefts), CHUNK):
             left, right, ends = lefts[c:c + CHUNK], rights[c:c + CHUNK], known[c:c + CHUNK]
             width = right - left
-            new = evaluate((left[:, None] + SUBNODES[:6] * width[:, None]).ravel())
-            new = new.reshape(len(left), 6, 2, 2)
+            at = (left[:, None] + SUBNODES[:6] * width[:, None]).ravel()
+            if fresh is not None:
+                source = fresh[1][c:c + CHUNK]
+                stop = max(evaluated, source.max() + 1)
+                at = np.concatenate([at, fresh[0][evaluated:stop]])
+            new = evaluate(at)
+            if fresh is not None:
+                fresh_g[evaluated:stop] = new[6 * len(left):]
+                evaluated = stop
+                ends[source >= 0] = fresh_g[source[source >= 0]]
+            new = new[:6 * len(left)].reshape(len(left), 6, 2, 2)
             g = np.concatenate([ends[:, :1], new[:, :3], ends[:, 1:2], new[:, 3:], ends[:, 2:]],
                                axis=1)
-            steps, error = _richardson(_interpolate(g, SUBNODES[None]), width)
-            # G odd about the midpoint fools the estimate, not the read check
+            steps, error = _richardson(_interpolate(g, _AT_SUBNODES), width)
+            held = (np.searchsorted(asked, direction * left, "left")
+                    < np.searchsorted(asked, direction * right, "right"))
+            # G odd about the midpoint fools the estimate, not the read check;
+            # the steps are exact then, only reads inside are off
             change = (g - g[:, 4:5]).reshape(len(g), len(NODES), 4)     # exact 0 for constant G
             misread = np.abs(_READ_CHECK @ change).max(axis=(1, 2))
-            done = np.maximum(error, width * misread) <= 0.5 * tol
-            # G is kept where a parameter is read
-            read = done & (np.searchsorted(asked, direction * left, "left")
-                           < np.searchsorted(asked, direction * right, "right"))
+            worst = np.maximum(error, np.where(held, width * misread, 0.0))
+            done = worst <= 0.5 * tol
+            read = done & held              # G is kept where a parameter is read
             accepted.append((left[done], right[done], steps[done], read[done], g[read]))
-            refined.append((left[~done], right[~done], g[~done][:, ::2]))
-        left, right, g = (np.concatenate(a) for a in zip(*refined))
-        middle = left + 0.5 * (right - left)
-        lefts, rights = np.concatenate([left, middle]), np.concatenate([middle, right])
-        known = np.concatenate([g[:, :3], g[:, 2:]])    # each half's ends and midpoint
-        level += 1
+            refined.append((left[~done], right[~done], depths[c:c + CHUNK][~done], worst[~done],
+                            g[~done][:, ::2]))
+        left, right, depth, worst, g = (np.concatenate(a) for a in zip(*refined))
+        if not len(left):
+            break
+        if depth.max() >= MAX_LEVELS:
+            raise ToleranceError(f"transport not resolved to {tol:.3g} within "
+                                 f"{MAX_LEVELS} bisections")
+        lefts, rights, depths, known, fresh = _split(left, right, depth, worst, g, tol)
+        if fresh is not None:
+            fresh_g = np.empty((len(fresh[0]), 2, 2), dtype=known.dtype)
     lefts, rights, steps, read, kept = (np.concatenate(a) for a in zip(*accepted))
     order = np.argsort(direction * lefts)
     slots = (np.cumsum(read) - 1)[order]
@@ -550,7 +613,7 @@ def propagate(worldline, generator, params, tol):
     k = np.searchsorted(direction * lefts, direction * lams, side="right") - 1
     k = np.minimum(k, len(lefts) - 1)
     theta = np.minimum((lams - lefts[k]) / widths[k], 1.0)
-    maps = _richardson(_interpolate(kept[slots[k]], theta[:, None] * SUBNODES),
+    maps = _richardson(_interpolate(kept[slots[k]], _lagrange(NODES, theta[:, None] * SUBNODES)),
                        theta * widths[k])[0]
     return _dot(maps, starts[k]).reshape(params.shape + (2, 2))
 
@@ -783,12 +846,11 @@ def killing_energy(worldline, xi, mass=1.0):
     components, callable of coords or a constant vector)."""
     xi_fn = xi if callable(xi) else (lambda c, _v=np.asarray(xi, dtype=float): _v)
     params = worldline.sample_params()
+    positions = worldline.position(params)
+    velocities = worldline.coordinate_velocity(params)
     energies = np.empty_like(params)
-    for i, lam in enumerate(params):
-        x = worldline.position(lam)
-        p_coord_lower = mass * worldline.model.lower_coordinate(
-            x, worldline.coordinate_velocity(lam))
-        energies[i] = p_coord_lower @ xi_fn(x)
+    for i, (x, v) in enumerate(zip(positions, velocities)):
+        energies[i] = mass * worldline.model.lower_coordinate(x, v) @ xi_fn(x)
     return params, energies
 
 

@@ -188,6 +188,25 @@ class TestKillingEnergy:
         _, energy = wld.killing_energy(wl, [1.0, 0, 0, 0], mass=3.0)
         assert np.abs(energy - 3.0 * g).max() < 1e-9
 
+    def test_one_read_matches_the_per_sample_loop(self):
+        """Positions and coordinate velocities are read in one array call each;
+        every energy is that of the per-sample evaluation, bit for bit."""
+        model = make_builtin_model("schwarzschild", [1.0])
+        x0 = np.array([0.0, 10.0, np.pi / 2, 0.3])
+        u_coord = np.array([1.0, 0.01, 0.0, 1.05 / 10.0**1.5])
+        u_coord /= np.sqrt(u_coord @ model.metric(x0) @ u_coord)
+        wl = wld.integrate_timelike(model, None, x0, model.inverse_tetrad(x0) @ u_coord,
+                                    span=60.0, tol=1e-12)
+        for xi in ([1.0, 0.0, 0.0, 0.0], lambda c: np.array([1.0, 0.0, 0.0, c[1]])):
+            xi_fn = xi if callable(xi) else (lambda c: np.asarray(xi))
+            params, energy = wld.killing_energy(wl, xi, mass=2.0)
+            want = []
+            for lam in params:
+                x = wl.position(lam)
+                lowered = 2.0 * model.lower_coordinate(x, wl.coordinate_velocity(lam))
+                want.append(lowered @ xi_fn(x))
+            np.testing.assert_array_equal(energy, want)
+
     def test_speed_from_energy_conservation(self):
         v1, dz, g_acc = 0.3, 0.1, 0.2
         v2 = wld.rindler_speed_at_height(v1, dz, g_acc)
