@@ -151,7 +151,12 @@ class TransportResult:
         self.positions = positions
         self.velocities = velocities
         self.chart_id = chart_id
-        self.states = LazyStates(self._state, len(params))
+
+    @property
+    def states(self):
+        # built on each read: a LazyStates kept on the result would hold it in
+        # a reference cycle, freed only by the cyclic collector
+        return LazyStates(self._state, len(self.params))
 
     def _state(self, i):
         if self.positions is None:

@@ -227,8 +227,10 @@ class _AnalyticModel(SpacetimeModel):
     Python floats, ``numpy`` for a (4,) event or the transposed rows of an
     (n, 4) array.  ``tetrads`` and ``connections`` scatter it into zeros;
     ``pulled_connections`` contracts it with the velocities, and
-    ``trajectory_rates`` contracts it in scalar arithmetic at one event and
-    through ``pulled_connections``, in the same pairing, at many.
+    ``trajectory_rates`` contracts it in scalar arithmetic at one event (two
+    (4,) arrays, or with ``u`` None the trajectory state (x^mu, u^I) as a
+    list of 8 floats) and through ``pulled_connections``, in the same
+    pairing, at many.
     """
 
     connection_mode = "analytic"
@@ -265,14 +267,17 @@ class _AnalyticModel(SpacetimeModel):
             pulled[..., i, j] += xdot[..., nu] * w
         return xdot, pulled
 
-    def trajectory_rates(self, x, u):
-        if x.ndim > 1:
+    def trajectory_rates(self, x, u=None):
+        if u is None:
+            x, u = x[:4], x[4:]
+        elif x.ndim > 1:
             xdot, pulled = self.pulled_connections(x, u)
             r = pulled * u[:, None, :]
             return np.concatenate([xdot, -((r[..., 0] + r[..., 2]) + (r[..., 1] + r[..., 3]))],
                                   axis=1)
-        diag, values = self._frame(x.tolist(), math)
-        u = u.tolist()
+        else:
+            x, u = x.tolist(), u.tolist()
+        diag, values = self._frame(x, math)
         xdot = [d * v for d, v in zip(diag, u)]
         p = [[0.0] * 4 for _ in range(4)]      # p[I][J] = xdot^nu omega_nu^I_J
         for (nu, i, j), w in zip(self.OMEGA, values):

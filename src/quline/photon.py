@@ -166,7 +166,12 @@ class PhotonTransportResult:
         self.wavevectors = wavevectors
         self.chart_id = chart_id
         self.audits = audits
-        self.states = LazyStates(self._state, len(params))
+
+    @property
+    def states(self):
+        # built on each read: a LazyStates kept on the result would hold it in
+        # a reference cycle, freed only by the cyclic collector
+        return LazyStates(self._state, len(self.params))
 
     def _state(self, i):
         return PhotonState(self.pols[i], Event(self.positions[i], self.chart_id),

@@ -33,14 +33,16 @@ The kernel refines its grid in rounds: an interval the error estimate
 rejects is split at once into the 2^m equal parts the estimate asks for,
 with depth counted in bisections (m for such a split).
 A generator is a function of the five arrays ``kinematics`` returns and of
-nothing else along the worldline.  Trajectory solves (DOP853) do only the
-work of step-size control while they run; their dense output is made
-afterwards in one pass.
+nothing else along the worldline.  Trajectories are stepped by
+:func:`_dop853`, scipy's DOP853 operation for operation without its solver
+classes, which does only the work of step-size control while it runs;
+their dense output is made afterwards in one pass.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from collections.abc import Sequence
 
 import numpy as np
@@ -48,7 +50,8 @@ from scipy.integrate import DOP853, solve_ivp
 
 from .errors import (ComplexVelocity, DomainError, QulineError, ToleranceError,
                      reject_where)
-from .geometry import _STENCIL, DEFAULT_FD_STEP, Event, _stencil_derivative
+from .geometry import (_STENCIL, DEFAULT_FD_STEP, Event, _AnalyticModel,
+                       _stencil_derivative)
 from .spin_algebra import ETA, minkowski_dot
 
 
@@ -336,6 +339,83 @@ def _dense_solution(ts, ys, K, rates):
     return DenseSolution(ts, np.concatenate([high[:, ::-1], low], axis=1))
 
 
+def _dop853(fun, t0, y0, t1, tol, max_step):
+    """Scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5) from
+    t0 to t1 != t0 at rtol = atol = tol, operation for operation as
+    ``solve_ivp(method="DOP853")`` runs it: the same initial step, stage sums,
+    error norm and step-size controller, so the same steps, stage rows and
+    ``fun`` calls, without the per-stage wrappers of scipy's solver classes.
+
+    Returns the step boundaries, the states there and the stage rows of the
+    accepted steps, (steps + 1,), (steps + 1, n) and (steps, 16, n), as
+    :func:`_dense_solution` takes them: rows 0-12 hold the 12 stages and the
+    derivative at the step end.  A step size below 10 ulps of the parameter
+    raises ToleranceError with scipy's message.
+    """
+    floor = 100 * np.finfo(float).eps
+    if tol < floor:
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {floor})`.", stacklevel=4)
+    if tol < 0:
+        raise ValueError("`atol` must be positive.")
+    rtol, atol, n = max(tol, floor), tol, len(y0)
+    t, y = t0, y0
+    f = fun(t, y)
+    direction = np.sign(t1 - t0)
+    # scipy's select_initial_step for the order-7 error estimator
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = np.linalg.norm(y / scale) / n ** 0.5, np.linalg.norm(f / scale) / n ** 0.5
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t1 - t0))
+    f1 = fun(t + h0 * direction, y + h0 * direction * f)
+    d2 = np.linalg.norm((f1 - f) / scale) / n ** 0.5 / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1 / 8))
+    h_abs = min(100 * h0, h1, abs(t1 - t0), max_step)
+    K = np.empty((DOP853.n_stages + 1, n))
+    stages = [(K[:s].T, DOP853.A[s, :s], DOP853.C[s]) for s in range(1, DOP853.n_stages)]
+    K_B, K_E = K[:-1].T, K.T
+    ts, ys, rows = [t], [y], np.empty((32, 16, n))
+    while direction * (t - t1) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise ToleranceError("worldline integration failed: Required step size "
+                                     "is less than spacing between numbers.")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, (K_s, a, c) in enumerate(stages, start=1):
+                K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
+            y_new = y + h * np.dot(K_B, DOP853.B)
+            K[-1] = f_new = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.linalg.norm(np.dot(K_E, DOP853.E5) / scale) ** 2
+            err3 = np.linalg.norm(np.dot(K_E, DOP853.E3) / scale) ** 2
+            error = (0.0 if err5 == 0 and err3 == 0
+                     else np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * n))
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error ** -0.125)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error ** -0.125)
+            rejected = True
+        if len(ts) > len(rows):
+            rows = np.concatenate([rows, np.empty_like(rows)])
+        rows[len(ts) - 1, :DOP853.n_stages + 1] = K
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+    return np.array(ts), np.array(ys), rows[:len(ts) - 1]
+
+
 class LazyStates(Sequence):
     """Read-only sequence of the states a transport sampled along a worldline.
 
@@ -355,27 +435,6 @@ class LazyStates(Sequence):
         if isinstance(index, slice):
             return [self._build(i) for i in self._indices[index]]
         return self._build(self._indices[index])
-
-
-class DOP853Steps(DOP853):
-    """DOP853 that does only the work of step-size control while it runs.
-
-    No dense-output stage is evaluated and no interpolant is built during the
-    solve: each accepted step appends a copy of ``K_extended``, with its 12
-    stages and the derivative at its end in rows 0-12, to the list
-    ``accepted``; :func:`_dense_solution` makes the dense output of all steps
-    afterwards in the 3 rows left.
-    """
-
-    def __init__(self, fun, t0, y0, t_bound, accepted, **options):
-        self._accepted = accepted
-        super().__init__(fun, t0, y0, t_bound, **options)
-
-    def _step_impl(self):
-        success, message = super()._step_impl()
-        if success:
-            self._accepted.append(self.K_extended.copy())
-        return success, message
 
 
 # Gauss-Legendre nodes on [0, 1].  An interval of the transport kernel takes
@@ -529,15 +588,17 @@ def propagate(worldline, generator, params, tol):
     traceless (n, 2, 2) G.  The grid runs from span end to span end through
     ``worldline.breakpoints``.  An interval takes :func:`_richardson` steps
     and is accepted once the estimate, and on an interval that holds a
-    parameter its width times the ``_READ_CHECK`` of G, is at most tol / 2;
+    parameter strictly inside its width times the ``_READ_CHECK`` of G, is at
+    most tol / 2;
     the other half is left for what the estimate does not see.  Refinement
     goes in rounds, each taking its nodes from one ``kinematics`` call per
     CHUNK intervals: a rejected interval is split as :func:`_split` sizes it
     from the larger of the two, its parts reusing every node of it that falls
     on theirs.  A parameter is read by the same steps, over the part of its
-    interval before it, on the interpolant of G.  :class:`ToleranceError` is
-    raised for ``tol`` below TOLERANCE_FLOOR, a G that is not finite, and
-    past MAX_LEVELS bisections of one interval.
+    interval before it, on the interpolant of G; one on a grid point from the
+    accepted steps alone.  :class:`ToleranceError` is raised for ``tol``
+    below TOLERANCE_FLOOR, a G that is not finite, and past MAX_LEVELS
+    bisections of one interval.
     """
     if not tol >= TOLERANCE_FLOOR:
         raise ToleranceError(f"transport tolerance {tol:.3g} is below the rounding floor "
@@ -583,8 +644,8 @@ def propagate(worldline, generator, params, tol):
             g = np.concatenate([ends[:, :1], new[:, :3], ends[:, 1:2], new[:, 3:], ends[:, 2:]],
                                axis=1)
             steps, error = _richardson(_interpolate(g, _AT_SUBNODES), width)
-            held = (np.searchsorted(asked, direction * left, "left")
-                    < np.searchsorted(asked, direction * right, "right"))
+            held = (np.searchsorted(asked, direction * left, "right")
+                    < np.searchsorted(asked, direction * right, "left"))
             # G odd about the midpoint fools the estimate, not the read check;
             # the steps are exact then, only reads inside are off
             change = (g - g[:, 4:5]).reshape(len(g), len(NODES), 4)     # exact 0 for constant G
@@ -607,14 +668,18 @@ def propagate(worldline, generator, params, tol):
     lefts, rights, steps, read, kept = (np.concatenate(a) for a in zip(*accepted))
     order = np.argsort(direction * lefts)
     slots = (np.cumsum(read) - 1)[order]
-    lefts, widths = lefts[order], rights[order] - lefts[order]
-    starts = np.concatenate([np.eye(2, dtype=complex)[None],
-                             _prefix_products(steps[order])[:-1]])
+    lefts, rights, steps = lefts[order], rights[order], steps[order]
+    starts = np.concatenate([np.eye(2, dtype=complex)[None], _prefix_products(steps)[:-1]])
     k = np.searchsorted(direction * lefts, direction * lams, side="right") - 1
     k = np.minimum(k, len(lefts) - 1)
-    theta = np.minimum((lams - lefts[k]) / widths[k], 1.0)
-    maps = _richardson(_interpolate(kept[slots[k]], _lagrange(NODES, theta[:, None] * SUBNODES)),
-                       theta * widths[k])[0]
+    widths = rights[k] - lefts[k]
+    theta = np.minimum((lams - lefts[k]) / widths, 1.0)
+    # on an interval's start the read is 1, at the span end the whole step
+    maps = np.where((lams == lefts[k])[:, None, None], np.eye(2), steps[k])
+    inside = (lams != lefts[k]) & (lams != rights[k])
+    maps[inside] = _richardson(_interpolate(kept[slots[k[inside]]],
+                                            _lagrange(NODES, theta[inside, None] * SUBNODES)),
+                               theta[inside] * widths[inside])[0]
     return _dot(maps, starts[k]).reshape(params.shape + (2, 2))
 
 
@@ -656,8 +721,17 @@ def _lorentz_force_accel(model, em, charge_to_mass):
 def _trajectory_rates(model, accel_fn):
     """rates(lam, y): the derivative of the trajectory state y = (x^mu, u^I) at
     one parameter, (8,), or at each of (n,) parameters for (n, 8) states.
-    Raises DomainError, naming the first parameter, for a state off the chart."""
+    Raises DomainError, naming the first parameter, for a state off the chart.
+    A free trajectory on an analytic model reads one state as 8 floats and
+    contracts its frame in scalar arithmetic."""
+    scalar = accel_fn is None and isinstance(model, _AnalyticModel)
+
     def rates(lam, y):
+        if scalar and y.ndim == 1:
+            state = y.tolist()
+            if not model.in_domain(state[:4]):
+                raise DomainError(f"{model.name}: trajectory left chart domain at parameter {lam}")
+            return model.trajectory_rates(state)
         x, u = y[..., :4], y[..., 4:]
         inside = model.in_domain(x.T)
         if not (inside if y.ndim == 1 else np.all(inside)):
@@ -676,14 +750,8 @@ def _integrate(model, x0, u0, span, tol, kind, accel_fn, max_step=np.inf):
     u0 = np.asarray(u0, dtype=float).reshape(4)
     model.check_domain(x0)
     rates = _trajectory_rates(model, accel_fn)
-    accepted = []
-    sol = solve_ivp(rates, (0.0, span), np.concatenate([x0, u0]), method=DOP853Steps,
-                    accepted=accepted, rtol=tol, atol=tol, max_step=max_step)
-    if not sol.success:
-        raise ToleranceError(f"worldline integration failed: {sol.message}")
-    K = np.array(accepted)
-    accepted.clear()    # the solver holds the list until the cycle collector runs
-    dense = _dense_solution(sol.t, sol.y.T, K, rates)
+    ts, ys, K = _dop853(rates, 0.0, np.concatenate([x0, u0]), float(span), tol, max_step)
+    dense = _dense_solution(ts, ys, K, rates)
     wl = IntegratedWorldline(model, dense, (0.0, span), kind, accel_fn)
     drift = wl.norm_audit()
     budget = max(1e-9, 1000.0 * tol * max(1.0, abs(span)))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -356,3 +359,24 @@ class TestLazyStates:
         assert wl.sample_params()[100] == 0.5
         with pytest.raises(QulineError, match=message):
             fm.transport(flat_rest_state([1.0, 0.0]), wl)
+
+
+def test_transport_results_are_freed_without_the_cycle_collector():
+    """A result holds no reference cycle, also after its states are read, so
+    it and its (201, ...) arrays go with its last reference, with the cyclic
+    collector off."""
+    wl = circular_worldline(FLAT, radius=1.0, beta=0.5, revolutions=0.3)
+    covariant = fm.FermionState([0.6, 0.8j], wl.start_event, wl.velocity(0.0))
+    rest = fm.RestFrameState([1.0, 0.0])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for run in (lambda: fm.transport(covariant, wl), lambda: fm.transport_rest_frame(rest, wl)):
+            res = run()
+            assert len(res.states[:3]) == 3 and res.final is not None
+            ref = weakref.ref(res)
+            del res
+            assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

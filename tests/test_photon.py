@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -314,3 +317,21 @@ class TestLazyStates:
         st = ph.PhotonState([0.0, 1.0, 0.0, 0.0], wl.start_event, wavevector(0.0))
         with pytest.raises(QulineError, match=r"wavevector must be future null \(k.k = -3.0\)"):
             ph.transport(st, wl)
+
+
+def test_transport_result_is_freed_without_the_cycle_collector():
+    """A photon result holds no reference cycle, also after its states are
+    read, so it goes with its last reference, with the cyclic collector off."""
+    wl = flat_ray_along([0.0, 1.0, 1.0])
+    st = ph.jones_to_state([1.0, 0.0], wl.velocity(0.0), wl.start_event)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        res = ph.transport(st, wl)
+        assert len(res.states[:3]) == 3 and res.final is not None
+        ref = weakref.ref(res)
+        del res
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

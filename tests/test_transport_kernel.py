@@ -342,6 +342,21 @@ def test_long_transport_checks_reads_only_where_a_parameter_is_read():
     assert np.abs(maps - wld.propagate(wl, generator, params, 3e-15)).max() <= 1e-10
 
 
+def test_parameters_on_grid_points_are_read_from_the_steps():
+    """A parameter on an interval's start (theta = 0) or at the span end
+    (theta = 1) is read from the product of the accepted steps, so the read
+    check never sizes the grid for it: the eccentric orbit asked at its two
+    ends takes at most 170 G evaluations (261 with 201 parameters), and its
+    end map is the 201-parameter run's to 1e-13."""
+    wl = eccentric_orbit()
+    counted = counting(fm._rest_frame_generator)
+    ends = wld.propagate(wl, counted, np.array(wl.param_span), 1e-12)
+    every = wld.propagate(wl, fm._rest_frame_generator, wl.sample_params(), 1e-12)
+    assert counted.nodes <= 170
+    np.testing.assert_array_equal(ends[0], np.eye(2))
+    assert np.abs(ends[1] - every[-1]).max() <= 1e-13
+
+
 def test_line_integral_is_the_transport_of_a_nilpotent_generator():
     """On a circular orbit, x^1 = r cos(w t) with t = gamma tau: its integral
     over proper time is r sin(w gamma tau) / (w gamma).  The maps of f sigma_+
@@ -718,6 +733,82 @@ def test_dense_output_after_the_solve_matches_per_step_scipy(which):
         assert_close(kept.rows, rows)
 
 
+def counted_calls(fun):
+    """``fun`` wrapped to count its calls, in ``.calls``."""
+    def counted(t, y):
+        counted.calls += 1
+        return fun(t, y)
+    counted.calls = 0
+    return counted
+
+
+def trajectory_problem(name):
+    """(rates, y0, span) of a TRAJECTORIES entry, as ``_integrate`` solves it."""
+    model, x0, u0, span, em, q2m, _ = TRAJECTORIES[name]
+    rates = wld._trajectory_rates(model, wld._lorentz_force_accel(model, em, q2m))
+    return rates, np.concatenate([np.asarray(x0, dtype=float), np.asarray(u0, dtype=float)]), span
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORIES))
+def test_stepper_takes_the_steps_of_stock_dop853(name):
+    """The trajectory stepper takes stock DOP853's steps bit for bit: the same
+    step boundaries, states and 13 stage rows, from as many right-hand-side
+    calls (stock_steps adds the 3 dense-output stages of each step)."""
+    rates, y0, span = trajectory_problem(name)
+    ours, stock = counted_calls(rates), counted_calls(rates)
+    ts, ys, K = wld._dop853(ours, 0.0, y0, span, 1e-12, np.inf)
+    want_ts, want_ys, want_K = stock_steps(stock, (0.0, span), y0)[:3]
+    assert K.shape[1] == 16 and len(K) > 3
+    for got, want in ((ts, want_ts), (ys, want_ys), (K[:, :13], want_K)):
+        assert_same_bytes(got, want)
+    assert ours.calls == stock.calls - 3 * len(K)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["ascending", "descending"])
+def test_capped_stepper_takes_the_steps_of_stock_dop853(sign):
+    """With ``max_step`` binding, forwards and backwards, the stepper still
+    takes stock DOP853's steps, states and stage rows from as many calls."""
+    rates, y0, span = trajectory_problem("schwarzschild_orbit")
+    max_step, ours, stock = span / 60, counted_calls(rates), counted_calls(rates)
+    ts, ys, K = wld._dop853(ours, 0.0, y0, sign * span, 1e-12, max_step)
+    solver = DOP853(stock, 0.0, y0, sign * span, rtol=1e-12, atol=1e-12, max_step=max_step)
+    want_ts, want_ys, want_K = [solver.t], [solver.y], []
+    while solver.status == "running":
+        assert solver.step() is None
+        want_ts.append(solver.t)
+        want_ys.append(solver.y)
+        want_K.append(solver.K.copy())
+    assert len(K) >= 60 > len(wld._dop853(rates, 0.0, y0, span, 1e-12, np.inf)[2])
+    for got, want in ((ts, want_ts), (ys, want_ys), (K[:, :13], want_K)):
+        assert_same_bytes(got, np.array(want))
+    assert ours.calls == stock.calls == solver.nfev
+
+
+def test_stepper_fails_where_stock_dop853_fails():
+    """y' = y^2 from y(0) = 1 blows up at t = 1: the stepper raises scipy's
+    message after the same right-hand-side calls as solve_ivp's failed solve."""
+    calls = {"ours": [], "stock": []}
+
+    def blow_up(which):
+        def fun(t, y):
+            calls[which].append((t, *y))
+            return y * y
+        return fun
+
+    message = "Required step size is less than spacing between numbers."
+    with pytest.raises(ToleranceError, match=re.escape(f"worldline integration failed: {message}")):
+        wld._dop853(blow_up("ours"), 0.0, np.ones(1), 2.0, 1e-12, np.inf)
+    sol = solve_ivp(blow_up("stock"), (0.0, 2.0), [1.0], method="DOP853", rtol=1e-12,
+                    atol=1e-12)
+    assert sol.status == -1 and sol.message == message and 0.99 < sol.t[-1] < 1.0 + 1e-9
+    assert_same_bytes(np.array(calls["ours"]), np.array(calls["stock"]))
+
+
 def test_row_rates_name_the_first_parameter_off_the_chart():
     rates = wld._trajectory_rates(SCHW, None)
     inside, outside = [0.0, 8.0, 1.0, 0.0], [0.0, 1.5, 1.0, 0.0]
@@ -726,6 +817,21 @@ def test_row_rates_name_the_first_parameter_off_the_chart():
     with pytest.raises(DomainError, match="at parameter 0.25$"):
         rates(np.array([0.125, 0.25, 0.5]), rows)
     assert rates(np.array([0.125]), rows[:1]).shape == (1, 8)
+
+
+@pytest.mark.parametrize("model, outside", [
+    (SCHW, [0.0, 1.5, 1.0, 0.0]), (SCHW, [0.0, 8.0, 0.0, 0.0]),
+    (RINDLER, [0.0, 0.0, 0.0, -3.0])], ids=["horizon", "axis", "rindler"])
+def test_one_event_rates_check_the_chart_at_every_call(model, outside):
+    """The scalar path of a free trajectory on an analytic model checks the
+    chart at every evaluation, with the row path's message, and inside it
+    gives the row path's derivative."""
+    rates = wld._trajectory_rates(model, None)
+    u = [1.0, 0.0, 0.0, 0.0]
+    with pytest.raises(DomainError, match=r"trajectory left chart domain at parameter 0\.25$"):
+        rates(0.25, np.array(outside + u))
+    inside = np.array([0.0, 8.0, 1.0, 0.3, 1.2, 0.3, 0.1, 0.5])
+    assert_close(rates(0.5, inside), rates(np.array([0.5]), inside[None])[0])
 
 
 def test_solves_build_no_per_step_dense_output(monkeypatch):
@@ -746,12 +852,13 @@ def test_scipy_private_surfaces_present():
     """The trajectory solver, DenseSolution and these tests read these scipy
     internals."""
     where = f"installed scipy {scipy.__version__}"
+    assert getattr(DOP853, "n_stages", None) == 12, where
     solver = DOP853(lambda t, y: -y, 0.0, np.ones(3), 1.0)
     assert np.shape(getattr(solver, "K_extended", None)) == (16, 3), where
     assert np.shares_memory(solver.K, solver.K_extended) and solver.K.shape == (13, 3), where
     assert hasattr(rk, "Dop853DenseOutput"), f"scipy.integrate._ivp.rk.Dop853DenseOutput missing in {where}"
     shapes = {"A": (12, 12), "B": (12,), "C": (12,), "A_EXTRA": (3, 16),
-              "C_EXTRA": (3,), "D": (4, 16)}
+              "C_EXTRA": (3,), "D": (4, 16), "E3": (13,), "E5": (13,)}
     for name, shape in shapes.items():
         got = np.shape(getattr(DOP853, name, None))
         assert got == shape, f"DOP853.{name} has shape {got}, expected {shape}, in {where}"
