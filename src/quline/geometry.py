@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QulineError, ToleranceError
-from .spin_algebra import (ETA, LocalLorentz, generator_contraction, lorentz_image,
+from .spin_algebra import (ETA, check_lorentz, generator_contraction, lorentz_image,
                            minkowski_dot)
 
 # 4th-order central difference stencil; default step in chart units.
@@ -82,16 +82,14 @@ class SpacetimeModel:
     Subclasses provide ``tetrads`` and, where they know them in closed form,
     ``connections`` and ``metric``; the fallbacks defined here take the
     metric from the inverse tetrad and the connection from finite
-    differences of the tetrad and the metric.
+    differences of the tetrad and the metric, with step ``fd_step``.
     """
 
     name = "model"
     chart_id = "chart"
     connection_mode = "finite-difference"
     signature = "(+,-,-,-)"
-
-    def __init__(self, fd_step=DEFAULT_FD_STEP):
-        self.fd_step = float(fd_step)
+    fd_step = DEFAULT_FD_STEP
 
     # -- mandatory surface -------------------------------------------------
     def tetrads(self, points):
@@ -312,8 +310,7 @@ class RindlerModel(_AnalyticModel):
     chart_id = "rindler-cartesian"
     OMEGA = ((0, 0, 3), (0, 3, 0))
 
-    def __init__(self, g, fd_step=DEFAULT_FD_STEP):
-        super().__init__(fd_step)
+    def __init__(self, g):
         if g <= 0:
             raise DomainError("Rindler acceleration must be positive")
         self.g = float(g)
@@ -349,8 +346,7 @@ class SchwarzschildModel(_AnalyticModel):
     OMEGA = ((0, 0, 1), (0, 1, 0), (2, 1, 2), (2, 2, 1),
              (3, 1, 3), (3, 3, 1), (3, 2, 3), (3, 3, 2))
 
-    def __init__(self, mass, fd_step=DEFAULT_FD_STEP):
-        super().__init__(fd_step)
+    def __init__(self, mass):
         if mass <= 0:
             raise DomainError("Schwarzschild mass must be positive")
         self.mass = float(mass)
@@ -392,7 +388,7 @@ class TabulatedModel(SpacetimeModel):
     name = "tabulated"
     chart_id = "tabulated-grid"
 
-    def __init__(self, axes, tetrads, fd_step=None):
+    def __init__(self, axes, tetrads):
         self.axes = [np.asarray(a, dtype=float) for a in axes]
         self.values = np.asarray(tetrads, dtype=float)
         if len(self.axes) != 4 or self.values.shape != tuple(map(len, self.axes)) + (4, 4):
@@ -405,8 +401,8 @@ class TabulatedModel(SpacetimeModel):
             raise QulineError(f"tabulated tetrad at node {tuple(np.argwhere(bad)[0].tolist())} "
                               "is singular or not finite")
         spans = [a[-1] - a[0] for a in self.axes if len(a) > 1]
-        step = fd_step if fd_step is not None else min(spans) * 1e-4 if spans else DEFAULT_FD_STEP
-        super().__init__(step)
+        if spans:
+            self.fd_step = float(min(spans) * 1e-4)
         self._active = [i for i, a in enumerate(self.axes) if len(a) > 1]
         from scipy.interpolate import RegularGridInterpolator
         pts = [self.axes[i] for i in self._active]
@@ -452,20 +448,19 @@ def make_builtin_model(name, params=()):
 
 
 class TransformedModel(SpacetimeModel):
-    """A model re-gauged by a local Lorentz field Lambda(x).
+    """A model re-gauged by a local Lorentz field Lambda(x), as
+    :func:`apply_local_lorentz` documents.
 
     Inverse tetrad transforms as e^I_mu -> Lambda^I_J e^J_mu; the metric is
     unchanged; the connection picks up the inhomogeneous Lambda dLambda term.
-    If ``jacobian`` (event -> d_mu Lambda^I_J, shape (4,4,4)) is supplied and
-    the base connection is analytic, the transformed connection is evaluated
-    without finite differences.
+    Every row's Lambda is checked to be a proper orthochronous Lorentz matrix.
     """
 
     def __init__(self, base, field, jacobian=None):
-        super().__init__(base.fd_step)
         self.base = base
         self.field = field
         self.jacobian = jacobian
+        self.fd_step = base.fd_step
         self.name = base.name + "+lorentz"
         self.chart_id = base.chart_id
         self.connection_mode = (
@@ -476,18 +471,14 @@ class TransformedModel(SpacetimeModel):
     def in_domain(self, coords):
         return self.base.in_domain(coords)
 
-    def _lambda(self, coords):
-        lam = self.field(Event(coords, self.chart_id))
-        if isinstance(lam, LocalLorentz):
-            return lam.matrix
-        lam = np.asarray(lam, dtype=float)
-        LocalLorentz(lam)  # validates
+    def _lambda(self, c):
+        lam = np.broadcast_to(self.field(c), c.shape[:-1] + (4, 4)).astype(float)
+        check_lorentz(lam)
         return lam
 
     def tetrads(self, points):
         c = np.asarray(points, dtype=float)
-        lam = np.reshape([self._lambda(p) for p in c.reshape(-1, 4)], c.shape[:-1] + (4, 4))
-        return self.base.tetrads(c) @ np.linalg.inv(lam)
+        return self.base.tetrads(c) @ np.linalg.inv(self._lambda(c))
 
     def inverse_tetrad(self, x):
         c = _coords_of(x)
@@ -500,28 +491,27 @@ class TransformedModel(SpacetimeModel):
         if self.connection_mode != "analytic":
             return super().connections(points)
         c = np.asarray(points, dtype=float)
-        base_omegas = self.base.connections(c)          # checks the domain
-        # ``field`` and ``jacobian`` take one Event, so this runs row by row
-        omegas = []
-        for p, base_omega in zip(c.reshape(-1, 4), base_omegas.reshape(-1, 4, 4, 4)):
-            lam = self._lambda(p)
-            lam_inv = np.linalg.inv(lam)
-            dlam = np.asarray(self.jacobian(Event(p, self.chart_id)), dtype=float)
-            omega = np.einsum("ik,nkl,lj->nij", lam, base_omega, lam_inv)
-            # inhomogeneous term Lambda d_mu(Lambda^{-1}), with
-            # d(Lambda^{-1}) = -Lambda^{-1} dLambda Lambda^{-1}
-            dlam_inv = -np.einsum("ik,nkl,lj->nij", lam_inv, dlam, lam_inv)
-            omegas.append(omega + np.einsum("ik,nkj->nij", lam, dlam_inv))
-        return np.reshape(omegas, c.shape[:-1] + (4, 4, 4))
+        base_omega = self.base.connections(c)          # checks the domain
+        lam = self._lambda(c)
+        lam_inv = np.linalg.inv(lam)
+        dlam = np.broadcast_to(self.jacobian(c), c.shape[:-1] + (4, 4, 4)).astype(float)
+        omega = np.einsum("...ik,...nkl,...lj->...nij", lam, base_omega, lam_inv)
+        # inhomogeneous term Lambda d_mu(Lambda^{-1}), with
+        # d(Lambda^{-1}) = -Lambda^{-1} dLambda Lambda^{-1}
+        dlam_inv = -np.einsum("...ik,...nkl,...lj->...nij", lam_inv, dlam, lam_inv)
+        return omega + np.einsum("...ik,...nkj->...nij", lam, dlam_inv)
 
 
 def apply_local_lorentz(model, field, jacobian=None):
-    """Re-gauge ``model`` by the local Lorentz field ``field`` (event -> Lambda).
+    """Re-gauge ``model`` by the local Lorentz field Lambda^I_J(x).
 
-    Without ``jacobian``, ``TransformedModel.tetrads`` calls ``field`` and
-    validates its ``LocalLorentz`` at each of the 17 stencil points per event:
-    connections (and transports) cost several hundred times the analytic
-    base's, 8 ms against 0.02 ms for 15 Schwarzschild events on a 2-vCPU Xeon.
+    ``field`` and the optional ``jacobian`` take chart coordinates on the
+    last axis, (4,) or (n, 4), and return Lambda, (..., 4, 4), and
+    d_mu Lambda^I_J, (..., 4, 4, 4) indexed [mu, I, J]; a constant return
+    broadcasts over the rows.  Each is called once per batch of events (the
+    finite-difference connection of n events calls ``field`` once, on its 17n
+    stencil points).  With ``jacobian`` and an analytic base connection, the
+    connection is evaluated without finite differences.
     """
     return TransformedModel(model, field, jacobian)
 

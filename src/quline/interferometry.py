@@ -75,7 +75,7 @@ def arm_phase(worldline, em=None, kind="fermion", mass=None, charge=1.0,
         theta = mass * (end - t0)
         if em is not None and em.has_potential() and end > t0:
             a_dot_xdot = lambda x, u, a, xdot, pulled: np.einsum(
-                "ni,ni->n", [em.potential(c) for c in x], xdot)
+                "ni,ni->n", em.potential(x), xdot)
             theta += charge * line_integral(_restricted(worldline, end), a_dot_xdot, end,
                                             1e-12)
         mass_val = mass

@@ -123,7 +123,7 @@ def _as_is(raw, block):
     return raw
 
 
-_span = _number(("time", "length"))   # time and length coincide in natural units
+_span = _number(("time", "length"), positive=True)  # time and length coincide in natural units
 _bare = _number("natural")
 _angle = _number("angle")
 _seed = _whole(0)
@@ -198,7 +198,7 @@ MODEL = {"family": (Choice(
 WORLDLINE = Entries(type=(Choice(
     static={"position": (_vector(3), [0, 0, 0]), "span": (_span, 1.0)},
     circular={"radius": (_number("length"), 1.0), "beta": (_number("velocity"), 0.5),
-              "revolutions": (_number(), 1.0)},
+              "revolutions": (_number(positive=True), 1.0)},
     timelike={"start": (_vector(4), [0, 0, 0, 0]),
               "beta": (_vector(3, "velocity"), [0, 0, 0]), "span": (_span, 1.0),
               "tolerance": (_tolerance, 1e-12)},
@@ -222,7 +222,7 @@ OP = Items(op=(Choice(
     measure_polarization={"polarizer": (POLARIZER, {})},
 ), REQUIRED), qubit=(_text, REQUIRED))
 
-ARM = {"worldline": (_text, REQUIRED), "end": (_span, None)}
+ARM = {"worldline": (_text, REQUIRED), "end": (_number(("time", "length")), None)}
 INTERFEROMETER = {
     "kind": (Choice(fermion={"mass": (_mass, 1.0)}, photon={}), "fermion"),
     "arm1": (ARM, REQUIRED), "arm2": (ARM, REQUIRED), "region_tol": (_bare, 1e-6),

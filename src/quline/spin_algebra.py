@@ -93,6 +93,16 @@ def lorentz_image(s):
     return (pairs.reshape(-1, 16) @ _IMAGE_BASIS).real.reshape(s.shape[:-2] + (4, 4))
 
 
+def check_lorentz(m):
+    """Raise QulineError unless the (4, 4) matrix ``m``, or every matrix of an
+    (..., 4, 4) stack, is a finite proper orthochronous Lorentz matrix."""
+    resid = np.abs(np.swapaxes(m, -1, -2) @ ETA @ m - ETA).max(initial=0.0)
+    if not resid <= 1e-9:       # a non-finite entry gives a nan or inf residual
+        raise QulineError(f"matrix is not a Lorentz transformation (residual {resid:.2e})")
+    if np.any(np.linalg.det(m) < 0) or np.any(m[..., 0, 0] < 1.0 - 1e-12):
+        raise QulineError("only proper orthochronous Lorentz transformations are supported")
+
+
 @dataclass(frozen=True)
 class LocalLorentz:
     """Proper orthochronous Lorentz matrix Lambda^I_J, optionally with its
@@ -104,11 +114,7 @@ class LocalLorentz:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float).reshape(4, 4)
         object.__setattr__(self, "matrix", m)
-        resid = np.abs(m.T @ ETA @ m - ETA).max()
-        if resid > 1e-9:
-            raise QulineError(f"matrix is not a Lorentz transformation (residual {resid:.2e})")
-        if np.linalg.det(m) < 0 or m[0, 0] < 1.0 - 1e-12:
-            raise QulineError("only proper orthochronous Lorentz transformations are supported")
+        check_lorentz(m)
 
     def inverse(self):
         inv = ETA @ self.matrix.T @ ETA

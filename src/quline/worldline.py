@@ -56,11 +56,11 @@ from .spin_algebra import ETA, minkowski_dot
 
 
 class EMField:
-    """External electromagnetic field.
-
-    ``field``   event coords -> F_IJ, antisymmetric tetrad components.
-    ``potential`` (optional) event coords -> A_mu, lower coordinate
-    components, used only by phase integrals.
+    """External electromagnetic field, as callables of chart coordinates on
+    the last axis, (4,) or (n, 4), called once per batch of rows: ``field``
+    returns F_IJ (antisymmetric tetrad components), (..., 4, 4), and the
+    optional ``potential`` A_mu (lower coordinate components, used only by
+    phase integrals), (..., 4).  A constant return broadcasts over the rows.
     """
 
     def __init__(self, field, potential=None):
@@ -70,10 +70,10 @@ class EMField:
     def tensor(self, coords):
         """F_IJ at one event, or an (n, 4, 4) stack at each row of (n, 4) coords."""
         coords = np.asarray(coords, dtype=float)
-        f = np.reshape([self._field(c) for c in coords.reshape(-1, 4)],
-                       coords.shape[:-1] + (4, 4)).astype(float)
+        f = np.broadcast_to(self._field(coords), coords.shape[:-1] + (4, 4)).astype(float)
         scale = 1e-12 * (1.0 + np.abs(f).max(axis=(-2, -1)))
-        if np.any(np.abs(f + np.swapaxes(f, -1, -2)).max(axis=(-2, -1)) > scale):
+        if not (np.all(np.isfinite(f))
+                and np.all(np.abs(f + np.swapaxes(f, -1, -2)).max(axis=(-2, -1)) <= scale)):
             raise QulineError("EM field tensor must be antisymmetric")
         return f
 
@@ -81,16 +81,17 @@ class EMField:
         return self._potential is not None
 
     def potential(self, coords):
+        """A_mu at one event, or an (n, 4) stack at each row of (n, 4) coords."""
+        coords = np.asarray(coords, dtype=float)
         if self._potential is None:
-            return np.zeros(4)
-        return np.asarray(self._potential(coords), dtype=float)
+            return np.zeros(coords.shape)
+        return np.broadcast_to(self._potential(coords), coords.shape).astype(float)
 
     def consistency_residual(self, model, coords):
         """|F_IJ - tetrad components of 2 grad_[mu A_nu]| at one event."""
         coords = np.asarray(coords, dtype=float).reshape(4)
         points = coords + DEFAULT_FD_STEP * _STENCIL[1:]
-        dA = _stencil_derivative(np.array([self.potential(c) for c in points]),
-                                 DEFAULT_FD_STEP)
+        dA = _stencil_derivative(self.potential(points), DEFAULT_FD_STEP)
         f_coord = dA - dA.T          # F_{mu nu} = d_mu A_nu - d_nu A_mu
         e = model.tetrad(coords)     # e^mu_I
         f_tet = np.einsum("mi,nj,mn->ij", e, e, f_coord)

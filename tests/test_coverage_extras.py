@@ -23,27 +23,28 @@ class TestBoostFieldTransformation:
         model = make_builtin_model("rindler", [0.3])
         rate = 0.08
 
-        def field(event):
-            b = rate * np.tanh(event.coords[1])
-            return spin1_boost([b, 0.0, 0.0])
+        boost = np.vectorize(lambda b: spin1_boost([b, 0.0, 0.0]), signature="()->(4,4)")
 
-        def jacobian(event):
-            x = event.coords[1]
+        def field(c):
+            return boost(rate * np.tanh(c[..., 1]))
+
+        def jacobian(c):
+            x = c[..., 1]
             b = rate * np.tanh(x)
             db = rate * (1.0 - np.tanh(x) ** 2)
             g = 1.0 / np.sqrt(1.0 - b * b)
             dg = g**3 * b * db
-            d = np.zeros((4, 4, 4))
-            d[1, 0, 0] = dg
-            d[1, 0, 1] = dg * b + g * db
-            d[1, 1, 0] = dg * b + g * db
+            d = np.zeros(c.shape[:-1] + (4, 4, 4))
+            d[..., 1, 0, 0] = dg
+            d[..., 1, 0, 1] = dg * b + g * db
+            d[..., 1, 1, 0] = dg * b + g * db
             # spatial xx block: d/dx (g b^2/(g+1) + 1) for the xx entry
             gb2 = g * g * b * b / (g + 1.0)
             # derivative via chain rule on g and b
             dgb2 = (2 * g * dg * b * b / (g + 1.0)
                     + 2 * g * g * b * db / (g + 1.0)
                     - g * g * b * b * dg / (g + 1.0) ** 2)
-            d[1, 1, 1] = dgb2
+            d[..., 1, 1, 1] = dgb2
             return d
 
         moved = apply_local_lorentz(model, field, jacobian)
@@ -57,8 +58,9 @@ class TestBoostFieldTransformation:
 
     def test_metric_unchanged_under_boost_field(self):
         model = make_builtin_model("rindler", [0.3])
-        field = lambda event: spin1_boost([0.2 * np.sin(event.coords[3]), 0, 0])
-        moved = apply_local_lorentz(model, field)
+        boost = np.vectorize(lambda phi: spin1_boost([0.2 * np.sin(phi), 0, 0]),
+                             signature="()->(4,4)")
+        moved = apply_local_lorentz(model, lambda c: boost(c[..., 3]))
         c = np.array([0.1, 0.2, 0.3, 0.7])
         assert np.abs(moved.metric(c) - model.metric(c)).max() < 1e-12
 

@@ -109,24 +109,24 @@ class TestConnection:
 def rotation_field_z(angle_rate):
     """x-dependent rotation about z: angle = angle_rate * x."""
 
-    def field(event):
-        a = angle_rate * event.coords[1]
+    def field(coords):
+        a = angle_rate * coords[..., 1]
         c, s = np.cos(a), np.sin(a)
-        lam = np.eye(4)
-        lam[1, 1] = c
-        lam[1, 2] = -s
-        lam[2, 1] = s
-        lam[2, 2] = c
+        lam = np.zeros(coords.shape[:-1] + (4, 4)) + np.eye(4)
+        lam[..., 1, 1] = c
+        lam[..., 1, 2] = -s
+        lam[..., 2, 1] = s
+        lam[..., 2, 2] = c
         return lam
 
-    def jacobian(event):
-        a = angle_rate * event.coords[1]
+    def jacobian(coords):
+        a = angle_rate * coords[..., 1]
         c, s = np.cos(a), np.sin(a)
-        d = np.zeros((4, 4, 4))
-        d[1, 1, 1] = -s * angle_rate
-        d[1, 1, 2] = -c * angle_rate
-        d[1, 2, 1] = c * angle_rate
-        d[1, 2, 2] = -s * angle_rate
+        d = np.zeros(coords.shape[:-1] + (4, 4, 4))
+        d[..., 1, 1, 1] = -s * angle_rate
+        d[..., 1, 1, 2] = -c * angle_rate
+        d[..., 1, 2, 1] = c * angle_rate
+        d[..., 1, 2, 2] = -s * angle_rate
         return d
 
     return field, jacobian
@@ -162,8 +162,8 @@ class TestLocalLorentz:
         field, jac = rotation_field_z(0.31)
         moved = geo.apply_local_lorentz(model, field, jac)
         c = np.array([0.3, 1.7, -0.4, 2.2])
-        lam = field(geo.Event(c, model.chart_id))
-        dlam = jac(geo.Event(c, model.chart_id))
+        lam = field(c)
+        dlam = jac(c)
         lam_inv = np.linalg.inv(lam)
         expected = np.einsum("ik,nkj->nij", lam,
                              -np.einsum("ik,nkl,lj->nij", lam_inv, dlam, lam_inv))
@@ -185,6 +185,26 @@ class TestLocalLorentz:
         bad = geo.apply_local_lorentz(model, lambda event: np.diag([2.0, 1, 1, 1]))
         with pytest.raises(QulineError):
             bad.tetrad(np.zeros(4))
+
+    @pytest.mark.parametrize("analytic", [False, True], ids=["finite_difference", "analytic"])
+    def test_connections_of_a_batch_make_one_call(self, analytic):
+        model = geo.make_builtin_model("schwarzschild", [1.0])
+        rotation, rotation_jacobian = rotation_field_z(0.2)
+        calls = []
+
+        def field(coords):
+            calls.append("field")
+            return rotation(coords)
+
+        def jacobian(coords):
+            calls.append("jacobian")
+            return rotation_jacobian(coords)
+
+        moved = geo.apply_local_lorentz(model, field, jacobian if analytic else None)
+        points = np.array(sample_events(model, np.random.default_rng(3), 15))
+        omega = moved.connections(points)
+        assert calls == (["field", "jacobian"] if analytic else ["field"])
+        np.testing.assert_array_equal(omega, [moved.connection(p) for p in points])
 
 
 class TestParallelTransport:
@@ -245,3 +265,16 @@ class TestLocalLorentzType:
         lam = LocalLorentz(spin1_boost([0.5, 0, 0]))
         inv = lam.inverse()
         assert np.abs(inv.matrix @ lam.matrix - np.eye(4)).max() < 1e-12
+
+    def test_non_finite_matrix_rejected(self):
+        nan_entry = spin1_boost([0.5, 0, 0])
+        nan_entry[2, 3] = np.nan
+        with pytest.raises(QulineError, match="not a Lorentz transformation"):
+            LocalLorentz(nan_entry)
+        # a re-gauged model checks every row's Lambda
+        model = geo.make_builtin_model("minkowski", [])
+        moved = geo.apply_local_lorentz(
+            model, lambda c: np.where(c[..., 1, None, None] > 1.0, nan_entry, np.eye(4)))
+        moved.tetrads(np.zeros((3, 4)))
+        with pytest.raises(QulineError, match="not a Lorentz transformation"):
+            moved.tetrads(np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]]))

@@ -61,7 +61,9 @@ class TestArmPhase:
     @pytest.mark.parametrize("end", [0.0, 1.3, 3.0])
     def test_varying_potential_matches_quad(self, scale, end):
         def potential(c):
-            return scale * np.array([np.cos(c[1]), np.sin(2 * c[0]), 0.3 * c[1] ** 2, 1.0])
+            t, x = c[..., 0], c[..., 1]
+            return scale * np.stack([np.cos(x), np.sin(2 * t), 0.3 * x ** 2, np.ones_like(x)],
+                                    axis=-1)
 
         em = EMField(lambda c: np.zeros((4, 4)), potential)
         arm = straight_fermion_arm(np.zeros(4), [0.6, 0, 0], 3.0, 1.0, em=em)
@@ -75,7 +77,7 @@ class TestArmPhase:
 
     def test_non_finite_potential_raises(self):
         em = EMField(lambda c: np.zeros((4, 4)),
-                     lambda c: np.array([np.nan if c[1] > 1.0 else 0.0, 0.0, 0.0, 0.0]))
+                     lambda c: np.where(c[..., 1:2] > 1.0, [np.nan, 0.0, 0.0, 0.0], 0.0))
         with pytest.raises(ToleranceError, match="not finite"):
             straight_fermion_arm(np.zeros(4), [0.6, 0, 0], 3.0, 1.0, em=em)
 
@@ -84,7 +86,8 @@ class TestArmPhase:
         # up to end = 0.5 it is the constant A_t
         mass, a_t, beta, end = 1.3, 0.45, 0.6, 0.5
         em = EMField(lambda c: np.zeros((4, 4)),
-                     lambda c: np.array([np.nan if c[1] > 1.0 else a_t, 0.0, 0.0, 0.0]))
+                     lambda c: np.where(c[..., 1:2] > 1.0, [np.nan, 0.0, 0.0, 0.0],
+                                        [a_t, 0.0, 0.0, 0.0]))
         gamma = 1 / np.sqrt(1 - beta**2)
         wl = integrate_timelike(FLAT, em, np.zeros(4), gamma * np.array([1.0, beta, 0, 0]),
                                 span=3.0, tol=1e-13)

@@ -209,24 +209,24 @@ class TestWignerRotation:
         # way and the rate must equal u^mu omega_{mu 1 2}
         rate = 0.21
 
-        def field(event):
-            a = rate * event.coords[3]
+        def field(coords):
+            a = rate * coords[..., 3]
             c, s = np.cos(a), np.sin(a)
-            lam = np.eye(4)
-            lam[1, 1] = c
-            lam[1, 2] = -s
-            lam[2, 1] = s
-            lam[2, 2] = c
+            lam = np.zeros(coords.shape[:-1] + (4, 4)) + np.eye(4)
+            lam[..., 1, 1] = c
+            lam[..., 1, 2] = -s
+            lam[..., 2, 1] = s
+            lam[..., 2, 2] = c
             return lam
 
-        def jacobian(event):
-            a = rate * event.coords[3]
+        def jacobian(coords):
+            a = rate * coords[..., 3]
             c, s = np.cos(a), np.sin(a)
-            d = np.zeros((4, 4, 4))
-            d[3, 1, 1] = -s * rate
-            d[3, 1, 2] = -c * rate
-            d[3, 2, 1] = c * rate
-            d[3, 2, 2] = -s * rate
+            d = np.zeros(coords.shape[:-1] + (4, 4, 4))
+            d[..., 3, 1, 1] = -s * rate
+            d[..., 3, 1, 2] = -c * rate
+            d[..., 3, 2, 1] = c * rate
+            d[..., 3, 2, 2] = -s * rate
             return d
 
         model = apply_local_lorentz(FLAT, field, jacobian)

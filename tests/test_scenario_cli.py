@@ -239,7 +239,9 @@ class TestValidate:
         ("circular_radius_zero", _worldline(type="circular", radius=0)),
         ("circular_radius_negative", _worldline(type="circular", radius=-1)),
         ("circular_no_revolutions", _worldline(type="circular", revolutions=0)),
+        ("circular_revolutions_negative", _worldline(type="circular", revolutions=-1.0)),
         ("static_span", lambda d: d["worldlines"]["rest_line"].update(span=0)),
+        ("static_span_negative", lambda d: d["worldlines"]["rest_line"].update(span=-1.0)),
         ("timelike_span", _worldline(type="timelike", span=0)),
         ("null_span", _worldline(type="null_geodesic", span=-1)),
         ("interferometer_end", _interferometer(arm1={"worldline": "rest_line", "end": "1 s"})),

@@ -460,8 +460,9 @@ def test_batched_generators_match_per_node_calls(name, make):
 
 
 def moved_model():
-    return apply_local_lorentz(SCHW, lambda ev: spin1_boost([0.1 * np.sin(ev.coords[3]),
-                                                             0.0, 0.05]))
+    boost = np.vectorize(lambda phi: spin1_boost([0.1 * np.sin(phi), 0.0, 0.05]),
+                         signature="()->(4,4)")
+    return apply_local_lorentz(SCHW, lambda c: boost(c[..., 3]))
 
 
 @pytest.mark.parametrize("model", [FLAT, RINDLER, SCHW, rindler_table(), moved_model()],

@@ -275,17 +275,64 @@ class TestPrescribedWorldlines:
                                    rtol=0.0, atol=1e-13)
 
 
+def counting(fn):
+    """``fn`` as a field, and the list of the coordinate shapes it is called with."""
+    shapes = []
+
+    def field(coords):
+        shapes.append(np.shape(coords))
+        return fn(coords)
+
+    return field, shapes
+
+
 class TestEMField:
     def test_antisymmetry_enforced(self):
         with pytest.raises(QulineError):
             wld.EMField(lambda c: np.eye(4)).tensor(np.zeros(4))
+
+    def test_non_finite_tensor_rejected(self):
+        f = wld.constant_magnetic_field([0, 0, 1.0]).tensor(np.zeros(4))
+        f[1, 2] = f[2, 1] = np.nan
+        with pytest.raises(QulineError, match="must be antisymmetric"):
+            wld.EMField(lambda c: f).tensor(np.zeros(4))
+
+    def test_tensor_of_rows_makes_one_call(self):
+        rows = np.random.default_rng(2).standard_normal((7, 4))
+        f = wld.constant_magnetic_field([0.3, 0, 1.0]).tensor(np.zeros(4))
+        field, shapes = counting(lambda c: f * c[..., :1, None])
+        em = wld.EMField(field)
+        got = em.tensor(rows)
+        assert shapes == [(7, 4)]
+        np.testing.assert_array_equal(got, [em.tensor(x) for x in rows])
+
+    def test_constant_field_and_potential_broadcast_over_rows(self):
+        rows = np.zeros((5, 4))
+        f = wld.constant_magnetic_field([0.3, 0, 1.0]).tensor(np.zeros(4))
+        field, shapes = counting(lambda c: f)
+        em = wld.EMField(field, lambda c: np.array([0.5, 0.0, 0.0, 0.0]))
+        np.testing.assert_array_equal(em.tensor(rows), np.broadcast_to(f, (5, 4, 4)))
+        assert shapes == [(5, 4)]
+        np.testing.assert_array_equal(em.potential(rows), [[0.5, 0.0, 0.0, 0.0]] * 5)
+        np.testing.assert_array_equal(wld.EMField(field).potential(rows), np.zeros((5, 4)))
+
+    def test_norm_audit_of_a_charged_worldline_makes_one_call(self, flat):
+        f = wld.constant_magnetic_field([0, 0, 0.8]).tensor(np.zeros(4))
+        field, shapes = counting(lambda c: f)
+        wl = wld.integrate_timelike(flat, wld.EMField(field), np.zeros(4), [1.25, 0.75, 0, 0],
+                                    1.3, span=4.0)
+        shapes.clear()
+        wl.norm_audit()
+        assert shapes == [(201, 4)]
 
     def test_potential_consistency(self, flat):
         # symmetric gauge for B along z; lower components A_i = -(B x r / 2)_i
         b = 0.9
 
         def potential(coords):
-            return np.array([0.0, 0.5 * b * coords[2], -0.5 * b * coords[1], 0.0])
+            x, y = coords[..., 1], coords[..., 2]
+            return np.stack([np.zeros_like(x), 0.5 * b * y, -0.5 * b * x, np.zeros_like(x)],
+                            axis=-1)
 
         em = wld.EMField(lambda c: wld.constant_magnetic_field([0, 0, b]).tensor(c),
                          potential)
