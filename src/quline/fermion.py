@@ -38,7 +38,7 @@ from .geometry import Event, check_finite
 from .spin_algebra import (ETA, PAULI, SIGMA_BAR, generator_contraction,
                            minkowski_dot, spin_half_boost_matrix,
                            velocity_inner_product_matrix)
-from .worldline import LazyStates, _exp2, propagate
+from .worldline import TransportResult, _exp2, propagate
 
 @dataclass(frozen=True)
 class FermionState:
@@ -132,43 +132,6 @@ def _covariant_generator(em, charge_to_mass, x, u, a, xdot, pulled):
     return 1j * generator_contraction(coeffs)
 
 
-class TransportResult:
-    """Transported spinors plus the norm audit, as arrays over ``params``.
-
-    ``propagators[i]`` is the transport map from the worldline start to
-    ``params[i]``; it carries any other initial spinor the same way.
-    ``psis[i]`` is the spinor there, labelled (covariant form only) by
-    ``positions[i]`` on chart ``chart_id`` and ``velocities[i]``;
-    ``states[i]`` builds its state object when it is read.
-    """
-
-    def __init__(self, params, propagators, psis, norm_drift,
-                 positions=None, velocities=None, chart_id=None):
-        self.params = params
-        self.propagators = propagators
-        self.psis = psis
-        self.norm_drift = norm_drift
-        self.positions = positions
-        self.velocities = velocities
-        self.chart_id = chart_id
-
-    @property
-    def states(self):
-        # built on each read: a LazyStates kept on the result would hold it in
-        # a reference cycle, freed only by the cyclic collector
-        return LazyStates(self._state, len(self.params))
-
-    def _state(self, i):
-        if self.positions is None:
-            return RestFrameState(self.psis[i])
-        return FermionState(self.psis[i], Event(self.positions[i], self.chart_id),
-                            self.velocities[i])
-
-    @property
-    def final(self):
-        return self.states[-1]
-
-
 def transport(state: FermionState, worldline, em=None, charge_to_mass=0.0,
               tol=1e-12, n_samples=201):
     """Integrate the covariant transport from the start of ``worldline``.
@@ -181,7 +144,7 @@ def transport(state: FermionState, worldline, em=None, charge_to_mass=0.0,
         raise HilbertSpaceMismatch("state is not attached to the worldline start event")
     if np.abs(state.velocity - worldline.velocity(t0)).max() > 1e-8:
         raise HilbertSpaceMismatch("state velocity label differs from worldline velocity")
-    model = worldline.model
+    chart_id = worldline.model.chart_id
     generator = partial(_covariant_generator, em, charge_to_mass)
     params = np.linspace(t0, t1, n_samples)
     maps = propagate(worldline, generator, params, tol)
@@ -192,8 +155,9 @@ def transport(state: FermionState, worldline, em=None, charge_to_mass=0.0,
     metrics = np.einsum("ni,iab->nab", velocities @ ETA, SIGMA_BAR)
     norms = np.einsum("na,nab,nb->n", psis.conj(), metrics, psis).real
     drift = float(np.abs(norms - state.norm_squared()).max())
-    return TransportResult(params, maps, psis, drift,
-                           positions, velocities, model.chart_id)
+    return TransportResult(params, maps, {"norm_drift": drift},
+                           lambda i: FermionState(psis[i], Event(positions[i], chart_id),
+                                                  velocities[i]))
 
 
 def _wigner_generator(u, du, omega_pull):
@@ -237,7 +201,8 @@ def transport_rest_frame(rf: RestFrameState, worldline, tol=1e-12, n_samples=201
     maps = propagate(worldline, _rest_frame_generator, params, tol)
     psis = maps @ rf.psi_tilde
     drift = float(np.abs(np.sum(np.abs(psis) ** 2, axis=1) - rf.norm_squared()).max())
-    return TransportResult(params, maps, psis, drift)
+    return TransportResult(params, maps, {"norm_drift": drift},
+                           lambda i: RestFrameState(psis[i]))
 
 
 def wigner_rotation_increment(u, du, omega_pull):

@@ -110,9 +110,13 @@ class SpacetimeModel:
 
     def check_domain(self, x):
         """Raise DomainError unless the event (an Event or (4,) coordinates),
-        or every row of an (n, 4) array, lies on this chart; names the first
-        event outside."""
+        or every row of an (n, 4) array, is finite and lies on this chart;
+        names the first event that is not."""
         c = x.coords if isinstance(x, Event) else np.asarray(x, dtype=float)
+        finite = np.isfinite(c.reshape(-1, 4)).all(axis=1)
+        if not finite.all():
+            raise DomainError(f"event coordinates must be finite, got "
+                              f"{c.reshape(-1, 4)[np.argmin(finite)].tolist()}")
         inside = self.in_domain(c.T)
         if not np.all(inside):
             first = c.reshape(-1, 4)[np.argmin(np.reshape(inside, -1))]

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import AdaptationSingular, HilbertSpaceMismatch, QulineError
 from .geometry import Event, check_finite, parallel_propagator
 from .spin_algebra import ETA, minkowski_dot
-from .worldline import LazyStates, line_integral
+from .worldline import TransportResult, line_integral
 
 SINGULAR_TOL = 1e-8
 
@@ -148,44 +148,6 @@ def photon_inner_product(a: PhotonState, b: PhotonState) -> complex:
     return complex(-(a.pol.conj() @ ETA @ b.pol))
 
 
-class PhotonTransportResult:
-    """Transported polarizations plus the audits, as arrays over ``params``.
-
-    ``propagators[i]`` maps the initial polarization vector to the raw
-    (uncanonicalized) one at ``params[i]``; ``pols[i]`` is the canonical one,
-    on ``positions[i]`` of chart ``chart_id`` with ``wavevectors[i]``;
-    ``states[i]`` builds its :class:`PhotonState` when it is read.
-    """
-
-    def __init__(self, params, propagators, pols, positions, wavevectors, chart_id,
-                 audits):
-        self.params = params
-        self.propagators = propagators
-        self.pols = pols
-        self.positions = positions
-        self.wavevectors = wavevectors
-        self.chart_id = chart_id
-        self.audits = audits
-
-    @property
-    def states(self):
-        # built on each read: a LazyStates kept on the result would hold it in
-        # a reference cycle, freed only by the cyclic collector
-        return LazyStates(self._state, len(self.params))
-
-    def _state(self, i):
-        return PhotonState(self.pols[i], Event(self.positions[i], self.chart_id),
-                           self.wavevectors[i])
-
-    @property
-    def final(self):
-        return self.states[-1]
-
-    @property
-    def norm_drift(self):
-        return self.audits["norm_drift"]
-
-
 def transport(state: PhotonState, worldline, tol=1e-12, n_samples=201):
     """Parallel transport of the gauge class along a null geodesic.
 
@@ -210,10 +172,12 @@ def transport(state: PhotonState, worldline, tol=1e-12, n_samples=201):
     trans = np.abs(np.sum((wavevectors @ ETA) * pols, axis=1)) / scale
     norms = -np.einsum("ni,ij,nj->n", pols.conj(), ETA, pols).real
     canonical = pols - (pols[:, 0] / wavevectors[:, 0])[:, None] * wavevectors
-    return PhotonTransportResult(
-        params, maps, canonical, positions, wavevectors, worldline.model.chart_id,
+    chart_id = worldline.model.chart_id
+    return TransportResult(
+        params, maps,
         {"norm_drift": float(np.abs(norms - state.norm_squared()).max()),
-         "transversality_drift": float(trans.max())})
+         "transversality_drift": float(trans.max())},
+        lambda i: PhotonState(canonical[i], Event(positions[i], chart_id), wavevectors[i]))
 
 
 def _wigner_rate(x, u, a, xdot, pulled):

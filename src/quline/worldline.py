@@ -29,9 +29,10 @@ of 2x2 spin-half maps along a worldline (vectors take their Lorentz image);
 :func:`propagate` returns S at the requested parameters from Magnus steps on
 G at Gauss nodes, and callers apply it to their states; a scalar integral
 along it (:func:`line_integral`) is the transport of a nilpotent generator.
-The kernel refines its grid in rounds: an interval the error estimate
-rejects is split at once into the 2^m equal parts the estimate asks for,
-with depth counted in bisections (m for such a split).
+The kernel refines its grid in rounds, level 0 the first, each evaluating G
+in one call per CHUNK intervals: an interval the error estimate rejects is
+split at once into the 2^m equal parts the estimate asks for, with depth
+counted in bisections (m for such a split).
 A generator is a function of the five arrays ``kinematics`` returns and of
 nothing else along the worldline.  Trajectories are stepped by
 :func:`_dop853`, scipy's DOP853 operation for operation without its solver
@@ -438,6 +439,30 @@ class LazyStates(Sequence):
         return self._build(self._indices[index])
 
 
+class TransportResult:
+    """The samples of a transport along a worldline, as arrays over ``params``.
+
+    ``propagators[i]`` is the transport map from the worldline start to
+    ``params[i]``; it carries any other initial state the same way.
+    ``audits`` holds the drifts measured over all samples, ``norm_drift``
+    among them (also an attribute).  ``states[i]`` is the state there, made by
+    ``build(i)`` when it is read, and ``final`` the last; ``build`` closes over
+    the sample arrays, not over the result, so a result holds no reference
+    cycle.
+    """
+
+    def __init__(self, params, propagators, audits, build):
+        self.params = params
+        self.propagators = propagators
+        self.audits = audits
+        self.norm_drift = audits["norm_drift"]
+        self.states = LazyStates(build, len(params))
+
+    @property
+    def final(self):
+        return self.states[-1]
+
+
 # Gauss-Legendre nodes on [0, 1].  An interval of the transport kernel takes
 # Magnus steps on its two halves and on the whole (SUBNODES, in that order);
 # G is evaluated at its ends, midpoint and halves' nodes (NODES, in order)
@@ -539,46 +564,31 @@ def _prefix_products(steps):
     return out
 
 
-def _split(left, right, depth, worst, g, tol):
-    """The next round's intervals from the rejected ones, as (lefts, rights,
-    depths, known, fresh).
+def _split(at, depth, worst, g, tol):
+    """The next round's parts of the rejected intervals, as (at, depths,
+    known, unknown): each part's left end, midpoint and right end (k, 3),
+    its depth in bisections, G at those three (k, 3, 2, 2) where the
+    rejected interval's nodes hold it, and a (k, 3) mask of where they do not.
 
     An interval whose worst error is finite and below 1 splits into 2^m
     equal parts, m = ceil(log2(worst / (tol / 2)) / 7), since the half steps'
     error falls as h^7; any other is bisected.  No part goes past MAX_LEVELS
-    bisections.  ``g`` (n, 5, 2, 2) holds G at the fractions 0, 1/4, 1/2, 3/4
-    and 1 of each rejected interval, and ``known`` (k, 3, 2, 2) G at each
-    part's ends and midpoint where they are among these.  The others are
-    ``fresh = (at, source)``, or None if there are none: the parameters to
-    evaluate, in the order of the parts, and the index into ``at`` of each
-    part's three values, -1 where ``known`` holds it.  Neighbours share their
-    end.
+    bisections.  ``at`` (n, 3) holds the rejected intervals' ends and
+    midpoints, and ``g`` (n, 5, 2, 2) G at their fractions 0, 1/4, 1/2, 3/4
+    and 1.  A left end off those is the right end of the part before it.
     """
     sized = np.ceil(np.log2(worst / (0.5 * tol)) / 7.0)
     m = np.where(worst < 1.0, sized, 1.0)       # False for inf and nan
     m = np.minimum(m, MAX_LEVELS - depth).astype(int)
-    if np.all(m == 1):      # halves alone: each takes its ends and midpoint
-        middle = left + 0.5 * (right - left)
-        return (np.concatenate([left, middle]), np.concatenate([middle, right]),
-                np.concatenate([depth, depth]) + 1, np.concatenate([g[:, :3], g[:, 2:]]), None)
     size = 2 ** m
     part = np.repeat(np.arange(len(size)), size)        # the rejected interval of each part
     j = np.arange(len(part)) - np.repeat(np.cumsum(size) - size, size)
-    n, start, width = size[part], left[part], (right - left)[part]
-    end = np.where(j + 1 == n, right[part], start + (j + 1) / n * width)
+    n, start, width = size[part], at[part, 0], (at[:, 2] - at[:, 0])[part]
+    end = np.where(j + 1 == n, at[part, 2], start + (j + 1) / n * width)
     # a part's ends and midpoint in quarters of the interval it splits
     quarters = 4.0 * (j[:, None] + np.array([0.0, 0.5, 1.0])) / n[:, None]
-    on_grid = quarters % 1.0 == 0.0
-    known = g[part[:, None], quarters.astype(int)]      # a placeholder where off the grid
-    # each part evaluates its midpoint and right end where new; its left end
-    # is its neighbour's right
-    new = ~on_grid[:, 1:]
-    source = np.full((len(part), 3), -1)
-    source[:, 1:][new] = np.arange(new.sum())
-    source[1:, 0] = np.where(on_grid[1:, 0], -1, source[:-1, 2])
-    at = np.stack([start + (j + 0.5) / n * width, end], axis=1)[new]
-    return (start + j / n * width, end, depth[part] + m[part], known,
-            (at, source) if len(at) else None)
+    return (np.stack([start + j / n * width, start + (j + 0.5) / n * width, end], axis=1),
+            depth[part] + m[part], g[part[:, None], quarters.astype(int)], quarters % 1.0 != 0.0)
 
 
 def propagate(worldline, generator, params, tol):
@@ -592,14 +602,16 @@ def propagate(worldline, generator, params, tol):
     parameter strictly inside its width times the ``_READ_CHECK`` of G, is at
     most tol / 2;
     the other half is left for what the estimate does not see.  Refinement
-    goes in rounds, each taking its nodes from one ``kinematics`` call per
-    CHUNK intervals: a rejected interval is split as :func:`_split` sizes it
-    from the larger of the two, its parts reusing every node of it that falls
-    on theirs.  A parameter is read by the same steps, over the part of its
-    interval before it, on the interpolant of G; one on a grid point from the
-    accepted steps alone.  :class:`ToleranceError` is raised for ``tol``
-    below TOLERANCE_FLOOR, a G that is not finite, and past MAX_LEVELS
-    bisections of one interval.
+    goes in rounds, level 0 the first.  Each round takes its nodes from one
+    ``kinematics`` and one generator call per CHUNK intervals: the ends and
+    midpoints not yet known, then the Gauss nodes of the halves.  A rejected
+    interval is split as :func:`_split` sizes it from the larger of the two,
+    its parts reusing every node of it that falls on theirs, and a part's
+    unknown left end is the right end of the part before it.  A parameter is
+    read by the same steps, over the part of its interval before it, on the
+    interpolant of G; one on a grid point from the accepted steps alone.
+    :class:`ToleranceError` is raised for ``tol`` below TOLERANCE_FLOOR, a G
+    that is not finite, and past MAX_LEVELS bisections of one interval.
     """
     if not tol >= TOLERANCE_FLOOR:
         raise ToleranceError(f"transport tolerance {tol:.3g} is below the rounding floor "
@@ -611,38 +623,38 @@ def propagate(worldline, generator, params, tol):
     if np.any((direction * (lams - t0) < 0) | (direction * (lams - t1) > 0)):
         raise DomainError("transport parameters outside the worldline span")
 
-    def evaluate(at):
-        g = generator(*worldline.kinematics(at))
-        finite = np.isfinite(g).all(axis=(1, 2))
-        if not finite.all():
-            raise ToleranceError(f"transport generator not finite at parameter "
-                                 f"{at[np.argmin(finite)]}")
-        return g
-
     asked = np.sort(direction * lams)
     edges = direction * np.unique(direction * np.concatenate([[t0, t1], worldline.breakpoints]))
-    lefts, rights = edges[:-1], edges[1:]
-    g = evaluate(np.concatenate([edges, 0.5 * (lefts + rights)]))
-    known = np.stack([g[:len(lefts)], g[len(edges):], g[1:len(edges)]], axis=1)
-    depths, fresh = np.zeros(len(lefts), dtype=int), None
+    # level 0: the grid's intervals, with no G known
+    parts = np.stack([edges[:-1], 0.5 * (edges[:-1] + edges[1:]), edges[1:]], axis=1)
+    depths = np.zeros(len(parts), dtype=int)
+    known, unknown = np.empty(parts.shape + (2, 2)), np.ones(parts.shape, dtype=bool)
     accepted = []
     while True:
-        refined, evaluated = [], 0
-        for c in range(0, len(lefts), CHUNK):
-            left, right, ends = lefts[c:c + CHUNK], rights[c:c + CHUNK], known[c:c + CHUNK]
+        refined = []
+        last = known[0, 2]      # a placeholder: the round's first part shares no end
+        for c in range(0, len(parts), CHUNK):
+            at, missing = parts[c:c + CHUNK], unknown[c:c + CHUNK]
+            left, right = at[:, 0], at[:, 2]
             width = right - left
-            at = (left[:, None] + SUBNODES[:6] * width[:, None]).ravel()
-            if fresh is not None:
-                source = fresh[1][c:c + CHUNK]
-                stop = max(evaluated, source.max() + 1)
-                at = np.concatenate([at, fresh[0][evaluated:stop]])
-            new = evaluate(at)
-            if fresh is not None:
-                fresh_g[evaluated:stop] = new[6 * len(left):]
-                evaluated = stop
-                ends[source >= 0] = fresh_g[source[source >= 0]]
-            new = new[:6 * len(left)].reshape(len(left), 6, 2, 2)
-            g = np.concatenate([ends[:, :1], new[:, :3], ends[:, 1:2], new[:, 3:], ends[:, 2:]],
+            # a missing left end is the right end of the part before
+            shared = missing[:, 0] & (np.arange(c, c + len(at)) > 0)
+            evaluate = missing.copy()
+            evaluate[shared, 0] = False
+            nodes = np.concatenate([at[evaluate],
+                                    (left[:, None] + SUBNODES[:6] * width[:, None]).ravel()])
+            new = generator(*worldline.kinematics(nodes))
+            finite = np.isfinite(new).all(axis=(1, 2))
+            if not finite.all():
+                raise ToleranceError(f"transport generator not finite at parameter "
+                                     f"{nodes[np.argmin(finite)]}")
+            ends = known[c:c + CHUNK].astype(new.dtype)
+            count = evaluate.sum()
+            ends[evaluate] = new[:count]
+            ends[shared, 0] = np.concatenate([[last], ends[:-1, 2]])[shared]
+            last = ends[-1, 2]
+            sub = new[count:].reshape(len(at), 6, 2, 2)
+            g = np.concatenate([ends[:, :1], sub[:, :3], ends[:, 1:2], sub[:, 3:], ends[:, 2:]],
                                axis=1)
             steps, error = _richardson(_interpolate(g, _AT_SUBNODES), width)
             held = (np.searchsorted(asked, direction * left, "right")
@@ -655,17 +667,15 @@ def propagate(worldline, generator, params, tol):
             done = worst <= 0.5 * tol
             read = done & held              # G is kept where a parameter is read
             accepted.append((left[done], right[done], steps[done], read[done], g[read]))
-            refined.append((left[~done], right[~done], depths[c:c + CHUNK][~done], worst[~done],
+            refined.append((at[~done], depths[c:c + CHUNK][~done], worst[~done],
                             g[~done][:, ::2]))
-        left, right, depth, worst, g = (np.concatenate(a) for a in zip(*refined))
-        if not len(left):
+        at, depth, worst, g = (np.concatenate(a) for a in zip(*refined))
+        if not len(at):
             break
         if depth.max() >= MAX_LEVELS:
             raise ToleranceError(f"transport not resolved to {tol:.3g} within "
                                  f"{MAX_LEVELS} bisections")
-        lefts, rights, depths, known, fresh = _split(left, right, depth, worst, g, tol)
-        if fresh is not None:
-            fresh_g = np.empty((len(fresh[0]), 2, 2), dtype=known.dtype)
+        parts, depths, known, unknown = _split(at, depth, worst, g, tol)
     lefts, rights, steps, read, kept = (np.concatenate(a) for a in zip(*accepted))
     order = np.argsort(direction * lefts)
     slots = (np.cumsum(read) - 1)[order]
@@ -771,7 +781,7 @@ def integrate_timelike(model, em, x0, u0, charge_to_mass=0.0, span=1.0, tol=1e-1
     """
     u0 = np.asarray(u0, dtype=float).reshape(4)
     norm = minkowski_dot(u0, u0)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise QulineError(f"u0 must be normalized timelike (u.u = {norm})")
     if u0[0] <= 0:
         raise QulineError("u0 must be future-pointing")
@@ -785,7 +795,7 @@ def integrate_null_geodesic(model, x0, k0, span=1.0, tol=1e-11):
     """Integrate a null geodesic with the wavevector itself as affine velocity."""
     k0 = np.asarray(k0, dtype=float).reshape(4)
     norm = minkowski_dot(k0, k0)
-    if abs(norm) > 1e-12 * (1.0 + k0 @ k0):
+    if not abs(norm) <= 1e-12 * (1.0 + k0 @ k0):
         raise QulineError(f"k0 must be null (k.k = {norm})")
     if k0[0] <= 0:
         raise QulineError("k0 must be future-pointing")

@@ -31,17 +31,24 @@ def test_traced_method_exists(module, cls, method, span):
 
 
 def test_tracer_reads_transport_audits():
-    # the tracer records these two audits from every transport result
+    # the tracer records these two audits from every transport result, the
+    # fermion one from covariant and rest-frame transports alike
     from quline import fermion, photon
     from quline.geometry import make_builtin_model
-    from quline.worldline import integrate_null_geodesic, static_worldline
+    from quline.worldline import TransportResult, integrate_null_geodesic, static_worldline
 
     flat = make_builtin_model("minkowski", [])
     line = static_worldline(flat, [0.0, 0.0, 0.0], span=1.0)
     spinor = fermion.FermionState([1.0, 0.0], line.start_event, line.velocity(0.0))
     ray = integrate_null_geodesic(flat, [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0])
     pol = photon.PhotonState([0.0, 1.0, 0.0, 0.0], ray.start_event, ray.velocity(0.0))
+    results = [fermion.transport(spinor, line, n_samples=5),
+               fermion.transport_rest_frame(fermion.RestFrameState([1.0, 0.0]), line,
+                                            n_samples=5),
+               photon.transport(pol, ray, n_samples=5)]
+    assert all(type(result) is TransportResult for result in results)
     tracer = spans.Tracer()
-    tracer._after_fermion(fermion.transport(spinor, line, n_samples=5))
-    tracer._after_photon(photon.transport(pol, ray, n_samples=5))
+    tracer._after_fermion(results[0])
+    tracer._after_fermion(results[1])
+    tracer._after_photon(results[2])
     assert set(tracer.maxima) == {"fermion.norm_drift", "photon.transversality_drift"}

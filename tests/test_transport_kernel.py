@@ -299,16 +299,32 @@ def test_each_parameter_is_read_alone():
 def test_a_rejected_interval_is_split_as_its_estimate_asks(make_worldline, generator,
                                                             most_nodes):
     """A rejected interval splits into as many parts as its error estimate
-    asks for, in one round: each case takes at most three generator calls
-    (level 0's grid points and midpoints, level 0's Gauss nodes, one round of
-    parts).  Node counts are pinned with a few percent to spare: 133, 261 and
-    517; bisection alone, one level per round, takes 189 nodes in 6 calls,
-    261 in 7 and 465 in 8."""
+    asks for, in one round: each case takes at most two generator calls
+    (level 0, one round of parts).  Node counts are pinned with a few percent
+    to spare: 133, 261 and 517; bisection alone, one level per round, takes
+    189 nodes in 6 calls, 261 in 7 and 465 in 8."""
     wl = make_worldline()
     counted = counting(generator)
     wld.propagate(wl, counted, wl.sample_params(), 1e-12)
-    assert counted.calls <= 3
+    assert counted.calls <= 2
     assert counted.nodes <= most_nodes
+
+
+@pytest.mark.parametrize("name", [
+    "flat_circular", "flat_circular_backwards", "lorentz_force_em", "rindler_static",
+    "rindler_static_backwards", "schwarzschild_orbit_covariant",
+    "schwarzschild_orbit_rest_frame", "tabulated"])
+def test_level_0_is_one_generator_call(name):
+    """Level 0 is a round like the others: on these cases its one interval is
+    accepted, and its ends, midpoint and six Gauss nodes come from one
+    generator call, for 201 parameters as for the span ends."""
+    make_worldline, make_generator = CASES[name]
+    wl = make_worldline()
+    generator = make_generator(wl)[0]
+    for params in (wl.sample_params(), np.array(wl.param_span)):
+        counted = counting(generator)
+        wld.propagate(wl, counted, params, 1e-12)
+        assert (counted.calls, counted.nodes) == (1, len(wld.NODES))
 
 
 def test_parts_share_their_new_nodes_across_chunks(monkeypatch):

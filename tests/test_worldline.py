@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from quline import worldline as wld
-from quline.errors import ComplexVelocity, QulineError
-from quline.geometry import make_builtin_model, pulled_connection
+from quline.errors import ComplexVelocity, DomainError, QulineError
+from quline.geometry import apply_local_lorentz, make_builtin_model, pulled_connection
 from quline.spin_algebra import minkowski_dot
 
 
@@ -406,3 +406,36 @@ class TestKinematics:
                 lines.append(",".join(f"{v:.17g}" for v in row))
             expected = "".join(line + "\r\n" for line in lines).encode()
             assert (tmp_path / "out.csv").read_bytes() == expected
+
+
+NAN = float("nan")
+SCHW = make_builtin_model("schwarzschild", [1.0])
+FLAT = make_builtin_model("minkowski", [])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: wld.integrate_null_geodesic(FLAT, [NAN, 0, 0, 0], [1, 0, 0, 1]),
+     DomainError, r"event coordinates must be finite, got \[nan, 0.0, 0.0, 0.0\]"),
+    (lambda: wld.integrate_null_geodesic(FLAT, np.zeros(4), [NAN, 0, 0, 1]),
+     QulineError, r"k0 must be null \(k.k = nan\)"),
+    (lambda: wld.integrate_timelike(SCHW, None, [0, 10, 1.5, 0], [NAN, 0, 0, 0]),
+     QulineError, r"u0 must be normalized timelike \(u.u = nan\)"),
+    (lambda: wld.integrate_timelike(SCHW, None, [0, 10, math.inf, 0], [1, 0, 0, 0]),
+     DomainError, r"finite, got \[0.0, 10.0, inf, 0.0\]"),
+    (lambda: FLAT.connections([[0, 0, 0, 0], [NAN, 0, 0, 0]]),
+     DomainError, r"finite, got \[nan, 0.0, 0.0, 0.0\]"),
+    (lambda: apply_local_lorentz(FLAT, lambda c: np.eye(4)).connection([0, NAN, 0, 0]),
+     DomainError, r"finite, got \[0.0, nan, 0.0, 0.0\]"),
+    (lambda: wld.static_worldline(FLAT, [NAN, 0, 0], 1.0),
+     DomainError, r"finite, got \[0.0, nan, 0.0, 0.0\]"),
+], ids=["null_x0", "null_k0", "timelike_u0", "timelike_x0", "connections", "regauged",
+        "static"])
+def test_non_finite_coordinates_are_refused_before_stepping(monkeypatch, call, error, message):
+    """A nan or inf in an event or an initial velocity ends in its one-line
+    error before the trajectory stepper is reached (a nan initial step would
+    never end the step loop)."""
+    def unreachable(*args):
+        raise AssertionError("the trajectory stepper was reached")
+    monkeypatch.setattr(wld, "_dop853", unreachable)
+    with pytest.raises(error, match=message):
+        call()
