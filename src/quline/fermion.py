@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .errors import HilbertSpaceMismatch, QulineError
-from .geometry import Event, check_finite
+from .geometry import Event
 from .spin_algebra import (ETA, PAULI, SIGMA_BAR, generator_contraction,
                            minkowski_dot, spin_half_boost_matrix,
                            velocity_inner_product_matrix)
@@ -150,7 +150,7 @@ def transport(state: FermionState, worldline, em=None, charge_to_mass=0.0,
     maps = propagate(worldline, generator, params, tol)
     psis = maps @ state.psi
     positions, velocities = worldline.trajectory(params)
-    check_finite(positions)
+    worldline.model.check_domain(positions)
     _check_velocities(velocities)
     metrics = np.einsum("ni,iab->nab", velocities @ ETA, SIGMA_BAR)
     norms = np.einsum("na,nab,nb->n", psis.conj(), metrics, psis).real

@@ -225,14 +225,18 @@ class _AnalyticModel(SpacetimeModel):
     ``_frame(c, xp)`` is the one formula: from the coordinates ``c`` it
     returns the tetrad diagonal (e^0_0, e^1_1, e^2_2, e^3_3) and the values
     of the nonzero omega_nu^I_J, listed once per class as ``(nu, I, J)`` in
-    ``OMEGA``.  It runs over a backend namespace: ``math`` for one event's
-    Python floats, ``numpy`` for a (4,) event or the transposed rows of an
-    (n, 4) array.  ``tetrads`` and ``connections`` scatter it into zeros;
-    ``pulled_connections`` contracts it with the velocities, and
-    ``trajectory_rates`` contracts it in scalar arithmetic at one event (two
-    (4,) arrays, or with ``u`` None the trajectory state (x^mu, u^I) as a
-    list of 8 floats) and through ``pulled_connections``, in the same
-    pairing, at many.
+    ``OMEGA``.  It runs over a backend namespace: ``numpy`` for a (4,) event
+    or the transposed rows of an (n, 4) array, ``math`` for one event's
+    Python floats.  ``tetrads`` and ``connections`` scatter it into zeros,
+    ``pulled_connections`` contracts it with the velocities and
+    ``trajectory_rates`` contracts that for (n, 4) rows.
+
+    ``_rates(s)`` gives one event's trajectory derivative (xdot^mu, udot^I),
+    (8,), from the state s = (x^mu, u^I) as 8 floats.  Each class writes it
+    out as straight-line code: the contraction of ``_frame(x, math)`` over
+    ``OMEGA`` term by term, keeping the zero terms that fix the sign of a
+    zero, so that it equals that contraction bit for bit.
+    ``trajectory_rates`` calls it for (4,) arrays.
     """
 
     connection_mode = "analytic"
@@ -269,27 +273,20 @@ class _AnalyticModel(SpacetimeModel):
             pulled[..., i, j] += xdot[..., nu] * w
         return xdot, pulled
 
-    def trajectory_rates(self, x, u=None):
-        if u is None:
-            x, u = x[:4], x[4:]
-        elif x.ndim > 1:
-            xdot, pulled = self.pulled_connections(x, u)
-            r = pulled * u[:, None, :]
-            return np.concatenate([xdot, -((r[..., 0] + r[..., 2]) + (r[..., 1] + r[..., 3]))],
-                                  axis=1)
-        else:
-            x, u = x.tolist(), u.tolist()
-        diag, values = self._frame(x, math)
-        xdot = [d * v for d, v in zip(diag, u)]
-        p = [[0.0] * 4 for _ in range(4)]      # p[I][J] = xdot^nu omega_nu^I_J
-        for (nu, i, j), w in zip(self.OMEGA, values):
-            p[i][j] += xdot[nu] * w
+    def _rates(self, s):
+        raise NotImplementedError
+
+    def trajectory_rates(self, x, u):
+        if x.ndim == 1:
+            return self._rates(x.tolist() + u.tolist())
+        xdot, pulled = self.pulled_connections(x, u)
+        r = pulled * u[:, None, :]
         # summed in the pairing numpy's bundled OpenBLAS uses for a (4, 4) @
         # (4,) product on x86-64, so that the result equals the base-class
         # contraction bit for bit there; another BLAS kernel or CPU dispatch,
         # or a numpy sin/cos that differs from math's, may move it by an ulp
-        return np.array(xdot + [-((r[0] * u[0] + r[2] * u[2]) + (r[1] * u[1] + r[3] * u[3]))
-                                for r in p])
+        return np.concatenate([xdot, -((r[..., 0] + r[..., 2]) + (r[..., 1] + r[..., 3]))],
+                              axis=1)
 
 
 class MinkowskiModel(_AnalyticModel):
@@ -301,6 +298,11 @@ class MinkowskiModel(_AnalyticModel):
 
     def _frame(self, c, xp):
         return (1.0, 1.0, 1.0, 1.0), ()
+
+    def _rates(self, s):
+        u0, u1, u2, u3 = s[4:]
+        w = -((0.0 * u0 + 0.0 * u2) + (0.0 * u1 + 0.0 * u3))
+        return np.array([u0, u1, u2, u3, w, w, w, w])
 
 
 class RindlerModel(_AnalyticModel):
@@ -327,6 +329,14 @@ class RindlerModel(_AnalyticModel):
 
     def _frame(self, c, xp):
         return (1.0 / self._f(c), 1.0, 1.0, 1.0), (self.g, self.g)
+
+    def _rates(self, s):
+        u0, u1, u2, u3 = s[4:]
+        x0 = 1.0 / self._f(s) * u0
+        p = 0.0 + x0 * self.g
+        z02, z13 = 0.0 * u0 + 0.0 * u2, 0.0 * u1 + 0.0 * u3
+        return np.array([x0, u1, u2, u3, -(z02 + (0.0 * u1 + p * u3)), -(z02 + z13),
+                         -(z02 + z13), -((p * u0 + 0.0 * u2) + z13)])
 
     def inverse_tetrad(self, x):
         f = self._f(_coords_of(x))
@@ -370,6 +380,22 @@ class SchwarzschildModel(_AnalyticModel):
         m_r2 = self.mass / r**2
         return ((1.0 / sf, sf, 1.0 / r, 1.0 / (r * sin)),
                 (m_r2, m_r2, -sf, sf, -sf * sin, sf * sin, -cos, cos))
+
+    def _rates(self, s):
+        _, r, th, _, u0, u1, u2, u3 = s
+        sf = math.sqrt(1.0 - 2.0 * self.mass / r)
+        sin, cos = math.sin(th), math.cos(th)
+        x0, x2, x3 = 1.0 / sf * u0, 1.0 / r * u2, 1.0 / (r * sin) * u3
+        # x * (-w) is -(x * w) exactly, and 0.0 - y is 0.0 + (-y)
+        p01 = 0.0 + x0 * (self.mass / r**2)
+        a, b, c = x2 * sf, x3 * (sf * sin), x3 * cos
+        p12, p21, p13, p31, p23, p32 = 0.0 - a, 0.0 + a, 0.0 - b, 0.0 + b, 0.0 - c, 0.0 + c
+        z02 = 0.0 * u0 + 0.0 * u2
+        return np.array([x0, sf * u1, x2, x3,
+                         -(z02 + (p01 * u1 + 0.0 * u3)),
+                         -((p01 * u0 + p12 * u2) + (0.0 * u1 + p13 * u3)),
+                         -(z02 + (p21 * u1 + p23 * u3)),
+                         -((0.0 * u0 + p32 * u2) + (p31 * u1 + 0.0 * u3))])
 
     def inverse_tetrad(self, x):
         c = _coords_of(x)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdaptationSingular, HilbertSpaceMismatch, QulineError
-from .geometry import Event, check_finite, parallel_propagator
+from .geometry import Event, parallel_propagator
 from .spin_algebra import ETA, minkowski_dot
 from .worldline import TransportResult, line_integral
 
@@ -167,7 +167,7 @@ def transport(state: PhotonState, worldline, tol=1e-12, n_samples=201):
     maps = parallel_propagator(worldline, params, tol)
     pols = maps @ state.pol
     positions, wavevectors = worldline.trajectory(params)
-    check_finite(positions)
+    worldline.model.check_domain(positions)
     _check_wavevectors(wavevectors)
     trans = np.abs(np.sum((wavevectors @ ETA) * pols, axis=1)) / scale
     norms = -np.einsum("ni,ij,nj->n", pols.conj(), ETA, pols).real

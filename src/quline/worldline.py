@@ -733,8 +733,10 @@ def _trajectory_rates(model, accel_fn):
     """rates(lam, y): the derivative of the trajectory state y = (x^mu, u^I) at
     one parameter, (8,), or at each of (n,) parameters for (n, 8) states.
     Raises DomainError, naming the first parameter, for a state off the chart.
-    A free trajectory on an analytic model reads one state as 8 floats and
-    contracts its frame in scalar arithmetic."""
+    A free trajectory on an analytic model reads one state as 8 floats, checks
+    the chart on them and passes them to the model's straight-line one-event
+    rates, ``_rates``; rows, forces and other models go through
+    ``trajectory_rates``."""
     scalar = accel_fn is None and isinstance(model, _AnalyticModel)
 
     def rates(lam, y):
@@ -742,7 +744,7 @@ def _trajectory_rates(model, accel_fn):
             state = y.tolist()
             if not model.in_domain(state[:4]):
                 raise DomainError(f"{model.name}: trajectory left chart domain at parameter {lam}")
-            return model.trajectory_rates(state)
+            return model._rates(state)
         x, u = y[..., :4], y[..., 4:]
         inside = model.in_domain(x.T)
         if not (inside if y.ndim == 1 else np.all(inside)):

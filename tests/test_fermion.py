@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from quline import fermion as fm
-from quline.errors import HilbertSpaceMismatch, QulineError
+from quline.errors import DomainError, HilbertSpaceMismatch, QulineError
 from quline.geometry import Event, make_builtin_model
 from quline.spin_algebra import (ETA, PAULI, boost_pair_from_velocity,
                                  generator_contraction,
@@ -359,6 +359,20 @@ class TestLazyStates:
         assert wl.sample_params()[100] == 0.5
         with pytest.raises(QulineError, match=message):
             fm.transport(flat_rest_state([1.0, 0.0]), wl)
+
+    def test_non_finite_sample_position_names_its_row(self):
+        # nan at lambda = 0.1 only: a sample of the 11-point grid that no
+        # kernel node reads; the sample check names it as a domain error
+        def position(tau):
+            return np.array([tau, np.nan if tau == 0.1 else 0.0, 0.0, 0.0])
+
+        wl = AnalyticWorldline(FLAT, (0.0, 1.0), position, lambda tau: np.array([1.0, 0, 0, 0]),
+                               lambda tau: np.zeros(4))
+        assert wl.sample_params(11)[1] == 0.1
+        assert len(fm.transport(flat_rest_state([1.0, 0.0]), wl, n_samples=3).states) == 3
+        message = r"^event coordinates must be finite, got \[0\.1, nan, 0\.0, 0\.0\]$"
+        with pytest.raises(DomainError, match=message):
+            fm.transport(flat_rest_state([1.0, 0.0]), wl, n_samples=11)
 
 
 def test_transport_results_are_freed_without_the_cycle_collector():

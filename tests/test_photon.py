@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quline import photon as ph
-from quline.errors import AdaptationSingular, HilbertSpaceMismatch, QulineError
+from quline.errors import AdaptationSingular, DomainError, HilbertSpaceMismatch, QulineError
 from quline.geometry import (Event, apply_local_lorentz, make_builtin_model,
                              parallel_transport_vector)
 from quline.spin_algebra import ETA
@@ -317,6 +317,22 @@ class TestLazyStates:
         st = ph.PhotonState([0.0, 1.0, 0.0, 0.0], wl.start_event, wavevector(0.0))
         with pytest.raises(QulineError, match=r"wavevector must be future null \(k.k = -3.0\)"):
             ph.transport(st, wl)
+
+    def test_non_finite_sample_position_names_its_row(self):
+        # nan at lambda = 0.1 only: a sample of the 11-point grid that no
+        # kernel node reads; the sample check names it as a domain error
+        def position(lam):
+            return np.array([lam, np.nan if lam == 0.1 else 0.0, 0.0, lam])
+
+        k = np.array([1.0, 0.0, 0.0, 1.0])
+        wl = AnalyticWorldline(FLAT, (0.0, 1.0), position, lambda lam: k,
+                               lambda lam: np.zeros(4), kind="null")
+        assert wl.sample_params(11)[1] == 0.1
+        st = ph.PhotonState([0.0, 1.0, 0.0, 0.0], wl.start_event, k)
+        assert len(ph.transport(st, wl, n_samples=3).states) == 3
+        message = r"^event coordinates must be finite, got \[0\.1, nan, 0\.0, 0\.1\]$"
+        with pytest.raises(DomainError, match=message):
+            ph.transport(st, wl, n_samples=11)
 
 
 def test_transport_result_is_freed_without_the_cycle_collector():

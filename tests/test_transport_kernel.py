@@ -3,6 +3,7 @@ geometry and generators it evaluates against per-point calls, and the
 trajectory layer (closed-form frames, array dense output) against the
 generic right-hand side and scipy's ``OdeSolution``."""
 
+import math
 import re
 import warnings
 from functools import partial
@@ -17,9 +18,10 @@ from quline import fermion as fm
 from quline import photon as ph
 from quline import worldline as wld
 from quline.errors import DomainError, ToleranceError
-from quline.geometry import (SpacetimeModel, TabulatedModel, _parallel_generator,
-                             apply_local_lorentz, connection_finite_difference,
-                             make_builtin_model, parallel_propagator, pulled_connection)
+from quline.geometry import (SpacetimeModel, TabulatedModel, _AnalyticModel,
+                             _parallel_generator, apply_local_lorentz,
+                             connection_finite_difference, make_builtin_model,
+                             parallel_propagator, pulled_connection)
 from quline.spin_algebra import lorentz_image, spin1_boost
 
 SCHW = make_builtin_model("schwarzschild", [1.0])
@@ -576,6 +578,49 @@ def test_trajectory_rates_match_base_class(model):
                                    atol=1e-14 * np.abs(want).max())
 
 
+def omega_table_rates(model, state):
+    """The one-event trajectory rates contracted from the OMEGA table: the
+    frame over ``math``, each pulled entry p[I][J] = xdot^nu omega_nu^I_J
+    accumulated onto 0.0, each udot^I summed as (r_0 u_0 + r_2 u_2) +
+    (r_1 u_1 + r_3 u_3).  The reference the models' straight-line
+    ``_rates`` must equal bit for bit."""
+    x, u = state[:4], state[4:]
+    diag, values = model._frame(x, math)
+    xdot = [d * v for d, v in zip(diag, u)]
+    p = [[0.0] * 4 for _ in range(4)]
+    for (nu, i, j), w in zip(model.OMEGA, values):
+        p[i][j] += xdot[nu] * w
+    return np.array(xdot + [-((r[0] * u[0] + r[2] * u[2]) + (r[1] * u[1] + r[3] * u[3]))
+                            for r in p])
+
+
+ANALYTIC_PARAMS = {"RindlerModel": (0.4,), "SchwarzschildModel": (1.0,)}
+
+
+@pytest.mark.parametrize("cls", _AnalyticModel.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_one_event_rates_equal_the_omega_table_bit_for_bit(cls):
+    """Each analytic model's straight-line one-event rates equal the OMEGA
+    table contraction byte for byte, zero signs included, on 20,000 random
+    in-domain states whose components are often 0.0 or -0.0, through
+    ``trajectory_rates`` with (4,) arrays and the trajectory right-hand side."""
+    model = cls(*ANALYTIC_PARAMS.get(cls.__name__, ()))
+    rng = np.random.default_rng(18)
+    n = 20000
+    states = np.hstack([rng.uniform([-5.0, -1.0, -0.2, -5.0], [5.0, 50.0, 3.4, 7.0], (6 * n, 4)),
+                        rng.standard_normal((6 * n, 4))])
+    zeros = rng.integers(0, 4, states.shape)
+    states[zeros == 1], states[zeros == 2] = 0.0, -0.0
+    states = states[np.broadcast_to(model.in_domain(states[:, :4].T), 6 * n)][:n]
+    assert len(states) == n
+    want = np.array([omega_table_rates(model, y.tolist()) for y in states])
+    udot_zeros = want[:, 4:][want[:, 4:] == 0.0]
+    assert np.signbit(udot_zeros).any() and not np.signbit(udot_zeros).all()
+    rates = wld._trajectory_rates(model, None)
+    for got in (np.array([model.trajectory_rates(y[:4], y[4:]) for y in states]),
+                np.array([rates(0.0, y) for y in states])):
+        assert_same_bytes(got, want)
+
+
 def generic_rhs(model, accel=None):
     """The trajectory right-hand side written out from tetrad and connection."""
     def rhs(lam, y):
@@ -784,6 +829,24 @@ def test_stepper_takes_the_steps_of_stock_dop853(name):
     for got, want in ((ts, want_ts), (ys, want_ys), (K[:, :13], want_K)):
         assert_same_bytes(got, want)
     assert ours.calls == stock.calls - 3 * len(K)
+
+
+@pytest.mark.parametrize("name", ["schwarzschild_orbit", "schwarzschild_ray", "rindler_line",
+                                  "minkowski_line"])
+def test_trajectory_solves_equal_the_omega_table_solves_bit_for_bit(name):
+    """A solve on the straight-line one-event rates takes the steps of the
+    same solve on the OMEGA table contraction: the same step boundaries,
+    states and stage rows, byte for byte, from as many calls."""
+    rates, y0, span = trajectory_problem(name)
+    model = TRAJECTORIES[name][0]
+    ours = counted_calls(rates)
+    table = counted_calls(lambda lam, y: omega_table_rates(model, y.tolist()))
+    ts, ys, K = wld._dop853(ours, 0.0, y0, span, 1e-12, np.inf)
+    want_ts, want_ys, want_K = wld._dop853(table, 0.0, y0, span, 1e-12, np.inf)
+    assert len(K) > 3
+    for got, want in ((ts, want_ts), (ys, want_ys), (K[:, :13], want_K[:, :13])):
+        assert_same_bytes(got, want)
+    assert ours.calls == table.calls
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["ascending", "descending"])
