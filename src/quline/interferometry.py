@@ -21,14 +21,13 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (ComplexVelocity, DomainError, HilbertSpaceMismatch,
                      OrthogonalStates, QulineError, WavevectorMismatch, reject_where)
 from .fermion import FermionState, inner_product
 from .geometry import Event
 from .photon import PhotonState, photon_inner_product
-from .worldline import _restricted, line_integral, rindler_speed_at_height
+from .worldline import _dop853, _restricted, line_integral, rindler_speed_at_height
 
 
 @dataclass(frozen=True)
@@ -232,10 +231,11 @@ def _cow_formulas(xp, mass, v1, dz, ell, g, modes):
 def cow_interferometer(mass, v1, dz, ell, g):
     """Numerical leg-by-leg assembly of the COW phase difference.
 
-    Horizontal internal phases are integrated from the leg proper times,
-    vertical legs are integrated explicitly to verify they cancel, and the
-    arrival-time term uses the conserved energy.  Returns a breakdown dict
-    whose ``delta_theta`` matches :func:`cow_phase` in exact mode.
+    Horizontal internal phases come from the leg proper times, the vertical
+    legs are integrated over the height by ``_dop853`` at tolerance 1e-13,
+    upward and downward to verify they cancel, and the arrival-time term
+    uses the conserved energy.  Returns a breakdown dict whose
+    ``delta_theta`` matches :func:`cow_phase` in exact mode.
 
     The assembly differences internal phases of magnitude ~ m l / v1, so it
     resolves the result only while delta_theta is within double-precision
@@ -249,17 +249,17 @@ def cow_interferometer(mass, v1, dz, ell, g):
     tau1 = ell / (gamma1 * v1)
     tau2 = ell / (gamma2 * v2)
 
-    def vertical_dtau(z):
+    def vertical_dtau(z, tau):
         g00 = (1.0 + z * g) ** 2
         vz = rindler_speed_at_height(v1, z, g)
         # dtau/dz = sqrt(g00 - v^2)/v = g00 / (gamma1 v(z))
-        return g00 / (gamma1 * vz)
+        return np.array([g00 / (gamma1 * vz)])
 
     # path 1 climbs at the end, path 2 at the start; both run z = 0 -> dz,
     # integrated here in opposite orientations as a numerical cancellation check
-    tau_vert_1, _ = quad(vertical_dtau, 0.0, dz, epsabs=1e-14, epsrel=1e-14, limit=200)
-    tau_vert_2, _ = quad(lambda z: -vertical_dtau(z), dz, 0.0,
-                         epsabs=1e-14, epsrel=1e-14, limit=200)
+    tau_vert_1 = _dop853(vertical_dtau, 0.0, np.zeros(1), dz, 1e-13, np.inf)[1][-1, 0]
+    tau_vert_2 = _dop853(lambda z, tau: -vertical_dtau(z, tau), dz, np.zeros(1), 0.0,
+                         1e-13, np.inf)[1][-1, 0]
     energy = mass * gamma1          # conserved: m gamma(z) g00(z)
     delta_t = ell * (1.0 / v1 - 1.0 / v2)
     k_dx = energy * delta_t

@@ -39,13 +39,14 @@ class SternGerlachSetup:
         m = np.asarray(self.orientation, dtype=float).reshape(4)
         v = np.asarray(self.apparatus_velocity, dtype=float).reshape(4)
         u = np.asarray(self.particle_velocity, dtype=float).reshape(4)
-        if abs(minkowski_dot(v, v) - 1.0) > 1e-9 or v[0] <= 0:
+        # each bound scales with the Euclidean sizes, O(gamma^2) near c; a nan fails
+        if not abs(minkowski_dot(v, v) - 1.0) <= 1e-9 * (v @ v) or v[0] <= 0:
             raise QulineError("apparatus velocity must be future timelike unit")
-        if abs(minkowski_dot(u, u) - 1.0) > 1e-9 or u[0] <= 0:
+        if not abs(minkowski_dot(u, u) - 1.0) <= 1e-9 * (u @ u) or u[0] <= 0:
             raise QulineError("particle velocity must be future timelike unit")
-        if abs(minkowski_dot(m, m) + 1.0) > 1e-9:
+        if not abs(minkowski_dot(m, m) + 1.0) <= 1e-9 * (m @ m):
             raise QulineError("orientation must be a unit spacelike vector (m.m = -1)")
-        if abs(minkowski_dot(m, v)) > 1e-9:
+        if not abs(minkowski_dot(m, v)) <= 1e-9 * np.sqrt((m @ m) * (v @ v)):
             raise QulineError("orientation must be orthogonal to the apparatus velocity")
         object.__setattr__(self, "orientation", m)
         object.__setattr__(self, "apparatus_velocity", v)

@@ -356,8 +356,9 @@ def build_worldline(model, name, w):
         return integrate_timelike(model, None, w["start"], u0, span=w["span"],
                                   tol=w["tolerance"])
     k0 = w["wavevector"]
-    if abs(minkowski_dot(k0, k0)) > 1e-12 * (1.0 + k0 @ k0) or k0[0] <= 0.0:
-        raise ScenarioError("wavevector must be null and future-pointing", block=block)
+    with np.errstate(over="ignore", invalid="ignore"):      # k.k may overflow to nan
+        if not abs(minkowski_dot(k0, k0)) <= 1e-12 * (1.0 + k0 @ k0) or k0[0] <= 0.0:
+            raise ScenarioError("wavevector must be null and future-pointing", block=block)
     return integrate_null_geodesic(model, w["start"], k0, span=w["span"], tol=w["tolerance"])
 
 

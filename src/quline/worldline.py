@@ -37,7 +37,8 @@ A generator is a function of the five arrays ``kinematics`` returns and of
 nothing else along the worldline.  Trajectories are stepped by
 :func:`_dop853`, scipy's DOP853 operation for operation without its solver
 classes, which does only the work of step-size control while it runs;
-their dense output is made afterwards in one pass.
+their dense output is made afterwards in one pass.  The same stepper takes
+the proper time of a prescribed path and the COW assembly's height integrals.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import warnings
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853
 
 from .errors import (ComplexVelocity, DomainError, QulineError, ToleranceError,
                      reject_where)
@@ -343,8 +344,8 @@ def _dense_solution(ts, ys, K, rates):
 
 def _dop853(fun, t0, y0, t1, tol, max_step):
     """Scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5) from
-    t0 to t1 != t0 at rtol = atol = tol, operation for operation as
-    ``solve_ivp(method="DOP853")`` runs it: the same initial step, stage sums,
+    t0 to t1 at rtol = atol = tol, operation for operation as scipy's
+    ``DOP853`` solver class runs it: the same initial step, stage sums,
     error norm and step-size controller, so the same steps, stage rows and
     ``fun`` calls, without the per-stage wrappers of scipy's solver classes.
 
@@ -352,7 +353,8 @@ def _dop853(fun, t0, y0, t1, tol, max_step):
     accepted steps, (steps + 1,), (steps + 1, n) and (steps, 16, n), as
     :func:`_dense_solution` takes them: rows 0-12 hold the 12 stages and the
     derivative at the step end.  A step size below 10 ulps of the parameter
-    raises ToleranceError with scipy's message.
+    raises ToleranceError with scipy's message.  As in scipy, an empty span
+    takes no step.
     """
     floor = 100 * np.finfo(float).eps
     if tol < floor:
@@ -361,6 +363,8 @@ def _dop853(fun, t0, y0, t1, tol, max_step):
     if tol < 0:
         raise ValueError("`atol` must be positive.")
     rtol, atol, n = max(tol, floor), tol, len(y0)
+    if t1 == t0:
+        return np.array([t0]), y0[None], np.empty((0, 16, n))
     t, y = t0, y0
     f = fun(t, y)
     direction = np.sign(t1 - t0)
@@ -874,9 +878,11 @@ def worldline_from_coordinate_path(model, spatial_path, spatial_rate, t0, t1, n=
 
     ``spatial_path(t)`` returns the three spatial chart coordinates and
     ``spatial_rate(t)`` their coordinate-time derivatives.  Proper time is
-    accumulated by integrating dtau/dt; velocity and acceleration follow
-    from the tetrad and connection, the ordinary u-derivative from a
-    spline.  The path must stay timelike throughout.
+    accumulated by :func:`_dop853` on dtau/dt and read from its dense output
+    at ``n`` evenly spaced coordinate times, the knots of the worldline;
+    velocity and acceleration follow from the tetrad and connection, the
+    ordinary u-derivative from a spline.  The path must stay timelike
+    throughout.
     """
     def frame_rates(ts):
         """Events, the tetrad components w^I of dx^mu/dt and dtau/dt = |w| at
@@ -889,32 +895,13 @@ def worldline_from_coordinate_path(model, spatial_path, spatial_rate, t0, t1, n=
             raise QulineError("prescribed path is not timelike")
         return x, w, np.sqrt(val)
 
-    sol = solve_ivp(lambda t, y: frame_rates([t])[2], (t0, t1), [0.0], method="RK45",
-                    rtol=1e-12, atol=1e-12, dense_output=True)
-    if not sol.success:
-        raise ToleranceError(f"proper-time accumulation failed: {sol.message}")
-    total_tau = sol.y[0, -1]
-    taus = np.linspace(0.0, total_tau, n)
-    # t at each inner tau: Newton steps on the dense output of the monotone
-    # tau(t), from linear interpolation between the solver's steps, with
-    # dtau/dt taken once, at those seeds; the steps shrink geometrically until
-    # rounding stops them
-    inner, sign = taus[1:-1], np.sign(total_tau)
-    t_inner = np.interp(sign * inner, sign * sol.y[0], sol.t)
-    slope = frame_rates(t_inner)[2]
-    last = np.inf
-    while True:
-        step = (sol.sol(t_inner)[0] - inner) / slope
-        t_inner -= step
-        size = np.abs(step).max(initial=0.0)
-        if not size < 0.5 * last:
-            break
-        last = size
-    miss = np.abs(sol.sol(t_inner)[0] - inner).max(initial=0.0)
-    if miss > 1e-12 * abs(total_tau):
-        raise ToleranceError("proper-time inversion did not converge",
-                             achieved=miss, requested=1e-12 * abs(total_tau))
-    positions, w, rate = frame_rates(np.concatenate([[t0], t_inner, [t1]]))
+    def dtau_dt(t, tau):
+        return frame_rates(np.ravel(t))[2].reshape(np.shape(tau))
+
+    ts, ys, K = _dop853(dtau_dt, t0, np.zeros(1), t1, 1e-12, np.inf)
+    knots = np.linspace(t0, t1, n)
+    taus = _dense_solution(ts, ys, K, dtau_dt)(knots)[:, 0]
+    positions, w, rate = frame_rates(knots)
     u_tet = w / rate[:, None]
     from scipy.interpolate import CubicSpline
     _, pulled = model.pulled_connections(positions, u_tet)

@@ -2,12 +2,12 @@
 
 Every integral along a worldline goes through the Magnus kernel
 ``worldline.propagate`` (scalar ones through ``worldline.line_integral``).
-The only other integrators are the trajectory and proper-time solves in
-``worldline.py`` and the height integral of ``cow_interferometer``; no module
-exponentiates with ``scipy.linalg``.  Trajectories are stepped by
-``worldline._dop853`` on DOP853's coefficients, and ``solve_ivp`` runs only
-the proper-time solve.  These scans pin that, so that a second integrator
-along a worldline cannot come back unnoticed.
+Every other integral, the trajectories, the proper time of a prescribed path
+and the height integrals of ``cow_interferometer``, is stepped by
+``worldline._dop853``, which takes only DOP853's coefficient table from
+scipy; no module calls ``solve_ivp`` or ``quad``, and none exponentiates
+with ``scipy.linalg``.  These scans pin that, so that a second integrator
+cannot come back unnoticed.
 """
 
 import ast
@@ -37,8 +37,7 @@ def scipy_imports(package):
 
 
 def test_integrators_are_imported_only_where_pinned():
-    assert scipy_imports("integrate") == {"worldline.py": {"DOP853", "solve_ivp"},
-                                          "interferometry.py": {"quad"}}
+    assert scipy_imports("integrate") == {"worldline.py": {"DOP853"}}
 
 
 def test_no_module_imports_scipy_linalg():
@@ -53,21 +52,22 @@ def called_names(node):
 
 
 def test_trajectories_are_not_solved_by_solve_ivp():
-    """``_integrate`` and every worldline.py function it reaches call no
-    ``solve_ivp``: the module's one call is the RK45 proper-time solve of
-    ``worldline_from_coordinate_path``."""
-    tree = ast.parse((SRC / "worldline.py").read_text())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    reached, todo = set(), ["_integrate"]
-    while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            todo.extend(set(called_names(functions[name])) & functions.keys())
-    assert {"_dop853", "_trajectory_rates", "_dense_solution"} <= reached
-    assert "worldline_from_coordinate_path" not in reached
-    assert not any("solve_ivp" in called_names(functions[name]) for name in reached)
-    assert called_names(tree).count("solve_ivp") == 1
-    (call,) = [node for node in ast.walk(functions["worldline_from_coordinate_path"])
-               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "solve_ivp"]
-    assert [ast.literal_eval(kw.value) for kw in call.keywords if kw.arg == "method"] == ["RK45"]
+    """No module of src/ calls ``solve_ivp`` or ``quad``; ``_integrate`` and
+    ``worldline_from_coordinate_path`` reach the stepper ``_dop853`` and its
+    dense output, and ``cow_interferometer`` calls the stepper."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    for tree in trees.values():
+        assert not {"solve_ivp", "quad"} & set(called_names(tree))
+    functions = {node.name: node for node in trees["worldline.py"].body
+                 if isinstance(node, ast.FunctionDef)}
+    for start in ("_integrate", "worldline_from_coordinate_path"):
+        reached, todo = set(), [start]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo.extend(set(called_names(functions[name])) & functions.keys())
+        assert {"_dop853", "_dense_solution"} <= reached
+    (cow,) = [node for node in ast.walk(trees["interferometry.py"])
+              if isinstance(node, ast.FunctionDef) and node.name == "cow_interferometer"]
+    assert called_names(cow).count("_dop853") == 2

@@ -401,3 +401,12 @@ class TestCowAssembly:
         dtheta = itf.phase_difference(arm1, arm2, enforce_match=False)
         exact = itf.cow_phase(mode="exact", **BENCH)
         assert dtheta == pytest.approx(exact, rel=1e-11)
+
+
+def test_leg_assembly_at_zero_height_takes_no_step():
+    # an empty height span takes no step of the stepper, and warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        breakdown = itf.cow_interferometer(**{**BENCH, "dz": 0.0})
+    assert breakdown["theta_int_vertical"] == breakdown["vertical_cancellation"] == 0.0
+    assert breakdown["delta_theta"] == 0.0

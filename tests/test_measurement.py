@@ -3,7 +3,7 @@ import pytest
 
 from quline import measurement as ms
 from quline import photon as ph
-from quline.errors import DegenerateSetup, HilbertSpaceMismatch
+from quline.errors import DegenerateSetup, HilbertSpaceMismatch, QulineError
 from quline.fermion import FermionState
 from quline.geometry import make_builtin_model
 from quline.spin_algebra import (ETA, PAULI, boost_pair_from_velocity,
@@ -39,6 +39,27 @@ def random_setup(rng):
     _, boost = boost_pair_from_velocity(v)
     m = boost.matrix @ m_rest
     return ms.SternGerlachSetup(m, v, u)
+
+
+class TestSternGerlachSetup:
+    def test_near_luminal_apparatus_is_accepted(self):
+        # m.m and v.v round by O(gamma^2 eps), far above an absolute 1e-9
+        for beta in (0.99999999, 0.999999999):
+            g = 1 / np.sqrt(1 - beta**2)
+            v = g * np.array([1.0, 0, 0, beta])
+            for m in (g * np.array([beta, 0, 0, 1.0]), [0, 1.0, 0, 0]):
+                n = ms.stern_gerlach_axis(ms.SternGerlachSetup(m, v, REST))
+                assert abs(minkowski_dot(n, n) + 1.0) < 1e-12
+
+    def test_non_unit_or_nan_orientation_is_refused(self):
+        beta = 0.99999999
+        g = 1 / np.sqrt(1 - beta**2)
+        v = g * np.array([1.0, 0, 0, beta])
+        m = g * np.array([beta, 0, 0, 1.0])
+        for orientation, velocity in (([0, 0, 0, 1 + 1e-6], REST), (2 * m, v),
+                                      ([0, 0, 0, np.nan], REST)):
+            with pytest.raises(QulineError, match="unit spacelike"):
+                ms.SternGerlachSetup(orientation, velocity, REST)
 
 
 class TestSternGerlachAxis:

@@ -67,6 +67,7 @@ EXPECTED_ERRORS = {"interferometer_arm": ScenarioReferenceError,
                    "arm_ends_apart": ScenarioError, "superluminal_beta": ScenarioError,
                    "spacelike_wavevector": ScenarioError,
                    "past_pointing_wavevector": ScenarioError,
+                   "overflowing_wavevector": ScenarioError,
                    "static_on_time_space_tetrad": ScenarioError}
 
 
@@ -222,6 +223,8 @@ class TestValidate:
         ("spacelike_wavevector", _worldline(type="null_geodesic", wavevector=[1, 0, 0, 2])),
         ("past_pointing_wavevector", _worldline(type="null_geodesic",
                                                 wavevector=[-1, 0, 0, 1])),
+        ("overflowing_wavevector", _worldline(type="null_geodesic",
+                                              wavevector=[1e200, 0, 0, 1e200])),
         ("singular_tabulated_tetrad", _tabulated(3, 0.0)),
         ("non_finite_tabulated_tetrad", _tabulated((2, 1), np.inf)),
         ("static_on_time_space_tetrad", _tabulated((0, 1), 0.1)),
@@ -320,7 +323,10 @@ class TestValidate:
                         ScenarioError: (cli.EXIT_PARSE, "scenario error:"),
                         ScenarioReferenceError: (cli.EXIT_REFERENCE, "reference error:"),
                         DomainError: (cli.EXIT_DOMAIN, "domain error:")}[error]
-        assert run_cli(["--out-dir", tmp_path, command, path]) == code
+        with warnings.catch_warnings(record=True) as caught:   # they would add stderr lines
+            warnings.simplefilter("always")
+            assert run_cli(["--out-dir", tmp_path, command, path]) == code
+        assert caught == []
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1
         assert not list(tmp_path.glob("*.json"))
@@ -405,6 +411,16 @@ class TestRun:
         assert run_cli(["--out-dir", tmp_path, "run", path]) == cli.EXIT_DOMAIN
         assert capsys.readouterr().err == (
             "domain error: boost velocity must satisfy |beta| < 1\n")
+
+    @pytest.mark.parametrize("beta, orientation", [
+        (0.99999999, [0, 0, 1]), (0.99999999, [0.6, 0, 0.8]),
+        (0.999999999, [1, 0, 0]), (0.999999999, [0, 0, 1])])
+    def test_near_luminal_apparatus_measures(self, tmp_path, beta, orientation):
+        report = run_edited(tmp_path, "flat_noop.scenario", lambda d: d["schedule"].append(
+            {"op": "measure_spin", "qubit": "q0", "apparatus_beta": [0, 0, beta],
+             "orientation": orientation}))
+        row = report["results"]["schedule"][-1]
+        assert row["p_plus"] + row["p_minus"] == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_noop_state_unchanged(self, tmp_path):
         assert run_cli(["--out-dir", tmp_path, "run",

@@ -1,8 +1,8 @@
 """Generated edits of bundled scenarios: a key misspelled or dropped, or a
 value swapped for a random scalar, string or list.  Whatever the edit,
-``quline run`` and ``quline validate`` end with an exit code and never a
-traceback, a failure prints one stderr line, and the two commands agree on
-every input that fails to parse or resolve."""
+``quline run`` and ``quline validate`` end with a documented exit code, never
+exit 1 or a traceback, a failure prints one stderr line, and the two commands
+agree on every input that fails to parse or resolve."""
 
 import contextlib
 import copy
@@ -77,7 +77,7 @@ def test_edited_scenarios_exit_cleanly(scenario):
         for command in ("run", "validate"):
             out = Path(tmp) / command
             code, err = run_cli(command, path, out)
-            assert isinstance(code, int)
+            assert isinstance(code, int) and code != cli.EXIT_FAILURE, err
             if code != cli.EXIT_OK:
                 assert err.count("\n") == 1 and err.endswith("\n"), err
             if code in (cli.EXIT_PARSE, cli.EXIT_REFERENCE, cli.EXIT_DOMAIN):

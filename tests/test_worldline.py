@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -249,30 +250,32 @@ class TestPrescribedWorldlines:
             assert np.abs(back.velocity(tau) - wl.velocity(tau)).max() < 1e-8
 
 
-    def test_coordinate_path_grid_matches_root_finding(self):
-        """The proper-time grid of a prescribed path: the time t of each sample
-        is the root of tau(t) = tau_k on the dense output of the proper-time
-        integral, found per sample by brentq."""
-        from scipy.integrate import solve_ivp
-        from scipy.optimize import brentq
+    def test_coordinate_path_matches_mpmath_reference(self):
+        """A prescribed path's knots sit at evenly spaced coordinate times, and
+        its proper time, position and velocity agree with a 25-digit mpmath
+        reference: tau(t) by quadrature, t(tau) by Newton steps on it."""
         model = make_builtin_model("rindler", [0.5])
         path = lambda t: np.array([0.2 * t, 0.0, 0.3 * np.sin(t)])
         rate = lambda t: np.array([0.2, 0.0, 0.3 * np.cos(t)])
-        n = 301
+        n = 801
         wl = wld.worldline_from_coordinate_path(model, path, rate, 0.0, 3.0, n=n)
-
-        def dtau_dt(t):
-            xdot = np.array([1.0, *rate(t)])
-            return np.sqrt(xdot @ model.metric([t, *path(t)]) @ xdot)
-
-        sol = solve_ivp(lambda t, y: [dtau_dt(t)], (0.0, 3.0), [0.0], method="RK45",
-                        rtol=1e-12, atol=1e-12, dense_output=True)
-        taus = np.linspace(0.0, sol.y[0, -1], n)
-        want = [0.0] + [brentq(lambda t, tau=tau: sol.sol(t)[0] - tau, 0.0, 3.0, xtol=1e-14)
-                        for tau in taus[1:-1]] + [3.0]
-        np.testing.assert_allclose(wl.param_span, (0.0, taus[-1]), rtol=1e-14)
-        np.testing.assert_allclose(wl.position(np.linspace(*wl.param_span, n))[:, 0], want,
-                                   rtol=0.0, atol=1e-13)
+        knots = np.linspace(0.0, 3.0, n)
+        assert wl.position(wl.breakpoints)[:, 0].tolist() == knots.tolist()
+        with mp.workdps(25):
+            # dtau/dt = sqrt((1 + g z)^2 - |dx/dt|^2) along the path, g = 0.5
+            dtau = lambda t: mp.sqrt((1 + mp.mpf("0.15") * mp.sin(t)) ** 2
+                                     - mp.mpf("0.04") - mp.mpf("0.09") * mp.cos(t) ** 2)
+            tau_at = lambda t: mp.quad(dtau, [0, t])
+            for k in range(0, n, 40):
+                assert abs(tau_at(mp.mpf(knots[k])) - wl.breakpoints[k]) < 2e-12
+            for tau in np.random.default_rng(3).uniform(0.0, wl.param_span[1], 12):
+                t = mp.mpf(wl.position(tau)[0])
+                for _ in range(3):
+                    t -= (tau_at(t) - tau) / dtau(t)
+                x = np.array([float(t), *path(float(t))])
+                w = np.linalg.solve(model.tetrad(x), [1.0, *rate(float(t))])
+                assert np.abs(wl.position(tau) - x).max() < 3e-12
+                assert np.abs(wl.velocity(tau) - w / np.sqrt(minkowski_dot(w, w))).max() < 1e-12
 
 
 def counting(fn):
