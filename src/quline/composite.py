@@ -18,7 +18,7 @@ from .errors import HilbertSpaceMismatch, QulineError
 from .fermion import FermionState, transport as fermion_transport
 from .geometry import Event
 from .photon import PhotonState, transport as photon_transport
-from .spin_algebra import ETA, minkowski_dot, velocity_inner_product_matrix
+from .spin_algebra import ETA, check_norm, velocity_inner_product_matrix
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,9 @@ class BipartiteState:
         c = np.asarray(self.coeffs, dtype=complex).reshape(a.dim(), b.dim())
         object.__setattr__(self, "coeffs", c)
         for label in self.labels:
-            if label.kind == "photon":
-                k = label.velocity
-                if abs(minkowski_dot(k, k)) > 1e-9 * (1.0 + k @ k):
-                    raise QulineError("photon slot label must be null")
+            norm = 0 if label.kind == "photon" else 1
+            check_norm(label.velocity, norm,
+                       f"{label.kind} slot label must be future-pointing with v.v = {norm}")
 
     def transversality(self):
         """Max |u_I psi^{...I...}| over photon slots (0 for fermion slots)."""

@@ -35,10 +35,12 @@ import numpy as np
 
 from .errors import HilbertSpaceMismatch, QulineError
 from .geometry import Event
-from .spin_algebra import (ETA, PAULI, SIGMA_BAR, generator_contraction,
-                           minkowski_dot, spin_half_boost_matrix,
-                           velocity_inner_product_matrix)
+from .spin_algebra import (ETA, PAULI, SIGMA_BAR, check_norm, generator_contraction,
+                           spin_half_boost_matrix, velocity_inner_product_matrix)
 from .worldline import TransportResult, _exp2, propagate
+
+_LABEL = "velocity label must be future-pointing with u.u = 1"
+
 
 @dataclass(frozen=True)
 class FermionState:
@@ -51,7 +53,7 @@ class FermionState:
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=complex).reshape(2)
         u = np.asarray(self.velocity, dtype=float).reshape(4)
-        _check_velocities(u)
+        check_norm(u, 1, _LABEL)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "velocity", u)
 
@@ -70,14 +72,6 @@ class FermionState:
     def same_space(self, other):
         return (self.event.close_to(other.event)
                 and np.abs(self.velocity - other.velocity).max() <= 1e-9)
-
-
-def _check_velocities(u):
-    """Raise unless the velocity label ``u``, or each row of a stack of them,
-    is future-pointing with u.u = 1."""
-    u = np.asarray(u).T
-    if np.any((np.abs(minkowski_dot(u, u) - 1.0) > 1e-9) | (u[0] <= 0.0)):
-        raise QulineError("velocity label must be future-pointing with u.u = 1")
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,7 @@ def transport(state: FermionState, worldline, em=None, charge_to_mass=0.0,
     psis = maps @ state.psi
     positions, velocities = worldline.trajectory(params)
     worldline.model.check_domain(positions)
-    _check_velocities(velocities)
+    check_norm(velocities, 1, _LABEL)
     metrics = np.einsum("ni,iab->nab", velocities @ ETA, SIGMA_BAR)
     norms = np.einsum("na,nab,nb->n", psis.conj(), metrics, psis).real
     drift = float(np.abs(norms - state.norm_squared()).max())

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import DegenerateSetup, HilbertSpaceMismatch, QulineError
 from .fermion import FermionState
 from .photon import PhotonState, adaptation_rotation
-from .spin_algebra import (ETA, SIGMA_BAR, generator_contraction, minkowski_dot,
-                           velocity_inner_product_matrix)
+from .spin_algebra import (ETA, SIGMA_BAR, check_norm, generator_contraction,
+                           minkowski_dot, product_bound, velocity_inner_product_matrix)
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,10 @@ class SternGerlachSetup:
         m = np.asarray(self.orientation, dtype=float).reshape(4)
         v = np.asarray(self.apparatus_velocity, dtype=float).reshape(4)
         u = np.asarray(self.particle_velocity, dtype=float).reshape(4)
-        # each bound scales with the Euclidean sizes, O(gamma^2) near c; a nan fails
-        if not abs(minkowski_dot(v, v) - 1.0) <= 1e-9 * (v @ v) or v[0] <= 0:
-            raise QulineError("apparatus velocity must be future timelike unit")
-        if not abs(minkowski_dot(u, u) - 1.0) <= 1e-9 * (u @ u) or u[0] <= 0:
-            raise QulineError("particle velocity must be future timelike unit")
-        if not abs(minkowski_dot(m, m) + 1.0) <= 1e-9 * (m @ m):
-            raise QulineError("orientation must be a unit spacelike vector (m.m = -1)")
-        if not abs(minkowski_dot(m, v)) <= 1e-9 * np.sqrt((m @ m) * (v @ v)):
+        check_norm(v, 1, "apparatus velocity must be future timelike unit")
+        check_norm(u, 1, "particle velocity must be future timelike unit")
+        check_norm(m, -1, "orientation must be a unit spacelike vector")
+        if not abs(minkowski_dot(m, v)) <= product_bound(np.sqrt((m @ m) * (v @ v))):
             raise QulineError("orientation must be orthogonal to the apparatus velocity")
         object.__setattr__(self, "orientation", m)
         object.__setattr__(self, "apparatus_velocity", v)
@@ -155,7 +151,7 @@ class PolarizerVector:
     def __post_init__(self):
         p = np.asarray(self.vector, dtype=complex).reshape(4)
         u = np.asarray(self.wavevector, dtype=float).reshape(4)
-        if abs((ETA @ u) @ p) > 1e-9:
+        if not abs((ETA @ u) @ p) <= product_bound(np.linalg.norm(p) * np.linalg.norm(u)):
             raise QulineError("polarizer vector must be orthogonal to the wavevector")
         n = -np.real(p.conj() @ ETA @ p)
         if abs(n - 1.0) > 1e-9:

@@ -18,10 +18,11 @@ import numpy as np
 
 from .errors import AdaptationSingular, HilbertSpaceMismatch, QulineError
 from .geometry import Event, parallel_propagator
-from .spin_algebra import ETA, minkowski_dot
+from .spin_algebra import ETA, axis_rotation, check_norm
 from .worldline import TransportResult, line_integral
 
 SINGULAR_TOL = 1e-8
+_LABEL = "wavevector must be future null"
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class PhotonState:
     def __post_init__(self):
         pol = np.asarray(self.pol, dtype=complex).reshape(4)
         k = np.asarray(self.wavevector, dtype=float).reshape(4)
-        _check_wavevectors(k)
+        check_norm(k, 0, _LABEL)
         object.__setattr__(self, "pol", pol)
         object.__setattr__(self, "wavevector", k)
 
@@ -70,17 +71,6 @@ class PhotonState:
         return np.abs(self.wavevector - other.wavevector).max() <= 1e-9 * scale
 
 
-def _check_wavevectors(k):
-    """Raise unless the wavevector ``k``, or each row of a stack of them, is
-    future null; the message gives k.k of the first that is not."""
-    k = np.asarray(k).T
-    k2 = minkowski_dot(k, k)
-    bad = (np.abs(k2) > 1e-9 * (1.0 + np.sum(k * k, axis=0))) | (k[0] <= 0.0)
-    if np.any(bad):
-        raise QulineError(f"wavevector must be future null "
-                          f"(k.k = {np.ravel(k2)[np.argmax(bad)]})")
-
-
 @dataclass(frozen=True)
 class AdaptationRotation:
     """Spatial rotation R^I_J with R u = (u^0, 0, 0, |u|), plus the diad.
@@ -108,18 +98,9 @@ def adaptation_rotation(u):
     cos_t = uhat[2]
     axis = np.array([uhat[1], -uhat[0], 0.0])   # uhat x zhat
     sin_t = np.linalg.norm(axis)
-    if sin_t < SINGULAR_TOL:
-        if cos_t > 0.0:
-            rot = np.eye(4)
-            return AdaptationRotation(rot, rot[1:3, :].copy(), rot[1:3, :].T.copy())
+    if sin_t < SINGULAR_TOL and not cos_t > 0.0:
         raise AdaptationSingular("photon direction antiparallel to the tetrad z-axis")
-    axis = axis / sin_t
-    kx = np.array([[0.0, -axis[2], axis[1]],
-                   [axis[2], 0.0, -axis[0]],
-                   [-axis[1], axis[0], 0.0]])
-    r3 = (cos_t * np.eye(3) + sin_t * kx + (1.0 - cos_t) * np.outer(axis, axis))
-    rot = np.eye(4)
-    rot[1:, 1:] = r3
+    rot = np.eye(4) if sin_t < SINGULAR_TOL else axis_rotation(axis / sin_t, cos_t, sin_t)
     return AdaptationRotation(rot, rot[1:3, :].copy(), rot[1:3, :].T.copy())
 
 
@@ -168,7 +149,7 @@ def transport(state: PhotonState, worldline, tol=1e-12, n_samples=201):
     pols = maps @ state.pol
     positions, wavevectors = worldline.trajectory(params)
     worldline.model.check_domain(positions)
-    _check_wavevectors(wavevectors)
+    check_norm(wavevectors, 0, _LABEL)
     trans = np.abs(np.sum((wavevectors @ ETA) * pols, axis=1)) / scale
     norms = -np.einsum("ni,ij,nj->n", pols.conj(), ETA, pols).real
     canonical = pols - (pols[:, 0] / wavevectors[:, 0])[:, None] * wavevectors

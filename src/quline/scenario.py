@@ -34,7 +34,7 @@ from .measurement import (SternGerlachSetup, circular_polarizer,
                           stern_gerlach_axis)
 from .photon import PhotonState, apply_jones, jones_to_state
 from .photon import transport as photon_transport
-from .spin_algebra import minkowski_dot, spin1_boost
+from .spin_algebra import check_norm, minkowski_dot, spin1_boost
 from .units import from_natural, parse_quantity
 from .worldline import (circular_worldline, integrate_null_geodesic,
                         integrate_timelike, static_worldline)
@@ -355,11 +355,12 @@ def build_worldline(model, name, w):
         u0 = 1.0 / np.sqrt(1.0 - beta @ beta) * np.array([1.0, *beta])
         return integrate_timelike(model, None, w["start"], u0, span=w["span"],
                                   tol=w["tolerance"])
-    k0 = w["wavevector"]
-    with np.errstate(over="ignore", invalid="ignore"):      # k.k may overflow to nan
-        if not abs(minkowski_dot(k0, k0)) <= 1e-12 * (1.0 + k0 @ k0) or k0[0] <= 0.0:
-            raise ScenarioError("wavevector must be null and future-pointing", block=block)
-    return integrate_null_geodesic(model, w["start"], k0, span=w["span"], tol=w["tolerance"])
+    try:
+        check_norm(w["wavevector"], 0, "wavevector must be null and future-pointing")
+    except QulineError as exc:
+        raise ScenarioError(str(exc), block=block) from None
+    return integrate_null_geodesic(model, w["start"], w["wavevector"], span=w["span"],
+                                   tol=w["tolerance"])
 
 
 def _jones_matrix(op):

@@ -12,6 +12,13 @@ Index conventions (locked once, used everywhere):
 * Levi-Civita: eps_{0123} = +1, so the fully raised symbol has
   eps^{0123} = -1.  The 2-index symbol has eps^{12} = +1 and indices are
   raised with the FIRST index: psi^A = eps^{AB} psi_B.
+
+Every Hilbert-space label v (a unit timelike 4-velocity, a null wavevector, a
+unit spacelike orientation) is judged by :func:`check_norm`.  With E the
+Euclidean square sum_I (v^I)^2, v.v rounds by O(eps E), which grows as gamma^2
+near c, and a wavevector's scale is not physical: so |v.v - n| <= 1e-9 + 64 eps E
+for a unit label, |v.v| <= (1e-9 + 64 eps) E for a null one.  Products of two
+vectors meet :func:`product_bound`.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import numpy as np
 from .errors import DomainError, QulineError
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+ROUNDING = 64.0 * np.finfo(float).eps     # the rounding allowed a.b is ROUNDING |a| |b|
 
 PAULI = np.array([
     [[1, 0], [0, 1]],
@@ -93,12 +101,40 @@ def lorentz_image(s):
     return (pairs.reshape(-1, 16) @ _IMAGE_BASIS).real.reshape(s.shape[:-2] + (4, 4))
 
 
+def product_bound(e):
+    """1e-9 + 64 eps e: the bound on |a.b - target| for a, b whose Euclidean
+    norms multiply to e, since a.b rounds by O(eps e)."""
+    return 1e-9 + ROUNDING * e
+
+
+def check_norm(v, norm, what):
+    """Raise QulineError, ``what`` followed by the value that fails, unless the
+    4-vector ``v``, or each row of an (n, 4) stack, has v.v = ``norm`` (1, 0 or
+    -1) within the module's bound and, for ``norm`` >= 0, v^0 > 0.  nan and
+    overflow fail."""
+    rows = np.asarray(v, dtype=float).reshape(-1, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = rows * rows
+        vv, e = squares @ ETA.diagonal(), squares.sum(axis=1)
+        ok = ((np.abs(vv - norm) <= (product_bound(1.0) * e if norm == 0 else product_bound(e)))
+              & (e < np.inf))
+    s = {1: "u", 0: "k", -1: "m"}[norm]
+    if not ok.all():
+        raise QulineError(f"{what} ({s}.{s} = {float(vv[np.argmin(ok)])})")
+    if norm >= 0 and not (rows[:, 0] > 0.0).all():
+        raise QulineError(f"{what} (not future-pointing: {s}^0 = {float(rows[:, 0].min())})")
+
+
 def check_lorentz(m):
     """Raise QulineError unless the (4, 4) matrix ``m``, or every matrix of an
     (..., 4, 4) stack, is a finite proper orthochronous Lorentz matrix."""
-    resid = np.abs(np.swapaxes(m, -1, -2) @ ETA @ m - ETA).max(initial=0.0)
-    if not resid <= 1e-9:       # a non-finite entry gives a nan or inf residual
-        raise QulineError(f"matrix is not a Lorentz transformation (residual {resid:.2e})")
+    resid = np.abs(np.swapaxes(m, -1, -2) @ ETA @ m - ETA)   # column products
+    worst = resid.max(initial=0.0)
+    if not worst <= 1e-9:       # product_bound of the columns' sizes; nan fails
+        size = np.sqrt(np.sum(m * m, axis=-2))
+        if not (np.all(resid <= product_bound(size[..., :, None] * size[..., None, :]))
+                and np.all(size < np.inf)):
+            raise QulineError(f"matrix is not a Lorentz transformation (residual {worst:.2e})")
     if np.any(np.linalg.det(m) < 0) or np.any(m[..., 0, 0] < 1.0 - 1e-12):
         raise QulineError("only proper orthochronous Lorentz transformations are supported")
 
@@ -173,9 +209,7 @@ def boost_pair_from_velocity(u):
     ``u`` must be a future-pointing unit timelike vector in tetrad components.
     """
     u = np.asarray(u, dtype=float).reshape(4)
-    norm = minkowski_dot(u, u)
-    if abs(norm - 1.0) > 1e-9 or u[0] <= 0:
-        raise QulineError(f"u must be future-pointing with u.u = 1 (got u.u = {norm})")
+    check_norm(u, 1, "u must be future-pointing with u.u = 1")
     beta = u[1:] / u[0]
     gamma = u[0]
     half = SpinHalfBoost(spin_half_boost_matrix(beta), beta, gamma)
@@ -183,17 +217,21 @@ def boost_pair_from_velocity(u):
     return half, one
 
 
-def spin1_rotation(axis, angle):
-    """Spatial rotation by ``angle`` about ``axis`` as a 4x4 Lorentz matrix."""
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
+def axis_rotation(axis, cos, sin):
+    """The 4x4 spatial rotation cos 1 + sin K + (1 - cos) n n^T (Rodrigues)
+    about the unit ``axis`` n, K the cross-product matrix of n."""
     kx = np.array([[0.0, -axis[2], axis[1]],
                    [axis[2], 0.0, -axis[0]],
                    [-axis[1], axis[0], 0.0]])
     out = np.eye(4)
-    out[1:, 1:] = (np.cos(angle) * np.eye(3) + np.sin(angle) * kx
-                   + (1.0 - np.cos(angle)) * np.outer(axis, axis))
+    out[1:, 1:] = cos * np.eye(3) + sin * kx + (1.0 - cos) * np.outer(axis, axis)
     return out
+
+
+def spin1_rotation(axis, angle):
+    """Spatial rotation by ``angle`` about ``axis`` as a 4x4 Lorentz matrix."""
+    axis = np.asarray(axis, dtype=float)
+    return axis_rotation(axis / np.linalg.norm(axis), np.cos(angle), np.sin(angle))
 
 
 def spin_half_rotation(axis, angle):

@@ -68,6 +68,7 @@ EXPECTED_ERRORS = {"interferometer_arm": ScenarioReferenceError,
                    "spacelike_wavevector": ScenarioError,
                    "past_pointing_wavevector": ScenarioError,
                    "overflowing_wavevector": ScenarioError,
+                   "tiny_timelike_wavevector": ScenarioError,
                    "static_on_time_space_tetrad": ScenarioError}
 
 
@@ -225,6 +226,8 @@ class TestValidate:
                                                 wavevector=[-1, 0, 0, 1])),
         ("overflowing_wavevector", _worldline(type="null_geodesic",
                                               wavevector=[1e200, 0, 0, 1e200])),
+        ("tiny_timelike_wavevector", _worldline(type="null_geodesic",
+                                                wavevector=[1.0e-6, 0, 0, 0])),
         ("singular_tabulated_tetrad", _tabulated(3, 0.0)),
         ("non_finite_tabulated_tetrad", _tabulated((2, 1), np.inf)),
         ("static_on_time_space_tetrad", _tabulated((0, 1), 0.1)),
@@ -421,6 +424,17 @@ class TestRun:
              "orientation": orientation}))
         row = report["results"]["schedule"][-1]
         assert row["p_plus"] + row["p_minus"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.999999999, 0.9999999999])
+    def test_near_luminal_worldline_transports_and_measures(self, tmp_path, beta):
+        # u.u rounds by O(gamma^2 eps) here, far above an absolute 1e-9
+        def edit(d):
+            d["worldlines"]["fast"] = {"type": "timelike", "beta": [0, 0, beta]}
+            d["qubits"]["q0"]["worldline"] = "fast"
+            d["schedule"] = [{"op": "transport", "qubit": "q0"},
+                             {"op": "measure_spin", "qubit": "q0"}]
+        row = run_edited(tmp_path, "flat_noop.scenario", edit)["results"]["schedule"][-1]
+        assert abs(row["p_plus"] + row["p_minus"] - 1.0) <= 1e-6
 
     def test_flat_noop_state_unchanged(self, tmp_path):
         assert run_cli(["--out-dir", tmp_path, "run",

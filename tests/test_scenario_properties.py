@@ -87,3 +87,26 @@ def test_edited_scenarios_exit_cleanly(scenario):
             assert codes["run"] == codes["validate"]
         if codes["run"] in (cli.EXIT_PARSE, cli.EXIT_REFERENCE):
             assert codes["validate"] == codes["run"]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(-12, 12), st.sampled_from([None, [1.0, 0.6, 0.0, 0.8]]),
+       st.integers(0, 17))
+def test_label_scales_exit_cleanly(k_exponent, direction, beta_exponent):
+    """A wavevector of any scale, along the bundled ray or an oblique one, and
+    a timelike worldline at any speed up to the last float below c end in a
+    documented exit code, never exit 1."""
+    scenario = copy.deepcopy(BASES["polarimetry"])
+    beam = scenario["worldlines"]["beam"]
+    beam["wavevector"] = [10.0 ** k_exponent * x for x in direction or beam["wavevector"]]
+    scenario["worldlines"]["fast"] = {"type": "timelike",
+                                      "beta": [0, 0, 1 - 10.0 ** -beta_exponent]}
+    scenario["qubits"]["q0"] = {"kind": "fermion", "worldline": "fast"}
+    scenario["schedule"] += [{"op": "transport", "qubit": "q0"},
+                             {"op": "measure_spin", "qubit": "q0"}]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scaled.scenario"
+        path.write_text(yaml.safe_dump(scenario))
+        for command in ("run", "validate"):
+            code, err = run_cli(command, path, Path(tmp) / command)
+            assert isinstance(code, int) and code != cli.EXIT_FAILURE, err

@@ -277,6 +277,13 @@ class TestPrescribedWorldlines:
                 assert np.abs(wl.position(tau) - x).max() < 3e-12
                 assert np.abs(wl.velocity(tau) - w / np.sqrt(minkowski_dot(w, w))).max() < 1e-12
 
+    @pytest.mark.parametrize("t1", [-1.0, 0.0], ids=["backwards", "empty"])
+    def test_coordinate_path_needs_a_forward_span(self, flat, t1):
+        still = lambda t: np.zeros(3)
+        with pytest.raises(DomainError, match=rf"^coordinate path needs t1 > t0 "
+                                              rf"\(t0 = 0.0, t1 = {t1}\)$"):
+            wld.worldline_from_coordinate_path(flat, still, still, 0.0, t1)
+
 
 def counting(fn):
     """``fn`` as a field, and the list of the coordinate shapes it is called with."""
