@@ -33,6 +33,8 @@ class SlotLabel:
         v = np.asarray(self.velocity, dtype=float).reshape(4)
         if self.kind not in ("fermion", "photon"):
             raise QulineError(f"unknown slot kind {self.kind!r}")
+        norm = 0 if self.kind == "photon" else 1
+        check_norm(v, norm, f"{self.kind} slot label must be future-pointing with v.v = {norm}")
         object.__setattr__(self, "velocity", v)
 
     def metric(self):
@@ -60,10 +62,6 @@ class BipartiteState:
         a, b = self.labels
         c = np.asarray(self.coeffs, dtype=complex).reshape(a.dim(), b.dim())
         object.__setattr__(self, "coeffs", c)
-        for label in self.labels:
-            norm = 0 if label.kind == "photon" else 1
-            check_norm(label.velocity, norm,
-                       f"{label.kind} slot label must be future-pointing with v.v = {norm}")
 
     def transversality(self):
         """Max |u_I psi^{...I...}| over photon slots (0 for fermion slots)."""

@@ -17,8 +17,9 @@ Every Hilbert-space label v (a unit timelike 4-velocity, a null wavevector, a
 unit spacelike orientation) is judged by :func:`check_norm`.  With E the
 Euclidean square sum_I (v^I)^2, v.v rounds by O(eps E), which grows as gamma^2
 near c, and a wavevector's scale is not physical: so |v.v - n| <= 1e-9 + 64 eps E
-for a unit label, |v.v| <= (1e-9 + 64 eps) E for a null one.  Products of two
-vectors meet :func:`product_bound`.
+for a unit label, |v.v| <= (1e-9 + 64 eps) E for a null one, and E must be a
+finite normal float (|v| from about 1e-154 to 1e154).  Products of two vectors
+meet :func:`product_bound`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import DomainError, QulineError
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-ROUNDING = 64.0 * np.finfo(float).eps     # the rounding allowed a.b is ROUNDING |a| |b|
+_ROUNDING = 64.0 * np.finfo(float).eps    # the rounding allowed a.b is _ROUNDING |a| |b|
 
 PAULI = np.array([
     [[1, 0], [0, 1]],
@@ -104,20 +105,20 @@ def lorentz_image(s):
 def product_bound(e):
     """1e-9 + 64 eps e: the bound on |a.b - target| for a, b whose Euclidean
     norms multiply to e, since a.b rounds by O(eps e)."""
-    return 1e-9 + ROUNDING * e
+    return 1e-9 + _ROUNDING * e
 
 
 def check_norm(v, norm, what):
     """Raise QulineError, ``what`` followed by the value that fails, unless the
     4-vector ``v``, or each row of an (n, 4) stack, has v.v = ``norm`` (1, 0 or
-    -1) within the module's bound and, for ``norm`` >= 0, v^0 > 0.  nan and
-    overflow fail."""
+    -1) within the module's bound and, for ``norm`` >= 0, v^0 > 0.  nan fails, and
+    so does a Euclidean square that overflows or underflows the normal floats."""
     rows = np.asarray(v, dtype=float).reshape(-1, 4)
     with np.errstate(over="ignore", invalid="ignore"):
         squares = rows * rows
         vv, e = squares @ ETA.diagonal(), squares.sum(axis=1)
         ok = ((np.abs(vv - norm) <= (product_bound(1.0) * e if norm == 0 else product_bound(e)))
-              & (e < np.inf))
+              & (np.finfo(float).tiny <= e) & (e < np.inf))
     s = {1: "u", 0: "k", -1: "m"}[norm]
     if not ok.all():
         raise QulineError(f"{what} ({s}.{s} = {float(vv[np.argmin(ok)])})")
@@ -129,12 +130,10 @@ def check_lorentz(m):
     """Raise QulineError unless the (4, 4) matrix ``m``, or every matrix of an
     (..., 4, 4) stack, is a finite proper orthochronous Lorentz matrix."""
     resid = np.abs(np.swapaxes(m, -1, -2) @ ETA @ m - ETA)   # column products
-    worst = resid.max(initial=0.0)
-    if not worst <= 1e-9:       # product_bound of the columns' sizes; nan fails
-        size = np.sqrt(np.sum(m * m, axis=-2))
-        if not (np.all(resid <= product_bound(size[..., :, None] * size[..., None, :]))
-                and np.all(size < np.inf)):
-            raise QulineError(f"matrix is not a Lorentz transformation (residual {worst:.2e})")
+    e = np.sum(m * m, axis=(-2, -1), keepdims=True)          # >= |column i| |column j|
+    if not (np.all(resid <= product_bound(e)) and np.all(e < np.inf)):     # nan fails
+        raise QulineError("matrix is not a Lorentz transformation "
+                          f"(residual {resid.max(initial=0.0):.2e})")
     if np.any(np.linalg.det(m) < 0) or np.any(m[..., 0, 0] < 1.0 - 1e-12):
         raise QulineError("only proper orthochronous Lorentz transformations are supported")
 

@@ -54,7 +54,7 @@ from .errors import (ComplexVelocity, DomainError, QulineError, ToleranceError,
                      reject_where)
 from .geometry import (_STENCIL, DEFAULT_FD_STEP, Event, _AnalyticModel,
                        _stencil_derivative)
-from .spin_algebra import ETA, ROUNDING, check_norm, minkowski_dot
+from .spin_algebra import _ROUNDING, ETA, check_norm, minkowski_dot
 
 
 class EMField:
@@ -772,8 +772,10 @@ def _integrate(model, x0, u0, span, tol, kind, accel_fn, max_step=np.inf):
     dense = _dense_solution(ts, ys, K, rates)
     wl = IntegratedWorldline(model, dense, (0.0, span), kind, accel_fn)
     drift = wl.norm_audit()
-    # u.u rounds by up to ROUNDING (u.u)_E, O(gamma^2 eps) near c: not drift
-    budget = max(1e-9, 1000.0 * tol * max(1.0, abs(span))) + ROUNDING * (u0 @ u0)
+    # not drift: the start's own offset from its target, which its label check
+    # allowed, and the rounding of u.u, O(eps (u.u)_E) and so O(gamma^2 eps) near c
+    offset = abs(minkowski_dot(u0, u0) - (1.0 if kind == "timelike" else 0.0))
+    budget = max(1e-9, 1000.0 * tol * max(1.0, abs(span))) + offset + _ROUNDING * (u0 @ u0)
     if drift > budget:
         raise ToleranceError("velocity normalization drifted during integration",
                              achieved=drift, requested=budget)

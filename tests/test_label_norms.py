@@ -76,6 +76,12 @@ LABELS = [   # (id, kind, site arguments, accepted)
     ("tiny_timelike_k", "null", (np.array([1e-6, 0.0, 0.0, 0.0]),), False),
     ("tiny_timelike_k_moving", "null", (np.array([1e-7, 0.0, 0.0, 5e-8]),), False),
     *[(f"k_scale={s}", "null", (s * NULL,), True) for s in (1e-6, 1.0, 1e6)],
+    # k.k = -1.6e-4 is within (1e-9 + 64 eps) E at E = 2e6, and does not drift
+    ("k_off_null_scale=1e3", "null", (np.array([1000.0, 600.0, 0.0, 800.0000001]),), True),
+    # every square underflows to 0, which must not read as k.k = 0
+    *[(f"underflowing_{name}", "null", (v,), False) for name, v in (
+        ("timelike_k", np.array([1e-170, 0.0, 0.0, 0.0])),
+        ("null_k", np.array([1e-170, 0.0, 0.0, 1e-170])))],
     ("past_pointing_k", "null", (-NULL,), False),
     *[(f"{name}_k", "null", (v,), False) for name, v in NOT_FINITE.items()],
 ]
