@@ -7,6 +7,7 @@ error, 5 numerical-tolerance violation, 1 anything else.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -127,7 +128,8 @@ def cmd_selftest(args):
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="quline",
         description="Transport and measurement of localized qubits in curved spacetimes")
@@ -154,8 +156,11 @@ def main(argv=None):
 
     p_st = sub.add_parser("selftest", help="run the built-in invariant suites")
     p_st.set_defaults(func=cmd_selftest)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ScenarioParseError as exc:

@@ -207,6 +207,7 @@ def wigner_rotation_increment(u, du, omega_pull):
     (4,4) increment.  Composing these over a worldline reproduces
     :func:`transport_rest_frame` to second order in the step.
     """
-    return _exp2(_wigner_generator(np.asarray(u, dtype=float).reshape(1, 4),
-                                   np.asarray(du, dtype=float).reshape(1, 4),
-                                   np.asarray(omega_pull, dtype=float).reshape(1, 4, 4)))[0]
+    gen = _wigner_generator(np.asarray(u, dtype=float).reshape(1, 4),
+                            np.asarray(du, dtype=float).reshape(1, 4),
+                            np.asarray(omega_pull, dtype=float).reshape(1, 4, 4))
+    return _exp2(np.moveaxis(gen, 0, -1))[..., 0]

@@ -546,11 +546,6 @@ def apply_local_lorentz(model, field, jacobian=None):
     return TransformedModel(model, field, jacobian)
 
 
-def lower_connection(omega):
-    """omega_{nu I J} = eta_{IK} omega_nu^K_J; antisymmetric in (I, J)."""
-    return np.einsum("ik,nkj->nij", ETA, omega)
-
-
 def pulled_connection(model, x, xdot):
     """xdot^nu omega_nu^I_J at one event, or row by row for (n, 4) arrays."""
     return np.einsum("...n,...nij->...ij", xdot, model.connections(x))

@@ -195,15 +195,6 @@ def jones_rotation(angle):
     return np.array([[c, s], [-s, c]], dtype=complex)
 
 
-def adapted_angle_rate(worldline, lam):
-    """u^mu omega_{mu 1 2}; the Wigner rate when the tetrad is adapted."""
-    model = worldline.model
-    omega = model.connection(worldline.position(lam))
-    omega_low = np.einsum("ik,nkj->nij", ETA, omega)
-    return float(np.einsum("n,n->", worldline.coordinate_velocity(lam),
-                           omega_low[:, 1, 2]))
-
-
 def helicity_content(jones):
     """|<sigma_y eigenvector | jones>|^2 for the +1 circular eigenvector."""
     jones = np.asarray(jones, dtype=complex).reshape(2)

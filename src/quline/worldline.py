@@ -52,8 +52,7 @@ from scipy.integrate import DOP853
 
 from .errors import (ComplexVelocity, DomainError, QulineError, ToleranceError,
                      reject_where)
-from .geometry import (_STENCIL, DEFAULT_FD_STEP, Event, _AnalyticModel,
-                       _stencil_derivative)
+from .geometry import Event, _AnalyticModel
 from .spin_algebra import _ROUNDING, ETA, check_norm, minkowski_dot
 
 
@@ -88,16 +87,6 @@ class EMField:
         if self._potential is None:
             return np.zeros(coords.shape)
         return np.broadcast_to(self._potential(coords), coords.shape).astype(float)
-
-    def consistency_residual(self, model, coords):
-        """|F_IJ - tetrad components of 2 grad_[mu A_nu]| at one event."""
-        coords = np.asarray(coords, dtype=float).reshape(4)
-        points = coords + DEFAULT_FD_STEP * _STENCIL[1:]
-        dA = _stencil_derivative(self.potential(points), DEFAULT_FD_STEP)
-        f_coord = dA - dA.T          # F_{mu nu} = d_mu A_nu - d_nu A_mu
-        e = model.tetrad(coords)     # e^mu_I
-        f_tet = np.einsum("mi,nj,mn->ij", e, e, f_coord)
-        return np.abs(f_tet - self.tensor(coords)).max()
 
 
 def constant_magnetic_field(b_vector):
@@ -342,6 +331,17 @@ def _dense_solution(ts, ys, K, rates):
     return DenseSolution(ts, np.concatenate([high[:, ::-1], low], axis=1))
 
 
+def _rms(v, scale):
+    """scipy's RMS norm ||v / scale|| / sqrt(n), rescaled where its squares
+    overflow: inf, without a warning, only where the norm is past the floats."""
+    with np.errstate(over="ignore"):
+        v = v / scale
+        norm, big = np.linalg.norm(v), np.abs(v).max()
+        if norm == np.inf and big < np.inf:
+            norm = big * np.linalg.norm(v / big)
+    return norm / len(v) ** 0.5
+
+
 def _dop853(fun, t0, y0, t1, tol, max_step):
     """Scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5) from
     t0 to t1 at rtol = atol = tol, operation for operation as scipy's
@@ -368,12 +368,13 @@ def _dop853(fun, t0, y0, t1, tol, max_step):
     t, y = t0, y0
     f = fun(t, y)
     direction = np.sign(t1 - t0)
-    # scipy's select_initial_step for the order-7 error estimator
+    # scipy's select_initial_step for the order-7 error estimator; d1 = inf gives h1 = 0
     scale = atol + np.abs(y) * rtol
-    d0, d1 = np.linalg.norm(y / scale) / n ** 0.5, np.linalg.norm(f / scale) / n ** 0.5
+    d0, d1 = _rms(y, scale), _rms(f, scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t1 - t0))
     f1 = fun(t + h0 * direction, y + h0 * direction * f)
-    d2 = np.linalg.norm((f1 - f) / scale) / n ** 0.5 / h0
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = _rms(f1 - f, scale) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1 / 8))
     h_abs = min(100 * h0, h1, abs(t1 - t0), max_step)
@@ -497,11 +498,13 @@ _AT_SUBNODES = _lagrange(NODES, SUBNODES[None])     # the interpolant at SUBNODE
 MAX_LEVELS = 40         # bisections of one interval before the kernel gives up
 TOLERANCE_FLOOR = float(10 * np.finfo(float).eps)   # an estimate rounds by ~eps/63
 CHUNK = 4096            # intervals evaluated at once; their kinematics take ~5 kB each
+_EYE = np.eye(2)[:, :, None]       # the 2x2 identity as an entry-first stack
 
 
 def _dot(x, y):
-    """x @ y for stacks of 2x2 matrices; faster than matmul's per-matrix loop."""
-    return x[..., :, :1] * y[..., :1, :] + x[..., :, 1:] * y[..., 1:, :]
+    """x @ y for entry-first stacks of 2x2 matrices, (2, 2, n), which run along
+    the contiguous stack axis; faster than matmul's per-matrix loop."""
+    return x[:, :1] * y[:1] + x[:, 1:] * y[1:]
 
 
 def _commutator(x, y):
@@ -510,10 +513,9 @@ def _commutator(x, y):
 
 def _magnus(g, h):
     """Omega_6 of intervals of widths ``h`` from G at their 3 Gauss nodes,
-    g (n, 3, 2, 2): the sixth-order Magnus step of Blanes, Casas, Oteo & Ros,
+    g (3, 2, 2, n): the sixth-order Magnus step of Blanes, Casas, Oteo & Ros,
     Phys. Rep. 470 (2009) 151, sec. 5."""
-    h = h[:, None, None]
-    g0, g1, g2 = np.moveaxis(g, 1, 0)
+    g0, g1, g2 = g
     a1 = h * g1
     a2 = np.sqrt(15.0) / 3.0 * h * (g2 - g0)
     a3 = 10.0 / 3.0 * h * (g2 - 2.0 * g1 + g0)
@@ -523,12 +525,12 @@ def _magnus(g, h):
 
 
 def _exp2(omega):
-    """exp of each traceless matrix of an (n, 2, 2) stack in closed form,
+    """exp of each traceless matrix of a (2, 2, n) stack in closed form,
     cosh(s) 1 + sinh(s)/s omega with s^2 = -det(omega); both are even in s."""
-    s = np.sqrt(omega[:, 0, 1] * omega[:, 1, 0] - omega[:, 0, 0] * omega[:, 1, 1] + 0j)
+    s = np.sqrt(omega[0, 1] * omega[1, 0] - omega[0, 0] * omega[1, 1] + 0j)
     with np.errstate(invalid="ignore"):
-        sinhc = np.where(s == 0, 1.0, np.sinh(s) / s)[:, None, None]
-    return np.cosh(s)[:, None, None] * np.eye(2) + sinhc * omega
+        sinhc = np.where(s == 0, 1.0, np.sinh(s) / s)
+    return np.cosh(s) * _EYE + sinhc * omega
 
 
 def _interpolate(g, weights):
@@ -538,32 +540,35 @@ def _interpolate(g, weights):
     return (weights @ g.reshape(len(g), len(NODES), 4)).reshape(len(g), weights.shape[-2], 2, 2)
 
 
-def _richardson(g, h):
+def _richardson(g, h, estimate=True):
     """(map, error estimate) of intervals of widths h from G at their
-    SUBNODES, g (n, 9, 2, 2).  The method is symmetric: about the exact half
-    maps X1, X2, the whole step is X2 exp(e) X1 and the half steps' product
-    X2 exp(e/64) X1 to O(h^9).  So their difference over 63 estimates the
-    half steps' error, first whole^-1 second = exp(-63 e/64), and the map
-    puts exp(-e/64) between the halves (Richardson extrapolation in SL(2,C)).
-    A step too large to exponentiate gives inf or nan, and is bisected."""
-    n = len(h)
+    SUBNODES, g (n, 9, 2, 2), the map a (2, 2, n) stack; the map alone if not
+    ``estimate``.  The method is symmetric: about the exact half maps X1, X2,
+    the whole step is X2 exp(e) X1 and the half steps' product X2 exp(e/64) X1
+    to O(h^9).  So their difference over 63 estimates the half steps' error,
+    first whole^-1 second = exp(-63 e/64), and the map puts exp(-e/64) between
+    the halves (Richardson extrapolation in SL(2,C)).  A step too large to
+    exponentiate gives inf or nan, and is bisected."""
+    # G at each step's 3 nodes, (node, 2, 2, 3n): all first halves, second halves, wholes
+    g = g.reshape(len(h), 3, 3, 2, 2).transpose(2, 3, 4, 1, 0).reshape(3, 2, 2, 3 * len(h))
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = _exp2(_magnus(np.moveaxis(g.reshape(n, 3, 3, 2, 2), 1, 0).reshape(3 * n, 3, 2, 2),
-                              np.outer([0.5, 0.5, 1.0], h).ravel()))
-        first, second, whole = steps.reshape(3, n, 2, 2)
-        inverse = np.swapaxes(whole[:, ::-1, ::-1], 1, 2) * [[1, -1], [-1, 1]]   # det 1
+        steps = _exp2(_magnus(g, np.outer([0.5, 0.5, 1.0], h).ravel()))
+        first, second, whole = steps.reshape(2, 2, 3, len(h)).transpose(2, 0, 1, 3)
+        inverse = np.swapaxes(whole[::-1, ::-1], 0, 1) * [[[1], [-1]], [[-1], [1]]]   # det 1
         drift = _dot(_dot(first, inverse), second)
-        drift -= 0.5 * (drift[:, 0, 0] + drift[:, 1, 1])[:, None, None] * np.eye(2)
-        error = np.abs(_dot(second, first) - whole).max(axis=(1, 2)) / 63.0
-        return _dot(second, _dot(_exp2(drift / 63.0), first)), error
+        drift -= 0.5 * (drift[0, 0] + drift[1, 1]) * _EYE
+        step = _dot(second, _dot(_exp2(drift / 63.0), first))
+        if not estimate:
+            return step
+        return step, np.abs(_dot(second, first) - whole).max(axis=(0, 1)) / 63.0
 
 
 def _prefix_products(steps):
-    """P[k] = steps[k] @ ... @ steps[0], in log2(n) batched products."""
+    """P[k] = steps[k] @ ... @ steps[0] of a (2, 2, n) stack, in log2(n) products."""
     out = steps.copy()
     shift = 1
-    while shift < len(out):
-        out[shift:] = _dot(out[shift:], out[:-shift])
+    while shift < out.shape[-1]:
+        out[..., shift:] = _dot(out[..., shift:], out[..., :-shift])
         shift *= 2
     return out
 
@@ -633,7 +638,7 @@ def propagate(worldline, generator, params, tol):
     parts = np.stack([edges[:-1], 0.5 * (edges[:-1] + edges[1:]), edges[1:]], axis=1)
     depths = np.zeros(len(parts), dtype=int)
     known, unknown = np.empty(parts.shape + (2, 2)), np.ones(parts.shape, dtype=bool)
-    accepted = []
+    accepted, kept = [], []
     while True:
         refined = []
         last = known[0, 2]      # a placeholder: the round's first part shares no end
@@ -670,7 +675,8 @@ def propagate(worldline, generator, params, tol):
             worst = np.maximum(error, np.where(held, width * misread, 0.0))
             done = worst <= 0.5 * tol
             read = done & held              # G is kept where a parameter is read
-            accepted.append((left[done], right[done], steps[done], read[done], g[read]))
+            accepted.append((left[done], right[done], steps[..., done], read[done]))
+            kept.append(g[read])
             refined.append((at[~done], depths[c:c + CHUNK][~done], worst[~done],
                             g[~done][:, ::2]))
         at, depth, worst, g = (np.concatenate(a) for a in zip(*refined))
@@ -680,22 +686,24 @@ def propagate(worldline, generator, params, tol):
             raise ToleranceError(f"transport not resolved to {tol:.3g} within "
                                  f"{MAX_LEVELS} bisections")
         parts, depths, known, unknown = _split(at, depth, worst, g, tol)
-    lefts, rights, steps, read, kept = (np.concatenate(a) for a in zip(*accepted))
+    lefts, rights, steps, read = (np.concatenate(a, axis=-1) for a in zip(*accepted))
     order = np.argsort(direction * lefts)
     slots = (np.cumsum(read) - 1)[order]
-    lefts, rights, steps = lefts[order], rights[order], steps[order]
-    starts = np.concatenate([np.eye(2, dtype=complex)[None], _prefix_products(steps)[:-1]])
+    lefts, rights, steps = lefts[order], rights[order], steps[..., order]
+    starts = np.concatenate([_EYE, _prefix_products(steps)[..., :-1]], axis=-1)
     k = np.searchsorted(direction * lefts, direction * lams, side="right") - 1
     k = np.minimum(k, len(lefts) - 1)
     widths = rights[k] - lefts[k]
     theta = np.minimum((lams - lefts[k]) / widths, 1.0)
     # on an interval's start the read is 1, at the span end the whole step
-    maps = np.where((lams == lefts[k])[:, None, None], np.eye(2), steps[k])
+    maps = np.where(lams == lefts[k], _EYE, steps[..., k])
     inside = (lams != lefts[k]) & (lams != rights[k])
-    maps[inside] = _richardson(_interpolate(kept[slots[k[inside]]],
-                                            _lagrange(NODES, theta[inside, None] * SUBNODES)),
-                               theta[inside] * widths[inside])[0]
-    return _dot(maps, starts[k]).reshape(params.shape + (2, 2))
+    if inside.any():
+        maps[..., inside] = _richardson(
+            _interpolate(np.concatenate(kept)[slots[k[inside]]],
+                         _lagrange(NODES, theta[inside, None] * SUBNODES)),
+            theta[inside] * widths[inside], estimate=False)
+    return np.moveaxis(_dot(maps, starts[..., k]), -1, 0).reshape(params.shape + (2, 2)).copy()
 
 
 def line_integral(worldline, integrand, params, tol):

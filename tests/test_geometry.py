@@ -102,7 +102,8 @@ class TestConnection:
         rng = np.random.default_rng(4)
         tol = 1e-12 if model.connection_mode == "analytic" else 1e-8
         for c in sample_events(model, rng, 50):
-            low = geo.lower_connection(model.connection(c))
+            # omega_{nu I J} = eta_{IK} omega_nu^K_J
+            low = np.einsum("ik,nkj->nij", ETA, model.connection(c))
             assert np.abs(low + low.transpose(0, 2, 1)).max() < tol
 
 

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -865,6 +868,35 @@ class TestInterferometerBlock:
         f = tmp_path / "ghost.scenario"
         f.write_text(yaml.safe_dump(scenario))
         assert run_cli(["--out-dir", tmp_path, "run", f]) == cli.EXIT_REFERENCE
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    """Two ``main`` calls in one process, with different global flags and
+    subcommands, print and write what two separate processes do: the second
+    call sees neither the first one's seed nor its output directory."""
+    calls = [["--seed", "3", "--out-dir", "first", "sweep", SCENARIOS / "cow.scenario",
+              "--steps", "3"],
+             ["--out-dir", "second", "run", SCENARIOS / "displaced_arms.scenario"]]
+    (tmp_path / "in_process").mkdir()
+    monkeypatch.chdir(tmp_path / "in_process")
+    printed = []
+    for args in calls:
+        assert run_cli(args) == cli.EXIT_OK
+        printed.append(capsys.readouterr().out)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    (tmp_path / "separate").mkdir()
+    for args, out in zip(calls, printed):
+        alone = subprocess.run([sys.executable, "-m", "quline.cli", *map(str, args)],
+                               cwd=tmp_path / "separate", env=env, capture_output=True,
+                               text=True, check=True)
+        assert alone.stdout == out
+    files = {tree: {p.relative_to(tmp_path / tree): p.read_bytes()
+                    for p in (tmp_path / tree).rglob("*") if p.is_file()}
+             for tree in ("in_process", "separate")}
+    assert sorted(map(str, files["in_process"])) == [
+        "first/cow.csv", "first/cow.json", "second/displaced_arms.csv",
+        "second/displaced_arms.json"]
+    assert files["in_process"] == files["separate"]
 
 
 class TestSelftest:

@@ -281,6 +281,95 @@ def test_propagate_takes_parameters_in_any_order_within_the_span():
         wld.propagate(backwards, covariant(backwards)[0], [0.0, 1.0], 1e-12)
 
 
+def matrix_first_dot(x, y):
+    """The kernel's 2x2 product on (n, 2, 2) stacks, the layout it kept before
+    it held its stacks entry-first: the reference for that layout."""
+    return x[..., :, :1] * y[..., :1, :] + x[..., :, 1:] * y[..., 1:, :]
+
+
+def matrix_first_commutator(x, y):
+    return matrix_first_dot(x, y) - matrix_first_dot(y, x)
+
+
+def matrix_first_magnus(g, h):
+    h = h[:, None, None]
+    g0, g1, g2 = np.moveaxis(g, 1, 0)
+    a1 = h * g1
+    a2 = np.sqrt(15.0) / 3.0 * h * (g2 - g0)
+    a3 = 10.0 / 3.0 * h * (g2 - 2.0 * g1 + g0)
+    c1 = matrix_first_commutator(a1, a2)
+    c2 = matrix_first_commutator(a1, 2.0 * a3 + c1) / -60.0
+    return a1 + a3 / 12.0 + matrix_first_commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+
+
+def matrix_first_exp2(omega):
+    s = np.sqrt(omega[:, 0, 1] * omega[:, 1, 0] - omega[:, 0, 0] * omega[:, 1, 1] + 0j)
+    with np.errstate(invalid="ignore"):
+        sinhc = np.where(s == 0, 1.0, np.sinh(s) / s)[:, None, None]
+    return np.cosh(s)[:, None, None] * np.eye(2) + sinhc * omega
+
+
+def matrix_first_richardson(g, h):
+    n = len(h)
+    dot = matrix_first_dot
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = matrix_first_exp2(matrix_first_magnus(
+            np.moveaxis(g.reshape(n, 3, 3, 2, 2), 1, 0).reshape(3 * n, 3, 2, 2),
+            np.outer([0.5, 0.5, 1.0], h).ravel()))
+        first, second, whole = steps.reshape(3, n, 2, 2)
+        inverse = np.swapaxes(whole[:, ::-1, ::-1], 1, 2) * [[1, -1], [-1, 1]]
+        drift = dot(dot(first, inverse), second)
+        drift -= 0.5 * (drift[:, 0, 0] + drift[:, 1, 1])[:, None, None] * np.eye(2)
+        error = np.abs(dot(second, first) - whole).max(axis=(1, 2)) / 63.0
+        return dot(second, dot(matrix_first_exp2(drift / 63.0), first)), error
+
+
+def matrix_first_prefix_products(steps):
+    out = steps.copy()
+    shift = 1
+    while shift < len(out):
+        out[shift:] = matrix_first_dot(out[shift:], out[:-shift])
+        shift *= 2
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 199, 4097])
+@pytest.mark.parametrize("special", ["none", "zero", "too_large"])
+def test_entry_first_stacks_repeat_the_matrix_first_arithmetic(n, special):
+    """The kernel's Richardson steps, error estimates and prefix products on
+    entry-first (2, 2, n) stacks are those of the (n, 2, 2) layout byte for
+    byte, on random traceless G, with one interval's G zero (s = 0 in the
+    closed-form exp) or too large to exponentiate (an inf or nan estimate)."""
+    rng = np.random.default_rng(n)
+    g = rng.normal(size=(n, 9, 2, 2)) + 1j * rng.normal(size=(n, 9, 2, 2))
+    g[..., 1, 1] = -g[..., 0, 0]
+    h = rng.uniform(0.01, 0.5, n)
+    if special == "zero":
+        g[n // 2] = 0.0
+    elif special == "too_large":
+        g[n // 2] *= 1e200
+    want_steps, want_error = matrix_first_richardson(g, h)
+    steps, error = wld._richardson(g, h)
+    assert steps.shape == (2, 2, n)
+    assert_same_bytes(np.ascontiguousarray(np.moveaxis(steps, -1, 0)), want_steps)
+    assert_same_bytes(error, want_error)
+    assert_same_bytes(wld._richardson(g, h, estimate=False), steps)
+    finite = np.isfinite(want_error).all()
+    assert finite == (special != "too_large")
+    products = wld._prefix_products(np.ascontiguousarray(np.moveaxis(want_steps, 0, -1)))
+    assert_same_bytes(np.ascontiguousarray(np.moveaxis(products, -1, 0)),
+                      matrix_first_prefix_products(want_steps))
+
+
+def test_maps_come_back_c_contiguous_and_complex():
+    wl = schwarzschild_ray()
+    generator = parallel(wl)[0]
+    for params in (wl.sample_params(), 3.0, np.linspace(*wl.param_span, 6).reshape(2, 3)):
+        maps = wld.propagate(wl, generator, params, 1e-12)
+        assert maps.shape == np.shape(params) + (2, 2)
+        assert maps.dtype == complex and maps.flags.c_contiguous
+
+
 def test_each_parameter_is_read_alone():
     """On this orbit the grid does not depend on the parameters (the read
     check passes wherever the estimate does), so the map at each one, on a
@@ -887,6 +976,21 @@ def test_stepper_fails_where_stock_dop853_fails():
                     atol=1e-12)
     assert sol.status == -1 and sol.message == message and 0.99 < sol.t[-1] < 1.0 + 1e-9
     assert_same_bytes(np.array(calls["ours"]), np.array(calls["stock"]))
+
+
+def test_initial_step_of_a_huge_wavevector_does_not_overflow():
+    """A flat ray with wavevector 1e150 (1, 0, 0, 1) has scaled rates near
+    1e162, whose squares overflow: the initial step comes from the rescaled
+    norm, with no warning, and the ray ends where the straight line does."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ray = wld.integrate_null_geodesic(FLAT, np.zeros(4), [1e150, 0.0, 0.0, 1e150], span=2.0)
+        end = ray.position(2.0)
+    np.testing.assert_allclose(end, [2e150, 0.0, 0.0, 2e150], rtol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wld._rms(np.array([3e200, 4e200]), 1e-12) == pytest.approx(5e212 / 2 ** 0.5)
+        assert wld._rms(np.array([1e300, 1.0]), 1e-12) == np.inf
 
 
 def test_row_rates_name_the_first_parameter_off_the_chart():

@@ -6,7 +6,8 @@ import pytest
 
 from quline import worldline as wld
 from quline.errors import ComplexVelocity, DomainError, QulineError
-from quline.geometry import apply_local_lorentz, make_builtin_model, pulled_connection
+from quline.geometry import (_STENCIL, DEFAULT_FD_STEP, _stencil_derivative,
+                             apply_local_lorentz, make_builtin_model, pulled_connection)
 from quline.spin_algebra import minkowski_dot
 
 
@@ -346,8 +347,14 @@ class TestEMField:
 
         em = wld.EMField(lambda c: wld.constant_magnetic_field([0, 0, b]).tensor(c),
                          potential)
-        res = em.consistency_residual(flat, np.array([0.0, 0.4, -1.2, 2.0]))
-        assert res < 1e-6
+        # |F_IJ - tetrad components of 2 grad_[mu A_nu]| at one event
+        coords = np.array([0.0, 0.4, -1.2, 2.0])
+        points = coords + DEFAULT_FD_STEP * _STENCIL[1:]
+        dA = _stencil_derivative(em.potential(points), DEFAULT_FD_STEP)
+        f_coord = dA - dA.T          # F_{mu nu} = d_mu A_nu - d_nu A_mu
+        e = flat.tetrad(coords)      # e^mu_I
+        f_tet = np.einsum("mi,nj,mn->ij", e, e, f_coord)
+        assert np.abs(f_tet - em.tensor(coords)).max() < 1e-6
 
 
 class TestKinematics:
