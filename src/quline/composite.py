@@ -18,7 +18,7 @@ from .errors import HilbertSpaceMismatch, QulineError
 from .fermion import FermionState, transport as fermion_transport
 from .geometry import Event
 from .photon import PhotonState, transport as photon_transport
-from .spin_algebra import ETA, check_norm, velocity_inner_product_matrix
+from .spin_algebra import ETA, check_norm, same_label, velocity_inner_product_matrix
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,7 @@ class SlotLabel:
 
     def matches(self, other):
         return (self.kind == other.kind and self.event.close_to(other.event)
-                and np.abs(self.velocity - other.velocity).max()
-                <= 1e-9 * (1.0 + abs(self.velocity[0])))
+                and same_label(self.velocity, other.velocity))
 
 
 @dataclass(frozen=True)
@@ -114,9 +113,9 @@ def evolve_local(state: BipartiteState, slot, worldline=None, operator=None,
                  tol=1e-12) -> BipartiteState:
     """Evolve one tensor slot: transport along a worldline and/or a local operator.
 
-    The slot's current label must sit at the worldline start; the other
-    slot is untouched.  ``operator`` (matrix on the slot) is applied after
-    the transport.
+    The slot's current label must be the worldline's start label (the
+    transport checks it); the other slot is untouched.  ``operator``
+    (matrix on the slot) is applied after the transport.
     """
     if slot not in (0, 1):
         raise QulineError("slot must be 0 or 1")
@@ -124,8 +123,6 @@ def evolve_local(state: BipartiteState, slot, worldline=None, operator=None,
     coeffs = state.coeffs
     new_label = label
     if worldline is not None:
-        if not label.event.close_to(worldline.start_event, 1e-8):
-            raise HilbertSpaceMismatch("slot label is not at the worldline start")
         u_mat, new_label = _slot_propagator(label, worldline, tol)
         coeffs = np.tensordot(u_mat, coeffs, axes=([1], [slot]))
         if slot == 1:

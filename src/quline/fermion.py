@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import HilbertSpaceMismatch, QulineError
 from .geometry import Event
-from .spin_algebra import (ETA, PAULI, SIGMA_BAR, check_norm, generator_contraction,
+from .spin_algebra import (ETA, PAULI, SIGMA_BAR, check_norm, generator_contraction, same_label,
                            spin_half_boost_matrix, velocity_inner_product_matrix)
 from .worldline import TransportResult, _exp2, propagate
 
@@ -70,8 +70,7 @@ class FermionState:
         return FermionState(self.psi / n, self.event, self.velocity)
 
     def same_space(self, other):
-        return (self.event.close_to(other.event)
-                and np.abs(self.velocity - other.velocity).max() <= 1e-9)
+        return self.event.close_to(other.event) and same_label(self.velocity, other.velocity)
 
 
 @dataclass(frozen=True)
@@ -134,10 +133,9 @@ def transport(state: FermionState, worldline, em=None, charge_to_mass=0.0,
     carry updated (event, velocity) labels along the curve.
     """
     t0, t1 = worldline.param_span
-    if not state.event.close_to(worldline.start_event, 1e-8):
-        raise HilbertSpaceMismatch("state is not attached to the worldline start event")
-    if np.abs(state.velocity - worldline.velocity(t0)).max() > 1e-8:
-        raise HilbertSpaceMismatch("state velocity label differs from worldline velocity")
+    if not (state.event.close_to(worldline.start_event)
+            and same_label(state.velocity, worldline.velocity(t0))):
+        raise HilbertSpaceMismatch("state label differs from the worldline start")
     chart_id = worldline.model.chart_id
     generator = partial(_covariant_generator, em, charge_to_mass)
     params = np.linspace(t0, t1, n_samples)

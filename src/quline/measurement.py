@@ -22,8 +22,8 @@ import numpy as np
 from .errors import DegenerateSetup, HilbertSpaceMismatch, QulineError
 from .fermion import FermionState
 from .photon import PhotonState, adaptation_rotation
-from .spin_algebra import (ETA, SIGMA_BAR, check_norm, generator_contraction,
-                           minkowski_dot, product_bound, velocity_inner_product_matrix)
+from .spin_algebra import (ETA, SIGMA_BAR, check_norm, generator_contraction, minkowski_dot,
+                           product_bound, same_label, velocity_inner_product_matrix)
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def spin_operator(setup: SternGerlachSetup):
 
 def expectation(state: FermionState, obs: SpinObservable) -> float:
     """<psi| A |psi> = conj(psi) N_I sigmabar^I psi for normalized states."""
-    if np.abs(state.velocity - obs.context_velocity).max() > 1e-9:
+    if not same_label(state.velocity, obs.context_velocity):
         raise HilbertSpaceMismatch("observable built for a different 4-velocity")
     n_low = ETA @ obs.direction
     mat = np.einsum("i,iab->ab", n_low, SIGMA_BAR)
@@ -111,7 +111,7 @@ def measure_spin(state: FermionState, setup: SternGerlachSetup, rng=None):
     Returns (outcome, post_state, probabilities) with outcome in {+1, -1};
     ``rng`` is a seed or numpy Generator (deterministic given the seed).
     """
-    if np.abs(state.velocity - setup.particle_velocity).max() > 1e-9:
+    if not same_label(state.velocity, setup.particle_velocity):
         raise HilbertSpaceMismatch("setup particle velocity differs from the state label")
     rng = np.random.default_rng(rng)
     _, proj = spin_operator(setup)
@@ -178,8 +178,7 @@ def circular_polarizer(handedness, wavevector):
 
 def polarizer_probability(state: PhotonState, polarizer: PolarizerVector) -> float:
     """p = |conj(P)_I psi^I|^2 for a normalized state; gauge invariant."""
-    scale = max(state.wavevector[0], polarizer.wavevector[0])
-    if np.abs(state.wavevector - polarizer.wavevector).max() > 1e-9 * scale:
+    if not same_label(state.wavevector, polarizer.wavevector):
         raise HilbertSpaceMismatch("polarizer built for a different wavevector")
     amp = complex(polarizer.vector.conj() @ ETA @ state.pol)
     return float(abs(amp) ** 2 / state.norm_squared())

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import AdaptationSingular, HilbertSpaceMismatch, QulineError
 from .geometry import Event, parallel_propagator
-from .spin_algebra import ETA, axis_rotation, check_norm
+from .spin_algebra import ETA, axis_rotation, check_norm, same_label
 from .worldline import TransportResult, line_integral
 
 SINGULAR_TOL = 1e-8
@@ -65,10 +65,7 @@ class PhotonState:
                            self.event, self.wavevector)
 
     def same_space(self, other):
-        if not self.event.close_to(other.event):
-            return False
-        scale = max(self.wavevector[0], other.wavevector[0])
-        return np.abs(self.wavevector - other.wavevector).max() <= 1e-9 * scale
+        return self.event.close_to(other.event) and same_label(self.wavevector, other.wavevector)
 
 
 @dataclass(frozen=True)
@@ -138,12 +135,10 @@ def transport(state: PhotonState, worldline, tol=1e-12, n_samples=201):
     if worldline.kind != "null":
         raise QulineError("photon transport needs a null worldline")
     t0, t1 = worldline.param_span
-    if not state.event.close_to(worldline.start_event, 1e-8):
-        raise HilbertSpaceMismatch("state is not attached to the worldline start event")
+    if not (state.event.close_to(worldline.start_event)
+            and same_label(state.wavevector, worldline.velocity(t0))):
+        raise HilbertSpaceMismatch("state label differs from the worldline start")
     scale = max(1.0, state.wavevector[0])
-    if np.abs(state.wavevector - worldline.velocity(t0)).max() > 1e-8 * scale:
-        raise HilbertSpaceMismatch("state wavevector differs from worldline velocity")
-
     params = np.linspace(t0, t1, n_samples)
     maps = parallel_propagator(worldline, params, tol)
     pols = maps @ state.pol

@@ -19,7 +19,9 @@ Euclidean square sum_I (v^I)^2, v.v rounds by O(eps E), which grows as gamma^2
 near c, and a wavevector's scale is not physical: so |v.v - n| <= 1e-9 + 64 eps E
 for a unit label, |v.v| <= (1e-9 + 64 eps) E for a null one, and E must be a
 finite normal float (|v| from about 1e-154 to 1e154).  Products of two vectors
-meet :func:`product_bound`.
+meet :func:`product_bound`.  Two velocity or wavevector labels name one Hilbert
+space when :func:`same_label` says so: equal to 1e-9 of the larger time
+component, which is the absolute 1e-9 for a velocity at rest.
 """
 
 from __future__ import annotations
@@ -124,6 +126,12 @@ def check_norm(v, norm, what):
         raise QulineError(f"{what} ({s}.{s} = {float(vv[np.argmin(ok)])})")
     if norm >= 0 and not (rows[:, 0] > 0.0).all():
         raise QulineError(f"{what} (not future-pointing: {s}^0 = {float(rows[:, 0].min())})")
+
+
+def same_label(a, b):
+    """True when the velocity or wavevector labels ``a`` and ``b`` name one
+    Hilbert space: |a - b| <= 1e-9 max(a^0, b^0) in every component."""
+    return np.abs(a - b).max() <= 1e-9 * max(a[0], b[0])
 
 
 def check_lorentz(m):

@@ -342,6 +342,7 @@ def _rms(v, scale):
     return norm / len(v) ** 0.5
 
 
+@np.errstate(over="ignore")
 def _dop853(fun, t0, y0, t1, tol, max_step):
     """Scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5) from
     t0 to t1 at rtol = atol = tol, operation for operation as scipy's
@@ -354,7 +355,9 @@ def _dop853(fun, t0, y0, t1, tol, max_step):
     :func:`_dense_solution` takes them: rows 0-12 hold the 12 stages and the
     derivative at the step end.  A step size below 10 ulps of the parameter
     raises ToleranceError with scipy's message.  As in scipy, an empty span
-    takes no step.
+    takes no step.  Overflow does not warn: where the squares of a step's error
+    norms pass the floats, the error is formed from norms rescaled as
+    :func:`_rms` does.
     """
     floor = 100 * np.finfo(float).eps
     if tol < floor:
@@ -404,10 +407,15 @@ def _dop853(fun, t0, y0, t1, tol, max_step):
             y_new = y + h * np.dot(K_B, DOP853.B)
             K[-1] = f_new = fun(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.linalg.norm(np.dot(K_E, DOP853.E5) / scale) ** 2
-            err3 = np.linalg.norm(np.dot(K_E, DOP853.E3) / scale) ** 2
-            error = (0.0 if err5 == 0 and err3 == 0
-                     else np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * n))
+            e5, e3 = np.dot(K_E, DOP853.E5), np.dot(K_E, DOP853.E3)
+            err5 = np.linalg.norm(e5 / scale) ** 2
+            err3 = np.linalg.norm(e3 / scale) ** 2
+            square = (err5 + 0.01 * err3) * n
+            if square == np.inf:        # past the floats: the same error from rescaled norms
+                rms5, rms3 = _rms(e5, scale), _rms(e3, scale)
+                error = np.abs(h) * rms5 * (rms5 / np.hypot(rms5, 0.1 * rms3))
+            else:
+                error = 0.0 if err5 == 0 and err3 == 0 else np.abs(h) * err5 / np.sqrt(square)
             if error < 1:
                 factor = 10 if error == 0 else min(10, 0.9 * error ** -0.125)
                 h_abs *= min(1, factor) if rejected else factor
@@ -779,11 +787,15 @@ def _integrate(model, x0, u0, span, tol, kind, accel_fn, max_step=np.inf):
     ts, ys, K = _dop853(rates, 0.0, np.concatenate([x0, u0]), float(span), tol, max_step)
     dense = _dense_solution(ts, ys, K, rates)
     wl = IntegratedWorldline(model, dense, (0.0, span), kind, accel_fn)
-    drift = wl.norm_audit()
+    # a wavevector's scale is not physical: once k0 > 1, k.k and its drift are
+    # judged in units of k0^2
+    scale = max(1.0, u0[0]) if kind == "null" else 1.0
+    drift = wl.norm_audit() / scale / scale
     # not drift: the start's own offset from its target, which its label check
     # allowed, and the rounding of u.u, O(eps (u.u)_E) and so O(gamma^2 eps) near c
     offset = abs(minkowski_dot(u0, u0) - (1.0 if kind == "timelike" else 0.0))
-    budget = max(1e-9, 1000.0 * tol * max(1.0, abs(span))) + offset + _ROUNDING * (u0 @ u0)
+    budget = (max(1e-9, 1000.0 * tol * max(1.0, abs(span)))
+              + (offset + _ROUNDING * (u0 @ u0)) / scale / scale)
     if drift > budget:
         raise ToleranceError("velocity normalization drifted during integration",
                              achieved=drift, requested=budget)

@@ -192,6 +192,17 @@ class TestEvolveLocal:
         out = cp.evolve_local(cp.evolve_local(st, 0, wl), 1, wl)
         assert np.abs(out.coeffs + out.coeffs.T).max() < 1e-10
 
+    @pytest.mark.parametrize("event, u", [((0.0, 1e-6, 0.0, 0.0), REST),
+                                          ((0.0, 0.0, 0.0, 0.0), [1.0, 2e-9, 0.0, 0.0])],
+                             ids=["event", "velocity"])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_slot_label_off_the_worldline_start_is_refused(self, event, u, slot):
+        wl = static_worldline(FLAT, [0.0, 0.0, 0.0], span=1.0)    # starts at EV, at rest
+        labels = [cp.SlotLabel("fermion", EV, REST)] * 2
+        labels[slot] = cp.SlotLabel("fermion", FLAT.event(*event), u)
+        with pytest.raises(HilbertSpaceMismatch):
+            cp.evolve_local(cp.BipartiteState(SINGLET, tuple(labels)), slot, wl)
+
 
 class TestProjectSlot:
     def test_product_state_probability_one(self):

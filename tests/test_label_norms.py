@@ -1,6 +1,10 @@
 """Every site that takes a Hilbert-space label (a unit timelike 4-velocity, a
 null wavevector, a unit spacelike orientation) gives it the same verdict,
-from near-rest to near-luminal labels and across wavevector scales."""
+from near-rest to near-luminal labels and across wavevector scales; and every
+site that asks whether two labels name one Hilbert space gives one answer."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from quline import photon as ph
 from quline import scenario as sc
 from quline import spin_algebra as sa
 from quline import worldline as wld
-from quline.errors import QulineError
+from quline.errors import HilbertSpaceMismatch, QulineError
 from quline.geometry import make_builtin_model
 
 FLAT = make_builtin_model("minkowski", [])
@@ -110,3 +114,109 @@ def test_messages_name_the_value_found():
         sa.check_norm([[1.0, 0, 0, 1], [-1.0, 0, 0, -1]], 0, "k0 must be null")
     with pytest.raises(QulineError, match=r"^m must be unit \(m.m = -4.0\)$"):
         sa.check_norm([0, 2.0, 0, 0], -1, "m must be unit")
+
+
+PSI = np.array([1.0, 0.0])
+ORIENTATION = np.array([0.0, 1.0, 0.0, 0.0])
+POLARIZATION = np.array([0.0, 0.0, 1.0, 0.0])    # transverse to every k of the x-z plane
+
+
+def straight_line(label, kind):
+    """A flat straight worldline from EVENT with the constant velocity ``label``."""
+    return wld.AnalyticWorldline(FLAT, (0.0, 1.0), lambda lam: lam * label,
+                                 lambda lam: label, lambda lam: np.zeros(4), kind=kind)
+
+
+def fermion(u):
+    return fm.FermionState(PSI, EVENT, u)
+
+
+def photon(k):
+    return ph.PhotonState(POLARIZATION, EVENT, k)
+
+
+def unless_mismatched(call):
+    """A site that raises HilbertSpaceMismatch on different labels, as a verdict."""
+    def site(a, b):
+        try:
+            call(a, b)
+        except HilbertSpaceMismatch:
+            return False
+        return True
+    return site
+
+
+# each site is asked whether a state labelled a and an object labelled b share a space
+MATCH_SITES = {
+    "timelike": {
+        "FermionState.same_space": lambda a, b: fermion(a).same_space(fermion(b)),
+        "SlotLabel.matches": lambda a, b: cp.SlotLabel("fermion", EVENT, a).matches(
+            cp.SlotLabel("fermion", EVENT, b)),
+        "expectation": unless_mismatched(lambda a, b: ms.expectation(
+            fermion(a), ms.spin_operator(ms.SternGerlachSetup(ORIENTATION, REST, b))[0])),
+        "measure_spin": unless_mismatched(lambda a, b: ms.measure_spin(
+            fermion(a), ms.SternGerlachSetup(ORIENTATION, REST, b), rng=0)),
+        "fermion.transport": unless_mismatched(lambda a, b: fm.transport(
+            fermion(a), straight_line(b, "timelike"), n_samples=3)),
+    },
+    "null": {
+        "PhotonState.same_space": lambda a, b: photon(a).same_space(photon(b)),
+        "SlotLabel.matches": lambda a, b: cp.SlotLabel("photon", EVENT, a).matches(
+            cp.SlotLabel("photon", EVENT, b)),
+        "polarizer_probability": unless_mismatched(lambda a, b: ms.polarizer_probability(
+            photon(a), ms.PolarizerVector(POLARIZATION, b))),
+        "photon.transport": unless_mismatched(lambda a, b: ph.transport(
+            photon(a), straight_line(b, "null"), n_samples=3)),
+    },
+}
+
+FAST = sa.spin1_boost([0.0, 0.0, np.sqrt(1.0 - 1e-8)])[:, 0]       # gamma = 1e4
+FAST_TURNED = np.array([FAST[0], FAST[3] * np.sin(1e-10), 0.0, FAST[3] * np.cos(1e-10)])
+PAIRS = [   # (id, kind, a, b, one space)
+    ("equal_u", "timelike", sa.spin1_boost([0.6, 0.0, 0.0])[:, 0],
+     sa.spin1_boost([0.6, 0.0, 0.0])[:, 0], True),
+    ("equal_k", "null", NULL, NULL.copy(), True),
+    ("k=1e-12ray_vs_2e-12ray", "null", 1e-12 * RAY, 2e-12 * RAY, False),
+    ("rest_vs_boost_1.5e-9", "timelike", REST, np.array([1.0, 1.5e-9, 0.0, 0.0]), False),
+    ("gamma=1e4_vs_1e-6_away", "timelike", FAST, FAST_TURNED, True),
+    ("k0=1e6_vs_5e-3_away", "null", 1e6 * RAY, 1e6 * RAY + [0.0, 5e-3, 0.0, 0.0], False),
+]
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["ab", "ba"])
+@pytest.mark.parametrize("kind, a, b, same", [row[1:] for row in PAIRS],
+                         ids=[row[0] for row in PAIRS])
+def test_every_site_gives_a_label_pair_one_match(kind, a, b, same, swap):
+    """The same-space verdict is 1e-9 of the larger time component, at every
+    site and in either order."""
+    if swap:
+        a, b = b, a
+    verdicts = {name: site(a, b) for name, site in MATCH_SITES[kind].items()}
+    assert verdicts == dict.fromkeys(verdicts, same)
+    assert sa.same_label(a, b) == same
+
+
+LABEL_NAMES = {"velocity", "wavevector", "context_velocity", "particle_velocity"}
+
+
+def is_label(node):
+    """``x.velocity`` (or another label attribute) or a ``x.velocity(...)`` call."""
+    if isinstance(node, ast.Call):
+        node = node.func
+        return isinstance(node, ast.Attribute) and node.attr == "velocity"
+    return isinstance(node, ast.Attribute) and node.attr in LABEL_NAMES
+
+
+def label_differences(src):
+    """["module:line"] of every label-minus-label expression outside spin_algebra."""
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py")) if path.name != "spin_algebra.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and is_label(node.left) and is_label(node.right)]
+
+
+def test_labels_are_compared_only_by_same_label():
+    """Whether two labels name one space is decided by spin_algebra.same_label
+    alone: no other module subtracts one label from another."""
+    assert label_differences(Path(sa.__file__).parent) == []

@@ -765,6 +765,40 @@ def fast_orbit_scenario(tmp_path):
     return path
 
 
+def schwarzschild_ray(scale):
+    """A Schwarzschild ray from r = 15 with wavevector scale * (1, -0.6, 0, 0.8)
+    and span 2/scale, transported and measured by a 30 deg polarizer."""
+    return {"version": 1, "seed": 7,
+            "model": {"family": "schwarzschild", "params": {"mass": "1 m"}},
+            "worldlines": {"ray": {
+                "type": "null_geodesic", "start": ["0 m", "15 m", math.pi / 2, 0],
+                "wavevector": [scale, -0.6 * scale, 0, 0.8 * scale], "span": f"{2 / scale} m"}},
+            "qubits": {"p0": {"kind": "photon", "jones": [1, 0, 0, 0], "worldline": "ray"}},
+            "schedule": [{"op": "transport", "qubit": "p0", "worldline": "ray"},
+                         {"op": "measure_polarization", "qubit": "p0",
+                          "polarizer": {"type": "linear", "angle": "30 deg"}}],
+            "output": {"json": "ray.json"}}
+
+
+def test_scaled_schwarzschild_ray_runs_as_the_unit_ray(tmp_path):
+    """A wavevector's scale is not physical: the ray written with k = (1000,
+    -600, 0, 800) and span 0.002 m ends at the event of the k = (1, -0.6, 0,
+    0.8), 2 m ray, with the same polarizer probability."""
+    reports = []
+    for scale in (1, 1000):
+        path = tmp_path / f"ray{scale}.scenario"
+        path.write_text(yaml.safe_dump(schwarzschild_ray(scale)))
+        out = tmp_path / f"out{scale}"
+        assert run_cli(["--out-dir", out, "run", path]) == cli.EXIT_OK
+        reports.append(json.loads((out / "ray.json").read_text())["results"]["schedule"])
+    (unit_transport, unit_measure), (scaled_transport, scaled_measure) = reports
+    assert scaled_transport["state"]["wavevector"][0] == pytest.approx(1000.0 * unit_transport[
+        "state"]["wavevector"][0], rel=1e-12)
+    np.testing.assert_allclose(scaled_transport["state"]["event"],
+                               unit_transport["state"]["event"], rtol=0.0, atol=1e-12)
+    assert abs(scaled_measure["probability"] - unit_measure["probability"]) <= 1e-12
+
+
 def test_long_transport_near_the_tolerance_floor_runs(tmp_path):
     """The kernel has no cap on a transport's nodes: 50 fast revolutions at a
     tolerance near the floor complete, within the norm-drift budget."""

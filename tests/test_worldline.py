@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -152,6 +153,20 @@ class TestNullGeodesics:
         assert np.abs(energy - energy[0]).max() < 1e-9 * abs(energy[0])
         assert np.abs(impact - impact[0]).max() < 1e-9 * (1 + abs(impact[0]))
         assert wl.norm_audit() < 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e5, 1e100, 1e150])
+    def test_wavevector_scale_is_not_physical(self, scale):
+        """The ray with k scaled by s and its span by 1/s is the same curve: it
+        ends where the s = 1 ray ends, within the integration tolerance, with
+        no warning, up to a scale whose squares are near the largest float."""
+        model = make_builtin_model("schwarzschild", [1.0])
+        x0, k0 = [0.0, 15.0, np.pi / 2, 0.0], np.array([1.0, -0.6, 0.0, 0.8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ray = wld.integrate_null_geodesic(model, x0, scale * k0, span=2.0 / scale)
+            end = ray.end_event.coords
+        want = wld.integrate_null_geodesic(model, x0, k0, span=2.0).end_event.coords
+        np.testing.assert_allclose(end, want, rtol=0.0, atol=1e-11)
 
     def test_rindler_ray_matches_mapped_flat_ray(self):
         # Minkowski ray T = X = lam maps to t = artanh(g lam)/g, x = lam,
