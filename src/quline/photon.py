@@ -97,7 +97,7 @@ def adaptation_rotation(u):
     sin_t = np.linalg.norm(axis)
     if sin_t < SINGULAR_TOL and not cos_t > 0.0:
         raise AdaptationSingular("photon direction antiparallel to the tetrad z-axis")
-    rot = np.eye(4) if sin_t < SINGULAR_TOL else axis_rotation(axis / sin_t, cos_t, sin_t)
+    rot = np.eye(4) if sin_t == 0.0 else axis_rotation(axis / sin_t, cos_t, sin_t)
     return AdaptationRotation(rot, rot[1:3, :].copy(), rot[1:3, :].T.copy())
 
 

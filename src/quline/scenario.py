@@ -24,7 +24,7 @@ import yaml
 
 from . import __version__
 from .errors import (AdaptationSingular, DomainError, QulineError, ScenarioError,
-                     ScenarioParseError, ScenarioReferenceError)
+                     ScenarioParseError, ScenarioReferenceError, WavevectorMismatch)
 from .fermion import FermionState, transport as fermion_transport
 from .geometry import TabulatedModel, make_builtin_model
 from .interferometry import (COW_MODES, arm_phase, cow_phases, displacement_phase,
@@ -467,7 +467,10 @@ class ScenarioRun:
                           mass=mz.get("mass"), end_param=mz[key]["end"], arm_id=key)
                 for key in ("arm1", "arm2")]
         a1, a2 = arms
-        dtheta = phase_difference(a1, a2, match_tol=mz["region_tol"])
+        try:
+            dtheta = phase_difference(a1, a2, match_tol=mz["region_tol"])
+        except WavevectorMismatch as exc:
+            raise ScenarioError(str(exc), block=block) from None
         dtheta_dis = displacement_phase(0.5 * (a1.k_lower + a2.k_lower),
                                         a1.event.coords, a2.event.coords)
         row = {"theta_int_1": float(a1.theta_int), "theta_int_2": float(a2.theta_int),

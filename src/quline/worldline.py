@@ -1,9 +1,11 @@
 """Worldlines: Lorentz-force trajectories, null geodesics, prescribed paths.
 
-A worldline knows its model and defines one evaluation, ``_motion(lam)``,
-which returns (x, u, a) for a scalar parameter or three (n, 4) arrays for a
-1-d array of n (proper time for timelike curves, an affine parameter for
-null ones).  Every reader below comes from it, on the base class:
+Every worldline is one :class:`Worldline`, five fields: its model, its
+parameter span (proper time for timelike curves, an affine parameter for
+null ones), its motion, its kind ("timelike" or "null") and its
+breakpoints.  The motion is the one evaluation, ``motion(lam)`` = (x, u, a)
+for a scalar parameter or three (n, 4) arrays for a 1-d array of n; every
+reader comes from it:
 
 * ``position(lam)``             chart coordinates x^mu
 * ``coordinate_velocity(lam)``  dx^mu/dlam (coordinate components)
@@ -16,10 +18,11 @@ null ones).  Every reader below comes from it, on the base class:
                                 arrays and an (n, 4, 4) one
 * ``trajectory(params)``        positions and velocities, two (n, 4) arrays
 
-A closed form is one function of the parameter, an ``AnalyticWorldline``
-calls its scalar callables node by node, a sampled worldline is one spline
-of the stacked (x, u, a), and an integrated one reads its dense output once
-per call.
+The functions that build worldlines differ only in the motion they give: a
+closed form is one function of the parameter, ``AnalyticWorldline`` calls
+its scalar callables node by node, ``SampledWorldline`` reads one spline of
+the stacked (x, u, a), whose knots are its breakpoints, and an integrated
+worldline reads its dense output once per call.
 
 Timelike velocities satisfy u.u = 1, null ones u.u = 0; normalization is
 verified after integration, never re-imposed.
@@ -103,35 +106,34 @@ def constant_magnetic_field(b_vector):
 
 
 class Worldline:
-    """Base class; see module docstring for the evaluation surface."""
+    """A worldline: its model, parameter span, motion, kind and breakpoints.
 
-    kind = "timelike"
-    # parameters where the kinematics may be only piecewise smooth; the
-    # transport kernel's grid contains them
-    breakpoints = ()
+    ``motion(lam)`` is the one evaluation, (x, u, a) at a scalar parameter
+    or three (n, 4) arrays at a 1-d array of n; ``kind`` is "timelike" or
+    "null"; ``breakpoints`` are the parameters where the kinematics may be
+    only piecewise smooth, which the transport kernel's grid contains.
+    """
 
-    def __init__(self, model, span):
+    def __init__(self, model, span, motion, kind="timelike", breakpoints=()):
         self.model = model
         self.param_span = (float(span[0]), float(span[1]))
         if self.param_span[0] == self.param_span[1]:
             raise DomainError("worldline parameter span is empty")
-
-    def _motion(self, lam):
-        """(x, u, a) at ``lam``, a scalar or a 1-d array of parameters (then
-        three (n, 4) arrays): the one evaluation a subclass defines."""
-        raise NotImplementedError
+        self.motion = motion
+        self.kind = kind
+        self.breakpoints = breakpoints
 
     def position(self, lam):
-        return self._motion(lam)[0]
+        return self.motion(lam)[0]
 
     def velocity(self, lam):
-        return self._motion(lam)[1]
+        return self.motion(lam)[1]
 
     def acceleration(self, lam):
-        return self._motion(lam)[2]
+        return self.motion(lam)[2]
 
     def coordinate_velocity(self, lam):
-        return self.model.to_coords(*self._motion(lam)[:2])
+        return self.model.to_coords(*self.motion(lam)[:2])
 
     def kinematics(self, lam):
         """(position, velocity, acceleration, coordinate_velocity, pulled) at
@@ -139,12 +141,12 @@ class Worldline:
         an (n, 4, 4) one), with the coordinate velocity and the pulled
         connection xdot^nu omega_nu^I_J from one call of the model's
         ``pulled_connections``."""
-        x, u, a = self._motion(lam)
+        x, u, a = self.motion(lam)
         return (x, u, a, *self.model.pulled_connections(x, u))
 
     def trajectory(self, params):
         """Positions and velocities at every parameter value, as two (n, 4) arrays."""
-        return self._motion(np.asarray(params, dtype=float))[:2]
+        return self.motion(np.asarray(params, dtype=float))[:2]
 
     def velocity_coordinate_derivative(self, lam):
         """du^I/dlam (ordinary derivative of the tetrad components), row by row
@@ -158,10 +160,6 @@ class Worldline:
     @property
     def start_event(self):
         return self.event(self.param_span[0])
-
-    @property
-    def end_event(self):
-        return self.event(self.param_span[1])
 
     def sample_params(self, n=201):
         return np.linspace(self.param_span[0], self.param_span[1], n)
@@ -183,90 +181,54 @@ class Worldline:
                 w.writerow([f"{v:.17g}" for v in row])
 
 
-class AnalyticWorldline(Worldline):
+def AnalyticWorldline(model, span, position, velocity, acceleration, kind="timelike"):
     """Worldline given by closed-form callables of the parameter.
 
     The callables may take one parameter value at a time, so an array of
     parameters is evaluated node by node.
     """
-
-    def __init__(self, model, span, position, velocity, acceleration, kind="timelike"):
-        super().__init__(model, span)
-        self._callables = (position, velocity, acceleration)
-        self.kind = kind
-
-    def _motion(self, lam):
+    def motion(lam):
         if np.ndim(lam):
-            return tuple(np.array(v) for v in zip(*map(self._motion, lam)))
-        return tuple(np.asarray(f(lam), dtype=float) for f in self._callables)
+            return tuple(np.array(v) for v in zip(*map(motion, lam)))
+        return tuple(np.asarray(f(lam), dtype=float) for f in (position, velocity, acceleration))
 
-
-class _MotionWorldline(Worldline):
-    """Worldline given by one function lam -> (x, u, a) that takes a scalar or
-    a 1-d array of parameters, as ``_motion`` does."""
-
-    def __init__(self, model, span, motion, kind="timelike"):
-        super().__init__(model, span)
-        self._function = motion
-        self.kind = kind
-
-    def _motion(self, lam):
-        return self._function(lam)
+    return Worldline(model, span, motion, kind)
 
 
 def _restricted(worldline, end):
     """``worldline`` from its span start to a later ``end``: the same motion,
     with the breakpoints that lie inside the shorter span."""
     t0 = worldline.param_span[0]
-    arm = _MotionWorldline(worldline.model, (t0, end), worldline._motion, worldline.kind)
-    arm.breakpoints = [b for b in worldline.breakpoints if t0 < b < end]
-    return arm
+    return Worldline(worldline.model, (t0, end), worldline.motion, worldline.kind,
+                     [b for b in worldline.breakpoints if t0 < b < end])
 
 
-class IntegratedWorldline(Worldline):
-    """Worldline backed by the :class:`DenseSolution` of an adaptive DOP853 solve,
-    read once per evaluation.  ``accel_fn(x, u)`` is the force per unit mass;
-    None for a free trajectory.
-    """
-
-    def __init__(self, model, sol, span, kind, accel_fn):
-        super().__init__(model, span)
-        self.kind = kind
-        self._sol = sol
-        self._accel = accel_fn
-
-    def _motion(self, lam):
-        y = self._sol(lam)
-        x, u = y[..., :4], y[..., 4:]
-        return x, u, np.zeros_like(u) if self._accel is None else self._accel(x, u)
-
-
-class SampledWorldline(Worldline):
+def SampledWorldline(model, params, positions, velocities, accelerations, kind="timelike"):
     """Worldline replayed from tabulated samples: one cubic-Hermite spline of
-    the stacked (x, u, a)."""
+    the stacked (x, u, a), whose knots are the breakpoints."""
+    from scipy.interpolate import CubicHermiteSpline
+    params = np.asarray(params, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    velocities = np.asarray(velocities, dtype=float)
+    accelerations = np.asarray(accelerations, dtype=float)
 
-    def __init__(self, model, params, positions, velocities, accelerations, kind="timelike"):
-        super().__init__(model, (params[0], params[-1]))
-        self.kind = kind
-        from scipy.interpolate import CubicHermiteSpline
-        params = np.asarray(params, dtype=float)
-        positions = np.asarray(positions, dtype=float)
-        velocities = np.asarray(velocities, dtype=float)
-        accelerations = np.asarray(accelerations, dtype=float)
-        self.breakpoints = params       # the knots of the spline
-        xdot, pulled = model.pulled_connections(positions, velocities)
-        udot = accelerations - (pulled @ velocities[:, :, None])[:, :, 0]
-        self._spline = CubicHermiteSpline(
-            params, np.hstack([positions, velocities, accelerations]),
-            np.hstack([xdot, udot, np.gradient(accelerations, params, axis=0)]))
-
-    def _motion(self, lam):
-        y = self._spline(lam)
+    def motion(lam):
+        y = spline(lam)
         return y[..., :4], y[..., 4:8], y[..., 8:]
+
+    # an empty span is refused before the spline would refuse it with scipy's error
+    worldline = Worldline(model, (params[0], params[-1]), motion, kind, params)
+    xdot, pulled = model.pulled_connections(positions, velocities)
+    udot = accelerations - (pulled @ velocities[:, :, None])[:, :, 0]
+    spline = CubicHermiteSpline(
+        params, np.hstack([positions, velocities, accelerations]),
+        np.hstack([xdot, udot, np.gradient(accelerations, params, axis=0)]))
+    return worldline
 
 
 class DenseSolution:
-    """The dense output of a DOP853 solve, evaluated as one array.
+    """The dense output of a DOP853 solve over an ascending span, evaluated as
+    one array.
 
     ``ts`` are the step boundaries and ``rows`` the (steps, 8, n) array of each
     step's seven polynomial rows (last row first) and its start state, the
@@ -275,14 +237,12 @@ class DenseSolution:
     ``searchsorted`` and the Horner arithmetic of ``Dop853DenseOutput``, bit
     for bit.  As in scipy's ``OdeSolution``, a parameter on a step boundary
     takes the segment of lower index and one outside the span the nearest end
-    segment, for an ascending or a descending span.
+    segment.
     """
 
     def __init__(self, ts, rows):
         self.ts = ts
-        self.descending = ts[-1] < ts[0]
-        # the interior step boundaries in ascending order
-        self.breaks = (ts[::-1] if self.descending else ts)[1:-1]
+        self.breaks = ts[1:-1]      # the interior step boundaries
         self.t_old = ts[:-1]
         self.h = ts[1:] - ts[:-1]
         self.rows = rows
@@ -290,10 +250,7 @@ class DenseSolution:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         # searching the interior boundaries alone gives the clipped segment index
-        if self.descending:
-            seg = len(self.breaks) - self.breaks.searchsorted(t.ravel(), side="right")
-        else:
-            seg = self.breaks.searchsorted(t.ravel(), side="left")
+        seg = self.breaks.searchsorted(t.ravel(), side="left")
         x = ((t.ravel() - self.t_old[seg]) / self.h[seg])[:, None]
         factors = (1 - x, x)
         rows = self.rows[seg]
@@ -786,7 +743,13 @@ def _integrate(model, x0, u0, span, tol, kind, accel_fn, max_step=np.inf):
     rates = _trajectory_rates(model, accel_fn)
     ts, ys, K = _dop853(rates, 0.0, np.concatenate([x0, u0]), float(span), tol, max_step)
     dense = _dense_solution(ts, ys, K, rates)
-    wl = IntegratedWorldline(model, dense, (0.0, span), kind, accel_fn)
+
+    def motion(lam):
+        y = dense(lam)
+        x, u = y[..., :4], y[..., 4:]
+        return x, u, np.zeros_like(u) if accel_fn is None else accel_fn(x, u)
+
+    wl = Worldline(model, (0.0, span), motion, kind)
     # a wavevector's scale is not physical: once k0 > 1, k.k and its drift are
     # judged in units of k0^2
     scale = max(1.0, u0[0]) if kind == "null" else 1.0
@@ -844,7 +807,7 @@ def static_worldline(model, spatial_coords, span):
         return (_four_vectors(tau, ut_coord * tau, *x_ref[1:]), _four_vectors(tau, *u_tet),
                 _four_vectors(tau, *a_tet))
 
-    return _MotionWorldline(model, (0.0, span), motion)
+    return Worldline(model, (0.0, span), motion)
 
 
 def circular_worldline(model, radius, beta, revolutions=1.0):
@@ -873,7 +836,7 @@ def circular_worldline(model, radius, beta, revolutions=1.0):
                 gamma * _four_vectors(tau, 1.0, -beta * np.sin(ang), beta * np.cos(ang), 0.0),
                 _four_vectors(tau, 0.0, -mag * np.cos(ang), -mag * np.sin(ang), 0.0))
 
-    return _MotionWorldline(model, (0.0, span), motion)
+    return Worldline(model, (0.0, span), motion)
 
 
 def _four_vectors(tau, *components):

@@ -146,7 +146,7 @@ class TestSingleSolveMaps:
         for start, final in zip(pair, field.final):
             assert np.abs(final.psi - reference_transport(orbit, generator,
                                                           start.psi)).max() < 1e-10
-            assert final.event.close_to(orbit.end_event, 0.0)
+            assert final.event.close_to(orbit.event(orbit.param_span[1]), 0.0)
 
 
 class TestEvolveLocal:

@@ -8,6 +8,7 @@ from quline import photon as ph
 from quline.errors import AdaptationSingular, DomainError, HilbertSpaceMismatch, QulineError
 from quline.geometry import (Event, apply_local_lorentz, make_builtin_model,
                              parallel_transport_vector)
+from quline.measurement import circular_polarizer, linear_polarizer
 from quline.spin_algebra import ETA
 from quline.worldline import AnalyticWorldline, integrate_null_geodesic
 
@@ -45,6 +46,16 @@ class TestAdaptation:
         st = ph.PhotonState([0, 1, 0, 0], FLAT.event(0, 0, 0, 0), k)
         with pytest.raises(AdaptationSingular):
             ph.adapt(st)
+
+    @pytest.mark.parametrize("k", [[1.0, 5e-9, 0.0, 1.0], [1e6, 5e-3, 0.0, 1e6]])
+    def test_polarizers_on_a_ray_near_plus_z(self, k):
+        # a direction a few nanoradians off +z is adapted by its own rotation,
+        # so the diad stays transverse to k and both polarizers can be built
+        k = np.array(k)
+        ar = ph.adaptation_rotation(k)
+        assert np.abs(ar.diad @ ETA @ k).max() == 0.0
+        for polarizer in (linear_polarizer(0.0, k), circular_polarizer(1, k)):
+            assert abs((ETA @ k) @ polarizer.vector) <= 1e-15 * k[0]
 
     def test_rotation_standardizes_and_is_orthogonal(self):
         rng = np.random.default_rng(0)

@@ -16,6 +16,7 @@ from quline import scenario as sc
 from quline.errors import (DomainError, ScenarioError, ScenarioParseError,
                            ScenarioReferenceError)
 from quline.interferometry import COW_MODES, cow_phase
+from quline.spin_algebra import spin_half_boost_matrix, spin_half_rotation
 from quline.units import C_SI, HBAR_SI, parse_quantity
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,7 +102,7 @@ class TestValidate:
         # libyaml when present, the pure-Python parser otherwise: equal dicts,
         # and the same one-line message for invalid YAML
         paths = sorted(SCENARIOS.glob("*.scenario"))
-        assert len(paths) == 4
+        assert len(paths) == 5
         loaded = [sc.load_scenario(p) for p in paths]
         assert loaded == [yaml.load(p.read_text(), Loader=yaml.SafeLoader) for p in paths]
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
@@ -316,6 +317,17 @@ class TestValidate:
         self.assert_rejected(tmp_path, capsys, "flat_noop.scenario", edit, command,
                              DomainError)
 
+    @pytest.mark.parametrize("qubit", ["q0", None])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_mismatched_arm_wavevectors(self, tmp_path, capsys, qubit, command):
+        # arms at beta 0.6 and 0.5 recombine with different wavevectors: the
+        # block cannot be built, as when their endpoints leave the region
+        def edit(data):
+            data["worldlines"]["upper"]["beta"] = [0.6, 0, 0]
+            data["interferometer"].update(region_tol=0.01, qubit=qubit)
+        self.assert_rejected(tmp_path, capsys, "displaced_arms.scenario", edit, command,
+                             ScenarioError)
+
     @staticmethod
     def assert_rejected(tmp_path, capsys, scenario, edit, command,
                         error=ScenarioParseError):
@@ -529,6 +541,14 @@ class TestRun:
         assert meas["probability"] == pytest.approx(probability, abs=1e-12)
         assert meas["transmitted"] is (probability == 1.0)
 
+    def test_polarizer_on_a_ray_near_plus_z(self, tmp_path):
+        # 5e-9 rad off +z: the polarizer is built in the ray's adapted frame
+        # and passes cos^2 30 deg of the rotated light
+        def edit(data):
+            data["worldlines"]["beam"]["wavevector"] = [1000000, 0.005, 0, 1000000]
+        meas = run_edited(tmp_path, "polarimetry.scenario", edit)["results"]["schedule"][-1]
+        assert meas["probability"] == pytest.approx(0.75, abs=1e-12)
+
     def test_malformed_run_no_partial_output(self, tmp_path):
         bad = tmp_path / "bad.scenario"
         bad.write_text("worldlines: [1, 2\n")
@@ -736,7 +756,8 @@ def csv_cells(path):
     return cells
 
 
-@pytest.mark.parametrize("name", ["flat_noop", "polarimetry", "displaced_arms"])
+@pytest.mark.parametrize("name", ["flat_noop", "polarimetry", "displaced_arms",
+                                  "schwarzschild_orbit"])
 def test_bundled_reports_match_golden(tmp_path, name):
     """``quline --seed 7 run`` reproduces the committed JSON and CSV reports
     byte for byte; a failure names every key that deviates, and by how much."""
@@ -751,6 +772,25 @@ def test_bundled_reports_match_golden(tmp_path, name):
         assert not found, "\n".join(found)
         assert got.read_bytes() == want.read_bytes()
 
+
+def test_schwarzschild_golden_is_the_closed_form():
+    """The curved golden holds physics, not only frozen bytes.  A spin carried
+    once around the circular geodesic at r = 12 M turns about e_theta by
+    2 pi sqrt(1 - 3M/r) in its rest frame, so p_plus along e_r is
+    (1 + <sigma_x>)/2 of the turned rest-frame spinor; the ray's polarizer at
+    30 deg passes cos^2 30 deg of the light that left along the diad's first leg."""
+    report = json.loads((GOLDEN / "schwarzschild_orbit_run.json").read_text())
+    _, spin, _, polarizer = report["results"]["schedule"]
+    beta = 0.31622776601683794
+    gamma = 1.0 / math.sqrt(1.0 - beta * beta)
+    psi = np.array([0.6, 0.8j])
+    rest = np.linalg.solve(spin_half_boost_matrix([0.0, 0.0, beta]), psi)
+    turned = spin_half_rotation([0.0, 1.0, 0.0], 2.0 * math.pi * math.sqrt(1.0 - 3.0 / 12.0)) @ (
+        rest / np.linalg.norm(rest))
+    p_plus = 0.5 * (1.0 + 2.0 * (turned[0].conjugate() * turned[1]).real)
+    assert spin["state"]["velocity"] == pytest.approx([gamma, 0.0, 0.0, gamma * beta], abs=1e-12)
+    assert abs(spin["p_plus"] - p_plus) <= 1e-11
+    assert abs(polarizer["probability"] - math.cos(math.radians(30.0)) ** 2) <= 1e-12
 
 def fast_orbit_scenario(tmp_path):
     """flat_noop with its qubit carried over 50 revolutions at beta = 0.9 and

@@ -164,8 +164,9 @@ class TestNullGeodesics:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ray = wld.integrate_null_geodesic(model, x0, scale * k0, span=2.0 / scale)
-            end = ray.end_event.coords
-        want = wld.integrate_null_geodesic(model, x0, k0, span=2.0).end_event.coords
+            end = ray.event(ray.param_span[1]).coords
+        unit = wld.integrate_null_geodesic(model, x0, k0, span=2.0)
+        want = unit.event(unit.param_span[1]).coords
         np.testing.assert_allclose(end, want, rtol=0.0, atol=1e-11)
 
     def test_rindler_ray_matches_mapped_flat_ray(self):
@@ -264,6 +265,13 @@ class TestPrescribedWorldlines:
         for tau in np.linspace(0.1, 2.9, 7):
             assert np.abs(back.position(tau) - wl.position(tau)).max() < 1e-8
             assert np.abs(back.velocity(tau) - wl.velocity(tau)).max() < 1e-8
+
+    def test_csv_of_one_sample_has_an_empty_span(self, tmp_path, flat):
+        wl = wld.static_worldline(flat, [0.0, 0.0, 0.0], 1.0)
+        path = tmp_path / "point.csv"
+        wl.to_csv(path, n=1)
+        with pytest.raises(DomainError, match="span is empty"):
+            wld.worldline_from_csv(path, flat)
 
 
     def test_coordinate_path_matches_mpmath_reference(self):
