@@ -21,6 +21,9 @@ from .photon import PhotonState, transport as photon_transport
 from .spin_algebra import ETA, check_norm, same_label, velocity_inner_product_matrix
 
 
+REALIZATIONS = {"fermion": FermionState, "photon": PhotonState}
+
+
 @dataclass(frozen=True)
 class SlotLabel:
     """Hilbert-space label of one tensor slot: realization, event, 4-velocity."""
@@ -31,19 +34,17 @@ class SlotLabel:
 
     def __post_init__(self):
         v = np.asarray(self.velocity, dtype=float).reshape(4)
-        if self.kind not in ("fermion", "photon"):
+        if self.kind not in REALIZATIONS:
             raise QulineError(f"unknown slot kind {self.kind!r}")
-        norm = 0 if self.kind == "photon" else 1
+        norm = REALIZATIONS[self.kind].label_norm
         check_norm(v, norm, f"{self.kind} slot label must be future-pointing with v.v = {norm}")
         object.__setattr__(self, "velocity", v)
 
     def metric(self):
-        if self.kind == "fermion":
-            return velocity_inner_product_matrix(self.velocity)
-        return -ETA.astype(complex)
+        return REALIZATIONS[self.kind].metrics(self.velocity[None])[0]
 
     def dim(self):
-        return 2 if self.kind == "fermion" else 4
+        return REALIZATIONS[self.kind].dim
 
     def matches(self, other):
         return (self.kind == other.kind and self.event.close_to(other.event)

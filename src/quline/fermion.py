@@ -22,6 +22,10 @@ independent traceless 2x2 generators, each integrated by the Gauss-node
 Magnus kernel :func:`quline.worldline.propagate` (closed-form SL(2,C) steps),
 and agree to integration tolerance.
 
+:class:`FermionState` is the spin realization of the one qubit state
+:class:`quline.worldline.LocalizedState`; :func:`transport` hands the Magnus
+maps of its covariant generator to the shared :func:`quline.worldline.carry`.
+
 Norm drift under the velocity inner product I_u is reported, never silently
 renormalized away.
 """
@@ -33,44 +37,28 @@ from functools import partial
 
 import numpy as np
 
-from .errors import HilbertSpaceMismatch, QulineError
+from .errors import QulineError
 from .geometry import Event
-from .spin_algebra import (ETA, PAULI, SIGMA_BAR, check_norm, generator_contraction, same_label,
-                           spin_half_boost_matrix, velocity_inner_product_matrix)
-from .worldline import TransportResult, _exp2, propagate
-
-_LABEL = "velocity label must be future-pointing with u.u = 1"
+from .spin_algebra import (ETA, PAULI, SIGMA_BAR, generator_contraction, spin_half_boost_matrix,
+                           velocity_inner_product_matrix)
+from .worldline import LocalizedState, TransportResult, _exp2, carry, propagate
 
 
-@dataclass(frozen=True)
-class FermionState:
-    """A spinor psi_A attached to its Hilbert-space label (event, 4-velocity)."""
+class FermionState(LocalizedState):
+    """A spinor psi_A on its Hilbert-space label (event, 4-velocity), with the
+    velocity inner product I_u = u_I sigmabar^I."""
 
-    psi: np.ndarray
-    event: Event
-    velocity: np.ndarray
-
-    def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=complex).reshape(2)
-        u = np.asarray(self.velocity, dtype=float).reshape(4)
-        check_norm(u, 1, _LABEL)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "velocity", u)
+    dim, label_norm = 2, 1
+    label_message = "velocity label must be future-pointing with u.u = 1"
+    psi = property(lambda self: self.amplitude)
+    velocity = property(lambda self: self.label)
 
     def metric(self):
-        return velocity_inner_product_matrix(self.velocity)
+        return velocity_inner_product_matrix(self.label)
 
-    def norm_squared(self):
-        return float(np.real(self.psi.conj() @ self.metric() @ self.psi))
-
-    def normalized(self):
-        n = np.sqrt(self.norm_squared())
-        if n == 0.0:
-            raise QulineError("cannot normalize the zero state")
-        return FermionState(self.psi / n, self.event, self.velocity)
-
-    def same_space(self, other):
-        return self.event.close_to(other.event) and same_label(self.velocity, other.velocity)
+    @staticmethod
+    def metrics(labels):
+        return np.einsum("ni,iab->nab", labels @ ETA, SIGMA_BAR)
 
 
 @dataclass(frozen=True)
@@ -89,9 +77,7 @@ class RestFrameState:
 
 def inner_product(a: FermionState, b: FermionState) -> complex:
     """<a|b> = u_I sigmabar^I conj(a) b; states must share their Hilbert space."""
-    if not a.same_space(b):
-        raise HilbertSpaceMismatch("states live at different (event, velocity) labels")
-    return complex(a.psi.conj() @ a.metric() @ b.psi)
+    return a.inner(b)
 
 
 def to_rest_frame(state: FermionState) -> RestFrameState:
@@ -132,24 +118,9 @@ def transport(state: FermionState, worldline, em=None, charge_to_mass=0.0,
     The state's label must match the worldline start; the returned samples
     carry updated (event, velocity) labels along the curve.
     """
-    t0, t1 = worldline.param_span
-    if not (state.event.close_to(worldline.start_event)
-            and same_label(state.velocity, worldline.velocity(t0))):
-        raise HilbertSpaceMismatch("state label differs from the worldline start")
-    chart_id = worldline.model.chart_id
     generator = partial(_covariant_generator, em, charge_to_mass)
-    params = np.linspace(t0, t1, n_samples)
-    maps = propagate(worldline, generator, params, tol)
-    psis = maps @ state.psi
-    positions, velocities = worldline.trajectory(params)
-    worldline.model.check_domain(positions)
-    check_norm(velocities, 1, _LABEL)
-    metrics = np.einsum("ni,iab->nab", velocities @ ETA, SIGMA_BAR)
-    norms = np.einsum("na,nab,nb->n", psis.conj(), metrics, psis).real
-    drift = float(np.abs(norms - state.norm_squared()).max())
-    return TransportResult(params, maps, {"norm_drift": drift},
-                           lambda i: FermionState(psis[i], Event(positions[i], chart_id),
-                                                  velocities[i]))
+    return carry(state, worldline, lambda params: propagate(worldline, generator, params, tol),
+                 n_samples)
 
 
 def _wigner_generator(u, du, omega_pull):

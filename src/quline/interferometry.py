@@ -24,9 +24,7 @@ import numpy as np
 
 from .errors import (ComplexVelocity, DomainError, HilbertSpaceMismatch,
                      OrthogonalStates, QulineError, WavevectorMismatch, reject_where)
-from .fermion import FermionState, inner_product
 from .geometry import Event
-from .photon import PhotonState, photon_inner_product
 from .worldline import _dop853, _restricted, line_integral, rindler_speed_at_height
 
 
@@ -114,14 +112,8 @@ def displacement_phase(k_lower, x1, x2):
 
 def transport_phase(state1, state2) -> float:
     """arg <psi1|psi2> in (-pi, pi]; error when the overlap vanishes."""
-    if isinstance(state1, FermionState) and isinstance(state2, FermionState):
-        ov = inner_product(state1, state2)
-        scale = np.sqrt(state1.norm_squared() * state2.norm_squared())
-    elif isinstance(state1, PhotonState) and isinstance(state2, PhotonState):
-        ov = photon_inner_product(state1, state2)
-        scale = np.sqrt(state1.norm_squared() * state2.norm_squared())
-    else:
-        raise HilbertSpaceMismatch("cannot compare states of different realizations")
+    ov = state1.inner(state2)
+    scale = np.sqrt(state1.norm_squared() * state2.norm_squared())
     if abs(ov) <= 1e-12 * max(scale, 1e-300):
         raise OrthogonalStates("transport phase of orthogonal states is undefined")
     return float(np.angle(ov))
@@ -137,19 +129,10 @@ def recombine(state1, state2, a, b, delta_theta):
     """
     if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
         raise QulineError("splitter amplitudes must satisfy |a|^2 + |b|^2 = 1")
-    phase = np.exp(1j * delta_theta)
-    if isinstance(state1, FermionState) and isinstance(state2, FermionState):
-        if not state1.same_space(state2):
-            raise HilbertSpaceMismatch("recombining states from different Hilbert spaces")
-        out = FermionState(a * state1.psi + b * phase * state2.psi,
-                           state1.event, state1.velocity)
-    elif isinstance(state1, PhotonState) and isinstance(state2, PhotonState):
-        if not state1.same_space(state2):
-            raise HilbertSpaceMismatch("recombining states from different Hilbert spaces")
-        out = PhotonState(a * state1.pol + b * phase * state2.pol,
-                          state1.event, state1.wavevector)
-    else:
-        raise HilbertSpaceMismatch("cannot recombine states of different realizations")
+    if not state1.same_space(state2):
+        raise HilbertSpaceMismatch("recombining states from different Hilbert spaces")
+    out = type(state1)(a * state1.amplitude + b * np.exp(1j * delta_theta) * state2.amplitude,
+                       state1.event, state1.label)
     return out, 0.5 * out.norm_squared()
 
 
@@ -177,7 +160,7 @@ def cow_phase(mass, v1, dz, ell, g, mode="exact", dps=None):
         raise QulineError(f"unknown cow mode {mode!r}")
     if dps is None:
         return float(cow_phases(mass, v1, dz, ell, g, (mode,))[mode])
-    _check_cow_inputs(v1, dz, ell, g)
+    _check_cow_inputs(mass, v1, dz, ell, g)
     if dz == 0.0:
         return 0.0
     with mp.workdps(dps):
@@ -192,12 +175,13 @@ def cow_phases(mass, v1, dz, ell, g, modes=COW_MODES):
     """
     mass, v1, dz, ell, g = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (mass, v1, dz, ell, g)))
-    _check_cow_inputs(v1, dz, ell, g)
+    _check_cow_inputs(mass, v1, dz, ell, g)
     phases = _cow_formulas(np, mass, v1, dz, ell, g, modes)
     return {mode: np.where(dz == 0.0, 0.0, phase) for mode, phase in phases.items()}
 
 
-def _check_cow_inputs(v1, dz, ell, g):
+def _check_cow_inputs(mass, v1, dz, ell, g):
+    reject_where(np.logical_not(mass > 0.0), DomainError, "mass must be positive", mass=mass)
     reject_where(np.logical_not((0.0 < v1) & (v1 < 1.0)), DomainError,
                  "v1 must lie in (0, 1) in natural units", v1=v1)
     reject_where((dz < 0) | (ell <= 0) | (g <= 0), DomainError,
@@ -242,6 +226,7 @@ def cow_interferometer(mass, v1, dz, ell, g):
     reach of those phases; for laboratory-scale parameters use the closed
     forms (optionally with ``dps``) instead.
     """
+    _check_cow_inputs(mass, v1, dz, ell, g)
     g00_top = (1.0 + dz * g) ** 2
     gamma1 = 1.0 / np.sqrt(1.0 - v1 * v1)
     v2 = rindler_speed_at_height(v1, dz, g)

@@ -23,7 +23,7 @@ from .errors import DegenerateSetup, HilbertSpaceMismatch, QulineError
 from .fermion import FermionState
 from .photon import PhotonState, adaptation_rotation
 from .spin_algebra import (ETA, SIGMA_BAR, check_norm, generator_contraction, minkowski_dot,
-                           product_bound, same_label, velocity_inner_product_matrix)
+                           product_bound, same_label)
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,8 @@ def measure_spin(state: FermionState, setup: SternGerlachSetup, rng=None):
         raise HilbertSpaceMismatch("setup particle velocity differs from the state label")
     rng = np.random.default_rng(rng)
     _, proj = spin_operator(setup)
-    metric = velocity_inner_product_matrix(state.velocity)
-    total = float(np.real(state.psi.conj() @ metric @ state.psi))
+    metric = state.metric()
+    total = state.norm_squared()
     probs = {}
     for label, p in ((+1, proj.plus), (-1, proj.minus)):
         phi = p @ state.psi

@@ -5,6 +5,11 @@ complex polarization vectors orthogonal to the null velocity u^I.  Transport
 is parallel transport along the null geodesic; the arbitrary gauge term is
 fixed for reporting by the canonical representative with psi^0 = 0.
 
+:class:`PhotonState` is the polarization realization of the one qubit state
+:class:`quline.worldline.LocalizedState`; :func:`transport` hands the parallel
+propagator to the shared :func:`quline.worldline.carry` and adds the
+canonical gauge and the transversality audit.
+
 An adaptation rotation R(u) takes u to the standard form (1,0,0,1); its
 middle rows form the diad f^A_I whose contraction with psi^I is the
 gauge-invariant Jones vector.
@@ -16,56 +21,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdaptationSingular, HilbertSpaceMismatch, QulineError
-from .geometry import Event, parallel_propagator
-from .spin_algebra import ETA, axis_rotation, check_norm, same_label
-from .worldline import TransportResult, line_integral
+from .errors import AdaptationSingular, QulineError
+from .geometry import parallel_propagator
+from .spin_algebra import ETA, axis_rotation
+from .worldline import LocalizedState, carry, line_integral
 
 SINGULAR_TOL = 1e-8
-_LABEL = "wavevector must be future null"
+_METRIC = -ETA      # the gauge-class inner product -eta_IJ
 
 
-@dataclass(frozen=True)
-class PhotonState:
-    """Polarization vector psi^I (tetrad components) on (event, null wavevector)."""
+class PhotonState(LocalizedState):
+    """Polarization vector psi^I (tetrad components) on (event, null wavevector),
+    with the gauge-class inner product -eta_IJ conj(psi)^I psi^J (transversality
+    assumed)."""
 
-    pol: np.ndarray
-    event: Event
-    wavevector: np.ndarray
+    dim, label_norm = 4, 0
+    label_message = "wavevector must be future null"
+    pol = property(lambda self: self.amplitude)
+    wavevector = property(lambda self: self.label)
 
-    def __post_init__(self):
-        pol = np.asarray(self.pol, dtype=complex).reshape(4)
-        k = np.asarray(self.wavevector, dtype=float).reshape(4)
-        check_norm(k, 0, _LABEL)
-        object.__setattr__(self, "pol", pol)
-        object.__setattr__(self, "wavevector", k)
+    def metric(self):
+        return _METRIC
+
+    @staticmethod
+    def metrics(labels):
+        return np.broadcast_to(_METRIC, (len(labels), 4, 4))
 
     def transversality(self):
         """|u_I psi^I|; zero for a valid polarization."""
         return abs(complex((ETA @ self.wavevector) @ self.pol))
 
-    def norm_squared(self):
-        """Gauge-class norm -eta_IJ conj(psi)^I psi^J (transversality assumed)."""
-        return float(np.real(-(self.pol.conj() @ ETA @ self.pol)))
-
-    def normalized(self):
-        n = np.sqrt(self.norm_squared())
-        if n == 0.0:
-            raise QulineError("cannot normalize the zero polarization")
-        return PhotonState(self.pol / n, self.event, self.wavevector)
-
     def canonical(self):
         """Representative with psi^0 = 0 (subtracts a multiple of u)."""
-        shift = self.pol[0] / self.wavevector[0]
-        return PhotonState(self.pol - shift * self.wavevector.astype(complex),
-                           self.event, self.wavevector)
+        return self.gauge_shift(-self.pol[0] / self.wavevector[0])
 
     def gauge_shift(self, upsilon):
         return PhotonState(self.pol + upsilon * self.wavevector.astype(complex),
                            self.event, self.wavevector)
-
-    def same_space(self, other):
-        return self.event.close_to(other.event) and same_label(self.wavevector, other.wavevector)
 
 
 @dataclass(frozen=True)
@@ -121,9 +113,7 @@ def jones_to_state(jones, wavevector, event):
 
 def photon_inner_product(a: PhotonState, b: PhotonState) -> complex:
     """-eta_IJ conj(a)^I b^J; requires equal wavevectors (same Hilbert space)."""
-    if not a.same_space(b):
-        raise HilbertSpaceMismatch("photon states have different (event, wavevector) labels")
-    return complex(-(a.pol.conj() @ ETA @ b.pol))
+    return a.inner(b)
 
 
 def transport(state: PhotonState, worldline, tol=1e-12, n_samples=201):
@@ -134,26 +124,13 @@ def transport(state: PhotonState, worldline, tol=1e-12, n_samples=201):
     """
     if worldline.kind != "null":
         raise QulineError("photon transport needs a null worldline")
-    t0, t1 = worldline.param_span
-    if not (state.event.close_to(worldline.start_event)
-            and same_label(state.wavevector, worldline.velocity(t0))):
-        raise HilbertSpaceMismatch("state label differs from the worldline start")
-    scale = max(1.0, state.wavevector[0])
-    params = np.linspace(t0, t1, n_samples)
-    maps = parallel_propagator(worldline, params, tol)
-    pols = maps @ state.pol
-    positions, wavevectors = worldline.trajectory(params)
-    worldline.model.check_domain(positions)
-    check_norm(wavevectors, 0, _LABEL)
-    trans = np.abs(np.sum((wavevectors @ ETA) * pols, axis=1)) / scale
-    norms = -np.einsum("ni,ij,nj->n", pols.conj(), ETA, pols).real
-    canonical = pols - (pols[:, 0] / wavevectors[:, 0])[:, None] * wavevectors
-    chart_id = worldline.model.chart_id
-    return TransportResult(
-        params, maps,
-        {"norm_drift": float(np.abs(norms - state.norm_squared()).max()),
-         "transversality_drift": float(trans.max())},
-        lambda i: PhotonState(canonical[i], Event(positions[i], chart_id), wavevectors[i]))
+
+    def canonical(pols, wavevectors):
+        trans = np.abs(np.sum((wavevectors @ ETA) * pols, axis=1)) / max(1.0, state.label[0])
+        return (pols - (pols[:, 0] / wavevectors[:, 0])[:, None] * wavevectors,
+                {"transversality_drift": float(trans.max())})
+    return carry(state, worldline, lambda params: parallel_propagator(worldline, params, tol),
+                 n_samples, canonical)
 
 
 def _wigner_rate(x, u, a, xdot, pulled):

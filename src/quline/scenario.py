@@ -32,7 +32,7 @@ from .interferometry import (COW_MODES, arm_phase, cow_phases, displacement_phas
 from .measurement import (SternGerlachSetup, circular_polarizer,
                           linear_polarizer, measure_polarization, measure_spin,
                           stern_gerlach_axis)
-from .photon import PhotonState, apply_jones, jones_to_state
+from .photon import apply_jones, jones_to_state
 from .photon import transport as photon_transport
 from .spin_algebra import check_norm, minkowski_dot, spin1_boost
 from .units import from_natural, parse_quantity
@@ -301,8 +301,8 @@ def _lookup(entries, name, what, block):
 def load_scenario(path):
     """The blocks of a scenario file, unparsed; an empty block counts as absent."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
         raise ScenarioParseError(f"cannot read scenario file: {exc}")
     try:
         data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
@@ -382,19 +382,20 @@ def _carry(qubit, state, wl, tol):
 
 
 def _state_payload(state):
-    fermion = isinstance(state, FermionState)
-    amp, label = (state.psi, state.velocity) if fermion else (state.pol, state.wavevector)
+    fermion, amp = isinstance(state, FermionState), state.amplitude
     return {"components" if fermion else "polarization":
             [float(v) for pair in zip(amp.real, amp.imag) for v in pair],
             "event": [float(c) for c in state.event.coords],
-            "velocity" if fermion else "wavevector": [float(v) for v in label]}
+            "velocity" if fermion else "wavevector": [float(v) for v in state.label]}
 
 
 class ScenarioRun:
     """One scenario, parsed and resolved when built: every key, reference,
     kind and parameter is checked, the interferometer's arm phases and the
     ``cow`` row are evaluated, and each schedule op becomes a callable, which
-    :meth:`execute` only runs."""
+    :meth:`execute` only runs, from the initial states each time.  Each
+    transport must start where the schedule has left its qubit: at the end of
+    its previous transport, or else at its initial label."""
 
     def __init__(self, data, seed=0):
         blocks = _parse(data, SCENARIO, "")
@@ -404,12 +405,12 @@ class ScenarioRun:
                            for name, spec in blocks["worldlines"].items()}
         self.qubits = {name: self._qubit(name, spec)
                        for name, spec in blocks["qubits"].items()}
-        self.ops = [self._op(idx, op) for idx, op in enumerate(blocks["schedule"])]
+        labels = {name: (q["state"].event, q["state"].label) for name, q in self.qubits.items()}
+        self.ops = [self._op(idx, op, labels) for idx, op in enumerate(blocks["schedule"])]
         self.interferometer = (None if blocks["interferometer"] is None
                                else self._interferometer(blocks["interferometer"]))
         self.cow = None if blocks["cow"] is None else cow_row(blocks["cow"])
         self.output = blocks["output"]
-        self.audit = {"norm_drift": 0.0, "transversality_drift": 0.0}
 
     # -- parsing and resolution ----------------------------------------------
     def _worldline(self, name, kind, block):
@@ -421,26 +422,31 @@ class ScenarioRun:
 
     def _qubit(self, name, q):
         wl = self._worldline(q["worldline"], q["kind"], f"qubits.{name}")
-        u0 = wl.velocity(wl.param_span[0])
+        start, u0 = wl.label_at(wl.param_span[0])
         if q["kind"] == "fermion":
-            state = FermionState(_complex_pair(q["state"]), wl.start_event, u0)
+            state = FermionState(_complex_pair(q["state"]), start, u0)
             return {**q, "state": state.normalized()}
         jones = _complex_pair(q["jones"])
         try:
-            state = jones_to_state(jones / np.linalg.norm(jones), u0, wl.start_event)
+            state = jones_to_state(jones / np.linalg.norm(jones), u0, start)
         except AdaptationSingular as exc:
             raise AdaptationSingular(f"[qubits.{name}] {exc}") from None
         return {**q, "state": state}
 
-    def _op(self, idx, op):
+    def _op(self, idx, op, labels):
         """Schedule entry ``idx`` resolved: the head of its report row, and a callable
-        of the random generator that performs the op and returns the rest of it."""
+        of the random generator that performs the op and returns the rest of it.
+        ``labels`` maps each qubit to its (event, label); a transport moves it."""
         block = f"schedule[{idx}]"
         name, qubit = op["op"], _lookup(self.qubits, op["qubit"], "qubit", block)
         head = {"step": idx, "op": name, "qubit": op["qubit"]}
         if name == "transport":
             wl = self._worldline(op["worldline"] or qubit["worldline"], qubit["kind"], block)
-            return head, partial(self._transport, qubit, wl, op["tolerance"])
+            if not wl.starts_at(*labels[op["qubit"]]):
+                raise ScenarioError("the worldline does not start at the qubit's label",
+                                    block=block)
+            labels[op["qubit"]] = wl.label_at(wl.param_span[1])
+            return head, partial(self._transport, op["qubit"], wl, op["tolerance"])
         needs = "fermion" if name == "measure_spin" else "photon"
         if qubit["kind"] != needs:
             raise ScenarioError(f"{name} needs a {needs} qubit", block=block)
@@ -449,13 +455,13 @@ class ScenarioRun:
             m_dir = op["orientation"] / np.linalg.norm(op["orientation"])
             m = spin1_boost(beta) @ np.array([0.0, *m_dir])   # DomainError if |beta| >= 1
             v = 1.0 / np.sqrt(1.0 - beta @ beta) * np.array([1.0, *beta])
-            return head, partial(self._measure_spin, qubit, m, v)
+            return head, partial(self._measure_spin, op["qubit"], m, v)
         if name == "optic":
-            return head, partial(self._optic, qubit, _jones_matrix(op), block)
+            return head, partial(self._optic, op["qubit"], _jones_matrix(op), block)
         pol = op["polarizer"]
         polarizer = (partial(linear_polarizer, pol["angle"]) if pol["type"] == "linear"
                      else partial(circular_polarizer, pol["handedness"]))
-        return head, partial(self._measure_polarization, qubit, polarizer)
+        return head, partial(self._measure_polarization, op["qubit"], polarizer)
 
     def _interferometer(self, mz):
         """The ``interferometer`` block resolved, its arm phases evaluated: a
@@ -496,7 +502,7 @@ class ScenarioRun:
         if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
             raise ScenarioParseError("amplitudes must satisfy |a|^2 + |b|^2 = 1", block=block)
         tol = 1e-12 if mz["tolerance"] is None else mz["tolerance"]
-        return partial(self._recombine, row, dtheta, arms, qubit, (a, b), tol)
+        return partial(self._recombine, row, dtheta, arms, mz["qubit"], (a, b), tol)
 
     # -- validation --------------------------------------------------------
     def diagnostics(self):
@@ -530,6 +536,8 @@ class ScenarioRun:
 
     # -- execution ---------------------------------------------------------
     def execute(self):
+        self.states = {name: q["state"] for name, q in self.qubits.items()}
+        self.audit = dict.fromkeys(CORE_TOLERANCES, 0.0)
         rng = np.random.default_rng(self.seed)
         results = {"schedule": [{**head, **perform(rng)} for head, perform in self.ops]}
         if self.cow is not None:
@@ -542,51 +550,48 @@ class ScenarioRun:
         # np.maximum keeps a NaN drift, which then counts as a violation
         self.audit[key] = np.maximum(self.audit[key], drift)
 
-    def _transport(self, qubit, wl, tol, rng):
-        res = _carry(qubit, qubit["state"], wl, tol)
-        if qubit["kind"] == "photon":
-            self._audit("transversality_drift", res.audits["transversality_drift"])
-        self._audit("norm_drift", res.norm_drift)
-        qubit["state"] = res.final
+    def _transport(self, name, wl, tol, rng):
+        res = _carry(self.qubits[name], self.states[name], wl, tol)
+        for key, drift in res.audits.items():
+            self._audit(key, drift)
+        self.states[name] = res.final
         return {"state": _state_payload(res.final), "norm_drift": float(res.norm_drift)}
 
-    def _measure_spin(self, qubit, m, v, rng):
-        setup = SternGerlachSetup(m, v, qubit["state"].velocity)
-        outcome, post, probs = measure_spin(qubit["state"], setup, rng)
-        qubit["state"] = post
+    def _measure_spin(self, name, m, v, rng):
+        setup = SternGerlachSetup(m, v, self.states[name].velocity)
+        outcome, post, probs = measure_spin(self.states[name], setup, rng)
+        self.states[name] = post
         return {"outcome": int(outcome), "p_plus": float(probs[+1]), "p_minus": float(probs[-1]),
                 "axis": [float(x) for x in stern_gerlach_axis(setup)],
                 "state": _state_payload(post)}
 
-    def _optic(self, qubit, matrix, block, rng):
-        qubit["state"] = apply_jones(qubit["state"], matrix)
-        norm = qubit["state"].norm_squared()
+    def _optic(self, name, matrix, block, rng):
+        state = self.states[name] = apply_jones(self.states[name], matrix)
+        norm = state.norm_squared()
         if not 0.0 < norm < np.inf:
             raise DomainError(f"[{block}] the optic leaves no photon (norm squared {abs(norm)})")
-        return {"state": _state_payload(qubit["state"])}
+        return {"state": _state_payload(state)}
 
-    def _measure_polarization(self, qubit, polarizer, rng):
-        pol = polarizer(qubit["state"].wavevector)
-        transmitted, post, p = measure_polarization(qubit["state"], pol, rng)
+    def _measure_polarization(self, name, polarizer, rng):
+        state = self.states[name]
+        transmitted, post, p = measure_polarization(state, polarizer(state.wavevector), rng)
         if transmitted:
-            qubit["state"] = post
+            self.states[name] = post
         return {"transmitted": bool(transmitted), "probability": float(p)}
 
-    def _recombine(self, row, dtheta, arms, qubit, amplitudes, tol):
+    def _recombine(self, row, dtheta, arms, name, amplitudes, tol):
         """The interferometer row completed by the transport and total phase
         differences and the detector-port probability."""
-        fermion = qubit["kind"] == "fermion"
-        State, amp = (FermionState, "psi") if fermion else (PhotonState, "pol")
+        state = self.states[name]
         # the splitter is not modelled dynamically: both components start
         # as the same state, each attached to its own arm's launch label
         finals = []
         for a in arms:
-            wl, t0 = a.worldline, a.worldline.param_span[0]
-            launch = State(getattr(qubit["state"], amp), wl.event(t0), wl.velocity(t0))
-            finals.append(_carry(qubit, launch, wl, tol).final)
+            launch = type(state)(state.amplitude, *a.worldline.label_at(a.worldline.param_span[0]))
+            finals.append(_carry(self.qubits[name], launch, a.worldline, tol).final)
         s1, s2 = finals
         # identify the two endpoint Hilbert spaces across the small region
-        s2 = State(getattr(s2, amp), s1.event, s1.velocity if fermion else s1.wavevector)
+        s2 = type(s2)(s2.amplitude, s1.event, s1.label)
         dtheta_trans = transport_phase(s1, s2)
         # the transported states already carry their relative transport
         # phase; recombination adds only the wavepacket phase difference

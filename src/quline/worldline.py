@@ -17,6 +17,7 @@ reader comes from it:
                                 for a 1-d array of n parameters, (n, 4)
                                 arrays and an (n, 4, 4) one
 * ``trajectory(params)``        positions and velocities, two (n, 4) arrays
+* ``label_at(lam)``             the Hilbert-space label (Event, u^I) of a qubit there
 
 The functions that build worldlines differ only in the motion they give: a
 closed form is one function of the parameter, ``AnalyticWorldline`` calls
@@ -30,8 +31,13 @@ verified after integration, never re-imposed.
 Every qubit observable comes from one linear transport dS/dlam = G(lam) S
 of 2x2 spin-half maps along a worldline (vectors take their Lorentz image);
 :func:`propagate` returns S at the requested parameters from Magnus steps on
-G at Gauss nodes, and callers apply it to their states; a scalar integral
-along it (:func:`line_integral`) is the transport of a nilpotent generator.
+G at Gauss nodes.  A qubit state is one :class:`LocalizedState`, an
+amplitude on the Hilbert space its (event, label) names, realized as a spin
+(``fermion.FermionState``) or a polarization (``photon.PhotonState``), which
+add only their amplitude length, label norm and inner-product matrices;
+:func:`carry` applies a transport's maps to one and samples it along the
+worldline, for both realizations alike.  A scalar integral along a
+worldline (:func:`line_integral`) is the transport of a nilpotent generator.
 The kernel refines its grid in rounds, level 0 the first, each evaluating G
 in one call per CHUNK intervals: an interval the error estimate rejects is
 split at once into the 2^m equal parts the estimate asks for, with depth
@@ -49,14 +55,15 @@ from __future__ import annotations
 import csv
 import warnings
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853
 
-from .errors import (ComplexVelocity, DomainError, QulineError, ToleranceError,
-                     reject_where)
+from .errors import (ComplexVelocity, DomainError, HilbertSpaceMismatch, QulineError,
+                     ToleranceError, reject_where)
 from .geometry import Event, _AnalyticModel
-from .spin_algebra import _ROUNDING, ETA, check_norm, minkowski_dot
+from .spin_algebra import _ROUNDING, ETA, check_norm, minkowski_dot, same_label
 
 
 class EMField:
@@ -160,6 +167,16 @@ class Worldline:
     @property
     def start_event(self):
         return self.event(self.param_span[0])
+
+    def label_at(self, lam):
+        """The Hilbert-space label (event, velocity) at ``lam``, from one motion."""
+        x, u, _ = self.motion(lam)
+        return Event(x, self.model.chart_id), u
+
+    def starts_at(self, event, label):
+        """True when (``event``, ``label``) names the Hilbert space at the start."""
+        start, u = self.label_at(self.param_span[0])
+        return event.close_to(start) and same_label(label, u)
 
     def sample_params(self, n=201):
         return np.linspace(self.param_span[0], self.param_span[1], n)
@@ -425,12 +442,80 @@ class TransportResult:
         self.params = params
         self.propagators = propagators
         self.audits = audits
-        self.norm_drift = audits["norm_drift"]
         self.states = LazyStates(build, len(params))
+
+    @property
+    def norm_drift(self):
+        return self.audits["norm_drift"]
 
     @property
     def final(self):
         return self.states[-1]
+
+
+@dataclass(frozen=True)
+class LocalizedState:
+    """A localized qubit: an amplitude on the Hilbert space its (event, label)
+    names.  A realization sets the amplitude length ``dim``, the label norm
+    ``label_norm`` and ``label_message``, and the inner-product matrix at its
+    label, ``metric()``, and at each row of an (n, 4) stack, ``metrics``."""
+
+    amplitude: np.ndarray
+    event: Event
+    label: np.ndarray
+
+    def __post_init__(self):
+        amplitude = np.asarray(self.amplitude, dtype=complex).reshape(self.dim)
+        label = np.asarray(self.label, dtype=float).reshape(4)
+        check_norm(label, self.label_norm, self.label_message)
+        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "label", label)
+
+    def same_space(self, other):
+        return (type(self) is type(other) and self.event.close_to(other.event)
+                and same_label(self.label, other.label))
+
+    def inner(self, other):
+        """<self|other>; the states must share their Hilbert space."""
+        if not self.same_space(other):
+            raise HilbertSpaceMismatch("states live in different Hilbert spaces")
+        return complex(self.amplitude.conj() @ self.metric() @ other.amplitude)
+
+    def norm_squared(self):
+        return float(np.real(self.amplitude.conj() @ self.metric() @ self.amplitude))
+
+    def normalized(self):
+        n = np.sqrt(self.norm_squared())
+        if n == 0.0:
+            raise QulineError("cannot normalize the zero state")
+        return type(self)(self.amplitude / n, self.event, self.label)
+
+
+def carry(state, worldline, propagator, n_samples, gauge=None):
+    """Carry ``state`` from the start of ``worldline``, where its label must be,
+    by the maps ``propagator(params)`` at ``n_samples`` evenly spaced parameters.
+
+    Each sample takes the worldline's (event, label) there, whose domain and
+    label norm are checked; the norm drift is audited.  ``gauge(amplitudes,
+    labels)``, if given, returns the amplitudes reported and further audits.
+    """
+    if not worldline.starts_at(state.event, state.label):
+        raise HilbertSpaceMismatch("state label differs from the worldline start")
+    params = np.linspace(*worldline.param_span, n_samples)
+    maps = propagator(params)
+    amplitudes = maps @ state.amplitude
+    positions, labels = worldline.trajectory(params)
+    worldline.model.check_domain(positions)
+    check_norm(labels, state.label_norm, state.label_message)
+    norms = np.einsum("na,nab,nb->n", amplitudes.conj(), state.metrics(labels), amplitudes).real
+    audits = {"norm_drift": float(np.abs(norms - state.norm_squared()).max())}
+    if gauge is not None:
+        amplitudes, more = gauge(amplitudes, labels)
+        audits.update(more)
+    chart_id, realization = worldline.model.chart_id, type(state)
+    return TransportResult(params, maps, audits,
+                           lambda i: realization(amplitudes[i], Event(positions[i], chart_id),
+                                                 labels[i]))
 
 
 # Gauss-Legendre nodes on [0, 1].  An interval of the transport kernel takes

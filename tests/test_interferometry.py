@@ -331,6 +331,16 @@ class TestCowPhase:
             with pytest.raises(DomainError):
                 itf.cow_phase(1.0, v1, dz, ell, g, "standard", dps=dps)
 
+    @pytest.mark.parametrize("mass", [-1.0, 0.0, np.nan])
+    def test_mass_must_be_positive(self, mass):
+        for dps in (None, 30):
+            with pytest.raises(DomainError, match="mass must be positive"):
+                itf.cow_phase(mass, 0.5, 0.1, 1.0, 0.01, "exact", dps=dps)
+        with pytest.raises(DomainError, match=r"mass must be positive \(mass="):
+            itf.cow_phases(np.array([1.0, mass]), 0.5, 0.1, 1.0, 0.01)
+        with pytest.raises(DomainError, match="mass must be positive"):
+            itf.cow_interferometer(mass, 0.3, 0.05, 2.0, 0.4)
+
     def test_each_mode_guards_only_itself(self):
         # 2 dz g >> v1^2: no real upper-path speed, yet the two
         # non-relativistic closed forms stay defined
@@ -353,8 +363,8 @@ class TestCowPhase:
                 itf.cow_phase(M_NAT, V1_NAT, float(d), ELL, G_NAT, mode) for d in dz]
 
     def test_zero_height_rows_are_exactly_zero(self):
-        # the formulas alone would give -0.0 here (negative mass)
-        phases = itf.cow_phases(-1.0, 0.5, np.array([0.0, 0.1]), 1.0, 0.1)
+        # the formulas alone would give -0.0 here (a height of -0.0)
+        phases = itf.cow_phases(1.0, 0.5, np.array([-0.0, 0.1]), 1.0, 0.1)
         for mode in itf.COW_MODES:
             assert phases[mode][0] == 0.0 and np.copysign(1.0, phases[mode][0]) == 1.0
 
@@ -401,6 +411,10 @@ class TestCowAssembly:
         dtheta = itf.phase_difference(arm1, arm2, enforce_match=False)
         exact = itf.cow_phase(mode="exact", **BENCH)
         assert dtheta == pytest.approx(exact, rel=1e-11)
+
+    def test_inputs_are_checked_as_the_closed_forms_check_them(self):
+        with pytest.raises(DomainError, match="v1 must lie in"):
+            itf.cow_interferometer(1.0, 1.5, 0.05, 2.0, 0.4)
 
 
 def test_leg_assembly_at_zero_height_takes_no_step():

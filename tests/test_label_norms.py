@@ -196,7 +196,7 @@ def test_every_site_gives_a_label_pair_one_match(kind, a, b, same, swap):
     assert sa.same_label(a, b) == same
 
 
-LABEL_NAMES = {"velocity", "wavevector", "context_velocity", "particle_velocity"}
+LABEL_NAMES = {"label", "velocity", "wavevector", "context_velocity", "particle_velocity"}
 
 
 def is_label(node):

@@ -1,0 +1,78 @@
+"""A localized qubit is one ``LocalizedState``: an amplitude, an event and a
+label, carried along a worldline by one ``carry``.
+
+The spin and polarization states differ only in their data and formulas (the
+amplitude length, the label norm, the inner-product matrices), so neither
+writes its own label check, inner product or normalization, and the code that
+compares, recombines or transports a state does not ask which realization it
+has.  A scan of the classes and of the source of those functions pins that.
+"""
+
+import ast
+import inspect
+import textwrap
+
+import numpy as np
+import pytest
+
+from quline import fermion, interferometry, photon, scenario
+from quline.errors import HilbertSpaceMismatch
+from quline.geometry import make_builtin_model
+from quline.worldline import LocalizedState, static_worldline
+
+FLAT = make_builtin_model("minkowski", [])
+SHARED = ("__post_init__", "same_space", "inner", "norm_squared", "normalized")
+REALIZATIONS = [fermion.FermionState, photon.PhotonState]
+
+
+def tree(function):
+    return ast.parse(textwrap.dedent(inspect.getsource(function)))
+
+
+@pytest.mark.parametrize("cls", REALIZATIONS, ids=lambda cls: cls.__name__)
+def test_realizations_write_nothing_the_state_shares(cls):
+    assert cls.__bases__ == (LocalizedState,)
+    assert [name for name in SHARED if name in vars(cls)] == []
+
+
+BLIND = {"transport_phase": interferometry.transport_phase,
+         "recombine": interferometry.recombine,
+         "ScenarioRun._recombine": scenario.ScenarioRun._recombine,
+         "ScenarioRun._transport": scenario.ScenarioRun._transport}
+
+
+@pytest.mark.parametrize("name", sorted(BLIND))
+def test_no_realization_branch(name):
+    found = [f"line {node.lineno}" for node in ast.walk(tree(BLIND[name]))
+             if (isinstance(node, ast.Name) and node.id == "isinstance")
+             or (isinstance(node, ast.Attribute) and node.attr in ("psi", "pol"))]
+    assert found == []
+
+
+@pytest.mark.parametrize("module", [fermion, photon], ids=lambda m: m.__name__)
+def test_transports_call_the_shared_carry(module):
+    calls = {node.func.id for node in ast.walk(tree(module.transport))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "carry" in calls
+
+
+def test_aliases_read_the_shared_fields():
+    line = static_worldline(FLAT, [0.0, 0.0, 0.0], 1.0)
+    spin = fermion.FermionState([0.6, 0.8j], line.start_event, line.velocity(0.0))
+    pol = photon.PhotonState([0.0, 1.0, 0.0, 0.0], line.start_event, [1.0, 0.0, 0.0, 1.0])
+    assert spin.psi is spin.amplitude and spin.velocity is spin.label
+    assert pol.pol is pol.amplitude and pol.wavevector is pol.label
+    with pytest.raises(AttributeError):
+        spin.psi = np.zeros(2)
+
+
+def test_states_of_different_realizations_share_no_space():
+    # a spin and a polarization state at one event live in different spaces
+    event = FLAT.event(0.0, 0.0, 0.0, 0.0)
+    spin = fermion.FermionState([1.0, 0.0], event, [1.0, 0.0, 0.0, 0.0])
+    pol = photon.PhotonState([0.0, 1.0, 0.0, 0.0], event, [1.0, 0.0, 0.0, 1.0])
+    assert not spin.same_space(pol) and not pol.same_space(spin)
+    with pytest.raises(HilbertSpaceMismatch):
+        interferometry.transport_phase(spin, pol)
+    with pytest.raises(HilbertSpaceMismatch):
+        interferometry.recombine(pol, spin, 1.0, 0.0, 0.0)

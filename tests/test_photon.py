@@ -121,6 +121,19 @@ class TestInnerProduct:
             val = ph.photon_inner_product(a2, b2)
             assert abs(val - (ja.conj() @ jb)) < 1e-12
 
+    def test_transversality(self):
+        # |k_I psi^I|: zero for a transverse polarization and, up to rounding,
+        # for a gauge shift of it; |c (0.6 k^0 - 0.8 k^3)| once c (0.6, 0, 0, 0.8)
+        # is added
+        k = np.array([2.0, 0.0, 1.2, 1.6])
+        st = ph.PhotonState([0.0, 1.0, 0.0, 0.0], FLAT.event(0, 0, 0, 0), k)
+        assert st.transversality() == 0.0
+        assert st.gauge_shift(0.3 - 1.1j).transversality() <= 1e-15
+        shifted = ph.PhotonState(st.pol + (0.5 + 0.5j) * np.array([0.6, 0.0, 0.0, 0.8]),
+                                 st.event, k)
+        assert shifted.transversality() == pytest.approx(abs((0.5 + 0.5j) * (1.2 - 1.28)),
+                                                         rel=1e-15)
+
     def test_wavevector_mismatch(self):
         ev = FLAT.event(0, 0, 0, 0)
         a = ph.PhotonState([0, 1, 0, 0], ev, [1.0, 0, 0, 1.0])

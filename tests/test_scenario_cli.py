@@ -73,7 +73,10 @@ EXPECTED_ERRORS = {"interferometer_arm": ScenarioReferenceError,
                    "past_pointing_wavevector": ScenarioError,
                    "overflowing_wavevector": ScenarioError,
                    "tiny_timelike_wavevector": ScenarioError,
-                   "static_on_time_space_tetrad": ScenarioError}
+                   "static_on_time_space_tetrad": ScenarioError,
+                   "transport_twice_on_a_static_line": ScenarioError,
+                   "transport_from_elsewhere": ScenarioError,
+                   "photon_onto_another_ray": ScenarioError}
 
 
 def _tabulated(entry, value):
@@ -235,6 +238,19 @@ class TestValidate:
         ("singular_tabulated_tetrad", _tabulated(3, 0.0)),
         ("non_finite_tabulated_tetrad", _tabulated((2, 1), np.inf)),
         ("static_on_time_space_tetrad", _tabulated((0, 1), 0.1)),
+        ("span_in_kg", lambda d: d["worldlines"]["rest_line"].update(span="2 kg")),
+        ("file_not_utf8", lambda d: yaml.safe_dump(d).encode() + b"# \xff\n"),
+        ("top_level_list", lambda d: yaml.safe_dump([d]).encode()),
+        # a transport must start where the schedule has left its qubit
+        ("transport_twice_on_a_static_line", lambda d: d["schedule"].append(
+            {"op": "transport", "qubit": "q0", "worldline": "rest_line"})),
+        ("transport_from_elsewhere", lambda d: (
+            _worldline(type="static", position=[1, 0, 0], span="1e-6 s")(d),
+            d["schedule"][0].update(worldline="line"))),
+        ("photon_onto_another_ray", lambda d: (
+            _photon()(d), d["worldlines"].update(
+                ray2={"type": "null_geodesic", "wavevector": [1, 1, 0, 0]}),
+            d["schedule"].append({"op": "transport", "qubit": "p0", "worldline": "ray2"}))),
     ])
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_malformed_entry_or_value(self, tmp_path, capsys, case, edit, command):
@@ -331,10 +347,11 @@ class TestValidate:
     @staticmethod
     def assert_rejected(tmp_path, capsys, scenario, edit, command,
                         error=ScenarioParseError):
+        # an edit that returns bytes gives the whole file in place of the edited scenario
         data = sc.load_scenario(SCENARIOS / scenario)
-        edit(data)
+        text = edit(data)
         path = tmp_path / "bad.scenario"
-        path.write_text(yaml.safe_dump(data))
+        path.write_bytes(text if isinstance(text, bytes) else yaml.safe_dump(data).encode())
         with pytest.raises(error):
             sc.ScenarioRun(sc.load_scenario(path)).diagnostics()
         code, prefix = {ScenarioParseError: (cli.EXIT_PARSE, "parse error:"),
@@ -409,7 +426,7 @@ class TestSchema:
 
         def nan_drift(*args, **kwargs):
             result = real(*args, **kwargs)
-            result.norm_drift = float("nan")
+            result.audits["norm_drift"] = float("nan")
             return result
         monkeypatch.setattr(sc, "fermion_transport", nan_drift)
         assert run_cli(["--out-dir", tmp_path, "run",
@@ -693,7 +710,11 @@ class TestSweep:
         ("sweep", "cow", "g", "1e9 m/s^2"),
         ("run", "cow", "v1", "3e8 m/s"),
         ("run", "cow", "dz", "-1 cm"),
-        ("run", "cow", "dz", "300 km")])
+        ("run", "cow", "dz", "300 km"),
+        ("run", "cow", "mass", "-1.674927e-27 kg"),
+        ("run", "cow", "mass", "0 kg"),
+        ("validate", "cow", "mass", "-1.674927e-27 kg"),
+        ("sweep", "cow", "mass", "-1.674927e-27 kg")])
     def test_cow_domain_exit(self, tmp_path, capsys, command, block, key, value):
         data = sc.load_scenario(SCENARIOS / "cow.scenario")
         data[block][key] = value
@@ -701,6 +722,15 @@ class TestSweep:
         path.write_text(yaml.safe_dump(data))
         assert run_cli(["--out-dir", tmp_path, command, path]) == cli.EXIT_DOMAIN
         assert capsys.readouterr().err.startswith("domain error:")
+
+    def test_sweep_through_a_nonpositive_mass_exits_4(self, tmp_path, capsys):
+        assert run_cli(["--out-dir", tmp_path, "sweep", SCENARIOS / "cow.scenario",
+                        "--parameter", "cow.mass", "--start", "-1 kg", "--stop", "1 kg",
+                        "--steps", "3"]) == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err     # the first row, in natural units
+        assert err.startswith("domain error: mass must be positive (mass=-2.84")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_interior_row_out_of_domain_exits_4(self, tmp_path, capsys):
         # thermal neutrons rise at most v1^2 / 2g ~ 247 km: rows 0-2 are
@@ -942,6 +972,15 @@ class TestInterferometerBlock:
         f = tmp_path / "ghost.scenario"
         f.write_text(yaml.safe_dump(scenario))
         assert run_cli(["--out-dir", tmp_path, "run", f]) == cli.EXIT_REFERENCE
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.scenario")))
+def test_run_is_repeatable(name):
+    """Each ``run`` of one ScenarioRun starts from the initial states with fresh
+    audits, so a second run reports what the first did, byte for byte."""
+    scenario = sc.ScenarioRun(sc.load_scenario(SCENARIOS / f"{name}.scenario"), seed=7)
+    first, second = (json.dumps(scenario.run(), sort_keys=True) for _ in range(2))
+    assert second == first
 
 
 def test_main_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
