@@ -133,7 +133,8 @@ def _parser():
     parser = argparse.ArgumentParser(
         prog="quline",
         description="Transport and measurement of localized qubits in curved spacetimes")
-    parser.add_argument("--seed", type=int, default=0, help="random seed for outcomes")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="random seed for outcomes (default: the scenario's seed, else 0)")
     parser.add_argument("--out-dir", default=None,
                         help="output directory (default: QULINE_OUT_DIR or '.')")
     sub = parser.add_subparsers(dest="command", required=True)

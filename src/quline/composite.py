@@ -95,16 +95,17 @@ def bipartite_inner_product(a: BipartiteState, b: BipartiteState, check=True) ->
 
 
 def _slot_propagator(label: SlotLabel, worldline, tol):
-    """Linear map of one qubit's transport along ``worldline`` plus end label."""
+    """Linear map of one qubit's transport along ``worldline`` plus end label;
+    the transport is read at the span ends only."""
     if label.kind == "fermion":
         res = fermion_transport(FermionState([1.0, 0.0], label.event, label.velocity),
-                                worldline, tol=tol)
+                                worldline, tol=tol, n_samples=2)
         end = res.final
         return res.propagators[-1], SlotLabel("fermion", end.event, end.velocity)
     # the first basis leg is not transverse; on transverse states the map
     # acts as parallel transport, reported in the canonical gauge psi^0 = 0
     res = photon_transport(PhotonState([1.0, 0.0, 0.0, 0.0], label.event, label.velocity),
-                           worldline, tol)
+                           worldline, tol, n_samples=2)
     k = res.final.wavevector
     canonical = np.eye(4) - np.outer(k, [1.0, 0.0, 0.0, 0.0]) / k[0]
     return canonical @ res.propagators[-1], SlotLabel("photon", res.final.event, k)
@@ -189,9 +190,9 @@ class BasisPairField:
 
 
 def make_basis_pair_field(pair, worldline, tol=1e-12):
-    """Transport an orthonormal basis pair along a trajectory."""
+    """Transport an orthonormal basis pair along a trajectory, read at its ends."""
     phi0, psi0 = pair
-    res_phi = fermion_transport(phi0, worldline, tol=tol)
+    res_phi = fermion_transport(phi0, worldline, tol=tol, n_samples=2)
     psi_final = FermionState(res_phi.propagators[-1] @ psi0.psi, res_phi.final.event,
                              res_phi.final.velocity)
     field = BasisPairField((phi0, psi0), (res_phi.final, psi_final), worldline)

@@ -179,13 +179,3 @@ def apply_jones(state: PhotonState, matrix):
     _, jones = adapt(state)
     new_jones = np.asarray(matrix, dtype=complex).reshape(2, 2) @ jones
     return jones_to_state(new_jones, state.wavevector, state.event)
-
-
-def redirect(state: PhotonState, new_wavevector):
-    """Mirror-style element: carry the Jones vector onto a new ray direction.
-
-    The polarization content is expressed in the adapted basis of the old
-    ray and rebuilt on the new ray's adapted basis at the same event.
-    """
-    _, jones = adapt(state)
-    return jones_to_state(jones, np.asarray(new_wavevector, dtype=float), state.event)

@@ -374,11 +374,11 @@ def _jones_matrix(op):
     return flat[0::2].reshape(2, 2) + 1j * flat[1::2].reshape(2, 2)
 
 
-def _carry(qubit, state, wl, tol):
+def _carry(qubit, state, wl, tol, n_samples=201):
     """Transport ``state`` along ``wl`` as ``qubit``'s kind is transported."""
     if qubit["kind"] == "fermion":
-        return fermion_transport(state, wl, tol=tol)
-    return photon_transport(state, wl, tol=tol)
+        return fermion_transport(state, wl, tol=tol, n_samples=n_samples)
+    return photon_transport(state, wl, tol=tol, n_samples=n_samples)
 
 
 def _state_payload(state):
@@ -397,9 +397,11 @@ class ScenarioRun:
     transport must start where the schedule has left its qubit: at the end of
     its previous transport, or else at its initial label."""
 
-    def __init__(self, data, seed=0):
+    def __init__(self, data, seed=None):
         blocks = _parse(data, SCENARIO, "")
-        self.seed = _seed(seed, "seed") if blocks["seed"] is None else blocks["seed"]
+        if seed is None:        # a seed given here wins over the file's, which wins over 0
+            seed = 0 if blocks["seed"] is None else blocks["seed"]
+        self.seed = _seed(seed, "seed")
         self.model = build_model(blocks["model"])
         self.worldlines = {name: build_worldline(self.model, name, spec)
                            for name, spec in blocks["worldlines"].items()}
@@ -539,12 +541,21 @@ class ScenarioRun:
         self.states = {name: q["state"] for name, q in self.qubits.items()}
         self.audit = dict.fromkeys(CORE_TOLERANCES, 0.0)
         rng = np.random.default_rng(self.seed)
-        results = {"schedule": [{**head, **perform(rng)} for head, perform in self.ops]}
+        schedule = []
+        for head, perform in self.ops:
+            self._present(head["qubit"], f"schedule[{head['step']}]")
+            schedule.append({**head, **perform(rng)})
+        results = {"schedule": schedule}
         if self.cow is not None:
             results["cow"] = self.cow
         if self.interferometer is not None:
             results["interferometer"] = self.interferometer()
         return results
+
+    def _present(self, name, block):
+        """Refuse an op on a photon that a polarizer has absorbed."""
+        if self.states[name] is None:
+            raise DomainError(f"[{block}] qubit {name!r} was absorbed by a polarizer")
 
     def _audit(self, key, drift):
         # np.maximum keeps a NaN drift, which then counts as a violation
@@ -575,20 +586,21 @@ class ScenarioRun:
     def _measure_polarization(self, name, polarizer, rng):
         state = self.states[name]
         transmitted, post, p = measure_polarization(state, polarizer(state.wavevector), rng)
-        if transmitted:
-            self.states[name] = post
+        self.states[name] = post        # None once absorbed
         return {"transmitted": bool(transmitted), "probability": float(p)}
 
     def _recombine(self, row, dtheta, arms, name, amplitudes, tol):
         """The interferometer row completed by the transport and total phase
         differences and the detector-port probability."""
+        self._present(name, "interferometer")
         state = self.states[name]
         # the splitter is not modelled dynamically: both components start
-        # as the same state, each attached to its own arm's launch label
+        # as the same state, each attached to its own arm's launch label;
+        # only the end states are kept, so each arm is read at its ends
         finals = []
         for a in arms:
             launch = type(state)(state.amplitude, *a.worldline.label_at(a.worldline.param_span[0]))
-            finals.append(_carry(self.qubits[name], launch, a.worldline, tol).final)
+            finals.append(_carry(self.qubits[name], launch, a.worldline, tol, n_samples=2).final)
         s1, s2 = finals
         # identify the two endpoint Hilbert spaces across the small region
         s2 = type(s2)(s2.amplitude, s1.event, s1.label)

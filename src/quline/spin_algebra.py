@@ -46,10 +46,6 @@ PAULI = np.array([
 SIGMA = PAULI.copy()                                   # sigma^I_{AA'}
 SIGMA_BAR = np.array([PAULI[0], -PAULI[1], -PAULI[2], -PAULI[3]])  # sigmabar^{IA'A}
 
-# eps^{AB} with eps^{12}=+1; eps_{AB} fixed by eps_{AB} eps^{BC} = delta_A^C
-EPS2_UPPER = np.array([[0.0, 1.0], [-1.0, 0.0]])
-EPS2_LOWER = np.array([[0.0, -1.0], [1.0, 0.0]])
-
 
 def _levi_civita4():
     e = np.zeros((4, 4, 4, 4))
@@ -282,16 +278,6 @@ def bloch_vector(psi):
     """
     c = np.asarray(psi, dtype=complex).reshape(2)
     return np.real(np.einsum("iab,a,b->i", SIGMA_BAR, c.conj(), c))
-
-
-def epsilon_raise(psi_lower):
-    """psi^A = eps^{AB} psi_B (raise with the first index)."""
-    return EPS2_UPPER @ np.asarray(psi_lower, dtype=complex).reshape(2)
-
-
-def epsilon_lower(psi_upper):
-    """psi_A = eps_{AB} psi^B; inverse of :func:`epsilon_raise`."""
-    return EPS2_LOWER @ np.asarray(psi_upper, dtype=complex).reshape(2)
 
 
 def sigma_identity_check():

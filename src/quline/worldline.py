@@ -155,12 +155,6 @@ class Worldline:
         """Positions and velocities at every parameter value, as two (n, 4) arrays."""
         return self.motion(np.asarray(params, dtype=float))[:2]
 
-    def velocity_coordinate_derivative(self, lam):
-        """du^I/dlam (ordinary derivative of the tetrad components), row by row
-        for a 1-d array of parameters."""
-        _, u, a, _, pulled = self.kinematics(lam)
-        return a - (pulled @ u[..., None])[..., 0]
-
     def event(self, lam):
         return Event(self.position(lam), self.model.chart_id)
 

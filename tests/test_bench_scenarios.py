@@ -1,9 +1,12 @@
 """The benchmark's workloads (``bench/workloads.py``) must keep working
 against quline: the scenarios its ``scenario_protocols`` workload writes
 must pass the strict scenario schema (one key the schema lacks would make
-every case of that workload fail), and each of its calls into a quline
+every case of that workload fail), each of its calls into a quline
 module must bind to that function's signature (a deleted keyword would
-otherwise show only when the benchmark runs)."""
+otherwise show only when the benchmark runs), and every case of every
+workload's pool must pass its checks, while with shifted references every
+case must fail them (a change that breaks a workload's outputs fails here,
+not only when the benchmark runs)."""
 
 import ast
 import importlib
@@ -16,7 +19,8 @@ import yaml
 
 from quline import scenario as sc
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def load_workloads():
@@ -67,3 +71,28 @@ def test_workload_calls_bind_to_quline_signatures():
             bind(*positional, **keywords)
         except TypeError as exc:
             pytest.fail(f"bench/workloads.py:{call.lineno}: {module}.{name}: {exc}")
+
+
+def missed_checks(workload, case):
+    """The checks ``case`` misses when run once; as the benchmark counts a
+    failure, an exception is a miss of its own."""
+    try:
+        checks = workload.check(case, workload.run(case))
+    except Exception as exc:        # the benchmark counts any exception as a failure
+        return [repr(exc)]
+    return [name for name, achieved, tol in checks if not achieved <= tol]
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_pool_case_passes_its_checks(tmp_path, name):
+    workload = workloads.WORKLOADS[name](ROOT, 1, tmp_path)
+    workload.setup()
+    missed = {i: missed_checks(workload, case) for i, case in enumerate(workload.pool)}
+    assert {i: m for i, m in missed.items() if m} == {}
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_shifted_references_fail_every_pool_case(tmp_path, name):
+    workload = workloads.WORKLOADS[name](ROOT, 1, tmp_path, corrupt=True)
+    workload.setup()
+    assert all(missed_checks(workload, case) for case in workload.pool)

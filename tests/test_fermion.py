@@ -31,6 +31,13 @@ def random_unit_timelike(rng, vmax=0.85):
     return g * np.array([1, *beta])
 
 
+def velocity_coordinate_derivative(wl, lam):
+    """du^I/dlam (ordinary derivative of the tetrad components) along ``wl``,
+    row by row for a 1-d array of parameters."""
+    _, u, a, _, pulled = wl.kinematics(lam)
+    return a - (pulled @ u[..., None])[..., 0]
+
+
 class TestInnerProduct:
     def test_rest_frame_orthogonality(self):
         a = flat_rest_state([1, 0])
@@ -313,7 +320,7 @@ class TestWignerIncrement:
                 mid = 0.5 * (taus[i] + taus[i + 1])
                 dtau = taus[i + 1] - taus[i]
                 u = wl.velocity(mid)
-                du = wl.velocity_coordinate_derivative(mid) * dtau
+                du = velocity_coordinate_derivative(wl, mid) * dtau
                 omega_low = np.einsum("ik,nkj->nij", ETA,
                                       wl.model.connection(wl.position(mid)))
                 pull = np.einsum("n,nij->ij", wl.coordinate_velocity(mid), omega_low) * dtau

@@ -566,6 +566,43 @@ class TestRun:
         meas = run_edited(tmp_path, "polarimetry.scenario", edit)["results"]["schedule"][-1]
         assert meas["probability"] == pytest.approx(0.75, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", [None, 3, 4])
+    def test_seed_option_wins_over_the_scenario_seed(self, tmp_path, seed):
+        # polarimetry.scenario sets seed 7; --seed, when given, is the seed used
+        args = [] if seed is None else ["--seed", seed]
+        assert run_cli([*args, "--out-dir", tmp_path, "run",
+                        SCENARIOS / "polarimetry.scenario"]) == cli.EXIT_OK
+        report = json.loads((tmp_path / "polarimetry.json").read_text())
+        assert report["metadata"]["seed"] == (7 if seed is None else seed)
+
+    def test_scenario_without_a_seed_runs_at_seed_0(self):
+        assert sc.ScenarioRun(sc.load_scenario(SCENARIOS / "flat_noop.scenario")).seed == 0
+
+    # at seed 4 the first polarizer absorbs the photon, at seed 3 it transmits
+    @pytest.mark.parametrize("interferometer", [False, True])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_an_absorbed_photon_is_not_used_again(self, tmp_path, capsys, seed,
+                                                 interferometer):
+        data = sc.load_scenario(SCENARIOS / "polarimetry.scenario")
+        if interferometer:
+            data["interferometer"] = {"kind": "photon", "arm1": {"worldline": "beam"},
+                                      "arm2": {"worldline": "beam"}, "qubit": "p0"}
+        else:
+            data["schedule"].append(data["schedule"][-1])
+        path = tmp_path / "twice.scenario"
+        path.write_text(yaml.safe_dump(data))
+        code = run_cli(["--seed", seed, "--out-dir", tmp_path, "run", path])
+        if seed == 3:
+            assert code == cli.EXIT_OK
+            report = json.loads((tmp_path / "polarimetry.json").read_text())
+            assert report["results"]["schedule"][2]["transmitted"] is True
+            return
+        assert code == cli.EXIT_DOMAIN
+        where = "interferometer" if interferometer else "schedule[3]"
+        assert capsys.readouterr().err == (
+            f"domain error: [{where}] qubit 'p0' was absorbed by a polarizer\n")
+        assert not list(tmp_path.glob("*.json"))
+
     def test_malformed_run_no_partial_output(self, tmp_path):
         bad = tmp_path / "bad.scenario"
         bad.write_text("worldlines: [1, 2\n")
