@@ -185,8 +185,7 @@ class BasisPairField:
 
     def orthonormality_residual(self, which="final"):
         phi, psi = getattr(self, which)
-        from .fermion import inner_product as ip
-        return max(abs(ip(phi, phi) - 1.0), abs(ip(psi, psi) - 1.0), abs(ip(phi, psi)))
+        return max(abs(phi.inner(phi) - 1.0), abs(psi.inner(psi) - 1.0), abs(phi.inner(psi)))
 
 
 def make_basis_pair_field(pair, worldline, tol=1e-12):
@@ -277,6 +276,5 @@ def teleport(alpha, beta, basis_fields, rng=None, forced_outcome=None,
     corrected = basis_mat @ (_CORRECTIONS[outcome] @ comps)
     bob = FermionState(corrected, *bob_label).normalized()
     target = FermionState(alpha * phi3 + beta * psi3, *bob_label).normalized()
-    from .fermion import inner_product as ip
-    fidelity = abs(ip(target, bob)) ** 2
+    fidelity = abs(target.inner(bob)) ** 2
     return TeleportResult(outcome, probs, bob, target, fidelity)

@@ -75,11 +75,6 @@ class RestFrameState:
         return float(np.real(self.psi_tilde.conj() @ self.psi_tilde))
 
 
-def inner_product(a: FermionState, b: FermionState) -> complex:
-    """<a|b> = u_I sigmabar^I conj(a) b; states must share their Hilbert space."""
-    return a.inner(b)
-
-
 def to_rest_frame(state: FermionState) -> RestFrameState:
     m = spin_half_boost_matrix(state.velocity[1:] / state.velocity[0])
     return RestFrameState(np.linalg.solve(m, state.psi))

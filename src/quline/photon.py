@@ -111,11 +111,6 @@ def jones_to_state(jones, wavevector, event):
     return PhotonState(pol, event, wavevector)
 
 
-def photon_inner_product(a: PhotonState, b: PhotonState) -> complex:
-    """-eta_IJ conj(a)^I b^J; requires equal wavevectors (same Hilbert space)."""
-    return a.inner(b)
-
-
 def transport(state: PhotonState, worldline, tol=1e-12, n_samples=201):
     """Parallel transport of the gauge class along a null geodesic.
 

@@ -93,11 +93,13 @@ def _vector(n, dimension=None, nonzero=False):
     return parse
 
 
-def _whole(least):
-    """A whole number >= ``least``."""
+def _whole(least, most=None):
+    """A whole number >= ``least`` and, if ``most`` is given, <= ``most``."""
     def parse(raw, block):
-        if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)) or raw < least:
-            raise ScenarioParseError(f"must be a whole number >= {least}, got {raw!r}",
+        if (isinstance(raw, bool) or not isinstance(raw, (int, np.integer)) or raw < least
+                or (most is not None and raw > most)):
+            bounds = f">= {least}" if most is None else f"from {least} to {most}"
+            raise ScenarioParseError(f"must be a whole number {bounds}, got {raw!r}",
                                      block=block)
         return int(raw)
     return parse
@@ -232,9 +234,12 @@ INTERFEROMETER = {
 COW_DIMENSIONS = {"mass": "mass", "v1": "velocity", "dz": "length",
                   "ell": "length", "g": "acceleration"}
 COW = {key: (_number(dim), REQUIRED) for key, dim in COW_DIMENSIONS.items()}
+# rows of one sweep: each costs about 0.5 kB in memory and 0.5 kB of CSV and
+# JSON, so the largest sweep stays near half a gigabyte of rows
+MAX_SWEEP_STEPS = 10**6
 # start and stop are read in the dimension of the swept parameter
 SWEEP = {"parameter": (_text, REQUIRED), "start": (_as_is, REQUIRED),
-         "stop": (_as_is, None), "steps": (_whole(1), 1)}
+         "stop": (_as_is, None), "steps": (_whole(1, MAX_SWEEP_STEPS), 1)}
 
 SCENARIO = {
     "version": (_one_of(SCHEMA_VERSION), SCHEMA_VERSION), "seed": (_seed, None),
@@ -648,7 +653,15 @@ def cow_columns(cow, field="dz", values=None):
 
 
 def _rows(columns):
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+    """Equal-length report columns as row dicts, keyed in column order."""
+    # copies of a pre-sized template never resize, and filling a column at a
+    # time builds no tuple per row
+    template = dict.fromkeys(columns)
+    rows = [template.copy() for _ in next(iter(columns.values()), ())]
+    for name, column in columns.items():
+        for row, value in zip(rows, column):
+            row[name] = value
+    return rows
 
 
 def cow_row(cow):

@@ -966,19 +966,6 @@ def worldline_from_coordinate_path(model, spatial_path, spatial_rate, t0, t1, n=
     return SampledWorldline(model, taus, positions, u_tet, accels, "timelike")
 
 
-def killing_energy(worldline, xi, mass=1.0):
-    """E = p_mu xi^mu at 201 samples for a declared Killing field xi (coordinate
-    components, callable of coords or a constant vector)."""
-    xi_fn = xi if callable(xi) else (lambda c, _v=np.asarray(xi, dtype=float): _v)
-    params = worldline.sample_params()
-    positions = worldline.position(params)
-    velocities = worldline.coordinate_velocity(params)
-    energies = np.empty_like(params)
-    for i, (x, v) in enumerate(zip(positions, velocities)):
-        energies[i] = mass * worldline.model.lower_coordinate(x, v) @ xi_fn(x)
-    return params, energies
-
-
 def rindler_speed_at_height(v1, dz, g, xp=np):
     """Speed at height dz from energy conservation, given speed v1 at z = 0.
 

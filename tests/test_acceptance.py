@@ -333,14 +333,13 @@ def test_criterion_9_teleportation():
             worst = max(worst, abs(res.fidelity - 1.0))
 
     # negative control: corrections applied in the untransported basis
-    from quline.fermion import inner_product
     control = [cp.teleport(0.6, 0.8, fields, forced_outcome=o,
                            correct_in_transported_basis=False).bob_state
                for o in cp.BELL_OUTCOMES]
     dists = []
     for i in range(4):
         for j in range(i + 1, 4):
-            ov = abs(inner_product(control[i], control[j]))
+            ov = abs(control[i].inner(control[j]))
             dists.append(np.sqrt(max(0.0, 1.0 - ov * ov)))
     ok = worst < 1e-9 and max(dists) > 1e-3
     _report(9, "teleportation fidelity 1 on curved legs; wrong-basis control detected",

@@ -7,7 +7,7 @@ from quline import fermion as fm
 from quline import measurement as ms
 from quline import photon as ph
 from quline.errors import HilbertSpaceMismatch, QulineError
-from quline.fermion import FermionState, inner_product
+from quline.fermion import FermionState
 from quline.geometry import make_builtin_model
 from quline.spin_algebra import boost_pair_from_velocity, velocity_inner_product_matrix
 from quline.worldline import (circular_worldline, integrate_null_geodesic,
@@ -288,7 +288,7 @@ class TestTeleportation:
         fields = self.flat_basis_fields()
         res = cp.teleport(1.0, 0.0, fields, forced_outcome="phi+")
         assert res.fidelity == pytest.approx(1.0, abs=1e-12)
-        assert abs(inner_product(res.bob_state, fields[2].final[0])) > 1 - 1e-12
+        assert abs(res.bob_state.inner(fields[2].final[0])) > 1 - 1e-12
 
     def test_all_outcomes_curved(self):
         rng = np.random.default_rng(4)
@@ -314,7 +314,7 @@ class TestTeleportation:
         dists = []
         for i in range(4):
             for j in range(i + 1, 4):
-                ov = abs(inner_product(states[i], states[j]))
+                ov = abs(states[i].inner(states[j]))
                 dists.append(np.sqrt(max(0.0, 1.0 - ov**2)))
         assert max(dists) > 1e-3
 

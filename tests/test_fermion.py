@@ -42,8 +42,8 @@ class TestInnerProduct:
     def test_rest_frame_orthogonality(self):
         a = flat_rest_state([1, 0])
         b = flat_rest_state([0, 1])
-        assert fm.inner_product(a, b) == 0
-        assert fm.inner_product(a, a) == 1
+        assert a.inner(b) == 0
+        assert a.inner(a) == 1
 
     def test_boost_invariance(self):
         rng = np.random.default_rng(0)
@@ -56,17 +56,17 @@ class TestInnerProduct:
             ev = FLAT.event(0, 0, 0, 0)
             a = fm.FermionState(half.matrix @ psi, ev, u)
             b = fm.FermionState(half.matrix @ phi, ev, u)
-            assert abs(fm.inner_product(a, b) - rest_val) < 1e-12
+            assert abs(a.inner(b) - rest_val) < 1e-12
 
     def test_mismatch_raises(self):
         a = flat_rest_state([1, 0], t=0.0)
         b = fm.FermionState([1, 0], FLAT.event(1.0, 0, 0, 0), [1, 0, 0, 0])
         with pytest.raises(HilbertSpaceMismatch):
-            fm.inner_product(a, b)
+            a.inner(b)
         g = 1 / np.sqrt(1 - 0.25)
         c = fm.FermionState([1, 0], FLAT.event(0, 0, 0, 0), [g, 0.5 * g, 0, 0])
         with pytest.raises(HilbertSpaceMismatch):
-            fm.inner_product(a, c)
+            a.inner(c)
 
 
 class TestRestFrameMaps:
@@ -238,11 +238,11 @@ class TestUnitarity:
         p2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         s1 = fm.FermionState(p1, wl.start_event, wl.velocity(0.0))
         s2 = fm.FermionState(p2, wl.start_event, wl.velocity(0.0))
-        ip0 = fm.inner_product(s1, s2)
+        ip0 = s1.inner(s2)
         r1 = fm.transport(s1, wl, tol=1e-12)
         r2 = fm.transport(s2, wl, tol=1e-12)
         for a, b in zip(r1.states[::50], r2.states[::50]):
-            assert abs(fm.inner_product(a, b) - ip0) < 1e-9
+            assert abs(a.inner(b) - ip0) < 1e-9
 
     def test_magnetic_term_hermitian(self):
         rng = np.random.default_rng(7)
@@ -281,7 +281,7 @@ class TestPathDependence:
         assert fa.event.close_to(fbb.event, 1e-6)
         assert np.abs(fa.velocity - fbb.velocity).max() < 1e-6
         fb_fixed = fm.FermionState(fbb.psi, fa.event, fa.velocity)
-        overlap = abs(fm.inner_product(fa.normalized(), fb_fixed.normalized()))
+        overlap = abs(fa.normalized().inner(fb_fixed.normalized()))
         assert overlap <= 1.0 + 1e-12
         assert overlap < 1.0 - 1e-6
 

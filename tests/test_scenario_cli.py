@@ -648,6 +648,27 @@ class TestSweep:
         rows = sc.sweep_rows(data)
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("steps", [20, 1])
+    def test_rows_are_plain_independent_dicts(self, steps):
+        data = sc.load_scenario(SCENARIOS / "cow.scenario")
+        data["sweep"]["steps"] = steps
+        keys = ["parameter", "value", "dz_m", *("delta_theta_" + m for m in COW_MODES),
+                "fringe_probability"]
+        rows = sc.sweep_rows(data)
+        assert len(rows) == steps
+        assert all(type(row) is dict and list(row) == keys for row in rows)
+        want = [dict(row) for row in rows]
+        rows[0]["value"] = "edited"
+        rows[0]["extra"] = 1.0
+        assert rows[1:] == want[1:]
+        assert sc.sweep_rows(data) == want
+        # the cow block's single row is built the same way
+        cow = sc.ScenarioRun(data).cow
+        assert type(cow) is dict and list(cow) == keys[2:]
+        want = dict(cow)
+        cow["dz_m"] = "edited"
+        assert sc.ScenarioRun(data).cow == want
+
     def test_command_line_overrides_every_sweep_key(self, tmp_path):
         assert run_cli(["--out-dir", tmp_path, "sweep", SCENARIOS / "cow.scenario",
                         "--parameter", "cow.ell", "--start", "1 cm", "--stop", "3 cm",
@@ -729,6 +750,29 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("steps", [lambda: sc.MAX_SWEEP_STEPS + 1, lambda: 10**20],
+                             ids=["bound_plus_one", "1e20"])
+    @pytest.mark.parametrize("given_by", ["option", "file"])
+    def test_too_many_steps_exit_2(self, tmp_path, capsys, monkeypatch, steps, given_by):
+        steps = steps()
+        # rejected where steps is parsed: no sweep is evaluated
+        monkeypatch.setattr(sc, "cow_columns", lambda *a: pytest.fail("sweep evaluated"))
+        data = sc.load_scenario(SCENARIOS / "cow.scenario")
+        data["sweep"]["steps"] = steps
+        with pytest.raises(ScenarioParseError, match=r"^\[sweep\.steps\] "):
+            sc.sweep_rows(data)
+        if given_by == "option":
+            args = [SCENARIOS / "cow.scenario", "--steps", steps]
+        else:
+            path = tmp_path / "many.scenario"
+            path.write_text(yaml.safe_dump(data))
+            args = [path]
+        assert run_cli(["--out-dir", tmp_path, "sweep", *args]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == (f"parse error: [sweep.steps] must be a whole number "
+                       f"from 1 to {sc.MAX_SWEEP_STEPS}, got {steps}\n")
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("option, value", [
         ("--start", "1 cm"), ("--stop", "2 cm"), ("--parameter", "cow.dz"), ("--steps", "3")])
     def test_override_of_a_sweep_that_is_not_a_mapping(self, tmp_path, capsys, option, value):
@@ -790,6 +834,8 @@ class TestSweep:
                 == (GOLDEN / "cow_run.json").read_bytes())
         assert ((tmp_path / "sweep" / "cow.csv").read_bytes()
                 == (GOLDEN / "cow_sweep.csv").read_bytes())
+        assert ((tmp_path / "sweep" / "cow.json").read_bytes()
+                == (GOLDEN / "cow_sweep.json").read_bytes())
 
 
 def deviations(got, want, where="report"):

@@ -1,20 +1,34 @@
 import math
 import warnings
+from functools import partial
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from quline import worldline as wld
-from quline.errors import ComplexVelocity, DomainError, QulineError
+from quline.errors import ComplexVelocity, DomainError, QulineError, ToleranceError
 from quline.geometry import (_STENCIL, DEFAULT_FD_STEP, _stencil_derivative,
                              apply_local_lorentz, make_builtin_model, pulled_connection)
-from quline.spin_algebra import minkowski_dot
+from quline.spin_algebra import _ROUNDING, minkowski_dot
 
 
 @pytest.fixture(scope="module")
 def flat():
     return make_builtin_model("minkowski", [])
+
+
+def killing_energy(worldline, xi, mass=1.0):
+    """E = p_mu xi^mu at 201 samples for a declared Killing field xi (coordinate
+    components, callable of coords or a constant vector)."""
+    xi_fn = xi if callable(xi) else (lambda c, _v=np.asarray(xi, dtype=float): _v)
+    params = worldline.sample_params()
+    positions = worldline.position(params)
+    velocities = worldline.coordinate_velocity(params)
+    energies = np.empty_like(params)
+    for i, (x, v) in enumerate(zip(positions, velocities)):
+        energies[i] = mass * worldline.model.lower_coordinate(x, v) @ xi_fn(x)
+    return params, energies
 
 
 class TestTimelike:
@@ -147,8 +161,8 @@ class TestNullGeodesics:
                              / g[0, 0])
         k0 = model.inverse_tetrad(x0) @ k_coord
         wl = wld.integrate_null_geodesic(model, x0, k0, span=25.0, tol=1e-12)
-        _, energy = wld.killing_energy(wl, [1.0, 0, 0, 0])
-        _, ang = wld.killing_energy(wl, [0.0, 0, 0, 1.0])
+        _, energy = killing_energy(wl, [1.0, 0, 0, 0])
+        _, ang = killing_energy(wl, [0.0, 0, 0, 1.0])
         impact = ang / energy
         assert np.abs(energy - energy[0]).max() < 1e-9 * abs(energy[0])
         assert np.abs(impact - impact[0]).max() < 1e-9 * (1 + abs(impact[0]))
@@ -191,19 +205,51 @@ class TestNullGeodesics:
             assert abs(pos[3] - z_expect) < 1e-8
 
 
+class TestDriftBudget:
+    """A trajectory may drift from u.u = 1 (timelike) or k.k = 0 (null) by
+    max(1e-9, 1000 tol max(1, span)), plus the start's own offset and the
+    rounding of u.u; a null ray's drift is judged in units of k0^2."""
+
+    @pytest.mark.parametrize("kind, u0, span, tol", [
+        ("timelike", [1.25, 0.75, 0.0, 0.0], 3.0, 1e-11),   # the tol span term
+        ("timelike", [1.0, 0.0, 0.0, 0.0], 1.0, 1e-13),    # the 1e-9 floor
+        ("null", [2.0, 0.0, 1.2, 1.6], 2.0, 1e-11),        # k0 = 2: drift / 4
+    ], ids=["timelike_tol", "timelike_floor", "null_k0_2"])
+    @pytest.mark.parametrize("fraction", [0.5, 2.0])
+    def test_drift_is_judged_against_its_budget(self, flat, monkeypatch, kind, u0, span,
+                                                tol, fraction):
+        u0 = np.array(u0)
+        scale = u0[0] if kind == "null" else 1.0
+        offset = abs(minkowski_dot(u0, u0) - (1.0 if kind == "timelike" else 0.0))
+        budget = (max(1e-9, 1000.0 * tol * max(1.0, span))
+                  + (offset + _ROUNDING * (u0 @ u0)) / scale**2)
+        # the audit reads u.u unscaled; the budget is per unit k0^2
+        monkeypatch.setattr(wld.Worldline, "norm_audit",
+                            lambda self: fraction * budget * scale**2)
+        if kind == "null":
+            integrate = partial(wld.integrate_null_geodesic, flat, np.zeros(4), u0)
+        else:
+            integrate = partial(wld.integrate_timelike, flat, None, np.zeros(4), u0)
+        if fraction < 1.0:
+            integrate(span=span, tol=tol)
+        else:
+            with pytest.raises(ToleranceError):
+                integrate(span=span, tol=tol)
+
+
 class TestKillingEnergy:
     def test_rindler_free_fall_energy_constant(self):
         model = make_builtin_model("rindler", [0.5])
         x0 = np.array([0.0, 0.0, 0.0, 1.0])
         u0 = model.inverse_tetrad(x0) @ np.array([1.0 / np.sqrt(model.metric(x0)[0, 0]), 0, 0, 0])
         wl = wld.integrate_timelike(model, None, x0, u0, span=1.5, tol=1e-12)
-        _, energy = wld.killing_energy(wl, [1.0, 0, 0, 0], mass=2.0)
+        _, energy = killing_energy(wl, [1.0, 0, 0, 0], mass=2.0)
         assert np.abs(energy - energy[0]).max() < 1e-9 * abs(energy[0])
 
     def test_minkowski_geodesic_energy(self, flat):
         g = 1 / np.sqrt(1 - 0.49)
         wl = wld.integrate_timelike(flat, None, np.zeros(4), [g, 0.7 * g, 0, 0], span=2.0)
-        _, energy = wld.killing_energy(wl, [1.0, 0, 0, 0], mass=3.0)
+        _, energy = killing_energy(wl, [1.0, 0, 0, 0], mass=3.0)
         assert np.abs(energy - 3.0 * g).max() < 1e-9
 
     def test_one_read_matches_the_per_sample_loop(self):
@@ -217,7 +263,7 @@ class TestKillingEnergy:
                                     span=60.0, tol=1e-12)
         for xi in ([1.0, 0.0, 0.0, 0.0], lambda c: np.array([1.0, 0.0, 0.0, c[1]])):
             xi_fn = xi if callable(xi) else (lambda c: np.asarray(xi))
-            params, energy = wld.killing_energy(wl, xi, mass=2.0)
+            params, energy = killing_energy(wl, xi, mass=2.0)
             want = []
             for lam in params:
                 x = wl.position(lam)
