@@ -171,17 +171,24 @@ _CORRECTIONS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasisPairField:
     """Orthonormal spinor pair transported along one trajectory.
 
-    ``initial`` and ``final`` are (phi, psi) tuples of FermionState;
-    orthonormality under the local inner product is validated.
+    ``initial`` and ``final`` are (phi, psi) tuples of FermionState; both are
+    checked orthonormal under the local inner product once, when the field
+    is built, and the field cannot be changed afterwards.
     """
 
     initial: tuple
     final: tuple
     worldline: object
+
+    def __post_init__(self):
+        if self.orthonormality_residual("initial") > 1e-9:
+            raise QulineError("basis pair is not orthonormal at the start")
+        if self.orthonormality_residual("final") > 1e-9:
+            raise QulineError("basis pair degenerated during transport")
 
     def orthonormality_residual(self, which="final"):
         phi, psi = getattr(self, which)
@@ -194,12 +201,7 @@ def make_basis_pair_field(pair, worldline, tol=1e-12):
     res_phi = fermion_transport(phi0, worldline, tol=tol, n_samples=2)
     psi_final = FermionState(res_phi.propagators[-1] @ psi0.psi, res_phi.final.event,
                              res_phi.final.velocity)
-    field = BasisPairField((phi0, psi0), (res_phi.final, psi_final), worldline)
-    if field.orthonormality_residual("initial") > 1e-9:
-        raise QulineError("basis pair is not orthonormal at the start")
-    if field.orthonormality_residual("final") > 1e-9:
-        raise QulineError("basis pair degenerated during transport")
-    return field
+    return BasisPairField((phi0, psi0), (res_phi.final, psi_final), worldline)
 
 
 @dataclass
@@ -216,19 +218,17 @@ def teleport(alpha, beta, basis_fields, rng=None, forced_outcome=None,
     """Teleport the coefficient pair (alpha, beta) through curved spacetime.
 
     ``basis_fields`` are the three transported basis pairs (input qubit,
-    Alice's half, Bob's half) defining the canonical maximally entangled
-    resource and the shared bases.  Alice's Bell measurement is simulated
-    by projecting the tripartite coefficient tensor; Bob applies the
-    outcome's correction in his transported basis (or, as a negative
-    control, in his untransported initial basis).
+    Alice's half, Bob's half; orthonormal, as every :class:`BasisPairField`
+    is) defining the canonical maximally entangled resource and the shared
+    bases.  Alice's Bell measurement is simulated by projecting the
+    tripartite coefficient tensor; Bob applies the outcome's correction in
+    his transported basis (or, as a negative control, in his untransported
+    initial basis).
     """
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
         raise QulineError("input coefficients must satisfy |alpha|^2 + |beta|^2 = 1")
     rng = np.random.default_rng(rng)
     f1, f2, f3 = basis_fields
-    for f in (f1, f2, f3):
-        if f.orthonormality_residual("final") > 1e-9:
-            raise QulineError("degenerate basis field")
     phi1, psi1 = (s.psi for s in f1.final)
     phi2, psi2 = (s.psi for s in f2.final)
     phi3, psi3 = (s.psi for s in f3.final)

@@ -60,15 +60,20 @@ class Event:
         object.__setattr__(self, "coords", c)
 
     def close_to(self, other, tol=1e-9):
+        """Same chart, and every coordinate within ``tol`` (1 + max|x| + max|y|)
+        of the other's; judged in Python floats, and nan fails."""
         if self.chart_id != other.chart_id:
             return False
-        scale = 1.0 + np.abs(self.coords).max() + np.abs(other.coords).max()
-        return np.abs(self.coords - other.coords).max() <= tol * scale
+        a, b = self.coords.tolist(), other.coords.tolist()
+        bound = tol * (1.0 + max(map(abs, a)) + max(map(abs, b)))
+        return all(abs(x - y) <= bound for x, y in zip(a, b))
 
 
 def check_finite(coords):
-    """Raise unless every event coordinate is finite, for one event or a stack."""
-    if not np.all(np.isfinite(coords)):
+    """Raise unless every event coordinate is finite, for one event (judged in
+    Python floats) or a stack."""
+    c = np.asarray(coords, dtype=float)
+    if not (all(map(math.isfinite, c.tolist())) if c.shape == (4,) else np.isfinite(c).all()):
         raise QulineError("event coordinates must be finite")
 
 
@@ -99,7 +104,8 @@ class SpacetimeModel:
 
     def in_domain(self, coords):
         """Whether the chart holds the event(s): coordinates on the first
-        axis, (4,) or (4, n); a bool or an (n,) array of them."""
+        axis, four Python floats, (4,) or (4, n); a bool or an (n,) array of
+        them."""
         return True
 
     # -- derived surface ---------------------------------------------------
@@ -111,8 +117,19 @@ class SpacetimeModel:
     def check_domain(self, x):
         """Raise DomainError unless the event (an Event or (4,) coordinates),
         or every row of an (n, 4) array, is finite and lies on this chart;
-        names the first event that is not."""
-        c = x.coords if isinstance(x, Event) else np.asarray(x, dtype=float)
+        names an Event of another chart, or the first event that is not.  One
+        event is judged in Python floats; a stack, or an event that fails, on
+        numpy arrays, which word the message."""
+        if isinstance(x, Event):
+            if x.chart_id != self.chart_id:
+                raise DomainError(f"event on chart {x.chart_id!r}, model uses {self.chart_id!r}")
+            c = x.coords
+        else:
+            c = np.asarray(x, dtype=float)
+        if c.shape == (4,):
+            one = c.tolist()
+            if all(map(math.isfinite, one)) and self.in_domain(one):
+                return
         finite = np.isfinite(c.reshape(-1, 4)).all(axis=1)
         if not finite.all():
             raise DomainError(f"event coordinates must be finite, got "
@@ -122,8 +139,6 @@ class SpacetimeModel:
             first = c.reshape(-1, 4)[np.argmin(np.reshape(inside, -1))]
             raise DomainError(f"{self.name}: coordinates {first.tolist()} "
                               "outside chart domain")
-        if isinstance(x, Event) and x.chart_id != self.chart_id:
-            raise DomainError(f"event on chart {x.chart_id!r}, model uses {self.chart_id!r}")
 
     def tetrad(self, x):
         return self.tetrads(_coords_of(x))

@@ -18,10 +18,14 @@ unit spacelike orientation) is judged by :func:`check_norm`.  With E the
 Euclidean square sum_I (v^I)^2, v.v rounds by O(eps E), which grows as gamma^2
 near c, and a wavevector's scale is not physical: so |v.v - n| <= 1e-9 + 64 eps E
 for a unit label, |v.v| <= (1e-9 + 64 eps) E for a null one, and E must be a
-finite normal float (|v| from about 1e-154 to 1e154).  Products of two vectors
-meet :func:`product_bound`.  Two velocity or wavevector labels name one Hilbert
-space when :func:`same_label` says so: equal to 1e-9 of the larger time
-component, which is the absolute 1e-9 for a velocity at rest.
+finite normal float (|v| from about 1e-154 to 1e154).  v.v and E are one
+elementwise formula of the squares s_I, v.v = ((s0 - s1) - s2) - s3 and
+E = ((s0 + s1) + s2) + s3, evaluated on Python floats for one label and on
+numpy columns for an (n, 4) stack: the two agree bit for bit, and no verdict
+goes through BLAS.  Products of two vectors meet :func:`product_bound`.  Two
+velocity or wavevector labels name one Hilbert space when :func:`same_label`
+says so: equal to 1e-9 of the larger time component, which is the absolute
+1e-9 for a velocity at rest.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ import numpy as np
 from .errors import DomainError, QulineError
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-_ROUNDING = 64.0 * np.finfo(float).eps    # the rounding allowed a.b is _ROUNDING |a| |b|
+_ROUNDING = 64.0 * float(np.finfo(float).eps)   # the rounding allowed a.b is _ROUNDING |a| |b|
+_TINY = float(np.finfo(float).tiny)
+_SYMBOLS = {1: "u", 0: "k", -1: "m"}    # a label of each norm, as check_norm's messages name it
 
 PAULI = np.array([
     [[1, 0], [0, 1]],
@@ -106,18 +112,33 @@ def product_bound(e):
     return 1e-9 + _ROUNDING * e
 
 
+def _label_verdict(s0, s1, s2, s3, norm):
+    """(v.v, whether v.v meets ``norm`` within the module's bound) from the
+    squares s_I = (v^I)^2 of one label, four Python floats, or of each row of a
+    stack, four numpy columns: one elementwise formula, so both give the same
+    bits."""
+    vv, e = ((s0 - s1) - s2) - s3, ((s0 + s1) + s2) + s3
+    bound = product_bound(1.0) * e if norm == 0 else product_bound(e)
+    return vv, (abs(vv - norm) <= bound) & (_TINY <= e) & (e < np.inf)
+
+
 def check_norm(v, norm, what):
     """Raise QulineError, ``what`` followed by the value that fails, unless the
     4-vector ``v``, or each row of an (n, 4) stack, has v.v = ``norm`` (1, 0 or
     -1) within the module's bound and, for ``norm`` >= 0, v^0 > 0.  nan fails, and
-    so does a Euclidean square that overflows or underflows the normal floats."""
-    rows = np.asarray(v, dtype=float).reshape(-1, 4)
+    so does a Euclidean square that overflows or underflows the normal floats.
+    One label is judged in Python floats; a stack, or a label that fails, by
+    the same formula on numpy columns, which words the message."""
+    rows = np.asarray(v, dtype=float)
+    if rows.shape == (4,):
+        v0, v1, v2, v3 = rows.tolist()
+        _, ok = _label_verdict(v0 * v0, v1 * v1, v2 * v2, v3 * v3, norm)
+        if ok and (norm < 0 or v0 > 0.0):
+            return
+    rows = rows.reshape(-1, 4)
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = rows * rows
-        vv, e = squares @ ETA.diagonal(), squares.sum(axis=1)
-        ok = ((np.abs(vv - norm) <= (product_bound(1.0) * e if norm == 0 else product_bound(e)))
-              & (np.finfo(float).tiny <= e) & (e < np.inf))
-    s = {1: "u", 0: "k", -1: "m"}[norm]
+        vv, ok = _label_verdict(*(rows * rows).T, norm)
+    s = _SYMBOLS[norm]
     if not ok.all():
         raise QulineError(f"{what} ({s}.{s} = {float(vv[np.argmin(ok)])})")
     if norm >= 0 and not (rows[:, 0] > 0.0).all():
@@ -126,8 +147,11 @@ def check_norm(v, norm, what):
 
 def same_label(a, b):
     """True when the velocity or wavevector labels ``a`` and ``b`` name one
-    Hilbert space: |a - b| <= 1e-9 max(a^0, b^0) in every component."""
-    return np.abs(a - b).max() <= 1e-9 * max(a[0], b[0])
+    Hilbert space: |a - b| <= 1e-9 max(a^0, b^0) in every component (nan in
+    either label fails)."""
+    a, b = a.tolist(), b.tolist()
+    tol = 1e-9 * max(a[0], b[0])
+    return all(abs(x - y) <= tol for x, y in zip(a, b))
 
 
 def check_lorentz(m):

@@ -45,7 +45,8 @@ counted in bisections (m for such a split).
 A generator is a function of the five arrays ``kinematics`` returns and of
 nothing else along the worldline.  Trajectories are stepped by
 :func:`_dop853`, scipy's DOP853 operation for operation without its solver
-classes, which does only the work of step-size control while it runs;
+classes or an import of scipy (the coefficients are :mod:`.dop853_tableau`),
+which does only the work of step-size control while it runs;
 their dense output is made afterwards in one pass.  The same stepper takes
 the proper time of a prescribed path and the COW assembly's height integrals.
 """
@@ -58,8 +59,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
 
+from . import dop853_tableau as tableau
 from .errors import (ComplexVelocity, DomainError, HilbertSpaceMismatch, QulineError,
                      ToleranceError, reject_where)
 from .geometry import Event, _AnalyticModel
@@ -288,14 +289,14 @@ def _dense_solution(ts, ys, K, rates):
     t_old, h = ts[:-1], ts[1:] - ts[:-1]
     y_old, y = ys[:-1], ys[1:]
     hs = h[:, None]                 # h of each step, against its state rows
-    n_stages = DOP853.n_stages
-    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=n_stages + 1):
+    n_stages = tableau.n_stages
+    for s, (a, c) in enumerate(zip(tableau.A_EXTRA, tableau.C_EXTRA), start=n_stages + 1):
         dy = (K[:, :s].transpose(0, 2, 1) @ a[:s]) * hs
         K[:, s] = rates(t_old + c * h, y_old + dy)
     f_old, f = K[:, 0], K[:, n_stages]
     delta_y = y - y_old
     low = np.stack([2 * delta_y - hs * (f + f_old), hs * f_old - delta_y, delta_y, y_old], axis=1)
-    high = hs[:, None] * (DOP853.D @ K)
+    high = hs[:, None] * (tableau.D @ K)
     return DenseSolution(ts, np.concatenate([high[:, ::-1], low], axis=1))
 
 
@@ -349,8 +350,8 @@ def _dop853(fun, t0, y0, t1, tol, max_step):
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1 / 8))
     h_abs = min(100 * h0, h1, abs(t1 - t0), max_step)
-    K = np.empty((DOP853.n_stages + 1, n))
-    stages = [(K[:s].T, DOP853.A[s, :s], DOP853.C[s]) for s in range(1, DOP853.n_stages)]
+    K = np.empty((tableau.n_stages + 1, n))
+    stages = [(K[:s].T, tableau.A[s, :s], tableau.C[s]) for s in range(1, tableau.n_stages)]
     K_B, K_E = K[:-1].T, K.T
     ts, ys, rows = [t], [y], np.empty((32, 16, n))
     while direction * (t - t1) < 0:
@@ -372,10 +373,10 @@ def _dop853(fun, t0, y0, t1, tol, max_step):
             K[0] = f
             for s, (K_s, a, c) in enumerate(stages, start=1):
                 K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
-            y_new = y + h * np.dot(K_B, DOP853.B)
+            y_new = y + h * np.dot(K_B, tableau.B)
             K[-1] = f_new = fun(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5, e3 = np.dot(K_E, DOP853.E5), np.dot(K_E, DOP853.E3)
+            e5, e3 = np.dot(K_E, tableau.E5), np.dot(K_E, tableau.E3)
             err5 = np.linalg.norm(e5 / scale) ** 2
             err3 = np.linalg.norm(e3 / scale) ** 2
             square = (err5 + 0.01 * err3) * n
@@ -392,7 +393,7 @@ def _dop853(fun, t0, y0, t1, tol, max_step):
             rejected = True
         if len(ts) > len(rows):
             rows = np.concatenate([rows, np.empty_like(rows)])
-        rows[len(ts) - 1, :DOP853.n_stages + 1] = K
+        rows[len(ts) - 1, :tableau.n_stages + 1] = K
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)

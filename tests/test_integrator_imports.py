@@ -4,14 +4,24 @@ Every integral along a worldline goes through the Magnus kernel
 ``worldline.propagate`` (scalar ones through ``worldline.line_integral``).
 Every other integral, the trajectories, the proper time of a prescribed path
 and the height integrals of ``cow_interferometer``, is stepped by
-``worldline._dop853``, which takes only DOP853's coefficient table from
-scipy; no module calls ``solve_ivp`` or ``quad``, and none exponentiates
-with ``scipy.linalg``.  These scans pin that, so that a second integrator
-cannot come back unnoticed.
+``worldline._dop853``, whose coefficients ``quline.dop853_tableau`` holds
+as written-out copies of scipy's; no module imports ``scipy.integrate``,
+calls ``solve_ivp`` or ``quad``, or exponentiates with ``scipy.linalg``.
+These scans pin that, so that a second integrator cannot come back
+unnoticed, and a fresh import of the CLI loads no scipy at all.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.integrate import DOP853
+
+from quline import dop853_tableau
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "quline"
 
@@ -37,7 +47,29 @@ def scipy_imports(package):
 
 
 def test_integrators_are_imported_only_where_pinned():
-    assert scipy_imports("integrate") == {"worldline.py": {"DOP853"}}
+    assert scipy_imports("integrate") == {}
+
+
+@pytest.mark.parametrize("name", ["A", "A_EXTRA", "B", "C", "C_EXTRA", "D", "E3", "E5"])
+def test_tableau_is_scipys_byte_for_byte(name):
+    ours, scipys = getattr(dop853_tableau, name), getattr(DOP853, name)
+    assert (ours.dtype, ours.shape) == (scipys.dtype, scipys.shape)
+    assert ours.tobytes() == np.ascontiguousarray(scipys).tobytes()
+
+
+def test_tableau_stage_count_is_scipys():
+    assert type(dop853_tableau.n_stages) is int
+    assert dop853_tableau.n_stages == DOP853.n_stages
+
+
+def test_cli_and_scenario_import_no_scipy():
+    """A fresh process that imports the CLI and the scenario runner has no
+    scipy module loaded."""
+    code = ("import sys, quline.cli, quline.scenario; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout
+    assert out.strip() == "[]"
 
 
 def test_no_module_imports_scipy_linalg():
