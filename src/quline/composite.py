@@ -177,7 +177,9 @@ class BasisPairField:
 
     ``initial`` and ``final`` are (phi, psi) tuples of FermionState; both are
     checked orthonormal under the local inner product once, when the field
-    is built, and the field cannot be changed afterwards.
+    is built.  Its fields cannot be reassigned, but the states' spinor
+    arrays are not copied or locked, so the check holds only for a field
+    whose states nobody changes in place.
     """
 
     initial: tuple
@@ -218,9 +220,11 @@ def teleport(alpha, beta, basis_fields, rng=None, forced_outcome=None,
     """Teleport the coefficient pair (alpha, beta) through curved spacetime.
 
     ``basis_fields`` are the three transported basis pairs (input qubit,
-    Alice's half, Bob's half; orthonormal, as every :class:`BasisPairField`
-    is) defining the canonical maximally entangled resource and the shared
-    bases.  Alice's Bell measurement is simulated by projecting the
+    Alice's half, Bob's half) defining the canonical maximally entangled
+    resource and the shared bases.  They are trusted to be orthonormal, as a
+    :class:`BasisPairField` is checked when built, and are not checked again:
+    a pair whose spinor arrays were changed in place afterwards is not
+    caught here.  Alice's Bell measurement is simulated by projecting the
     tripartite coefficient tensor; Bob applies the outcome's correction in
     his transported basis (or, as a negative control, in his untransported
     initial basis).

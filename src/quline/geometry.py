@@ -70,10 +70,9 @@ class Event:
 
 
 def check_finite(coords):
-    """Raise unless every event coordinate is finite, for one event (judged in
-    Python floats) or a stack."""
-    c = np.asarray(coords, dtype=float)
-    if not (all(map(math.isfinite, c.tolist())) if c.shape == (4,) else np.isfinite(c).all()):
+    """Raise unless every event coordinate is finite, for one event or a
+    stack; judged in Python floats."""
+    if not all(map(math.isfinite, np.asarray(coords, dtype=float).ravel().tolist())):
         raise QulineError("event coordinates must be finite")
 
 
