@@ -258,13 +258,13 @@ def teleport(alpha, beta, basis_fields, rng=None, forced_outcome=None,
     }
     g1 = velocity_inner_product_matrix(u1)
     g2 = velocity_inner_product_matrix(u2)
+    g3 = velocity_inner_product_matrix(bob_label[1])
     probs, residuals = {}, {}
     for name, bstate in bell.items():
         # Bob's (unnormalized) conditional state: <Bell|Upsilon> on slots 1, 2
         amp = np.einsum("ab,ap,bq,pqc->c", bstate.conj(), g1, g2, ups)
         residuals[name] = amp
-        probs[name] = float(np.real(
-            amp.conj() @ velocity_inner_product_matrix(f3.final[0].velocity) @ amp))
+        probs[name] = float(np.real(amp.conj() @ g3 @ amp))
     outcome = forced_outcome
     if outcome is None:
         names = list(BELL_OUTCOMES)

@@ -29,6 +29,7 @@ eta it is antisymmetric in (I, J).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -425,8 +426,14 @@ class SchwarzschildModel(_AnalyticModel):
 class TabulatedModel(SpacetimeModel):
     """Custom model from tetrad samples e^mu_I on a rectangular grid.
 
-    Multilinear interpolation between nodes; axes with a single node are
-    treated as constant.  Connection is always finite-difference.
+    Each axis is a non-empty list of finite, strictly increasing nodes, and
+    one with a single node is treated as constant.  Between nodes the tetrad
+    is multilinear over the other (active) axes: ``searchsorted`` finds each
+    point's cell, a point on a node taking the cell to its right and the
+    last node the last cell, and the cell's corners are weighted in the
+    order and with the arithmetic of scipy's linear ``RegularGridInterpolator``,
+    whose numbers they give byte for byte.  A point off the grid raises
+    DomainError.  Connection is always finite-difference.
     """
 
     name = "tabulated"
@@ -434,6 +441,14 @@ class TabulatedModel(SpacetimeModel):
 
     def __init__(self, axes, tetrads):
         self.axes = [np.asarray(a, dtype=float) for a in axes]
+        for i, a in enumerate(self.axes):
+            if a.ndim != 1 or not a.size or not np.isfinite(a).all():
+                raise QulineError(f"tabulated axis {i} must be a non-empty list of finite nodes")
+            rising = a[1:] > a[:-1]
+            if not rising.all():
+                k = int(np.argmin(rising)) + 1
+                raise QulineError(f"tabulated axis {i} must be strictly increasing: node {k} "
+                                  f"is {a[k].item()!r} after {a[k - 1].item()!r}")
         self.values = np.asarray(tetrads, dtype=float)
         if len(self.axes) != 4 or self.values.shape != tuple(map(len, self.axes)) + (4, 4):
             raise QulineError("need four axes and a tetrad table of shape grid + (4, 4)")
@@ -448,14 +463,11 @@ class TabulatedModel(SpacetimeModel):
         if spans:
             self.fd_step = float(min(spans) * 1e-4)
         self._active = [i for i, a in enumerate(self.axes) if len(a) > 1]
-        from scipy.interpolate import RegularGridInterpolator
-        pts = [self.axes[i] for i in self._active]
-        vals = self.values
+        table = self.values
         for i in reversed(range(4)):
             if i not in self._active:
-                vals = vals.take(0, axis=i)
-        self._interp = RegularGridInterpolator(pts, vals, method="linear") if pts else None
-        self._const = vals if not pts else None
+                table = table.take(0, axis=i)
+        self._table = table         # the values over the active axes
 
     def in_domain(self, coords):
         inside = True
@@ -466,9 +478,26 @@ class TabulatedModel(SpacetimeModel):
 
     def tetrads(self, points):
         c = np.asarray(points, dtype=float)
-        if self._interp is None:
-            return np.broadcast_to(self._const, c.shape[:-1] + (4, 4)).copy()
-        return self._interp(c[..., self._active]).reshape(c.shape[:-1] + (4, 4))
+        if not self._active:
+            return np.broadcast_to(self._table, c.shape[:-1] + (4, 4)).copy()
+        rows = c.reshape(-1, 4)
+        if not np.all(self.in_domain(rows.T)):
+            self.check_domain(rows)
+        # per active axis, the cell's lower and upper corner with its weight
+        corners = []
+        for i in self._active:
+            a, x = self.axes[i], rows[:, i]
+            cell = a[1:-1].searchsorted(x, side="right")
+            y = (x - a[cell]) / (a[cell + 1] - a[cell])
+            corners.append(((cell, 1 - y), (cell + 1, y)))
+        value = 0.0
+        for corner in itertools.product(*corners):
+            index, weights = zip(*corner)
+            weight = 1.0
+            for w in weights:
+                weight = weight * w
+            value = value + self._table[index] * weight[:, None, None]
+        return value.reshape(c.shape[:-1] + (4, 4))
 
 
 def make_builtin_model(name, params=()):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (ComplexVelocity, DomainError, HilbertSpaceMismatch,
@@ -163,6 +162,7 @@ def cow_phase(mass, v1, dz, ell, g, mode="exact", dps=None):
     _check_cow_inputs(mass, v1, dz, ell, g)
     if dz == 0.0:
         return 0.0
+    import mpmath as mp     # only here, so that no other path loads mpmath
     with mp.workdps(dps):
         return _cow_formulas(mp, *map(mp.mpf, (mass, v1, dz, ell, g)), (mode,))[mode]
 

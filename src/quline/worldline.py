@@ -21,9 +21,11 @@ reader comes from it:
 
 The functions that build worldlines differ only in the motion they give: a
 closed form is one function of the parameter, ``AnalyticWorldline`` calls
-its scalar callables node by node, ``SampledWorldline`` reads one spline of
-the stacked (x, u, a), whose knots are its breakpoints, and an integrated
-worldline reads its dense output once per call.
+its scalar callables node by node, ``SampledWorldline`` reads one cubic
+Hermite spline of the stacked (x, u, a), whose knots are its breakpoints,
+and an integrated worldline reads its dense output once per call.  The
+splines are numpy's arithmetic on scipy's formulas, and no module of
+quline imports scipy.
 
 Timelike velocities satisfy u.u = 1, null ones u.u = 0; normalization is
 verified after integration, never re-imposed.
@@ -57,6 +59,7 @@ import csv
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -216,26 +219,107 @@ def _restricted(worldline, end):
 
 
 def SampledWorldline(model, params, positions, velocities, accelerations, kind="timelike"):
-    """Worldline replayed from tabulated samples: one cubic-Hermite spline of
-    the stacked (x, u, a), whose knots are the breakpoints."""
-    from scipy.interpolate import CubicHermiteSpline
+    """Worldline replayed from tabulated samples: one cubic Hermite spline of
+    the stacked (x, u, a), whose knots are the breakpoints.
+
+    Row i holds the samples at ``params[i]``.  The params must be finite and
+    strictly increasing and the samples finite; DomainError names the first
+    row that is not, before any arithmetic.  The slopes at the knots are the
+    model's rates (xdot, udot) and a finite-difference da/dlam.
+    """
     params = np.asarray(params, dtype=float)
     positions = np.asarray(positions, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
     accelerations = np.asarray(accelerations, dtype=float)
+    samples = np.hstack([positions, velocities, accelerations])
+    rows_ok = np.isfinite(params)
+    rows_ok[1:] &= params[1:] > params[:-1]
+    if not rows_ok.all():
+        i = int(np.argmin(rows_ok))
+        after = f" after {params[i - 1].item()!r}" if i else ""
+        raise DomainError(f"sampled worldline params must be finite and strictly increasing: "
+                          f"row {i} has {params[i].item()!r}{after}")
+    finite = np.isfinite(samples).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"sampled worldline samples must be finite: row {np.argmin(finite)} "
+                          "is not")
 
     def motion(lam):
         y = spline(lam)
         return y[..., :4], y[..., 4:8], y[..., 8:]
 
-    # an empty span is refused before the spline would refuse it with scipy's error
     worldline = Worldline(model, (params[0], params[-1]), motion, kind, params)
     xdot, pulled = model.pulled_connections(positions, velocities)
     udot = accelerations - (pulled @ velocities[:, :, None])[:, :, 0]
-    spline = CubicHermiteSpline(
-        params, np.hstack([positions, velocities, accelerations]),
-        np.hstack([xdot, udot, np.gradient(accelerations, params, axis=0)]))
+    spline = _hermite_spline(params, samples,
+                             np.hstack([xdot, udot, np.gradient(accelerations, params, axis=0)]))
     return worldline
+
+
+def _hermite_spline(knots, y, dydx):
+    """The cubic Hermite spline through the rows of ``y`` with slopes ``dydx``
+    at the increasing ``knots``, as a function of a scalar parameter, (m,),
+    or of a 1-d array of n, (n, m).
+
+    Each interval's cubic is in power form about its left knot, with the
+    coefficients and the arithmetic of scipy's ``CubicHermiteSpline`` (a
+    ``PPoly``), whose numbers it gives byte for byte.  As there, a parameter
+    on a knot takes the interval to its right, and one outside the span the
+    nearest end interval.
+    """
+    h = np.diff(knots)[:, None]
+    slope = np.diff(y, axis=0) / h
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / h
+    c0, c1, c2, c3 = y[:-1], dydx[:-1], (slope - dydx[:-1]) / h - t, t / h
+    inner = knots[1:-1]
+
+    def spline(lam):
+        lam = np.asarray(lam, dtype=float)
+        i = inner.searchsorted(lam, side="right")
+        s = (lam - knots[i])[..., None]
+        s2 = s * s
+        return 0.0 + c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
+
+    return spline
+
+
+def _not_a_knot_slopes(knots, y):
+    """dy/dx at the increasing ``knots`` of the not-a-knot cubic spline through
+    the rows of ``y``, (n, m): scipy's ``CubicSpline(knots, y)(knots, 1)`` to
+    rounding.  Its one tridiagonal system (de Boor, *A Practical Guide to
+    Splines*, ch. IV) is factored once and solved for each column; with
+    n = 3 the spline is the parabola through the knots, with n = 2 the line.
+    """
+    h = np.diff(knots)
+    m = np.diff(y, axis=0) / h[:, None]
+    n = len(knots)
+    if n == 2:
+        return np.concatenate([m, m])
+    if n == 3:
+        c = (m[1] - m[0]) / (h[0] + h[1])
+        return np.stack([m[0] - c * h[0], m[0] + c * h[0], m[1] + c * h[1]])
+    # row i: sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i]; the end rows
+    # make the third derivative continuous at the second and last-but-one knots
+    d0, d1 = knots[2] - knots[0], knots[-1] - knots[-3]
+    hc = h[:, None]
+    rhs = np.concatenate([((hc[0] + 2.0 * d0) * hc[1] * m[0] + hc[0] ** 2 * m[1])[None] / d0,
+                          3.0 * (hc[1:] * m[:-1] + hc[:-1] * m[1:]),
+                          (hc[-1] ** 2 * m[-2] + (2.0 * d1 + hc[-1]) * hc[-2] * m[-1])[None] / d1])
+    sub = [0.0, *h[1:].tolist(), d1]
+    diag = [h[1], *(2.0 * (h[:-1] + h[1:])).tolist(), h[-2]]
+    sup = [d0, *h[:-1].tolist(), 0.0]
+    factor = [0.0] * n
+    for i in range(1, n):
+        factor[i] = sub[i] / diag[i - 1]
+        diag[i] -= factor[i] * sup[i - 1]
+    columns = rhs.T.tolist()
+    for col in columns:     # Python floats: a loop over numpy rows is slower
+        for i in range(1, n):
+            col[i] -= factor[i] * col[i - 1]
+        col[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            col[i] = (col[i] - sup[i] * col[i + 1]) / diag[i]
+    return np.array(columns).T
 
 
 class DenseSolution:
@@ -453,7 +537,9 @@ class LocalizedState:
     """A localized qubit: an amplitude on the Hilbert space its (event, label)
     names.  A realization sets the amplitude length ``dim``, the label norm
     ``label_norm`` and ``label_message``, and the inner-product matrix at its
-    label, ``metric()``, and at each row of an (n, 4) stack, ``metrics``."""
+    label, ``metric()``, and at each row of an (n, 4) stack, ``metrics``.
+    ``inner`` and ``norm_squared`` form ``metric()`` once per state and keep
+    it, so a label changed in place afterwards is not seen."""
 
     amplitude: np.ndarray
     event: Event
@@ -474,10 +560,14 @@ class LocalizedState:
         """<self|other>; the states must share their Hilbert space."""
         if not self.same_space(other):
             raise HilbertSpaceMismatch("states live in different Hilbert spaces")
-        return complex(self.amplitude.conj() @ self.metric() @ other.amplitude)
+        return complex(self.amplitude.conj() @ self._metric @ other.amplitude)
 
     def norm_squared(self):
-        return float(np.real(self.amplitude.conj() @ self.metric() @ self.amplitude))
+        return float(np.real(self.amplitude.conj() @ self._metric @ self.amplitude))
+
+    @cached_property
+    def _metric(self):
+        return self.metric()
 
     def normalized(self):
         n = np.sqrt(self.norm_squared())
@@ -936,11 +1026,13 @@ def worldline_from_coordinate_path(model, spatial_path, spatial_rate, t0, t1, n=
     accumulated by :func:`_dop853` on dtau/dt and read from its dense output
     at ``n`` evenly spaced coordinate times, the knots of the worldline;
     velocity and acceleration follow from the tetrad and connection, the
-    ordinary u-derivative from a spline.  The path must stay timelike
-    throughout.
+    ordinary u-derivative from the slopes at the knots of the not-a-knot
+    cubic spline through u(tau).  The path must stay timelike throughout.
     """
     if not t1 > t0:
         raise DomainError(f"coordinate path needs t1 > t0 (t0 = {t0}, t1 = {t1})")
+    if n < 2:
+        raise DomainError(f"coordinate path needs at least 2 knots (n = {n})")
 
     def frame_rates(ts):
         """Events, the tetrad components w^I of dx^mu/dt and dtau/dt = |w| at
@@ -961,9 +1053,8 @@ def worldline_from_coordinate_path(model, spatial_path, spatial_rate, t0, t1, n=
     taus = _dense_solution(ts, ys, K, dtau_dt)(knots)[:, 0]
     positions, w, rate = frame_rates(knots)
     u_tet = w / rate[:, None]
-    from scipy.interpolate import CubicSpline
     _, pulled = model.pulled_connections(positions, u_tet)
-    accels = CubicSpline(taus, u_tet)(taus, 1) + (pulled @ u_tet[:, :, None])[:, :, 0]
+    accels = _not_a_knot_slopes(taus, u_tet) + (pulled @ u_tet[:, :, None])[:, :, 0]
     return SampledWorldline(model, taus, positions, u_tet, accels, "timelike")
 
 

@@ -324,3 +324,17 @@ class TestTeleportation:
         seq2 = [cp.teleport(0.6, 0.8, fields, rng=s).outcome for s in range(12)]
         assert seq1 == seq2
         assert len(set(seq1)) > 1
+
+    def test_teleport_forms_each_label_metric_once(self, monkeypatch):
+        """One call forms the inner-product matrix of each of the three
+        labels once, not Bob's once per Bell outcome."""
+        fields = self.curved_basis_fields(np.random.default_rng(6))
+        formed = []
+
+        def counted(u):
+            formed.append(tuple(u.tolist()))
+            return velocity_inner_product_matrix(u)
+
+        monkeypatch.setattr(cp, "velocity_inner_product_matrix", counted)
+        cp.teleport(0.6, 0.8, fields, forced_outcome="psi-")
+        assert formed == [tuple(f.final[0].velocity.tolist()) for f in fields]

@@ -299,6 +299,20 @@ class TestCowPhase:
         # dominated by x/2 (plus the tiny gamma - 1); order dz g / v1^2
         assert 0.3 * x < rel < 1.1 * x
 
+    def test_dps_phases_keep_their_digits(self):
+        """The laboratory-scale phases at 60 digits, pinned to all 60."""
+        pinned = {
+            "exact": "141.498961077561898121620048840614605700222938825912994517699",
+            "weak_field": "141.498961077561898584490209517744826418288991302827893446803",
+            "nonrel_g2": "141.498961073751762948496976017075762988250410984066059034265",
+            "standard": "141.498958208690212441958986180833708704606801950545260231105",
+        }
+        for mode, digits in pinned.items():
+            phase = itf.cow_phase(M_NAT, V1_NAT, DZ, ELL, G_NAT, mode, dps=60)
+            assert isinstance(phase, mp.mpf)
+            with mp.workdps(60):
+                assert str(phase) == digits
+
     def test_weak_field_series_remainder(self):
         # weak-field minus its own expansion through x^2 (gamma kept) is O(x^3)
         with mp.workdps(80):

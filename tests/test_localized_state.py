@@ -76,3 +76,24 @@ def test_states_of_different_realizations_share_no_space():
         interferometry.transport_phase(spin, pol)
     with pytest.raises(HilbertSpaceMismatch):
         interferometry.recombine(pol, spin, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("cls", REALIZATIONS, ids=lambda cls: cls.__name__)
+def test_inner_products_form_the_metric_once_per_state(cls, monkeypatch):
+    """``inner`` and ``norm_squared`` give the bytes of amplitude^H metric()
+    amplitude, and form ``metric()`` once per state however often they run."""
+    line = static_worldline(FLAT, [0.0, 0.0, 0.0], 1.0)
+    if cls is fermion.FermionState:
+        label, amps = [1.25, 0.0, 0.75, 0.0], ([0.6, 0.8j], [0.3 - 0.1j, 0.2j])
+    else:
+        label, amps = [1.0, 0.0, 0.0, 1.0], ([0, 0.6, 0.8j, 0], [0, 0.3j, -0.2, 0])
+    a, b = (cls(amp, line.start_event, label) for amp in amps)
+    want_inner = complex(a.amplitude.conj() @ a.metric() @ b.amplitude)
+    want_norm = float(np.real(b.amplitude.conj() @ b.metric() @ b.amplitude))
+    formed, metric = [], cls.metric
+    monkeypatch.setattr(cls, "metric", lambda self: formed.append(self) or metric(self))
+    for _ in range(3):
+        assert a.inner(b) == want_inner
+        assert b.norm_squared() == want_norm
+        a.norm_squared()
+    assert len(formed) == 2 and formed[0] is a and formed[1] is b
