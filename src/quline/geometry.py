@@ -46,6 +46,8 @@ _FD_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 _STENCIL = np.vstack([np.zeros(4),
                       np.einsum("nm,k->nkm", np.eye(4), _FD_OFFSETS).reshape(-1, 4)])
 DEFAULT_FD_STEP = 1e-5
+# eta_II eta_JJ: a Lorentz matrix's inverse eta Lambda^T eta is its transpose times these
+_LORENTZ_SIGNS = np.outer(np.diag(ETA), np.diag(ETA))
 
 
 @dataclass(frozen=True)
@@ -551,7 +553,7 @@ class TransformedModel(SpacetimeModel):
 
     def tetrads(self, points):
         c = np.asarray(points, dtype=float)
-        return self.base.tetrads(c) @ np.linalg.inv(self._lambda(c))
+        return self.base.tetrads(c) @ (self._lambda(c).swapaxes(-1, -2) * _LORENTZ_SIGNS)
 
     def inverse_tetrad(self, x):
         c = _coords_of(x)
@@ -566,7 +568,7 @@ class TransformedModel(SpacetimeModel):
         c = np.asarray(points, dtype=float)
         base_omega = self.base.connections(c)          # checks the domain
         lam = self._lambda(c)
-        lam_inv = np.linalg.inv(lam)
+        lam_inv = lam.swapaxes(-1, -2) * _LORENTZ_SIGNS
         dlam = np.broadcast_to(self.jacobian(c), c.shape[:-1] + (4, 4, 4)).astype(float)
         omega = np.einsum("...ik,...nkl,...lj->...nij", lam, base_omega, lam_inv)
         # inhomogeneous term Lambda d_mu(Lambda^{-1}), with

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (ComplexVelocity, DomainError, HilbertSpaceMismatch,
                      OrthogonalStates, QulineError, WavevectorMismatch, reject_where)
 from .geometry import Event
-from .worldline import _dop853, _restricted, line_integral, rindler_speed_at_height
+from .worldline import _restricted, line_integral, rindler_speed_at_height
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,11 @@ def slide_endpoint(ledger: PhaseLedger, dparam):
 
 
 def phase_difference(arm1: PhaseLedger, arm2: PhaseLedger, a_common_lower=None,
-                     match_tol=1e-9, enforce_match=True):
+                     match_tol=1e-9):
     """dtheta = (k + eA).(x1 - x2) + (theta2 - theta1) at the recombination region."""
-    if enforce_match:
-        scale = 1.0 + np.abs(arm1.k_lower).max() + np.abs(arm2.k_lower).max()
-        if np.abs(arm1.k_lower - arm2.k_lower).max() > match_tol * scale:
-            raise WavevectorMismatch(
-                "arm wavevectors differ at the recombination region")
+    scale = 1.0 + np.abs(arm1.k_lower).max() + np.abs(arm2.k_lower).max()
+    if np.abs(arm1.k_lower - arm2.k_lower).max() > match_tol * scale:
+        raise WavevectorMismatch("arm wavevectors differ at the recombination region")
     k = 0.5 * (arm1.k_lower + arm2.k_lower)
     if a_common_lower is not None:
         k = k + arm1.charge * np.asarray(a_common_lower, dtype=float)
@@ -211,52 +209,3 @@ def _cow_formulas(xp, mass, v1, dz, ell, g, modes):
         phases["standard"] = mass * dz * ell * g / v1
     return phases
 
-
-def cow_interferometer(mass, v1, dz, ell, g):
-    """Numerical leg-by-leg assembly of the COW phase difference.
-
-    Horizontal internal phases come from the leg proper times, the vertical
-    legs are integrated over the height by ``_dop853`` at tolerance 1e-13,
-    upward and downward to verify they cancel, and the arrival-time term
-    uses the conserved energy.  Returns a breakdown dict whose
-    ``delta_theta`` matches :func:`cow_phase` in exact mode.
-
-    The assembly differences internal phases of magnitude ~ m l / v1, so it
-    resolves the result only while delta_theta is within double-precision
-    reach of those phases; for laboratory-scale parameters use the closed
-    forms (optionally with ``dps``) instead.
-    """
-    _check_cow_inputs(mass, v1, dz, ell, g)
-    g00_top = (1.0 + dz * g) ** 2
-    gamma1 = 1.0 / np.sqrt(1.0 - v1 * v1)
-    v2 = rindler_speed_at_height(v1, dz, g)
-    gamma2 = 1.0 / np.sqrt(g00_top - v2 * v2)
-    tau1 = ell / (gamma1 * v1)
-    tau2 = ell / (gamma2 * v2)
-
-    def vertical_dtau(z, tau):
-        g00 = (1.0 + z * g) ** 2
-        vz = rindler_speed_at_height(v1, z, g)
-        # dtau/dz = sqrt(g00 - v^2)/v = g00 / (gamma1 v(z))
-        return np.array([g00 / (gamma1 * vz)])
-
-    # path 1 climbs at the end, path 2 at the start; both run z = 0 -> dz,
-    # integrated here in opposite orientations as a numerical cancellation check
-    tau_vert_1 = _dop853(vertical_dtau, 0.0, np.zeros(1), dz, 1e-13, np.inf)[1][-1, 0]
-    tau_vert_2 = _dop853(lambda z, tau: -vertical_dtau(z, tau), dz, np.zeros(1), 0.0,
-                         1e-13, np.inf)[1][-1, 0]
-    energy = mass * gamma1          # conserved: m gamma(z) g00(z)
-    delta_t = ell * (1.0 / v1 - 1.0 / v2)
-    k_dx = energy * delta_t
-    theta1 = mass * (tau1 + tau_vert_1)
-    theta2 = mass * (tau_vert_2 + tau2)
-    return {
-        "theta_int_lower": theta1,
-        "theta_int_upper": theta2,
-        "theta_int_vertical": mass * tau_vert_1,
-        "vertical_cancellation": mass * abs(tau_vert_1 - tau_vert_2),
-        "delta_arrival_time": delta_t,
-        "displacement_term": k_dx,
-        "delta_theta": theta2 - theta1 + k_dx,
-        "v2": v2,
-    }

@@ -131,9 +131,9 @@ _angle = _number("angle")
 _seed = _whole(0)
 _mass = _number("mass", positive=True)
 _spinor = _vector(4, nonzero=True)    # two complex numbers as (re, im, re, im)
-# one floor for every tolerance: scipy raises a trajectory solve's rtol below
-# 100 eps to 100 eps with a warning, or fails to step (transports alone would
-# take down to worldline.TOLERANCE_FLOOR, 10 eps)
+# one floor for every tolerance: the trajectory stepper, as scipy's DOP853,
+# raises an rtol below 100 eps to 100 eps with a warning, or fails to step
+# (transports alone would take down to worldline.TOLERANCE_FLOOR, 10 eps)
 SMALLEST_TOLERANCE = float(100 * np.finfo(float).eps)
 
 
@@ -481,7 +481,7 @@ class ScenarioRun:
                 for key in ("arm1", "arm2")]
         a1, a2 = arms
         try:
-            dtheta = phase_difference(a1, a2, match_tol=mz["region_tol"])
+            dtheta = phase_difference(a1, a2)
         except WavevectorMismatch as exc:
             raise ScenarioError(str(exc), block=block) from None
         dtheta_dis = displacement_phase(0.5 * (a1.k_lower + a2.k_lower),

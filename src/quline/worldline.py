@@ -50,7 +50,7 @@ nothing else along the worldline.  Trajectories are stepped by
 classes or an import of scipy (the coefficients are :mod:`.dop853_tableau`),
 which does only the work of step-size control while it runs;
 their dense output is made afterwards in one pass.  The same stepper takes
-the proper time of a prescribed path and the COW assembly's height integrals.
+the proper time of a prescribed path.
 """
 
 from __future__ import annotations
@@ -407,10 +407,9 @@ def _dop853(fun, t0, y0, t1, tol, max_step):
     accepted steps, (steps + 1,), (steps + 1, n) and (steps, 16, n), as
     :func:`_dense_solution` takes them: rows 0-12 hold the 12 stages and the
     derivative at the step end.  A step size below 10 ulps of the parameter
-    raises ToleranceError with scipy's message.  As in scipy, an empty span
-    takes no step.  Overflow does not warn: where the squares of a step's error
-    norms pass the floats, the error is formed from norms rescaled as
-    :func:`_rms` does.
+    raises ToleranceError with scipy's message.  Overflow does not warn:
+    where the squares of a step's error norms pass the floats, the error is
+    formed from norms rescaled as :func:`_rms` does.
     """
     floor = 100 * np.finfo(float).eps
     if tol < floor:
@@ -419,8 +418,6 @@ def _dop853(fun, t0, y0, t1, tol, max_step):
     if tol < 0:
         raise ValueError("`atol` must be positive.")
     rtol, atol, n = max(tol, floor), tol, len(y0)
-    if t1 == t0:
-        return np.array([t0]), y0[None], np.empty((0, 16, n))
     t, y = t0, y0
     f = fun(t, y)
     direction = np.sign(t1 - t0)

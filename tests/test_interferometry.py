@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -9,11 +10,12 @@ from quline import interferometry as itf
 from quline.errors import (ComplexVelocity, DomainError, OrthogonalStates,
                            QulineError, ToleranceError, WavevectorMismatch)
 from quline.fermion import FermionState
-from quline.geometry import Event, make_builtin_model
+from quline.geometry import make_builtin_model
 from quline.photon import jones_to_state
 from quline.spin_algebra import spin_half_rotation
 from quline.units import C_SI, HBAR_SI
-from quline.worldline import EMField, integrate_null_geodesic, integrate_timelike
+from quline.worldline import (EMField, integrate_null_geodesic, integrate_timelike,
+                              rindler_speed_at_height, worldline_from_coordinate_path)
 
 FLAT = make_builtin_model("minkowski", [])
 
@@ -352,8 +354,6 @@ class TestCowPhase:
                 itf.cow_phase(mass, 0.5, 0.1, 1.0, 0.01, "exact", dps=dps)
         with pytest.raises(DomainError, match=r"mass must be positive \(mass="):
             itf.cow_phases(np.array([1.0, mass]), 0.5, 0.1, 1.0, 0.01)
-        with pytest.raises(DomainError, match="mass must be positive"):
-            itf.cow_interferometer(mass, 0.3, 0.05, 2.0, 0.4)
 
     def test_each_mode_guards_only_itself(self):
         # 2 dz g >> v1^2: no real upper-path speed, yet the two
@@ -390,51 +390,37 @@ class TestCowPhase:
 BENCH = dict(mass=1.0, v1=0.3, dz=0.05, ell=2.0, g=0.4)
 
 
-class TestCowAssembly:
-    # relativistic bench parameters: internal phases are O(10), so the
-    # leg-difference assembly resolves the result in double precision
-    def test_leg_assembly_matches_exact_formula(self):
-        breakdown = itf.cow_interferometer(**BENCH)
-        exact = itf.cow_phase(mode="exact", **BENCH)
-        assert breakdown["delta_theta"] == pytest.approx(exact, rel=1e-11)
-        assert breakdown["vertical_cancellation"] < 1e-11
-
-    def test_phase_difference_operation_reproduces_exact(self):
-        # endpoint ledgers built from the rectangle legs feed the generic
-        # phase-difference operation; both arrival wavevectors carry the
-        # conserved k_t = m gamma1 and the endpoint offset is purely temporal
-        b = itf.cow_interferometer(**BENCH)
-        mass, v1, dz, ell, g_acc = (BENCH[k] for k in ("mass", "v1", "dz", "ell", "g"))
-        model = make_builtin_model("rindler", [g_acc])
-        gamma1 = 1 / np.sqrt(1 - v1**2)
-        g00 = (1 + dz * g_acc) ** 2
-        v2 = b["v2"]
-        t1, t2 = ell / v1, ell / v2
-        ev1 = Event(np.array([t1, ell, 0.0, dz]), model.chart_id)
-        ev2 = Event(np.array([t2, ell, 0.0, dz]), model.chart_id)
-        # arrival 4-velocities: arm 1 climbing at speed v2, arm 2 horizontal
-        gamma2 = gamma1 / g00
-        u1 = gamma2 * np.array([1.0, 0.0, 0.0, v2])
-        u2 = gamma2 * np.array([1.0, v2, 0.0, 0.0])
-        k1 = mass * model.lower_coordinate(ev1.coords, u1)
-        k2 = mass * model.lower_coordinate(ev2.coords, u2)
-        arm1 = itf.PhaseLedger("lower", "fermion", b["theta_int_lower"], 0.0,
-                               ev1, k1, mass, 0.0, None, None)
-        arm2 = itf.PhaseLedger("upper", "fermion", b["theta_int_upper"], 0.0,
-                               ev2, k2, mass, 0.0, None, None)
-        dtheta = itf.phase_difference(arm1, arm2, enforce_match=False)
-        exact = itf.cow_phase(mode="exact", **BENCH)
-        assert dtheta == pytest.approx(exact, rel=1e-11)
-
-    def test_inputs_are_checked_as_the_closed_forms_check_them(self):
-        with pytest.raises(DomainError, match="v1 must lie in"):
-            itf.cow_interferometer(1.0, 1.5, 0.05, 2.0, 0.4)
+def cow_arm(model, mass, legs):
+    """The ledgers of an arm's straight legs, each a coordinate velocity and a
+    coordinate duration, the first starting at the origin and each next one
+    where the last ended, and the arm's ledger: the last leg's, with the
+    internal phases of all legs summed."""
+    start, ledgers = np.zeros(4), []
+    for velocity, duration in legs:
+        v = np.asarray(velocity)
+        wl = worldline_from_coordinate_path(model, lambda t, s=start: s[1:] + v * (t - s[0]),
+                                            lambda t: v, start[0], start[0] + duration)
+        ledgers.append(itf.arm_phase(wl, kind="fermion", mass=mass))
+        start = ledgers[-1].event.coords
+    return ledgers, replace(ledgers[-1], theta_int=sum(leg.theta_int for leg in ledgers))
 
 
-def test_leg_assembly_at_zero_height_takes_no_step():
-    # an empty height span takes no step of the stepper, and warns of nothing
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        breakdown = itf.cow_interferometer(**{**BENCH, "dz": 0.0})
-    assert breakdown["theta_int_vertical"] == breakdown["vertical_cancellation"] == 0.0
-    assert breakdown["delta_theta"] == 0.0
+@pytest.mark.parametrize("mass, v1, dz, ell, g", [
+    tuple(BENCH.values()), (3.0, 0.6, 0.2, 1.0, 0.3)])
+def test_worldline_route_reproduces_exact_cow_phase(mass, v1, dz, ell, g):
+    # the rectangle on the Rindler chart, from worldlines through arm_phase and
+    # phase_difference: the lower arm runs at z = 0, climbs and leaves at dz;
+    # the upper arm makes the same climb first, then runs at dz.  Both end on a
+    # leg at dz with the speed v2 energy conservation gives there, so their
+    # wavevectors match; the lower arm's last leg ends as the upper arm ends
+    model = make_builtin_model("rindler", [g])
+    v2 = float(rindler_speed_at_height(v1, dz, g))
+    climb = ((0.0, 0.0, v1), dz / v1)
+    lower, lower_arm = cow_arm(model, mass, [((v1, 0.0, 0.0), ell / v1), climb,
+                                             ((v2, 0.0, 0.0), ell / v2 - ell / v1)])
+    upper, upper_arm = cow_arm(model, mass, [climb, ((v2, 0.0, 0.0), ell / v2)])
+    # k_t = m gamma1 on the leg at z = 0 and on the leg at dz: v2 conserves energy
+    assert upper[-1].k_lower[0] == pytest.approx(lower[0].k_lower[0], rel=1e-14)
+    dtheta = itf.phase_difference(lower_arm, upper_arm)
+    assert dtheta == pytest.approx(
+        itf.cow_phase(mass, v1, dz, ell, g, mode="exact"), rel=1e-12)
