@@ -405,22 +405,47 @@ def cow_arm(model, mass, legs):
     return ledgers, replace(ledgers[-1], theta_int=sum(leg.theta_int for leg in ledgers))
 
 
-@pytest.mark.parametrize("mass, v1, dz, ell, g", [
-    tuple(BENCH.values()), (3.0, 0.6, 0.2, 1.0, 0.3)])
-def test_worldline_route_reproduces_exact_cow_phase(mass, v1, dz, ell, g):
-    # the rectangle on the Rindler chart, from worldlines through arm_phase and
-    # phase_difference: the lower arm runs at z = 0, climbs and leaves at dz;
-    # the upper arm makes the same climb first, then runs at dz.  Both end on a
-    # leg at dz with the speed v2 energy conservation gives there, so their
-    # wavevectors match; the lower arm's last leg ends as the upper arm ends
+def cow_rectangle(mass, v1, dz, ell, g):
+    """The rectangle on the Rindler chart as two arms of straight legs: the
+    lower arm runs at z = 0, climbs and leaves at dz; the upper arm makes the
+    same climb first, then runs at dz.  Both end on a leg at dz with the speed
+    v2 energy conservation gives there, so their wavevectors match; the lower
+    arm's last leg ends as the upper arm ends.  Returns (lower legs, lower arm,
+    upper legs, upper arm)."""
     model = make_builtin_model("rindler", [g])
     v2 = float(rindler_speed_at_height(v1, dz, g))
     climb = ((0.0, 0.0, v1), dz / v1)
     lower, lower_arm = cow_arm(model, mass, [((v1, 0.0, 0.0), ell / v1), climb,
                                              ((v2, 0.0, 0.0), ell / v2 - ell / v1)])
     upper, upper_arm = cow_arm(model, mass, [climb, ((v2, 0.0, 0.0), ell / v2)])
-    # k_t = m gamma1 on the leg at z = 0 and on the leg at dz: v2 conserves energy
-    assert upper[-1].k_lower[0] == pytest.approx(lower[0].k_lower[0], rel=1e-14)
-    dtheta = itf.phase_difference(lower_arm, upper_arm)
-    assert dtheta == pytest.approx(
-        itf.cow_phase(mass, v1, dz, ell, g, mode="exact"), rel=1e-12)
+    return lower, lower_arm, upper, upper_arm
+
+
+class TestCowAssembly:
+    # relativistic parameters: internal phases are O(10), so the leg
+    # assembly resolves the COW phase in double precision
+    CASES = [tuple(BENCH.values()), (3.0, 0.6, 0.2, 1.0, 0.3)]
+
+    def test_leg_assembly_matches_exact_formula(self):
+        for mass, v1, dz, ell, g in self.CASES:
+            lower, lower_arm, upper, upper_arm = cow_rectangle(mass, v1, dz, ell, g)
+            assert lower_arm.theta_int == sum(leg.theta_int for leg in lower)
+            # both arms close at one time and height; they differ only along x
+            x_lower, x_upper = lower_arm.event.coords, upper_arm.event.coords
+            assert x_lower[[0, 2, 3]] == pytest.approx(x_upper[[0, 2, 3]], rel=1e-14)
+            # the chart is static and x-invariant: the two climbs cancel
+            assert lower[1].theta_int == pytest.approx(upper[0].theta_int, rel=1e-12)
+            dtheta = (itf.displacement_phase(upper_arm.k_lower, x_lower, x_upper)
+                      + upper_arm.theta_int - lower_arm.theta_int)
+            assert dtheta == pytest.approx(
+                itf.cow_phase(mass, v1, dz, ell, g, mode="exact"), rel=1e-12)
+
+    def test_phase_difference_operation_reproduces_exact(self):
+        for mass, v1, dz, ell, g in self.CASES:
+            lower, lower_arm, upper, upper_arm = cow_rectangle(mass, v1, dz, ell, g)
+            # k_t = m gamma1 on the leg at z = 0 and on the leg at dz: v2
+            # conserves energy, so the wavevector check passes
+            assert upper[-1].k_lower[0] == pytest.approx(lower[0].k_lower[0], rel=1e-14)
+            dtheta = itf.phase_difference(lower_arm, upper_arm)
+            assert dtheta == pytest.approx(
+                itf.cow_phase(mass, v1, dz, ell, g, mode="exact"), rel=1e-12)
