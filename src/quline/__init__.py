@@ -9,7 +9,7 @@ Core pieces:
 * :mod:`quline.photon`         polarization transport and Jones extraction
 * :mod:`quline.measurement`    covariant observables, projectors, probabilities
 * :mod:`quline.interferometry` phase recipe and the neutron-interferometer formulas
-* :mod:`quline.composite`      multi-qubit states and teleportation
+* :mod:`quline.composite`      N-slot multi-qubit states and teleportation built on them
 * :mod:`quline.scenario`       declarative batch scenarios (used by the CLI)
 """
 

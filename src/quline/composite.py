@@ -1,174 +1,162 @@
-"""Multi-qubit states over products of per-qubit Hilbert spaces.
+"""Multi-qubit states: one amplitude tensor over the localized qubits of its slots.
 
-Coefficients carry one index per qubit; indices of different slots belong
-to different spaces and are never contracted with each other.  The inner
-product is the product of the single-qubit ones (velocity inner product for
-fermion slots, -eta for photon slots).  Local evolution applies a
-single-qubit transport to one tensor slot; evolutions of different slots
-commute.
+Each tensor axis is a slot, named by its :class:`quline.worldline.LocalizedState`
+realization (:class:`FermionState` or :class:`PhotonState`), event and label,
+and holds that realization's amplitude index.  Indices of different slots
+belong to different spaces and are never contracted with each other.  The
+inner product is the product of the slots' own inner products.  A slot is
+carried along a worldline by the end map of its realization's transport;
+operators and Lueders projections act on any set of slots.  Teleportation is
+built on these.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import HilbertSpaceMismatch, QulineError
 from .fermion import FermionState, transport as fermion_transport
 from .geometry import Event
-from .photon import PhotonState, transport as photon_transport
-from .spin_algebra import ETA, check_norm, same_label, velocity_inner_product_matrix
-
-
-REALIZATIONS = {"fermion": FermionState, "photon": PhotonState}
+from .photon import PhotonState, canonical_gauge, transport as photon_transport
+from .spin_algebra import same_label
 
 
 @dataclass(frozen=True)
-class SlotLabel:
-    """Hilbert-space label of one tensor slot: realization, event, 4-velocity."""
+class Slot:
+    """The Hilbert space of one tensor axis: a LocalizedState realization, an
+    event and a label, checked as that realization checks its states' labels.
+    ``metric`` is formed once per slot and kept."""
 
-    kind: str                # "fermion" | "photon"
+    realization: type
     event: Event
-    velocity: np.ndarray
+    label: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.velocity, dtype=float).reshape(4)
-        if self.kind not in REALIZATIONS:
-            raise QulineError(f"unknown slot kind {self.kind!r}")
-        norm = REALIZATIONS[self.kind].label_norm
-        check_norm(v, norm, f"{self.kind} slot label must be future-pointing with v.v = {norm}")
-        object.__setattr__(self, "velocity", v)
+        object.__setattr__(self, "label", self.realization.checked_label(self.label))
 
+    @cached_property
     def metric(self):
-        return REALIZATIONS[self.kind].metrics(self.velocity[None])[0]
+        return self.realization.metrics(self.label[None])[0]
 
-    def dim(self):
-        return REALIZATIONS[self.kind].dim
-
-    def matches(self, other):
-        return (self.kind == other.kind and self.event.close_to(other.event)
-                and same_label(self.velocity, other.velocity))
+    def same_space(self, other):
+        return (self.realization is other.realization and self.event.close_to(other.event)
+                and same_label(self.label, other.label))
 
 
 @dataclass(frozen=True)
-class BipartiteState:
-    """Two-qubit coefficients with one index per slot (2 or 4 dimensional)."""
+class MultiQubitState:
+    """An amplitude tensor with one axis per slot, of that slot's ``dim``.
 
-    coeffs: np.ndarray
-    labels: tuple
+    A non-finite amplitude or a shape that does not match the slots is
+    refused.  The product inner-product matrix is formed once per state.
+    """
+
+    amplitude: np.ndarray
+    slots: tuple
 
     def __post_init__(self):
-        a, b = self.labels
-        c = np.asarray(self.coeffs, dtype=complex).reshape(a.dim(), b.dim())
-        object.__setattr__(self, "coeffs", c)
+        amplitude = np.asarray(self.amplitude, dtype=complex)
+        slots = tuple(self.slots)
+        dims = tuple(slot.realization.dim for slot in slots)
+        if amplitude.shape != dims:
+            raise QulineError(f"amplitude shape {amplitude.shape} does not match the slots' "
+                              f"dims {dims}")
+        if not np.isfinite(amplitude).all():
+            raise QulineError("amplitude is not finite")
+        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "slots", slots)
 
-    def transversality(self):
-        """Max |u_I psi^{...I...}| over photon slots (0 for fermion slots)."""
-        worst = 0.0
-        for axis, label in enumerate(self.labels):
-            if label.kind == "photon":
-                u_low = ETA @ label.velocity
-                res = np.tensordot(u_low, self.coeffs, axes=([0], [axis]))
-                worst = max(worst, np.abs(res).max())
-        return worst
+    @cached_property
+    def _metric(self):
+        """The Kronecker product of the slots' metrics, a (D, D) matrix."""
+        n = len(self.slots)
+        factors = [x for i, slot in enumerate(self.slots) for x in (slot.metric, [i, n + i])]
+        return np.einsum(*factors, list(range(2 * n))).reshape(self.amplitude.size, -1)
+
+    def _inner(self, a, b):
+        return complex(a.ravel().conj() @ self._metric @ b.ravel())
+
+    def inner(self, other):
+        """<self|other>; the slots must name the same spaces."""
+        if len(self.slots) != len(other.slots) or not all(
+                map(Slot.same_space, self.slots, other.slots)):
+            raise HilbertSpaceMismatch("states live in different Hilbert spaces")
+        return self._inner(self.amplitude, other.amplitude)
 
     def norm_squared(self):
-        return float(np.real(bipartite_inner_product(self, self, check=False)))
+        return self._inner(self.amplitude, self.amplitude).real
 
     def normalized(self):
         n = np.sqrt(self.norm_squared())
         if n == 0.0:
             raise QulineError("cannot normalize the zero state")
-        return BipartiteState(self.coeffs / n, self.labels)
+        return MultiQubitState(self.amplitude / n, self.slots)
 
+    def _acted(self, operator, slots):
+        """The amplitude with ``operator``, a (D, D) matrix on the product of the
+        spaces of ``slots`` (D the product of their dims), applied to their axes."""
+        order = [*slots, *(i for i in range(len(self.slots)) if i not in slots)]
+        moved = self.amplitude.transpose(order)
+        size = math.prod(moved.shape[:len(slots)])
+        operator = np.asarray(operator, dtype=complex)
+        if operator.shape != (size, size):
+            raise QulineError(f"operator shape {operator.shape} is not ({size}, {size}) "
+                              f"for slots {slots}")
+        acted = np.dot(operator, moved.reshape(size, -1)).reshape(moved.shape)
+        return acted.transpose([order.index(i) for i in range(len(order))])
 
-def bipartite_inner_product(a: BipartiteState, b: BipartiteState, check=True) -> complex:
-    """Product inner product; slots must carry matching labels."""
-    if check:
-        for la, lb in zip(a.labels, b.labels):
-            if not la.matches(lb):
-                raise HilbertSpaceMismatch("bipartite states live in different spaces")
-    g1 = a.labels[0].metric()
-    g2 = a.labels[1].metric()
-    return complex(np.einsum("pq,pa,qb,ab->", a.coeffs.conj(), g1, g2, b.coeffs))
+    def apply(self, operator, *slots):
+        """This state with ``operator`` applied to the given slots."""
+        return MultiQubitState(self._acted(operator, slots), self.slots)
 
+    def project(self, projector, *slots):
+        """Lueders update by ``projector`` on the given slots: (probability,
+        normalized state).  A non-finite probability and a zero-probability
+        branch are refused."""
+        projected = self._acted(projector, slots)
+        kept, total = self._inner(projected, projected).real, self.norm_squared()
+        prob = kept / total if total > 0.0 else math.nan
+        if not math.isfinite(prob):
+            raise QulineError(f"projection probability is not finite ({prob})")
+        if prob < 1e-15:
+            raise QulineError("projection onto a zero-probability branch")
+        return prob, MultiQubitState(projected / np.sqrt(kept), self.slots)
 
-def _slot_propagator(label: SlotLabel, worldline, tol):
-    """Linear map of one qubit's transport along ``worldline`` plus end label;
-    the transport is read at the span ends only."""
-    if label.kind == "fermion":
-        res = fermion_transport(FermionState([1.0, 0.0], label.event, label.velocity),
-                                worldline, tol=tol, n_samples=2)
-        end = res.final
-        return res.propagators[-1], SlotLabel("fermion", end.event, end.velocity)
-    # the first basis leg is not transverse; on transverse states the map
-    # acts as parallel transport, reported in the canonical gauge psi^0 = 0
-    res = photon_transport(PhotonState([1.0, 0.0, 0.0, 0.0], label.event, label.velocity),
-                           worldline, tol, n_samples=2)
-    k = res.final.wavevector
-    canonical = np.eye(4) - np.outer(k, [1.0, 0.0, 0.0, 0.0]) / k[0]
-    return canonical @ res.propagators[-1], SlotLabel("photon", res.final.event, k)
-
-
-def evolve_local(state: BipartiteState, slot, worldline=None, operator=None,
-                 tol=1e-12) -> BipartiteState:
-    """Evolve one tensor slot: transport along a worldline and/or a local operator.
-
-    The slot's current label must be the worldline's start label (the
-    transport checks it); the other slot is untouched.  ``operator``
-    (matrix on the slot) is applied after the transport.
-    """
-    if slot not in (0, 1):
-        raise QulineError("slot must be 0 or 1")
-    label = state.labels[slot]
-    coeffs = state.coeffs
-    new_label = label
-    if worldline is not None:
-        u_mat, new_label = _slot_propagator(label, worldline, tol)
-        coeffs = np.tensordot(u_mat, coeffs, axes=([1], [slot]))
-        if slot == 1:
-            coeffs = coeffs.T
-    if operator is not None:
-        op = np.asarray(operator, dtype=complex)
-        coeffs = np.tensordot(op, coeffs, axes=([1], [slot]))
-        if slot == 1:
-            coeffs = coeffs.T
-    labels = list(state.labels)
-    labels[slot] = new_label
-    return BipartiteState(coeffs, tuple(labels))
-
-
-def project_slot(state: BipartiteState, slot, projector):
-    """Lueders update on one slot: (probability, updated normalized state).
-
-    The other slot's label and marginal are untouched; a zero-probability
-    branch is flagged with :class:`QulineError`.
-    """
-    if slot not in (0, 1):
-        raise QulineError("slot must be 0 or 1")
-    p_mat = np.asarray(projector, dtype=complex)
-    coeffs = np.tensordot(p_mat, state.coeffs, axes=([1], [slot]))
-    if slot == 1:
-        coeffs = coeffs.T
-    projected = BipartiteState(coeffs, state.labels)
-    total = state.norm_squared()
-    prob = projected.norm_squared() / total
-    if prob < 1e-15:
-        raise QulineError("projection onto a zero-probability branch")
-    return prob, projected.normalized()
+    def carry(self, slot, worldline, tol=1e-12):
+        """This state with slot ``slot`` carried along ``worldline``, whose start
+        must be its label, by the end map of its realization's transport: one
+        solve read at the span ends.  A photon slot's map reports the canonical
+        gauge psi^0 = 0."""
+        old = self.slots[slot]
+        start = old.realization(np.eye(old.realization.dim)[0], old.event, old.label)
+        if old.realization is PhotonState:
+            res = photon_transport(start, worldline, tol, n_samples=2)
+            end_map = canonical_gauge(res.propagators[-1].T, res.final.label).T
+        else:
+            res = fermion_transport(start, worldline, tol=tol, n_samples=2)
+            end_map = res.propagators[-1]
+        slots = list(self.slots)
+        slots[slot] = Slot(old.realization, res.final.event, res.final.label)
+        return MultiQubitState(self._acted(end_map, (slot,)), slots)
 
 
 # --- teleportation ---------------------------------------------------------
 
 BELL_OUTCOMES = ("phi+", "phi-", "psi+", "psi-")
 
+# Bob's correction in his basis for each outcome
 _CORRECTIONS = {
     "phi+": np.eye(2, dtype=complex),
     "phi-": np.array([[1, 0], [0, -1]], dtype=complex),          # sigma_z
     "psi+": np.array([[0, 1], [1, 0]], dtype=complex),           # sigma_x
     "psi-": np.array([[0, 1], [-1, 0]], dtype=complex),          # i sigma_y
 }
+# each outcome's Bell state, as coefficients in the bases of slots 0 and 1
+_BELL = np.array([_CORRECTIONS[name] for name in BELL_OUTCOMES]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -224,61 +212,42 @@ def teleport(alpha, beta, basis_fields, rng=None, forced_outcome=None,
     resource and the shared bases.  They are trusted to be orthonormal, as a
     :class:`BasisPairField` is checked when built, and are not checked again:
     a pair whose spinor arrays were changed in place afterwards is not
-    caught here.  Alice's Bell measurement is simulated by projecting the
-    tripartite coefficient tensor; Bob applies the outcome's correction in
-    his transported basis (or, as a negative control, in his untransported
-    initial basis).
+    caught here.  The three-slot state sits at the fields' final labels;
+    Alice's Bell measurement is a projection on slots 0 and 1, and Bob
+    applies the outcome's correction to slot 2 in his transported basis (or,
+    as a negative control, in his untransported initial basis).
     """
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-9:
         raise QulineError("input coefficients must satisfy |alpha|^2 + |beta|^2 = 1")
-    rng = np.random.default_rng(rng)
-    f1, f2, f3 = basis_fields
-    phi1, psi1 = (s.psi for s in f1.final)
-    phi2, psi2 = (s.psi for s in f2.final)
-    phi3, psi3 = (s.psi for s in f3.final)
-    u1 = f1.final[0].velocity
-    u2 = f2.final[0].velocity
-    bob_label = (f3.final[0].event, f3.final[0].velocity)
-
-    # tripartite coefficients: (alpha phi1 + beta psi1) x (phi2 phi3 + psi2 psi3)/sqrt(2)
-    ups = np.einsum("a,b,c->abc",
-                    alpha * phi1 + beta * psi1, phi2, phi3) / np.sqrt(2.0)
-    ups += np.einsum("a,b,c->abc",
-                     alpha * phi1 + beta * psi1, psi2, psi3) / np.sqrt(2.0)
-
-    bell = {
-        "phi+": np.einsum("a,b->ab", phi1, phi2) / np.sqrt(2)
-        + np.einsum("a,b->ab", psi1, psi2) / np.sqrt(2),
-        "phi-": np.einsum("a,b->ab", phi1, phi2) / np.sqrt(2)
-        - np.einsum("a,b->ab", psi1, psi2) / np.sqrt(2),
-        "psi+": np.einsum("a,b->ab", phi1, psi2) / np.sqrt(2)
-        + np.einsum("a,b->ab", psi1, phi2) / np.sqrt(2),
-        "psi-": np.einsum("a,b->ab", phi1, psi2) / np.sqrt(2)
-        - np.einsum("a,b->ab", psi1, phi2) / np.sqrt(2),
-    }
-    g1 = velocity_inner_product_matrix(u1)
-    g2 = velocity_inner_product_matrix(u2)
-    g3 = velocity_inner_product_matrix(bob_label[1])
-    probs, residuals = {}, {}
-    for name, bstate in bell.items():
-        # Bob's (unnormalized) conditional state: <Bell|Upsilon> on slots 1, 2
-        amp = np.einsum("ab,ap,bq,pqc->c", bstate.conj(), g1, g2, ups)
-        residuals[name] = amp
-        probs[name] = float(np.real(amp.conj() @ g3 @ amp))
+    if forced_outcome is not None and forced_outcome not in BELL_OUTCOMES:
+        raise QulineError(f"forced_outcome must be one of {', '.join(BELL_OUTCOMES)} "
+                          f"(got {forced_outcome!r})")
+    slots = tuple(Slot(FermionState, f.final[0].event, f.final[0].velocity)
+                  for f in basis_fields)
+    e1, e2, e3 = (np.transpose([s.psi for s in f.final]) for f in basis_fields)
+    # the input qubit on slot 0; the resource, phi+ in the bases of slots 1 and 2
+    state = MultiQubitState(np.multiply.outer(e1 @ [alpha, beta], e2 @ _BELL[0] @ e3.T),
+                            slots)
+    bells = e1 @ _BELL @ e2.T
+    bras = np.einsum("kab,ap,bq->kpq", bells.conj(), slots[0].metric, slots[1].metric)
+    probs, branches = {}, {}
+    for name, bell, bra in zip(BELL_OUTCOMES, bells, bras):
+        probs[name], post = state.project(np.outer(bell, bra), 0, 1)
+        branches[name] = bra, post
     outcome = forced_outcome
     if outcome is None:
-        names = list(BELL_OUTCOMES)
-        weights = np.array([probs[n] for n in names])
-        outcome = names[rng.choice(len(names), p=weights / weights.sum())]
+        weights = np.array(list(probs.values()))
+        pick = np.random.default_rng(rng).choice(len(BELL_OUTCOMES), p=weights / weights.sum())
+        outcome = BELL_OUTCOMES[pick]
 
-    basis_states = f3.final if correct_in_transported_basis else f3.initial
-    phi_b = basis_states[0].psi
-    psi_b = basis_states[1].psi
-    basis_mat = np.column_stack([phi_b, psi_b])
-    # express Bob's spinor in the correction basis, apply U, rebuild
-    comps = np.linalg.solve(basis_mat, residuals[outcome])
-    corrected = basis_mat @ (_CORRECTIONS[outcome] @ comps)
-    bob = FermionState(corrected, *bob_label).normalized()
-    target = FermionState(alpha * phi3 + beta * psi3, *bob_label).normalized()
+    which = "final" if correct_in_transported_basis else "initial"
+    basis = np.transpose([s.psi for s in getattr(basis_fields[2], which)])
+    bra, post = branches[outcome]
+    corrected = post.apply(basis @ _CORRECTIONS[outcome] @ np.linalg.inv(basis), 2)
+    # Bob's qubit is what the Bell state on slots 0 and 1 leaves on slot 2
+    bob = MultiQubitState(bra.ravel() @ corrected.amplitude.reshape(4, 2), slots[2:]).normalized()
+    target = MultiQubitState(e3 @ [alpha, beta], slots[2:]).normalized()
     fidelity = abs(target.inner(bob)) ** 2
-    return TeleportResult(outcome, probs, bob, target, fidelity)
+    bob_label = slots[2].event, slots[2].label
+    return TeleportResult(outcome, probs, FermionState(bob.amplitude, *bob_label),
+                          FermionState(target.amplitude, *bob_label), fidelity)

@@ -53,7 +53,8 @@ class PhotonState(LocalizedState):
 
     def canonical(self):
         """Representative with psi^0 = 0 (subtracts a multiple of u)."""
-        return self.gauge_shift(-self.pol[0] / self.wavevector[0])
+        return PhotonState(canonical_gauge(self.pol, self.wavevector), self.event,
+                           self.wavevector)
 
     def gauge_shift(self, upsilon):
         return PhotonState(self.pol + upsilon * self.wavevector.astype(complex),
@@ -122,10 +123,16 @@ def transport(state: PhotonState, worldline, tol=1e-12, n_samples=201):
 
     def canonical(pols, wavevectors):
         trans = np.abs(np.sum((wavevectors @ ETA) * pols, axis=1)) / max(1.0, state.label[0])
-        return (pols - (pols[:, 0] / wavevectors[:, 0])[:, None] * wavevectors,
-                {"transversality_drift": float(trans.max())})
+        return canonical_gauge(pols, wavevectors), {"transversality_drift": float(trans.max())}
     return carry(state, worldline, lambda params: parallel_propagator(worldline, params, tol),
                  n_samples, canonical)
+
+
+def canonical_gauge(pols, wavevectors):
+    """(1 - k e_0^T / k^0) psi: the representative with psi^0 = 0 of the class of
+    each polarization row of ``pols`` at the wavevector row of ``wavevectors``
+    (any leading axes, broadcast)."""
+    return pols - (pols[..., :1] / wavevectors[..., :1]) * wavevectors
 
 
 def _wigner_rate(x, u, a, xdot, pulled):

@@ -544,10 +544,16 @@ class LocalizedState:
 
     def __post_init__(self):
         amplitude = np.asarray(self.amplitude, dtype=complex).reshape(self.dim)
-        label = np.asarray(self.label, dtype=float).reshape(4)
-        check_norm(label, self.label_norm, self.label_message)
         object.__setattr__(self, "amplitude", amplitude)
-        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "label", self.checked_label(self.label))
+
+    @classmethod
+    def checked_label(cls, label):
+        """``label`` as a float 4-vector, refused unless it has the realization's
+        label norm."""
+        label = np.asarray(label, dtype=float).reshape(4)
+        check_norm(label, cls.label_norm, cls.label_message)
+        return label
 
     def same_space(self, other):
         return (type(self) is type(other) and self.event.close_to(other.event)

@@ -21,9 +21,13 @@ SINGLET = np.array([[0.0, 1.0], [-1.0, 0.0]]) / np.sqrt(2.0)
 TRIPLET0 = np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0)
 
 
+def fermion_slot(event, u):
+    return cp.Slot(FermionState, event, u)
+
+
 def rest_pair_state(coeffs):
-    label = cp.SlotLabel("fermion", EV, REST)
-    return cp.BipartiteState(coeffs, (label, label))
+    slot = fermion_slot(EV, REST)
+    return cp.MultiQubitState(coeffs, (slot, slot))
 
 
 def orthonormal_pair(event, u, rng):
@@ -39,12 +43,12 @@ def orthonormal_pair(event, u, rng):
 class TestBipartiteInnerProduct:
     def test_singlet_norm(self):
         s = rest_pair_state(SINGLET)
-        assert cp.bipartite_inner_product(s, s) == pytest.approx(1.0, abs=1e-14)
+        assert s.inner(s) == pytest.approx(1.0, abs=1e-14)
 
     def test_singlet_triplet_orthogonal(self):
         s = rest_pair_state(SINGLET)
         t = rest_pair_state(TRIPLET0)
-        assert abs(cp.bipartite_inner_product(s, t)) < 1e-14
+        assert abs(s.inner(t)) < 1e-14
 
     def test_boosted_labels_match_rest_computation(self):
         rng = np.random.default_rng(0)
@@ -64,21 +68,20 @@ class TestBipartiteInnerProduct:
                 half, _ = boost_pair_from_velocity(u)
                 us.append(u)
                 halves.append(half.matrix)
-            lab1 = cp.SlotLabel("fermion", EV, us[0])
-            lab2 = cp.SlotLabel("fermion", EV, us[1])
+            slots = (fermion_slot(EV, us[0]), fermion_slot(EV, us[1]))
             m1 = np.einsum("ac,bd,cd->ab", halves[0], halves[1], c1)
             m2 = np.einsum("ac,bd,cd->ab", halves[0], halves[1], c2)
-            s1 = cp.BipartiteState(m1, (lab1, lab2))
-            s2 = cp.BipartiteState(m2, (lab1, lab2))
-            assert abs(cp.bipartite_inner_product(s1, s2) - rest_val) < 1e-11
+            s1 = cp.MultiQubitState(m1, slots)
+            s2 = cp.MultiQubitState(m2, slots)
+            assert abs(s1.inner(s2) - rest_val) < 1e-11
 
     def test_label_mismatch(self):
         s = rest_pair_state(SINGLET)
         g = 1 / np.sqrt(1 - 0.25)
-        lab = cp.SlotLabel("fermion", EV, [g, 0.5 * g, 0, 0])
-        t = cp.BipartiteState(SINGLET, (lab, s.labels[1]))
+        slot = fermion_slot(EV, [g, 0.5 * g, 0, 0])
+        t = cp.MultiQubitState(SINGLET, (slot, s.slots[1]))
         with pytest.raises(HilbertSpaceMismatch):
-            cp.bipartite_inner_product(s, t)
+            s.inner(t)
 
 
 def curved_legs():
@@ -105,19 +108,27 @@ def reference_transport(wl, generator, psi0, tol=1e-13):
     return sol.y[:, -1]
 
 
+def slot_map(realization, worldline, tol):
+    """A slot's map along ``worldline`` and its end slot, read by carrying slot
+    0 of a state whose amplitude is the identity on it and a second slot."""
+    slot = cp.Slot(realization, worldline.start_event, worldline.velocity(0.0))
+    state = cp.MultiQubitState(np.eye(realization.dim), (slot, slot))
+    carried = state.carry(0, worldline, tol)
+    return carried.amplitude, carried.slots[0]
+
+
 class TestSingleSolveMaps:
     """Maps built from one propagator solve agree with per-basis-vector transports."""
 
     def test_fermion_slot_map(self):
         _, _, orbit = curved_legs()
-        label = cp.SlotLabel("fermion", orbit.start_event, orbit.velocity(0.0))
-        u_mat, end = cp._slot_propagator(label, orbit, 1e-12)
+        u_mat, end = slot_map(FermionState, orbit, 1e-12)
         generator = lambda x, u, a, xdot, pulled: fm._covariant_generator(None, 0.0, x, u, a,
                                                                            xdot, pulled)
         for i in range(2):
             col = reference_transport(orbit, generator, np.eye(2)[i])
             assert np.abs(u_mat[:, i] - col).max() < 1e-10
-        assert np.abs(end.velocity - orbit.velocity(orbit.param_span[1])).max() == 0.0
+        assert np.abs(end.label - orbit.velocity(orbit.param_span[1])).max() == 0.0
 
     def test_photon_slot_map(self):
         model = make_builtin_model("schwarzschild", [1.0])
@@ -128,12 +139,11 @@ class TestSingleSolveMaps:
                                + g[3, 3] * k_coord[3] ** 2) / g[0, 0])
         ray = integrate_null_geodesic(model, x0, model.inverse_tetrad(x0) @ k_coord,
                                       span=10.0, tol=1e-12)
-        label = cp.SlotLabel("photon", ray.start_event, ray.velocity(0.0))
-        u_mat, end = cp._slot_propagator(label, ray, 1e-12)
+        u_mat, end = slot_map(ph.PhotonState, ray, 1e-12)
         generator = lambda x, u, a, xdot, pulled: -np.tensordot(xdot, model.connection(x), 1)
         for i in range(4):
             pol = reference_transport(ray, generator, np.eye(4)[i])
-            col = ph.PhotonState(pol, end.event, end.velocity).canonical().pol
+            col = ph.PhotonState(pol, end.event, end.label).canonical().pol
             assert np.abs(u_mat[:, i] - col).max() < 1e-10
 
     def test_basis_pair_field(self):
@@ -152,45 +162,49 @@ class TestSingleSolveMaps:
 class TestEvolveLocal:
     def test_zero_length_identity(self):
         model, wl1, _ = curved_legs()
-        lab1 = cp.SlotLabel("fermion", wl1.start_event, wl1.velocity(0.0))
-        lab2 = cp.SlotLabel("fermion", EV, REST)
-        st = cp.BipartiteState(SINGLET, (lab1, lab2))
+        st = cp.MultiQubitState(SINGLET, (fermion_slot(wl1.start_event, wl1.velocity(0.0)),
+                                          fermion_slot(EV, REST)))
         from quline.worldline import static_worldline as sw
         tiny = sw(model, [8.0, np.pi / 2, 0.3], span=1e-12)
-        out = cp.evolve_local(st, 0, tiny)
-        assert np.abs(out.coeffs - st.coeffs).max() < 1e-10
+        out = st.carry(0, tiny)
+        assert np.abs(out.amplitude - st.amplitude).max() < 1e-10
 
     def test_slot_evolution_commutes(self):
         model, wl1, wl2 = curved_legs()
-        lab1 = cp.SlotLabel("fermion", wl1.start_event, wl1.velocity(0.0))
-        lab2 = cp.SlotLabel("fermion", wl2.start_event, wl2.velocity(0.0))
+        wl3 = circular_like_orbit(model, r0=14.0, span=10.0)
         rng = np.random.default_rng(1)
-        coeffs = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        st = cp.BipartiteState(coeffs, (lab1, lab2))
-        st = st.normalized()
-        a = cp.evolve_local(cp.evolve_local(st, 0, wl1), 1, wl2)
-        b = cp.evolve_local(cp.evolve_local(st, 1, wl2), 0, wl1)
-        assert np.abs(a.coeffs - b.coeffs).max() < 1e-10
-        assert abs(a.norm_squared() - 1.0) < 1e-10
+        for lines in ((wl1, wl2), (wl1, wl2, wl3)):
+            slots = tuple(fermion_slot(wl.start_event, wl.velocity(0.0)) for wl in lines)
+            shape = (2,) * len(lines)
+            coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            st = cp.MultiQubitState(coeffs, slots)
+            st = st.normalized()
+            a = b = st
+            for slot, wl in enumerate(lines):
+                a = a.carry(slot, wl)
+            for slot, wl in reversed(list(enumerate(lines))):
+                b = b.carry(slot, wl)
+            assert np.abs(a.amplitude - b.amplitude).max() < 1e-10
+            assert abs(a.norm_squared() - 1.0) < 1e-10
 
     def test_singlet_form_preserved_under_common_evolution(self):
         # transport generators are traceless: det U = 1, so the antisymmetric
         # coefficient array is exactly preserved
         wl = circular_worldline(FLAT, radius=1.0, beta=0.5, revolutions=0.6)
-        lab = cp.SlotLabel("fermion", wl.start_event, wl.velocity(0.0))
-        st = cp.BipartiteState(SINGLET, (lab, lab))
-        out = cp.evolve_local(cp.evolve_local(st, 0, wl), 1, wl)
-        assert np.abs(out.coeffs - SINGLET).max() < 1e-10
+        slot = fermion_slot(wl.start_event, wl.velocity(0.0))
+        st = cp.MultiQubitState(SINGLET, (slot, slot))
+        out = st.carry(0, wl).carry(1, wl)
+        assert np.abs(out.amplitude - SINGLET).max() < 1e-10
 
     def test_antisymmetry_preserved(self):
         rng = np.random.default_rng(2)
         wl = circular_worldline(FLAT, radius=1.0, beta=0.4, revolutions=0.5)
-        lab = cp.SlotLabel("fermion", wl.start_event, wl.velocity(0.0))
+        slot = fermion_slot(wl.start_event, wl.velocity(0.0))
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         anti = (a - a.T) / 2
-        st = cp.BipartiteState(anti, (lab, lab))
-        out = cp.evolve_local(cp.evolve_local(st, 0, wl), 1, wl)
-        assert np.abs(out.coeffs + out.coeffs.T).max() < 1e-10
+        st = cp.MultiQubitState(anti, (slot, slot))
+        out = st.carry(0, wl).carry(1, wl)
+        assert np.abs(out.amplitude + out.amplitude.T).max() < 1e-10
 
     @pytest.mark.parametrize("event, u", [((0.0, 1e-6, 0.0, 0.0), REST),
                                           ((0.0, 0.0, 0.0, 0.0), [1.0, 2e-9, 0.0, 0.0])],
@@ -198,10 +212,10 @@ class TestEvolveLocal:
     @pytest.mark.parametrize("slot", [0, 1])
     def test_slot_label_off_the_worldline_start_is_refused(self, event, u, slot):
         wl = static_worldline(FLAT, [0.0, 0.0, 0.0], span=1.0)    # starts at EV, at rest
-        labels = [cp.SlotLabel("fermion", EV, REST)] * 2
-        labels[slot] = cp.SlotLabel("fermion", FLAT.event(*event), u)
+        slots = [fermion_slot(EV, REST)] * 2
+        slots[slot] = fermion_slot(FLAT.event(*event), u)
         with pytest.raises(HilbertSpaceMismatch):
-            cp.evolve_local(cp.BipartiteState(SINGLET, tuple(labels)), slot, wl)
+            cp.MultiQubitState(SINGLET, tuple(slots)).carry(slot, wl)
 
 
 class TestProjectSlot:
@@ -209,40 +223,40 @@ class TestProjectSlot:
         coeffs = np.outer([1.0, 0.0], [0.6, 0.8])
         st = rest_pair_state(coeffs)
         p_up = np.array([[1.0, 0.0], [0.0, 0.0]])
-        prob, post = cp.project_slot(st, 0, p_up)
+        prob, post = st.project(p_up, 0)
         assert prob == pytest.approx(1.0, abs=1e-14)
-        assert np.abs(post.coeffs - coeffs).max() < 1e-14
+        assert np.abs(post.amplitude - coeffs).max() < 1e-14
 
     def test_singlet_statistics_and_update(self):
         st = rest_pair_state(SINGLET)
         p_up = np.array([[1.0, 0.0], [0.0, 0.0]])
-        prob, post = cp.project_slot(st, 0, p_up)
+        prob, post = st.project(p_up, 0)
         assert prob == pytest.approx(0.5, abs=1e-14)
         expected = np.outer([1.0, 0.0], [0.0, 1.0])
-        phase = post.coeffs[0, 1]
-        assert np.abs(post.coeffs - phase * expected).max() < 1e-14
+        phase = post.amplitude[0, 1]
+        assert np.abs(post.amplitude - phase * expected).max() < 1e-14
 
     def test_zero_probability_flagged(self):
         coeffs = np.outer([1.0, 0.0], [1.0, 0.0])
         st = rest_pair_state(coeffs)
         p_dn = np.array([[0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(QulineError):
-            cp.project_slot(st, 0, p_dn)
+            st.project(p_dn, 0)
 
     def test_projection_commutes_with_other_slot_unitary(self):
         model, wl1, wl2 = curved_legs()
-        lab1 = cp.SlotLabel("fermion", wl1.start_event, wl1.velocity(0.0))
-        lab2 = cp.SlotLabel("fermion", wl2.start_event, wl2.velocity(0.0))
+        slots = (fermion_slot(wl1.start_event, wl1.velocity(0.0)),
+                 fermion_slot(wl2.start_event, wl2.velocity(0.0)))
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        st = cp.BipartiteState(coeffs, (lab1, lab2)).normalized()
+        st = cp.MultiQubitState(coeffs, slots).normalized()
         p_up = np.array([[1.0, 0.0], [0.0, 0.0]])
-        prob_a, post_a = cp.project_slot(st, 0, p_up)
-        evolved_a = cp.evolve_local(post_a, 1, wl2)
-        evolved = cp.evolve_local(st, 1, wl2)
-        prob_b, post_b = cp.project_slot(evolved, 0, p_up)
+        prob_a, post_a = st.project(p_up, 0)
+        evolved_a = post_a.carry(1, wl2)
+        evolved = st.carry(1, wl2)
+        prob_b, post_b = evolved.project(p_up, 0)
         assert abs(prob_a - prob_b) < 1e-12
-        assert np.abs(evolved_a.coeffs - post_b.coeffs).max() < 1e-10
+        assert np.abs(evolved_a.amplitude - post_b.amplitude).max() < 1e-10
 
     def test_no_signalling_marginal(self):
         # slot-2 statistics are untouched by any slot-1 projective measurement
@@ -252,17 +266,59 @@ class TestProjectSlot:
         iu = velocity_inner_product_matrix(REST)
 
         def slot2_expectation(state):
-            acted = state.coeffs @ obs.operator.T   # apply A on slot 2
-            val = np.einsum("ab,ap,bq,pq->", state.coeffs.conj(), iu, iu, acted)
+            acted = state.amplitude @ obs.operator.T   # apply A on slot 2
+            val = np.einsum("ab,ap,bq,pq->", state.amplitude.conj(), iu, iu, acted)
             return np.real(val) / state.norm_squared()
 
         p_up = np.array([[1.0, 0.0], [0.0, 0.0]])
         p_dn = np.eye(2) - p_up
         total = 0.0
         for p in (p_up, p_dn):
-            prob, post = cp.project_slot(st, 0, p)
+            prob, post = st.project(p, 0)
             total += prob * slot2_expectation(post)
         assert abs(total - slot2_expectation(st)) < 1e-12
+
+    def test_two_slot_projection_on_a_three_slot_state(self):
+        # up x v x down projected onto |up down> on slots (0, 2) keeps slot 1,
+        # on a boosted label, as it is; the slots' order orders the projector
+        boosted = fermion_slot(EV, [1.25, 0.0, 0.75, 0.0])
+        coeffs = np.multiply.outer(np.multiply.outer([1.0, 0.0], [0.6, 0.8j]), [0.0, 1.0])
+        st = cp.MultiQubitState(coeffs, (fermion_slot(EV, REST), boosted,
+                                         fermion_slot(EV, REST))).normalized()
+        up_down = np.diag([0.0, 1.0, 0.0, 0.0])
+        prob, post = st.project(up_down, 0, 2)
+        assert prob == pytest.approx(1.0, abs=1e-14)
+        assert np.abs(post.amplitude - st.amplitude).max() < 1e-14
+        with pytest.raises(QulineError, match="^projection onto a zero-probability branch$"):
+            st.project(up_down, 2, 0)
+
+
+class TestAmplitudeChecks:
+    SLOT = fermion_slot(EV, REST)
+
+    def test_non_finite_amplitude_refused(self):
+        with pytest.raises(QulineError, match="^amplitude is not finite$"):
+            cp.MultiQubitState([[np.nan, 0.0], [0.0, 1.0]], (self.SLOT, self.SLOT))
+        with pytest.raises(QulineError, match="^amplitude is not finite$"):
+            rest_pair_state(SINGLET).apply([[np.nan, 0.0], [0.0, 1.0]], 1)
+
+    def test_non_finite_probability_refused(self):
+        st = rest_pair_state(SINGLET)
+        with pytest.raises(QulineError, match=r"^projection probability is not finite \(nan\)$"):
+            st.project(np.full((2, 2), np.nan), 0)
+        with pytest.raises(QulineError, match=r"^projection probability is not finite \(nan\)$"):
+            rest_pair_state(np.zeros((2, 2))).project(np.eye(2), 1)
+
+    def test_shape_off_the_slots_refused(self):
+        with pytest.raises(QulineError, match=r"^amplitude shape \(4,\) does not match the "
+                                              r"slots' dims \(2, 2\)$"):
+            cp.MultiQubitState(np.ones(4), (self.SLOT, self.SLOT))
+        with pytest.raises(QulineError, match=r"^operator shape \(4, 4\) is not \(2, 2\) "
+                                              r"for slots \(1,\)$"):
+            rest_pair_state(SINGLET).apply(np.eye(4), 1)
+        with pytest.raises(QulineError, match=r"^operator shape \(2, 2\) is not \(4, 4\) "
+                                              r"for slots \(0, 1\)$"):
+            rest_pair_state(SINGLET).project(np.eye(2), 0, 1)
 
 
 class TestTeleportation:
@@ -329,12 +385,27 @@ class TestTeleportation:
         """One call forms the inner-product matrix of each of the three
         labels once, not Bob's once per Bell outcome."""
         fields = self.curved_basis_fields(np.random.default_rng(6))
-        formed = []
+        formed, metrics = [], FermionState.metrics
 
-        def counted(u):
-            formed.append(tuple(u.tolist()))
-            return velocity_inner_product_matrix(u)
+        def counted(labels):
+            formed.extend(tuple(u.tolist()) for u in labels)
+            return metrics(labels)
 
-        monkeypatch.setattr(cp, "velocity_inner_product_matrix", counted)
+        monkeypatch.setattr(FermionState, "metrics", staticmethod(counted))
         cp.teleport(0.6, 0.8, fields, forced_outcome="psi-")
         assert formed == [tuple(f.final[0].velocity.tolist()) for f in fields]
+
+    @pytest.mark.parametrize("alpha, beta", [(np.nan, 0.8), (0.6, np.nan), (np.inf, 0.0),
+                                             (0.6, 0.6)])
+    def test_input_off_the_unit_circle_is_refused(self, alpha, beta):
+        fields = self.flat_basis_fields()
+        with pytest.raises(QulineError, match=r"^input coefficients must satisfy "
+                                              r"\|alpha\|\^2 \+ \|beta\|\^2 = 1$"):
+            cp.teleport(alpha, beta, fields, forced_outcome="phi+")
+        with pytest.raises(QulineError):
+            cp.teleport(alpha, beta, fields)
+
+    def test_unknown_forced_outcome_is_refused(self):
+        with pytest.raises(QulineError, match=r"^forced_outcome must be one of phi\+, phi-, "
+                                              r"psi\+, psi- \(got 'bogus'\)$"):
+            cp.teleport(0.6, 0.8, self.flat_basis_fields(), forced_outcome="bogus")

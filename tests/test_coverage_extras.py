@@ -113,13 +113,25 @@ class TestTransportPreconditions:
             transport_rest_frame(RestFrameState([1, 0]), ray)
 
 
+def photon_slot(event, k):
+    return cp.Slot(ph.PhotonState, event, k)
+
+
 def photon_pair_state(k1, k2, jones1, jones2):
     ev = FLAT.event(0, 0, 0, 0)
     p1 = ph.jones_to_state(jones1, k1, ev)
     p2 = ph.jones_to_state(jones2, k2, ev)
-    lab1 = cp.SlotLabel("photon", ev, k1)
-    lab2 = cp.SlotLabel("photon", ev, k2)
-    return cp.BipartiteState(np.outer(p1.pol, p2.pol), (lab1, lab2))
+    return cp.MultiQubitState(np.outer(p1.pol, p2.pol), (photon_slot(ev, k1), photon_slot(ev, k2)))
+
+
+def transversality(state):
+    """Max |u_I psi^{...I...}| over the state's photon slots (0 for fermion slots)."""
+    worst = 0.0
+    for axis, slot in enumerate(state.slots):
+        if slot.realization is ph.PhotonState:
+            res = np.tensordot(ETA @ slot.label, state.amplitude, axes=([0], [axis]))
+            worst = max(worst, np.abs(res).max())
+    return worst
 
 
 class TestPhotonBipartite:
@@ -135,13 +147,13 @@ class TestPhotonBipartite:
             j4 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             a = photon_pair_state(self.K1, self.K2, j1, j2)
             b = photon_pair_state(self.K1, self.K2, j3, j4)
-            val = cp.bipartite_inner_product(a, b)
+            val = a.inner(b)
             expect = (j1.conj() @ j3) * (j2.conj() @ j4)
             assert abs(val - expect) < 1e-12
 
     def test_transversality_constraint(self):
         st = photon_pair_state(self.K1, self.K2, [1.0, 0.5j], [0.3, 1.0])
-        assert st.transversality() < 1e-12
+        assert transversality(st) < 1e-12
 
     def test_entangled_photon_pair_norm(self):
         ev = FLAT.event(0, 0, 0, 0)
@@ -150,9 +162,7 @@ class TestPhotonBipartite:
         h2 = ph.jones_to_state([1, 0], self.K2, ev).pol
         v2 = ph.jones_to_state([0, 1], self.K2, ev).pol
         bell = (np.outer(h1, h2) + np.outer(v1, v2)) / np.sqrt(2.0)
-        lab1 = cp.SlotLabel("photon", ev, self.K1)
-        lab2 = cp.SlotLabel("photon", ev, self.K2)
-        st = cp.BipartiteState(bell, (lab1, lab2))
+        st = cp.MultiQubitState(bell, (photon_slot(ev, self.K1), photon_slot(ev, self.K2)))
         assert abs(st.norm_squared() - 1.0) < 1e-12
 
     def test_evolve_photon_slot_along_curved_ray(self):
@@ -170,29 +180,27 @@ class TestPhotonBipartite:
             ph.adaptation_rotation(k0).diad_inv @ j1, ev, k0)
         flat_ev = FLAT.event(0, 0, 0, 0)
         p2 = ph.jones_to_state([1.0, 0.0], self.K1, flat_ev)
-        lab1 = cp.SlotLabel("photon", ev, k0)
-        lab2 = cp.SlotLabel("photon", flat_ev, self.K1)
-        st = cp.BipartiteState(np.outer(p1.pol, p2.pol), (lab1, lab2))
-        out = cp.evolve_local(st, 0, ray, tol=1e-13)
+        st = cp.MultiQubitState(np.outer(p1.pol, p2.pol),
+                                (photon_slot(ev, k0), photon_slot(flat_ev, self.K1)))
+        out = st.carry(0, ray, tol=1e-13)
         # product state stays a product of (transported p1) x p2
         single = ph.transport(p1, ray, tol=1e-13).final
         expect = np.outer(single.pol, p2.pol)
         # both are canonical-gauge representatives of the same class
-        resid = np.abs(out.coeffs - expect).max()
+        resid = np.abs(out.amplitude - expect).max()
         assert resid < 1e-9
-        assert out.transversality() < 1e-9
+        assert transversality(out) < 1e-9
         assert abs(out.norm_squared() - st.norm_squared()) < 1e-9
 
     def test_mixed_fermion_photon_pair(self):
         ev = FLAT.event(0, 0, 0, 0)
         pol = ph.jones_to_state([0.6, 0.8j], self.K1, ev).pol
         psi = np.array([1.0, 0.0])
-        lab_p = cp.SlotLabel("photon", ev, self.K1)
-        lab_f = cp.SlotLabel("fermion", ev, [1.0, 0, 0, 0])
-        st = cp.BipartiteState(np.outer(pol, psi), (lab_p, lab_f))
+        st = cp.MultiQubitState(np.outer(pol, psi), (photon_slot(ev, self.K1),
+                                                     cp.Slot(FermionState, ev, [1.0, 0, 0, 0])))
         assert abs(st.norm_squared() - 1.0) < 1e-12
         p_up = np.array([[1.0, 0], [0, 0.0]])
-        prob, post = cp.project_slot(st, 1, p_up)
+        prob, post = st.project(p_up, 1)
         assert prob == pytest.approx(1.0, abs=1e-12)
 
     def test_operator_argument_on_slot(self):
@@ -200,12 +208,12 @@ class TestPhotonBipartite:
         # half-wave-plate-like unitary on slot 2 in its transverse space
         from quline.measurement import photon_hermitian
         op = photon_hermitian(1.0, -1.0, 0.0, self.K2)
-        out = cp.evolve_local(st, 1, operator=op)
-        expect = photon_pair_state(self.K1, self.K2, [1.0, 0.0], [1.0, 0.0]).coeffs
-        assert np.abs(out.coeffs - expect).max() < 1e-12
+        out = st.apply(op, 1)
+        expect = photon_pair_state(self.K1, self.K2, [1.0, 0.0], [1.0, 0.0]).amplitude
+        assert np.abs(out.amplitude - expect).max() < 1e-12
         st_v = photon_pair_state(self.K1, self.K2, [1.0, 0.0], [0.0, 1.0])
-        out_v = cp.evolve_local(st_v, 1, operator=op)
-        assert np.abs(out_v.coeffs + st_v.coeffs).max() < 1e-12
+        out_v = st_v.apply(op, 1)
+        assert np.abs(out_v.amplitude + st_v.amplitude).max() < 1e-12
 
 
 class TestScenarioMeasureSpin:

@@ -1,7 +1,7 @@
 """Transports whose caller keeps only the end state ask the Magnus kernel for
 the span ends alone, so it runs no read pass and builds no interior samples:
 the basis pairs of ``make_basis_pair_field``, the slot maps of
-``evolve_local`` and the two arm transports of an interferometer that
+``MultiQubitState.carry`` and the two arm transports of an interferometer that
 carries a qubit.  Their end states are those of a 201-sample transport: byte
 for byte on fermion legs, whose grid no read refines, and within 1e-13 on a
 Schwarzschild photon leg, whose grid the read check had refined."""
@@ -59,12 +59,8 @@ def assert_span_ends_only(calls, count):
         np.testing.assert_array_equal(params, span)
 
 
-def fermion_label(wl):
-    return cp.SlotLabel("fermion", wl.start_event, wl.velocity(0.0))
-
-
-def photon_label(wl):
-    return cp.SlotLabel("photon", wl.start_event, wl.velocity(0.0))
+def start_slot(realization, wl):
+    return cp.Slot(realization, wl.start_event, wl.velocity(0.0))
 
 
 def test_basis_pair_field_reads_the_span_ends(asked):
@@ -87,31 +83,30 @@ def test_basis_pair_field_reads_the_span_ends(asked):
 
 def test_fermion_slot_map_reads_the_span_ends(asked):
     wl = circular_orbit()
-    label = fermion_label(wl)
-    state = cp.BipartiteState(np.array([[0.6, 0.1j], [0.2, 0.7]]), (label, label))
-    evolved = cp.evolve_local(state, 1, wl)
+    slot = start_slot(fm.FermionState, wl)
+    state = cp.MultiQubitState(np.array([[0.6, 0.1j], [0.2, 0.7]]), (slot, slot))
+    evolved = state.carry(1, wl)
     assert_span_ends_only(asked, 1)
-    sampled = fm.transport(fm.FermionState([1.0, 0.0], label.event, label.velocity), wl)
-    want = np.tensordot(sampled.propagators[-1], state.coeffs, axes=([1], [1])).T
-    assert evolved.coeffs.tobytes() == want.tobytes()
-    assert evolved.labels[1].velocity.tobytes() == sampled.final.velocity.tobytes()
-    assert evolved.labels[0] is label
+    sampled = fm.transport(fm.FermionState([1.0, 0.0], slot.event, slot.label), wl)
+    want = np.tensordot(sampled.propagators[-1], state.amplitude, axes=([1], [1])).T
+    assert evolved.amplitude.tobytes() == want.tobytes()
+    assert evolved.slots[1].label.tobytes() == sampled.final.velocity.tobytes()
+    assert evolved.slots[0] is slot
 
 
 def test_photon_slot_map_reads_the_span_ends(asked):
     wl = ray()
-    label = photon_label(wl)
-    jones = ph.jones_to_state([0.8, 0.6j], label.velocity, label.event).pol
-    state = cp.BipartiteState(np.outer(jones, [1.0, 0.0, 0.0, 0.0]), (label, label))
-    evolved = cp.evolve_local(state, 0, wl)
+    slot = start_slot(ph.PhotonState, wl)
+    jones = ph.jones_to_state([0.8, 0.6j], slot.label, slot.event).pol
+    state = cp.MultiQubitState(np.outer(jones, [1.0, 0.0, 0.0, 0.0]), (slot, slot))
+    evolved = state.carry(0, wl)
     assert_span_ends_only(asked, 1)
-    sampled = ph.transport(ph.PhotonState([1.0, 0.0, 0.0, 0.0], label.event, label.velocity),
-                           wl)
+    sampled = ph.transport(ph.PhotonState([1.0, 0.0, 0.0, 0.0], slot.event, slot.label), wl)
     k = sampled.final.wavevector
     canonical = np.eye(4) - np.outer(k, [1.0, 0.0, 0.0, 0.0]) / k[0]
-    want = np.tensordot(canonical @ sampled.propagators[-1], state.coeffs, axes=([1], [0]))
-    assert np.abs(evolved.coeffs - want).max() <= 1e-13
-    assert evolved.labels[0].velocity.tobytes() == k.tobytes()
+    want = np.tensordot(canonical @ sampled.propagators[-1], state.amplitude, axes=([1], [0]))
+    assert np.abs(evolved.amplitude - want).max() <= 1e-13
+    assert evolved.slots[0].label.tobytes() == k.tobytes()
 
 
 def test_interferometer_arms_read_the_span_ends(asked, monkeypatch):

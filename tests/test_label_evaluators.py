@@ -315,14 +315,14 @@ def load_workloads():
 
 
 # fidelity and the four Bell probabilities (in BELL_OUTCOMES order) of each
-# forced outcome, as computed before basis fields were checked once, under
-# OpenBLAS's default kernel choice; like the bundled goldens, these bytes
+# forced outcome, as the Bell projections of the three-slot state give them
+# under OpenBLAS's default kernel choice; like the bundled goldens, these bytes
 # differ under OPENBLAS_CORETYPE=Haswell (ROADMAP item 1)
 TELEPORT_BYTES = {
     "phi+": "0x1.0000000000004p+0", "phi-": "0x1.0000000000002p+0",
     "psi+": "0x1.0000000000002p+0", "psi-": "0x1.0000000000004p+0"}
-TELEPORT_PROBABILITIES = ["0x1.fffffffffffffp-3", "0x1.ffffffffffffep-3",
-                          "0x1.ffffffffffff8p-3", "0x1.ffffffffffff8p-3"]
+TELEPORT_PROBABILITIES = ["0x1.0000000000004p-2", "0x1.0000000000002p-2",
+                          "0x1.ffffffffffffbp-3", "0x1.ffffffffffff8p-3"]
 
 
 def test_bench_teleport_case_keeps_its_bytes(tmp_path, monkeypatch):
