@@ -53,6 +53,9 @@ class MultiQubitState:
 
     A non-finite amplitude or a shape that does not match the slots is
     refused.  The product inner-product matrix is formed once per state.
+    An amplitude whose squared norm passes the floats has norm_squared inf,
+    without a warning, and is normalized and projected over its largest
+    |entry|.
     """
 
     amplitude: np.ndarray
@@ -88,13 +91,21 @@ class MultiQubitState:
         return self._inner(self.amplitude, other.amplitude)
 
     def norm_squared(self):
-        return self._inner(self.amplitude, self.amplitude).real
+        return self._square(self.amplitude)
+
+    def _square(self, a):
+        with np.errstate(over="ignore"):
+            return self._inner(a, a).real
 
     def normalized(self):
-        n = np.sqrt(self.norm_squared())
+        amplitude, square = self.amplitude, self.norm_squared()
+        if square == math.inf:      # squares past the floats: normalize it rescaled
+            amplitude = amplitude / np.abs(amplitude).max()
+            square = self._square(amplitude)
+        n = np.sqrt(square)
         if n == 0.0:
             raise QulineError("cannot normalize the zero state")
-        return MultiQubitState(self.amplitude / n, self.slots)
+        return MultiQubitState(amplitude / n, self.slots)
 
     def _acted(self, operator, slots):
         """The amplitude with ``operator``, a (D, D) matrix on the product of the
@@ -118,7 +129,11 @@ class MultiQubitState:
         normalized state).  A non-finite probability and a zero-probability
         branch are refused."""
         projected = self._acted(projector, slots)
-        kept, total = self._inner(projected, projected).real, self.norm_squared()
+        kept, total = self._square(projected), self.norm_squared()
+        if total == math.inf:       # squares past the floats: the same ratio rescaled
+            big = np.abs(self.amplitude).max()
+            projected = projected / big
+            kept, total = self._square(projected), self._square(self.amplitude / big)
         prob = kept / total if total > 0.0 else math.nan
         if not math.isfinite(prob):
             raise QulineError(f"projection probability is not finite ({prob})")

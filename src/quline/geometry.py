@@ -248,12 +248,16 @@ class _AnalyticModel(SpacetimeModel):
     ``pulled_connections`` contracts it with the velocities and
     ``trajectory_rates`` contracts that for (n, 4) rows.
 
-    ``_rates(s)`` gives one event's trajectory derivative (xdot^mu, udot^I),
-    (8,), from the state s = (x^mu, u^I) as 8 floats.  Each class writes it
+    ``_rates(s)`` gives one event's trajectory derivative (xdot^mu, udot^I)
+    as a list of 8 floats, from the state s = (x^mu, u^I) as 8 floats, or
+    None when the chart does not hold x: it tests the bounds ``in_domain``
+    tests, with the same expressions, so it refuses exactly the states
+    ``in_domain`` refuses, nan coordinates among them.  Each class writes it
     out as straight-line code: the contraction of ``_frame(x, math)`` over
     ``OMEGA`` term by term, keeping the zero terms that fix the sign of a
     zero, so that it equals that contraction bit for bit.
-    ``trajectory_rates`` calls it for (4,) arrays.
+    ``trajectory_rates`` calls it for (4,) arrays and returns an (8,) array,
+    raising DomainError off the chart.
     """
 
     connection_mode = "analytic"
@@ -295,7 +299,10 @@ class _AnalyticModel(SpacetimeModel):
 
     def trajectory_rates(self, x, u):
         if x.ndim == 1:
-            return self._rates(x.tolist() + u.tolist())
+            rates = self._rates(x.tolist() + u.tolist())
+            if rates is None:
+                self.check_domain(x)        # raises: the chart does not hold x
+            return np.array(rates)
         xdot, pulled = self.pulled_connections(x, u)
         r = pulled * u[:, None, :]
         # summed in the pairing numpy's bundled OpenBLAS uses for a (4, 4) @
@@ -319,7 +326,7 @@ class MinkowskiModel(_AnalyticModel):
     def _rates(self, s):
         u0, u1, u2, u3 = s[4:]
         w = -((0.0 * u0 + 0.0 * u2) + (0.0 * u1 + 0.0 * u3))
-        return np.array([u0, u1, u2, u3, w, w, w, w])
+        return [u0, u1, u2, u3, w, w, w, w]
 
 
 class RindlerModel(_AnalyticModel):
@@ -339,7 +346,7 @@ class RindlerModel(_AnalyticModel):
         self.g = float(g)
 
     def in_domain(self, coords):
-        return 1.0 + coords[3] * self.g > 1e-12
+        return self._f(coords) > 1e-12
 
     def _f(self, coords):
         return 1.0 + coords[3] * self.g
@@ -348,12 +355,15 @@ class RindlerModel(_AnalyticModel):
         return (1.0 / self._f(c), 1.0, 1.0, 1.0), (self.g, self.g)
 
     def _rates(self, s):
+        f = self._f(s)
+        if not f > 1e-12:
+            return None
         u0, u1, u2, u3 = s[4:]
-        x0 = 1.0 / self._f(s) * u0
+        x0 = 1.0 / f * u0
         p = 0.0 + x0 * self.g
         z02, z13 = 0.0 * u0 + 0.0 * u2, 0.0 * u1 + 0.0 * u3
-        return np.array([x0, u1, u2, u3, -(z02 + (0.0 * u1 + p * u3)), -(z02 + z13),
-                         -(z02 + z13), -((p * u0 + 0.0 * u2) + z13)])
+        return [x0, u1, u2, u3, -(z02 + (0.0 * u1 + p * u3)), -(z02 + z13),
+                -(z02 + z13), -((p * u0 + 0.0 * u2) + z13)]
 
     def inverse_tetrad(self, x):
         f = self._f(_coords_of(x))
@@ -381,11 +391,13 @@ class SchwarzschildModel(_AnalyticModel):
         if mass <= 0:
             raise DomainError("Schwarzschild mass must be positive")
         self.mass = float(mass)
+        # the chart's bounds on r and theta, which in_domain and _rates test
+        self._r_min = 2.0 * self.mass * (1.0 + 1e-12)
+        self._th_max = np.pi - self._axis_margin
 
     def in_domain(self, coords):
         r, th = coords[1], coords[2]
-        return ((r > 2.0 * self.mass * (1.0 + 1e-12))
-                & (self._axis_margin < th) & (th < np.pi - self._axis_margin))
+        return (r > self._r_min) & (self._axis_margin < th) & (th < self._th_max)
 
     def _f(self, coords):
         return 1.0 - 2.0 * self.mass / coords[1]
@@ -400,6 +412,8 @@ class SchwarzschildModel(_AnalyticModel):
 
     def _rates(self, s):
         _, r, th, _, u0, u1, u2, u3 = s
+        if not (r > self._r_min and self._axis_margin < th < self._th_max):
+            return None
         sf = math.sqrt(1.0 - 2.0 * self.mass / r)
         sin, cos = math.sin(th), math.cos(th)
         x0, x2, x3 = 1.0 / sf * u0, 1.0 / r * u2, 1.0 / (r * sin) * u3
@@ -408,11 +422,11 @@ class SchwarzschildModel(_AnalyticModel):
         a, b, c = x2 * sf, x3 * (sf * sin), x3 * cos
         p12, p21, p13, p31, p23, p32 = 0.0 - a, 0.0 + a, 0.0 - b, 0.0 + b, 0.0 - c, 0.0 + c
         z02 = 0.0 * u0 + 0.0 * u2
-        return np.array([x0, sf * u1, x2, x3,
-                         -(z02 + (p01 * u1 + 0.0 * u3)),
-                         -((p01 * u0 + p12 * u2) + (0.0 * u1 + p13 * u3)),
-                         -(z02 + (p21 * u1 + p23 * u3)),
-                         -((0.0 * u0 + p32 * u2) + (p31 * u1 + 0.0 * u3))])
+        return [x0, sf * u1, x2, x3,
+                -(z02 + (p01 * u1 + 0.0 * u3)),
+                -((p01 * u0 + p12 * u2) + (0.0 * u1 + p13 * u3)),
+                -(z02 + (p21 * u1 + p23 * u3)),
+                -((0.0 * u0 + p32 * u2) + (p31 * u1 + 0.0 * u3))]
 
     def inverse_tetrad(self, x):
         c = _coords_of(x)

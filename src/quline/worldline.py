@@ -18,6 +18,8 @@ reader comes from it:
                                 arrays and an (n, 4, 4) one
 * ``trajectory(params)``        positions and velocities, two (n, 4) arrays
 * ``label_at(lam)``             the Hilbert-space label (Event, u^I) of a qubit there
+* ``start``, ``samples``        the motion at the span start and at the 201
+                                ``sample_params()``, each evaluated once and kept
 
 The functions that build worldlines differ only in the motion they give: a
 closed form is one function of the parameter, ``AnalyticWorldline`` calls
@@ -56,6 +58,7 @@ the proper time of a prescribed path.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -123,6 +126,15 @@ class Worldline:
     or three (n, 4) arrays at a 1-d array of n; ``kind`` is "timelike" or
     "null"; ``breakpoints`` are the parameters where the kinematics may be
     only piecewise smooth, which the transport kernel's grid contains.
+
+    Two evaluations are kept, read-only, once made: ``start``, the motion at
+    the span start, which ``start_event``, ``starts_at`` and ``label_at``
+    there read, and ``samples``, the motion at the 201 ``sample_params()``,
+    which :func:`carry`'s 201 samples read.  ``norm_audit`` calls ``motion``
+    afresh every time, and ``samples`` keeps the first of its evaluations,
+    so an integrated worldline, whose drift is audited when it is made,
+    evaluates its sample grid once for that audit and for its transports.
+    Every other reader calls ``motion`` afresh.
     """
 
     def __init__(self, model, span, motion, kind="timelike", breakpoints=()):
@@ -162,27 +174,42 @@ class Worldline:
     def event(self, lam):
         return Event(self.position(lam), self.model.chart_id)
 
+    @cached_property
+    def start(self):
+        """(x, u, a) at the span start, from one motion call, kept read-only."""
+        return _read_only(self.motion(self.param_span[0]))
+
+    @cached_property
+    def samples(self):
+        """(x, u, a) at the 201 ``sample_params()``, kept read-only: the first
+        ``norm_audit``'s evaluation, or one motion call if read before that."""
+        return _read_only(self.motion(self.sample_params()))
+
     @property
     def start_event(self):
-        return self.event(self.param_span[0])
+        return Event(self.start[0], self.model.chart_id)
 
     def label_at(self, lam):
-        """The Hilbert-space label (event, velocity) at ``lam``, from one motion."""
-        x, u, _ = self.motion(lam)
+        """The Hilbert-space label (event, velocity) at the scalar ``lam``, from
+        one motion; at the span start, from ``start``."""
+        x, u, _ = self.start if lam == self.param_span[0] else self.motion(lam)
         return Event(x, self.model.chart_id), u
 
     def starts_at(self, event, label):
         """True when (``event``, ``label``) names the Hilbert space at the start."""
-        start, u = self.label_at(self.param_span[0])
-        return event.close_to(start) and same_label(label, u)
+        x, u, _ = self.start
+        return event.close_to(Event(x, self.model.chart_id)) and same_label(label, u)
 
     def sample_params(self, n=201):
         return np.linspace(self.param_span[0], self.param_span[1], n)
 
     def norm_audit(self):
-        """Max |u.u - target| over 201 samples (target 1 timelike, 0 null)."""
+        """Max |u.u - target| over 201 samples (target 1 timelike, 0 null),
+        from a fresh motion call; the first is kept as ``samples``."""
+        evaluation = _read_only(self.motion(self.sample_params()))
+        self.__dict__.setdefault("samples", evaluation)
         target = 1.0 if self.kind == "timelike" else 0.0
-        u = self.trajectory(self.sample_params())[1].T
+        u = evaluation[1].T
         return float(np.abs(minkowski_dot(u, u) - target).max())
 
     def to_csv(self, path, n=201):
@@ -194,6 +221,12 @@ class Worldline:
             x, u, a = self.kinematics(params)[:3]
             for row in np.column_stack([params, x, u, a]).tolist():
                 w.writerow([f"{v:.17g}" for v in row])
+
+
+def _read_only(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def AnalyticWorldline(model, span, position, velocity, acceleration, kind="timelike"):
@@ -403,6 +436,15 @@ def _dop853(fun, t0, y0, t1, tol, max_step):
     error norm and step-size controller, so the same steps, stage rows and
     ``fun`` calls, without the per-stage wrappers of scipy's solver classes.
 
+    ``fun(t, y)`` returns the derivative as an (n,) array or a list of n
+    floats; each stage state it receives is a fresh array.  The step control
+    runs in Python floats (``t``, ``h``, the step sizes and the error), which
+    round as numpy's float64 scalars do; every stage sum and error sum is the
+    same ``np.dot`` as scipy's, so the same BLAS kernel sums it, and each
+    stage state is that sum scaled by ``h`` and added to ``y`` in place, the
+    two roundings of ``y + dot * h``.  The error norms are ``sqrt(v.dot(v))``,
+    what ``np.linalg.norm`` computes for a real vector.
+
     Returns the step boundaries, the states there and the stage rows of the
     accepted steps, (steps + 1,), (steps + 1, n) and (steps, 16, n), as
     :func:`_dense_solution` takes them: rows 0-12 hold the 12 stages and the
@@ -418,25 +460,26 @@ def _dop853(fun, t0, y0, t1, tol, max_step):
     if tol < 0:
         raise ValueError("`atol` must be positive.")
     rtol, atol, n = max(tol, floor), tol, len(y0)
-    t, y = t0, y0
-    f = fun(t, y)
-    direction = np.sign(t1 - t0)
+    t, t1, y = float(t0), float(t1), y0
+    f = np.asarray(fun(t, y), dtype=float)
+    direction = float(np.sign(t1 - t))
     # scipy's select_initial_step for the order-7 error estimator; d1 = inf gives h1 = 0
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y, scale), _rms(f, scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t1 - t0))
-    f1 = fun(t + h0 * direction, y + h0 * direction * f)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t1 - t))
+    f1 = np.asarray(fun(t + h0 * direction, y + h0 * direction * f), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = _rms(f1 - f, scale) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1 / 8))
-    h_abs = min(100 * h0, h1, abs(t1 - t0), max_step)
+    h_abs = float(min(100 * h0, h1, abs(t1 - t), max_step))
     K = np.empty((tableau.n_stages + 1, n))
-    stages = [(K[:s].T, tableau.A[s, :s], tableau.C[s]) for s in range(1, tableau.n_stages)]
-    K_B, K_E = K[:-1].T, K.T
+    stages = [(K[:s].T, tableau.A[s, :s], float(tableau.C[s]))
+              for s in range(1, tableau.n_stages)]
+    K_B, K_E, B, E5, E3 = K[:-1].T, K.T, tableau.B, tableau.E5, tableau.E3
     ts, ys, rows = [t], [y], np.empty((32, 16, n))
     while direction * (t - t1) < 0:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs > max_step:
             h_abs = max_step
         elif h_abs < min_step:
@@ -450,22 +493,29 @@ def _dop853(fun, t0, y0, t1, tol, max_step):
             if direction * (t_new - t1) > 0:
                 t_new = t1
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
             for s, (K_s, a, c) in enumerate(stages, start=1):
-                K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
-            y_new = y + h * np.dot(K_B, tableau.B)
+                z = np.dot(K_s, a)
+                z *= h
+                z += y
+                K[s] = fun(t + c * h, z)
+            y_new = np.dot(K_B, B)
+            y_new *= h
+            y_new += y
             K[-1] = f_new = fun(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5, e3 = np.dot(K_E, tableau.E5), np.dot(K_E, tableau.E3)
-            err5 = np.linalg.norm(e5 / scale) ** 2
-            err3 = np.linalg.norm(e3 / scale) ** 2
-            square = (err5 + 0.01 * err3) * n
-            if square == np.inf:        # past the floats: the same error from rescaled norms
-                rms5, rms3 = _rms(e5, scale), _rms(e3, scale)
-                error = np.abs(h) * rms5 * (rms5 / np.hypot(rms5, 0.1 * rms3))
+            e5, e3 = np.dot(K_E, E5) / scale, np.dot(K_E, E3) / scale
+            try:
+                err5, err3 = math.sqrt(e5.dot(e5)) ** 2, math.sqrt(e3.dot(e3)) ** 2
+                square = (err5 + 0.01 * err3) * n
+            except OverflowError:       # a norm squared past the floats, inf in numpy
+                square = math.inf
+            if square == math.inf:      # the same error from rescaled norms
+                rms5, rms3 = _rms(e5, 1.0), _rms(e3, 1.0)
+                error = abs(h) * rms5 * (rms5 / np.hypot(rms5, 0.1 * rms3))
             else:
-                error = 0.0 if err5 == 0 and err3 == 0 else np.abs(h) * err5 / np.sqrt(square)
+                error = 0.0 if err5 == 0 and err3 == 0 else abs(h) * err5 / math.sqrt(square)
             if error < 1:
                 factor = 10 if error == 0 else min(10, 0.9 * error ** -0.125)
                 h_abs *= min(1, factor) if rejected else factor
@@ -536,7 +586,9 @@ class LocalizedState:
     ``label_norm`` and ``label_message``, and the inner-product matrix at its
     label, ``metric()``, and at each row of an (n, 4) stack, ``metrics``.
     ``inner`` and ``norm_squared`` form ``metric()`` once per state and keep
-    it, so a label changed in place afterwards is not seen."""
+    it, so a label changed in place afterwards is not seen.  A finite
+    amplitude whose squared norm passes the floats has norm_squared inf,
+    without a warning, and is normalized over its largest |entry|."""
 
     amplitude: np.ndarray
     event: Event
@@ -566,17 +618,25 @@ class LocalizedState:
         return complex(self.amplitude.conj() @ self._metric @ other.amplitude)
 
     def norm_squared(self):
-        return float(np.real(self.amplitude.conj() @ self._metric @ self.amplitude))
+        return self._square(self.amplitude)
+
+    def _square(self, amplitude):
+        with np.errstate(over="ignore"):
+            return float(np.real(amplitude.conj() @ self._metric @ amplitude))
 
     @cached_property
     def _metric(self):
         return self.metric()
 
     def normalized(self):
-        n = np.sqrt(self.norm_squared())
+        amplitude, square = self.amplitude, self.norm_squared()
+        if square == math.inf:      # squares past the floats: normalize it rescaled
+            amplitude = amplitude / np.abs(amplitude).max()
+            square = self._square(amplitude)
+        n = np.sqrt(square)
         if n == 0.0:
             raise QulineError("cannot normalize the zero state")
-        return type(self)(self.amplitude / n, self.event, self.label)
+        return type(self)(amplitude / n, self.event, self.label)
 
 
 def carry(state, worldline, propagator, n_samples, gauge=None):
@@ -589,10 +649,11 @@ def carry(state, worldline, propagator, n_samples, gauge=None):
     """
     if not worldline.starts_at(state.event, state.label):
         raise HilbertSpaceMismatch("state label differs from the worldline start")
-    params = np.linspace(*worldline.param_span, n_samples)
+    params = worldline.sample_params(n_samples)
     maps = propagator(params)
     amplitudes = maps @ state.amplitude
-    positions, labels = worldline.trajectory(params)
+    positions, labels = (worldline.samples if n_samples == 201
+                         else worldline.motion(params))[:2]
     worldline.model.check_domain(positions)
     check_norm(labels, state.label_norm, state.label_message)
     norms = np.einsum("na,nab,nb->n", amplitudes.conj(), state.metrics(labels), amplitudes).real
@@ -615,28 +676,40 @@ SUBNODES = np.concatenate([0.5 * GAUSS_NODES, 0.5 * (1.0 + GAUSS_NODES), GAUSS_N
 NODES = np.concatenate([[0.0], SUBNODES[:3], [0.5], SUBNODES[3:6], [1.0]])
 
 
-def _lagrange(nodes, t):
-    """The Lagrange basis polynomials through ``nodes`` at each of ``t``, (..., n),
-    in barycentric form (exact at a node)."""
-    barycentric = 1.0 / np.prod(np.where(np.eye(len(nodes), dtype=bool), 1.0,
-                                         nodes[:, None] - nodes), axis=-1)
+def _barycentric(nodes):
+    """The barycentric weights 1 / prod_(k != j) (x_j - x_k) of ``nodes``."""
+    return 1.0 / np.prod(np.where(np.eye(len(nodes), dtype=bool), 1.0,
+                                  nodes[:, None] - nodes), axis=-1)
+
+
+_NODE_WEIGHTS = _barycentric(NODES)
+
+
+def _lagrange(t, nodes=NODES, barycentric=_NODE_WEIGHTS):
+    """The Lagrange basis polynomials through ``nodes``, whose barycentric
+    weights are ``barycentric``, at each of ``t``, (..., n), in barycentric
+    form (exact at a node)."""
     gap = t[..., None] - nodes
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = barycentric / gap
         weights /= weights.sum(axis=-1, keepdims=True)
     hit = gap == 0
+    if not hit.any():
+        return weights
     return np.where(hit.any(axis=-1, keepdims=True), hit, weights)
 
 
 # G at the whole's outer Gauss nodes by the degree-8 interpolant through NODES
 # less by the degree-6 one through the inner 7: how far a read can be off
-_READ_CHECK = _lagrange(NODES, GAUSS_NODES[::2])
-_READ_CHECK[:, 1:-1] -= _lagrange(NODES[1:-1], GAUSS_NODES[::2])
-_AT_SUBNODES = _lagrange(NODES, SUBNODES[None])     # the interpolant at SUBNODES
+_READ_CHECK = _lagrange(GAUSS_NODES[::2])
+_READ_CHECK[:, 1:-1] -= _lagrange(GAUSS_NODES[::2], NODES[1:-1], _barycentric(NODES[1:-1]))
+_AT_SUBNODES = _lagrange(SUBNODES[None])     # the interpolant at SUBNODES
 MAX_LEVELS = 40         # bisections of one interval before the kernel gives up
 TOLERANCE_FLOOR = float(10 * np.finfo(float).eps)   # an estimate rounds by ~eps/63
 CHUNK = 4096            # intervals evaluated at once; their kinematics take ~5 kB each
 _EYE = np.eye(2)[:, :, None]       # the 2x2 identity as an entry-first stack
+_WIDTHS = np.array([0.5, 0.5, 1.0])[:, None]     # a step's halves and whole, in its width
+_INVERSE_SIGNS = np.array([[[1], [-1]], [[-1], [1]]])   # [[d, -b], [-c, a]] of [[a, b], [c, d]]
 
 
 def _dot(x, y):
@@ -690,9 +763,9 @@ def _richardson(g, h, estimate=True):
     # G at each step's 3 nodes, (node, 2, 2, 3n): all first halves, second halves, wholes
     g = g.reshape(len(h), 3, 3, 2, 2).transpose(2, 3, 4, 1, 0).reshape(3, 2, 2, 3 * len(h))
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = _exp2(_magnus(g, np.outer([0.5, 0.5, 1.0], h).ravel()))
+        steps = _exp2(_magnus(g, (_WIDTHS * h).ravel()))
         first, second, whole = steps.reshape(2, 2, 3, len(h)).transpose(2, 0, 1, 3)
-        inverse = np.swapaxes(whole[::-1, ::-1], 0, 1) * [[[1], [-1]], [[-1], [1]]]   # det 1
+        inverse = np.swapaxes(whole[::-1, ::-1], 0, 1) * _INVERSE_SIGNS   # det 1
         drift = _dot(_dot(first, inverse), second)
         drift -= 0.5 * (drift[0, 0] + drift[1, 1]) * _EYE
         step = _dot(second, _dot(_exp2(drift / 63.0), first))
@@ -839,7 +912,7 @@ def propagate(worldline, generator, params, tol):
     if inside.any():
         maps[..., inside] = _richardson(
             _interpolate(np.concatenate(kept)[slots[k[inside]]],
-                         _lagrange(NODES, theta[inside, None] * SUBNODES)),
+                         _lagrange(theta[inside, None] * SUBNODES)),
             theta[inside] * widths[inside], estimate=False)
     return np.moveaxis(_dot(maps, starts[..., k]), -1, 0).reshape(params.shape + (2, 2)).copy()
 
@@ -883,18 +956,19 @@ def _trajectory_rates(model, accel_fn):
     """rates(lam, y): the derivative of the trajectory state y = (x^mu, u^I) at
     one parameter, (8,), or at each of (n,) parameters for (n, 8) states.
     Raises DomainError, naming the first parameter, for a state off the chart.
-    A free trajectory on an analytic model reads one state as 8 floats, checks
-    the chart on them and passes them to the model's straight-line one-event
-    rates, ``_rates``; rows, forces and other models go through
+    A free trajectory on an analytic model reads one state as 8 floats and
+    returns the list of 8 its straight-line one-event rates, ``_rates``, give,
+    which check the chart themselves: no ``in_domain`` call and no array is
+    made per call.  Rows, forces and other models go through
     ``trajectory_rates``."""
     scalar = accel_fn is None and isinstance(model, _AnalyticModel)
 
     def rates(lam, y):
         if scalar and y.ndim == 1:
-            state = y.tolist()
-            if not model.in_domain(state[:4]):
+            derivative = model._rates(y.tolist())
+            if derivative is None:
                 raise DomainError(f"{model.name}: trajectory left chart domain at parameter {lam}")
-            return model._rates(state)
+            return derivative
         x, u = y[..., :4], y[..., 4:]
         inside = model.in_domain(x.T)
         if not (inside if y.ndim == 1 else np.all(inside)):

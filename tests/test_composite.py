@@ -309,6 +309,25 @@ class TestAmplitudeChecks:
         with pytest.raises(QulineError, match=r"^projection probability is not finite \(nan\)$"):
             rest_pair_state(np.zeros((2, 2))).project(np.eye(2), 1)
 
+    def test_overflowing_norm_normalizes_and_projects(self):
+        """An amplitude whose squared norm passes the floats has norm_squared
+        inf without a numpy warning (the suite turns RuntimeWarning into an
+        error); it is normalized and projected over its largest |entry|."""
+        one = cp.MultiQubitState([1e200, 1e200], (self.SLOT,))
+        assert one.norm_squared() == np.inf
+        np.testing.assert_allclose(one.normalized().amplitude, [2 ** -0.5] * 2, rtol=1e-15)
+        prob, post = one.project(np.diag([1.0, 0.0]), 0)
+        assert prob == pytest.approx(0.5, rel=1e-15)
+        np.testing.assert_allclose(post.amplitude, [1.0, 0.0], rtol=1e-15)
+        singlet = rest_pair_state(1e200 * SINGLET)
+        up = np.diag([1.0, 0.0])
+        prob, post = singlet.project(up, 0)
+        want_prob, want = rest_pair_state(SINGLET).project(up, 0)
+        assert prob == pytest.approx(want_prob, rel=1e-15)
+        np.testing.assert_allclose(post.amplitude, want.amplitude, rtol=1e-15)
+        with pytest.raises(QulineError, match="^projection onto a zero-probability branch$"):
+            singlet.project(np.kron(up, up), 0, 1)
+
     def test_shape_off_the_slots_refused(self):
         with pytest.raises(QulineError, match=r"^amplitude shape \(4,\) does not match the "
                                               r"slots' dims \(2, 2\)$"):

@@ -97,3 +97,24 @@ def test_inner_products_form_the_metric_once_per_state(cls, monkeypatch):
         assert b.norm_squared() == want_norm
         a.norm_squared()
     assert len(formed) == 2 and formed[0] is a and formed[1] is b
+
+
+@pytest.mark.parametrize("cls, label, big, want", [
+    (fermion.FermionState, [1.0, 0.0, 0.0, 0.0], [1e200, 0.0], [1.0, 0.0]),
+    (fermion.FermionState, [1.0, 0.0, 0.0, 0.0], [-3e200, 4e200j], [-0.6, 0.8j]),
+    (photon.PhotonState, [1.0, 0.0, 0.0, 1.0], [0.0, 1e200, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]),
+], ids=["fermion", "fermion_mixed", "photon"])
+def test_a_state_whose_squared_norm_overflows_normalizes(cls, label, big, want):
+    """A finite amplitude whose squared norm passes the floats has
+    norm_squared inf and is normalized over its largest |entry|, with no
+    numpy warning (the suite turns RuntimeWarning into an error); an
+    ordinary state is normalized by its plain norm, byte for byte."""
+    event = FLAT.event(0.0, 0.0, 0.0, 0.0)
+    state = cls(big, event, label)
+    assert state.norm_squared() == np.inf
+    got = state.normalized()
+    np.testing.assert_allclose(got.amplitude, want, rtol=1e-15, atol=1e-300)
+    assert got.norm_squared() == pytest.approx(1.0, rel=1e-15)
+    small = cls(np.asarray(big) * 1e-200, event, label)
+    plain = small.amplitude / np.sqrt(small.norm_squared())
+    assert small.normalized().amplitude.tobytes() == plain.tobytes()

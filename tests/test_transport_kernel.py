@@ -991,6 +991,69 @@ def test_stepper_fails_where_stock_dop853_fails():
     assert_same_bytes(np.array(calls["ours"]), np.array(calls["stock"]))
 
 
+@pytest.mark.parametrize("name", ["schwarzschild_ray", "lorentz_force"])
+def test_stepper_hands_out_states_it_never_writes_again(name):
+    """A right-hand side that keeps a reference to every state it receives,
+    without copying, records the (t, y) that stock DOP853 passes, byte for
+    byte: no stage state is written to after it is handed out."""
+    rates, y0, span = trajectory_problem(name)
+    kept = {"ours": [], "stock": []}
+
+    def recorder(which):
+        def fun(t, y):
+            kept[which].append((t, y))
+            return rates(t, y)
+        return fun
+
+    wld._dop853(recorder("ours"), 0.0, y0, span, 1e-12, np.inf)
+    solver = DOP853(recorder("stock"), 0.0, y0, span, rtol=1e-12, atol=1e-12)
+    while solver.status == "running":
+        assert solver.step() is None
+    ours, stock = (np.array([(t, *y) for t, y in kept[which]]) for which in ("ours", "stock"))
+    assert len(ours) > 100
+    assert_same_bytes(ours, stock)
+
+
+def chart_edge_events():
+    """Events at each chart bound of the analytic models, r = 2M(1 + 1e-12),
+    theta = 1e-8 and pi - 1e-8 (M = 1) and 1 + g z = 1e-12 (g = 0.4), one ulp
+    either side of each, and with each coordinate nan."""
+    base = [0.0, 8.0, 1.0, 0.3]
+    edges = [(1, 2.0 * (1.0 + 1e-12)), (2, 1e-8), (2, np.pi - 1e-8), (3, (1e-12 - 1.0) / 0.4)]
+    events = []
+    for i, v in edges:
+        for c in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)):
+            events.append(base[:i] + [float(c)] + base[i + 1:])
+    events += [base[:i] + [math.nan] + base[i + 1:] for i in range(4)]
+    return events
+
+
+@pytest.mark.parametrize("model", [FLAT, RINDLER, SCHW], ids=["minkowski", "rindler",
+                                                              "schwarzschild"])
+def test_one_event_rates_refuse_exactly_what_in_domain_refuses(model):
+    """The one-event rates check the chart on bounds of their own, which
+    refuse a state, with the row path's message, exactly where ``in_domain``
+    does, at each bound, an ulp either side and at nan coordinates; so do the
+    one-event ``trajectory_rates``."""
+    rates = wld._trajectory_rates(model, None)
+    u = [1.2, 0.3, -0.4, 0.5]
+    verdicts = set()
+    for x in chart_edge_events():
+        y = np.array(x + u)
+        inside = bool(model.in_domain(y[:4]))
+        verdicts.add(inside)
+        if inside:
+            assert len(rates(0.375, y)) == 8
+            assert model.trajectory_rates(y[:4], y[4:]).shape == (8,)
+            continue
+        with pytest.raises(DomainError, match=re.escape(
+                f"{model.name}: trajectory left chart domain at parameter 0.375") + "$"):
+            rates(0.375, y)
+        with pytest.raises(DomainError):
+            model.trajectory_rates(y[:4], y[4:])
+    assert verdicts == ({True} if model is FLAT else {True, False})
+
+
 def test_initial_step_of_a_huge_wavevector_does_not_overflow():
     """A flat ray with wavevector 1e150 (1, 0, 0, 1) has scaled rates near
     1e162, whose squares overflow: the initial step comes from the rescaled

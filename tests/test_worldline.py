@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from quline import fermion, photon
 from quline import worldline as wld
 from quline.errors import ComplexVelocity, DomainError, QulineError, ToleranceError
 from quline.geometry import (_STENCIL, DEFAULT_FD_STEP, _stencil_derivative,
@@ -525,3 +526,60 @@ def test_non_finite_coordinates_are_refused_before_stepping(monkeypatch, call, e
     monkeypatch.setattr(wld, "_dop853", unreachable)
     with pytest.raises(error, match=message):
         call()
+
+
+def charged_line():
+    g = 1 / np.sqrt(1 - 0.36)
+    return wld.integrate_timelike(FLAT, wld.constant_magnetic_field([0.2, 0.0, 0.9]),
+                                  np.zeros(4), [g, 0.6 * g, 0, 0], charge_to_mass=1.3,
+                                  span=4.0, tol=1e-12)
+
+
+def schwarzschild_ray():
+    return wld.integrate_null_geodesic(SCHW, [0.0, 15.0, np.pi / 2, 0.0],
+                                       [1.0, -0.6, 0.0, 0.8], span=12.0, tol=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    charged_line, schwarzschild_ray,
+    lambda: wld.circular_worldline(FLAT, 2.0, 0.6, revolutions=0.5),
+    lambda: wld.static_worldline(SCHW, [9.0, 1.2, 0.4], 3.0),
+], ids=["charged", "schwarzschild_ray", "circular", "static"])
+def test_kept_evaluations_equal_a_fresh_motion_call(make):
+    """A worldline's kept evaluations, at its span start and at its 201
+    sample parameters, hold the bytes of a fresh motion call there and are
+    read-only; the start's event and label, and a transport's samples, are
+    read from them."""
+    wl = make()
+    for kept, params in ((wl.start, wl.param_span[0]), (wl.samples, wl.sample_params())):
+        assert len(kept) == 3
+        for got, want in zip(kept, wl.motion(params)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+    event, label = wl.label_at(wl.param_span[0])
+    assert event.coords.tobytes() == wl.start_event.coords.tobytes() == wl.start[0].tobytes()
+    assert label is wl.start[1] and wl.starts_at(event, label)
+    if wl.kind == "timelike":
+        res = fermion.transport(fermion.FermionState([0.6, 0.8j], event, label), wl)
+    else:
+        pol = np.array([0.0, 0.0, 1.0, 0.0])
+        res = photon.transport(photon.PhotonState(pol, event, label), wl)
+    for i in (0, 77, 200):
+        assert res.states[i].event.coords.tobytes() == wl.samples[0][i].tobytes()
+        assert res.states[i].label.tobytes() == wl.samples[1][i].tobytes()
+
+
+def test_integrated_worldline_evaluates_its_samples_once():
+    """Its drift audit's evaluation is the one its transports read: reading
+    ``samples`` after the solve calls the field no more, while each
+    ``norm_audit`` still evaluates afresh."""
+    f = wld.constant_magnetic_field([0, 0, 0.8]).tensor(np.zeros(4))
+    field, shapes = counting(lambda c: f)
+    wl = wld.integrate_timelike(FLAT, wld.EMField(field), np.zeros(4), [1.25, 0.75, 0, 0],
+                                1.3, span=4.0)
+    shapes.clear()
+    kept = wl.samples
+    assert shapes == []
+    wl.norm_audit()
+    assert shapes == [(201, 4)] and wl.samples is kept
