@@ -166,16 +166,24 @@ def cow_phase(mass, v1, dz, ell, g, mode="exact", dps=None):
 
 
 def cow_phases(mass, v1, dz, ell, g, modes=COW_MODES):
-    """:func:`cow_phase` of each of ``modes`` over broadcast numpy inputs.
+    """:func:`cow_phase` of each of ``modes`` on numpy scalars or arrays as given.
 
-    Returns {mode: array}; rows with dz = 0 are exactly 0.  A mode whose
-    phase is undefined on some row raises, naming that row's inputs.
+    A term of the scalar inputs is evaluated once; each phase depends on all
+    five inputs, so it has their broadcast shape.  Returns {mode: array};
+    rows with dz = 0 are exactly 0.  A phase that is undefined or not finite
+    on some row raises, naming that row's inputs.
     """
-    mass, v1, dz, ell, g = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (mass, v1, dz, ell, g)))
+    mass, v1, dz, ell, g = (np.asarray(a, dtype=float) for a in (mass, v1, dz, ell, g))
     _check_cow_inputs(mass, v1, dz, ell, g)
-    phases = _cow_formulas(np, mass, v1, dz, ell, g, modes)
-    return {mode: np.where(dz == 0.0, 0.0, phase) for mode, phase in phases.items()}
+    # an overflowing term ends in a non-finite phase, refused below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phases = _cow_formulas(np, mass, v1, dz, ell, g, modes)
+    for mode, phase in phases.items():
+        phases[mode] = phase = np.where(dz == 0.0, 0.0, phase)
+        reject_where(np.logical_not(np.isfinite(phase)), DomainError,
+                     f"{mode} phase is not finite in double precision",
+                     mass=mass, v1=v1, dz=dz, ell=ell, g=g)
+    return phases
 
 
 def _check_cow_inputs(mass, v1, dz, ell, g):

@@ -67,8 +67,9 @@ def _number(dimension=None, positive=False):
         except (ValueError, OverflowError) as exc:
             raise ScenarioParseError(str(exc), block=block) from None
         if dims is not None and dim not in (*dims, "natural"):
-            raise ScenarioParseError(
-                f"expected a {' or '.join(dims)} quantity, got {raw!r}", block=block)
+            what = " or ".join(dims)
+            raise ScenarioParseError(f"expected {'an' if what[0] in 'aeiou' else 'a'} {what}"
+                                     f" quantity, got {raw!r}", block=block)
         if not np.isfinite(value):
             raise ScenarioParseError(f"expected a finite quantity, got {raw!r}", block=block)
         if positive and value <= 0.0:
@@ -639,34 +640,38 @@ class ScenarioRun:
 
 
 def cow_columns(cow, field="dz", values=None):
-    """Report columns of a parsed ``cow`` block, one entry per value of ``field``
-    (default: its own value); the four modes are evaluated once over the column."""
+    """Report columns of a parsed ``cow`` block, with ``field`` swept over
+    ``values`` if given: a list per column that depends on the swept field,
+    one value per column that does not (``dz_m`` unless dz is swept).  The
+    four modes are evaluated once, on the scalars and the array unbroadcast."""
     params = dict(cow)
     if values is not None:
         params[field] = values
-    params = dict(zip(params, np.broadcast_arrays(*np.atleast_1d(*params.values()))))
     phases = cow_phases(**params)
     columns = {"dz_m": from_natural(params["dz"], "length"),
                **{"delta_theta_" + mode: phases[mode] for mode in COW_MODES},
                "fringe_probability": 0.5 * (1.0 + np.cos(phases["exact"]))}
-    return {name: column.tolist() for name, column in columns.items()}
+    return {name: np.asarray(column).tolist() for name, column in columns.items()}
 
 
 def _rows(columns):
-    """Equal-length report columns as row dicts, keyed in column order."""
+    """Row dicts keyed in column order, one per entry of the equal-length list
+    columns; the row template holds each single-valued column once."""
+    lists = {name: column for name, column in columns.items() if type(column) is list}
     # copies of a pre-sized template never resize, and filling a column at a
     # time builds no tuple per row
-    template = dict.fromkeys(columns)
-    rows = [template.copy() for _ in next(iter(columns.values()), ())]
-    for name, column in columns.items():
+    template = {name: None if name in lists else column for name, column in columns.items()}
+    rows = [template.copy() for _ in next(iter(lists.values()), ())]
+    for name, column in lists.items():
         for row, value in zip(rows, column):
             row[name] = value
     return rows
 
 
 def cow_row(cow):
-    """The single report row of a parsed ``cow`` block."""
-    return _rows(cow_columns(cow))[0]
+    """The single report row of a parsed ``cow`` block: with nothing swept,
+    each of its columns is one value."""
+    return cow_columns(cow)
 
 
 def sweep_rows(data):
@@ -688,7 +693,7 @@ def sweep_rows(data):
     start = number(sw["start"], "sweep.start")
     stop = start if sw["stop"] is None else number(sw["stop"], "sweep.stop")
     values = np.linspace(start, stop, sw["steps"]) if sw["steps"] > 1 else np.array([start])
-    return _rows({"parameter": [target] * len(values), "value": values.tolist(),
+    return _rows({"parameter": target, "value": values.tolist(),
                   **cow_columns(blocks["cow"], field, values)})
 
 

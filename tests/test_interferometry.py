@@ -382,6 +382,17 @@ class TestCowPhase:
         for mode in itf.COW_MODES:
             assert phases[mode][0] == 0.0 and np.copysign(1.0, phases[mode][0]) == 1.0
 
+    @pytest.mark.parametrize("args, named", [
+        ((1.0, 0.5, np.nan, 1.0, 0.1), r"dz=nan"),
+        ((10.0, 0.5, 0.1, np.array([1.0, 1e308, 1e307]), 1.0), r"ell=1e\+308"),
+        ((1.0, 0.5, np.array([0.0, 1e200]), 1.0, np.array([1.0, 1e200])), r"dz=1e\+200")],
+        ids=["nan_height", "overflowing_ell", "overflowing_height"])
+    def test_non_finite_phase_is_domain_error(self, args, named):
+        with pytest.raises(DomainError, match=r"phase is not finite.*" + named):
+            itf.cow_phases(*args, modes=("standard",))
+        with pytest.raises(DomainError, match=named):
+            itf.cow_phases(*args)
+
     def test_array_guard_names_first_offending_row(self):
         with pytest.raises(DomainError, match=r"v1=1\.5"):
             itf.cow_phases(1.0, np.array([0.5, 1.5, 2.0]), 0.1, 1.0, 0.1)

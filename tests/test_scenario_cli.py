@@ -648,17 +648,26 @@ class TestSweep:
         rows = sc.sweep_rows(data)
         assert len(rows) == 1
 
-    @pytest.mark.parametrize("steps", [20, 1])
-    def test_rows_are_plain_independent_dicts(self, steps):
+    @pytest.mark.parametrize("sweep", [
+        {"steps": 20}, {"steps": 1},
+        # dz_m and parameter are single-valued: the row template holds them
+        {"parameter": "cow.ell", "start": "1 cm", "stop": "3 cm", "steps": 3}],
+        ids=["20", "1", "ell"])
+    def test_rows_are_plain_independent_dicts(self, sweep):
         data = sc.load_scenario(SCENARIOS / "cow.scenario")
-        data["sweep"]["steps"] = steps
+        data["sweep"].update(sweep)
         keys = ["parameter", "value", "dz_m", *("delta_theta_" + m for m in COW_MODES),
                 "fringe_probability"]
         rows = sc.sweep_rows(data)
-        assert len(rows) == steps
+        assert len(rows) == sweep["steps"]
         assert all(type(row) is dict and list(row) == keys for row in rows)
+        assert {row["parameter"] for row in rows} == {data["sweep"]["parameter"]}
+        if data["sweep"]["parameter"] != "cow.dz":
+            assert all(type(row["dz_m"]) is float and row["dz_m"] == 0.02 for row in rows)
         want = [dict(row) for row in rows]
         rows[0]["value"] = "edited"
+        rows[0]["dz_m"] = "edited"
+        rows[0]["parameter"] = "edited"
         rows[0]["extra"] = 1.0
         assert rows[1:] == want[1:]
         assert sc.sweep_rows(data) == want
@@ -824,6 +833,50 @@ class TestSweep:
         assert run_cli(["--out-dir", tmp_path, "sweep", path]) == cli.EXIT_DOMAIN
         first_bad = np.linspace(0.01, 4e5, 5)[3]
         assert f"dz={float(first_bad)!r}" in capsys.readouterr().err
+
+    def test_unreachable_height_of_an_unswept_dz_exits_4(self, tmp_path, capsys):
+        # dz is one value here, so its rejection runs on 0-d inputs
+        data = sc.load_scenario(SCENARIOS / "cow.scenario")
+        data["cow"]["dz"] = "400 km"
+        path = tmp_path / "high.scenario"
+        path.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        assert run_cli(["--out-dir", out, "sweep", path, "--parameter", "cow.ell",
+                        "--start", "1 cm", "--stop", "3 cm", "--steps", "3"]) == cli.EXIT_DOMAIN
+        cow = sc._parse(data, sc.SCENARIO, "")["cow"]
+        assert capsys.readouterr().err == (
+            f"domain error: no real speed at height (dz=400000.0, v1={cow['v1']!r}, "
+            f"g={cow['g']!r})\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, cow, options, named", [
+        ("run", {"ell": "1e305 m"}, [], "ell=1e+305"),
+        ("validate", {"ell": "1e305 m"}, [], "ell=1e+305"),
+        ("sweep", {}, ["--parameter", "cow.ell", "--start", "1e300", "--stop", "1e305",
+                       "--steps", "2"], "ell=1e+300"),
+        ("sweep", {}, ["--parameter", "cow.g", "--start", "1e300", "--stop", "1e301",
+                       "--steps", "2"], "g=1e+300")],
+        ids=["run", "validate", "sweep_ell", "sweep_g"])
+    def test_overflowing_phase_exits_4_with_one_line(self, tmp_path, capsys, command, cow,
+                                                      options, named):
+        data = sc.load_scenario(SCENARIOS / "cow.scenario")
+        data["cow"].update(cow)
+        path = tmp_path / "huge.scenario"
+        path.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        assert run_cli(["--out-dir", out, command, path, *options]) == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error:") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("parameter, quantity", [
+        ("cow.dz", "a length"), ("cow.g", "an acceleration")])
+    def test_dimension_error_names_the_quantity(self, tmp_path, capsys, parameter, quantity):
+        assert run_cli(["--out-dir", tmp_path, "sweep", SCENARIOS / "cow.scenario",
+                        "--parameter", parameter, "--start", "1deg"]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"parse error: [sweep.start] expected {quantity} quantity, got '1deg'\n")
 
     def test_bundled_cow_outputs_unchanged(self, tmp_path):
         assert run_cli(["--out-dir", tmp_path / "run", "run",

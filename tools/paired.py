@@ -22,8 +22,10 @@ pool), and how many rounds the change's pool was the faster.
 With ``--hashes`` nothing is timed: each tree builds its pool (set-up and
 warm-up) and runs one pass with its trajectory stepper and transport kernel
 recorded, and the tool prints one sha256 per tree over every trajectory
-(``ts``, ``ys`` and stage rows 0-12 of each ``_dop853`` solve) and one over
-every ``propagate`` output, with the number of calls.
+(``ts``, ``ys`` and stage rows 0-12 of each ``_dop853`` solve), one over
+every ``propagate`` output and one over every case output that is a list of
+row dicts (a sweep's rows: the keys in order and the ``repr`` of each value),
+with the number of each.
 """
 
 from __future__ import annotations
@@ -154,11 +156,12 @@ def paired(trees, workloads, rounds):
 
 
 def recorded_hashes(tree, workload):
-    """sha256 of every trajectory solve and of every propagate output while
-    ``workload`` is set up and runs its pool once, with the call counts."""
+    """sha256 of every trajectory solve, of every propagate output and of
+    every row table a case returns while ``workload`` is set up and runs its
+    pool once, with the counts."""
     worldline = tree.modules["quline.worldline"]
-    solves, maps = hashlib.sha256(), hashlib.sha256()
-    counts = {"solves": 0, "propagates": 0}
+    solves, maps, tables = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    counts = {"solves": 0, "propagates": 0, "row_tables": 0}
     stepper, kernel = worldline._dop853, worldline.propagate
 
     def recorded_stepper(*args):
@@ -186,12 +189,16 @@ def recorded_hashes(tree, workload):
             bad = tree.call(failures, workload, case, out)
             if bad:
                 raise SystemExit(f"paired: a {case.get('kind', 'case')} case failed: {bad}")
+            if isinstance(out, list) and out and all(type(row) is dict for row in out):
+                for row in out:
+                    tables.update(repr(list(row.items())).encode())
+                counts["row_tables"] += 1
     finally:
         worldline._dop853 = stepper
         for module in bound:
             module.propagate = kernel
     return {"trajectories_sha256": solves.hexdigest(), "propagate_sha256": maps.hexdigest(),
-            **counts}
+            "rows_sha256": tables.hexdigest(), **counts}
 
 
 def parse_args(argv):
@@ -203,7 +210,8 @@ def parse_args(argv):
     p.add_argument("--rounds", type=int, default=30)
     p.add_argument("--out", help="where to write BENCH_paired.json")
     p.add_argument("--hashes", action="store_true",
-                   help="print sha256 of every trajectory and propagate output; time nothing")
+                   help="print sha256 of every trajectory, propagate output and row "
+                        "table; time nothing")
     args = p.parse_args(argv)
     if args.rounds < 1:
         p.error("--rounds must be positive")
