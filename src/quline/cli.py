@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -128,9 +129,16 @@ def cmd_selftest(args):
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one line on stderr and exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quline",
         description="Transport and measurement of localized qubits in curved spacetimes")
     parser.add_argument("--seed", type=int, default=None,
@@ -161,6 +169,12 @@ def _parser():
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a token such as '-1cm' for an option: attach it to the
+    # option before it, '--start -1cm' as '--start=-1cm'
+    for i in reversed(range(1, len(argv))):
+        if re.fullmatch(r"--\w[\w-]*", argv[i - 1]) and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

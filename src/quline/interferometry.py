@@ -158,6 +158,10 @@ def cow_phase(mass, v1, dz, ell, g, mode="exact", dps=None):
     if dps is None:
         return float(cow_phases(mass, v1, dz, ell, g, (mode,))[mode])
     _check_cow_inputs(mass, v1, dz, ell, g)
+    # mpmath would carry a non-finite input into an inf or nan phase
+    for name, value in zip(("mass", "v1", "dz", "ell", "g"), (mass, v1, dz, ell, g)):
+        reject_where(not np.isfinite(value), DomainError, f"{name} must be finite",
+                     **{name: value})
     if dz == 0.0:
         return 0.0
     import mpmath as mp     # only here, so that no other path loads mpmath
@@ -171,15 +175,18 @@ def cow_phases(mass, v1, dz, ell, g, modes=COW_MODES):
     A term of the scalar inputs is evaluated once; each phase depends on all
     five inputs, so it has their broadcast shape.  Returns {mode: array};
     rows with dz = 0 are exactly 0.  A phase that is undefined or not finite
-    on some row raises, naming that row's inputs.
+    on some row raises, naming that row's inputs; so does a dz = 0 row whose
+    formulas are not finite, as a NaN or infinite input leaves them.
     """
     mass, v1, dz, ell, g = (np.asarray(a, dtype=float) for a in (mass, v1, dz, ell, g))
     _check_cow_inputs(mass, v1, dz, ell, g)
     # an overflowing term ends in a non-finite phase, refused below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        phases = _cow_formulas(np, mass, v1, dz, ell, g, modes)
+        # at dz = 0, phase - phase is +0.0 where the phase is finite and nan
+        # where a non-finite input made it so
+        phases = {mode: np.where(dz == 0.0, phase - phase, phase)
+                  for mode, phase in _cow_formulas(np, mass, v1, dz, ell, g, modes).items()}
     for mode, phase in phases.items():
-        phases[mode] = phase = np.where(dz == 0.0, 0.0, phase)
         reject_where(np.logical_not(np.isfinite(phase)), DomainError,
                      f"{mode} phase is not finite in double precision",
                      mass=mass, v1=v1, dz=dz, ell=ell, g=g)

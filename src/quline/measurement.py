@@ -1,13 +1,12 @@
 """Covariant observables and projective measurements for spin and polarization.
 
-Spin: a Stern-Gerlach device with spatial orientation m and 4-velocity v,
-acting on a qubit with 4-velocity u, measures along the normalized rest-frame
-magnetic field
-
-    B^I = M^I (v.u) - v^I (M.u),        n^I = B^I / |B|,
-
-and the corresponding operator is S = -2i u_I n_J L^{IJ}, Hermitian with
-respect to the velocity inner product I_u, with projectors (1 +/- S)/2.
+Spin: a Stern-Gerlach device with spatial orientation m and 4-velocity v holds
+the field F_IJ = eps_IJKL v^K m^L, purely magnetic about the axis m in its
+rest frame.  A qubit with 4-velocity u feels B^rest = h F h, h = 1 - u u, the
+term that precesses a charged spin in :func:`quline.fermion.transport`, and
+the device measures S = B^rest_IJ L^{IJ} / |B| = -2i u_I n_J L^{IJ} along the
+unit dual n^I = eps^{IJKL} u_J B^rest_KL / (2 |B|).  S is Hermitian for the
+velocity inner product, I_u S = n_I sigmabar^I, with projectors (1 +/- S)/2.
 
 Polarization: outcomes of an optical polarizer P^I (complex, spacelike unit,
 P.u = 0) have probability |conj(P)_I psi^I|^2, gauge and Lorentz invariant.
@@ -20,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSetup, HilbertSpaceMismatch, QulineError
-from .fermion import FermionState
+from .fermion import FermionState, _rest_frame_magnetic
 from .photon import PhotonState, adaptation_rotation
-from .spin_algebra import (ETA, SIGMA_BAR, check_norm, generator_contraction, minkowski_dot,
-                           product_bound, same_label)
+from .spin_algebra import (EPS4_LOWER, EPS4_UPPER, ETA, check_norm, generator_contraction,
+                           minkowski_dot, product_bound, same_label)
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ class SternGerlachSetup:
 
 @dataclass(frozen=True)
 class SpinObservable:
-    """Operator -2i u_I N_J L^{IJ} + (u.N) 1 with its defining data."""
+    """Operator B^rest_IJ L^{IJ} / |B| = -2i u_I N_J L^{IJ} with its axis N^I."""
 
     direction: np.ndarray        # N^I
     operator: np.ndarray         # 2x2, acts on spinor components
@@ -67,42 +66,31 @@ class SpinProjectorPair:
 
 def stern_gerlach_axis(setup: SternGerlachSetup):
     """Normalized rest-frame magnetic-field direction n^I; n.u = 0, n.n = -1."""
-    m = setup.orientation
-    v = setup.apparatus_velocity
-    u = setup.particle_velocity
-    b = m * minkowski_dot(v, u) - v * minkowski_dot(m, u)
-    b2 = -minkowski_dot(b, b)
-    if b2 < 1e-24:
-        raise DegenerateSetup("rest-frame magnetic field vanishes for this setup")
-    return b / np.sqrt(b2)
-
-
-def hermitian_operator(direction, u):
-    """Eq-form operator for real coefficients N_I: -2i u_I N_J L^{IJ} + (u.N) 1."""
-    direction = np.asarray(direction, dtype=float).reshape(4)
-    u = np.asarray(u, dtype=float).reshape(4)
-    op = -2j * generator_contraction(np.outer(ETA @ u, ETA @ direction))
-    return op + minkowski_dot(u, direction) * np.eye(2)
+    return spin_operator(setup)[0].direction
 
 
 def spin_operator(setup: SternGerlachSetup):
-    """(SpinObservable, SpinProjectorPair) for a Stern-Gerlach measurement."""
-    n = stern_gerlach_axis(setup)
+    """(SpinObservable, SpinProjectorPair) for a Stern-Gerlach measurement: the
+    device field at the particle, by the transport's own rest-frame formula."""
     u = setup.particle_velocity
-    op = hermitian_operator(n, u)
+    field = np.einsum("ijkl,k,l->ij", EPS4_LOWER, setup.apparatus_velocity, setup.orientation)
+    b_rest = _rest_frame_magnetic(u, field)
+    dual = 0.5 * np.einsum("ijkl,j,kl->i", EPS4_UPPER, ETA @ u, b_rest)
+    b2 = -minkowski_dot(dual, dual)
+    if b2 < 1e-24:
+        raise DegenerateSetup("rest-frame magnetic field vanishes for this setup")
+    strength = np.sqrt(b2)
+    n, op = dual / strength, generator_contraction(b_rest) / strength
     eye = np.eye(2)
-    proj = SpinProjectorPair(0.5 * (eye + op), 0.5 * (eye - op), n)
-    return SpinObservable(n, op, u), proj
+    return SpinObservable(n, op, u), SpinProjectorPair(0.5 * (eye + op), 0.5 * (eye - op), n)
 
 
 def expectation(state: FermionState, obs: SpinObservable) -> float:
-    """<psi| A |psi> = conj(psi) N_I sigmabar^I psi for normalized states."""
+    """<psi| A |psi> = conj(psi) I_u A psi for normalized states."""
     if not same_label(state.velocity, obs.context_velocity):
         raise HilbertSpaceMismatch("observable built for a different 4-velocity")
-    n_low = ETA @ obs.direction
-    mat = np.einsum("i,iab->ab", n_low, SIGMA_BAR)
-    val = complex(state.psi.conj() @ mat @ state.psi) / state.norm_squared()
-    return float(val.real)
+    val = complex(state.psi.conj() @ state.metric() @ obs.operator @ state.psi)
+    return float(val.real) / state.norm_squared()
 
 
 def measure_spin(state: FermionState, setup: SternGerlachSetup, rng=None):

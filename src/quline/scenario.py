@@ -358,9 +358,8 @@ def build_worldline(model, name, w):
         beta = w["beta"]
         if beta @ beta >= 1.0:
             raise ScenarioError("beta must be subluminal", block=block)
-        u0 = 1.0 / np.sqrt(1.0 - beta @ beta) * np.array([1.0, *beta])
-        return integrate_timelike(model, None, w["start"], u0, span=w["span"],
-                                  tol=w["tolerance"])
+        return integrate_timelike(model, None, w["start"], spin1_boost(beta)[:, 0],
+                                  span=w["span"], tol=w["tolerance"])
     try:
         check_norm(w["wavevector"], 0, "wavevector must be null and future-pointing")
     except QulineError as exc:
@@ -459,11 +458,9 @@ class ScenarioRun:
         if qubit["kind"] != needs:
             raise ScenarioError(f"{name} needs a {needs} qubit", block=block)
         if name == "measure_spin":
-            beta = op["apparatus_beta"]
-            m_dir = op["orientation"] / np.linalg.norm(op["orientation"])
-            m = spin1_boost(beta) @ np.array([0.0, *m_dir])   # DomainError if |beta| >= 1
-            v = 1.0 / np.sqrt(1.0 - beta @ beta) * np.array([1.0, *beta])
-            return head, partial(self._measure_spin, op["qubit"], m, v)
+            boost = spin1_boost(op["apparatus_beta"])   # DomainError if |beta| >= 1
+            m = boost @ np.array([0.0, *op["orientation"] / np.linalg.norm(op["orientation"])])
+            return head, partial(self._measure_spin, op["qubit"], m, boost[:, 0])
         if name == "optic":
             return head, partial(self._optic, op["qubit"], _jones_matrix(op), block)
         pol = op["polarizer"]

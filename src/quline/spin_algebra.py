@@ -53,32 +53,15 @@ SIGMA = PAULI.copy()                                   # sigma^I_{AA'}
 SIGMA_BAR = np.array([PAULI[0], -PAULI[1], -PAULI[2], -PAULI[3]])  # sigmabar^{IA'A}
 
 
-def _levi_civita4():
-    e = np.zeros((4, 4, 4, 4))
-    for p in permutations(range(4)):
-        s, q = 1, list(p)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if q[i] > q[j]:
-                    s = -s
-        e[p] = s
-    return e
-
-
-EPS4_LOWER = _levi_civita4()      # eps_{IJKL}, eps_{0123} = +1
+# eps_{IJKL}, eps_{0123} = +1: the determinant of each permutation matrix
+_PERMUTATIONS = np.array(list(permutations(range(4))))
+EPS4_LOWER = np.zeros((4, 4, 4, 4))
+EPS4_LOWER[tuple(_PERMUTATIONS.T)] = np.linalg.det(np.eye(4)[_PERMUTATIONS])
 EPS4_UPPER = -EPS4_LOWER          # eps^{IJKL} = -eps_{IJKL} for Lorentz signature
 
-
-def _generators():
-    # L^{IJ}_A^B = (i/4)(sigma^I sigmabar^J - sigma^J sigmabar^I)
-    out = np.zeros((4, 4, 2, 2), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            out[i, j] = 0.25j * (SIGMA[i] @ SIGMA_BAR[j] - SIGMA[j] @ SIGMA_BAR[i])
-    return out
-
-
-GENERATORS = _generators()        # GENERATORS[I, J] = L^{IJ}_A^B
+# GENERATORS[I, J] = L^{IJ}_A^B = (i/4)(sigma^I sigmabar^J - sigma^J sigmabar^I)
+_PRODUCTS = SIGMA[:, None] @ SIGMA_BAR[None, :]
+GENERATORS = 0.25j * (_PRODUCTS - np.swapaxes(_PRODUCTS, 0, 1))
 
 
 def minkowski_dot(a, b):

@@ -393,6 +393,18 @@ class TestCowPhase:
         with pytest.raises(DomainError, match=named):
             itf.cow_phases(*args)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["mass", "v1", "dz", "ell", "g"])
+    def test_non_finite_input_is_refused_naming_it(self, name, bad):
+        # mpmath would carry it into an inf or nan phase, and a zero height's
+        # exact 0 would hide it on either path
+        for dz in (0.1, 0.0):
+            args = dict(mass=1.0, v1=0.5, dz=dz, ell=1.0, g=0.1)
+            args[name] = bad
+            for dps in (None, 30):
+                with pytest.raises(DomainError, match=rf"\b{name}={bad!r}"):
+                    itf.cow_phase(**args, dps=dps)
+
     def test_array_guard_names_first_offending_row(self):
         with pytest.raises(DomainError, match=r"v1=1\.5"):
             itf.cow_phases(1.0, np.array([0.5, 1.5, 2.0]), 0.1, 1.0, 0.1)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from quline import fermion as fm
 from quline import measurement as ms
 from quline import photon as ph
 from quline.errors import DegenerateSetup, HilbertSpaceMismatch, QulineError
 from quline.fermion import FermionState
 from quline.geometry import make_builtin_model
-from quline.spin_algebra import (ETA, PAULI, boost_pair_from_velocity,
-                                 minkowski_dot, random_local_lorentz,
-                                 velocity_inner_product_matrix)
+from quline.spin_algebra import (EPS4_LOWER, EPS4_UPPER, ETA, PAULI, boost_pair_from_velocity,
+                                 generator_contraction, minkowski_dot, random_local_lorentz,
+                                 spin1_boost, velocity_inner_product_matrix)
+from quline.worldline import EMField, integrate_timelike
 
 FLAT = make_builtin_model("minkowski", [])
 REST = np.array([1.0, 0, 0, 0])
@@ -226,6 +228,87 @@ class TestMeasureSpin:
         st = FermionState([1, 0], EV, [g, 0.5 * g, 0, 0])
         with pytest.raises(HilbertSpaceMismatch):
             ms.measure_spin(st, rest_setup([0, 0, 1]), rng=0)
+
+
+def device_field(setup):
+    """F_IJ = eps_IJKL v^K m^L: the device's field, purely magnetic along m
+    in the device's rest frame."""
+    return np.einsum("ijkl,k,l->ij", EPS4_LOWER, setup.apparatus_velocity, setup.orientation)
+
+
+def field_strength(setup):
+    """|B^rest| in closed form: the boosted unit field b = m (v.u) - v (m.u)
+    has -b.b = (v.u)^2 - (m.u)^2."""
+    m, v, u = setup.orientation, setup.apparatus_velocity, setup.particle_velocity
+    return np.sqrt(minkowski_dot(v, u) ** 2 - minkowski_dot(m, u) ** 2)
+
+
+def boosted_field_axis(setup):
+    """The unit rest-frame field direction b / |b| from the closed form."""
+    m, v, u = setup.orientation, setup.apparatus_velocity, setup.particle_velocity
+    return (m * minkowski_dot(v, u) - v * minkowski_dot(m, u)) / field_strength(setup)
+
+
+# (model, start, initial tetrad velocity) of one short timelike geodesic each
+TIE_GEODESICS = {
+    "minkowski": (FLAT, [0.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.1]),
+    "rindler": (make_builtin_model("rindler", [0.5]), [0.0, 0.0, 0.0, 0.2], [0.1, 0.2, 0.4]),
+    "schwarzschild": (make_builtin_model("schwarzschild", [1.0]), [0.0, 8.0, np.pi / 2, 0.0],
+                      [0.05, 0.0, 0.35]),
+}
+
+
+class TestTransportTie:
+    """The Stern-Gerlach operator is the spin transport's own magnetic term."""
+
+    @pytest.mark.parametrize("family", TIE_GEODESICS)
+    def test_operator_and_axis_are_the_rest_frame_field(self, family):
+        # gc(B^rest) / |B^rest| with B^rest by the transport's formula is S, and
+        # its unit dual eps^IJKL u_J B_KL / (2 |B|) is the reported axis
+        model, x0, beta = TIE_GEODESICS[family]
+        wl = integrate_timelike(model, None, x0, spin1_boost(beta)[:, 0], span=2.0, tol=1e-12)
+        rng = np.random.default_rng(11)
+        for u in wl.velocity(np.linspace(0.0, 2.0, 5)):
+            for _ in range(10):
+                device = random_local_lorentz(rng).matrix
+                setup = ms.SternGerlachSetup(device[:, 1], device[:, 0], u)
+                b_rest = fm._rest_frame_magnetic(u, device_field(setup))
+                strength = field_strength(setup)
+                dual = 0.5 * np.einsum("ijkl,j,kl->i", EPS4_UPPER, ETA @ u, b_rest)
+                obs, proj = ms.spin_operator(setup)
+                assert np.abs(generator_contraction(b_rest) / strength
+                              - obs.operator).max() <= 1e-14
+                assert np.abs(dual / strength - ms.stern_gerlach_axis(setup)).max() <= 1e-14
+                assert np.abs(proj.axis - obs.direction).max() == 0.0
+                # and both are the closed forms, to the label's own unit norm:
+                # an integrated label meets u.u = 1 to the solver tolerance
+                n = boosted_field_axis(setup)
+                assert np.abs(obs.direction - n).max() <= 1e-11
+                spin = -2j * generator_contraction(np.outer(ETA @ u, ETA @ n))
+                assert np.abs(obs.operator - spin).max() <= 1e-11
+
+    def test_device_field_precesses_without_mixing_the_outcomes(self):
+        # along an inertial line through the device's constant field the
+        # generator is -(i/2)(q/m) |B| S, so the end map keeps each eigenstate
+        # of S and turns their relative phase by (q/m) |B| tau
+        charge_to_mass, tau = 0.7, 2.5
+        device = random_local_lorentz(12).matrix
+        u = spin1_boost([0.2, -0.1, 0.3])[:, 0]
+        setup = ms.SternGerlachSetup(device[:, 1], device[:, 0], u)
+        field = device_field(setup)
+        wl = integrate_timelike(FLAT, None, [0.0, 0.0, 0.0, 0.0], u, span=tau, tol=1e-12)
+        st = FermionState([0.6, 0.8j], wl.start_event, u)
+        res = fm.transport(st, wl, em=EMField(lambda x: field),
+                           charge_to_mass=charge_to_mass, tol=1e-12)
+        end = res.propagators[-1]
+        _, proj = ms.spin_operator(setup)
+        assert np.abs(proj.plus @ end @ proj.minus).max() <= 1e-12
+        assert np.abs(proj.minus @ end @ proj.plus).max() <= 1e-12
+        # P+- are rank one, so end P+- = lambda+- P+- with lambda+- = tr(end P+-)
+        plus, minus = np.trace(end @ proj.plus), np.trace(end @ proj.minus)
+        assert abs(abs(plus) - 1.0) <= 1e-12 and abs(abs(minus) - 1.0) <= 1e-12
+        turn = charge_to_mass * field_strength(setup) * tau
+        assert abs(minus / plus - np.exp(1j * turn)) <= 1e-12
 
 
 KZ = np.array([1.0, 0, 0, 1.0])

@@ -878,6 +878,31 @@ class TestSweep:
         assert capsys.readouterr().err == (
             f"parse error: [sweep.start] expected {quantity} quantity, got '1deg'\n")
 
+    @pytest.mark.parametrize("options", [["--start", "-1cm"], ["--start=-1cm"]],
+                             ids=["space", "equals"])
+    def test_negative_value_reaches_the_scenario_checks(self, tmp_path, capsys, options):
+        # argparse alone reads the spaced "-1cm" as an option and exits 2
+        assert run_cli(["--out-dir", tmp_path, "sweep", SCENARIOS / "cow.scenario",
+                        "--parameter", "cow.dz", *options, "--stop", "1cm",
+                        "--steps", "3"]) == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: dz must be >= 0") and err.count("\n") == 1
+        assert "dz=-0.01" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["run"], ["--seed", "x", "run", "a.scenario"],
+        ["sweep", "a.scenario", "--steps", "abc"], ["sweep", "a.scenario", "--start"],
+        ["run", "a.scenario", "--unknown"]],
+        ids=["no_command", "unknown_command", "no_scenario", "bad_seed", "bad_steps",
+             "missing_value", "unknown_option"])
+    def test_argument_error_is_one_line_and_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("quline") and ": error: " in err and err.count("\n") == 1
+
     def test_bundled_cow_outputs_unchanged(self, tmp_path):
         assert run_cli(["--out-dir", tmp_path / "run", "run",
                         SCENARIOS / "cow.scenario"]) == cli.EXIT_OK

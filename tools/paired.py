@@ -23,9 +23,11 @@ With ``--hashes`` nothing is timed: each tree builds its pool (set-up and
 warm-up) and runs one pass with its trajectory stepper and transport kernel
 recorded, and the tool prints one sha256 per tree over every trajectory
 (``ts``, ``ys`` and stage rows 0-12 of each ``_dop853`` solve), one over
-every ``propagate`` output and one over every case output that is a list of
-row dicts (a sweep's rows: the keys in order and the ``repr`` of each value),
-with the number of each.
+every ``propagate`` output, one over every case output that is a list of
+row dicts (a sweep's rows: the keys in order and the ``repr`` of each value)
+and one per case kind over the bytes of the JSON reports its cases write
+(``scenario_protocols``), with the number of each, so that a change can name
+which reports moved.
 """
 
 from __future__ import annotations
@@ -156,12 +158,14 @@ def paired(trees, workloads, rounds):
 
 
 def recorded_hashes(tree, workload):
-    """sha256 of every trajectory solve, of every propagate output and of
-    every row table a case returns while ``workload`` is set up and runs its
-    pool once, with the counts."""
+    """sha256 of every trajectory solve, of every propagate output, of every
+    row table a case returns and, per case kind, of every JSON report a case
+    writes while ``workload`` is set up and runs its pool once, with the
+    counts."""
     worldline = tree.modules["quline.worldline"]
     solves, maps, tables = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    counts = {"solves": 0, "propagates": 0, "row_tables": 0}
+    counts = {"solves": 0, "propagates": 0, "row_tables": 0, "reports": 0}
+    reports = {}
     stepper, kernel = worldline._dop853, worldline.propagate
 
     def recorded_stepper(*args):
@@ -193,12 +197,17 @@ def recorded_hashes(tree, workload):
                 for row in out:
                     tables.update(repr(list(row.items())).encode())
                 counts["row_tables"] += 1
+            if "json" in case:
+                reports.setdefault(case["kind"], hashlib.sha256()).update(
+                    Path(case["json"]).read_bytes())
+                counts["reports"] += 1
     finally:
         worldline._dop853 = stepper
         for module in bound:
             module.propagate = kernel
     return {"trajectories_sha256": solves.hexdigest(), "propagate_sha256": maps.hexdigest(),
-            "rows_sha256": tables.hexdigest(), **counts}
+            "rows_sha256": tables.hexdigest(),
+            "reports_sha256": {kind: h.hexdigest() for kind, h in reports.items()}, **counts}
 
 
 def parse_args(argv):
@@ -210,8 +219,8 @@ def parse_args(argv):
     p.add_argument("--rounds", type=int, default=30)
     p.add_argument("--out", help="where to write BENCH_paired.json")
     p.add_argument("--hashes", action="store_true",
-                   help="print sha256 of every trajectory, propagate output and row "
-                        "table; time nothing")
+                   help="print sha256 of every trajectory, propagate output, row "
+                        "table and, per case kind, report; time nothing")
     args = p.parse_args(argv)
     if args.rounds < 1:
         p.error("--rounds must be positive")
