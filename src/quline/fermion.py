@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import QulineError
 from .geometry import Event
-from .spin_algebra import (ETA, PAULI, SIGMA_BAR, generator_contraction, spin_half_boost_matrix,
+from .spin_algebra import (ETA, SIGMA_BAR, generator_contraction, spin_half_boost_matrix,
                            velocity_inner_product_matrix)
 from .worldline import LocalizedState, TransportResult, _exp2, carry, propagate
 
@@ -99,11 +99,10 @@ def _rest_frame_magnetic(u_tet, f_tet):
 
 def _covariant_generator(em, charge_to_mass, x, u, a, xdot, pulled):
     """2x2 generator of the covariant transport; (n, 2, 2) for (n, 4) kinematics."""
-    lowered = ETA @ pulled      # xdot^nu omega_{nu IJ}
-    coeffs = 0.5 * lowered + _outer(u @ ETA, a @ ETA)
+    coeffs = 0.5 * pulled + _outer(u, a @ ETA)     # first index raised, as pulled's
     if em is not None and charge_to_mass != 0.0:
-        coeffs = coeffs - 0.5 * charge_to_mass * _rest_frame_magnetic(u, em.tensor(x))
-    return 1j * generator_contraction(coeffs)
+        coeffs = coeffs - 0.5 * charge_to_mass * (ETA @ _rest_frame_magnetic(u, em.tensor(x)))
+    return 1j * generator_contraction(coeffs, mixed=True)
 
 
 def transport(state: FermionState, worldline, em=None, charge_to_mass=0.0,
@@ -123,15 +122,19 @@ def _wigner_generator(u, du, omega_pull):
 
     ``du`` is the rate (or increment) of the tetrad velocity components and
     ``omega_pull`` the lowered connection contracted with the coordinate
-    velocity over the same rate (or increment).  Leading axes broadcast.
+    velocity over the same rate (or increment).  Leading axes broadcast.  The
+    Thomas term's (beta x dbeta).pauli is built entry by entry from the columns
+    of beta x dbeta, its zeros made +0 as in a sum over the Pauli matrices.
     """
-    gamma = u[..., 0, None]
+    gamma = u[..., :1]
     beta = u[..., 1:] / gamma
-    dbeta = (du[..., 1:] * u[..., :1] - u[..., 1:] * du[..., :1]) / u[..., :1] ** 2
-    thomas_vec = np.cross(beta, dbeta)
+    dbeta = (du[..., 1:] * gamma - u[..., 1:] * du[..., :1]) / gamma ** 2
+    b1, b2, b3, d1, d2, d3 = (v[..., i] for v in (beta, dbeta) for i in range(3))
+    t1, t2, t3 = b2 * d3 - b3 * d2, b3 * d1 - b1 * d3, b1 * d2 - b2 * d1
+    zero = np.zeros_like(t1)
+    pauli = (np.stack([t3, zero, t1, -t2, t1, t2, -t3, zero], axis=-1) + 0.0).view(complex)
     gamma = gamma[..., None]
-    gen = 1j * gamma * gamma / (2.0 * (gamma + 1.0)) * np.einsum(
-        "...k,kab->...ab", thomas_vec, PAULI[1:])
+    gen = 1j * gamma * gamma / (2.0 * (gamma + 1.0)) * pauli.reshape(t1.shape + (2, 2))
     w = np.zeros(np.shape(omega_pull))
     w[..., 1:, 1:] = (0.5 * omega_pull[..., 1:, 1:]
                       + gamma * _outer(beta, omega_pull[..., 0, 1:])

@@ -612,7 +612,7 @@ def pulled_connection(model, x, xdot):
 
 def _parallel_generator(x, u, a, xdot, pulled):
     """i L(1/2 eta pulled), the spin-half generator of parallel transport."""
-    return 0.5j * generator_contraction(ETA @ pulled)
+    return 0.5j * generator_contraction(pulled, mixed=True)
 
 
 def parallel_propagator(worldline, params, tol):

@@ -15,6 +15,7 @@ P.u = 0) have probability |conj(P)_I psi^I|^2, gauge and Lorentz invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,12 @@ class SternGerlachSetup:
         object.__setattr__(self, "apparatus_velocity", v)
         object.__setattr__(self, "particle_velocity", u)
 
+    @cached_property
+    def projectors(self):
+        """The :class:`SpinProjectorPair` of :func:`spin_operator`, built on
+        first use and kept: one build serves a measurement and its axis."""
+        return spin_operator(self)[1]
+
 
 @dataclass(frozen=True)
 class SpinObservable:
@@ -66,7 +73,7 @@ class SpinProjectorPair:
 
 def stern_gerlach_axis(setup: SternGerlachSetup):
     """Normalized rest-frame magnetic-field direction n^I; n.u = 0, n.n = -1."""
-    return spin_operator(setup)[0].direction
+    return setup.projectors.axis
 
 
 def spin_operator(setup: SternGerlachSetup):
@@ -102,7 +109,7 @@ def measure_spin(state: FermionState, setup: SternGerlachSetup, rng=None):
     if not same_label(state.velocity, setup.particle_velocity):
         raise HilbertSpaceMismatch("setup particle velocity differs from the state label")
     rng = np.random.default_rng(rng)
-    _, proj = spin_operator(setup)
+    proj = setup.projectors
     metric = state.metric()
     total = state.norm_squared()
     probs = {}

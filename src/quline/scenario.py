@@ -29,9 +29,8 @@ from .fermion import FermionState, transport as fermion_transport
 from .geometry import TabulatedModel, make_builtin_model
 from .interferometry import (COW_MODES, arm_phase, cow_phases, displacement_phase,
                              phase_difference, recombine, transport_phase)
-from .measurement import (SternGerlachSetup, circular_polarizer,
-                          linear_polarizer, measure_polarization, measure_spin,
-                          stern_gerlach_axis)
+from .measurement import (SternGerlachSetup, circular_polarizer, linear_polarizer,
+                          measure_polarization, measure_spin)
 from .photon import apply_jones, jones_to_state
 from .photon import transport as photon_transport
 from .spin_algebra import check_norm, minkowski_dot, spin1_boost
@@ -576,7 +575,7 @@ class ScenarioRun:
         outcome, post, probs = measure_spin(self.states[name], setup, rng)
         self.states[name] = post
         return {"outcome": int(outcome), "p_plus": float(probs[+1]), "p_minus": float(probs[-1]),
-                "axis": [float(x) for x in stern_gerlach_axis(setup)],
+                "axis": [float(x) for x in setup.projectors.axis],
                 "state": _state_payload(post)}
 
     def _optic(self, name, matrix, block, rng):

@@ -71,9 +71,22 @@ def minkowski_dot(a, b):
     return a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
 
 
-def generator_contraction(coeffs):
-    """Sum_{I,J} coeffs_{IJ} L^{IJ} for (..., 4, 4) coefficients with lower indices."""
-    return np.einsum("...ij,ijab->...ab", np.asarray(coeffs), GENERATORS)
+# the real and imaginary parts of each entry of L^{IJ}, all 0 or +-1/2, as row 4I + J
+# of 8 columns (entry [a, b] at 4a + 2b, imaginary part next); then with eta_II folded in
+_GENERATOR_PARTS = np.stack([GENERATORS.real, GENERATORS.imag], axis=-1).reshape(16, 8)
+_MIXED_PARTS = np.repeat(np.diag(ETA), 4)[:, None] * _GENERATOR_PARTS
+
+
+def generator_contraction(coeffs, mixed=False):
+    """Sum_{I,J} coeffs_{IJ} L^{IJ} for (..., 4, 4) real coefficients with lower
+    indices, or with ``mixed`` for coeffs^I_J with the first index raised (the
+    contraction of eta coeffs).  Each entry is one real sum over the 16
+    coefficients in their order, so it has the bits of the complex einsum
+    over L: every product is exact, and the zero terms add nothing."""
+    c = np.asarray(coeffs, dtype=float)
+    parts = np.einsum("...k,kc->...c", c.reshape(c.shape[:-2] + (16,)),
+                      _MIXED_PARTS if mixed else _GENERATOR_PARTS)
+    return parts.view(complex).reshape(c.shape[:-2] + (2, 2))
 
 
 # the coefficients of Lambda^I_J (below) on each product conj(S)_ba S_cd

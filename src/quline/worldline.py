@@ -685,25 +685,37 @@ def _barycentric(nodes):
 _NODE_WEIGHTS = _barycentric(NODES)
 
 
+def _node_sum(w):
+    """w[0] + w[1] + ... over the first axis of ``w``, in the order np.sum
+    adds a contiguous row of up to 15: one by one below 8 terms, otherwise
+    the first 8 pairwise and the rest one by one."""
+    if len(w) < 8:
+        return sum(w[1:], w[0])
+    return sum(w[8:], ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7])))
+
+
 def _lagrange(t, nodes=NODES, barycentric=_NODE_WEIGHTS):
     """The Lagrange basis polynomials through ``nodes``, whose barycentric
-    weights are ``barycentric``, at each of ``t``, (..., n), in barycentric
-    form (exact at a node)."""
-    gap = t[..., None] - nodes
+    weights are ``barycentric``, at each of ``t``, node first: (len(nodes),
+    *t.shape), in barycentric form (exact at a node).  Each node's weights
+    are one row over all of ``t``, and :func:`_node_sum` adds them in the
+    order of a sum over a row of nodes."""
+    column = (-1,) + (1,) * np.ndim(t)
+    weights = t - nodes.reshape(column)         # the gaps, divided in place
+    hit = weights == 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        weights = barycentric / gap
-        weights /= weights.sum(axis=-1, keepdims=True)
-    hit = gap == 0
+        np.divide(barycentric.reshape(column), weights, out=weights)
+        weights /= _node_sum(weights)
     if not hit.any():
         return weights
-    return np.where(hit.any(axis=-1, keepdims=True), hit, weights)
+    return np.where(hit.any(axis=0), hit, weights)
 
 
 # G at the whole's outer Gauss nodes by the degree-8 interpolant through NODES
 # less by the degree-6 one through the inner 7: how far a read can be off
-_READ_CHECK = _lagrange(GAUSS_NODES[::2])
-_READ_CHECK[:, 1:-1] -= _lagrange(GAUSS_NODES[::2], NODES[1:-1], _barycentric(NODES[1:-1]))
-_AT_SUBNODES = _lagrange(SUBNODES[None])     # the interpolant at SUBNODES
+_READ_CHECK = _lagrange(GAUSS_NODES[::2]).T.copy()
+_READ_CHECK[:, 1:-1] -= _lagrange(GAUSS_NODES[::2], NODES[1:-1], _barycentric(NODES[1:-1])).T
+_AT_SUBNODES = _lagrange(SUBNODES).T.copy()     # the interpolant at SUBNODES
 MAX_LEVELS = 40         # bisections of one interval before the kernel gives up
 TOLERANCE_FLOOR = float(10 * np.finfo(float).eps)   # an estimate rounds by ~eps/63
 CHUNK = 4096            # intervals evaluated at once; their kinematics take ~5 kB each
@@ -744,11 +756,37 @@ def _exp2(omega):
     return np.cosh(s) * _EYE + sinhc * omega
 
 
-def _interpolate(g, weights):
-    """G at the fractions of intervals that ``weights`` (n or 1, m, 9), their
-    ``_lagrange`` weights on NODES, stand for: the degree-8 polynomial through
-    its values g (n, 9, 2, 2) at NODES."""
-    return (weights @ g.reshape(len(g), len(NODES), 4)).reshape(len(g), weights.shape[-2], 2, 2)
+def _node_products(g):
+    """(G at SUBNODES (n, 9, 2, 2), how far a read can be off (n,)) of
+    intervals whose G at NODES is g (n, 9, 2, 2): the interpolant and the
+    ``_READ_CHECK`` of G less its midpoint value (exact 0 for constant G), each
+    one product against the intervals' G node by node, (9, 4n)."""
+    by_node = g.transpose(1, 0, 2, 3).reshape(len(NODES), -1)
+    at_subnodes = (_AT_SUBNODES @ by_node).reshape(len(SUBNODES), len(g), 2, 2)
+    misread = np.abs(_READ_CHECK @ (by_node - by_node[4])).reshape(-1, len(g), 4)
+    return at_subnodes.transpose(1, 0, 2, 3), misread.max(axis=(0, 2))
+
+
+def _interpolate_reads(g, held, theta):
+    """(order, G) for reads at the first ``theta`` (m) of the intervals held
+    (m) whose G at NODES is g (n, 9, 2, 2): G (m, 9, 2, 2) at SUBNODES of read
+    order[i], by the degree-8 polynomial through the nodes.  The reads go in
+    runs of one interval, the intervals with fewer reads first.  Their weights
+    are built node first; the c reads of one interval are one (9c, 9) @ (9, 4)
+    product against its G, and the intervals with c reads are one stack."""
+    count = np.bincount(held)
+    order = np.lexsort((held, count[held]))
+    held = held[order]
+    runs = count[held]          # the reads of each read's interval, non-decreasing
+    edges = [0, *(np.flatnonzero(runs[1:] != runs[:-1]) + 1).tolist(), len(held)]
+    weights = _lagrange(theta[order, None] * SUBNODES).transpose(1, 2, 0)
+    g = g.reshape(len(g), len(NODES), 4)
+    out = np.empty((len(held), len(SUBNODES), 4), dtype=complex)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        c = int(runs[lo])
+        np.matmul(weights[lo:hi].reshape(-1, c * len(SUBNODES), len(NODES)), g[held[lo:hi:c]],
+                  out=out[lo:hi].reshape(-1, c * len(SUBNODES), 4))
+    return order, out.reshape(-1, len(SUBNODES), 2, 2)
 
 
 def _richardson(g, h, estimate=True):
@@ -840,11 +878,13 @@ def propagate(worldline, generator, params, tol):
     lams = params.ravel()
     t0, t1 = worldline.param_span
     direction = np.sign(t1 - t0)
-    if np.any((direction * (lams - t0) < 0) | (direction * (lams - t1) > 0)):
+    asked = np.sort(direction * lams)
+    if len(asked) and (asked[0] < direction * t0 or asked[-1] > direction * t1):
         raise DomainError("transport parameters outside the worldline span")
 
-    asked = np.sort(direction * lams)
-    edges = direction * np.unique(direction * np.concatenate([[t0, t1], worldline.breakpoints]))
+    edges = np.array([t0, t1])
+    if len(worldline.breakpoints):
+        edges = direction * np.unique(direction * np.concatenate([edges, worldline.breakpoints]))
     # level 0: the grid's intervals, with no G known
     parts = np.stack([edges[:-1], 0.5 * (edges[:-1] + edges[1:]), edges[1:]], axis=1)
     depths = np.zeros(len(parts), dtype=int)
@@ -876,13 +916,12 @@ def propagate(worldline, generator, params, tol):
             sub = new[count:].reshape(len(at), 6, 2, 2)
             g = np.concatenate([ends[:, :1], sub[:, :3], ends[:, 1:2], sub[:, 3:], ends[:, 2:]],
                                axis=1)
-            steps, error = _richardson(_interpolate(g, _AT_SUBNODES), width)
+            at_subnodes, misread = _node_products(g)
+            steps, error = _richardson(at_subnodes, width)
             held = (np.searchsorted(asked, direction * left, "right")
                     < np.searchsorted(asked, direction * right, "left"))
             # G odd about the midpoint fools the estimate, not the read check;
             # the steps are exact then, only reads inside are off
-            change = (g - g[:, 4:5]).reshape(len(g), len(NODES), 4)     # exact 0 for constant G
-            misread = np.abs(_READ_CHECK @ change).max(axis=(1, 2))
             worst = np.maximum(error, np.where(held, width * misread, 0.0))
             done = worst <= 0.5 * tol
             read = done & held              # G is kept where a parameter is read
@@ -908,12 +947,11 @@ def propagate(worldline, generator, params, tol):
     theta = np.minimum((lams - lefts[k]) / widths, 1.0)
     # on an interval's start the read is 1, at the span end the whole step
     maps = np.where(lams == lefts[k], _EYE, steps[..., k])
-    inside = (lams != lefts[k]) & (lams != rights[k])
-    if inside.any():
-        maps[..., inside] = _richardson(
-            _interpolate(np.concatenate(kept)[slots[k[inside]]],
-                         _lagrange(theta[inside, None] * SUBNODES)),
-            theta[inside] * widths[inside], estimate=False)
+    inside = np.flatnonzero((lams != lefts[k]) & (lams != rights[k]))
+    if len(inside):
+        order, g = _interpolate_reads(np.concatenate(kept), slots[k[inside]], theta[inside])
+        reads = inside[order]
+        maps[..., reads] = _richardson(g, theta[reads] * widths[reads], estimate=False)
     return np.moveaxis(_dot(maps, starts[..., k]), -1, 0).reshape(params.shape + (2, 2)).copy()
 
 

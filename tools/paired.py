@@ -23,11 +23,12 @@ With ``--hashes`` nothing is timed: each tree builds its pool (set-up and
 warm-up) and runs one pass with its trajectory stepper and transport kernel
 recorded, and the tool prints one sha256 per tree over every trajectory
 (``ts``, ``ys`` and stage rows 0-12 of each ``_dop853`` solve), one over
-every ``propagate`` output, one over every case output that is a list of
-row dicts (a sweep's rows: the keys in order and the ``repr`` of each value)
-and one per case kind over the bytes of the JSON reports its cases write
-(``scenario_protocols``), with the number of each, so that a change can name
-which reports moved.
+every ``propagate`` output and one per case kind over the outputs of that
+kind's cases (``setup`` for the calls set-up makes), one over every case
+output that is a list of row dicts (a sweep's rows: the keys in order and
+the ``repr`` of each value) and one per case kind over the bytes of the JSON
+reports its cases write (``scenario_protocols``), with the number of each, so
+that a change can name which transports and reports moved.
 """
 
 from __future__ import annotations
@@ -158,14 +159,15 @@ def paired(trees, workloads, rounds):
 
 
 def recorded_hashes(tree, workload):
-    """sha256 of every trajectory solve, of every propagate output, of every
-    row table a case returns and, per case kind, of every JSON report a case
-    writes while ``workload`` is set up and runs its pool once, with the
-    counts."""
+    """sha256 of every trajectory solve, of every propagate output (all and
+    per case kind), of every row table a case returns and, per case kind, of
+    every JSON report a case writes while ``workload`` is set up and runs its
+    pool once, with the counts."""
     worldline = tree.modules["quline.worldline"]
     solves, maps, tables = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     counts = {"solves": 0, "propagates": 0, "row_tables": 0, "reports": 0}
-    reports = {}
+    reports, kinds = {}, {}
+    kind = "setup"      # the kind whose propagate outputs are being recorded
     stepper, kernel = worldline._dop853, worldline.propagate
 
     def recorded_stepper(*args):
@@ -177,7 +179,9 @@ def recorded_hashes(tree, workload):
 
     def recorded_kernel(*args):
         out = kernel(*args)
-        maps.update(np.ascontiguousarray(out).tobytes())
+        data = np.ascontiguousarray(out).tobytes()
+        maps.update(data)
+        kinds.setdefault(kind, hashlib.sha256()).update(data)
         counts["propagates"] += 1
         return out
 
@@ -189,6 +193,7 @@ def recorded_hashes(tree, workload):
     try:
         tree.call(workload.setup)
         for case in workload.pool:
+            kind = case.get("kind", "case")
             out = tree.call(workload.run, case)
             bad = tree.call(failures, workload, case, out)
             if bad:
@@ -206,6 +211,7 @@ def recorded_hashes(tree, workload):
         for module in bound:
             module.propagate = kernel
     return {"trajectories_sha256": solves.hexdigest(), "propagate_sha256": maps.hexdigest(),
+            "propagate_by_kind_sha256": {k: h.hexdigest() for k, h in kinds.items()},
             "rows_sha256": tables.hexdigest(),
             "reports_sha256": {kind: h.hexdigest() for kind, h in reports.items()}, **counts}
 
@@ -219,8 +225,9 @@ def parse_args(argv):
     p.add_argument("--rounds", type=int, default=30)
     p.add_argument("--out", help="where to write BENCH_paired.json")
     p.add_argument("--hashes", action="store_true",
-                   help="print sha256 of every trajectory, propagate output, row "
-                        "table and, per case kind, report; time nothing")
+                   help="print sha256 of every trajectory, propagate output (all and "
+                        "per case kind), row table and, per case kind, report; "
+                        "time nothing")
     args = p.parse_args(argv)
     if args.rounds < 1:
         p.error("--rounds must be positive")
