@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import QulineError
 from .geometry import Event
-from .spin_algebra import (ETA, SIGMA_BAR, generator_contraction, spin_half_boost_matrix,
-                           velocity_inner_product_matrix)
+from .spin_algebra import (ETA, ETA_ROWS, SIGMA_BAR, generator_contraction,
+                           spin_half_boost_matrix, velocity_inner_product_matrix)
 from .worldline import LocalizedState, TransportResult, _exp2, carry, propagate
 
 
@@ -99,10 +99,11 @@ def _rest_frame_magnetic(u_tet, f_tet):
 
 def _covariant_generator(em, charge_to_mass, x, u, a, xdot, pulled):
     """2x2 generator of the covariant transport; (n, 2, 2) for (n, 4) kinematics."""
-    coeffs = 0.5 * pulled + _outer(u, a @ ETA)     # first index raised, as pulled's
+    lowered = ETA_ROWS * pulled     # xdot^nu omega_{nu IJ}
+    coeffs = 0.5 * lowered + _outer(u @ ETA, a @ ETA)
     if em is not None and charge_to_mass != 0.0:
-        coeffs = coeffs - 0.5 * charge_to_mass * (ETA @ _rest_frame_magnetic(u, em.tensor(x)))
-    return 1j * generator_contraction(coeffs, mixed=True)
+        coeffs = coeffs - 0.5 * charge_to_mass * _rest_frame_magnetic(u, em.tensor(x))
+    return 1j * generator_contraction(coeffs)
 
 
 def transport(state: FermionState, worldline, em=None, charge_to_mass=0.0,

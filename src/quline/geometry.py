@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QulineError, ToleranceError
-from .spin_algebra import (ETA, check_lorentz, generator_contraction, lorentz_image,
-                           minkowski_dot)
+from .spin_algebra import (ETA, ETA_ROWS, check_lorentz, generator_contraction,
+                           lorentz_image, minkowski_dot)
 
 # 4th-order central difference stencil; default step in chart units.
 _FD_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
@@ -612,7 +612,7 @@ def pulled_connection(model, x, xdot):
 
 def _parallel_generator(x, u, a, xdot, pulled):
     """i L(1/2 eta pulled), the spin-half generator of parallel transport."""
-    return 0.5j * generator_contraction(pulled, mixed=True)
+    return 0.5j * generator_contraction(ETA_ROWS * pulled)
 
 
 def parallel_propagator(worldline, params, tol):

@@ -51,8 +51,12 @@ class SternGerlachSetup:
     @cached_property
     def projectors(self):
         """The :class:`SpinProjectorPair` of :func:`spin_operator`, built on
-        first use and kept: one build serves a measurement and its axis."""
-        return spin_operator(self)[1]
+        first use and kept read-only: one build serves a measurement and its
+        axis, and a caller that changes one in place cannot change the next."""
+        pair = spin_operator(self)[1]
+        for a in (pair.plus, pair.minus, pair.axis):
+            a.flags.writeable = False
+        return pair
 
 
 @dataclass(frozen=True)

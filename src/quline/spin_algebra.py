@@ -72,20 +72,18 @@ def minkowski_dot(a, b):
 
 
 # the real and imaginary parts of each entry of L^{IJ}, all 0 or +-1/2, as row 4I + J
-# of 8 columns (entry [a, b] at 4a + 2b, imaginary part next); then with eta_II folded in
+# of 8 columns (entry [a, b] at 4a + 2b, imaginary part next)
 _GENERATOR_PARTS = np.stack([GENERATORS.real, GENERATORS.imag], axis=-1).reshape(16, 8)
-_MIXED_PARTS = np.repeat(np.diag(ETA), 4)[:, None] * _GENERATOR_PARTS
+ETA_ROWS = np.diag(ETA)[:, None]    # eta_II as a column: ETA_ROWS * m lowers m's first index
 
 
-def generator_contraction(coeffs, mixed=False):
+def generator_contraction(coeffs):
     """Sum_{I,J} coeffs_{IJ} L^{IJ} for (..., 4, 4) real coefficients with lower
-    indices, or with ``mixed`` for coeffs^I_J with the first index raised (the
-    contraction of eta coeffs).  Each entry is one real sum over the 16
-    coefficients in their order, so it has the bits of the complex einsum
-    over L: every product is exact, and the zero terms add nothing."""
+    indices.  Each entry is one real sum over the 16 coefficients in their
+    order, so it has the bits of the complex einsum over L: every product is
+    exact, and the zero terms add nothing."""
     c = np.asarray(coeffs, dtype=float)
-    parts = np.einsum("...k,kc->...c", c.reshape(c.shape[:-2] + (16,)),
-                      _MIXED_PARTS if mixed else _GENERATOR_PARTS)
+    parts = np.einsum("...k,kc->...c", c.reshape(c.shape[:-2] + (16,)), _GENERATOR_PARTS)
     return parts.view(complex).reshape(c.shape[:-2] + (2, 2))
 
 

@@ -878,13 +878,11 @@ def propagate(worldline, generator, params, tol):
     lams = params.ravel()
     t0, t1 = worldline.param_span
     direction = np.sign(t1 - t0)
-    asked = np.sort(direction * lams)
-    if len(asked) and (asked[0] < direction * t0 or asked[-1] > direction * t1):
+    if np.any((direction * (lams - t0) < 0) | (direction * (lams - t1) > 0)):
         raise DomainError("transport parameters outside the worldline span")
 
-    edges = np.array([t0, t1])
-    if len(worldline.breakpoints):
-        edges = direction * np.unique(direction * np.concatenate([edges, worldline.breakpoints]))
+    asked = np.sort(direction * lams)
+    edges = direction * np.unique(direction * np.concatenate([[t0, t1], worldline.breakpoints]))
     # level 0: the grid's intervals, with no G known
     parts = np.stack([edges[:-1], 0.5 * (edges[:-1] + edges[1:]), edges[1:]], axis=1)
     depths = np.zeros(len(parts), dtype=int)

@@ -18,7 +18,7 @@ import pytest
 from quline import fermion as fm
 from quline import worldline as wld
 from quline.geometry import _parallel_generator
-from quline.spin_algebra import ETA, GENERATORS, PAULI, generator_contraction
+from quline.spin_algebra import ETA, ETA_ROWS, GENERATORS, PAULI, generator_contraction
 from quline.worldline import NODES, SUBNODES
 
 EM = wld.constant_magnetic_field([0.2, 0.0, 0.9])
@@ -102,7 +102,7 @@ def test_contraction_is_the_einsum_over_l(shape):
     for _ in range(20):
         c = signed_entries(rng, shape + (4, 4))
         assert_same_bits(generator_contraction(c), einsum_contraction(c))
-        assert_same_bits(generator_contraction(c, mixed=True), einsum_contraction(ETA @ c))
+        assert_same_bits(generator_contraction(ETA_ROWS * c), einsum_contraction(ETA @ c))
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -288,6 +288,18 @@ def test_propagate_takes_parameters_in_any_order_within_the_span():
         wld.propagate(backwards, covariant(backwards)[0], [0.0, 1.0], 1e-12)
 
 
+@pytest.mark.parametrize("outside", ["above", "below"])
+def test_a_parameter_outside_the_span_is_refused_next_to_nan(outside):
+    """nan sorts last, so a check on the sorted ends alone would miss the
+    parameter past the span end; each parameter is checked on its own."""
+    for wl in (schwarzschild_ray(), rindler_static_backwards()):
+        t0, t1 = wl.param_span
+        beyond = t1 + (t1 - t0) if outside == "above" else t0 - (t1 - t0)
+        for params in ([beyond, np.nan], [np.nan, beyond], [t0, np.nan, beyond, t1]):
+            with pytest.raises(DomainError, match="outside the worldline span"):
+                wld.propagate(wl, parallel(wl)[0], params, 1e-12)
+
+
 def matrix_first_dot(x, y):
     """The kernel's 2x2 product on (n, 2, 2) stacks, the layout it kept before
     it held its stacks entry-first: the reference for that layout."""
