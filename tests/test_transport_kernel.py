@@ -286,18 +286,10 @@ def test_propagate_takes_parameters_in_any_order_within_the_span():
     backwards = rindler_static_backwards()
     with pytest.raises(DomainError, match="outside the worldline span"):
         wld.propagate(backwards, covariant(backwards)[0], [0.0, 1.0], 1e-12)
-
-
-@pytest.mark.parametrize("outside", ["above", "below"])
-def test_a_parameter_outside_the_span_is_refused_next_to_nan(outside):
-    """nan sorts last, so a check on the sorted ends alone would miss the
-    parameter past the span end; each parameter is checked on its own."""
-    for wl in (schwarzschild_ray(), rindler_static_backwards()):
-        t0, t1 = wl.param_span
-        beyond = t1 + (t1 - t0) if outside == "above" else t0 - (t1 - t0)
-        for params in ([beyond, np.nan], [np.nan, beyond], [t0, np.nan, beyond, t1]):
-            with pytest.raises(DomainError, match="outside the worldline span"):
-                wld.propagate(wl, parallel(wl)[0], params, 1e-12)
+    t0, t1 = wl.param_span
+    for outside in ([t1 + 1.0, np.nan], [np.nan, t0, t0 - 1.0]):    # nan sorts after the rest
+        with pytest.raises(DomainError, match="outside the worldline span"):
+            wld.propagate(wl, generator, outside, 1e-12)
 
 
 def matrix_first_dot(x, y):
