@@ -24,7 +24,8 @@ import yaml
 
 from . import __version__
 from .errors import (AdaptationSingular, DomainError, QulineError, ScenarioError,
-                     ScenarioParseError, ScenarioReferenceError, WavevectorMismatch)
+                     ScenarioParseError, ScenarioReferenceError, ToleranceError,
+                     WavevectorMismatch)
 from .fermion import FermionState, transport as fermion_transport
 from .geometry import TabulatedModel, make_builtin_model
 from .interferometry import (COW_MODES, arm_phase, cow_phases, displacement_phase,
@@ -354,17 +355,20 @@ def build_worldline(model, name, w):
         return circular_worldline(model, radius=w["radius"], beta=w["beta"],
                                   revolutions=w["revolutions"])
     if w["type"] == "timelike":
-        beta = w["beta"]
-        if beta @ beta >= 1.0:
+        if sum(b * b for b in w["beta"].tolist()) >= 1.0:   # Python floats overflow unwarned
             raise ScenarioError("beta must be subluminal", block=block)
-        return integrate_timelike(model, None, w["start"], spin1_boost(beta)[:, 0],
-                                  span=w["span"], tol=w["tolerance"])
+        integrate = partial(integrate_timelike, model, None, w["start"],
+                            spin1_boost(w["beta"])[:, 0])
+    else:
+        try:
+            check_norm(w["wavevector"], 0, "wavevector must be null and future-pointing")
+        except QulineError as exc:
+            raise ScenarioError(str(exc), block=block) from None
+        integrate = partial(integrate_null_geodesic, model, w["start"], w["wavevector"])
     try:
-        check_norm(w["wavevector"], 0, "wavevector must be null and future-pointing")
-    except QulineError as exc:
-        raise ScenarioError(str(exc), block=block) from None
-    return integrate_null_geodesic(model, w["start"], w["wavevector"], span=w["span"],
-                                   tol=w["tolerance"])
+        return integrate(span=w["span"], tol=w["tolerance"])
+    except ToleranceError as exc:       # the drift of a label, or a step size underflow
+        raise ToleranceError(f"[{block}] {exc}", exc.achieved, exc.requested) from None
 
 
 def _jones_matrix(op):

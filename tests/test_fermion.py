@@ -244,6 +244,26 @@ class TestUnitarity:
         for a, b in zip(r1.states[::50], r2.states[::50]):
             assert abs(a.inner(b) - ip0) < 1e-9
 
+    @pytest.mark.parametrize("trajectory_tol, transport_tol, drift", [
+        (1e-12, 1e-12, 1.2e-12), (1e-12, 1e-10, 1.2e-12), (1e-10, 1e-12, 1.1e-10)])
+    def test_norm_drift_tracks_the_trajectory_tolerance(self, trajectory_tol, transport_tol,
+                                                        drift):
+        """``norm_drift`` measures how well the transport's maps agree with the
+        labels of the worldline they read: the map keeps psi^dag sigmabar.u psi
+        only along a velocity that obeys Du/dtau = a, which the integrated
+        trajectory does to its own tolerance.  Over one revolution (proper time
+        489) of the eccentric r = 12 M orbit the drift is of the order of the
+        trajectory tolerance, whatever the transport tolerance."""
+        model = make_builtin_model("schwarzschild", [1.0])
+        x0 = np.array([0.0, 12.0, np.pi / 2, 0.3])
+        u_coord = np.array([1.0, 0.02, 0.0, 1.1 / 12.0**1.5])
+        u_coord = u_coord / np.sqrt(u_coord @ model.metric(x0) @ u_coord)
+        u0 = model.inverse_tetrad(x0) @ u_coord
+        wl = integrate_timelike(model, None, x0, u0, span=489.0, tol=trajectory_tol)
+        st = fm.FermionState([0.6, 0.8j], wl.start_event, u0).normalized()
+        res = fm.transport(st, wl, tol=transport_tol)
+        assert drift / 10.0 <= res.norm_drift <= drift * 10.0
+
     def test_magnetic_term_hermitian(self):
         rng = np.random.default_rng(7)
         for _ in range(30):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -1050,6 +1051,41 @@ def test_unresolved_transport_exits_5(tmp_path, capsys, monkeypatch):
     assert err == ("tolerance failure: transport not resolved to 2.3e-14 within "
                    "0 bisections\n")
     assert not list(tmp_path.glob("*.json"))
+
+
+def test_drifted_orbit_labels_exit_5_naming_the_worldline(tmp_path, capsys):
+    """schwarzschild_orbit's spin ops on an eccentric orbit, beta_phi = 0.3479
+    (1.1 times circular), integrated at tolerance 1e-6 over one revolution
+    (about 261 m): its labels end off u.u = 1 by more than the label rule
+    allows, a tolerance failure in one line that names the worldline and the
+    u.u, and no report."""
+    data = sc.load_scenario(SCENARIOS / "schwarzschild_orbit.scenario")
+    data["worldlines"]["orbit"].update(beta=[0, 0, 0.3479], span="261 m", tolerance=1e-6)
+    data["schedule"] = data["schedule"][:2]
+    path = tmp_path / "drift.scenario"
+    path.write_text(yaml.safe_dump(data))
+    assert run_cli(["--out-dir", tmp_path, "run", path]) == cli.EXIT_TOLERANCE
+    err = capsys.readouterr().err
+    match = re.fullmatch(r"tolerance failure: \[worldlines\.orbit\] timelike velocity label "
+                         r"drifted during integration \(u\.u = (\S+)\)\n", err)
+    assert match and abs(float(match[1]) - 1.0) > 1e-9
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("scenario, name", [("schwarzschild_orbit.scenario", "orbit"),
+                                            ("displaced_arms.scenario", "upper")])
+def test_overflowing_beta_is_refused_without_a_warning(tmp_path, capsys, scenario, name):
+    """A beta whose square passes the floats is superluminal: exit 2 in one
+    line, and no RuntimeWarning on the way."""
+    data = sc.load_scenario(SCENARIOS / scenario)
+    data["worldlines"][name]["beta"] = [0, 0, 1e300]
+    path = tmp_path / "overflow.scenario"
+    path.write_text(yaml.safe_dump(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(["--out-dir", tmp_path, "run", path]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"scenario error: [worldlines.{name}] beta must be subluminal\n")
 
 
 class TestInterferometerBlock:

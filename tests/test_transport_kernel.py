@@ -287,8 +287,10 @@ def test_propagate_takes_parameters_in_any_order_within_the_span():
     with pytest.raises(DomainError, match="outside the worldline span"):
         wld.propagate(backwards, covariant(backwards)[0], [0.0, 1.0], 1e-12)
     t0, t1 = wl.param_span
-    for outside in ([t1 + 1.0, np.nan], [np.nan, t0, t0 - 1.0]):    # nan sorts after the rest
-        with pytest.raises(DomainError, match="outside the worldline span"):
+    # nan sorts after the rest and fails every comparison: the first bad parameter is named
+    for outside, first in (([t1 + 1.0, np.nan], "13.0"), ([np.nan, t0, t0 - 1.0], "nan"),
+                           ([np.nan], "nan"), ([t0, np.nan, t1], "nan"), ([1.0, np.nan], "nan")):
+        with pytest.raises(DomainError, match=rf"outside the worldline span \(lam={first}\)$"):
             wld.propagate(wl, generator, outside, 1e-12)
 
 

@@ -11,7 +11,7 @@ from quline import worldline as wld
 from quline.errors import ComplexVelocity, DomainError, QulineError, ToleranceError
 from quline.geometry import (_STENCIL, DEFAULT_FD_STEP, _stencil_derivative,
                              apply_local_lorentz, make_builtin_model, pulled_connection)
-from quline.spin_algebra import _ROUNDING, minkowski_dot
+from quline.spin_algebra import minkowski_dot, product_bound
 
 
 @pytest.fixture(scope="module")
@@ -129,11 +129,14 @@ class TestTimelike:
             u0 = model.inverse_tetrad(x0) @ u_coord
             span, steps = 40.0, [2.0, 1.0, 0.5, 0.25]
         ref = wld.integrate_timelike(model, None, x0, u0, span=span, tol=1e-13)
+        # the stepper alone: at tol 10 its labels drift past the label rule,
+        # which an integrated worldline must meet
+        rates = wld._trajectory_rates(model, None)
         errs = []
         for h in steps:
-            wl = wld.integrate_timelike(model, None, x0, u0, span=span, tol=10.0,
-                                        max_step=h)
-            errs.append(np.abs(wl.position(span) - ref.position(span)).max())
+            ts, ys, _ = wld._dop853(rates, 0.0, np.concatenate([x0, u0]), span, 10.0, h)
+            assert ts[-1] == span
+            errs.append(np.abs(ys[-1, :4] - ref.position(span)).max())
         slopes = np.diff(np.log(errs)) / np.diff(np.log(steps))
         assert slopes.mean() >= 4.0
 
@@ -206,36 +209,58 @@ class TestNullGeodesics:
             assert abs(pos[3] - z_expect) < 1e-8
 
 
-class TestDriftBudget:
-    """A trajectory may drift from u.u = 1 (timelike) or k.k = 0 (null) by
-    max(1e-9, 1000 tol max(1, span)), plus the start's own offset and the
-    rounding of u.u; a null ray's drift is judged in units of k0^2."""
+def drifting(dense_solution, delta, span):
+    """``_dense_solution`` whose reads have (u^0)^2, and so u.u, moved by
+    delta lam / span: a label that drifts from the start to the span end."""
+    def solution(ts, ys, K, rates):
+        dense = dense_solution(ts, ys, K, rates)
+
+        def read(lam):
+            y = dense(lam).copy()
+            y[..., 4] = np.sqrt(y[..., 4] ** 2 + delta * np.asarray(lam) / span)
+            return y
+
+        return read
+
+    return solution
+
+
+class TestOneLabelRule:
+    """An integrated worldline is judged by ``check_norm`` on the labels its
+    transports read, the 201 ``samples``: |u.u - 1| <= 1e-9 + 64 eps E for a
+    velocity, |k.k| <= (1e-9 + 64 eps) E for a wavevector, E the Euclidean
+    square.  The trajectory tolerance and span widen nothing."""
 
     @pytest.mark.parametrize("kind, u0, span, tol", [
-        ("timelike", [1.25, 0.75, 0.0, 0.0], 3.0, 1e-11),   # the tol span term
-        ("timelike", [1.0, 0.0, 0.0, 0.0], 1.0, 1e-13),    # the 1e-9 floor
-        ("null", [2.0, 0.0, 1.2, 1.6], 2.0, 1e-11),        # k0 = 2: drift / 4
-    ], ids=["timelike_tol", "timelike_floor", "null_k0_2"])
-    @pytest.mark.parametrize("fraction", [0.5, 2.0])
-    def test_drift_is_judged_against_its_budget(self, flat, monkeypatch, kind, u0, span,
-                                                tol, fraction):
+        ("timelike", [1.0, 0.0, 0.0, 0.0], 1.0, 1e-13),               # the 1e-9 floor
+        ("timelike", [1.25, 0.75, 0.0, 0.0], 3.0, 1e-6),              # tol * span adds nothing
+        ("timelike", [100.0, math.sqrt(9999.0), 0.0, 0.0], 1.0, 1e-11),   # 64 eps E, E ~ 2e4
+        ("null", [2.0, 0.0, 1.2, 1.6], 2.0, 1e-11),                   # k0 = 2: E = 8
+    ], ids=["timelike_floor", "timelike_loose_tol", "timelike_fast", "null_k0_2"])
+    @pytest.mark.parametrize("fraction", [0.99, 1.01], ids=["inside", "past"])
+    def test_drift_is_judged_by_check_norm(self, flat, monkeypatch, kind, u0, span, tol,
+                                           fraction):
         u0 = np.array(u0)
-        scale = u0[0] if kind == "null" else 1.0
-        offset = abs(minkowski_dot(u0, u0) - (1.0 if kind == "timelike" else 0.0))
-        budget = (max(1e-9, 1000.0 * tol * max(1.0, span))
-                  + (offset + _ROUNDING * (u0 @ u0)) / scale**2)
-        # the audit reads u.u unscaled; the budget is per unit k0^2
-        monkeypatch.setattr(wld.Worldline, "norm_audit",
-                            lambda self: fraction * budget * scale**2)
+        norm = 1.0 if kind == "timelike" else 0.0
+        e = float(u0 @ u0)
+        bound = product_bound(e) if kind == "timelike" else product_bound(1.0) * e
+        # the end label's u.u sits at fraction * bound from its target
+        delta = fraction * bound - (minkowski_dot(u0, u0) - norm)
+        monkeypatch.setattr(wld, "_dense_solution", drifting(wld._dense_solution, delta, span))
         if kind == "null":
             integrate = partial(wld.integrate_null_geodesic, flat, np.zeros(4), u0)
         else:
             integrate = partial(wld.integrate_timelike, flat, None, np.zeros(4), u0)
         if fraction < 1.0:
+            wl = integrate(span=span, tol=tol)
+            assert wl.norm_audit() == pytest.approx(fraction * bound, rel=1e-2)
+            return
+        s = "u" if kind == "timelike" else "k"
+        with pytest.raises(ToleranceError,
+                           match=rf"^{kind} velocity label drifted during integration "
+                                 rf"\({s}\.{s} = ") as info:
             integrate(span=span, tol=tol)
-        else:
-            with pytest.raises(ToleranceError):
-                integrate(span=span, tol=tol)
+        assert info.value.achieved == pytest.approx(fraction * bound, rel=1e-2)
 
 
 class TestKillingEnergy:
