@@ -15,4 +15,6 @@ Core pieces:
 
 __version__ = "0.1.0"
 
-from .errors import QulineError  # noqa: F401
+from .errors import QulineError
+
+__all__ = ["QulineError"]

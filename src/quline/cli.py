@@ -17,6 +17,9 @@ from .errors import (DomainError, QulineError, ScenarioError,
                      ScenarioParseError, ScenarioReferenceError,
                      ToleranceError)
 
+__all__ = ["EXIT_OK", "EXIT_FAILURE", "EXIT_PARSE", "EXIT_REFERENCE", "EXIT_DOMAIN",
+           "EXIT_TOLERANCE", "cmd_run", "cmd_validate", "cmd_sweep", "cmd_selftest", "main"]
+
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_PARSE = 2

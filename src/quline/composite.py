@@ -24,6 +24,9 @@ from .geometry import Event
 from .photon import PhotonState, canonical_gauge, transport as photon_transport
 from .spin_algebra import same_label
 
+__all__ = ["Slot", "MultiQubitState", "BELL_OUTCOMES", "BasisPairField", "make_basis_pair_field",
+           "TeleportResult", "teleport"]
+
 
 @dataclass(frozen=True)
 class Slot:

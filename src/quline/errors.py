@@ -2,6 +2,12 @@
 
 import numpy as np
 
+__all__ = [
+    "QulineError", "DomainError", "ToleranceError", "HilbertSpaceMismatch", "WavevectorMismatch",
+    "AdaptationSingular", "DegenerateSetup", "OrthogonalStates", "ComplexVelocity",
+    "ScenarioError", "ScenarioParseError", "ScenarioReferenceError", "reject_where",
+]
+
 
 class QulineError(Exception):
     """Base class for all library errors."""

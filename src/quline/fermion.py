@@ -41,7 +41,10 @@ from .errors import QulineError
 from .geometry import Event
 from .spin_algebra import (ETA, ETA_ROWS, SIGMA_BAR, generator_contraction,
                            spin_half_boost_matrix, velocity_inner_product_matrix)
-from .worldline import LocalizedState, TransportResult, _exp2, carry, propagate
+from .worldline import LocalizedState, TransportResult, carry, propagate
+
+__all__ = ["FermionState", "RestFrameState", "to_rest_frame", "from_rest_frame", "transport",
+           "transport_rest_frame"]
 
 
 class FermionState(LocalizedState):
@@ -166,16 +169,3 @@ def transport_rest_frame(rf: RestFrameState, worldline, tol=1e-12, n_samples=201
     return TransportResult(params, maps, {"norm_drift": drift},
                            lambda i: RestFrameState(psis[i]))
 
-
-def wigner_rotation_increment(u, du, omega_pull):
-    """2x2 unitary for one step of the rest-frame evolution.
-
-    ``u``: 4-velocity (tetrad components); ``du``: its increment over the
-    step; ``omega_pull``: u^mu omega_{mu IJ} dtau, a lowered antisymmetric
-    (4,4) increment.  Composing these over a worldline reproduces
-    :func:`transport_rest_frame` to second order in the step.
-    """
-    gen = _wigner_generator(np.asarray(u, dtype=float).reshape(1, 4),
-                            np.asarray(du, dtype=float).reshape(1, 4),
-                            np.asarray(omega_pull, dtype=float).reshape(1, 4, 4))
-    return _exp2(np.moveaxis(gen, 0, -1))[..., 0]

@@ -35,9 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QulineError, ToleranceError
-from .spin_algebra import (ETA, ETA_ROWS, check_lorentz, generator_contraction,
-                           lorentz_image, minkowski_dot)
+from .errors import DomainError, QulineError
+from .spin_algebra import ETA, ETA_ROWS, check_lorentz, generator_contraction, lorentz_image
+
+__all__ = [
+    "Event", "check_finite", "SpacetimeModel", "connection_finite_difference", "MinkowskiModel",
+    "RindlerModel", "SchwarzschildModel", "TabulatedModel", "make_builtin_model",
+    "TransformedModel", "apply_local_lorentz", "pulled_connection", "parallel_propagator",
+]
 
 # 4th-order central difference stencil; default step in chart units.
 _FD_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
@@ -160,7 +165,7 @@ class SpacetimeModel:
         """omega_nu^I_J at a (4,) event, (4, 4, 4), or at each row of an
         (n, 4) array, (n, 4, 4, 4)."""
         self.check_domain(points)
-        return connection_finite_difference(self, points, self.fd_step)
+        return connection_finite_difference(self, points)
 
     def pulled_connections(self, points, velocities):
         """(xdot, pulled) along the tetrad velocities u^I at the events: the
@@ -199,18 +204,19 @@ def _stencil_derivative(samples, step):
     return np.einsum("k,nk...->n...", _FD_WEIGHTS, grouped) / step
 
 
-def connection_finite_difference(model, coords, step=None):
-    """omega_nu^I_J from finite differences of the tetrad and the metric, at a
-    (4,) event, (4, 4, 4), or at each row of an (n, 4) array, (n, 4, 4, 4).
+def connection_finite_difference(model, coords):
+    """omega_nu^I_J from finite differences of the tetrad and the metric, with
+    the model's step ``fd_step``, at a (4,) event, (4, 4, 4), or at each row of
+    an (n, 4) array, (n, 4, 4, 4).
 
     Used both as the generic evaluator for models without analytic
     connections and as the self-consistency oracle for the analytic ones.
     One ``tetrads`` call covers the 17 stencil points of every event: the
-    centre, then _FD_OFFSETS[k] * step along coordinate nu at 1 + 4 nu + k.
+    centre, then _FD_OFFSETS[k] * fd_step along coordinate nu at 1 + 4 nu + k.
     Tetrad and metric derivatives share those evaluations.
     """
     coords = np.asarray(coords, dtype=float)
-    h = model.fd_step if step is None else step
+    h = model.fd_step
     points = coords + h * _STENCIL.reshape((17,) + (1,) * (coords.ndim - 1) + (4,))
     flat = points.reshape(-1, 4)
     if not np.all(model.in_domain(flat.T)):
@@ -624,22 +630,3 @@ def parallel_propagator(worldline, params, tol):
 
     return lorentz_image(propagate(worldline, _parallel_generator, params, tol))
 
-
-def parallel_transport_vector(worldline, v0, tol=1e-11):
-    """Parallel transport tetrad components V^I along a sampled worldline.
-
-    Returns (params, vectors) with vectors[i] the transported V at params[i];
-    eta-norm conservation is checked against ``tol`` and reported via
-    :class:`ToleranceError` on failure.
-    """
-    v0 = np.asarray(v0, dtype=float).reshape(4)
-    t0, t1 = worldline.param_span
-    params = np.linspace(t0, t1, 201)
-    vectors = parallel_propagator(worldline, params, tol) @ v0
-    n0 = minkowski_dot(v0, v0)
-    drift = np.abs(minkowski_dot(vectors.T, vectors.T) - n0).max()
-    scale = 1.0 + abs(n0)
-    if drift > 1000.0 * tol * scale * max(1.0, abs(t1 - t0)):
-        raise ToleranceError("parallel transport norm drift exceeds budget",
-                             achieved=drift, requested=tol)
-    return params, vectors

@@ -26,6 +26,11 @@ from .errors import (ComplexVelocity, DomainError, HilbertSpaceMismatch,
 from .geometry import Event
 from .worldline import _restricted, line_integral, rindler_speed_at_height
 
+__all__ = [
+    "PhaseLedger", "arm_phase", "slide_endpoint", "phase_difference", "displacement_phase",
+    "transport_phase", "recombine", "COW_MODES", "cow_phase", "cow_phases",
+]
+
 
 @dataclass(frozen=True)
 class PhaseLedger:
@@ -122,10 +127,14 @@ def recombine(state1, state2, a, b, delta_theta):
     Returns (state, detection_probability).  The probability carries the
     second beam splitter's 1/2, so the two output ports sum to one:
     p = 1/2 ||a psi1 + b psi2 e^{i dtheta}||^2, giving (1 + cos dtheta)/2
-    for equal amplitudes and identical unit-norm states.
+    for equal amplitudes and identical unit-norm states.  Splitter amplitudes
+    off |a|^2 + |b|^2 = 1, nan included, and a non-finite ``delta_theta``
+    raise QulineError.
     """
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
+    if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-9:     # nan fails
         raise QulineError("splitter amplitudes must satisfy |a|^2 + |b|^2 = 1")
+    if not np.isfinite(delta_theta):
+        raise QulineError(f"phase difference must be finite (delta_theta={delta_theta!r})")
     if not state1.same_space(state2):
         raise HilbertSpaceMismatch("recombining states from different Hilbert spaces")
     out = type(state1)(a * state1.amplitude + b * np.exp(1j * delta_theta) * state2.amplitude,

@@ -25,6 +25,12 @@ from .photon import PhotonState, adaptation_rotation
 from .spin_algebra import (EPS4_LOWER, EPS4_UPPER, ETA, check_norm, generator_contraction,
                            minkowski_dot, product_bound, same_label)
 
+__all__ = [
+    "SternGerlachSetup", "SpinObservable", "SpinProjectorPair", "spin_operator", "expectation",
+    "measure_spin", "PolarizerVector", "linear_polarizer", "circular_polarizer",
+    "polarizer_probability", "measure_polarization",
+]
+
 
 @dataclass(frozen=True)
 class SternGerlachSetup:
@@ -75,11 +81,6 @@ class SpinProjectorPair:
     axis: np.ndarray
 
 
-def stern_gerlach_axis(setup: SternGerlachSetup):
-    """Normalized rest-frame magnetic-field direction n^I; n.u = 0, n.n = -1."""
-    return setup.projectors.axis
-
-
 def spin_operator(setup: SternGerlachSetup):
     """(SpinObservable, SpinProjectorPair) for a Stern-Gerlach measurement: the
     device field at the particle, by the transport's own rest-frame formula."""
@@ -124,20 +125,6 @@ def measure_spin(state: FermionState, setup: SternGerlachSetup, rng=None):
     post = (proj.plus if outcome == +1 else proj.minus) @ state.psi
     post_state = FermionState(post, state.event, state.velocity).normalized()
     return outcome, post_state, probs
-
-
-def photon_hermitian(a, b, beta, wavevector):
-    """General polarization observable a f1 f^1 + beta f1 f^2 + conj(beta) f2 f^1 + b f2 f^2.
-
-    ``a``, ``b`` real, ``beta`` complex; the diad is the adapted one for
-    ``wavevector``.  Satisfies eta-Hermiticity and maps the gauge direction
-    to zero.
-    """
-    ar = adaptation_rotation(wavevector)
-    f_cols = ar.diad_inv             # f^I_A, columns
-    f_rows = ar.diad                 # f^A_I, rows
-    coeff = np.array([[a, beta], [np.conj(beta), b]], dtype=complex)
-    return np.einsum("ia,ab,bj->ij", f_cols, coeff, f_rows)
 
 
 @dataclass(frozen=True)

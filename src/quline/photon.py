@@ -26,6 +26,12 @@ from .geometry import parallel_propagator
 from .spin_algebra import ETA, axis_rotation
 from .worldline import LocalizedState, carry, line_integral
 
+__all__ = [
+    "PhotonState", "AdaptationRotation", "adaptation_rotation", "adapt", "jones_to_state",
+    "transport", "canonical_gauge", "wigner_rotation", "jones_rotation", "helicity_content",
+    "apply_jones",
+]
+
 SINGULAR_TOL = 1e-8
 _METRIC = -ETA      # the gauge-class inner product -eta_IJ
 

@@ -39,6 +39,12 @@ from .units import from_natural, parse_quantity
 from .worldline import (circular_worldline, integrate_null_geodesic,
                         integrate_timelike, static_worldline)
 
+__all__ = [
+    "CORE_TOLERANCES", "Choice", "Entries", "Items", "COW", "SCENARIO", "load_scenario",
+    "build_model", "build_worldline", "ScenarioRun", "cow_columns", "cow_row", "sweep_rows",
+    "write_csv", "write_json",
+]
+
 SCHEMA_VERSION = 1
 CORE_TOLERANCES = {
     "norm_drift": 1e-9,
@@ -369,6 +375,8 @@ def build_worldline(model, name, w):
         return integrate(span=w["span"], tol=w["tolerance"])
     except ToleranceError as exc:       # the drift of a label, or a step size underflow
         raise ToleranceError(f"[{block}] {exc}", exc.achieved, exc.requested) from None
+    except DomainError as exc:          # off the chart, or rates past the largest float
+        raise DomainError(f"[{block}] {exc}") from None
 
 
 def _jones_matrix(op):

@@ -30,12 +30,18 @@ says so: equal to 1e-9 of the larger time component, which is the absolute
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
 from .errors import DomainError, QulineError
+
+__all__ = [
+    "ETA", "PAULI", "SIGMA_BAR", "EPS4_LOWER", "EPS4_UPPER", "ETA_ROWS",
+    "minkowski_dot", "generator_contraction", "lorentz_image", "product_bound", "check_norm",
+    "same_label", "check_lorentz", "spin1_boost", "spin_half_boost_matrix", "axis_rotation",
+    "velocity_inner_product_matrix", "sigma_identity_check",
+]
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 _ROUNDING = 64.0 * float(np.finfo(float).eps)   # the rounding allowed a.b is _ROUNDING |a| |b|
@@ -160,38 +166,6 @@ def check_lorentz(m):
         raise QulineError("only proper orthochronous Lorentz transformations are supported")
 
 
-@dataclass(frozen=True)
-class LocalLorentz:
-    """Proper orthochronous Lorentz matrix Lambda^I_J, optionally with its
-    spin-half image acting on spinors as psi -> half @ psi."""
-
-    matrix: np.ndarray
-    half: np.ndarray | None = None
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float).reshape(4, 4)
-        object.__setattr__(self, "matrix", m)
-        check_lorentz(m)
-
-    def inverse(self):
-        inv = ETA @ self.matrix.T @ ETA
-        half = None if self.half is None else np.linalg.inv(self.half)
-        return LocalLorentz(inv, half)
-
-
-@dataclass(frozen=True)
-class SpinHalfBoost:
-    """Pure boost in the left-handed spin-half representation.
-
-    ``matrix`` acts on spinor components; ``beta``/``gamma`` describe the
-    boost velocity in the tetrad frame.
-    """
-
-    matrix: np.ndarray
-    beta: np.ndarray
-    gamma: float
-
-
 def spin1_boost(beta):
     """Symmetric boost Lambda^I_J mapping (1,0,0,0) to gamma(1, beta)."""
     beta = np.asarray(beta, dtype=float)
@@ -224,20 +198,6 @@ def spin_half_boost_matrix(beta):
     return m
 
 
-def boost_pair_from_velocity(u):
-    """Spin-half and spin-1 boosts taking the rest frame to 4-velocity u.
-
-    ``u`` must be a future-pointing unit timelike vector in tetrad components.
-    """
-    u = np.asarray(u, dtype=float).reshape(4)
-    check_norm(u, 1, "u must be future-pointing with u.u = 1")
-    beta = u[1:] / u[0]
-    gamma = u[0]
-    half = SpinHalfBoost(spin_half_boost_matrix(beta), beta, gamma)
-    one = LocalLorentz(spin1_boost(beta), half.matrix)
-    return half, one
-
-
 def axis_rotation(axis, cos, sin):
     """The 4x4 spatial rotation cos 1 + sin K + (1 - cos) n n^T (Rodrigues)
     about the unit ``axis`` n, K the cross-product matrix of n."""
@@ -249,34 +209,6 @@ def axis_rotation(axis, cos, sin):
     return out
 
 
-def spin1_rotation(axis, angle):
-    """Spatial rotation by ``angle`` about ``axis`` as a 4x4 Lorentz matrix."""
-    axis = np.asarray(axis, dtype=float)
-    return axis_rotation(axis / np.linalg.norm(axis), np.cos(angle), np.sin(angle))
-
-
-def spin_half_rotation(axis, angle):
-    """Spin-half image exp(-i angle axis.pauli / 2) of :func:`spin1_rotation`."""
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    n_sigma = np.einsum("i,iab->ab", axis, PAULI[1:])
-    return np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * n_sigma
-
-
-def random_local_lorentz(rng):
-    """Random proper orthochronous element (boost x rotation) with spin-half image."""
-    rng = np.random.default_rng(rng)
-    direction = rng.standard_normal(3)
-    direction /= np.linalg.norm(direction)
-    beta = rng.uniform(0.0, 0.7) * direction
-    axis = rng.standard_normal(3)
-    axis /= np.linalg.norm(axis)
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    matrix = spin1_boost(beta) @ spin1_rotation(axis, angle)
-    half = spin_half_boost_matrix(beta) @ spin_half_rotation(axis, angle)
-    return LocalLorentz(matrix, half)
-
-
 def velocity_inner_product_matrix(u):
     """I_u^{A'A} = u_I sigmabar^{IA'A}; equals u^0 1 + u^i pauli_i.
 
@@ -286,16 +218,6 @@ def velocity_inner_product_matrix(u):
     u = np.asarray(u, dtype=float).reshape(4)
     u_lower = ETA @ u
     return np.einsum("i,iab->ab", u_lower, SIGMA_BAR)
-
-
-def bloch_vector(psi):
-    """Null future-pointing 4-vector b^I = sigmabar^{IA'A} conj(psi)_{A'} psi_A.
-
-    Note the spatial part is minus the Pauli expectation <psi|pauli|psi>: the
-    map lands on the future light cone, it is not the rest-frame spin axis.
-    """
-    c = np.asarray(psi, dtype=complex).reshape(2)
-    return np.real(np.einsum("iab,a,b->i", SIGMA_BAR, c.conj(), c))
 
 
 def sigma_identity_check():

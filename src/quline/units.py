@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 
+__all__ = ["C_SI", "parse_quantity", "to_natural", "from_natural"]
+
 C_SI = 299792458.0            # m/s
 HBAR_SI = 1.054571817e-34     # J s
 

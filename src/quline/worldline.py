@@ -57,7 +57,6 @@ the proper time of a prescribed path.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from collections.abc import Sequence
@@ -71,6 +70,13 @@ from .errors import (ComplexVelocity, DomainError, HilbertSpaceMismatch, QulineE
                      ToleranceError, reject_where)
 from .geometry import Event, _AnalyticModel
 from .spin_algebra import ETA, check_norm, minkowski_dot, same_label
+
+__all__ = [
+    "EMField", "constant_magnetic_field", "Worldline", "AnalyticWorldline", "SampledWorldline",
+    "DenseSolution", "LazyStates", "TransportResult", "LocalizedState", "carry", "propagate",
+    "line_integral", "integrate_timelike", "integrate_null_geodesic", "static_worldline",
+    "circular_worldline", "worldline_from_coordinate_path", "rindler_speed_at_height",
+]
 
 
 class EMField:
@@ -211,16 +217,6 @@ class Worldline:
         target = 1.0 if self.kind == "timelike" else 0.0
         u = evaluation[1].T
         return float(np.abs(minkowski_dot(u, u) - target).max())
-
-    def to_csv(self, path, n=201):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["param"] + [f"x{m}" for m in range(4)]
-                       + [f"u{i}" for i in range(4)] + [f"a{i}" for i in range(4)])
-            params = self.sample_params(n)
-            x, u, a = self.kinematics(params)[:3]
-            for row in np.column_stack([params, x, u, a]).tolist():
-                w.writerow([f"{v:.17g}" for v in row])
 
 
 def _read_only(arrays):
@@ -963,18 +959,6 @@ def line_integral(worldline, integrand, params, tol):
     return maps[..., 0, 1].real
 
 
-def worldline_from_csv(path, model, kind="timelike"):
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append([float(rec["param"])]
-                        + [float(rec[f"x{m}"]) for m in range(4)]
-                        + [float(rec[f"u{i}"]) for i in range(4)]
-                        + [float(rec[f"a{i}"]) for i in range(4)])
-    arr = np.asarray(rows)
-    return SampledWorldline(model, arr[:, 0], arr[:, 1:5], arr[:, 5:9], arr[:, 9:13], kind)
-
-
 def _lorentz_force_accel(model, em, charge_to_mass):
     """a^I(x, u) of the Lorentz force, at one event or row by row; None
     when there is no field or no charge."""
@@ -991,7 +975,8 @@ def _lorentz_force_accel(model, em, charge_to_mass):
 def _trajectory_rates(model, accel_fn):
     """rates(lam, y): the derivative of the trajectory state y = (x^mu, u^I) at
     one parameter, (8,), or at each of (n,) parameters for (n, 8) states.
-    Raises DomainError, naming the first parameter, for a state off the chart.
+    Raises DomainError, naming the first parameter, for a state off the chart
+    or, on the scalar path, for rates that overflow a Python float.
     A free trajectory on an analytic model reads one state as 8 floats and
     returns the list of 8 its straight-line one-event rates, ``_rates``, give,
     which check the chart themselves: no ``in_domain`` call and no array is
@@ -1001,7 +986,11 @@ def _trajectory_rates(model, accel_fn):
 
     def rates(lam, y):
         if scalar and y.ndim == 1:
-            derivative = model._rates(y.tolist())
+            try:
+                derivative = model._rates(y.tolist())
+            except OverflowError:       # a Python float power past the largest float
+                raise DomainError(f"{model.name}: trajectory rates overflow at parameter "
+                                  f"{lam}") from None
             if derivative is None:
                 raise DomainError(f"{model.name}: trajectory left chart domain at parameter {lam}")
             return derivative
@@ -1018,13 +1007,13 @@ def _trajectory_rates(model, accel_fn):
     return rates
 
 
-def _integrate(model, x0, u0, span, tol, kind, accel_fn, max_step=np.inf):
+def _integrate(model, x0, u0, span, tol, kind, accel_fn):
     if span <= 0:
         raise DomainError("span must be positive")
     x0 = np.asarray(x0, dtype=float).reshape(4)
     model.check_domain(x0)
     rates = _trajectory_rates(model, accel_fn)
-    ts, ys, K = _dop853(rates, 0.0, np.concatenate([x0, u0]), float(span), tol, max_step)
+    ts, ys, K = _dop853(rates, 0.0, np.concatenate([x0, u0]), float(span), tol, np.inf)
     dense = _dense_solution(ts, ys, K, rates)
 
     def motion(lam):
@@ -1042,8 +1031,7 @@ def _integrate(model, x0, u0, span, tol, kind, accel_fn, max_step=np.inf):
     return wl
 
 
-def integrate_timelike(model, em, x0, u0, charge_to_mass=0.0, span=1.0, tol=1e-11,
-                       max_step=np.inf):
+def integrate_timelike(model, em, x0, u0, charge_to_mass=0.0, span=1.0, tol=1e-11):
     """Integrate the Lorentz-force law m D^2x/Dtau^2 = -e u F from (x0, u0).
 
     ``u0`` is a future-pointing unit timelike vector in tetrad components;
@@ -1052,7 +1040,7 @@ def integrate_timelike(model, em, x0, u0, charge_to_mass=0.0, span=1.0, tol=1e-1
     u0 = np.asarray(u0, dtype=float).reshape(4)
     check_norm(u0, 1, "u0 must be normalized timelike")
     return _integrate(model, x0, u0, span, tol, "timelike",
-                      _lorentz_force_accel(model, em, charge_to_mass), max_step)
+                      _lorentz_force_accel(model, em, charge_to_mass))
 
 
 def integrate_null_geodesic(model, x0, k0, span=1.0, tol=1e-11):

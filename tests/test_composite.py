@@ -9,7 +9,7 @@ from quline import photon as ph
 from quline.errors import HilbertSpaceMismatch, QulineError
 from quline.fermion import FermionState
 from quline.geometry import make_builtin_model
-from quline.spin_algebra import boost_pair_from_velocity, velocity_inner_product_matrix
+from quline.spin_algebra import spin_half_boost_matrix, velocity_inner_product_matrix
 from quline.worldline import (circular_worldline, integrate_null_geodesic,
                               integrate_timelike, static_worldline)
 
@@ -65,9 +65,8 @@ class TestBipartiteInnerProduct:
             for beta in (b1, b2):
                 g = 1 / np.sqrt(1 - beta @ beta)
                 u = g * np.array([1, *beta])
-                half, _ = boost_pair_from_velocity(u)
                 us.append(u)
-                halves.append(half.matrix)
+                halves.append(spin_half_boost_matrix(u[1:] / u[0]))
             slots = (fermion_slot(EV, us[0]), fermion_slot(EV, us[1]))
             m1 = np.einsum("ac,bd,cd->ab", halves[0], halves[1], c1)
             m2 = np.einsum("ac,bd,cd->ab", halves[0], halves[1], c2)

@@ -12,10 +12,11 @@ from quline.errors import (ComplexVelocity, DomainError, OrthogonalStates,
 from quline.fermion import FermionState
 from quline.geometry import make_builtin_model
 from quline.photon import jones_to_state
-from quline.spin_algebra import spin_half_rotation
 from quline.units import C_SI, HBAR_SI
 from quline.worldline import (EMField, integrate_null_geodesic, integrate_timelike,
                               rindler_speed_at_height, worldline_from_coordinate_path)
+
+from oracles import spin_half_rotation
 
 FLAT = make_builtin_model("minkowski", [])
 
@@ -278,6 +279,15 @@ class TestRecombine:
             _, p = itf.recombine(st, st, amp, amp, dth)
             assert p == pytest.approx(0.5 * (1 + np.cos(dth)), rel=1e-12, abs=1e-12)
             assert -1e-12 <= p <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("a, b, delta_theta, message", [
+        (np.nan, 0.5, 0.0, "splitter amplitudes"),
+        (2**-0.5, 2**-0.5, np.nan, r"phase difference must be finite \(delta_theta=nan\)"),
+        (2**-0.5, 2**-0.5, np.inf, r"phase difference must be finite \(delta_theta=inf\)")])
+    def test_non_finite_input_is_refused(self, a, b, delta_theta, message):
+        st = FermionState([1, 0], FLAT.event(0, 0, 0, 0), [1, 0, 0, 0])
+        with pytest.raises(QulineError, match=message):
+            itf.recombine(st, st, a, b, delta_theta)
 
 
 class TestCowPhase:

@@ -205,21 +205,6 @@ def test_sampled_worldline_refuses_bad_knots(case):
         wld.SampledWorldline(FLAT, params, x, u, a)
 
 
-@pytest.mark.parametrize("case", sorted(BAD_KNOTS))
-def test_csv_worldline_refuses_bad_knots(tmp_path, case):
-    row, value, message = BAD_KNOTS[case]
-    wl = wld.static_worldline(FLAT, [0.0, 0.0, 0.0], 0.7)
-    path = tmp_path / "line.csv"
-    wl.to_csv(path, n=8)
-    lines = path.read_text().splitlines()
-    fields = lines[1 + row].split(",")
-    fields[0] = lines[row].split(",")[0] if case == "repeated" else repr(float(value))
-    lines[1 + row] = ",".join(fields)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DomainError, match=f"row {row} has "):
-        wld.worldline_from_csv(path, FLAT)
-
-
 def test_sampled_worldline_refuses_non_finite_samples():
     params, x, u, a = sampled_rows()
     a[5, 2] = np.nan

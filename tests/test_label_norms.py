@@ -39,7 +39,6 @@ SITES = {
         "FermionState": lambda u: fm.FermionState([1.0, 0.0], EVENT, u),
         "fermion.transport": lambda u: fm.transport(
             fm.FermionState([1.0, 0.0], EVENT, REST), middle_row_worldline(u, "timelike")),
-        "boost_pair_from_velocity": sa.boost_pair_from_velocity,
         "integrate_timelike": lambda u: wld.integrate_timelike(FLAT, None, np.zeros(4), u),
         "SternGerlachSetup.apparatus": lambda v: ms.SternGerlachSetup([0, 1, 0, 0], v, REST),
         "SternGerlachSetup.particle": lambda u: ms.SternGerlachSetup([0, 1, 0, 0], REST, u),

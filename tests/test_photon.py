@@ -6,8 +6,7 @@ import pytest
 
 from quline import photon as ph
 from quline.errors import AdaptationSingular, DomainError, HilbertSpaceMismatch, QulineError
-from quline.geometry import (Event, apply_local_lorentz, make_builtin_model,
-                             parallel_transport_vector)
+from quline.geometry import Event, apply_local_lorentz, make_builtin_model, parallel_propagator
 from quline.measurement import circular_polarizer, linear_polarizer
 from quline.spin_algebra import ETA
 from quline.worldline import AnalyticWorldline, integrate_null_geodesic
@@ -168,11 +167,10 @@ class TestTransport:
         pol0 = np.cos(angle0) * d1 + np.sin(angle0) * d2
         st = ph.PhotonState(pol0, wl.start_event, wl.velocity(0.0))
         res = ph.transport(st, wl, tol=1e-13)
-        _, d1_t = parallel_transport_vector(wl, d1, tol=1e-13)
-        _, d2_t = parallel_transport_vector(wl, d2, tol=1e-13)
+        end = parallel_propagator(wl, wl.param_span[1:], 1e-13)[0]
         # angle of the polarization against the transported diad is unchanged
-        c1 = -(d1_t[-1] @ ETA @ res.final.pol)
-        c2 = -(d2_t[-1] @ ETA @ res.final.pol)
+        c1 = -((end @ d1) @ ETA @ res.final.pol)
+        c2 = -((end @ d2) @ ETA @ res.final.pol)
         angle_end = np.arctan2(np.real(c2), np.real(c1))
         assert abs(angle_end - angle0) < 1e-9
         assert res.audits["transversality_drift"] < 1e-9

@@ -17,8 +17,10 @@ from quline import scenario as sc
 from quline.errors import (DomainError, ScenarioError, ScenarioParseError,
                            ScenarioReferenceError)
 from quline.interferometry import COW_MODES, cow_phase
-from quline.spin_algebra import spin_half_boost_matrix, spin_half_rotation
+from quline.spin_algebra import spin_half_boost_matrix
 from quline.units import C_SI, HBAR_SI, parse_quantity
+
+from oracles import spin_half_rotation
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -1069,6 +1071,25 @@ def test_drifted_orbit_labels_exit_5_naming_the_worldline(tmp_path, capsys):
     match = re.fullmatch(r"tolerance failure: \[worldlines\.orbit\] timelike velocity label "
                          r"drifted during integration \(u\.u = (\S+)\)\n", err)
     assert match and abs(float(match[1]) - 1.0) > 1e-9
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("key, value, parameter", [
+    ("span", "1e300 m", "1.672542926417114e+154"),
+    ("start", ["0 m", "1e300 m", 1.5707963267948966, 0], "0.0")], ids=["span", "start"])
+def test_overflowing_ray_rates_exit_4_naming_the_worldline(tmp_path, capsys, key, value,
+                                                           parameter):
+    """A ray whose span, or start r, is 1e300 m: the Schwarzschild rates
+    square an r past the largest float, a domain error in one line that
+    names the worldline and the parameter of the stage that overflowed."""
+    data = sc.load_scenario(SCENARIOS / "schwarzschild_orbit.scenario")
+    data["worldlines"]["ray"][key] = value
+    path = tmp_path / "far.scenario"
+    path.write_text(yaml.safe_dump(data))
+    assert run_cli(["--seed", "7", "--out-dir", tmp_path, "run", path]) == cli.EXIT_DOMAIN
+    assert capsys.readouterr().err == (
+        "domain error: [worldlines.ray] schwarzschild: trajectory rates overflow at "
+        f"parameter {parameter}\n")
     assert not list(tmp_path.glob("*.json"))
 
 

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from quline import spin_algebra as sa
 from quline.errors import QulineError
@@ -30,48 +28,49 @@ def random_unit_timelike(rng, vmax=0.9):
 
 
 class TestBoostPair:
+    """The spin-half boost M and the spin-1 boost Lambda of one velocity."""
+
     def test_rest_velocity_gives_identities(self):
-        half, one = sa.boost_pair_from_velocity([1.0, 0.0, 0.0, 0.0])
-        assert np.allclose(half.matrix, np.eye(2), atol=1e-15)
-        assert np.allclose(one.matrix, np.eye(4), atol=1e-15)
+        assert np.allclose(sa.spin_half_boost_matrix([0.0, 0.0, 0.0]), np.eye(2), atol=1e-15)
+        assert np.allclose(sa.spin1_boost([0.0, 0.0, 0.0]), np.eye(4), atol=1e-15)
 
     def test_spin1_entries_beta_06(self):
         # gamma = 1.25 for beta = 0.6 along x; top row (gamma, gamma beta)
-        u = np.array([1.25, 0.75, 0.0, 0.0])
-        _, one = sa.boost_pair_from_velocity(u)
-        assert one.matrix[0, 0] == pytest.approx(1.25, abs=1e-15)
-        assert one.matrix[0, 1] == pytest.approx(0.75, abs=1e-15)
-        assert one.matrix[1, 0] == pytest.approx(0.75, abs=1e-15)
+        one = sa.spin1_boost([0.6, 0.0, 0.0])
+        assert one[0, 0] == pytest.approx(1.25, abs=1e-15)
+        assert one[0, 1] == pytest.approx(0.75, abs=1e-15)
+        assert one[1, 0] == pytest.approx(0.75, abs=1e-15)
 
     def test_spin1_maps_rest_to_u(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             u = random_unit_timelike(rng)
-            _, one = sa.boost_pair_from_velocity(u)
-            assert np.abs(one.matrix @ [1, 0, 0, 0] - u).max() < 1e-12
+            one = sa.spin1_boost(u[1:] / u[0])
+            assert np.abs(one @ [1, 0, 0, 0] - u).max() < 1e-12
 
     def test_intertwining_residual(self):
         # M^dag sigmabar^I M = Lambda^I_J sigmabar^J
         rng = np.random.default_rng(4)
         for _ in range(50):
             u = random_unit_timelike(rng)
-            half, one = sa.boost_pair_from_velocity(u)
-            m = half.matrix
+            m, one = sa.spin_half_boost_matrix(u[1:] / u[0]), sa.spin1_boost(u[1:] / u[0])
             for i in range(4):
                 lhs = m.conj().T @ sa.SIGMA_BAR[i] @ m
-                rhs = np.einsum("j,jab->ab", one.matrix[i], sa.SIGMA_BAR)
+                rhs = np.einsum("j,jab->ab", one[i], sa.SIGMA_BAR)
                 assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_determinant_one(self):
         rng = np.random.default_rng(5)
         for _ in range(1000):
             u = random_unit_timelike(rng)
-            half, _ = sa.boost_pair_from_velocity(u)
-            assert abs(np.linalg.det(half.matrix) - 1.0) < 1e-12
+            half = sa.spin_half_boost_matrix(u[1:] / u[0])
+            assert abs(np.linalg.det(half) - 1.0) < 1e-12
 
     def test_rejects_spacelike(self):
-        with pytest.raises(QulineError):
-            sa.boost_pair_from_velocity([0.5, 1.0, 0.0, 0.0])
+        # u = (0.5, 1, 0, 0) asks for beta = (2, 0, 0)
+        for boost in (sa.spin_half_boost_matrix, sa.spin1_boost):
+            with pytest.raises(QulineError):
+                boost([2.0, 0.0, 0.0])
 
     def test_composition_wigner_is_rotation(self):
         # B(u2) B(u1)^-1 = pure boost x pure rotation; extract and check
@@ -79,54 +78,15 @@ class TestBoostPair:
         for _ in range(50):
             u1 = random_unit_timelike(rng)
             u2 = random_unit_timelike(rng)
-            _, b1 = sa.boost_pair_from_velocity(u1)
-            _, b2 = sa.boost_pair_from_velocity(u2)
-            comp = b2.matrix @ np.linalg.inv(b1.matrix)
+            b1, b2 = sa.spin1_boost(u1[1:] / u1[0]), sa.spin1_boost(u2[1:] / u2[0])
+            comp = b2 @ np.linalg.inv(b1)
             u_c = comp @ np.array([1.0, 0, 0, 0])
-            _, b_c = sa.boost_pair_from_velocity(u_c)
-            wig = np.linalg.inv(b_c.matrix) @ comp
+            b_c = sa.spin1_boost(u_c[1:] / u_c[0])
+            wig = np.linalg.inv(b_c) @ comp
             assert np.abs(wig[0] - [1, 0, 0, 0]).max() < 1e-10
             assert np.abs(wig[:, 0] - [1, 0, 0, 0]).max() < 1e-10
             spatial = wig[1:, 1:]
             assert np.abs(spatial @ spatial.T - np.eye(3)).max() < 1e-10
-
-
-class TestBlochVector:
-    def test_spin_up(self):
-        # direct sigmabar contraction: psi = (1,0) gives (1, 0, 0, -1); the
-        # spatial part is minus the Pauli expectation
-        b = sa.bloch_vector([1.0, 0.0])
-        assert np.abs(b - [1.0, 0.0, 0.0, -1.0]).max() < 1e-15
-
-    def test_zero_state(self):
-        assert np.abs(sa.bloch_vector([0.0, 0.0])).max() == 0.0
-
-    def test_minus_pauli_expectation(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            b = sa.bloch_vector(psi)
-            pauli_exp = np.array([(psi.conj() @ sa.PAULI[i + 1] @ psi).real
-                                  for i in range(3)])
-            assert np.abs(b[1:] + pauli_exp).max() < 1e-12
-            assert b[0] == pytest.approx((psi.conj() @ psi).real, abs=1e-12)
-
-    @given(st.lists(st.floats(-5, 5), min_size=4, max_size=4))
-    @settings(max_examples=200, deadline=None)
-    def test_null_future(self, reals):
-        psi = np.array([reals[0] + 1j * reals[1], reals[2] + 1j * reals[3]])
-        b = sa.bloch_vector(psi)
-        assert abs(sa.minkowski_dot(b, b)) < 1e-12 * (1.0 + b[0] ** 2)
-        assert b[0] >= 0.0
-
-    def test_pushforward_matches_spin1(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            u = random_unit_timelike(rng)
-            half, one = sa.boost_pair_from_velocity(u)
-            assert np.abs(sa.bloch_vector(half.matrix @ psi)
-                          - one.matrix @ sa.bloch_vector(psi)).max() < 1e-10
 
 
 class TestIdentities:
@@ -166,7 +126,6 @@ class TestIdentities:
         rng = np.random.default_rng(13)
         for _ in range(20):
             u = random_unit_timelike(rng)
-            half, _ = sa.boost_pair_from_velocity(u)
-            m = half.matrix
+            m = sa.spin_half_boost_matrix(u[1:] / u[0])
             assert np.abs(sa.velocity_inner_product_matrix(u)
                           - np.linalg.inv(m @ m.conj().T)).max() < 1e-10

@@ -34,7 +34,7 @@ class TestTabulatedModel:
         model = self.build_rindler_table()
         c = np.array([0.0, 0.0, 0.0, 0.4])
         w = model.connection(c)
-        w2 = connection_finite_difference(model, c, model.fd_step)
+        w2 = connection_finite_difference(model, c)
         assert np.abs(w - w2).max() == 0.0
         low = np.einsum("ik,nkj->nij", ETA, w)
         assert np.abs(low + low.transpose(0, 2, 1)).max() < 1e-8

@@ -326,24 +326,23 @@ class TestPrescribedWorldlines:
         g = 1 / np.sqrt(1 - 0.25)
         assert abs(np.sqrt(-minkowski_dot(a, a)) - g**2 * 0.25 / 2.0) < 1e-12
 
-    def test_csv_round_trip(self, tmp_path, flat):
+    def test_sampled_round_trip(self, flat):
+        # an integrated orbit replayed from 400 of its samples
         em = wld.constant_magnetic_field([0, 0, 1.0])
         g = 1 / np.sqrt(1 - 0.36)
         wl = wld.integrate_timelike(flat, em, np.zeros(4), [g, 0.6 * g, 0, 0],
                                     charge_to_mass=1.0, span=3.0, tol=1e-12)
-        path = tmp_path / "orbit.csv"
-        wl.to_csv(path, n=400)
-        back = wld.worldline_from_csv(path, flat)
+        params = wl.sample_params(400)
+        back = wld.SampledWorldline(flat, params, *wl.kinematics(params)[:3])
         for tau in np.linspace(0.1, 2.9, 7):
             assert np.abs(back.position(tau) - wl.position(tau)).max() < 1e-8
             assert np.abs(back.velocity(tau) - wl.velocity(tau)).max() < 1e-8
 
-    def test_csv_of_one_sample_has_an_empty_span(self, tmp_path, flat):
+    def test_sampled_of_one_sample_has_an_empty_span(self, flat):
         wl = wld.static_worldline(flat, [0.0, 0.0, 0.0], 1.0)
-        path = tmp_path / "point.csv"
-        wl.to_csv(path, n=1)
+        params = wl.sample_params(1)
         with pytest.raises(DomainError, match="span is empty"):
-            wld.worldline_from_csv(path, flat)
+            wld.SampledWorldline(flat, params, *wl.kinematics(params)[:3])
 
 
     def test_coordinate_path_matches_mpmath_reference(self):
@@ -454,13 +453,13 @@ class TestEMField:
 
 class TestKinematics:
     @staticmethod
-    def worldlines(flat, tmp_path):
+    def worldlines(flat):
         em = wld.constant_magnetic_field([0, 0, 1.0])
         g = 1 / np.sqrt(1 - 0.36)
         integrated = wld.integrate_timelike(flat, em, np.zeros(4), [g, 0.6 * g, 0, 0],
                                             charge_to_mass=1.0, span=3.0, tol=1e-12)
-        integrated.to_csv(tmp_path / "orbit.csv", n=50)
-        sampled = wld.worldline_from_csv(tmp_path / "orbit.csv", flat)
+        params = integrated.sample_params(50)
+        sampled = wld.SampledWorldline(flat, params, *integrated.kinematics(params)[:3])
         analytic = wld.circular_worldline(flat, radius=2.0, beta=0.5)
         model = make_builtin_model("schwarzschild", [1.0])
         static = wld.static_worldline(model, [6.0, 1.2, 0.3], span=2.0)
@@ -477,8 +476,8 @@ class TestKinematics:
                        -radius * w * w * math.sin(w * s), 0.0])
         return [analytic, static, integrated, sampled, falling, scalar]
 
-    def test_kinematics_matches_separate_evaluations(self, flat, tmp_path):
-        for wl in self.worldlines(flat, tmp_path):
+    def test_kinematics_matches_separate_evaluations(self, flat):
+        for wl in self.worldlines(flat):
             for lam in wl.sample_params(7):
                 got = wl.kinematics(lam)
                 xdot = wl.coordinate_velocity(lam)
@@ -487,8 +486,8 @@ class TestKinematics:
                 for g, w in zip(got, want):
                     np.testing.assert_array_equal(g, w)
 
-    def test_trajectory_matches_separate_evaluations(self, flat, tmp_path):
-        for wl in self.worldlines(flat, tmp_path):
+    def test_trajectory_matches_separate_evaluations(self, flat):
+        for wl in self.worldlines(flat):
             params = wl.sample_params(9)
             positions, velocities = wl.trajectory(params)
             np.testing.assert_allclose(positions, [wl.position(l) for l in params],
@@ -496,10 +495,10 @@ class TestKinematics:
             np.testing.assert_allclose(velocities, [wl.velocity(l) for l in params],
                                        rtol=1e-15, atol=1e-15)
 
-    def test_closed_forms_broadcast_bit_for_bit(self, flat, tmp_path):
+    def test_closed_forms_broadcast_bit_for_bit(self, flat):
         # static and circular evaluate a parameter array in one call; it must
         # equal the scalar evaluations stacked, bit for bit
-        analytic, static = self.worldlines(flat, tmp_path)[:2]
+        analytic, static = self.worldlines(flat)[:2]
         for wl in (analytic, static):
             params = wl.sample_params(301)
             scalar = [np.array(v) for v in zip(*map(wl.kinematics, params))]
@@ -508,16 +507,6 @@ class TestKinematics:
                 np.testing.assert_array_equal(got, want)
             for got, want in zip(wl.trajectory(params), scalar):
                 np.testing.assert_array_equal(got, want)
-
-    def test_csv_matches_per_row_values(self, flat, tmp_path):
-        for wl in self.worldlines(flat, tmp_path):
-            wl.to_csv(tmp_path / "out.csv", n=37)
-            lines = ["param," + ",".join(f"{c}{i}" for c in "xua" for i in range(4))]
-            for lam in wl.sample_params(37):
-                row = [lam, *wl.position(lam), *wl.velocity(lam), *wl.acceleration(lam)]
-                lines.append(",".join(f"{v:.17g}" for v in row))
-            expected = "".join(line + "\r\n" for line in lines).encode()
-            assert (tmp_path / "out.csv").read_bytes() == expected
 
 
 NAN = float("nan")
