@@ -40,7 +40,7 @@ import numpy as np
 from .errors import QulineError
 from .geometry import Event
 from .spin_algebra import (ETA, ETA_ROWS, SIGMA_BAR, generator_contraction,
-                           spin_half_boost_matrix, velocity_inner_product_matrix)
+                           spin_half_boost_matrix)
 from .worldline import LocalizedState, TransportResult, carry, propagate
 
 __all__ = ["FermionState", "RestFrameState", "to_rest_frame", "from_rest_frame", "transport",
@@ -55,9 +55,6 @@ class FermionState(LocalizedState):
     label_message = "velocity label must be future-pointing with u.u = 1"
     psi = property(lambda self: self.amplitude)
     velocity = property(lambda self: self.label)
-
-    def metric(self):
-        return velocity_inner_product_matrix(self.label)
 
     @staticmethod
     def metrics(labels):

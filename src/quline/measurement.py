@@ -101,7 +101,7 @@ def expectation(state: FermionState, obs: SpinObservable) -> float:
     """<psi| A |psi> = conj(psi) I_u A psi for normalized states."""
     if not same_label(state.velocity, obs.context_velocity):
         raise HilbertSpaceMismatch("observable built for a different 4-velocity")
-    val = complex(state.psi.conj() @ state.metric() @ obs.operator @ state.psi)
+    val = complex(state.psi.conj() @ state.metric @ obs.operator @ state.psi)
     return float(val.real) / state.norm_squared()
 
 
@@ -115,7 +115,7 @@ def measure_spin(state: FermionState, setup: SternGerlachSetup, rng=None):
         raise HilbertSpaceMismatch("setup particle velocity differs from the state label")
     rng = np.random.default_rng(rng)
     proj = setup.projectors
-    metric = state.metric()
+    metric = state.metric
     total = state.norm_squared()
     probs = {}
     for label, p in ((+1, proj.plus), (-1, proj.minus)):

@@ -46,25 +46,14 @@ class PhotonState(LocalizedState):
     pol = property(lambda self: self.amplitude)
     wavevector = property(lambda self: self.label)
 
-    def metric(self):
-        return _METRIC
-
     @staticmethod
     def metrics(labels):
         return np.broadcast_to(_METRIC, (len(labels), 4, 4))
-
-    def transversality(self):
-        """|u_I psi^I|; zero for a valid polarization."""
-        return abs(complex((ETA @ self.wavevector) @ self.pol))
 
     def canonical(self):
         """Representative with psi^0 = 0 (subtracts a multiple of u)."""
         return PhotonState(canonical_gauge(self.pol, self.wavevector), self.event,
                            self.wavevector)
-
-    def gauge_shift(self, upsilon):
-        return PhotonState(self.pol + upsilon * self.wavevector.astype(complex),
-                           self.event, self.wavevector)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ reader comes from it:
                                 from one evaluation of the model's frame;
                                 for a 1-d array of n parameters, (n, 4)
                                 arrays and an (n, 4, 4) one
-* ``trajectory(params)``        positions and velocities, two (n, 4) arrays
 * ``label_at(lam)``             the Hilbert-space label (Event, u^I) of a qubit there
 * ``start``, ``samples``        the motion at the span start and at the 201
                                 ``sample_params()``, each evaluated once and kept
@@ -35,10 +34,13 @@ Timelike velocities satisfy u.u = 1, null ones u.u = 0; after integration the
 Every qubit observable comes from one linear transport dS/dlam = G(lam) S
 of 2x2 spin-half maps along a worldline (vectors take their Lorentz image);
 :func:`propagate` returns S at the requested parameters from Magnus steps on
-G at Gauss nodes.  A qubit state is one :class:`LocalizedState`, an
-amplitude on the Hilbert space its (event, label) names, realized as a spin
-(``fermion.FermionState``) or a polarization (``photon.PhotonState``), which
-add only their amplitude length, label norm and inner-product matrices;
+G at Gauss nodes.  Every state is one :class:`MultiQubitState`, an
+amplitude tensor with one axis per :class:`Slot`, the Hilbert space an
+(event, label) names for a spin (``fermion.FermionState``) or a
+polarization (``photon.PhotonState``) realization, which adds only its
+amplitude length, label norm and inner-product matrices.  A localized qubit,
+:class:`LocalizedState`, is the one-slot state, so the label check, the
+inner product, normalization, operators and projections are written once;
 :func:`carry` applies a transport's maps to one and samples it along the
 worldline, for both realizations alike.  A scalar integral along a
 worldline (:func:`line_integral`) is the transport of a nilpotent generator.
@@ -61,7 +63,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -73,9 +75,10 @@ from .spin_algebra import ETA, check_norm, minkowski_dot, same_label
 
 __all__ = [
     "EMField", "constant_magnetic_field", "Worldline", "AnalyticWorldline", "SampledWorldline",
-    "DenseSolution", "LazyStates", "TransportResult", "LocalizedState", "carry", "propagate",
-    "line_integral", "integrate_timelike", "integrate_null_geodesic", "static_worldline",
-    "circular_worldline", "worldline_from_coordinate_path", "rindler_speed_at_height",
+    "DenseSolution", "LazyStates", "TransportResult", "Slot", "MultiQubitState", "LocalizedState",
+    "carry", "propagate", "line_integral", "integrate_timelike", "integrate_null_geodesic",
+    "static_worldline", "circular_worldline", "worldline_from_coordinate_path",
+    "rindler_speed_at_height",
 ]
 
 
@@ -172,10 +175,6 @@ class Worldline:
         ``pulled_connections``."""
         x, u, a = self.motion(lam)
         return (x, u, a, *self.model.pulled_connections(x, u))
-
-    def trajectory(self, params):
-        """Positions and velocities at every parameter value, as two (n, 4) arrays."""
-        return self.motion(np.asarray(params, dtype=float))[:2]
 
     def event(self, lam):
         return Event(self.position(lam), self.model.chart_id)
@@ -576,53 +575,98 @@ class TransportResult:
 
 
 @dataclass(frozen=True)
-class LocalizedState:
-    """A localized qubit: an amplitude on the Hilbert space its (event, label)
-    names.  A realization sets the amplitude length ``dim``, the label norm
-    ``label_norm`` and ``label_message``, and the inner-product matrix at its
-    label, ``metric()``, and at each row of an (n, 4) stack, ``metrics``.
-    ``inner`` and ``norm_squared`` form ``metric()`` once per state and keep
-    it, so a label changed in place afterwards is not seen.  A finite
-    amplitude whose squared norm passes the floats has norm_squared inf,
-    without a warning, and is normalized over its largest |entry|."""
+class Slot:
+    """The Hilbert space of one tensor axis: a LocalizedState realization
+    (:class:`quline.fermion.FermionState` or
+    :class:`quline.photon.PhotonState`), an event and a label.  The label is
+    refused as a float 4-vector unless it has the realization's label norm.
+    ``metric``, the realization's inner-product matrix at the label, is formed
+    once per slot and kept."""
 
-    amplitude: np.ndarray
+    realization: type
     event: Event
     label: np.ndarray
 
     def __post_init__(self):
-        amplitude = np.asarray(self.amplitude, dtype=complex).reshape(self.dim)
-        object.__setattr__(self, "amplitude", amplitude)
-        object.__setattr__(self, "label", self.checked_label(self.label))
+        label = np.asarray(self.label, dtype=float).reshape(4)
+        check_norm(label, self.realization.label_norm, self.realization.label_message)
+        object.__setattr__(self, "label", label)
 
-    @classmethod
-    def checked_label(cls, label):
-        """``label`` as a float 4-vector, refused unless it has the realization's
-        label norm."""
-        label = np.asarray(label, dtype=float).reshape(4)
-        check_norm(label, cls.label_norm, cls.label_message)
-        return label
+    @cached_property
+    def metric(self):
+        return self.realization.metrics(self.label[None])[0]
 
     def same_space(self, other):
-        return (type(self) is type(other) and self.event.close_to(other.event)
+        return (self.realization is other.realization and self.event.close_to(other.event)
                 and same_label(self.label, other.label))
 
+
+def _kron(a, b):
+    """The Kronecker product of two square matrices; folded over n slots, it
+    gives the bytes of the one n-operand einsum, each entry 0 plus the
+    slots' product taken left to right."""
+    return np.einsum(a, [0, 2], b, [1, 3], [0, 1, 2, 3]).reshape(len(a) * len(b), -1)
+
+
+@dataclass(frozen=True)
+class MultiQubitState:
+    """An amplitude tensor with one axis per slot, of that slot's ``dim``.
+
+    A non-finite amplitude or a shape that does not match the slots is
+    refused.  ``metric``, the Kronecker product of the slots' metrics (the
+    slot's own for one slot), is formed once per state and kept, so a label
+    changed in place afterwards is not seen.  An amplitude whose squared
+    norm passes the floats has norm_squared inf, without a warning, and is
+    normalized and projected over its largest |entry|.  Every method returns
+    a state of its own class.
+    """
+
+    amplitude: np.ndarray
+    slots: tuple
+
+    def __post_init__(self):
+        amplitude = np.asarray(self.amplitude, dtype=complex)
+        slots = tuple(self.slots)
+        dims = tuple([slot.realization.dim for slot in slots])
+        if amplitude.shape != dims:
+            raise QulineError(f"amplitude shape {amplitude.shape} does not match the slots' "
+                              f"dims {dims}")
+        if not np.isfinite(amplitude).all():
+            raise QulineError("amplitude is not finite")
+        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "slots", slots)
+
+    @classmethod
+    def _of(cls, amplitude, slots):
+        """A state of this class with ``amplitude`` on ``slots``, however the
+        class's own constructor names its space."""
+        state = object.__new__(cls)
+        MultiQubitState.__init__(state, amplitude, slots)
+        return state
+
+    @cached_property
+    def metric(self):
+        return reduce(_kron, [slot.metric for slot in self.slots])
+
+    def _inner(self, a, b):
+        return complex(a.ravel().conj() @ self.metric @ b.ravel())
+
+    def same_space(self, other):
+        return len(self.slots) == len(other.slots) and all(
+            map(Slot.same_space, self.slots, other.slots))
+
     def inner(self, other):
-        """<self|other>; the states must share their Hilbert space."""
+        """<self|other>; the slots must name the same spaces."""
         if not self.same_space(other):
             raise HilbertSpaceMismatch("states live in different Hilbert spaces")
-        return complex(self.amplitude.conj() @ self._metric @ other.amplitude)
+        return self._inner(self.amplitude, other.amplitude)
 
     def norm_squared(self):
         return self._square(self.amplitude)
 
-    def _square(self, amplitude):
+    def _square(self, a):
         with np.errstate(over="ignore"):
-            return float(np.real(amplitude.conj() @ self._metric @ amplitude))
-
-    @cached_property
-    def _metric(self):
-        return self.metric()
+            return self._inner(a, a).real
 
     def normalized(self):
         amplitude, square = self.amplitude, self.norm_squared()
@@ -632,7 +676,75 @@ class LocalizedState:
         n = np.sqrt(square)
         if n == 0.0:
             raise QulineError("cannot normalize the zero state")
-        return type(self)(amplitude / n, self.event, self.label)
+        return self._of(amplitude / n, self.slots)
+
+    def _acted(self, operator, slots):
+        """The amplitude with ``operator``, a (D, D) matrix on the product of the
+        spaces of ``slots`` (D the product of their dims), applied to their axes."""
+        order = [*slots, *(i for i in range(len(self.slots)) if i not in slots)]
+        moved = self.amplitude.transpose(order)
+        size = math.prod(moved.shape[:len(slots)])
+        operator = np.asarray(operator, dtype=complex)
+        if operator.shape != (size, size):
+            raise QulineError(f"operator shape {operator.shape} is not ({size}, {size}) "
+                              f"for slots {slots}")
+        acted = np.dot(operator, moved.reshape(size, -1)).reshape(moved.shape)
+        return acted.transpose([order.index(i) for i in range(len(order))])
+
+    def apply(self, operator, *slots):
+        """This state with ``operator`` applied to the given slots."""
+        return self._of(self._acted(operator, slots), self.slots)
+
+    def project(self, projector, *slots):
+        """Lueders update by ``projector`` on the given slots: (probability,
+        normalized state).  A non-finite probability and a zero-probability
+        branch are refused."""
+        projected = self._acted(projector, slots)
+        kept, total = self._square(projected), self.norm_squared()
+        if total == math.inf:       # squares past the floats: the same ratio rescaled
+            big = np.abs(self.amplitude).max()
+            projected = projected / big
+            kept, total = self._square(projected), self._square(self.amplitude / big)
+        prob = kept / total if total > 0.0 else math.nan
+        if not math.isfinite(prob):
+            raise QulineError(f"projection probability is not finite ({prob})")
+        if prob < 1e-15:
+            raise QulineError("projection onto a zero-probability branch")
+        return prob, self._of(projected / np.sqrt(kept), self.slots)
+
+    def carry(self, slot, worldline, tol=1e-12):
+        """This state with slot ``slot`` carried along ``worldline``, whose start
+        must be its label, by the end map of its realization's transport: one
+        solve read at the span ends.  A photon slot's map reports the canonical
+        gauge psi^0 = 0."""
+        from .fermion import transport as fermion_transport
+        from .photon import PhotonState, canonical_gauge, transport as photon_transport
+
+        old = self.slots[slot]
+        start = old.realization(np.eye(old.realization.dim)[0], old.event, old.label)
+        if old.realization is PhotonState:
+            res = photon_transport(start, worldline, tol, n_samples=2)
+            end_map = canonical_gauge(res.propagators[-1].T, res.final.label).T
+        else:
+            res = fermion_transport(start, worldline, tol=tol, n_samples=2)
+            end_map = res.propagators[-1]
+        slots = list(self.slots)
+        slots[slot] = Slot(old.realization, res.final.event, res.final.label)
+        return self._of(self._acted(end_map, (slot,)), slots)
+
+
+class LocalizedState(MultiQubitState):
+    """A localized qubit: the one-slot state, an amplitude on the Hilbert
+    space its (event, label) names.  A realization sets only its data: the
+    amplitude length ``dim``, the label norm ``label_norm`` and
+    ``label_message``, and ``metrics``, its inner-product matrix at each row
+    of an (n, 4) stack of labels."""
+
+    def __init__(self, amplitude, event, label):
+        super().__init__(amplitude, (Slot(type(self), event, label),))
+
+    event = property(lambda self: self.slots[0].event)
+    label = property(lambda self: self.slots[0].label)
 
 
 def carry(state, worldline, propagator, n_samples, gauge=None):
@@ -976,30 +1088,33 @@ def _trajectory_rates(model, accel_fn):
     """rates(lam, y): the derivative of the trajectory state y = (x^mu, u^I) at
     one parameter, (8,), or at each of (n,) parameters for (n, 8) states.
     Raises DomainError, naming the first parameter, for a state off the chart
-    or, on the scalar path, for rates that overflow a Python float.
+    or, at one parameter, for rates that overflow a Python float.
     A free trajectory on an analytic model reads one state as 8 floats and
     returns the list of 8 its straight-line one-event rates, ``_rates``, give,
     which check the chart themselves: no ``in_domain`` call and no array is
     made per call.  Rows, forces and other models go through
-    ``trajectory_rates``."""
+    ``trajectory_rates``, whose one-event path on an analytic model is
+    ``_rates`` too."""
     scalar = accel_fn is None and isinstance(model, _AnalyticModel)
 
     def rates(lam, y):
-        if scalar and y.ndim == 1:
-            try:
+        try:
+            if scalar and y.ndim == 1:
                 derivative = model._rates(y.tolist())
-            except OverflowError:       # a Python float power past the largest float
-                raise DomainError(f"{model.name}: trajectory rates overflow at parameter "
-                                  f"{lam}") from None
-            if derivative is None:
-                raise DomainError(f"{model.name}: trajectory left chart domain at parameter {lam}")
-            return derivative
-        x, u = y[..., :4], y[..., 4:]
-        inside = model.in_domain(x.T)
-        if not (inside if y.ndim == 1 else np.all(inside)):
-            first = np.ravel(lam)[np.argmin(np.ravel(inside))]
-            raise DomainError(f"{model.name}: trajectory left chart domain at parameter {first}")
-        derivative = model.trajectory_rates(x, u)
+                if derivative is None:
+                    raise DomainError(f"{model.name}: trajectory left chart domain at "
+                                      f"parameter {lam}")
+                return derivative
+            x, u = y[..., :4], y[..., 4:]
+            inside = model.in_domain(x.T)
+            if not (inside if y.ndim == 1 else np.all(inside)):
+                first = np.ravel(lam)[np.argmin(np.ravel(inside))]
+                raise DomainError(f"{model.name}: trajectory left chart domain at parameter "
+                                  f"{first}")
+            derivative = model.trajectory_rates(x, u)
+        except OverflowError:       # a Python float power past the largest float
+            raise DomainError(f"{model.name}: trajectory rates overflow at parameter "
+                              f"{lam}") from None
         if accel_fn is not None:
             derivative[..., 4:] += accel_fn(x, u)
         return derivative

@@ -3,19 +3,23 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quline.geometry import Event
-
 
 def _assert_same_state(got, want):
-    """Field-for-field equality of two state objects, labels included."""
+    """Field-for-field equality of two state objects, down to each slot's
+    realization, event and label."""
     assert type(got) is type(want)
-    for field in dataclasses.fields(want):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(b, Event):
-            assert a.chart_id == b.chart_id
-            a, b = a.coords, b.coords
-        assert a.dtype == b.dtype
-        np.testing.assert_array_equal(a, b)
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same_state(a, b)
+    elif isinstance(want, (type, str)):
+        assert got == want
+    elif dataclasses.is_dataclass(want):
+        for field in dataclasses.fields(want):
+            _assert_same_state(getattr(got, field.name), getattr(want, field.name))
+    else:
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def _states_read_like(states, eager):

@@ -1,14 +1,16 @@
 """Fixtures and oracles that only the tests need: random local Lorentz
-transformations with their spin-half images, the spin-half rotation, and one
-step of the rest-frame (Wigner) evolution."""
+transformations with their spin-half images, the spin-half rotation, one
+step of the rest-frame (Wigner) evolution, a photon's gauge shift and
+transversality, and a worldline's trajectory."""
 
 from collections import namedtuple
 
 import numpy as np
 
 from quline import fermion as fm
+from quline import photon as ph
 from quline import worldline as wld
-from quline.spin_algebra import PAULI, axis_rotation, spin1_boost, spin_half_boost_matrix
+from quline.spin_algebra import ETA, PAULI, axis_rotation, spin1_boost, spin_half_boost_matrix
 
 # a proper orthochronous Lorentz matrix and its spin-half image, psi -> half @ psi
 LocalLorentz = namedtuple("LocalLorentz", "matrix half")
@@ -45,3 +47,21 @@ def wigner_rotation_increment(u, du, omega_pull):
                                np.asarray(du, dtype=float).reshape(1, 4),
                                np.asarray(omega_pull, dtype=float).reshape(1, 4, 4))
     return wld._exp2(np.moveaxis(gen, 0, -1))[..., 0]
+
+
+def gauge_shift(state, upsilon):
+    """The photon ``state`` with ``upsilon`` times its wavevector added to its
+    polarization: another representative of its gauge class."""
+    return ph.PhotonState(state.pol + upsilon * state.wavevector.astype(complex), state.event,
+                          state.wavevector)
+
+
+def transversality(state):
+    """|u_I psi^I| of a photon state; zero for a valid polarization."""
+    return abs(complex((ETA @ state.wavevector) @ state.pol))
+
+
+def trajectory(worldline, params):
+    """Positions and velocities of ``worldline`` at every parameter value, as
+    two (n, 4) arrays."""
+    return worldline.motion(np.asarray(params, dtype=float))[:2]

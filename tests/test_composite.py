@@ -10,8 +10,8 @@ from quline.errors import HilbertSpaceMismatch, QulineError
 from quline.fermion import FermionState
 from quline.geometry import make_builtin_model
 from quline.spin_algebra import spin_half_boost_matrix, velocity_inner_product_matrix
-from quline.worldline import (circular_worldline, integrate_null_geodesic,
-                              integrate_timelike, static_worldline)
+from quline.worldline import (MultiQubitState, Slot, circular_worldline,
+                              integrate_null_geodesic, integrate_timelike, static_worldline)
 
 FLAT = make_builtin_model("minkowski", [])
 REST = np.array([1.0, 0, 0, 0])
@@ -22,12 +22,12 @@ TRIPLET0 = np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0)
 
 
 def fermion_slot(event, u):
-    return cp.Slot(FermionState, event, u)
+    return Slot(FermionState, event, u)
 
 
 def rest_pair_state(coeffs):
     slot = fermion_slot(EV, REST)
-    return cp.MultiQubitState(coeffs, (slot, slot))
+    return MultiQubitState(coeffs, (slot, slot))
 
 
 def orthonormal_pair(event, u, rng):
@@ -70,15 +70,15 @@ class TestBipartiteInnerProduct:
             slots = (fermion_slot(EV, us[0]), fermion_slot(EV, us[1]))
             m1 = np.einsum("ac,bd,cd->ab", halves[0], halves[1], c1)
             m2 = np.einsum("ac,bd,cd->ab", halves[0], halves[1], c2)
-            s1 = cp.MultiQubitState(m1, slots)
-            s2 = cp.MultiQubitState(m2, slots)
+            s1 = MultiQubitState(m1, slots)
+            s2 = MultiQubitState(m2, slots)
             assert abs(s1.inner(s2) - rest_val) < 1e-11
 
     def test_label_mismatch(self):
         s = rest_pair_state(SINGLET)
         g = 1 / np.sqrt(1 - 0.25)
         slot = fermion_slot(EV, [g, 0.5 * g, 0, 0])
-        t = cp.MultiQubitState(SINGLET, (slot, s.slots[1]))
+        t = MultiQubitState(SINGLET, (slot, s.slots[1]))
         with pytest.raises(HilbertSpaceMismatch):
             s.inner(t)
 
@@ -110,8 +110,8 @@ def reference_transport(wl, generator, psi0, tol=1e-13):
 def slot_map(realization, worldline, tol):
     """A slot's map along ``worldline`` and its end slot, read by carrying slot
     0 of a state whose amplitude is the identity on it and a second slot."""
-    slot = cp.Slot(realization, worldline.start_event, worldline.velocity(0.0))
-    state = cp.MultiQubitState(np.eye(realization.dim), (slot, slot))
+    slot = Slot(realization, worldline.start_event, worldline.velocity(0.0))
+    state = MultiQubitState(np.eye(realization.dim), (slot, slot))
     carried = state.carry(0, worldline, tol)
     return carried.amplitude, carried.slots[0]
 
@@ -161,7 +161,7 @@ class TestSingleSolveMaps:
 class TestEvolveLocal:
     def test_zero_length_identity(self):
         model, wl1, _ = curved_legs()
-        st = cp.MultiQubitState(SINGLET, (fermion_slot(wl1.start_event, wl1.velocity(0.0)),
+        st = MultiQubitState(SINGLET, (fermion_slot(wl1.start_event, wl1.velocity(0.0)),
                                           fermion_slot(EV, REST)))
         from quline.worldline import static_worldline as sw
         tiny = sw(model, [8.0, np.pi / 2, 0.3], span=1e-12)
@@ -176,7 +176,7 @@ class TestEvolveLocal:
             slots = tuple(fermion_slot(wl.start_event, wl.velocity(0.0)) for wl in lines)
             shape = (2,) * len(lines)
             coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            st = cp.MultiQubitState(coeffs, slots)
+            st = MultiQubitState(coeffs, slots)
             st = st.normalized()
             a = b = st
             for slot, wl in enumerate(lines):
@@ -191,7 +191,7 @@ class TestEvolveLocal:
         # coefficient array is exactly preserved
         wl = circular_worldline(FLAT, radius=1.0, beta=0.5, revolutions=0.6)
         slot = fermion_slot(wl.start_event, wl.velocity(0.0))
-        st = cp.MultiQubitState(SINGLET, (slot, slot))
+        st = MultiQubitState(SINGLET, (slot, slot))
         out = st.carry(0, wl).carry(1, wl)
         assert np.abs(out.amplitude - SINGLET).max() < 1e-10
 
@@ -201,7 +201,7 @@ class TestEvolveLocal:
         slot = fermion_slot(wl.start_event, wl.velocity(0.0))
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         anti = (a - a.T) / 2
-        st = cp.MultiQubitState(anti, (slot, slot))
+        st = MultiQubitState(anti, (slot, slot))
         out = st.carry(0, wl).carry(1, wl)
         assert np.abs(out.amplitude + out.amplitude.T).max() < 1e-10
 
@@ -214,7 +214,7 @@ class TestEvolveLocal:
         slots = [fermion_slot(EV, REST)] * 2
         slots[slot] = fermion_slot(FLAT.event(*event), u)
         with pytest.raises(HilbertSpaceMismatch):
-            cp.MultiQubitState(SINGLET, tuple(slots)).carry(slot, wl)
+            MultiQubitState(SINGLET, tuple(slots)).carry(slot, wl)
 
 
 class TestProjectSlot:
@@ -248,7 +248,7 @@ class TestProjectSlot:
                  fermion_slot(wl2.start_event, wl2.velocity(0.0)))
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        st = cp.MultiQubitState(coeffs, slots).normalized()
+        st = MultiQubitState(coeffs, slots).normalized()
         p_up = np.array([[1.0, 0.0], [0.0, 0.0]])
         prob_a, post_a = st.project(p_up, 0)
         evolved_a = post_a.carry(1, wl2)
@@ -282,7 +282,7 @@ class TestProjectSlot:
         # on a boosted label, as it is; the slots' order orders the projector
         boosted = fermion_slot(EV, [1.25, 0.0, 0.75, 0.0])
         coeffs = np.multiply.outer(np.multiply.outer([1.0, 0.0], [0.6, 0.8j]), [0.0, 1.0])
-        st = cp.MultiQubitState(coeffs, (fermion_slot(EV, REST), boosted,
+        st = MultiQubitState(coeffs, (fermion_slot(EV, REST), boosted,
                                          fermion_slot(EV, REST))).normalized()
         up_down = np.diag([0.0, 1.0, 0.0, 0.0])
         prob, post = st.project(up_down, 0, 2)
@@ -297,7 +297,7 @@ class TestAmplitudeChecks:
 
     def test_non_finite_amplitude_refused(self):
         with pytest.raises(QulineError, match="^amplitude is not finite$"):
-            cp.MultiQubitState([[np.nan, 0.0], [0.0, 1.0]], (self.SLOT, self.SLOT))
+            MultiQubitState([[np.nan, 0.0], [0.0, 1.0]], (self.SLOT, self.SLOT))
         with pytest.raises(QulineError, match="^amplitude is not finite$"):
             rest_pair_state(SINGLET).apply([[np.nan, 0.0], [0.0, 1.0]], 1)
 
@@ -312,7 +312,7 @@ class TestAmplitudeChecks:
         """An amplitude whose squared norm passes the floats has norm_squared
         inf without a numpy warning (the suite turns RuntimeWarning into an
         error); it is normalized and projected over its largest |entry|."""
-        one = cp.MultiQubitState([1e200, 1e200], (self.SLOT,))
+        one = MultiQubitState([1e200, 1e200], (self.SLOT,))
         assert one.norm_squared() == np.inf
         np.testing.assert_allclose(one.normalized().amplitude, [2 ** -0.5] * 2, rtol=1e-15)
         prob, post = one.project(np.diag([1.0, 0.0]), 0)
@@ -330,7 +330,7 @@ class TestAmplitudeChecks:
     def test_shape_off_the_slots_refused(self):
         with pytest.raises(QulineError, match=r"^amplitude shape \(4,\) does not match the "
                                               r"slots' dims \(2, 2\)$"):
-            cp.MultiQubitState(np.ones(4), (self.SLOT, self.SLOT))
+            MultiQubitState(np.ones(4), (self.SLOT, self.SLOT))
         with pytest.raises(QulineError, match=r"^operator shape \(4, 4\) is not \(2, 2\) "
                                               r"for slots \(1,\)$"):
             rest_pair_state(SINGLET).apply(np.eye(4), 1)

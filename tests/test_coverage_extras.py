@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from quline import cli
-from quline import composite as cp
 from quline import photon as ph
 from quline.errors import DomainError, HilbertSpaceMismatch, QulineError
 from quline.fermion import FermionState, transport as fermion_transport
 from quline.geometry import (apply_local_lorentz, connection_finite_difference,
                              make_builtin_model)
 from quline.spin_algebra import ETA, spin1_boost
-from quline.worldline import integrate_null_geodesic, integrate_timelike
+from quline.worldline import (MultiQubitState, Slot, integrate_null_geodesic,
+                              integrate_timelike)
 
 FLAT = make_builtin_model("minkowski", [])
 
@@ -114,14 +114,14 @@ class TestTransportPreconditions:
 
 
 def photon_slot(event, k):
-    return cp.Slot(ph.PhotonState, event, k)
+    return Slot(ph.PhotonState, event, k)
 
 
 def photon_pair_state(k1, k2, jones1, jones2):
     ev = FLAT.event(0, 0, 0, 0)
     p1 = ph.jones_to_state(jones1, k1, ev)
     p2 = ph.jones_to_state(jones2, k2, ev)
-    return cp.MultiQubitState(np.outer(p1.pol, p2.pol), (photon_slot(ev, k1), photon_slot(ev, k2)))
+    return MultiQubitState(np.outer(p1.pol, p2.pol), (photon_slot(ev, k1), photon_slot(ev, k2)))
 
 
 def transversality(state):
@@ -162,7 +162,7 @@ class TestPhotonBipartite:
         h2 = ph.jones_to_state([1, 0], self.K2, ev).pol
         v2 = ph.jones_to_state([0, 1], self.K2, ev).pol
         bell = (np.outer(h1, h2) + np.outer(v1, v2)) / np.sqrt(2.0)
-        st = cp.MultiQubitState(bell, (photon_slot(ev, self.K1), photon_slot(ev, self.K2)))
+        st = MultiQubitState(bell, (photon_slot(ev, self.K1), photon_slot(ev, self.K2)))
         assert abs(st.norm_squared() - 1.0) < 1e-12
 
     def test_evolve_photon_slot_along_curved_ray(self):
@@ -180,7 +180,7 @@ class TestPhotonBipartite:
             ph.adaptation_rotation(k0).diad_inv @ j1, ev, k0)
         flat_ev = FLAT.event(0, 0, 0, 0)
         p2 = ph.jones_to_state([1.0, 0.0], self.K1, flat_ev)
-        st = cp.MultiQubitState(np.outer(p1.pol, p2.pol),
+        st = MultiQubitState(np.outer(p1.pol, p2.pol),
                                 (photon_slot(ev, k0), photon_slot(flat_ev, self.K1)))
         out = st.carry(0, ray, tol=1e-13)
         # product state stays a product of (transported p1) x p2
@@ -196,8 +196,8 @@ class TestPhotonBipartite:
         ev = FLAT.event(0, 0, 0, 0)
         pol = ph.jones_to_state([0.6, 0.8j], self.K1, ev).pol
         psi = np.array([1.0, 0.0])
-        st = cp.MultiQubitState(np.outer(pol, psi), (photon_slot(ev, self.K1),
-                                                     cp.Slot(FermionState, ev, [1.0, 0, 0, 0])))
+        st = MultiQubitState(np.outer(pol, psi), (photon_slot(ev, self.K1),
+                                                     Slot(FermionState, ev, [1.0, 0, 0, 0])))
         assert abs(st.norm_squared() - 1.0) < 1e-12
         p_up = np.array([[1.0, 0], [0, 0.0]])
         prob, post = st.project(p_up, 1)

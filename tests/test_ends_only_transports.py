@@ -60,14 +60,14 @@ def assert_span_ends_only(calls, count):
 
 
 def start_slot(realization, wl):
-    return cp.Slot(realization, wl.start_event, wl.velocity(0.0))
+    return wld.Slot(realization, wl.start_event, wl.velocity(0.0))
 
 
 def test_basis_pair_field_reads_the_span_ends(asked):
     wl = circular_orbit()
     u0 = wl.velocity(0.0)
     phi0 = fm.FermionState([1.0, 0.0], wl.start_event, u0).normalized()
-    metric = phi0.metric()
+    metric = phi0.metric
     psi = np.array([0.3, 1.0 + 0.2j])
     psi = psi - (phi0.psi.conj() @ metric @ psi) * phi0.psi
     psi0 = fm.FermionState(psi, wl.start_event, u0).normalized()
@@ -84,7 +84,7 @@ def test_basis_pair_field_reads_the_span_ends(asked):
 def test_fermion_slot_map_reads_the_span_ends(asked):
     wl = circular_orbit()
     slot = start_slot(fm.FermionState, wl)
-    state = cp.MultiQubitState(np.array([[0.6, 0.1j], [0.2, 0.7]]), (slot, slot))
+    state = wld.MultiQubitState(np.array([[0.6, 0.1j], [0.2, 0.7]]), (slot, slot))
     evolved = state.carry(1, wl)
     assert_span_ends_only(asked, 1)
     sampled = fm.transport(fm.FermionState([1.0, 0.0], slot.event, slot.label), wl)
@@ -98,7 +98,7 @@ def test_photon_slot_map_reads_the_span_ends(asked):
     wl = ray()
     slot = start_slot(ph.PhotonState, wl)
     jones = ph.jones_to_state([0.8, 0.6j], slot.label, slot.event).pol
-    state = cp.MultiQubitState(np.outer(jones, [1.0, 0.0, 0.0, 0.0]), (slot, slot))
+    state = wld.MultiQubitState(np.outer(jones, [1.0, 0.0, 0.0, 0.0]), (slot, slot))
     evolved = state.carry(0, wl)
     assert_span_ends_only(asked, 1)
     sampled = ph.transport(ph.PhotonState([1.0, 0.0, 0.0, 0.0], slot.event, slot.label), wl)

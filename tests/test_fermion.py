@@ -14,7 +14,7 @@ from quline.worldline import (AnalyticWorldline, circular_worldline,
                               constant_magnetic_field, integrate_timelike,
                               static_worldline, worldline_from_coordinate_path)
 
-from oracles import wigner_rotation_increment
+from oracles import trajectory, wigner_rotation_increment
 
 FLAT = make_builtin_model("minkowski", [])
 
@@ -357,7 +357,7 @@ class TestLazyStates:
         wl = static_worldline(model, [7.0, 1.2, 0.3], span=3.0)
         st = fm.FermionState([0.6, 0.8j], wl.start_event, wl.velocity(0.0))
         res = fm.transport(st, wl, tol=1e-12)
-        positions, velocities = wl.trajectory(res.params)
+        positions, velocities = trajectory(wl, res.params)
         eager = [fm.FermionState(m @ st.psi, Event(x, model.chart_id), u)
                  for m, x, u in zip(res.propagators, positions, velocities)]
         assert len(eager) == 201

@@ -1,8 +1,11 @@
 """The transport kernel's generators and reads on whole arrays give the bytes
 of the forms they replaced, which are kept here as references: the complex
 einsum over L^{IJ}, eta @ pulled, np.cross, the per-read Lagrange weights
-and the per-read (and per-interval) product against a gathered G.  Every
-comparison is of uint64 views, so a signed zero or a last bit counts.
+and the per-read (and per-interval) product against a gathered G.  A spin
+state's inner-product matrix, its realization's ``metrics`` at its one label,
+gives the bytes of ``velocity_inner_product_matrix``, the one-label form it
+replaced.  Every comparison is of uint64 views, so a signed zero or a last
+bit counts.
 
 The last test reruns this file in fresh child processes under another
 OpenBLAS kernel and with numpy's AVX-512 dispatch switched off."""
@@ -18,7 +21,8 @@ import pytest
 from quline import fermion as fm
 from quline import worldline as wld
 from quline.geometry import _parallel_generator
-from quline.spin_algebra import ETA, ETA_ROWS, GENERATORS, PAULI, generator_contraction
+from quline.spin_algebra import (ETA, ETA_ROWS, GENERATORS, PAULI, generator_contraction,
+                                 velocity_inner_product_matrix)
 from quline.worldline import NODES, SUBNODES
 
 EM = wld.constant_magnetic_field([0.2, 0.0, 0.9])
@@ -166,6 +170,19 @@ def test_node_products_repeat_the_per_interval_arithmetic(n):
     change = (g - g[:, 4:5]).reshape(n, len(NODES), 4)
     assert_same_bits(misread, np.abs(wld._READ_CHECK @ change).max(axis=(1, 2)))
     assert misread[n // 2] == 0.0
+
+
+def test_one_label_metrics_are_the_velocity_inner_product_matrix():
+    """``FermionState.metrics(u[None])[0]``, the matrix a spin state's slot
+    forms, against ``velocity_inner_product_matrix(u)`` on fixed velocities:
+    at rest, boosted along each axis and both ways, with -0.0 components,
+    and seeded ones with signed zeros among their spatial parts."""
+    fixed = [[1.0, 0.0, 0.0, 0.0], [1.0, -0.0, -0.0, -0.0], [1.25, 0.0, 0.75, 0.0],
+             [1.25, -0.75, -0.0, 0.0], [1.25, 0.0, 0.0, -0.75], [1.0 + 1e-12, 0.0, 0.0, 0.0],
+             [np.sqrt(1.0 + 3e6 ** 2 * 3), 3e6, -3e6, 3e6]]
+    seeded = kinematics(np.random.default_rng(3), (500,))[1]
+    for u in np.concatenate([fixed, seeded]):
+        assert_same_bits(fm.FermionState.metrics(u[None])[0], velocity_inner_product_matrix(u))
 
 
 def avx512_targets():

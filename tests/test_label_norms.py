@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quline import composite as cp
 from quline import fermion as fm
 from quline import measurement as ms
 from quline import photon as ph
@@ -42,15 +41,15 @@ SITES = {
         "integrate_timelike": lambda u: wld.integrate_timelike(FLAT, None, np.zeros(4), u),
         "SternGerlachSetup.apparatus": lambda v: ms.SternGerlachSetup([0, 1, 0, 0], v, REST),
         "SternGerlachSetup.particle": lambda u: ms.SternGerlachSetup([0, 1, 0, 0], REST, u),
-        "MultiQubitState": lambda u: cp.MultiQubitState(np.eye(2), (
-            cp.Slot(fm.FermionState, EVENT, u), cp.Slot(fm.FermionState, EVENT, REST))),
+        "MultiQubitState": lambda u: wld.MultiQubitState(np.eye(2), (
+            wld.Slot(fm.FermionState, EVENT, u), wld.Slot(fm.FermionState, EVENT, REST))),
     },
     "null": {
         "PhotonState": lambda k: ph.PhotonState([0, 1, 0, 0], EVENT, k),
         "photon.transport": lambda k: ph.transport(
             ph.PhotonState([0, 1, 0, 0], EVENT, RAY), middle_row_worldline(k, "null")),
-        "MultiQubitState": lambda k: cp.MultiQubitState(
-            np.eye(4), (cp.Slot(ph.PhotonState, EVENT, k), cp.Slot(ph.PhotonState, EVENT, RAY))),
+        "MultiQubitState": lambda k: wld.MultiQubitState(
+            np.eye(4), (wld.Slot(ph.PhotonState, EVENT, k), wld.Slot(ph.PhotonState, EVENT, RAY))),
         "integrate_null_geodesic": lambda k: wld.integrate_null_geodesic(FLAT, np.zeros(4), k),
         "build_worldline": lambda k: sc.build_worldline(FLAT, "ray", {
             "type": "null_geodesic", "start": np.zeros(4), "wavevector": k, "span": 1.0,
@@ -149,8 +148,8 @@ def unless_mismatched(call):
 MATCH_SITES = {
     "timelike": {
         "FermionState.same_space": lambda a, b: fermion(a).same_space(fermion(b)),
-        "Slot.same_space": lambda a, b: cp.Slot(fm.FermionState, EVENT, a).same_space(
-            cp.Slot(fm.FermionState, EVENT, b)),
+        "Slot.same_space": lambda a, b: wld.Slot(fm.FermionState, EVENT, a).same_space(
+            wld.Slot(fm.FermionState, EVENT, b)),
         "expectation": unless_mismatched(lambda a, b: ms.expectation(
             fermion(a), ms.spin_operator(ms.SternGerlachSetup(ORIENTATION, REST, b))[0])),
         "measure_spin": unless_mismatched(lambda a, b: ms.measure_spin(
@@ -160,8 +159,8 @@ MATCH_SITES = {
     },
     "null": {
         "PhotonState.same_space": lambda a, b: photon(a).same_space(photon(b)),
-        "Slot.same_space": lambda a, b: cp.Slot(ph.PhotonState, EVENT, a).same_space(
-            cp.Slot(ph.PhotonState, EVENT, b)),
+        "Slot.same_space": lambda a, b: wld.Slot(ph.PhotonState, EVENT, a).same_space(
+            wld.Slot(ph.PhotonState, EVENT, b)),
         "polarizer_probability": unless_mismatched(lambda a, b: ms.polarizer_probability(
             photon(a), ms.PolarizerVector(POLARIZATION, b))),
         "photon.transport": unless_mismatched(lambda a, b: ph.transport(

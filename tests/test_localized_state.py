@@ -1,5 +1,8 @@
 """A localized qubit is one ``LocalizedState``: an amplitude, an event and a
-label, carried along a worldline by one ``carry``.
+label, carried along a worldline by one ``carry``.  It is the one-slot case
+of ``MultiQubitState``, so the label check, the space comparison, the
+inner-product matrix, ``inner``, ``norm_squared``, ``normalized``, ``apply``
+and ``project`` are written once, for every number of slots.
 
 The spin and polarization states differ only in their data and formulas (the
 amplitude length, the label norm, the inner-product matrices), so neither
@@ -15,13 +18,14 @@ import textwrap
 import numpy as np
 import pytest
 
-from quline import fermion, interferometry, photon, scenario
+from quline import composite, fermion, interferometry, photon, scenario
 from quline.errors import HilbertSpaceMismatch
 from quline.geometry import make_builtin_model
-from quline.worldline import LocalizedState, static_worldline
+from quline.worldline import LocalizedState, MultiQubitState, Slot, static_worldline
 
 FLAT = make_builtin_model("minkowski", [])
-SHARED = ("__post_init__", "same_space", "inner", "norm_squared", "normalized")
+SHARED = ("__post_init__", "same_space", "inner", "norm_squared", "_square", "normalized",
+          "apply", "project", "metric")
 REALIZATIONS = [fermion.FermionState, photon.PhotonState]
 
 
@@ -29,10 +33,21 @@ def tree(function):
     return ast.parse(textwrap.dedent(inspect.getsource(function)))
 
 
-@pytest.mark.parametrize("cls", REALIZATIONS, ids=lambda cls: cls.__name__)
-def test_realizations_write_nothing_the_state_shares(cls):
-    assert cls.__bases__ == (LocalizedState,)
+@pytest.mark.parametrize("cls, base", [(LocalizedState, MultiQubitState),
+                                       *((cls, LocalizedState) for cls in REALIZATIONS)],
+                         ids=["LocalizedState", "FermionState", "PhotonState"])
+def test_realizations_write_nothing_the_state_shares(cls, base):
+    assert cls.__bases__ == (base,)
     assert [name for name in SHARED if name in vars(cls)] == []
+
+
+def test_composite_defines_no_state():
+    """No class of composite.py writes a state method (``__post_init__`` aside,
+    which its basis-pair field uses for its own check)."""
+    classes = [obj for obj in vars(composite).values()
+               if isinstance(obj, type) and obj.__module__ == composite.__name__]
+    assert [(cls.__name__, name) for cls in classes for name in SHARED[1:]
+            if name in vars(cls)] == []
 
 
 BLIND = {"transport_phase": interferometry.transport_phase,
@@ -80,23 +95,49 @@ def test_states_of_different_realizations_share_no_space():
 
 @pytest.mark.parametrize("cls", REALIZATIONS, ids=lambda cls: cls.__name__)
 def test_inner_products_form_the_metric_once_per_state(cls, monkeypatch):
-    """``inner`` and ``norm_squared`` give the bytes of amplitude^H metric()
-    amplitude, and form ``metric()`` once per state however often they run."""
+    """``inner`` and ``norm_squared`` give the bytes of amplitude^H M
+    amplitude, M the realization's ``metrics`` at the label, and form M once
+    per slot however often they run."""
     line = static_worldline(FLAT, [0.0, 0.0, 0.0], 1.0)
     if cls is fermion.FermionState:
         label, amps = [1.25, 0.0, 0.75, 0.0], ([0.6, 0.8j], [0.3 - 0.1j, 0.2j])
     else:
         label, amps = [1.0, 0.0, 0.0, 1.0], ([0, 0.6, 0.8j, 0], [0, 0.3j, -0.2, 0])
     a, b = (cls(amp, line.start_event, label) for amp in amps)
-    want_inner = complex(a.amplitude.conj() @ a.metric() @ b.amplitude)
-    want_norm = float(np.real(b.amplitude.conj() @ b.metric() @ b.amplitude))
-    formed, metric = [], cls.metric
-    monkeypatch.setattr(cls, "metric", lambda self: formed.append(self) or metric(self))
+    metric = cls.metrics(np.array([label]))[0]
+    want_inner = complex(a.amplitude.conj() @ metric @ b.amplitude)
+    want_norm = float(np.real(b.amplitude.conj() @ metric @ b.amplitude))
+    formed, metrics = [], cls.metrics
+    monkeypatch.setattr(cls, "metrics", staticmethod(
+        lambda labels: formed.append(labels) or metrics(labels)))
     for _ in range(3):
         assert a.inner(b) == want_inner
         assert b.norm_squared() == want_norm
         a.norm_squared()
-    assert len(formed) == 2 and formed[0] is a and formed[1] is b
+    assert len(formed) == 2
+    assert np.shares_memory(formed[0], a.label) and np.shares_memory(formed[1], b.label)
+
+
+@pytest.mark.parametrize("cls, label, amplitude", [
+    (fermion.FermionState, [1.25, 0.0, 0.75, 0.0], [0.6, -0.8j]),
+    (photon.PhotonState, [1.0, 0.0, 0.0, 1.0], [0.0, 0.6, -0.8j, 0.0]),
+], ids=["fermion", "photon"])
+def test_a_one_slot_state_is_the_localized_state(cls, label, amplitude):
+    """A one-slot ``MultiQubitState`` and the realization's state built from
+    one amplitude, event and label give the same bytes for ``inner``,
+    ``norm_squared`` and ``normalized``, also where the squared norm passes
+    the floats."""
+    event = FLAT.event(0.0, 0.0, 0.0, 0.0)
+    for scale in (1.0, 1e200):
+        amp = np.asarray(amplitude) * scale
+        got = []
+        for state in (cls(amp, event, label), MultiQubitState(amp, (Slot(cls, event, label),))):
+            with np.errstate(over="ignore", invalid="ignore"):  # inner is not rescaled
+                inner = state.inner(MultiQubitState(amp[::-1], state.slots))
+            got.append([np.asarray(x).tobytes() for x in
+                        (inner, state.norm_squared(), state.normalized().amplitude)])
+        assert got[0] == got[1]
+        assert (got[0][1] == np.float64(np.inf).tobytes()) == (scale > 1.0)
 
 
 @pytest.mark.parametrize("cls, label, big, want", [

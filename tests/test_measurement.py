@@ -11,7 +11,7 @@ from quline.spin_algebra import (EPS4_LOWER, EPS4_UPPER, ETA, PAULI, generator_c
                                  minkowski_dot, spin1_boost, velocity_inner_product_matrix)
 from quline.worldline import EMField, integrate_timelike
 
-from oracles import random_local_lorentz
+from oracles import gauge_shift, random_local_lorentz
 
 FLAT = make_builtin_model("minkowski", [])
 REST = np.array([1.0, 0, 0, 0])
@@ -354,7 +354,7 @@ class TestPolarizers:
         base = ms.polarizer_probability(st, pol)
         for _ in range(100):
             ups = rng.standard_normal() + 1j * rng.standard_normal()
-            shifted = st.gauge_shift(ups)
+            shifted = gauge_shift(st, ups)
             kappa = rng.standard_normal() + 1j * rng.standard_normal()
             pol2 = ms.PolarizerVector.__new__(ms.PolarizerVector)
             object.__setattr__(pol2, "vector", pol.vector + kappa * KZ.astype(complex))

@@ -2,7 +2,12 @@
 ``__all__``; every top-level public ``def`` or ``class`` is in it; and every
 name in it is used in ``src/`` outside its own definition, or in ``bench/``,
 or is on ``ALLOWED`` with the reason it stays.  A use is any name, attribute
-or import of the same name, so the rule errs towards keeping a name."""
+or import of the same name, so the rule errs towards keeping a name.
+
+Every public method of a declared class (a ``def`` in its body whose name
+does not start with ``_``, properties and static methods too) is likewise
+used: as an attribute ``.name`` in ``src/`` outside its own definition or in
+``bench/``, or it is on ``ALLOWED`` as ``(module, "Class.method")``."""
 
 import ast
 import importlib
@@ -29,6 +34,8 @@ ALLOWED = {
     ("worldline", "constant_magnetic_field"): "the field of the spin-precession tests",
     ("worldline", "AnalyticWorldline"): "a prescribed motion from closed-form callables",
     ("worldline", "worldline_from_coordinate_path"): "a prescribed spatial path x_i(t)",
+    ("worldline", "MultiQubitState.carry"): "one party of an entangled state carried along "
+                                            "its worldline, the paper's multipartite step",
 }
 
 
@@ -53,7 +60,13 @@ def uses(node):
                    for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
 
 
+def attributes(node):
+    """How often each attribute name occurs in ``node``."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
 SRC_USES = sum(map(uses, TREES.values()), Counter())      # __all__'s strings are no use
+SRC_ATTRIBUTES = sum(map(attributes, TREES.values()), Counter())
 
 
 def used(module, name):
@@ -81,6 +94,32 @@ def test_every_declared_name_has_a_use_or_a_reason(module):
             if not used(module, name) and (module, name) not in ALLOWED] == []
 
 
+def methods(module):
+    """{"Class.method": its def} for each public method of each declared class."""
+    names = declared(TREES[module])
+    return {f"{node.name}.{item.name}": item for node in TREES[module].body
+            if isinstance(node, ast.ClassDef) and node.name in names
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+
+
+def method_used(definition):
+    """Whether ``.name`` of the method ``definition`` occurs in src/ outside it,
+    or in bench/."""
+    name = definition.name
+    return (SRC_ATTRIBUTES[name] > attributes(definition)[name]
+            or bool(re.search(rf"\.{name}\b", BENCH)))
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_public_method_has_a_use_or_a_reason(module):
+    assert [name for name, definition in methods(module).items()
+            if not method_used(definition) and (module, name) not in ALLOWED] == []
+
+
 def test_every_allowed_name_is_declared_and_still_unused():
     for module, name in ALLOWED:
-        assert name in declared(TREES[module]) and not used(module, name)
+        if "." in name:
+            assert not method_used(methods(module)[name])
+        else:
+            assert name in declared(TREES[module]) and not used(module, name)

@@ -523,17 +523,20 @@ class TestRun:
 
     @pytest.mark.parametrize("measured", [True, False])
     def test_optic_that_annihilates_the_photon_exits_4(self, tmp_path, capsys, measured):
-        data = sc.load_scenario(SCENARIOS / "polarimetry.scenario")
-        data["schedule"][1] = {"op": "optic", "qubit": "p0", "element": "jones",
-                               "matrix": [0] * 8}
-        if not measured:
-            del data["schedule"][2]
-        path = tmp_path / "dark.scenario"
-        path.write_text(yaml.safe_dump(data))
-        assert run_cli(["--out-dir", tmp_path, "run", path]) == cli.EXIT_DOMAIN
-        assert capsys.readouterr().err == (
-            "domain error: [schedule[1]] the optic leaves no photon (norm squared 0.0)\n")
-        assert not list(tmp_path.glob("*.json"))
+        """An optic that leaves no photon, or one whose squared norm passes the
+        floats, ends in one line naming its schedule entry."""
+        for matrix, norm in (([0] * 8, "0.0"), ([1.7e308, 0] * 4, "inf")):
+            data = sc.load_scenario(SCENARIOS / "polarimetry.scenario")
+            data["schedule"][1] = {"op": "optic", "qubit": "p0", "element": "jones",
+                                   "matrix": matrix}
+            if not measured:
+                del data["schedule"][2]
+            path = tmp_path / "dark.scenario"
+            path.write_text(yaml.safe_dump(data))
+            assert run_cli(["--out-dir", tmp_path, "run", path]) == cli.EXIT_DOMAIN
+            assert capsys.readouterr().err == (
+                f"domain error: [schedule[1]] the optic leaves no photon (norm squared {norm})\n")
+            assert not list(tmp_path.glob("*.json"))
 
     def test_half_wave_plate_mirrors_the_polarization(self, tmp_path):
         # rotator 30 deg, then retardance pi: linear at -30 deg, so a linear

@@ -13,6 +13,8 @@ from quline.geometry import (_STENCIL, DEFAULT_FD_STEP, _stencil_derivative,
                              apply_local_lorentz, make_builtin_model, pulled_connection)
 from quline.spin_algebra import minkowski_dot, product_bound
 
+from oracles import trajectory
+
 
 @pytest.fixture(scope="module")
 def flat():
@@ -90,6 +92,17 @@ class TestTimelike:
             wld.integrate_timelike(flat, None, np.zeros(4), [1.0, 0.5, 0, 0], span=1.0)
         with pytest.raises(QulineError):
             wld.integrate_timelike(flat, None, np.zeros(4), [1, 0, 0, 0], span=-2.0)
+
+    @pytest.mark.parametrize("em", [None, wld.constant_magnetic_field([0, 0, 1])],
+                             ids=["free", "charged"])
+    def test_overflowing_rates_are_a_domain_error(self, em):
+        """Rates past the largest float (M / r**2 at r = 1e300) end in one
+        DomainError naming the parameter, with or without a Lorentz force."""
+        model = make_builtin_model("schwarzschild", [1.0])
+        with pytest.raises(DomainError, match=r"^schwarzschild: trajectory rates overflow at "
+                                              r"parameter 0\.0$"):
+            wld.integrate_timelike(model, em, [0, 1e300, np.pi / 2, 0], [1, 0, 0, 0],
+                                   charge_to_mass=1.0)
 
     def test_time_reversal(self):
         model = make_builtin_model("schwarzschild", [1.0])
@@ -489,7 +502,7 @@ class TestKinematics:
     def test_trajectory_matches_separate_evaluations(self, flat):
         for wl in self.worldlines(flat):
             params = wl.sample_params(9)
-            positions, velocities = wl.trajectory(params)
+            positions, velocities = trajectory(wl, params)
             np.testing.assert_allclose(positions, [wl.position(l) for l in params],
                                        rtol=1e-15, atol=1e-15)
             np.testing.assert_allclose(velocities, [wl.velocity(l) for l in params],
@@ -505,7 +518,7 @@ class TestKinematics:
             for got, want in zip(wl.kinematics(params), scalar):
                 assert got.shape[:2] == (301, 4)
                 np.testing.assert_array_equal(got, want)
-            for got, want in zip(wl.trajectory(params), scalar):
+            for got, want in zip(trajectory(wl, params), scalar):
                 np.testing.assert_array_equal(got, want)
 
 
