@@ -616,9 +616,9 @@ class MultiQubitState:
     refused.  ``metric``, the Kronecker product of the slots' metrics (the
     slot's own for one slot), is formed once per state and kept, so a label
     changed in place afterwards is not seen.  An amplitude whose squared
-    norm passes the floats has norm_squared inf, without a warning, and is
-    normalized and projected over its largest |entry|.  Every method returns
-    a state of its own class.
+    norm passes the floats, whatever its real and imaginary parts, has
+    norm_squared inf, without a warning, and is normalized and projected
+    over its largest |entry|.  Every method returns a state of its own class.
     """
 
     amplitude: np.ndarray
@@ -665,8 +665,13 @@ class MultiQubitState:
         return self._square(self.amplitude)
 
     def _square(self, a):
-        with np.errstate(over="ignore"):
-            return self._inner(a, a).real
+        """<a|a>, inf for a finite ``a`` whose terms pass the floats: the
+        complex products then take inf less inf, nan or -inf in either part."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            square = self._inner(a, a).real
+        if math.isfinite(square) or not np.isfinite(a).all():
+            return square
+        return math.inf
 
     def normalized(self):
         amplitude, square = self.amplitude, self.norm_squared()
@@ -877,47 +882,59 @@ def _node_products(g):
 
 def _interpolate_reads(g, held, theta):
     """(order, G) for reads at the first ``theta`` (m) of the intervals held
-    (m) whose G at NODES is g (n, 9, 2, 2): G (m, 9, 2, 2) at SUBNODES of read
-    order[i], by the degree-8 polynomial through the nodes.  The reads go in
-    runs of one interval, the intervals with fewer reads first.  Their weights
-    are built node first; the c reads of one interval are one (9c, 9) @ (9, 4)
-    product against its G, and the intervals with c reads are one stack."""
+    (m) whose G at NODES is g (n, 9, 2, 2): G (m, 6, 2, 2) at the six
+    half-step nodes SUBNODES[:6] of read order[i], by the degree-8 polynomial
+    through the nodes.  The reads go in runs of one interval, the intervals
+    with fewer reads first.  Their weights are built node first, (9, m, 6);
+    the c reads of one interval are one (6c, 9) @ (9, 4) product against its
+    G, and the intervals with c reads are one stack."""
     count = np.bincount(held)
     order = np.lexsort((held, count[held]))
     held = held[order]
     runs = count[held]          # the reads of each read's interval, non-decreasing
     edges = [0, *(np.flatnonzero(runs[1:] != runs[:-1]) + 1).tolist(), len(held)]
-    weights = _lagrange(theta[order, None] * SUBNODES).transpose(1, 2, 0)
+    weights = _lagrange(theta[order, None] * SUBNODES[:6]).transpose(1, 2, 0)
     g = g.reshape(len(g), len(NODES), 4)
-    out = np.empty((len(held), len(SUBNODES), 4), dtype=complex)
+    out = np.empty((len(held), 6, 4), dtype=complex)
     for lo, hi in zip(edges[:-1], edges[1:]):
         c = int(runs[lo])
-        np.matmul(weights[lo:hi].reshape(-1, c * len(SUBNODES), len(NODES)), g[held[lo:hi:c]],
-                  out=out[lo:hi].reshape(-1, c * len(SUBNODES), 4))
-    return order, out.reshape(-1, len(SUBNODES), 2, 2)
+        np.matmul(weights[lo:hi].reshape(-1, 6 * c, len(NODES)), g[held[lo:hi:c]],
+                  out=out[lo:hi].reshape(-1, 6 * c, 4))
+    return order, out.reshape(-1, 6, 2, 2)
 
 
-def _richardson(g, h, estimate=True):
-    """(map, error estimate) of intervals of widths h from G at their
-    SUBNODES, g (n, 9, 2, 2), the map a (2, 2, n) stack; the map alone if not
-    ``estimate``.  The method is symmetric: about the exact half maps X1, X2,
-    the whole step is X2 exp(e) X1 and the half steps' product X2 exp(e/64) X1
-    to O(h^9).  So their difference over 63 estimates the half steps' error,
-    first whole^-1 second = exp(-63 e/64), and the map puts exp(-e/64) between
-    the halves (Richardson extrapolation in SL(2,C)).  A step too large to
-    exponentiate gives inf or nan, and is bisected."""
-    # G at each step's 3 nodes, (node, 2, 2, 3n): all first halves, second halves, wholes
-    g = g.reshape(len(h), 3, 3, 2, 2).transpose(2, 3, 4, 1, 0).reshape(3, 2, 2, 3 * len(h))
+def _half_steps(g, h):
+    """(X2 X1, steps): the product of the two Omega_6 half steps X1, X2 of
+    intervals of widths h, and the steps, a (k, 2, 2, n) stack, from G at
+    the first 3k SUBNODES, g (n, 3k, 2, 2): the halves' six for a read, or
+    all nine, which add the whole step, for :func:`_richardson`.  A step
+    too large to exponentiate gives inf or nan."""
+    k = g.shape[1] // 3
+    # G at each step's 3 nodes, (node, 2, 2, kn): all first halves, then second halves, ...
+    g = g.reshape(len(h), k, 3, 2, 2).transpose(2, 3, 4, 1, 0).reshape(3, 2, 2, k * len(h))
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = _exp2(_magnus(g, (_WIDTHS * h).ravel()))
-        first, second, whole = steps.reshape(2, 2, 3, len(h)).transpose(2, 0, 1, 3)
+        steps = _exp2(_magnus(g, (_WIDTHS[:k] * h).ravel()))
+        steps = steps.reshape(2, 2, k, len(h)).transpose(2, 0, 1, 3)
+        return _dot(steps[1], steps[0]), steps
+
+
+def _richardson(g, h):
+    """(map, error estimate) of intervals of widths h from G at their
+    SUBNODES, g (n, 9, 2, 2), the map a (2, 2, n) stack built from
+    :func:`_half_steps`.  The method is symmetric: about the exact half maps
+    X1, X2, the whole step is X2 exp(e) X1 and the half steps' product
+    X2 exp(e/64) X1 to O(h^9).  So their difference over 63 estimates the
+    half steps' error, first whole^-1 second = exp(-63 e/64), and the map
+    puts exp(-e/64) between the halves (Richardson extrapolation in
+    SL(2,C)).  A step too large to exponentiate gives inf or nan, and is
+    bisected."""
+    halves, (first, second, whole) = _half_steps(g, h)
+    with np.errstate(over="ignore", invalid="ignore"):
         inverse = np.swapaxes(whole[::-1, ::-1], 0, 1) * _INVERSE_SIGNS   # det 1
         drift = _dot(_dot(first, inverse), second)
         drift -= 0.5 * (drift[0, 0] + drift[1, 1]) * _EYE
         step = _dot(second, _dot(_exp2(drift / 63.0), first))
-        if not estimate:
-            return step
-        return step, np.abs(_dot(second, first) - whole).max(axis=(0, 1)) / 63.0
+        return step, np.abs(halves - whole).max(axis=(0, 1)) / 63.0
 
 
 def _prefix_products(steps):
@@ -973,9 +990,14 @@ def propagate(worldline, generator, params, tol):
     midpoints not yet known, then the Gauss nodes of the halves.  A rejected
     interval is split as :func:`_split` sizes it from the larger of the two,
     its parts reusing every node of it that falls on theirs, and a part's
-    unknown left end is the right end of the part before it.  A parameter is
-    read by the same steps, over the part of its interval before it, on the
-    interpolant of G; one on a grid point from the accepted steps alone.
+    unknown left end is the right end of the part before it.  A parameter
+    strictly inside an accepted interval is read as the product of the two
+    :func:`_half_steps` over the part of the interval before it, from the
+    interpolant of G at their six nodes, with no whole step or correction:
+    the interval's estimate, at most tol / 2, is the half steps' error over
+    it, and by the h^7 law of :func:`_split` that over the part theta is
+    about theta^7 times as large.  A parameter on a grid point is read from
+    the accepted steps alone.
     :class:`ToleranceError` is raised for ``tol`` below TOLERANCE_FLOOR, a G
     that is not finite, and past MAX_LEVELS bisections of one interval.
     """
@@ -1057,7 +1079,7 @@ def propagate(worldline, generator, params, tol):
     if len(inside):
         order, g = _interpolate_reads(np.concatenate(kept), slots[k[inside]], theta[inside])
         reads = inside[order]
-        maps[..., reads] = _richardson(g, theta[reads] * widths[reads], estimate=False)
+        maps[..., reads] = _half_steps(g, theta[reads] * widths[reads])[0]
     return np.moveaxis(_dot(maps, starts[..., k]), -1, 0).reshape(params.shape + (2, 2)).copy()
 
 

@@ -327,6 +327,27 @@ class TestAmplitudeChecks:
         with pytest.raises(QulineError, match="^projection onto a zero-probability branch$"):
             singlet.project(np.kron(up, up), 0, 1)
 
+    def test_overflowing_complex_norm_normalizes_and_projects(self):
+        """Complex amplitudes whose squares pass the floats make inf less inf
+        in the complex products: norm_squared is still inf without a numpy
+        warning, at rest and on a boosted label, and the state is normalized
+        and projected over its largest |entry|."""
+        rest = FermionState([3e200 + 4e200j, 0.0], EV, REST)
+        assert rest.norm_squared() == np.inf
+        np.testing.assert_allclose(rest.normalized().amplitude, [0.6 + 0.8j, 0.0], rtol=1e-15)
+        boosted = np.array([1.25, 0.0, 0.75, 0.0])
+        amplitude = np.array([6e199 - 3e199j, -2e199j])
+        moving = FermionState(amplitude, EV, boosted)
+        assert moving.norm_squared() == np.inf
+        want = FermionState(amplitude * 1e-199, EV, boosted)
+        np.testing.assert_allclose(moving.normalized().amplitude, want.normalized().amplitude,
+                                   rtol=1e-15)
+        up = np.diag([1.0, 0.0])
+        prob, post = moving.project(up, 0)
+        want_prob, want_post = want.project(up, 0)
+        assert prob == pytest.approx(want_prob, rel=1e-15)
+        np.testing.assert_allclose(post.amplitude, want_post.amplitude, rtol=1e-15)
+
     def test_shape_off_the_slots_refused(self):
         with pytest.raises(QulineError, match=r"^amplitude shape \(4,\) does not match the "
                                               r"slots' dims \(2, 2\)$"):

@@ -1,11 +1,11 @@
 """The transport kernel's generators and reads on whole arrays give the bytes
 of the forms they replaced, which are kept here as references: the complex
-einsum over L^{IJ}, eta @ pulled, np.cross, the per-read Lagrange weights
-and the per-read (and per-interval) product against a gathered G.  A spin
-state's inner-product matrix, its realization's ``metrics`` at its one label,
-gives the bytes of ``velocity_inner_product_matrix``, the one-label form it
-replaced.  Every comparison is of uint64 views, so a signed zero or a last
-bit counts.
+einsum over L^{IJ}, eta @ pulled, np.cross, the per-read Lagrange weights,
+the per-read (and per-interval) product against a gathered G and a read's
+half-step product taken one read at a time.  A spin state's inner-product
+matrix, its realization's ``metrics`` at its one label, gives the bytes of
+``velocity_inner_product_matrix``, the one-label form it replaced.  Every
+comparison is of uint64 views, so a signed zero or a last bit counts.
 
 The last test reruns this file in fresh child processes under another
 OpenBLAS kernel and with numpy's AVX-512 dispatch switched off."""
@@ -24,6 +24,8 @@ from quline.geometry import _parallel_generator
 from quline.spin_algebra import (ETA, ETA_ROWS, GENERATORS, PAULI, generator_contraction,
                                  velocity_inner_product_matrix)
 from quline.worldline import NODES, SUBNODES
+
+from test_transport_kernel import matrix_first_half_steps
 
 EM = wld.constant_magnetic_field([0.2, 0.0, 0.9])
 
@@ -140,10 +142,11 @@ def test_lagrange_constants_are_the_reference_ones():
 @pytest.mark.parametrize("n", [1, 2, 199, 4097])
 @pytest.mark.parametrize("intervals", ["one", "many"])
 def test_node_first_reads_repeat_the_per_read_arithmetic(n, intervals):
-    """The reads' node-first weights and their one product per interval,
-    stacked over intervals with as many reads, against the per-read
-    weights and products over a gathered G, on random complex G; a third of
-    the reads are at 0 or 1, where subnodes fall exactly on nodes (hits)."""
+    """The reads' node-first weights at the six half-step nodes and their
+    one product per interval, stacked over intervals with as many reads,
+    against the per-read weights and products over a gathered G, on random
+    complex G; a third of the reads are at 0 or 1, where the half-step nodes
+    fall exactly on nodes (hits)."""
     rng = np.random.default_rng(n)
     k = 1 if intervals == "one" else max(2, n // 3)
     g = rng.normal(size=(k, 9, 2, 2)) + 1j * rng.normal(size=(k, 9, 2, 2))
@@ -153,8 +156,31 @@ def test_node_first_reads_repeat_the_per_read_arithmetic(n, intervals):
     order, got = wld._interpolate_reads(g, held, theta)
     np.testing.assert_array_equal(np.sort(order), np.arange(n))
     assert np.all(np.diff(np.bincount(held)[held[order]]) >= 0)     # fewer reads first
-    want = reference_interpolate(g[held[order]], reference_lagrange(theta[order, None] * SUBNODES))
+    want = reference_interpolate(g[held[order]],
+                                 reference_lagrange(theta[order, None] * SUBNODES[:6]))
     assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 199, 4097])
+@pytest.mark.parametrize("special", ["none", "zero", "too_large"])
+def test_half_step_reads_repeat_the_per_read_arithmetic(n, special):
+    """A read's map, the product of its two half steps, on an entry-first
+    (2, 2, n) stack of reads against one read at a time in the (n, 2, 2)
+    layout, on random traceless G at the six half-step nodes, with one
+    read's G zero (s = 0 in the closed-form exp) or too large to
+    exponentiate."""
+    rng = np.random.default_rng(n)
+    g = rng.normal(size=(n, 6, 2, 2)) + 1j * rng.normal(size=(n, 6, 2, 2))
+    g[..., 1, 1] = -g[..., 0, 0]
+    h = rng.uniform(0.01, 0.5, n)
+    if special == "zero":
+        g[n // 2] = 0.0
+    elif special == "too_large":
+        g[n // 2] *= 1e200
+    reads = wld._half_steps(g, h)[0]
+    assert reads.shape == (2, 2, n)
+    assert_same_bits(np.ascontiguousarray(np.moveaxis(reads, -1, 0)),
+                     matrix_first_half_steps(g, h))
 
 
 @pytest.mark.parametrize("n", [1, 2, 61, 1000])
